@@ -113,7 +113,11 @@ def _states_payload(states) -> list:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as handle:
+        try:
+            handle = open(args.out, "w")
+        except OSError as exc:
+            raise InvalidParams(f"cannot write {args.out}: {exc.strerror}") from exc
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -265,12 +269,7 @@ def cmd_modes(args) -> int:
     ops = modes_mod.build_mode_operators(args.n, args.p, args.lam, params, args.mode_cutoff)
     payload = []
     for op in ops:
-        entries = [
-            [r, c, fmt_rat(op.matrix.entries[r][c])]
-            for r in range(op.matrix.rows)
-            for c in range(op.matrix.cols)
-            if op.matrix.entries[r][c] != 0
-        ]
+        entries = [[r, c, fmt_rat(v)] for r, c, v in op.matrix.nonzeros()]
         payload.append({"kind": op.kind, "node": op.node, "mode": op.mode, "entries": entries})
     payload.sort(key=lambda item: (item["kind"], item["node"], item["mode"]))
     _emit_json(

@@ -1,122 +1,165 @@
-"""Dense exact matrices over Fractions with fraction-free elimination.
+"""Sparse exact matrices over Fractions with fraction-free elimination.
 
-Kernel and rank go through integer Bareiss elimination after clearing row
-denominators, which keeps intermediate entries as honest minors instead of
-exploding gcd-free fractions.
+A matrix stores only its nonzero entries, as a dict of rows, each a dict
+column -> nonzero Fraction; rows without a nonzero entry are absent. All
+arithmetic runs over those nonzeros. Kernel and rank go through integer
+Bareiss elimination on dense rows after clearing row denominators, which
+keeps intermediate entries as honest minors instead of exploding gcd-free
+fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Rat = Fraction
 
 
 class RationalMatrix:
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else (cols or 0)
-        if any(len(row) != self.cols for row in self.entries):
+        """From dense rows; ``cols`` gives the width when there are none."""
+        self.rows = len(entries)
+        self.cols = len(entries[0]) if self.rows else (cols or 0)
+        if any(len(row) != self.cols for row in entries):
             raise ValueError("ragged rows")
+        self._data = {}
+        for r, row in enumerate(entries):
+            nonzero = {c: Fraction(x) for c, x in enumerate(row) if x != 0}
+            if nonzero:
+                self._data[r] = nonzero
+
+    @staticmethod
+    def _of(rows: int, cols: int, data: dict) -> "RationalMatrix":
+        """Wrap row dicts that already hold only nonzero Fractions."""
+        m = RationalMatrix.__new__(RationalMatrix)
+        m.rows, m.cols, m._data = rows, cols, data
+        return m
+
+    @staticmethod
+    def from_triples(rows: int, cols: int, triples: Iterable[tuple]) -> "RationalMatrix":
+        """Sum of ``value`` at ``(row, col)`` over ``(row, col, value)`` triples."""
+        data: dict[int, dict[int, Fraction]] = {}
+        for r, c, v in triples:
+            row = data.setdefault(r, {})
+            row[c] = row.get(c, 0) + Fraction(v)
+        nonzero = {r: {c: v for c, v in row.items() if v} for r, row in data.items()}
+        return RationalMatrix._of(rows, cols, {r: row for r, row in nonzero.items() if row})
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix([[0] * cols for _ in range(rows)], cols=cols)
+        return RationalMatrix._of(rows, cols, {})
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return RationalMatrix._of(n, n, {i: {i: Fraction(1)} for i in range(n)})
 
     @staticmethod
     def diagonal(values: Sequence) -> "RationalMatrix":
         n = len(values)
-        return RationalMatrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return RationalMatrix.from_triples(n, n, ((i, i, v) for i, v in enumerate(values)))
 
-    @staticmethod
-    def column(values: Sequence) -> "RationalMatrix":
-        return RationalMatrix([[v] for v in values])
+    @property
+    def entries(self) -> list[list[Rat]]:
+        """Dense rows, built on demand."""
+        out = []
+        for r in range(self.rows):
+            row = [Fraction(0)] * self.cols
+            for c, v in self._data.get(r, {}).items():
+                row[c] = v
+            out.append(row)
+        return out
+
+    def __getitem__(self, key: tuple[int, int]) -> Rat:
+        r, c = key
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"entry {key} outside shape {self.shape}")
+        return self._data.get(r, {}).get(c, Fraction(0))
+
+    def nonzeros(self):
+        """``(row, col, value)`` of every nonzero entry, in row-major order."""
+        for r in sorted(self._data):
+            row = self._data[r]
+            for c in sorted(row):
+                yield r, c, row[c]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.shape == other.shape and self._data == other._data
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.entries!r})"
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
+        return self._merged(other, negate=False)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._merged(other, negate=True)
+
+    def _merged(self, other: "RationalMatrix", negate: bool) -> "RationalMatrix":
         self._check_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
+        data = {r: dict(row) for r, row in self._data.items()}
+        for r, row in other._data.items():
+            if negate:
+                row = {c: -v for c, v in row.items()}
+            acc = data.setdefault(r, {})
+            for c, v in row.items():
+                new = acc[c] + v if c in acc else v
+                if new:
+                    acc[c] = new
+                else:
+                    del acc[c]
+            if not acc:
+                del data[r]
+        return RationalMatrix._of(self.rows, self.cols, data)
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.shape} x {other.shape}")
-            if self.cols == 0 or other.cols == 0 or self.rows == 0:
-                return RationalMatrix.zeros(self.rows, other.cols)
-            bt = list(zip(*other.entries))
-            out = []
-            for row in self.entries:
-                out_row = []
-                for col in bt:
-                    acc = Fraction(0)
-                    for a, b in zip(row, col):
-                        if a and b:
-                            acc += a * b
-                    out_row.append(acc)
-                out.append(out_row)
-            return RationalMatrix(out)
+            right = other._data
+            data = {}
+            for r, row in self._data.items():
+                acc: dict[int, Fraction] = {}
+                for k, a in row.items():
+                    brow = right.get(k)
+                    if brow is None:
+                        continue
+                    for c, b in brow.items():
+                        acc[c] = acc[c] + a * b if c in acc else a * b
+                acc = {c: v for c, v in acc.items() if v}
+                if acc:
+                    data[r] = acc
+            return RationalMatrix._of(self.rows, other.cols, data)
         return self.scaled(other)
 
     def scaled(self, c) -> "RationalMatrix":
         c = Fraction(c)
-        return RationalMatrix([[c * x for x in row] for row in self.entries], cols=self.cols)
-
-    def __neg__(self) -> "RationalMatrix":
-        return self.scaled(-1)
+        if c == 0:
+            return RationalMatrix.zeros(self.rows, self.cols)
+        data = {r: {k: c * v for k, v in row.items()} for r, row in self._data.items()}
+        return RationalMatrix._of(self.rows, self.cols, data)
 
     def transpose(self) -> "RationalMatrix":
-        if self.rows == 0 or self.cols == 0:
-            return RationalMatrix.zeros(self.cols, self.rows)
-        return RationalMatrix(list(zip(*self.entries)))
+        data: dict[int, dict[int, Fraction]] = {}
+        for r, row in self._data.items():
+            for c, v in row.items():
+                data.setdefault(c, {})[r] = v
+        return RationalMatrix._of(self.cols, self.rows, data)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not self._data
 
     def max_abs(self) -> Rat:
-        worst = Fraction(0)
-        for row in self.entries:
-            for x in row:
-                if abs(x) > worst:
-                    worst = abs(x)
-        return worst
-
-    def power(self, k: int) -> "RationalMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of non-square matrix")
-        acc = RationalMatrix.identity(self.rows)
-        for _ in range(k):
-            acc = acc * self
-        return acc
+        return max((abs(v) for row in self._data.values() for v in row.values()), default=Fraction(0))
 
     def _check_shape(self, other: "RationalMatrix") -> None:
         if self.shape != other.shape:
@@ -125,9 +168,13 @@ class RationalMatrix:
 
 def _integer_rows(m: RationalMatrix) -> list[list[int]]:
     out = []
-    for row in m.entries:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
+    for r in range(m.rows):
+        row = [0] * m.cols
+        nonzero = m._data.get(r, {})
+        mult = lcm(*(x.denominator for x in nonzero.values()))
+        for c, x in nonzero.items():
+            row[c] = x.numerator * (mult // x.denominator)
+        out.append(row)
     return out
 
 
@@ -172,24 +219,16 @@ def kernel_basis(m: RationalMatrix) -> list[RationalMatrix]:
     One basis vector per free column, built by back substitution on the
     fraction-free echelon form; rank + len(result) == cols by construction.
     """
-    cols = m.cols
-    if cols == 0:
-        return []
-    if m.rows == 0:
-        return [RationalMatrix.column([1 if j == k else 0 for j in range(cols)]) for k in range(cols)]
     ech, pivots = _bareiss_echelon(_integer_rows(m))
     pivot_set = set(pivots)
-    free_cols = [c for c in range(cols) if c not in pivot_set]
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
+    for free in (c for c in range(m.cols) if c not in pivot_set):
+        vec = {free: Fraction(1)}
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
-            acc = Fraction(0)
-            for c in range(pc + 1, cols):
-                if ech[r][c] and vec[c]:
-                    acc += ech[r][c] * vec[c]
-            vec[pc] = -acc / ech[r][pc]
-        basis.append(RationalMatrix.column(vec))
+            row = ech[r]
+            acc = sum(row[c] * v for c, v in vec.items() if c > pc and row[c])
+            if acc:
+                vec[pc] = -acc / row[pc]
+        basis.append(RationalMatrix._of(m.cols, 1, {c: {0: v} for c, v in vec.items()}))
     return basis

@@ -58,6 +58,14 @@ def _add(x: Weight, y: Weight) -> Weight:
     return (x[0] + y[0], x[1] + y[1])
 
 
+def _lines(m: RationalMatrix) -> dict[int, list[tuple[int, Rat]]]:
+    """Row index -> [(column, value)] over the nonzero entries."""
+    out: dict[int, list[tuple[int, Rat]]] = {}
+    for r, c, v in m.nonzeros():
+        out.setdefault(r, []).append((c, v))
+    return out
+
+
 class DeformationComplex:
     """Deformation directions, linearized gauge relations and gauge orbits
     of one fixed point, everything indexed by exact weight pairs."""
@@ -119,21 +127,12 @@ class DeformationComplex:
                         suffix.append(m * suffix[-1])
                     suffix.reverse()
                     for t, name in enumerate(rest):
-                        left = prefix[t]
-                        right = suffix[t + 1]
-                        for r in range(left.rows):
-                            for rr in range(left.cols):
-                                lv = left.entries[r][rr]
-                                if lv == 0:
-                                    continue
-                                for cc in range(right.rows):
-                                    idx = self.slot_index[(name, rr, cc)]
-                                    for c in range(right.cols):
-                                        rv = right.entries[cc][c]
-                                        if rv == 0:
-                                            continue
-                                        cell = cells[r][c]
-                                        cell[idx] = cell.get(idx, 0) + sign * lv * rv
+                        right = list(suffix[t + 1].nonzeros())
+                        for r, rr, lv in prefix[t].nonzeros():
+                            for cc, c, rv in right:
+                                idx = self.slot_index[(name, rr, cc)]
+                                cell = cells[r][c]
+                                cell[idx] = cell.get(idx, 0) + sign * lv * rv
             for r in range(n_to):
                 for c in range(n_from):
                     entries = {i: v for i, v in cells[r][c].items() if v != 0}
@@ -149,6 +148,10 @@ class DeformationComplex:
         """One column per gl(V_a) direction: image of gamma under
         gamma -> gamma q - q gamma across all arrows."""
         fp = self.fp
+        lines = {
+            arr.name: (_lines(fp.matrices[arr.name]), _lines(fp.matrices[arr.name].transpose()))
+            for arr in fp.spec.arrows
+        }
         cols = []
         for node in fp.spec.gauge_nodes:
             coords = _atom_coords(fp, node)
@@ -158,19 +161,15 @@ class DeformationComplex:
                     w = _sub(coords[r], coords[c])
                     image = {}
                     for arr in fp.spec.arrows:
-                        q = fp.matrices[arr.name]
+                        q_rows, q_cols = lines[arr.name]
                         if arr.target == node:  # gamma * q
-                            for cc in range(q.cols):
-                                v = q.entries[c][cc]
-                                if v != 0:
-                                    idx = self.slot_index[(arr.name, r, cc)]
-                                    image[idx] = image.get(idx, 0) + v
+                            for cc, v in q_rows.get(c, ()):
+                                idx = self.slot_index[(arr.name, r, cc)]
+                                image[idx] = image.get(idx, 0) + v
                         if arr.source == node:  # - q * gamma
-                            for rr in range(q.rows):
-                                v = q.entries[rr][r]
-                                if v != 0:
-                                    idx = self.slot_index[(arr.name, rr, c)]
-                                    image[idx] = image.get(idx, 0) - v
+                            for rr, v in q_cols.get(r, ()):
+                                idx = self.slot_index[(arr.name, rr, c)]
+                                image[idx] = image.get(idx, 0) - v
                     image = {i: v for i, v in image.items() if v != 0}
                     if image:
                         weights = {self.slot_weight[i] for i in image}
@@ -190,21 +189,11 @@ class DeformationComplex:
         idxs = [i for i, sw in enumerate(self.slot_weight) if sw == w]
         if not idxs:
             return []
-        local = {g: l for l, g in enumerate(idxs)}
         rows = [entries for rw, entries in self.rows if rw == w]
         if not rows:
-            basis_local = [[Fraction(1) if l == t else Fraction(0) for l in range(len(idxs))]
-                           for t in range(len(idxs))]
-        else:
-            mat = RationalMatrix(
-                [[entries.get(g, 0) for g in idxs] for entries in rows]
-            )
-            basis_local = [
-                [vec.entries[l][0] for l in range(len(idxs))] for vec in kernel_basis(mat)
-            ]
-        return [
-            {idxs[l]: v for l, v in enumerate(vec) if v != 0} for vec in basis_local
-        ]
+            return [{g: Fraction(1)} for g in idxs]
+        mat = RationalMatrix([[entries.get(g, 0) for g in idxs] for entries in rows])
+        return [{idxs[l]: v for l, _, v in vec.nonzeros()} for vec in kernel_basis(mat)]
 
     def gauge_rank_sector(self, w: Weight) -> int:
         cols = [image for cw, image in self.gauge_cols if cw == w]
@@ -307,14 +296,11 @@ def _projection(fp_plus: FixedPoint, fp: FixedPoint, node) -> RationalMatrix:
     small = fp.node_atoms(node)
     big = fp_plus.node_atoms(node)
     small_coords = {a.coordinate: i for i, a in enumerate(small)}
-    rows = []
-    for i in range(len(small)):
-        rows.append([0] * len(big))
-    for j, atom in enumerate(big):
-        i = small_coords.get(atom.coordinate)
-        if i is not None:
-            rows[i][j] = 1
-    return RationalMatrix(rows, cols=len(big))
+    return RationalMatrix.from_triples(
+        len(small),
+        len(big),
+        ((small_coords[a.coordinate], j, 1) for j, a in enumerate(big) if a.coordinate in small_coords),
+    )
 
 
 def incidence_tangent_graded(
@@ -365,36 +351,30 @@ def incidence_tangent_graded(
     for arr in spec.arrows:
         q = fp.matrices[arr.name]
         qp = fp_plus.matrices[arr.name]
-        t_src = tau[arr.source]
-        t_tgt = tau[arr.target]
+        q_rows = _lines(q)
+        qp_cols = _lines(qp.transpose())
+        t_src_cols = _lines(tau[arr.source].transpose())
+        t_tgt_rows = _lines(tau[arr.target])
         n_rows = q.rows
         n_cols = qp.cols
         for r in range(n_rows):
             for c in range(n_cols):
                 left: dict[int, Rat] = {}  # dq and dq' parts
                 mid: dict[int, Rat] = {}  # dtau part
-                for cc in range(t_src.rows):
-                    v = t_src.entries[cc][c] if t_src.rows else 0
-                    if v != 0:
-                        idx = cx.slot_index[(arr.name, r, cc)]
-                        left[("a", idx)] = left.get(("a", idx), 0) + v
+                for cc, v in t_src_cols.get(c, ()):
+                    idx = cx.slot_index[(arr.name, r, cc)]
+                    left[("a", idx)] = left.get(("a", idx), 0) + v
                 if arr.source != FRAMING:
-                    for rr in range(q.cols):
-                        v = q.entries[r][rr]
-                        if v != 0:
-                            idx = tau_index[(arr.source, rr, c)]
-                            mid[idx] = mid.get(idx, 0) + v
+                    for rr, v in q_rows.get(r, ()):
+                        idx = tau_index[(arr.source, rr, c)]
+                        mid[idx] = mid.get(idx, 0) + v
                 if arr.target != FRAMING:
-                    for rr in range(qp.rows):
-                        v = qp.entries[rr][c]
-                        if v != 0:
-                            idx = tau_index[(arr.target, r, rr)]
-                            mid[idx] = mid.get(idx, 0) - v
-                for cc in range(t_tgt.cols):
-                    v = t_tgt.entries[r][cc]
-                    if v != 0:
-                        idx = cx_plus.slot_index[(arr.name, cc, c)]
-                        left[("b", idx)] = left.get(("b", idx), 0) - v
+                    for rr, v in qp_cols.get(c, ()):
+                        idx = tau_index[(arr.target, r, rr)]
+                        mid[idx] = mid.get(idx, 0) - v
+                for cc, v in t_tgt_rows.get(r, ()):
+                    idx = cx_plus.slot_index[(arr.name, cc, c)]
+                    left[("b", idx)] = left.get(("b", idx), 0) - v
                 left = {k: v for k, v in left.items() if v != 0}
                 mid = {k: v for k, v in mid.items() if v != 0}
                 if left or mid:

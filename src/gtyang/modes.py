@@ -52,8 +52,10 @@ def all_pass(reports) -> bool:
 def build_mode_operators(
     n: int, p: int, lam: int, params: EquivariantParams, cutoff: int
 ) -> list[ModeOperator]:
-    """Dense matrices of every mode: raising/lowering through ``cutoff``,
-    diagonal modes through ``2 * cutoff`` so products stay checkable."""
+    """Sparse matrices of every mode: raising/lowering through ``cutoff``,
+    diagonal modes through ``2 * cutoff`` so products stay checkable. Each
+    raising/lowering mode is assembled from its (row, col, amplitude *
+    pole**mode) triples."""
     if params.h != 0:
         raise InvalidParams("mode operators are defined at h = 0")
     if cutoff < 0:
@@ -81,14 +83,11 @@ def build_mode_operators(
                          lower_pole(pat, node, j, params))
                     )
         for mode in range(cutoff + 1):
-            e_mat = RationalMatrix.zeros(dim, dim)
-            for row, col, amp, pole in raises:
-                e_mat.entries[row][col] += amp * pole**mode
-            f_mat = RationalMatrix.zeros(dim, dim)
-            for row, col, amp, pole in lowers:
-                f_mat.entries[row][col] += amp * pole**mode
-            ops.append(ModeOperator("e", node, mode, e_mat))
-            ops.append(ModeOperator("f", node, mode, f_mat))
+            for kind, moves in (("e", raises), ("f", lowers)):
+                mat = RationalMatrix.from_triples(
+                    dim, dim, ((row, col, amp * pole**mode) for row, col, amp, pole in moves)
+                )
+                ops.append(ModeOperator(kind, node, mode, mat))
         series = [
             psi_closed_form(pat, node, params).value.series_at_infinity(2 * cutoff)
             for pat in states
@@ -107,42 +106,40 @@ def _comm(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return a * b - b * a
 
 
-def _anti(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    return a * b + b * a
-
-
 def _detect_sign(candidates) -> int | None:
-    """Uniform sign s with lhs = s * rhs across all provided pairs."""
-    sign = None
+    """Uniform sign s with lhs = s * rhs, read off the first nonzero entry
+    (row-major) of the first nonzero rhs."""
     for lhs, rhs in candidates:
-        if rhs.is_zero():
-            continue
-        for r in range(rhs.rows):
-            for c in range(rhs.cols):
-                v = rhs.entries[r][c]
-                if v:
-                    ratio = lhs.entries[r][c] / v
-                    if sign is None:
-                        sign = ratio
-                    break
-            if sign is not None:
-                break
-        if sign is not None:
-            break
-    if sign in (1, -1):
-        return int(sign)
+        for r, c, v in rhs.nonzeros():
+            ratio = lhs[r, c] / v
+            return int(ratio) if ratio in (1, -1) else None
     return None
 
 
 def verify_mode_relations(ops, cartan, params: EquivariantParams) -> list[RelationReport]:
     """Quadratic relations in Cartan-matrix form, the pairing of raising
     against lowering modes, and the boundary action of the zeroth diagonal
-    mode (whose global sign is detected and reported, not assumed)."""
+    mode (whose global sign is detected and reported, not assumed).
+
+    Every product of two operators, keyed by their (kind, node, mode), is
+    computed once per call and shared by all the checks that use it."""
     table = _op_table(ops)
     nodes = sorted({node for _, node, _ in table})
     cutoff = max(mode for kind, _, mode in table if kind == "e")
     eps = params.epsilon
     reports: list[RelationReport] = []
+    products: dict[tuple, RationalMatrix] = {}
+
+    def prod(x, y) -> RationalMatrix:
+        if (x, y) not in products:
+            products[(x, y)] = table[x] * table[y]
+        return products[(x, y)]
+
+    def comm(x, y) -> RationalMatrix:
+        return prod(x, y) - prod(y, x)
+
+    def anti(x, y) -> RationalMatrix:
+        return prod(x, y) + prod(y, x)
 
     def emit(rel_id, residual, **info):
         reports.append(RelationReport(rel_id, info, residual))
@@ -153,31 +150,20 @@ def verify_mode_relations(ops, cartan, params: EquivariantParams) -> list[Relati
             coupling = half * cartan[a - 1][b - 1]
             for n_mode in range(cutoff):
                 for k_mode in range(cutoff):
-                    for kind, sign in (("e", 1), ("f", -1)):
-                        x_n = table[(kind, a, n_mode)]
-                        x_n1 = table[(kind, a, n_mode + 1)]
-                        y_k = table[(kind, b, k_mode)]
-                        y_k1 = table[(kind, b, k_mode + 1)]
+                    for x_kind, kind, sign in (
+                        ("e", "e", 1), ("f", "f", -1), ("psi", "e", 1), ("psi", "f", -1)
+                    ):
+                        x_n, x_n1 = (x_kind, a, n_mode), (x_kind, a, n_mode + 1)
+                        y_k, y_k1 = (kind, b, k_mode), (kind, b, k_mode + 1)
                         res = (
-                            _comm(x_n1, y_k)
-                            - _comm(x_n, y_k1)
-                            - _anti(x_n, y_k).scaled(sign * coupling)
+                            comm(x_n1, y_k)
+                            - comm(x_n, y_k1)
+                            - anti(x_n, y_k).scaled(sign * coupling)
                         )
-                        emit(f"{kind}{kind}", res.max_abs(), a=a, b=b, n=n_mode, k=k_mode)
-                    for kind, sign in (("e", 1), ("f", -1)):
-                        p_n = table[("psi", a, n_mode)]
-                        p_n1 = table[("psi", a, n_mode + 1)]
-                        y_k = table[(kind, b, k_mode)]
-                        y_k1 = table[(kind, b, k_mode + 1)]
-                        res = (
-                            _comm(p_n1, y_k)
-                            - _comm(p_n, y_k1)
-                            - _anti(p_n, y_k).scaled(sign * coupling)
-                        )
-                        emit(f"psi{kind}", res.max_abs(), a=a, b=b, n=n_mode, k=k_mode)
+                        emit(f"{x_kind}{kind}", res.max_abs(), a=a, b=b, n=n_mode, k=k_mode)
             for n_mode in range(cutoff + 1):
                 for k_mode in range(cutoff + 1):
-                    res = _comm(table[("psi", a, n_mode)], table[("psi", b, k_mode)])
+                    res = comm(("psi", a, n_mode), ("psi", b, k_mode))
                     emit("psipsi", res.max_abs(), a=a, b=b, n=n_mode, k=k_mode)
 
     # pairing sign: [e_n, f_k] = sign * psi_{n+k} on the diagonal node pair
@@ -185,7 +171,7 @@ def verify_mode_relations(ops, cartan, params: EquivariantParams) -> list[Relati
     for a in nodes:
         for n_mode in range(cutoff + 1):
             for k_mode in range(cutoff + 1):
-                lhs = _comm(table[("e", a, n_mode)], table[("f", a, k_mode)])
+                lhs = comm(("e", a, n_mode), ("f", a, k_mode))
                 pairing.append((lhs, table[("psi", a, n_mode + k_mode)]))
     pairing_sign = _detect_sign(pairing) or 1
     idx = 0
@@ -208,7 +194,7 @@ def verify_mode_relations(ops, cartan, params: EquivariantParams) -> list[Relati
                 continue
             for n_mode in range(cutoff + 1):
                 for k_mode in range(cutoff + 1):
-                    res = _comm(table[("e", a, n_mode)], table[("f", b, k_mode)])
+                    res = comm(("e", a, n_mode), ("f", b, k_mode))
                     emit("ef-offdiag", res.max_abs(), a=a, b=b, n=n_mode, k=k_mode)
 
     # boundary: [psi_0, e_k] = s * A_ab e_k and [psi_0, f_k] = -s * A_ab f_k
@@ -216,18 +202,18 @@ def verify_mode_relations(ops, cartan, params: EquivariantParams) -> list[Relati
     for a in nodes:
         for b in nodes:
             for k_mode in range(cutoff + 1):
-                lhs = _comm(table[("psi", a, 0)], table[("e", b, k_mode)])
+                lhs = comm(("psi", a, 0), ("e", b, k_mode))
                 boundary.append((lhs, table[("e", b, k_mode)].scaled(cartan[a - 1][b - 1])))
     boundary_sign = _detect_sign(boundary) or 1
     for a in nodes:
         for b in nodes:
             coupling = cartan[a - 1][b - 1]
             for k_mode in range(cutoff + 1):
-                res_e = _comm(table[("psi", a, 0)], table[("e", b, k_mode)]) - table[
+                res_e = comm(("psi", a, 0), ("e", b, k_mode)) - table[
                     ("e", b, k_mode)
                 ].scaled(boundary_sign * coupling)
                 emit("boundary-e", res_e.max_abs(), a=a, b=b, k=k_mode, sign=boundary_sign)
-                res_f = _comm(table[("psi", a, 0)], table[("f", b, k_mode)]) + table[
+                res_f = comm(("psi", a, 0), ("f", b, k_mode)) + table[
                     ("f", b, k_mode)
                 ].scaled(boundary_sign * coupling)
                 emit("boundary-f", res_f.max_abs(), a=a, b=b, k=k_mode, sign=boundary_sign)

@@ -207,5 +207,8 @@ def parse_pattern(text: str, n: int, p: int, lam: int) -> GTPattern:
         raise InvalidParams(f"expected {n - 1} rows, got {len(rows)}")
     for chunk in rows:
         for piece in chunk.split(","):
-            values.append(int(piece))
+            try:
+                values.append(int(piece))
+            except ValueError as exc:
+                raise InvalidParams(f"bad pattern entry {piece!r}") from exc
     return build_pattern(n, p, lam, values)

@@ -193,7 +193,7 @@ def test_criterion_04_specialization_tables():
     report("criterion-04 specialization", "printed tables reproduced; offset-0 control fails")
 
 
-MODE_GRID = [(3, 1, 2), (4, 1, 2), (4, 2, 2), (5, 2, 1)]
+MODE_GRID = [(3, 1, 2), (4, 1, 2), (4, 2, 2), (5, 2, 1), (5, 2, 2), (6, 3, 2)]
 
 
 def test_criterion_05_mode_relations():

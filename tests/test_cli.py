@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -27,6 +28,25 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "dims", "--n", "3", "--p", "1", "--lambda", "2", "--epsilon", "0")
     assert code == 2
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "dims", "--n", "3", "--p", "1", "--lambda", "2", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_malformed_pattern_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "psi", "--n", "3", "--p", "1", "--lambda", "2", "--pattern", "a;0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_states_round_trip(capsys):
@@ -96,6 +116,31 @@ def test_modes_output_deterministic(capsys):
     assert first == second
     payload = json.loads(first)
     assert {item["kind"] for item in payload["modes"]} == {"e", "f", "psi"}
+
+
+# SHA-256 of the `modes` stdout, pinned from the earlier dense-matrix
+# implementation so the operator dump from sparse rows stays byte-identical.
+MODES_STDOUT_SHA256 = [
+    (
+        ["--n", "3", "--p", "1", "--lambda", "2", "--mode-cutoff", "2", "--epsilon", "3/2"],
+        "c3514e63ddcf745307d77fbf48e57d669c7d40f0b363b016892f4d75eb3aaf98",
+    ),
+    (
+        ["--n", "4", "--p", "2", "--lambda", "2", "--mode-cutoff", "3", "--epsilon", "2/7"],
+        "9a99fa2165ab6f512c1163cb9094e2857eec92f402a4f8262ed659cff7619d1e",
+    ),
+    (
+        ["--n", "5", "--p", "2", "--lambda", "1", "--mode-cutoff", "1"],
+        "dfd71fc371d188a1d688c1a32a827a79befba61bcda464a7a161125db269bb5b",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", MODES_STDOUT_SHA256)
+def test_modes_stdout_pinned(capsys, args, digest):
+    code, out, _ = run(capsys, "modes", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_subprocess_byte_identical(tmp_path):

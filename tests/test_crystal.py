@@ -95,7 +95,7 @@ def test_vacuum_fixed_point_shapes():
 def test_cutoff_relation_shape():
     pat = build_pattern(3, 1, 2, [2, 1])
     fp = fixed_point_matrices(pat, EPS1)
-    climbed = fp.matrices["C1"].power(2) * fp.matrices["R1"]
+    climbed = fp.matrices["C1"] * fp.matrices["C1"] * fp.matrices["R1"]
     assert climbed.shape == (2, 1)
     assert climbed.is_zero()
 
