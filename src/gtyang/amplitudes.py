@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gtyang.crystal import atoms_at_node
-from gtyang.patterns import GTPattern, lower_pole, raise_pole
+from gtyang.patterns import GTPattern
 from gtyang.quiver import EquivariantParams, InvalidParams
 from gtyang.rational import FactoredRatFunc
 
@@ -201,14 +201,6 @@ def amplitude_F(
         if pole != 0:  # dropped in step with the matching raise, see above
             value *= pole
     return Amplitude("F", k, j, value)
-
-
-def raise_amplitude_value(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Rat:
-    return amplitude_E(pat, k, j, params).value
-
-
-def lower_amplitude_value(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Rat:
-    return amplitude_F(pat, k, j, params).value
 
 
 def gelfand_squared(

@@ -193,41 +193,21 @@ def cmd_psi(args) -> int:
     return 0
 
 
-def _amplitude_rows(args, params, states) -> list:
+def _amplitude_rows(args, params, states, localized=None) -> list:
+    """E and F rows per state, node and type; with a localization table E is
+    read from the state's own raising move and F from the move that raises
+    into the state, 0 where no such move exists."""
     rows = []
-    index = {pat: i for i, pat in enumerate(states)}
-    use_localization = getattr(args, "method", "closed") == "localization"
-    if use_localization:
-        from gtyang.crystal import fixed_point_matrices
-        from gtyang.localization import amplitudes_via_localization
-
-        cache = {}
-
-        def fp_of(pat):
-            if pat not in cache:
-                cache[pat] = fixed_point_matrices(pat, params, all_framings=True)
-            return cache[pat]
-
     for i, pat in enumerate(states):
         for k in range(1, args.n):
             a, b = pat.window(k)
             for j in range(a, b + 1):
-                if use_localization:
-                    target = pat.bumped(j, k, +1)
-                    e_val = Fraction(0)
-                    f_val = Fraction(0)
-                    if target is not None:
-                        e_val, _ = amplitudes_via_localization(
-                            fp_of(pat), fp_of(target), params
-                        )
-                    down = pat.bumped(j, k, -1)
-                    if down is not None:
-                        _, f_val = amplitudes_via_localization(
-                            fp_of(down), fp_of(pat), params
-                        )
-                else:
+                if localized is None:
                     e_val = amplitude_E(pat, k, j, params).value
                     f_val = amplitude_F(pat, k, j, params).value
+                else:
+                    e_val = localized.get((pat, k, j), (0, 0))[0]
+                    f_val = localized.get((pat.bumped(j, k, -1), k, j), (0, 0))[1]
                 rows.append(
                     {"state": i, "node": k, "type": j, "kind": "E", "value": fmt_rat(e_val)}
                 )
@@ -242,7 +222,22 @@ def cmd_amplitudes(args) -> int:
     if params.h != 0:
         raise InvalidParams("amplitudes are computed at h = 0")
     states = enumerate_patterns(args.n, args.p, args.lam)
-    rows = _amplitude_rows(args, params, states)
+    localized = None
+    if args.method == "localization":
+        from gtyang.localization import UncalibratedCell, localize_module
+
+        localized = localize_module(args.n, args.p, args.lam, params)
+        for (pat, k, j), cell in localized.items():
+            if isinstance(cell, UncalibratedCell):
+                # a valid input whose value the route cannot determine: no
+                # partial table, and not a usage error
+                print(
+                    f"error: localization leaves the move at state {format_pattern(pat)}, "
+                    f"node {k}, type {j} undetermined: {cell}",
+                    file=sys.stderr,
+                )
+                return 1
+    rows = _amplitude_rows(args, params, states, localized)
     if args.format == "csv":
         buf = io.StringIO()
         buf.write("state_id,node,type,kind,value\n")

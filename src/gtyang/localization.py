@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from gtyang.crystal import FixedPoint
+from gtyang.crystal import FixedPoint, fixed_point_matrices
 from gtyang.linalg import RationalMatrix, kernel_basis, rank
-from gtyang.quiver import FRAMING, EquivariantParams, LinearForm
+from gtyang.patterns import GTPattern, enumerate_patterns
+from gtyang.quiver import FRAMING, EquivariantParams, InvariantViolation, LinearForm
 
 Rat = Fraction
 
@@ -46,16 +47,17 @@ class EulerClass:
         return self.sign * (-1) ** (self.zero_count // 2) * self.nonzero_product
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise InvariantViolation(message)
+
+
 def _atom_coords(fp: FixedPoint, node) -> list[Weight]:
     return [(a.weight.c_eps, a.weight.c_h) for a in fp.node_atoms(node)]
 
 
 def _sub(x: Weight, y: Weight) -> Weight:
     return (x[0] - y[0], x[1] - y[1])
-
-
-def _add(x: Weight, y: Weight) -> Weight:
-    return (x[0] + y[0], x[1] + y[1])
 
 
 def _lines(m: RationalMatrix) -> dict[int, list[tuple[int, Rat]]]:
@@ -68,7 +70,15 @@ def _lines(m: RationalMatrix) -> dict[int, list[tuple[int, Rat]]]:
 
 class DeformationComplex:
     """Deformation directions, linearized gauge relations and gauge orbits
-    of one fixed point, everything indexed by exact weight pairs."""
+    of one fixed point, everything indexed by exact weight pairs.
+
+    Everything about the fixed point is computed once, here: the relation
+    kernel of each weight (``kernels``), the gauge rank of each weight
+    (``gauge_ranks``), the tangent grading trimmed to the expected dimension
+    (``tangent``, keyed by ``LinearForm``) and the opposite-weight pairs the
+    trim removed (``removed``). Construction raises ``StabilityViolation``
+    when the gauge action is not free.
+    """
 
     def __init__(self, fp: FixedPoint):
         self.fp = fp
@@ -90,6 +100,18 @@ class DeformationComplex:
                     self.slot_weight.append(w)
         self.rows = self._build_relation_rows()
         self.gauge_cols = self._build_gauge_columns()
+        self.kernels = {w: self.kernel_sector(w) for w in sorted(set(self.slot_weight))}
+        self.gauge_ranks = {w: self.gauge_rank_sector(w) for w in {w for w, _ in self.gauge_cols}}
+        if not self.gauge_injective():
+            raise StabilityViolation("gauge action is not free at this fixed point")
+        raw: dict[Weight, int] = {}
+        for w, kernel in self.kernels.items():
+            dim = len(kernel) - self.gauge_ranks.get(w, 0)
+            _require(dim >= 0, "gauge orbit escapes the relation kernel")
+            if dim:
+                raw[w] = dim
+        trimmed, self.removed = _regularize_tangent(raw, 2 * len(_all_atoms(fp)))
+        self.tangent = {LinearForm(w[0], w[1]): d for w, d in trimmed.items()}
 
     # -- linearized relations -------------------------------------------
 
@@ -138,7 +160,7 @@ class DeformationComplex:
                     entries = {i: v for i, v in cells[r][c].items() if v != 0}
                     if entries:
                         weights = {self.slot_weight[i] for i in entries}
-                        assert len(weights) == 1, "relation row mixes weights"
+                        _require(len(weights) == 1, "relation row mixes weights")
                         rows.append((weights.pop(), entries))
         return rows
 
@@ -173,15 +195,12 @@ class DeformationComplex:
                     image = {i: v for i, v in image.items() if v != 0}
                     if image:
                         weights = {self.slot_weight[i] for i in image}
-                        assert len(weights) == 1, "gauge column mixes weights"
-                        assert weights.pop() == w
+                        _require(len(weights) == 1, "gauge column mixes weights")
+                        _require(weights.pop() == w, "gauge column off its gl weight")
                     cols.append((w, image))
         return cols
 
     # -- per-weight kernels ----------------------------------------------
-
-    def sector_weights(self) -> set[Weight]:
-        return set(self.slot_weight)
 
     def kernel_sector(self, w: Weight) -> list[dict[int, Rat]]:
         """Basis of ker(dF) restricted to the weight-w slots, as sparse
@@ -204,26 +223,8 @@ class DeformationComplex:
         return rank(mat)
 
     def gauge_injective(self) -> bool:
-        dims = sum(len(_atom_coords(self.fp, node)) ** 2 for node in self.fp.spec.gauge_nodes)
-        by_weight: dict[Weight, int] = {}
-        for w, _ in self.gauge_cols:
-            by_weight[w] = by_weight.get(w, 0) + 1
-        total = sum(self.gauge_rank_sector(w) for w in by_weight)
-        return total == dims
-
-
-def _atom_total(fp: FixedPoint) -> int:
-    return sum(len(fp.node_atoms(node)) for node in fp.spec.gauge_nodes)
-
-
-def _raw_tangent_sectors(cx: DeformationComplex) -> dict[Weight, int]:
-    out: dict[Weight, int] = {}
-    for w in sorted(cx.sector_weights()):
-        dim = len(cx.kernel_sector(w)) - cx.gauge_rank_sector(w)
-        assert dim >= 0, "gauge orbit escapes the relation kernel"
-        if dim:
-            out[w] = dim
-    return out
+        # one gauge column per gl(V_a) direction
+        return sum(self.gauge_ranks.values()) == len(self.gauge_cols)
 
 
 def _regularize_tangent(
@@ -241,7 +242,7 @@ def _regularize_tangent(
     if excess <= 0:
         # undershoot happens only for reduced framing choices; nothing to trim
         return out, removed
-    assert excess % 2 == 0, "odd tangent excess cannot pair up"
+    _require(excess % 2 == 0, "odd tangent excess cannot pair up")
     candidates = sorted(
         (w for w in out if (-w[0], -w[1]) in out and w > (-w[0], -w[1])),
         key=lambda w: (-abs(w[0]) - abs(w[1]), w),
@@ -257,18 +258,14 @@ def _regularize_tangent(
             excess -= 2
         if excess == 0:
             break
-    assert excess == 0, "tangent excess is not hyperbolic"
+    _require(excess == 0, "tangent excess is not hyperbolic")
     return out, removed
 
 
 def tangent_graded(fp: FixedPoint, params: EquivariantParams) -> dict[LinearForm, int]:
     """Graded dimensions of ker(dF)/im(gauge), asymmetry kept symbolic,
     trimmed to the expected dimension (twice the atom count)."""
-    cx = DeformationComplex(fp)
-    if not cx.gauge_injective():
-        raise StabilityViolation("gauge action is not free at this fixed point")
-    sectors, _ = _regularize_tangent(_raw_tangent_sectors(cx), 2 * _atom_total(fp))
-    return {LinearForm(w[0], w[1]): d for w, d in sectors.items()}
+    return DeformationComplex(fp).tangent
 
 
 def _euler_from_graded(graded: dict[LinearForm, int], params: EquivariantParams) -> EulerClass:
@@ -304,7 +301,7 @@ def _projection(fp_plus: FixedPoint, fp: FixedPoint, node) -> RationalMatrix:
 
 
 def incidence_tangent_graded(
-    fp: FixedPoint, fp_plus: FixedPoint, params: EquivariantParams
+    cx: DeformationComplex, cx_plus: DeformationComplex
 ) -> dict[LinearForm, int]:
     """Tangent grading of the one-atom extension locus.
 
@@ -312,15 +309,11 @@ def incidence_tangent_graded(
     modulo both gauge orbits. The base intertwiner is the atom projection
     from the extended crystal onto the original one.
     """
+    fp, fp_plus = cx.fp, cx_plus.fp
     small = set(a.coordinate for a in _all_atoms(fp))
     big = set(a.coordinate for a in _all_atoms(fp_plus))
     if not (small <= big and len(big) == len(small) + 1):
         raise NotAdjacent("second fixed point is not a single-atom extension")
-
-    cx = DeformationComplex(fp)
-    cx_plus = DeformationComplex(fp_plus)
-    if not cx.gauge_injective() or not cx_plus.gauge_injective():
-        raise StabilityViolation("gauge action is not free")
 
     spec = fp.spec
     tau = {node: _projection(fp_plus, fp, node) for node in spec.gauge_nodes}
@@ -330,7 +323,7 @@ def incidence_tangent_graded(
     for arr in spec.arrows:
         lhs = fp.matrices[arr.name] * tau[arr.source]
         rhs = tau[arr.target] * fp_plus.matrices[arr.name]
-        assert lhs == rhs, f"projection fails to intertwine {arr.name}"
+        _require(lhs == rhs, f"projection fails to intertwine {arr.name}")
 
     # intertwiner deformation slots: Hom(V'_a, V_a) per gauge node
     tau_slots: list[tuple[int, int, int]] = []  # (node, row, col)
@@ -382,19 +375,14 @@ def incidence_tangent_graded(
                         (cx.slot_weight[i] if side == "a" else cx_plus.slot_weight[i])
                         for side, i in left
                     } | {tau_weight[i] for i in mid}
-                    assert len(weights) == 1, "condition row mixes weights"
+                    _require(len(weights) == 1, "condition row mixes weights")
                     conditions.append((weights.pop(), left, mid))
 
-    weights = (
-        cx.sector_weights()
-        | cx_plus.sector_weights()
-        | set(tau_weight)
-        | {w for w, _, _ in conditions}
-    )
     sectors: dict[Weight, int] = {}
-    for w in sorted(weights):
-        k_a = cx.kernel_sector(w)
-        k_b = cx_plus.kernel_sector(w)
+    # a weight without kernel vectors on either side has no pairs to solve for
+    for w in sorted(set(cx.kernels) | set(cx_plus.kernels)):
+        k_a = cx.kernels.get(w, [])
+        k_b = cx_plus.kernels.get(w, [])
         n_pairs = len(k_a) + len(k_b)
         if n_pairs == 0:
             continue
@@ -417,8 +405,8 @@ def incidence_tangent_graded(
             solutions = n_pairs - (rank(full) - rank(tau_only))
         else:
             solutions = n_pairs
-        dim = solutions - cx.gauge_rank_sector(w) - cx_plus.gauge_rank_sector(w)
-        assert dim >= 0, "gauge orbits exceed the incidence solutions"
+        dim = solutions - cx.gauge_ranks.get(w, 0) - cx_plus.gauge_ranks.get(w, 0)
+        _require(dim >= 0, "gauge orbits exceed the incidence solutions")
         if dim:
             sectors[w] = dim
 
@@ -427,14 +415,10 @@ def incidence_tangent_graded(
     # here; the realized signs are pinned against the closed forms: a lone
     # pair follows the move node's parity, two distinct magnitudes split as
     # +larger/-smaller, equal magnitudes drop both signs.
-    excess = sum(sectors.values()) - (2 * _atom_total(fp) + 1)
+    excess = sum(sectors.values()) - (2 * len(_all_atoms(fp)) + 1)
     if excess > 0:
-        _, rem_a = _regularize_tangent(_raw_tangent_sectors(cx), 2 * _atom_total(fp))
-        _, rem_b = _regularize_tangent(
-            _raw_tangent_sectors(cx_plus), 2 * _atom_total(fp_plus)
-        )
         pool: list[Weight] = []
-        for rem in (rem_a, rem_b):
+        for rem in (cx.removed, cx_plus.removed):
             for w, count in rem.items():
                 if w > (-w[0], -w[1]):
                     pool.extend([w] * count)
@@ -465,7 +449,7 @@ def incidence_tangent_graded(
             if sectors[w] == 0:
                 del sectors[w]
             excess -= 1
-    assert excess == 0, "incidence dimension off the expected count"
+    _require(excess == 0, "incidence dimension off the expected count")
     return {LinearForm(w[0], w[1]): d for w, d in sectors.items()}
 
 
@@ -476,7 +460,8 @@ def _all_atoms(fp: FixedPoint):
 def incidence_euler(
     fp: FixedPoint, fp_plus: FixedPoint, params: EquivariantParams
 ) -> EulerClass:
-    return _euler_from_graded(incidence_tangent_graded(fp, fp_plus, params), params)
+    cells = incidence_tangent_graded(DeformationComplex(fp), DeformationComplex(fp_plus))
+    return _euler_from_graded(cells, params)
 
 
 def _sector_ratio(
@@ -494,12 +479,42 @@ def _sector_ratio(
     return value
 
 
+def _move_amplitudes(
+    cx: DeformationComplex, cx_plus: DeformationComplex, params: EquivariantParams
+) -> tuple[Rat, Rat]:
+    inc = incidence_tangent_graded(cx, cx_plus)
+    return _sector_ratio(cx.tangent, inc, params), _sector_ratio(cx_plus.tangent, inc, params)
+
+
 def amplitudes_via_localization(
     fp: FixedPoint, fp_plus: FixedPoint, params: EquivariantParams
 ) -> tuple[Rat, Rat]:
     """(raising, lowering) amplitudes as regularized Euler class ratios."""
-    inc = incidence_tangent_graded(fp, fp_plus, params)
-    e_value = _sector_ratio(tangent_graded(fp, params), inc, params)
-    f_value = _sector_ratio(tangent_graded(fp_plus, params), inc, params)
-    return e_value, f_value
+    return _move_amplitudes(DeformationComplex(fp), DeformationComplex(fp_plus), params)
+
+
+def localize_module(
+    n: int, p: int, lam: int, params: EquivariantParams
+) -> dict[tuple[GTPattern, int, int], tuple[Rat, Rat] | UncalibratedCell]:
+    """(state, node, type) of each raising move -> its (raising, lowering)
+    amplitudes, or the ``UncalibratedCell`` it raised; one deformation
+    complex per pattern, shared by every move it takes part in."""
+    patterns = enumerate_patterns(n, p, lam)
+    complexes = {
+        pat: DeformationComplex(fixed_point_matrices(pat, params, all_framings=True))
+        for pat in patterns
+    }
+    table = {}
+    for pat in patterns:
+        for k in range(1, n):
+            a, b = pat.window(k)
+            for j in range(a, b + 1):
+                target = pat.bumped(j, k, +1)
+                if target is None:
+                    continue
+                try:
+                    table[pat, k, j] = _move_amplitudes(complexes[pat], complexes[target], params)
+                except UncalibratedCell as exc:
+                    table[pat, k, j] = exc
+    return table
 

@@ -13,14 +13,8 @@ from fractions import Fraction
 
 from gtyang.amplitudes import amplitude_E, amplitude_F, psi_closed_form, psi_generic
 from gtyang.linalg import RationalMatrix
-from gtyang.patterns import (
-    GTPattern,
-    enumerate_patterns,
-    lower_pole,
-    raise_pole,
-    rectangular_dimension,
-)
-from gtyang.quiver import EquivariantParams, InvalidParams, build_quiver, bond_factor, cartan_matrix
+from gtyang.patterns import enumerate_patterns, lower_pole, raise_pole, rectangular_dimension
+from gtyang.quiver import EquivariantParams, InvalidParams, build_quiver, bond_factor
 from gtyang.rational import FactoredRatFunc
 
 Rat = Fraction
@@ -450,33 +444,21 @@ def verify_gelfand(n, p, lam, params: EquivariantParams) -> list[RelationReport]
 
 
 def verify_localization(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
-    from gtyang.crystal import fixed_point_matrices
-    from gtyang.localization import UncalibratedCell, amplitudes_via_localization
+    from gtyang.localization import UncalibratedCell, localize_module
 
     reports = []
-    for pat in enumerate_patterns(n, p, lam):
-        fp = None
-        for k in range(1, n):
-            a, b = pat.window(k)
-            for j in range(a, b + 1):
-                target = pat.bumped(j, k, +1)
-                if target is None:
-                    continue
-                if fp is None:
-                    fp = fixed_point_matrices(pat, params, all_framings=True)
-                fpp = fixed_point_matrices(target, params, all_framings=True)
-                try:
-                    e_loc, f_loc = amplitudes_via_localization(fp, fpp, params)
-                    res = abs(e_loc - amplitude_E(pat, k, j, params).value) + abs(
-                        f_loc - amplitude_F(target, k, j, params).value
-                    )
-                    rel_id = "localization"
-                except UncalibratedCell:
-                    res = Fraction(1)
-                    rel_id = "localization-uncalibrated"
-                reports.append(
-                    RelationReport(rel_id, {"state": pat.free_values, "move": (k, j)}, res)
-                )
+    for (pat, k, j), cell in localize_module(n, p, lam, params).items():
+        if isinstance(cell, UncalibratedCell):
+            res = Fraction(1)
+            rel_id = "localization-uncalibrated"
+        else:
+            e_loc, f_loc = cell
+            target = pat.bumped(j, k, +1)
+            res = abs(e_loc - amplitude_E(pat, k, j, params).value) + abs(
+                f_loc - amplitude_F(target, k, j, params).value
+            )
+            rel_id = "localization"
+        reports.append(RelationReport(rel_id, {"state": pat.free_values, "move": (k, j)}, res))
     return reports
 
 

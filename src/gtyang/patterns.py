@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from gtyang.quiver import EquivariantParams, InvalidParams, validate_params
+from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation, validate_params
 
 Rat = Fraction
 
@@ -160,7 +160,8 @@ def rectangular_dimension(n: int, p: int, lam: int) -> int:
     for i in range(1, p + 1):
         for j in range(1, n - p + 1):
             total *= Fraction(lam + i + j - 1, i + j - 1)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise InvariantViolation("hook-content product is not an integer")
     return int(total)
 
 

@@ -24,6 +24,11 @@ class InvalidParams(ValueError):
     pass
 
 
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed: a bug, never bad input. Raised instead
+    of ``assert`` so the check survives ``python -O``."""
+
+
 @dataclass(frozen=True)
 class EquivariantParams:
     epsilon: Rat

@@ -186,18 +186,3 @@ def _series_divide(num: Sequence[Rat], den: Sequence[Rat], terms: int) -> list[R
         out[j] = acc / den[0]
     return out
 
-
-def ratfunc_mul(a: FactoredRatFunc, b: FactoredRatFunc) -> FactoredRatFunc:
-    return a * b
-
-
-def ratfunc_eval(f: FactoredRatFunc, z0) -> Rat:
-    return f.eval_at(z0)
-
-
-def residue_simple(f: FactoredRatFunc, z0) -> Rat:
-    return f.residue_simple(z0)
-
-
-def series_at_infinity(f: FactoredRatFunc, order: int) -> SeriesPrefix:
-    return f.series_at_infinity(order)

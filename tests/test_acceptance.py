@@ -338,20 +338,20 @@ def test_criterion_11_reductions():
     report("criterion-11 reductions", "chain restriction and conjugation symmetry hold")
 
 
-def test_criterion_12_cli_determinism():
+def test_criterion_12_cli_determinism(cli_env):
     cmd = [
         sys.executable, "-m", "gtyang.cli",
         "verify", "--n", "3", "--p", "1", "--lambda", "2", "--suite", "hysteresis",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
     assert first.stdout == second.stdout and first.stdout
     assert json.loads(first.stdout)["passed"] is True
     cmd = [
         sys.executable, "-m", "gtyang.cli",
         "amplitudes", "--n", "4", "--p", "2", "--lambda", "1",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
     assert first.stdout == second.stdout
     report("criterion-12 determinism", "byte-identical verify and amplitude bundles")

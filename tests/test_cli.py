@@ -83,13 +83,26 @@ def test_amplitude_csv_columns(capsys):
     assert any(line.endswith(",E,-1") for line in lines[1:])
 
 
-def test_amplitude_methods_agree(capsys):
-    args = ["amplitudes", "--n", "3", "--p", "1", "--lambda", "2"]
+# (4,2,3) holds the double-jump cells
+@pytest.mark.parametrize("n,p,lam", [(3, 1, 2), (4, 2, 2), (4, 2, 3), (6, 3, 1)])
+def test_amplitude_methods_agree(capsys, n, p, lam):
+    args = ["amplitudes", "--n", str(n), "--p", str(p), "--lambda", str(lam)]
     code, closed, _ = run(capsys, *args, "--method", "closed")
     assert code == 0
     code, localized, _ = run(capsys, *args, "--method", "localization")
     assert code == 0
-    assert json.loads(closed)["amplitudes"] == json.loads(localized)["amplitudes"]
+    assert closed == localized
+
+
+def test_uncalibrated_amplitudes_exit_one_without_output(capsys):
+    code, out, err = run(
+        capsys, "amplitudes", "--n", "5", "--p", "2", "--lambda", "2", "--method", "localization"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # the first uncalibrated raising move in enumeration order
+    assert "state 0;2,0;1,0;0, node 1, type 1 " in err
 
 
 def test_verify_all_passes(capsys):
@@ -143,7 +156,7 @@ def test_modes_stdout_pinned(capsys, args, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_subprocess_byte_identical(tmp_path):
+def test_subprocess_byte_identical(cli_env):
     cmd = [
         sys.executable,
         "-m",
@@ -156,8 +169,8 @@ def test_subprocess_byte_identical(tmp_path):
         "--lambda",
         "2",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
 

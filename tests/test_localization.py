@@ -8,13 +8,15 @@ from gtyang.crystal import fixed_point_matrices
 from gtyang.localization import (
     DeformationComplex,
     NotAdjacent,
+    _regularize_tangent,
     amplitudes_via_localization,
     euler_class,
     incidence_euler,
     tangent_graded,
 )
+from gtyang.modes import verify_localization
 from gtyang.patterns import build_pattern, enumerate_patterns, raise_pole, vacuum_pattern
-from gtyang.quiver import EquivariantParams
+from gtyang.quiver import EquivariantParams, InvariantViolation
 
 F = Fraction
 EPS1 = EquivariantParams(1)
@@ -139,7 +141,7 @@ def test_product_equals_residue_via_localization():
 def test_weight_preservation_and_gauge_inside_kernel():
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
     cx = DeformationComplex(fp_of(pat))
-    # rows and gauge columns are built with homogeneity asserts; touching
+    # rows and gauge columns are built with homogeneity checks; touching
     # them here keeps the structural check on the record
     assert cx.rows
     assert cx.gauge_cols
@@ -189,3 +191,27 @@ def test_expected_dimension_is_twice_atom_count():
             graded = tangent_graded(fp_of(pat), EPS1)
             atoms = sum(pat.node_dimension(k) for k in range(1, n))
             assert sum(graded.values()) == 2 * atoms
+
+
+@pytest.mark.parametrize(
+    "sectors",
+    [{(F(1), F(0)): 1}, {(F(1), F(0)): 2}],
+    ids=["odd-excess", "non-hyperbolic-excess"],
+)
+def test_untrimmable_excess_raises_typed_error(sectors):
+    with pytest.raises(InvariantViolation):
+        _regularize_tangent(sectors, 0)
+
+
+def test_module_pass_builds_one_complex_per_pattern(monkeypatch):
+    built = []
+    init = DeformationComplex.__init__
+
+    def counting_init(self, fp):
+        built.append(fp.pattern)
+        init(self, fp)
+
+    monkeypatch.setattr(DeformationComplex, "__init__", counting_init)
+    verify_localization(4, 2, 2, EPS1)
+    assert len(built) == 20
+    assert set(built) == set(enumerate_patterns(4, 2, 2))
