@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from gtyang.crystal import atoms_at_node
 from gtyang.patterns import GTPattern
-from gtyang.quiver import EquivariantParams, InvalidParams
+from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation
 from gtyang.rational import FactoredRatFunc
 
 Rat = Fraction
@@ -48,13 +48,19 @@ def _require_h_zero(params: EquivariantParams) -> None:
         raise InvalidParams("amplitude computations require h = 0")
 
 
-def _bond_roots(node_k: int, node_b: int, eps: Rat) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
-    """Numerator/denominator roots of the h = 0 exchange function."""
+def _bond_units(node_k: int, node_b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Numerator/denominator roots of the h = 0 exchange function, in units
+    of eps/2."""
     if node_k == node_b:
-        return (-eps,), (eps,)
+        return (-2,), (2,)
     if abs(node_k - node_b) == 1:
-        return (eps / 2,), (-eps / 2,)
+        return (1,), (-1,)
     return (), ()
+
+
+def _psi_value(eps: Rat, num: list[int], den: list[int]) -> FactoredRatFunc:
+    """-1/eps times the root bags, which are given in units of eps/2."""
+    return FactoredRatFunc.from_multiples(Fraction(-1) / eps, eps / 2, num, den)
 
 
 def psi_generic(pat: GTPattern, k: int, params: EquivariantParams) -> PsiFunction:
@@ -62,55 +68,54 @@ def psi_generic(pat: GTPattern, k: int, params: EquivariantParams) -> PsiFunctio
     _require_h_zero(params)
     if not 1 <= k <= pat.n - 1:
         raise IndexOutOfRange(f"node {k} out of range")
-    eps = params.epsilon
-    scalar = Fraction(-1) / eps
-    num: list[Rat] = []
-    den: list[Rat] = []
+    num: list[int] = []
+    den: list[int] = []
     if k == pat.p:
-        num.append(pat.lam * eps)  # (z + h_S) with h_S = -lam*eps
-        den.append(Fraction(0))  # (z - h_R) with h_R = 0
+        num.append(2 * pat.lam)  # (z + h_S) with h_S = -lam*eps
+        den.append(0)  # (z - h_R) with h_R = 0
     for b in (k - 1, k, k + 1):
         if not 1 <= b <= pat.n - 1:
             continue
-        roots = _bond_roots(k, b, eps)
+        roots = _bond_units(k, b)
         for atom in atoms_at_node(pat, b):
-            w = atom.weight.value(params)
+            w = 2 * atom.weight.c_eps  # the atom weight at h = 0, in eps/2
+            if w.denominator != 1:
+                raise InvariantViolation(f"atom weight {atom.weight.c_eps} is not in eps/2 units")
+            w = w.numerator
             num.extend(w + r for r in roots[0])
             den.extend(w + r for r in roots[1])
-    return PsiFunction(k, pat, FactoredRatFunc.make(scalar, num, den))
+    return PsiFunction(k, pat, _psi_value(params.epsilon, num, den))
 
 
 def psi_closed_form(pat: GTPattern, k: int, params: EquivariantParams) -> PsiFunction:
     """Level-free route: per type ladder only the boundary factors survive,
-    with positions read off the pattern entries directly."""
+    with positions read off the pattern entries directly (in units of eps/2)."""
     _require_h_zero(params)
     if not 1 <= k <= pat.n - 1:
         raise IndexOutOfRange(f"node {k} out of range")
-    eps = params.epsilon
-    scalar = Fraction(-1) / eps
-    num: list[Rat] = []
-    den: list[Rat] = []
+    num: list[int] = []
+    den: list[int] = []
     if k == pat.p:
-        num.append(pat.lam * eps)
-        den.append(Fraction(0))
+        num.append(2 * pat.lam)
+        den.append(0)
 
     a_k, b_k = pat.window(k)
     for i in range(a_k, b_k + 1):
-        base = (Fraction(-(i - a_k)) - Fraction(abs(k - pat.p), 2)) * eps
+        base = -2 * (i - a_k) - abs(k - pat.p)
         m = pat.entry(i, k)
-        num.extend((base - eps, base))
-        den.extend((base + (m - 1) * eps, base + m * eps))
+        num.extend((base - 2, base))
+        den.extend((base + 2 * (m - 1), base + 2 * m))
 
     for r in (k - 1, k + 1):
         if not 1 <= r <= pat.n - 1:
             continue
         a_r, b_r = pat.window(r)
         for i in range(a_r, b_r + 1):
-            base = (Fraction(-(i - a_r)) - Fraction(abs(r - pat.p), 2)) * eps
+            base = -2 * (i - a_r) - abs(r - pat.p)
             m = pat.entry(i, r)
-            num.append(base + (m - Fraction(1, 2)) * eps)
-            den.append(base - eps / 2)
-    return PsiFunction(k, pat, FactoredRatFunc.make(scalar, num, den))
+            num.append(base + 2 * m - 1)
+            den.append(base - 1)
+    return PsiFunction(k, pat, _psi_value(params.epsilon, num, den))
 
 
 def _check_type_index(pat: GTPattern, k: int, j: int) -> None:
@@ -134,29 +139,27 @@ def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Am
         return Amplitude("E", k, j, Fraction(0))
     eps = params.epsilon
     l = pat.shifted
+    lj = l(j, k)
+    num = den = 1
+    for i in range(1, j):
+        num *= l(i, k - 1) - lj - 1
+        den *= (l(i, k) - lj) * (l(i, k) - lj - 1)
     if k == pat.p:
-        value = Fraction(-1) / eps
         for i in range(2, j + 1):
-            value *= l(i, k + 1) - l(j, k)
-        for i in range(1, j):
-            value *= l(i, k - 1) - l(j, k) - 1
-        for i in range(1, j):
-            value /= (l(i, k) - l(j, k)) * (l(i, k) - l(j, k) - 1)
+            num *= l(i, k + 1) - lj
+        value = Fraction(-num * eps.denominator, den * eps.numerator)  # times -1/eps
     else:
-        value = Fraction(1)
         for i in range(1, j + 1):
-            value *= l(i, k + 1) - l(j, k)
-        for i in range(1, j):
-            value *= l(i, k - 1) - l(j, k) - 1
-        for i in range(1, j):
-            value /= (l(i, k) - l(j, k)) * (l(i, k) - l(j, k) - 1)
+            num *= l(i, k + 1) - lj
         a_k, _ = pat.window(k)
-        pole = l(j, k) * eps + a_k * eps - Fraction(abs(k - pat.p), 2) * eps
+        pole = 2 * (lj + a_k) - abs(k - pat.p)  # in units of eps/2
         # moves whose pole hits the origin collide with the root at h = 0;
         # the vanishing factor is dropped, its partner drops from the
         # reverse lowering, so the residue identity survives untouched
         if pole != 0:
-            value /= pole
+            num *= 2 * eps.denominator
+            den *= pole * eps.numerator
+        value = Fraction(num, den)
     return Amplitude("E", k, j, value)
 
 
@@ -180,26 +183,25 @@ def amplitude_F(
         return Amplitude("F", k, j, Fraction(0))
     eps = params.epsilon
     l = pat.shifted
+    lj = l(j, k)
+    num = den = 1
+    for i in range(j + 1, k + 2):
+        num *= l(i, k + 1) - lj + 1
+    for i in range(j, k):
+        num *= l(i, k - 1) - lj
+    for i in range(j + 1, k + 1):
+        den *= (l(i, k) - lj + 1) * (l(i, k) - lj)
     if k == pat.p:
-        value = (l(1, k + 1) - l(j, k) + top_factor_offset) * eps
-        for i in range(j + 1, k + 2):
-            value *= l(i, k + 1) - l(j, k) + 1
-        for i in range(j, k):
-            value *= l(i, k - 1) - l(j, k)
-        for i in range(j + 1, k + 1):
-            value /= (l(i, k) - l(j, k) + 1) * (l(i, k) - l(j, k))
+        num *= l(1, k + 1) - lj + top_factor_offset
+        value = Fraction(num * eps.numerator, den * eps.denominator)  # times eps
     else:
-        value = Fraction(-1)
-        for i in range(j + 1, k + 2):
-            value *= l(i, k + 1) - l(j, k) + 1
-        for i in range(j, k):
-            value *= l(i, k - 1) - l(j, k)
-        for i in range(j + 1, k + 1):
-            value /= (l(i, k) - l(j, k) + 1) * (l(i, k) - l(j, k))
         a_k, _ = pat.window(k)
-        pole = (l(j, k) - 1) * eps + a_k * eps - Fraction(abs(k - pat.p), 2) * eps
+        pole = 2 * (lj - 1 + a_k) - abs(k - pat.p)  # in units of eps/2
+        num = -num
         if pole != 0:  # dropped in step with the matching raise, see above
-            value *= pole
+            num *= pole * eps.numerator
+            den *= 2 * eps.denominator
+        value = Fraction(num, den)
     return Amplitude("F", k, j, value)
 
 

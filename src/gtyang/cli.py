@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -358,8 +359,26 @@ COMMANDS = {
 }
 
 
+# argparse takes "-3/2" for an option flag, since only integers and
+# decimals look like negative numbers to it
+_RATIONAL_FLAGS = ("--epsilon", "--h")
+_NEGATIVE_RATIONAL = re.compile(r"-\d+(/\d+)?")
+
+
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """Rewrite ``--epsilon -3/2`` as ``--epsilon=-3/2`` (likewise ``--h``)."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and _NEGATIVE_RATIONAL.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run_cli(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_rationals(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

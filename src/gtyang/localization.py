@@ -325,22 +325,26 @@ def incidence_tangent_graded(
         rhs = tau[arr.target] * fp_plus.matrices[arr.name]
         _require(lhs == rhs, f"projection fails to intertwine {arr.name}")
 
-    # intertwiner deformation slots: Hom(V'_a, V_a) per gauge node
-    tau_slots: list[tuple[int, int, int]] = []  # (node, row, col)
-    tau_weight: list[Weight] = []
+    # intertwiner deformation slots: Hom(V'_a, V_a) per gauge node, the
+    # slot indices grouped by weight
     tau_index: dict[tuple[int, int, int], int] = {}
+    tau_weight: list[Weight] = []
+    tau_by_weight: dict[Weight, list[int]] = {}
     for node in spec.gauge_nodes:
         small_c = _atom_coords(fp, node)
         big_c = _atom_coords(fp_plus, node)
         for r in range(len(small_c)):
             for c in range(len(big_c)):
-                tau_index[(node, r, c)] = len(tau_slots)
-                tau_slots.append((node, r, c))
-                tau_weight.append(_sub(small_c[r], big_c[c]))
+                w = _sub(small_c[r], big_c[c])
+                tau_index[(node, r, c)] = len(tau_weight)
+                tau_by_weight.setdefault(w, []).append(len(tau_weight))
+                tau_weight.append(w)
 
     # intertwining condition rows per arrow: rows in Hom(V'_src, V_tgt):
     #   dq.tau + q.dtau - dtau.q' - tau.dq' = 0
-    conditions = []
+    # each row is (dq part over cx slots, dq' part over cx_plus slots, dtau
+    # part), grouped by its weight
+    conditions: dict[Weight, list[tuple[dict, dict, dict]]] = {}
     for arr in spec.arrows:
         q = fp.matrices[arr.name]
         qp = fp_plus.matrices[arr.name]
@@ -352,11 +356,12 @@ def incidence_tangent_graded(
         n_cols = qp.cols
         for r in range(n_rows):
             for c in range(n_cols):
-                left: dict[int, Rat] = {}  # dq and dq' parts
-                mid: dict[int, Rat] = {}  # dtau part
+                left_a: dict[int, Rat] = {}
+                left_b: dict[int, Rat] = {}
+                mid: dict[int, Rat] = {}
                 for cc, v in t_src_cols.get(c, ()):
                     idx = cx.slot_index[(arr.name, r, cc)]
-                    left[("a", idx)] = left.get(("a", idx), 0) + v
+                    left_a[idx] = left_a.get(idx, 0) + v
                 if arr.source != FRAMING:
                     for rr, v in q_rows.get(r, ()):
                         idx = tau_index[(arr.source, rr, c)]
@@ -367,16 +372,18 @@ def incidence_tangent_graded(
                         mid[idx] = mid.get(idx, 0) - v
                 for cc, v in t_tgt_rows.get(r, ()):
                     idx = cx_plus.slot_index[(arr.name, cc, c)]
-                    left[("b", idx)] = left.get(("b", idx), 0) - v
-                left = {k: v for k, v in left.items() if v != 0}
+                    left_b[idx] = left_b.get(idx, 0) - v
+                left_a = {k: v for k, v in left_a.items() if v != 0}
+                left_b = {k: v for k, v in left_b.items() if v != 0}
                 mid = {k: v for k, v in mid.items() if v != 0}
-                if left or mid:
-                    weights = {
-                        (cx.slot_weight[i] if side == "a" else cx_plus.slot_weight[i])
-                        for side, i in left
-                    } | {tau_weight[i] for i in mid}
+                if left_a or left_b or mid:
+                    weights = (
+                        {cx.slot_weight[i] for i in left_a}
+                        | {cx_plus.slot_weight[i] for i in left_b}
+                        | {tau_weight[i] for i in mid}
+                    )
                     _require(len(weights) == 1, "condition row mixes weights")
-                    conditions.append((weights.pop(), left, mid))
+                    conditions.setdefault(weights.pop(), []).append((left_a, left_b, mid))
 
     sectors: dict[Weight, int] = {}
     # a weight without kernel vectors on either side has no pairs to solve for
@@ -386,19 +393,15 @@ def incidence_tangent_graded(
         n_pairs = len(k_a) + len(k_b)
         if n_pairs == 0:
             continue
-        tau_idx = [i for i, tw in enumerate(tau_weight) if tw == w]
-        rows_w = [(left, mid) for rw, left, mid in conditions if rw == w]
+        tau_idx = tau_by_weight.get(w, [])
+        rows_w = conditions.get(w, [])
         if rows_w:
             # columns: kernel basis of both sides, then the tau directions
             cond = []
-            for left, mid in rows_w:
-                row = []
-                for vec in k_a:
-                    row.append(sum(v * vec.get(i, 0) for (side, i), v in left.items() if side == "a"))
-                for vec in k_b:
-                    row.append(sum(v * vec.get(i, 0) for (side, i), v in left.items() if side == "b"))
-                for i in tau_idx:
-                    row.append(mid.get(i, 0))
+            for left_a, left_b, mid in rows_w:
+                row = [sum(v * vec.get(i, 0) for i, v in left_a.items()) for vec in k_a]
+                row += [sum(v * vec.get(i, 0) for i, v in left_b.items()) for vec in k_b]
+                row += [mid.get(i, 0) for i in tau_idx]
                 cond.append(row)
             full = RationalMatrix(cond)
             tau_only = RationalMatrix([row[n_pairs:] for row in cond], cols=len(tau_idx))

@@ -257,10 +257,9 @@ def verify_serre(ops, params: EquivariantParams, modes=(0, 1)) -> list[RelationR
     return reports
 
 
-def _bond_parts(spec, a, b, x, params) -> tuple[Rat, Rat]:
+def _bond_parts(phi: FactoredRatFunc, x: Rat) -> tuple[Rat, Rat]:
     """Exchange function at argument x as an exact (numerator, denominator)
     pair, so coincident poles stay cross-multipliable."""
-    phi = bond_factor(spec, a, b, params)
     num = phi.scalar
     den = Fraction(1)
     for r in phi.num_roots:
@@ -272,18 +271,29 @@ def _bond_parts(spec, a, b, x, params) -> tuple[Rat, Rat]:
 
 def verify_hysteresis(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
     """The four consistency identities tying amplitudes, bond factors and
-    residues together, checked on every state and every admissible pair."""
+    residues together, checked on every state and every admissible pair.
+    Each amplitude and each bond factor is computed once per call."""
     spec = build_quiver(n, p, lam)
     states = enumerate_patterns(n, p, lam)
+    bonds = {(a, b): bond_factor(spec, a, b, params) for a in range(1, n) for b in range(1, n)}
     reports = []
+    e_cache: dict[tuple, Rat] = {}
+    f_cache: dict[tuple, Rat] = {}
 
     def E(pat, k, j):
-        return amplitude_E(pat, k, j, params).value
+        key = (pat, k, j)
+        if key not in e_cache:
+            e_cache[key] = amplitude_E(pat, k, j, params).value
+        return e_cache[key]
 
     def Fv(pat, k, j):
-        return amplitude_F(pat, k, j, params).value
+        key = (pat, k, j)
+        if key not in f_cache:
+            f_cache[key] = amplitude_F(pat, k, j, params).value
+        return f_cache[key]
 
     for pat in states:
+        state = pat.free_values
         movelist = []
         for k in range(1, n):
             a, b = pat.window(k)
@@ -296,7 +306,7 @@ def verify_hysteresis(n, p, lam, params: EquivariantParams) -> list[RelationRepo
             product = E(pat, k, j) * Fv(up, k, j)
             residual = product - psi[k].residue_simple(raise_pole(pat, k, j, params))
             reports.append(
-                RelationReport("residue", {"state": pat.free_values, "move": (k, j)}, abs(residual))
+                RelationReport("residue", {"state": state, "move": (k, j)}, abs(residual))
             )
         for k1, j1 in movelist:
             up1 = pat.bumped(j1, k1, +1)
@@ -305,38 +315,27 @@ def verify_hysteresis(n, p, lam, params: EquivariantParams) -> list[RelationRepo
             for k2, j2 in movelist:
                 if (k1, j1) == (k2, j2):
                     continue
+                moves = ((k1, j1), (k2, j2))
                 both = up1.bumped(j2, k2, +1)
                 lhs = E(up1, k2, j2) * Fv(both, k1, j1) if both is not None else Fraction(0)
                 rhs = Fv(up1, k1, j1) * E(pat, k2, j2)
                 reports.append(
-                    RelationReport(
-                        "exchange",
-                        {"state": pat.free_values, "moves": ((k1, j1), (k2, j2))},
-                        abs(lhs - rhs),
-                    )
+                    RelationReport("exchange", {"state": state, "moves": moves}, abs(lhs - rhs))
                 )
                 up2 = pat.bumped(j2, k2, +1)
                 if up2 is None or both is None:
                     continue
                 x = raise_pole(pat, k1, j1, params) - raise_pole(pat, k2, j2, params)
-                num, den = _bond_parts(spec, k1, k2, x, params)
+                num, den = _bond_parts(bonds[k1, k2], x)
                 lhs = E(pat, k1, j1) * E(up1, k2, j2) * num
                 rhs = E(pat, k2, j2) * E(up2, k1, j1) * den
                 reports.append(
-                    RelationReport(
-                        "raise-ratio",
-                        {"state": pat.free_values, "moves": ((k1, j1), (k2, j2))},
-                        abs(lhs - rhs),
-                    )
+                    RelationReport("raise-ratio", {"state": state, "moves": moves}, abs(lhs - rhs))
                 )
                 lhs = Fv(both, k2, j2) * Fv(up1, k1, j1) * num
                 rhs = Fv(both, k1, j1) * Fv(up2, k2, j2) * den
                 reports.append(
-                    RelationReport(
-                        "lower-ratio",
-                        {"state": pat.free_values, "moves": ((k1, j1), (k2, j2))},
-                        abs(lhs - rhs),
-                    )
+                    RelationReport("lower-ratio", {"state": state, "moves": moves}, abs(lhs - rhs))
                 )
     return reports
 
@@ -348,15 +347,14 @@ def verify_pole_classification(n, p, lam, params: EquivariantParams) -> list[Rel
 
     reports = []
     for pat in enumerate_patterns(n, p, lam):
+        state = pat.free_values
         for k in range(1, n):
             add, rem = add_remove_sets(pat, k, params)
             expected = sorted(pole for _, pole in add + rem)
             value = psi_closed_form(pat, k, params).value
             match = sorted(value.den_roots) == expected
             reports.append(
-                RelationReport(
-                    "pole-set", {"state": pat.free_values, "node": k}, Fraction(0 if match else 1)
-                )
+                RelationReport("pole-set", {"state": state, "node": k}, Fraction(0 if match else 1))
             )
             a, b = pat.window(k)
             for j in range(a, b + 1):
@@ -367,7 +365,7 @@ def verify_pole_classification(n, p, lam, params: EquivariantParams) -> list[Rel
                 reports.append(
                     RelationReport(
                         "vanishing",
-                        {"state": pat.free_values, "move": (k, j)},
+                        {"state": state, "move": (k, j)},
                         Fraction(0 if (ok_e and ok_f) else 1),
                     )
                 )
@@ -412,11 +410,12 @@ def verify_dual_routes(n, p, lam, params: EquivariantParams) -> list[RelationRep
     """Atom-product route against the level-free closed form, per state/node."""
     reports = []
     for pat in enumerate_patterns(n, p, lam):
+        state = pat.free_values
         for k in range(1, n):
             same = psi_generic(pat, k, params).value == psi_closed_form(pat, k, params).value
             reports.append(
                 RelationReport(
-                    "psi-routes", {"state": pat.free_values, "node": k}, Fraction(0 if same else 1)
+                    "psi-routes", {"state": state, "node": k}, Fraction(0 if same else 1)
                 )
             )
     return reports
@@ -427,6 +426,7 @@ def verify_gelfand(n, p, lam, params: EquivariantParams) -> list[RelationReport]
 
     reports = []
     for pat in enumerate_patterns(n, p, lam):
+        state = pat.free_values
         for k in range(1, n):
             a, b = pat.window(k)
             for j in range(a, b + 1):
@@ -436,7 +436,7 @@ def verify_gelfand(n, p, lam, params: EquivariantParams) -> list[RelationReport]
                     reports.append(
                         RelationReport(
                             "gelfand-square",
-                            {"state": pat.free_values, "move": (k, j, direction)},
+                            {"state": state, "move": (k, j, direction)},
                             abs(lhs - rhs),
                         )
                     )
@@ -447,7 +447,9 @@ def verify_localization(n, p, lam, params: EquivariantParams) -> list[RelationRe
     from gtyang.localization import UncalibratedCell, localize_module
 
     reports = []
-    for (pat, k, j), cell in localize_module(n, p, lam, params).items():
+    table = localize_module(n, p, lam, params)
+    states = {pat: pat.free_values for pat in dict.fromkeys(pat for pat, _, _ in table)}
+    for (pat, k, j), cell in table.items():
         if isinstance(cell, UncalibratedCell):
             res = Fraction(1)
             rel_id = "localization-uncalibrated"
@@ -458,7 +460,7 @@ def verify_localization(n, p, lam, params: EquivariantParams) -> list[RelationRe
                 f_loc - amplitude_F(target, k, j, params).value
             )
             rel_id = "localization"
-        reports.append(RelationReport(rel_id, {"state": pat.free_values, "move": (k, j)}, res))
+        reports.append(RelationReport(rel_id, {"state": states[pat], "move": (k, j)}, res))
     return reports
 
 

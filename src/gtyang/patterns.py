@@ -49,19 +49,31 @@ class GTPattern:
             out.extend(self.entry(i, k) for i in range(a, b + 1))
         return tuple(out)
 
-    def is_valid(self) -> bool:
-        try:
-            _validate(self)
-        except InvalidParams:
-            return False
-        return True
-
     def bumped(self, i: int, k: int, step: int) -> "GTPattern | None":
-        """Pattern with m[i,k] changed by step, or None if it leaves the cone."""
-        rows = [list(r) for r in self.rows]
-        rows[k - 1][i - 1] += step
-        cand = GTPattern(self.n, self.p, self.lam, tuple(tuple(r) for r in rows))
-        return cand if cand.is_valid() else None
+        """Pattern with m[i,k] changed by a nonzero step, or None if it
+        leaves the cone.
+
+        Only a free entry may move, and on a valid pattern only the four
+        interlacing neighbours of m[i,k] can break, so just those are tested.
+        """
+        if not 1 <= k <= self.n - 1:
+            return None
+        a, b = self.window(k)
+        if not a <= i <= b:
+            return None
+        row = self.rows[k - 1]
+        upper = self.rows[k]
+        v = row[i - 1] + step
+        if not upper[i] <= v <= upper[i - 1]:
+            return None
+        if k >= 2:
+            lower = self.rows[k - 2]
+            if i <= k - 1 and v < lower[i - 1]:
+                return None
+            if i >= 2 and v > lower[i - 2]:
+                return None
+        new_row = row[: i - 1] + (v,) + row[i:]
+        return GTPattern(self.n, self.p, self.lam, self.rows[: k - 1] + (new_row,) + self.rows[k:])
 
 
 def _frozen_value(n: int, p: int, lam: int, i: int, k: int) -> int | None:

@@ -71,6 +71,23 @@ class FactoredRatFunc:
         return FactoredRatFunc(s, num, den)
 
     @staticmethod
+    def from_multiples(
+        scalar, unit, num_coeffs: Iterable[int] = (), den_coeffs: Iterable[int] = ()
+    ) -> "FactoredRatFunc":
+        """``make(scalar, [c * unit ...], [c * unit ...])`` for roots that are
+        integer multiples of one nonzero ``unit``: the integer coefficients
+        cancel, then each surviving root is scaled once. A negative unit
+        reverses the sorted order, so the result is the same canonical form."""
+        s = Fraction(scalar)
+        if s == 0:
+            return FactoredRatFunc(Fraction(0), (), ())
+        u = Fraction(unit)
+        num, den = _cancel(num_coeffs, den_coeffs)
+        if u < 0:
+            num, den = num[::-1], den[::-1]
+        return FactoredRatFunc(s, tuple(c * u for c in num), tuple(c * u for c in den))
+
+    @staticmethod
     def one() -> "FactoredRatFunc":
         return FactoredRatFunc(Fraction(1), (), ())
 

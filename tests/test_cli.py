@@ -156,6 +156,91 @@ def test_modes_stdout_pinned(capsys, args, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# SHA-256 of `psi` and `amplitudes --format csv`, pinned from the earlier
+# implementation that built every psi root and amplitude as a Fraction, so the
+# integer eps/2-unit roots stay byte-identical; the negative epsilon reverses
+# the root order.
+PSI_AMPLITUDES_STDOUT_SHA256 = [
+    (
+        ("psi", "4", "2", "2", "3/2"),
+        "9b1428c345314a50388ab25a1a94f871ad6271df4438c91901cd3f5fb559ebcb",
+    ),
+    (
+        ("psi", "4", "2", "2", "-3/2"),
+        "075698a13560384ae1100e5a562b294434c452f824c8db53665b1f2a98224d62",
+    ),
+    (
+        ("psi", "4", "2", "2", "2/7"),
+        "2d9d97a9cb5e7b8a65feecddb893e58786fb22755301043edb7e8d23a2666eb2",
+    ),
+    (
+        ("psi", "5", "2", "1", "3/2"),
+        "5c6692ad933140a02d64cf8ceda7f55fa9386b889c4a7ae11471e52c39967be8",
+    ),
+    (
+        ("psi", "5", "2", "1", "-3/2"),
+        "561040762b2308ea8010f407dd0d6998eae980569b05f643956b6af9c87d43fe",
+    ),
+    (
+        ("psi", "5", "2", "1", "2/7"),
+        "63f5723a27dc9df47fd66b007c008cbd26a5a021bd76ccc98ba6693f875d31cd",
+    ),
+    (
+        ("amplitudes", "4", "2", "2", "3/2"),
+        "5a3152a2452de5d64129ade7a1645cce6f694537d4a921c16660f6d6b55ee9ac",
+    ),
+    (
+        ("amplitudes", "4", "2", "2", "-3/2"),
+        "1ea48021d9227a67c92dca8a68bf2512104746a09ecc5538a53c45aa1f2a4a75",
+    ),
+    (
+        ("amplitudes", "4", "2", "2", "2/7"),
+        "80b1fdbff406fd66e561bc7add9ac86a1b2829a4481eab405ae146e5d8b6ab1d",
+    ),
+    (
+        ("amplitudes", "5", "2", "1", "3/2"),
+        "8234ef7ad06a15f565ffbd303e018d2bf5509ff3f4f32edc5ad2c9e6f5c34315",
+    ),
+    (
+        ("amplitudes", "5", "2", "1", "-3/2"),
+        "a53342369d2745ce560ec00a21ea1b93f14fd51e65ef9f10b1103c9211dc1cb9",
+    ),
+    (
+        ("amplitudes", "5", "2", "1", "2/7"),
+        "5f56066e86af89d11e3ab21008e144ddfd5c9f3b539d1e9ba739dc06f9d10abf",
+    ),
+]
+
+
+@pytest.mark.parametrize("case,digest", PSI_AMPLITUDES_STDOUT_SHA256)
+def test_psi_amplitudes_stdout_pinned(capsys, case, digest):
+    command, n, p, lam, eps = case
+    args = [command, "--n", n, "--p", p, "--lambda", lam, f"--epsilon={eps}"]
+    if command == "amplitudes":
+        args += ["--format", "csv"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command", [["states"], ["psi"], ["verify", "--suite", "constraints", "--format", "csv"]]
+)
+def test_negative_rational_with_space(capsys, command):
+    base = [command[0], "--n", "3", "--p", "1", "--lambda", "2", *command[1:]]
+    if command[0] == "psi":
+        spaced, joined = ["--epsilon", "-3/2"], ["--epsilon=-3/2"]
+    else:
+        spaced = ["--epsilon", "-3/2", "--h", "-1/2"]
+        joined = ["--epsilon=-3/2", "--h=-1/2"]
+    code_spaced, out_spaced, _ = run(capsys, *base, *spaced)
+    code_joined, out_joined, _ = run(capsys, *base, *joined)
+    assert code_spaced == code_joined == 0
+    assert out_spaced == out_joined
+    if command[0] != "verify":
+        assert json.loads(out_spaced)["params"]["epsilon"] == "-3/2"
+
+
 def test_subprocess_byte_identical(cli_env):
     cmd = [
         sys.executable,

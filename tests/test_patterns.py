@@ -138,3 +138,38 @@ def test_lambda_zero_has_single_state():
         pats = enumerate_patterns(n, p, 0)
         assert len(pats) == 1
         assert pats[0] == vacuum_pattern(n, p, 0)
+
+
+def rebuilt_bump(pat, i, k, step):
+    """Reference for ``bumped``: change m[i,k] in a copy of the whole
+    triangle, rebuild it from its free entries with full validation, and
+    accept it only if the rebuild reproduces the triangle (a frozen entry
+    that moved does not)."""
+    rows = [list(r) for r in pat.rows]
+    rows[k - 1][i - 1] += step
+    rows = tuple(tuple(r) for r in rows)
+    free = []
+    for row in range(1, pat.n):
+        a, b = type_range(pat.n, pat.p, row)
+        free.extend(rows[row - 1][a - 1 : b])
+    try:
+        cand = build_pattern(pat.n, pat.p, pat.lam, free)
+    except InvalidParams:
+        return None
+    return cand if cand.rows == rows else None
+
+
+def test_bumped_matches_full_rebuild():
+    checked = accepted = 0
+    for n in range(2, 7):
+        for p in range(1, n):
+            for lam in range(2 if n == 6 else 3):
+                for pat in enumerate_patterns(n, p, lam):
+                    for k in range(1, n + 1):
+                        for i in range(1, k + 1):
+                            for step in (-2, -1, 1, 2):
+                                got = pat.bumped(i, k, step)
+                                assert got == rebuilt_bump(pat, i, k, step)
+                                checked += 1
+                                accepted += got is not None
+    assert 0 < accepted < checked

@@ -199,3 +199,16 @@ def test_eval_consistent_with_factors(f, z):
     num = dense_from_roots(f.num_roots)
     den = dense_from_roots(f.den_roots)
     assert f.eval_at(z) == f.scalar * dense_eval(num, z) / dense_eval(den, z)
+
+
+@given(
+    st.lists(st.integers(-6, 6), max_size=6),
+    st.lists(st.integers(-6, 6), max_size=6),
+    st.fractions(min_value=F(-3), max_value=F(3), max_denominator=5).filter(lambda u: u != 0),
+    st.sampled_from([F(0), F(-2, 3), F(5)]),
+)
+@settings(max_examples=150)
+def test_from_multiples_matches_make(num, den, unit, scalar):
+    expected = make(scalar, [c * unit for c in num], [c * unit for c in den])
+    got = FactoredRatFunc.from_multiples(scalar, unit, num, den)
+    assert got == expected
