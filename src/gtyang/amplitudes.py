@@ -9,11 +9,10 @@ vanish exactly on moves that leave the pattern cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from gtyang.crystal import atoms_at_node
-from gtyang.patterns import GTPattern
+from gtyang.patterns import GTPattern, enumerate_patterns
 from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation
 from gtyang.rational import FactoredRatFunc
 
@@ -26,21 +25,6 @@ class IndexOutOfRange(IndexError):
 
 class InvalidMove(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PsiFunction:
-    node: int
-    pattern: GTPattern
-    value: FactoredRatFunc
-
-
-@dataclass(frozen=True)
-class Amplitude:
-    kind: str  # "E" or "F"
-    node: int
-    type_index: int
-    value: Rat
 
 
 def _require_h_zero(params: EquivariantParams) -> None:
@@ -63,7 +47,7 @@ def _psi_value(eps: Rat, num: list[int], den: list[int]) -> FactoredRatFunc:
     return FactoredRatFunc.from_multiples(Fraction(-1) / eps, eps / 2, num, den)
 
 
-def psi_generic(pat: GTPattern, k: int, params: EquivariantParams) -> PsiFunction:
+def psi_generic(pat: GTPattern, k: int, params: EquivariantParams) -> FactoredRatFunc:
     """Bond-factor product over every atom of the crystal."""
     _require_h_zero(params)
     if not 1 <= k <= pat.n - 1:
@@ -84,10 +68,10 @@ def psi_generic(pat: GTPattern, k: int, params: EquivariantParams) -> PsiFunctio
             w = w.numerator
             num.extend(w + r for r in roots[0])
             den.extend(w + r for r in roots[1])
-    return PsiFunction(k, pat, _psi_value(params.epsilon, num, den))
+    return _psi_value(params.epsilon, num, den)
 
 
-def psi_closed_form(pat: GTPattern, k: int, params: EquivariantParams) -> PsiFunction:
+def psi_closed_form(pat: GTPattern, k: int, params: EquivariantParams) -> FactoredRatFunc:
     """Level-free route: per type ladder only the boundary factors survive,
     with positions read off the pattern entries directly (in units of eps/2)."""
     _require_h_zero(params)
@@ -115,7 +99,7 @@ def psi_closed_form(pat: GTPattern, k: int, params: EquivariantParams) -> PsiFun
             m = pat.entry(i, r)
             num.append(base + 2 * m - 1)
             den.append(base - 1)
-    return PsiFunction(k, pat, _psi_value(params.epsilon, num, den))
+    return _psi_value(params.epsilon, num, den)
 
 
 def _check_type_index(pat: GTPattern, k: int, j: int) -> None:
@@ -126,7 +110,7 @@ def _check_type_index(pat: GTPattern, k: int, j: int) -> None:
         raise IndexOutOfRange(f"type index {j} outside [{a}, {b}] at node {k}")
 
 
-def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Amplitude:
+def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Rat:
     """Raising coefficient onto the pattern with m[j,k] incremented.
 
     Products run over full triangle rows, frozen entries included; the
@@ -136,7 +120,7 @@ def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Am
     _check_type_index(pat, k, j)
     # interlacing of a valid move keeps every denominator factor nonzero
     if pat.bumped(j, k, +1) is None:
-        return Amplitude("E", k, j, Fraction(0))
+        return Fraction(0)
     eps = params.epsilon
     l = pat.shifted
     lj = l(j, k)
@@ -147,20 +131,18 @@ def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Am
     if k == pat.p:
         for i in range(2, j + 1):
             num *= l(i, k + 1) - lj
-        value = Fraction(-num * eps.denominator, den * eps.numerator)  # times -1/eps
-    else:
-        for i in range(1, j + 1):
-            num *= l(i, k + 1) - lj
-        a_k, _ = pat.window(k)
-        pole = 2 * (lj + a_k) - abs(k - pat.p)  # in units of eps/2
-        # moves whose pole hits the origin collide with the root at h = 0;
-        # the vanishing factor is dropped, its partner drops from the
-        # reverse lowering, so the residue identity survives untouched
-        if pole != 0:
-            num *= 2 * eps.denominator
-            den *= pole * eps.numerator
-        value = Fraction(num, den)
-    return Amplitude("E", k, j, value)
+        return Fraction(-num * eps.denominator, den * eps.numerator)  # times -1/eps
+    for i in range(1, j + 1):
+        num *= l(i, k + 1) - lj
+    a_k, _ = pat.window(k)
+    pole = 2 * (lj + a_k) - abs(k - pat.p)  # in units of eps/2
+    # moves whose pole hits the origin collide with the root at h = 0;
+    # the vanishing factor is dropped, its partner drops from the
+    # reverse lowering, so the residue identity survives untouched
+    if pole != 0:
+        num *= 2 * eps.denominator
+        den *= pole * eps.numerator
+    return Fraction(num, den)
 
 
 def amplitude_F(
@@ -170,7 +152,7 @@ def amplitude_F(
     params: EquivariantParams,
     *,
     top_factor_offset: int = 1,
-) -> Amplitude:
+) -> Rat:
     """Lowering coefficient onto the pattern with m[j,k] decremented.
 
     ``top_factor_offset`` shifts the leading boundary factor at the marked
@@ -180,7 +162,7 @@ def amplitude_F(
     _require_h_zero(params)
     _check_type_index(pat, k, j)
     if pat.bumped(j, k, -1) is None:
-        return Amplitude("F", k, j, Fraction(0))
+        return Fraction(0)
     eps = params.epsilon
     l = pat.shifted
     lj = l(j, k)
@@ -193,16 +175,28 @@ def amplitude_F(
         den *= (l(i, k) - lj + 1) * (l(i, k) - lj)
     if k == pat.p:
         num *= l(1, k + 1) - lj + top_factor_offset
-        value = Fraction(num * eps.numerator, den * eps.denominator)  # times eps
-    else:
-        a_k, _ = pat.window(k)
-        pole = 2 * (lj - 1 + a_k) - abs(k - pat.p)  # in units of eps/2
-        num = -num
-        if pole != 0:  # dropped in step with the matching raise, see above
-            num *= pole * eps.numerator
-            den *= 2 * eps.denominator
-        value = Fraction(num, den)
-    return Amplitude("F", k, j, value)
+        return Fraction(num * eps.numerator, den * eps.denominator)  # times eps
+    a_k, _ = pat.window(k)
+    pole = 2 * (lj - 1 + a_k) - abs(k - pat.p)  # in units of eps/2
+    num = -num
+    if pole != 0:  # dropped in step with the matching raise, see above
+        num *= pole * eps.numerator
+        den *= 2 * eps.denominator
+    return Fraction(num, den)
+
+
+def amplitude_table(
+    n: int, p: int, lam: int, params: EquivariantParams
+) -> dict[tuple[GTPattern, int, int], tuple[Rat, Rat]]:
+    """(state, node, type) of each raising move -> its (raising, lowering)
+    amplitudes from the closed forms: E out of the state, F back from the
+    raised state. Keys and values are shaped like ``localize_module``'s."""
+    table = {}
+    for pat in enumerate_patterns(n, p, lam):
+        for k in range(1, n):
+            for j, up in pat.raises(k):
+                table[pat, k, j] = amplitude_E(pat, k, j, params), amplitude_F(up, k, j, params)
+    return table
 
 
 def gelfand_squared(
@@ -214,12 +208,12 @@ def gelfand_squared(
         target = pat.bumped(j, k, +1)
         if target is None:
             return Fraction(0)
-        return amplitude_E(pat, k, j, params).value * amplitude_F(target, k, j, params).value
+        return amplitude_E(pat, k, j, params) * amplitude_F(target, k, j, params)
     if direction == "lower":
         target = pat.bumped(j, k, -1)
         if target is None:
             return Fraction(0)
-        return amplitude_F(pat, k, j, params).value * amplitude_E(target, k, j, params).value
+        return amplitude_F(pat, k, j, params) * amplitude_E(target, k, j, params)
     raise InvalidMove(f"direction must be 'raise' or 'lower', got {direction!r}")
 
 

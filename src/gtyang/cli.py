@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from gtyang import modes as modes_mod
-from gtyang.amplitudes import amplitude_E, amplitude_F, psi_closed_form
+from gtyang.amplitudes import amplitude_table, psi_closed_form
 from gtyang.patterns import (
     enumerate_patterns,
     format_pattern,
@@ -45,17 +45,13 @@ def parse_rat(text: str) -> Fraction:
         raise InvalidParams(f"bad rational literal {text!r}") from exc
 
 
-def _common_flags(sub, need_pattern=False):
+def _common_flags(sub):
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--lambda", dest="lam", type=int, required=True)
     sub.add_argument("--epsilon", default="1")
     sub.add_argument("--h", default="0")
-    sub.add_argument("--mode-cutoff", type=int, default=3)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None)
-    if need_pattern:
-        sub.add_argument("--pattern", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,16 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact rectangular modules of A-type quiver Yangians",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, need_pattern in (
-        ("dims", False),
-        ("states", False),
-        ("psi", True),
-        ("amplitudes", False),
-        ("modes", False),
-        ("verify", False),
-    ):
+    for name in ("dims", "states", "psi", "amplitudes", "modes", "verify"):
         sub = subs.add_parser(name)
-        _common_flags(sub, need_pattern)
+        _common_flags(sub)
+        if name in ("dims", "states", "amplitudes", "verify"):
+            sub.add_argument("--format", choices=("json", "csv"), default="json")
+        if name in ("modes", "verify"):
+            sub.add_argument("--mode-cutoff", type=int, default=3)
+        if name == "psi":
+            sub.add_argument("--pattern", default=None)
         if name == "amplitudes":
             sub.add_argument("--method", choices=("closed", "localization"), default="closed")
         if name == "verify":
@@ -158,7 +153,7 @@ def cmd_states(args) -> int:
 
 
 def _psi_entry(pat, node, params, state_id) -> dict:
-    value = psi_closed_form(pat, node, params).value
+    value = psi_closed_form(pat, node, params)
     return {
         "state": state_id,
         "node": node,
@@ -194,21 +189,17 @@ def cmd_psi(args) -> int:
     return 0
 
 
-def _amplitude_rows(args, params, states, localized=None) -> list:
-    """E and F rows per state, node and type; with a localization table E is
-    read from the state's own raising move and F from the move that raises
-    into the state, 0 where no such move exists."""
+def _amplitude_rows(args, states, table) -> list:
+    """E and F rows per state, node and type, read from an edge table: E from
+    the state's own raising move and F from the move that raises into the
+    state, 0 where no such move exists."""
     rows = []
     for i, pat in enumerate(states):
         for k in range(1, args.n):
             a, b = pat.window(k)
             for j in range(a, b + 1):
-                if localized is None:
-                    e_val = amplitude_E(pat, k, j, params).value
-                    f_val = amplitude_F(pat, k, j, params).value
-                else:
-                    e_val = localized.get((pat, k, j), (0, 0))[0]
-                    f_val = localized.get((pat.bumped(j, k, -1), k, j), (0, 0))[1]
+                e_val = table.get((pat, k, j), (0, 0))[0]
+                f_val = table.get((pat.bumped(j, k, -1), k, j), (0, 0))[1]
                 rows.append(
                     {"state": i, "node": k, "type": j, "kind": "E", "value": fmt_rat(e_val)}
                 )
@@ -223,12 +214,11 @@ def cmd_amplitudes(args) -> int:
     if params.h != 0:
         raise InvalidParams("amplitudes are computed at h = 0")
     states = enumerate_patterns(args.n, args.p, args.lam)
-    localized = None
     if args.method == "localization":
         from gtyang.localization import UncalibratedCell, localize_module
 
-        localized = localize_module(args.n, args.p, args.lam, params)
-        for (pat, k, j), cell in localized.items():
+        table = localize_module(args.n, args.p, args.lam, params)
+        for (pat, k, j), cell in table.items():
             if isinstance(cell, UncalibratedCell):
                 # a valid input whose value the route cannot determine: no
                 # partial table, and not a usage error
@@ -238,7 +228,9 @@ def cmd_amplitudes(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-    rows = _amplitude_rows(args, params, states, localized)
+    else:
+        table = amplitude_table(args.n, args.p, args.lam, params)
+    rows = _amplitude_rows(args, states, table)
     if args.format == "csv":
         buf = io.StringIO()
         buf.write("state_id,node,type,kind,value\n")

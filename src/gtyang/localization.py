@@ -10,7 +10,6 @@ and survives every cross-check against the amplitude formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from gtyang.crystal import FixedPoint, fixed_point_matrices
@@ -34,17 +33,6 @@ class NotAdjacent(ValueError):
 class UncalibratedCell(RuntimeError):
     """Incidence trim outside the configurations pinned against the closed
     forms; the magnitude is still determined, the sign is not."""
-
-
-@dataclass(frozen=True)
-class EulerClass:
-    sign: int
-    zero_count: int
-    nonzero_product: Rat
-
-    @property
-    def value(self) -> Rat:
-        return self.sign * (-1) ** (self.zero_count // 2) * self.nonzero_product
 
 
 def _require(condition: bool, message: str) -> None:
@@ -268,24 +256,15 @@ def tangent_graded(fp: FixedPoint, params: EquivariantParams) -> dict[LinearForm
     return DeformationComplex(fp).tangent
 
 
-def _euler_from_graded(graded: dict[LinearForm, int], params: EquivariantParams) -> EulerClass:
-    zero_count = 0
-    product = Fraction(1)
-    sign = 1
-    for form, dim in sorted(graded.items(), key=lambda kv: (kv[0].c_eps, kv[0].c_h)):
-        value = form.value(params)
-        if value == 0:
-            zero_count += dim
-            continue
-        for _ in range(dim):
-            product *= abs(value)
-            if value < 0:
-                sign = -sign
-    return EulerClass(sign, zero_count, product)
+def _euler(graded: dict[LinearForm, int], params: EquivariantParams) -> Rat:
+    """Euler class of a grading: the product of its nonzero weights, times
+    -1 for each pair of zero-valued directions."""
+    zero_dims = sum(dim for form, dim in graded.items() if form.value(params) == 0)
+    return (-1) ** (zero_dims // 2) * _sector_ratio(graded, {}, params)
 
 
-def euler_class(fp: FixedPoint, params: EquivariantParams) -> EulerClass:
-    return _euler_from_graded(tangent_graded(fp, params), params)
+def euler_class(fp: FixedPoint, params: EquivariantParams) -> Rat:
+    return _euler(tangent_graded(fp, params), params)
 
 
 def _projection(fp_plus: FixedPoint, fp: FixedPoint, node) -> RationalMatrix:
@@ -460,11 +439,9 @@ def _all_atoms(fp: FixedPoint):
     return [a for node in fp.spec.gauge_nodes for a in fp.node_atoms(node)]
 
 
-def incidence_euler(
-    fp: FixedPoint, fp_plus: FixedPoint, params: EquivariantParams
-) -> EulerClass:
+def incidence_euler(fp: FixedPoint, fp_plus: FixedPoint, params: EquivariantParams) -> Rat:
     cells = incidence_tangent_graded(DeformationComplex(fp), DeformationComplex(fp_plus))
-    return _euler_from_graded(cells, params)
+    return _euler(cells, params)
 
 
 def _sector_ratio(
@@ -510,13 +487,9 @@ def localize_module(
     table = {}
     for pat in patterns:
         for k in range(1, n):
-            a, b = pat.window(k)
-            for j in range(a, b + 1):
-                target = pat.bumped(j, k, +1)
-                if target is None:
-                    continue
+            for j, up in pat.raises(k):
                 try:
-                    table[pat, k, j] = _move_amplitudes(complexes[pat], complexes[target], params)
+                    table[pat, k, j] = _move_amplitudes(complexes[pat], complexes[up], params)
                 except UncalibratedCell as exc:
                     table[pat, k, j] = exc
     return table

@@ -11,9 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from gtyang.amplitudes import amplitude_E, amplitude_F, psi_closed_form, psi_generic
+from gtyang.amplitudes import (
+    amplitude_E,
+    amplitude_F,
+    amplitude_table,
+    psi_closed_form,
+    psi_generic,
+)
 from gtyang.linalg import RationalMatrix
-from gtyang.patterns import enumerate_patterns, lower_pole, raise_pole, rectangular_dimension
+from gtyang.patterns import enumerate_patterns, raise_pole, rectangular_dimension
 from gtyang.quiver import EquivariantParams, InvalidParams, build_quiver, bond_factor
 from gtyang.rational import FactoredRatFunc
 
@@ -48,8 +54,8 @@ def build_mode_operators(
 ) -> list[ModeOperator]:
     """Sparse matrices of every mode: raising/lowering through ``cutoff``,
     diagonal modes through ``2 * cutoff`` so products stay checkable. Each
-    raising/lowering mode is assembled from its (row, col, amplitude *
-    pole**mode) triples."""
+    raising/lowering mode is assembled from the module's edges as (row, col,
+    amplitude * pole**mode) triples."""
     if params.h != 0:
         raise InvalidParams("mode operators are defined at h = 0")
     if cutoff < 0:
@@ -57,33 +63,25 @@ def build_mode_operators(
     states = enumerate_patterns(n, p, lam)
     index = {pat: i for i, pat in enumerate(states)}
     dim = len(states)
+    table = amplitude_table(n, p, lam, params)
     ops: list[ModeOperator] = []
     for node in range(1, n):
-        raises = []  # (row, col, amplitude, pole)
-        lowers = []
+        # each edge pat -> up has one pole: lowering up sits where raising pat does
+        edges = []  # (index of up, index of pat, E, F, pole)
         for col, pat in enumerate(states):
-            a, b = pat.window(node)
-            for j in range(a, b + 1):
-                up = pat.bumped(j, node, +1)
-                if up is not None:
-                    raises.append(
-                        (index[up], col, amplitude_E(pat, node, j, params).value,
-                         raise_pole(pat, node, j, params))
-                    )
-                down = pat.bumped(j, node, -1)
-                if down is not None:
-                    lowers.append(
-                        (index[down], col, amplitude_F(pat, node, j, params).value,
-                         lower_pole(pat, node, j, params))
-                    )
+            for j, up in pat.raises(node):
+                e, f = table[pat, node, j]
+                edges.append((index[up], col, e, f, raise_pole(pat, node, j, params)))
         for mode in range(cutoff + 1):
-            for kind, moves in (("e", raises), ("f", lowers)):
-                mat = RationalMatrix.from_triples(
-                    dim, dim, ((row, col, amp * pole**mode) for row, col, amp, pole in moves)
-                )
-                ops.append(ModeOperator(kind, node, mode, mat))
+            e_mat = RationalMatrix.from_triples(
+                dim, dim, ((hi, lo, e * pole**mode) for hi, lo, e, _, pole in edges)
+            )
+            f_mat = RationalMatrix.from_triples(
+                dim, dim, ((lo, hi, f * pole**mode) for hi, lo, _, f, pole in edges)
+            )
+            ops += (ModeOperator("e", node, mode, e_mat), ModeOperator("f", node, mode, f_mat))
         series = [
-            psi_closed_form(pat, node, params).value.series_at_infinity(2 * cutoff)
+            psi_closed_form(pat, node, params).series_at_infinity(2 * cutoff)
             for pat in states
         ]
         for mode in range(2 * cutoff + 1):
@@ -272,68 +270,56 @@ def _bond_parts(phi: FactoredRatFunc, x: Rat) -> tuple[Rat, Rat]:
 def verify_hysteresis(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
     """The four consistency identities tying amplitudes, bond factors and
     residues together, checked on every state and every admissible pair.
-    Each amplitude and each bond factor is computed once per call."""
+    Amplitudes are read from the module's edge table, where a move that
+    leaves the cone has none and reads as zero; each bond factor is computed
+    once per node pair."""
     spec = build_quiver(n, p, lam)
     states = enumerate_patterns(n, p, lam)
     bonds = {(a, b): bond_factor(spec, a, b, params) for a in range(1, n) for b in range(1, n)}
+    table = amplitude_table(n, p, lam, params)
+    no_edge = (Fraction(0), Fraction(0))
     reports = []
-    e_cache: dict[tuple, Rat] = {}
-    f_cache: dict[tuple, Rat] = {}
-
-    def E(pat, k, j):
-        key = (pat, k, j)
-        if key not in e_cache:
-            e_cache[key] = amplitude_E(pat, k, j, params).value
-        return e_cache[key]
-
-    def Fv(pat, k, j):
-        key = (pat, k, j)
-        if key not in f_cache:
-            f_cache[key] = amplitude_F(pat, k, j, params).value
-        return f_cache[key]
-
     for pat in states:
         state = pat.free_values
         movelist = []
         for k in range(1, n):
             a, b = pat.window(k)
             movelist.extend((k, j) for j in range(a, b + 1))
-        psi = {k: psi_closed_form(pat, k, params).value for k in range(1, n)}
-        for k, j in movelist:
-            up = pat.bumped(j, k, +1)
-            if up is None:
-                continue
-            product = E(pat, k, j) * Fv(up, k, j)
-            residual = product - psi[k].residue_simple(raise_pole(pat, k, j, params))
+        ups = {(k, j): up for k in range(1, n) for j, up in pat.raises(k)}
+        psi = {k: psi_closed_form(pat, k, params) for k in range(1, n)}
+        for (k, j), up in ups.items():
+            e, f = table[pat, k, j]
+            residual = e * f - psi[k].residue_simple(raise_pole(pat, k, j, params))
             reports.append(
                 RelationReport("residue", {"state": state, "move": (k, j)}, abs(residual))
             )
-        for k1, j1 in movelist:
-            up1 = pat.bumped(j1, k1, +1)
-            if up1 is None:
-                continue
+        for (k1, j1), up1 in ups.items():
+            e1, f1 = table[pat, k1, j1]
             for k2, j2 in movelist:
                 if (k1, j1) == (k2, j2):
                     continue
                 moves = ((k1, j1), (k2, j2))
-                both = up1.bumped(j2, k2, +1)
-                lhs = E(up1, k2, j2) * Fv(both, k1, j1) if both is not None else Fraction(0)
-                rhs = Fv(up1, k1, j1) * E(pat, k2, j2)
+                up2 = ups.get((k2, j2))
+                # the edges of the square pat -> up1, up2 -> both
+                e2, f2 = table.get((pat, k2, j2), no_edge)
+                e12, f12 = table.get((up1, k2, j2), no_edge)
+                e21, f21 = table.get((up2, k1, j1), no_edge)
                 reports.append(
-                    RelationReport("exchange", {"state": state, "moves": moves}, abs(lhs - rhs))
+                    RelationReport(
+                        "exchange", {"state": state, "moves": moves}, abs(e12 * f21 - f1 * e2)
+                    )
                 )
-                up2 = pat.bumped(j2, k2, +1)
-                if up2 is None or both is None:
+                if up2 is None or (up1, k2, j2) not in table:
                     continue
                 x = raise_pole(pat, k1, j1, params) - raise_pole(pat, k2, j2, params)
                 num, den = _bond_parts(bonds[k1, k2], x)
-                lhs = E(pat, k1, j1) * E(up1, k2, j2) * num
-                rhs = E(pat, k2, j2) * E(up2, k1, j1) * den
+                lhs = e1 * e12 * num
+                rhs = e2 * e21 * den
                 reports.append(
                     RelationReport("raise-ratio", {"state": state, "moves": moves}, abs(lhs - rhs))
                 )
-                lhs = Fv(both, k2, j2) * Fv(up1, k1, j1) * num
-                rhs = Fv(both, k1, j1) * Fv(up2, k2, j2) * den
+                lhs = f12 * f1 * num
+                rhs = f21 * f2 * den
                 reports.append(
                     RelationReport("lower-ratio", {"state": state, "moves": moves}, abs(lhs - rhs))
                 )
@@ -351,15 +337,15 @@ def verify_pole_classification(n, p, lam, params: EquivariantParams) -> list[Rel
         for k in range(1, n):
             add, rem = add_remove_sets(pat, k, params)
             expected = sorted(pole for _, pole in add + rem)
-            value = psi_closed_form(pat, k, params).value
+            value = psi_closed_form(pat, k, params)
             match = sorted(value.den_roots) == expected
             reports.append(
                 RelationReport("pole-set", {"state": state, "node": k}, Fraction(0 if match else 1))
             )
             a, b = pat.window(k)
             for j in range(a, b + 1):
-                e_val = amplitude_E(pat, k, j, params).value
-                f_val = amplitude_F(pat, k, j, params).value
+                e_val = amplitude_E(pat, k, j, params)
+                f_val = amplitude_F(pat, k, j, params)
                 ok_e = (e_val != 0) == (pat.bumped(j, k, +1) is not None)
                 ok_f = (f_val != 0) == (pat.bumped(j, k, -1) is not None)
                 reports.append(
@@ -387,14 +373,14 @@ def verify_reductions(n, p, lam, params: EquivariantParams) -> list[RelationRepo
 
         pat = build_pattern(n, p, lam, free)
         if m < lam:
-            e_val = amplitude_E(pat, 1, 1, params).value
+            e_val = amplitude_E(pat, 1, 1, params)
             reports.append(
                 RelationReport("chain-raise", {"n": m}, abs(e_val - Fraction(-1) / eps))
             )
-        f_val = amplitude_F(pat, 1, 1, params).value
+        f_val = amplitude_F(pat, 1, 1, params)
         expected_f = -m * (lam - m + 1) * eps
         reports.append(RelationReport("chain-lower", {"n": m}, abs(f_val - expected_f)))
-        psi = psi_closed_form(pat, 1, params).value
+        psi = psi_closed_form(pat, 1, params)
         chain_form = FactoredRatFunc.make(
             1, [lam * eps, -eps], [m * eps, (m - 1) * eps]
         )
@@ -412,7 +398,7 @@ def verify_dual_routes(n, p, lam, params: EquivariantParams) -> list[RelationRep
     for pat in enumerate_patterns(n, p, lam):
         state = pat.free_values
         for k in range(1, n):
-            same = psi_generic(pat, k, params).value == psi_closed_form(pat, k, params).value
+            same = psi_generic(pat, k, params) == psi_closed_form(pat, k, params)
             reports.append(
                 RelationReport(
                     "psi-routes", {"state": state, "node": k}, Fraction(0 if same else 1)
@@ -447,6 +433,7 @@ def verify_localization(n, p, lam, params: EquivariantParams) -> list[RelationRe
     from gtyang.localization import UncalibratedCell, localize_module
 
     reports = []
+    closed = amplitude_table(n, p, lam, params)
     table = localize_module(n, p, lam, params)
     states = {pat: pat.free_values for pat in dict.fromkeys(pat for pat, _, _ in table)}
     for (pat, k, j), cell in table.items():
@@ -454,11 +441,8 @@ def verify_localization(n, p, lam, params: EquivariantParams) -> list[RelationRe
             res = Fraction(1)
             rel_id = "localization-uncalibrated"
         else:
-            e_loc, f_loc = cell
-            target = pat.bumped(j, k, +1)
-            res = abs(e_loc - amplitude_E(pat, k, j, params).value) + abs(
-                f_loc - amplitude_F(target, k, j, params).value
-            )
+            (e_loc, f_loc), (e, f) = cell, closed[pat, k, j]
+            res = abs(e_loc - e) + abs(f_loc - f)
             rel_id = "localization"
         reports.append(RelationReport(rel_id, {"state": states[pat], "move": (k, j)}, res))
     return reports

@@ -75,6 +75,15 @@ class GTPattern:
         new_row = row[: i - 1] + (v,) + row[i:]
         return GTPattern(self.n, self.p, self.lam, self.rows[: k - 1] + (new_row,) + self.rows[k:])
 
+    def raises(self, k: int):
+        """(type index j, raised pattern) of each raising move at node k
+        that stays in the cone, j ascending."""
+        a, b = self.window(k)
+        for j in range(a, b + 1):
+            up = self.bumped(j, k, +1)
+            if up is not None:
+                yield j, up
+
 
 def _frozen_value(n: int, p: int, lam: int, i: int, k: int) -> int | None:
     if k == n:

@@ -91,15 +91,6 @@ class FactoredRatFunc:
     def one() -> "FactoredRatFunc":
         return FactoredRatFunc(Fraction(1), (), ())
 
-    @staticmethod
-    def constant(c) -> "FactoredRatFunc":
-        return FactoredRatFunc.make(c)
-
-    @staticmethod
-    def linear(root) -> "FactoredRatFunc":
-        """The monic factor z - root."""
-        return FactoredRatFunc.make(1, (root,), ())
-
     def is_zero(self) -> bool:
         return self.scalar == 0
 
@@ -116,11 +107,6 @@ class FactoredRatFunc:
         if self.scalar == 0:
             raise ZeroDivisionError("zero function has no inverse")
         return FactoredRatFunc(1 / self.scalar, self.den_roots, self.num_roots)
-
-    def __truediv__(self, other: "FactoredRatFunc") -> "FactoredRatFunc":
-        if not isinstance(other, FactoredRatFunc):
-            return NotImplemented
-        return self * other.inverse()
 
     def scaled(self, c) -> "FactoredRatFunc":
         return FactoredRatFunc.make(self.scalar * Fraction(c), self.num_roots, self.den_roots)

@@ -117,8 +117,8 @@ def test_criterion_02_psi_dual_routes():
                     states += 1
                     for k in range(1, n):
                         assert (
-                            psi_generic(pat, k, EPS1).value
-                            == psi_closed_form(pat, k, EPS1).value
+                            psi_generic(pat, k, EPS1)
+                            == psi_closed_form(pat, k, EPS1)
                         )
     elapsed = time.time() - start
     assert elapsed < 30, f"criterion 2 took {elapsed:.1f}s"
@@ -150,44 +150,44 @@ def test_criterion_04_specialization_tables():
     for pat in enumerate_patterns(3, 1, lam):
         n1, n2 = pat.free_values
         if n1 < lam:
-            assert amplitude_E(pat, 1, 1, EPS1).value == -1
+            assert amplitude_E(pat, 1, 1, EPS1) == -1
         if n2 < n1:
-            assert amplitude_E(pat, 2, 2, EPS1).value == F(n1 - n2, 1) / (n2 - F(1, 2))
-            assert amplitude_F(pat, 1, 1, EPS1).value == -(n1 - n2) * (lam - n1 + 1)
+            assert amplitude_E(pat, 2, 2, EPS1) == F(n1 - n2, 1) / (n2 - F(1, 2))
+            assert amplitude_F(pat, 1, 1, EPS1) == -(n1 - n2) * (lam - n1 + 1)
         if n2 > 0:
-            assert amplitude_F(pat, 2, 2, EPS1).value == n2 * (n2 - F(3, 2))
+            assert amplitude_F(pat, 2, 2, EPS1) == n2 * (n2 - F(3, 2))
     lam = 2
     for pat in enumerate_patterns(4, 1, lam):
         n1, n2, n3 = pat.free_values
         if n2 < n1:
-            assert amplitude_E(pat, 2, 2, EPS1).value == F(n1 - n2, 1) / (n2 - F(1, 2))
+            assert amplitude_E(pat, 2, 2, EPS1) == F(n1 - n2, 1) / (n2 - F(1, 2))
         if n3 < n2 and n3 != 1:
-            assert amplitude_E(pat, 3, 3, EPS1).value == F(n2 - n3, 1) / (n3 - 1)
+            assert amplitude_E(pat, 3, 3, EPS1) == F(n2 - n3, 1) / (n3 - 1)
         if n3 > 0 and n3 != 2:
-            assert amplitude_F(pat, 3, 3, EPS1).value == n3 * (n3 - 2)
+            assert amplitude_F(pat, 3, 3, EPS1) == n3 * (n3 - 2)
     for pat in enumerate_patterns(4, 2, lam):
         n1, m1, m2, n3 = pat.free_values
         if pat.bumped(2, 2, +1) is not None:
-            assert amplitude_E(pat, 2, 2, EPS1).value == -F(
+            assert amplitude_E(pat, 2, 2, EPS1) == -F(
                 (n1 - m2) * (n3 - m2), (m1 - m2) * (m1 - m2 + 1)
             )
         if pat.bumped(1, 2, -1) is not None:
-            assert amplitude_F(pat, 2, 1, EPS1).value == -F(
+            assert amplitude_F(pat, 2, 1, EPS1) == -F(
                 (m1 + 1) * (lam - m1 + 1) * (m1 - n1) * (m1 - n3),
                 (m1 - m2 + 1) * (m1 - m2),
             )
         if pat.bumped(2, 2, -1) is not None:
-            assert amplitude_F(pat, 2, 2, EPS1).value == -m2 * (lam - m2 + 2)
+            assert amplitude_F(pat, 2, 2, EPS1) == -m2 * (lam - m2 + 2)
 
     # negative control: the uncorrected marked-node lowering factor breaks
     # the residue identity on an explicit state
     pat = build_pattern(3, 1, 2, [1, 0])
     up = pat.bumped(1, 1, +1)
-    res = psi_closed_form(pat, 1, EPS1).value.residue_simple(raise_pole(pat, 1, 1, EPS1))
-    good = amplitude_E(pat, 1, 1, EPS1).value * amplitude_F(up, 1, 1, EPS1).value
+    res = psi_closed_form(pat, 1, EPS1).residue_simple(raise_pole(pat, 1, 1, EPS1))
+    good = amplitude_E(pat, 1, 1, EPS1) * amplitude_F(up, 1, 1, EPS1)
     bad = (
-        amplitude_E(pat, 1, 1, EPS1).value
-        * amplitude_F(up, 1, 1, EPS1, top_factor_offset=0).value
+        amplitude_E(pat, 1, 1, EPS1)
+        * amplitude_F(up, 1, 1, EPS1, top_factor_offset=0)
     )
     assert good == res and bad != res
     report("criterion-04 specialization", "printed tables reproduced; offset-0 control fails")
@@ -270,7 +270,7 @@ def test_criterion_08_localization_oracle():
         for pat in enumerate_patterns(3, 1, lam):
             n1, n2 = pat.free_values
             fp = fixed_point_matrices(pat, EPS1, all_framings=True)
-            assert euler_class(fp, EPS1).value == closed_form_euler(lam, n1, n2)
+            assert euler_class(fp, EPS1) == closed_form_euler(lam, n1, n2)
     pairs = 0
     for n, p, lam_max in [(3, 1, 3), (4, 1, 2), (4, 2, 2)]:
         for lam in range(lam_max + 1):
@@ -286,8 +286,8 @@ def test_criterion_08_localization_oracle():
                 if target is None:
                     continue
                 e_loc, f_loc = amplitudes_via_localization(fp_of(pat), fp_of(target), EPS1)
-                assert e_loc == amplitude_E(pat, k, j, EPS1).value
-                assert f_loc == amplitude_F(target, k, j, EPS1).value
+                assert e_loc == amplitude_E(pat, k, j, EPS1)
+                assert f_loc == amplitude_F(target, k, j, EPS1)
                 pairs += 1
     elapsed = time.time() - start
     assert elapsed < 120, f"criterion 8 took {elapsed:.1f}s"
@@ -301,8 +301,8 @@ def test_criterion_09_epsilon_covariance():
     for n, p, lam in [(3, 1, 2), (4, 2, 2), (5, 2, 1)]:
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
-                f1 = psi_closed_form(pat, k, base).value
-                f2 = psi_closed_form(pat, k, scaled).value
+                f1 = psi_closed_form(pat, k, base)
+                f2 = psi_closed_form(pat, k, scaled)
                 assert f2.scalar == f1.scalar / sigma
                 assert f2.num_roots == tuple(sigma * r for r in f1.num_roots)
                 assert f2.den_roots == tuple(sigma * r for r in f1.den_roots)
@@ -311,13 +311,13 @@ def test_criterion_09_epsilon_covariance():
                     if raise_pole(pat, k, j, base) == 0 or pat.bumped(j, k, +1) is None:
                         continue  # origin collisions break scaling, by construction
                     assert (
-                        amplitude_E(pat, k, j, scaled).value
-                        == amplitude_E(pat, k, j, base).value / sigma
+                        amplitude_E(pat, k, j, scaled)
+                        == amplitude_E(pat, k, j, base) / sigma
                     )
                     if pat.bumped(j, k, -1) is not None:
                         assert (
-                            amplitude_F(pat, k, j, scaled).value
-                            == amplitude_F(pat, k, j, base).value * sigma
+                            amplitude_F(pat, k, j, scaled)
+                            == amplitude_F(pat, k, j, base) * sigma
                         )
     report("criterion-09 epsilon covariance", "psi, raising and lowering scale exactly")
 

@@ -5,15 +5,18 @@ import pytest
 from gtyang.amplitudes import (
     IndexOutOfRange,
     InvalidMove,
+    _bond_units,
     amplitude_E,
     amplitude_F,
+    amplitude_table,
     gelfand_squared,
     gelfand_squared_closed_form,
     psi_closed_form,
     psi_generic,
 )
 from gtyang.patterns import add_remove_sets, build_pattern, enumerate_patterns
-from gtyang.quiver import EquivariantParams, InvalidParams
+from gtyang.localization import localize_module
+from gtyang.quiver import EquivariantParams, InvalidParams, bond_factor, build_quiver
 from gtyang.rational import FactoredRatFunc
 
 F = Fraction
@@ -32,11 +35,11 @@ def ratio(num_roots, den_roots, scalar=-1):
 def test_psi_rank_two_chain():
     lam = 1
     pat = build_pattern(3, 1, lam, [0, 0])
-    assert psi_generic(pat, 1, EPS1).value == ratio([1], [0])
+    assert psi_generic(pat, 1, EPS1) == ratio([1], [0])
 
     lam = 2
     pat = build_pattern(3, 1, lam, [1, 0])
-    assert psi_generic(pat, 1, EPS1).value == ratio([2, -1], [1, 0])
+    assert psi_generic(pat, 1, EPS1) == ratio([2, -1], [1, 0])
 
     for n1, n2 in [(0, 0), (1, 0), (2, 1), (2, 2)]:
         pat = build_pattern(3, 1, lam, [n1, n2])
@@ -44,8 +47,8 @@ def test_psi_rank_two_chain():
         expected2 = ratio(
             [F(-3, 2), n1 - F(1, 2)], [n2 - F(1, 2), n2 - F(3, 2)]
         )
-        assert psi_closed_form(pat, 1, EPS1).value == expected1
-        assert psi_closed_form(pat, 2, EPS1).value == expected2
+        assert psi_closed_form(pat, 1, EPS1) == expected1
+        assert psi_closed_form(pat, 2, EPS1) == expected2
 
 
 def test_psi_rank_three_edge_framing():
@@ -53,7 +56,7 @@ def test_psi_rank_three_edge_framing():
     for n1, n2, n3 in [(0, 0, 0), (2, 1, 0), (2, 2, 1)]:
         pat = build_pattern(4, 1, lam, [n1, n2, n3])
         expected3 = ratio([-2, n2 - 1], [n3 - 1, n3 - 2])
-        assert psi_closed_form(pat, 3, EPS1).value == expected3
+        assert psi_closed_form(pat, 3, EPS1) == expected3
 
 
 def test_psi_rank_three_middle_framing():
@@ -66,13 +69,13 @@ def test_psi_rank_three_middle_framing():
         expected2 = ratio(
             [lam, -2, n1 - 1, n3 - 1], [m1, m1 - 1, m2 - 1, m2 - 2]
         )
-        assert psi_closed_form(pat, 1, EPS1).value == expected1
-        assert psi_closed_form(pat, 2, EPS1).value == expected2
+        assert psi_closed_form(pat, 1, EPS1) == expected1
+        assert psi_closed_form(pat, 2, EPS1) == expected2
 
 
 def test_psi_cancellation_example():
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
-    value = psi_generic(pat, 2, EPS1).value
+    value = psi_generic(pat, 2, EPS1)
     assert sorted(set(value.den_roots)) == [-1, 1]
     assert value == ratio([2, 0], [1, -1])
 
@@ -82,13 +85,13 @@ def test_dual_routes_agree_on_grid():
     for n, p, lam in [(3, 1, 3), (4, 2, 2), (5, 2, 1), (5, 3, 2)]:
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
-                assert psi_generic(pat, k, params).value == psi_closed_form(pat, k, params).value
+                assert psi_generic(pat, k, params) == psi_closed_form(pat, k, params)
 
 
 def test_psi_constant_at_infinity():
     for pat in enumerate_patterns(5, 2, 2):
         for k in range(1, 5):
-            f = psi_closed_form(pat, k, EPS1).value
+            f = psi_closed_form(pat, k, EPS1)
             assert len(f.num_roots) == len(f.den_roots)
             assert f.scalar == -1  # -1/eps at eps = 1
 
@@ -99,7 +102,7 @@ def test_psi_poles_match_candidate_moves():
             for k in range(1, n):
                 add, rem = add_remove_sets(pat, k, EPS1)
                 expected = sorted(pole for _, pole in add + rem)
-                f = psi_closed_form(pat, k, EPS1).value
+                f = psi_closed_form(pat, k, EPS1)
                 assert sorted(f.den_roots) == expected
                 assert len(set(f.den_roots)) == len(f.den_roots)
 
@@ -143,14 +146,14 @@ def test_rank_two_chain_tables():
     lam = 3
     for pat in enumerate_patterns(3, 1, lam):
         n1, n2 = pat.free_values
-        assert amplitude_E(pat, 1, 1, EPS1).value == expect(pat, 1, 1, +1, lambda: F(-1))
-        assert amplitude_E(pat, 2, 2, EPS1).value == expect(
+        assert amplitude_E(pat, 1, 1, EPS1) == expect(pat, 1, 1, +1, lambda: F(-1))
+        assert amplitude_E(pat, 2, 2, EPS1) == expect(
             pat, 2, 2, +1, lambda: F(n1 - n2, 1) / (n2 - F(1, 2))
         )
-        assert amplitude_F(pat, 1, 1, EPS1).value == expect(
+        assert amplitude_F(pat, 1, 1, EPS1) == expect(
             pat, 1, 1, -1, lambda: -(n1 - n2) * (lam - n1 + 1)
         )
-        assert amplitude_F(pat, 2, 2, EPS1).value == expect(
+        assert amplitude_F(pat, 2, 2, EPS1) == expect(
             pat, 2, 2, -1, lambda: n2 * (n2 - F(3, 2))
         )
 
@@ -162,21 +165,21 @@ def test_rank_three_edge_tables():
     lam = 2
     for pat in enumerate_patterns(4, 1, lam):
         n1, n2, n3 = pat.free_values
-        assert amplitude_E(pat, 1, 1, EPS1).value == expect(pat, 1, 1, +1, lambda: F(-1))
-        assert amplitude_E(pat, 2, 2, EPS1).value == expect(
+        assert amplitude_E(pat, 1, 1, EPS1) == expect(pat, 1, 1, +1, lambda: F(-1))
+        assert amplitude_E(pat, 2, 2, EPS1) == expect(
             pat, 2, 2, +1, lambda: F(n1 - n2, 1) / (n2 - F(1, 2))
         )
-        assert amplitude_E(pat, 3, 3, EPS1).value == expect(
+        assert amplitude_E(pat, 3, 3, EPS1) == expect(
             pat, 3, 3, +1,
             lambda: F(n2 - n3, 1) if n3 == 1 else F(n2 - n3, 1) / (n3 - 1),
         )
-        assert amplitude_F(pat, 1, 1, EPS1).value == expect(
+        assert amplitude_F(pat, 1, 1, EPS1) == expect(
             pat, 1, 1, -1, lambda: -(n1 - n2) * (lam - n1 + 1)
         )
-        assert amplitude_F(pat, 2, 2, EPS1).value == expect(
+        assert amplitude_F(pat, 2, 2, EPS1) == expect(
             pat, 2, 2, -1, lambda: (n2 - n3) * (n2 - F(3, 2))
         )
-        assert amplitude_F(pat, 3, 3, EPS1).value == expect(
+        assert amplitude_F(pat, 3, 3, EPS1) == expect(
             pat, 3, 3, -1, lambda: F(n3) if n3 == 2 else n3 * (n3 - 2)
         )
 
@@ -185,37 +188,37 @@ def test_rank_three_middle_tables():
     lam = 2
     for pat in enumerate_patterns(4, 2, lam):
         n1, m1, m2, n3 = pat.free_values
-        assert amplitude_E(pat, 1, 1, EPS1).value == expect(
+        assert amplitude_E(pat, 1, 1, EPS1) == expect(
             pat, 1, 1, +1, lambda: F(m1 - n1, 1) / (n1 - F(1, 2))
         )
-        assert amplitude_E(pat, 2, 1, EPS1).value == expect(pat, 2, 1, +1, lambda: F(-1))
-        assert amplitude_E(pat, 2, 2, EPS1).value == expect(
+        assert amplitude_E(pat, 2, 1, EPS1) == expect(pat, 2, 1, +1, lambda: F(-1))
+        assert amplitude_E(pat, 2, 2, EPS1) == expect(
             pat, 2, 2, +1,
             lambda: -F((n1 - m2) * (n3 - m2), (m1 - m2) * (m1 - m2 + 1)),
         )
-        assert amplitude_E(pat, 3, 2, EPS1).value == expect(
+        assert amplitude_E(pat, 3, 2, EPS1) == expect(
             pat, 3, 2, +1, lambda: F(m1 - n3, 1) / (n3 - F(1, 2))
         )
-        assert amplitude_F(pat, 1, 1, EPS1).value == expect(
+        assert amplitude_F(pat, 1, 1, EPS1) == expect(
             pat, 1, 1, -1, lambda: (n1 - m2) * (n1 - F(3, 2))
         )
-        assert amplitude_F(pat, 2, 1, EPS1).value == expect(
+        assert amplitude_F(pat, 2, 1, EPS1) == expect(
             pat, 2, 1, -1,
             lambda: -F((m1 + 1) * (lam - m1 + 1) * (m1 - n1) * (m1 - n3),
                        (m1 - m2 + 1) * (m1 - m2)),
         )
-        assert amplitude_F(pat, 2, 2, EPS1).value == expect(
+        assert amplitude_F(pat, 2, 2, EPS1) == expect(
             pat, 2, 2, -1, lambda: -m2 * (lam - m2 + 2)
         )
-        assert amplitude_F(pat, 3, 2, EPS1).value == expect(
+        assert amplitude_F(pat, 3, 2, EPS1) == expect(
             pat, 3, 2, -1, lambda: (n3 - m2) * (n3 - F(3, 2))
         )
 
 
 def test_middle_framing_spot_values():
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
-    assert amplitude_E(pat, 2, 2, EPS1).value == F(-1, 2)
-    assert amplitude_F(pat, 2, 1, EPS1).value == 0  # m1 == n1 blocks the move
+    assert amplitude_E(pat, 2, 2, EPS1) == F(-1, 2)
+    assert amplitude_F(pat, 2, 1, EPS1) == 0  # m1 == n1 blocks the move
 
 
 def test_amplitudes_vanish_iff_target_valid():
@@ -225,9 +228,9 @@ def test_amplitudes_vanish_iff_target_valid():
             for k in range(1, n):
                 for j in moves(pat, k):
                     up = pat.bumped(j, k, +1)
-                    assert (amplitude_E(pat, k, j, params).value != 0) == (up is not None)
+                    assert (amplitude_E(pat, k, j, params) != 0) == (up is not None)
                     down = pat.bumped(j, k, -1)
-                    assert (amplitude_F(pat, k, j, params).value != 0) == (down is not None)
+                    assert (amplitude_F(pat, k, j, params) != 0) == (down is not None)
 
 
 def test_hysteresis_residue_identity():
@@ -235,13 +238,13 @@ def test_hysteresis_residue_identity():
     for n, p, lam in [(3, 1, 3), (4, 2, 2)]:
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
-                psi = psi_closed_form(pat, k, params).value
+                psi = psi_closed_form(pat, k, params)
                 add, _ = add_remove_sets(pat, k, params)
                 for j, pole in add:
                     up = pat.bumped(j, k, +1)
                     product = (
-                        amplitude_E(pat, k, j, params).value
-                        * amplitude_F(up, k, j, params).value
+                        amplitude_E(pat, k, j, params)
+                        * amplitude_F(up, k, j, params)
                     )
                     assert product == psi.residue_simple(pole)
 
@@ -249,17 +252,17 @@ def test_hysteresis_residue_identity():
 def test_residue_example_rank_two():
     pat = build_pattern(3, 1, 2, [1, 0])
     up = pat.bumped(1, 1, +1)
-    value = amplitude_E(pat, 1, 1, EPS1).value * amplitude_F(up, 1, 1, EPS1).value
+    value = amplitude_E(pat, 1, 1, EPS1) * amplitude_F(up, 1, 1, EPS1)
     assert value == 2
-    assert value == psi_closed_form(pat, 1, EPS1).value.residue_simple(1)
+    assert value == psi_closed_form(pat, 1, EPS1).residue_simple(1)
 
 
 def test_uncorrected_edge_factor_breaks_residues():
     pat = build_pattern(3, 1, 2, [1, 0])
     up = pat.bumped(1, 1, +1)
-    broken = amplitude_F(up, 1, 1, EPS1, top_factor_offset=0).value
-    res = psi_closed_form(pat, 1, EPS1).value.residue_simple(1)
-    assert amplitude_E(pat, 1, 1, EPS1).value * broken != res
+    broken = amplitude_F(up, 1, 1, EPS1, top_factor_offset=0)
+    res = psi_closed_form(pat, 1, EPS1).residue_simple(1)
+    assert amplitude_E(pat, 1, 1, EPS1) * broken != res
 
 
 def test_gelfand_squares():
@@ -302,11 +305,41 @@ def test_epsilon_covariance():
     scaled = EquivariantParams(sigma)
     for pat in enumerate_patterns(4, 2, 2):
         for k in range(1, 4):
-            f1 = psi_closed_form(pat, k, base).value
-            f2 = psi_closed_form(pat, k, scaled).value
+            f1 = psi_closed_form(pat, k, base)
+            f2 = psi_closed_form(pat, k, scaled)
             assert f2.scalar == f1.scalar / sigma
             assert f2.num_roots == tuple(sigma * r for r in f1.num_roots)
             assert f2.den_roots == tuple(sigma * r for r in f1.den_roots)
             for j in moves(pat, k):
-                assert amplitude_E(pat, k, j, scaled).value == amplitude_E(pat, k, j, base).value / sigma
-                assert amplitude_F(pat, k, j, scaled).value == amplitude_F(pat, k, j, base).value * sigma
+                assert amplitude_E(pat, k, j, scaled) == amplitude_E(pat, k, j, base) / sigma
+                assert amplitude_F(pat, k, j, scaled) == amplitude_F(pat, k, j, base) * sigma
+
+
+@pytest.mark.parametrize("eps", [F(1), F(-3, 2), F(2, 7)])
+def test_bond_units_match_quiver_bond_factor(eps):
+    """The hard-coded exchange roots are the quiver's bond factor at h = 0."""
+    params = EquivariantParams(eps)
+    for n in range(2, 7):
+        spec = build_quiver(n, 1, 1)
+        for k in range(1, n):
+            for b in range(1, n):
+                num, den = _bond_units(k, b)
+                expected = FactoredRatFunc.make(
+                    1, [c * eps / 2 for c in num], [c * eps / 2 for c in den]
+                )
+                assert bond_factor(spec, k, b, params) == expected
+
+
+# ---------------------------------------------------------------------------
+# edge tables
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grid", [(3, 1, 2), (4, 2, 2), (5, 2, 2)])
+def test_amplitude_table_covers_the_localization_edges(grid):
+    n, p, lam = grid
+    table = amplitude_table(n, p, lam, EPS1)
+    assert list(table) == list(localize_module(n, p, lam, EPS1))
+    for (pat, k, j), value in table.items():
+        up = pat.bumped(j, k, +1)
+        assert value == (amplitude_E(pat, k, j, EPS1), amplitude_F(up, k, j, EPS1))

@@ -30,6 +30,23 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--format", "csv"],
+        ["modes", "--format", "json"],
+        ["dims", "--mode-cutoff", "1"],
+        ["amplitudes", "--mode-cutoff", "1"],
+    ],
+)
+def test_flag_not_read_by_the_command_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--n", "3", "--p", "1", "--lambda", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: gtyang ")
+    assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(

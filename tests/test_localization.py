@@ -42,14 +42,14 @@ def closed_form_euler_chain(lam, n, eps=F(1)):
 
 def test_vacuum_tangent_is_empty():
     assert tangent_graded(fp_of(vacuum_pattern(3, 1, 2)), EPS1) == {}
-    assert euler_class(fp_of(vacuum_pattern(4, 2, 2)), EPS1).value == 1
+    assert euler_class(fp_of(vacuum_pattern(4, 2, 2)), EPS1) == 1
 
 
 def test_rank_two_euler_table():
     for lam in range(4):
         for pat in enumerate_patterns(3, 1, lam):
             n1, n2 = pat.free_values
-            got = euler_class(fp_of(pat), EPS1).value
+            got = euler_class(fp_of(pat), EPS1)
             assert got == closed_form_euler(lam, n1, n2)
 
 
@@ -58,7 +58,7 @@ def test_rank_two_euler_table_scaled_coupling():
     params = EquivariantParams(eps)
     for pat in enumerate_patterns(3, 1, 2):
         n1, n2 = pat.free_values
-        got = euler_class(fixed_point_matrices(pat, params, all_framings=True), params).value
+        got = euler_class(fixed_point_matrices(pat, params, all_framings=True), params)
         assert got == closed_form_euler(2, n1, n2, eps)
 
 
@@ -66,13 +66,13 @@ def test_one_node_chain_euler():
     for lam in range(4):
         for pat in enumerate_patterns(2, 1, lam):
             (n,) = pat.free_values
-            assert euler_class(fp_of(pat), EPS1).value == closed_form_euler_chain(lam, n)
+            assert euler_class(fp_of(pat), EPS1) == closed_form_euler_chain(lam, n)
 
 
 def test_euler_spot_values():
-    assert euler_class(fp_of(build_pattern(3, 1, 2, [1, 0])), EPS1).value == 2
-    assert euler_class(fp_of(build_pattern(3, 1, 2, [1, 1])), EPS1).value == F(1, 2)
-    assert euler_class(fp_of(build_pattern(3, 1, 2, [2, 1])), EPS1).value == F(1, 2)
+    assert euler_class(fp_of(build_pattern(3, 1, 2, [1, 0])), EPS1) == 2
+    assert euler_class(fp_of(build_pattern(3, 1, 2, [1, 1])), EPS1) == F(1, 2)
+    assert euler_class(fp_of(build_pattern(3, 1, 2, [2, 1])), EPS1) == F(1, 2)
 
 
 def test_incidence_spot_values():
@@ -80,15 +80,15 @@ def test_incidence_spot_values():
     vac = build_pattern(3, 1, lam, [0, 0])
     one = build_pattern(3, 1, lam, [1, 0])
     oneone = build_pattern(3, 1, lam, [1, 1])
-    assert incidence_euler(fp_of(vac), fp_of(one), EPS1).value == -1
-    assert incidence_euler(fp_of(one), fp_of(oneone), EPS1).value == -1
+    assert incidence_euler(fp_of(vac), fp_of(one), EPS1) == -1
+    assert incidence_euler(fp_of(one), fp_of(oneone), EPS1) == -1
     # raising the first entry always scales the source norm by -eps
     for pat in enumerate_patterns(3, 1, lam):
         up = pat.bumped(1, 1, +1)
         if up is None:
             continue
-        value = incidence_euler(fp_of(pat), fp_of(up), EPS1).value
-        assert value == -euler_class(fp_of(pat), EPS1).value
+        value = incidence_euler(fp_of(pat), fp_of(up), EPS1)
+        assert value == -euler_class(fp_of(pat), EPS1)
 
 
 def test_incidence_requires_adjacency():
@@ -127,14 +127,14 @@ def test_localization_matches_closed_forms(grid):
     n, p, lam = grid
     for pat, target, k, j in grid_pairs(n, p, lam):
         e_loc, f_loc = amplitudes_via_localization(fp_of(pat), fp_of(target), EPS1)
-        assert e_loc == amplitude_E(pat, k, j, EPS1).value
-        assert f_loc == amplitude_F(target, k, j, EPS1).value
+        assert e_loc == amplitude_E(pat, k, j, EPS1)
+        assert f_loc == amplitude_F(target, k, j, EPS1)
 
 
 def test_product_equals_residue_via_localization():
     for pat, target, k, j in grid_pairs(4, 2, 1):
         e_loc, f_loc = amplitudes_via_localization(fp_of(pat), fp_of(target), EPS1)
-        psi = psi_closed_form(pat, k, EPS1).value
+        psi = psi_closed_form(pat, k, EPS1)
         assert e_loc * f_loc == psi.residue_simple(raise_pole(pat, k, j, EPS1))
 
 
@@ -161,7 +161,7 @@ def test_reduced_framing_misses_the_table():
     # wrong, which is why the localization route keeps them all
     pat = build_pattern(3, 1, 2, [1, 1])
     fp = fixed_point_matrices(pat, EPS1, all_framings=False)
-    assert euler_class(fp, EPS1).value != closed_form_euler(2, 1, 1)
+    assert euler_class(fp, EPS1) != closed_form_euler(2, 1, 1)
 
 
 def test_jump_cells_on_wider_grids_fail_loudly_not_silently():
@@ -180,8 +180,8 @@ def test_double_jump_cells_match_closed_forms():
     a = build_pattern(4, 2, 3, [1, 2, 0, 1])
     b = build_pattern(4, 2, 3, [1, 3, 0, 1])
     e_loc, f_loc = amplitudes_via_localization(fp_of(a), fp_of(b), EPS1)
-    assert e_loc == amplitude_E(a, 2, 1, EPS1).value
-    assert f_loc == amplitude_F(b, 2, 1, EPS1).value
+    assert e_loc == amplitude_E(a, 2, 1, EPS1)
+    assert f_loc == amplitude_F(b, 2, 1, EPS1)
 
 
 def test_expected_dimension_is_twice_atom_count():

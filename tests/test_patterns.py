@@ -173,3 +173,21 @@ def test_bumped_matches_full_rebuild():
                                 checked += 1
                                 accepted += got is not None
     assert 0 < accepted < checked
+
+
+def test_raises_matches_window_filter():
+    checked = 0
+    for n in range(2, 6):
+        for p in range(1, n):
+            for lam in range(3):
+                for pat in enumerate_patterns(n, p, lam):
+                    for k in range(1, n):
+                        a, b = pat.window(k)
+                        expected = [
+                            (j, pat.bumped(j, k, +1))
+                            for j in range(a, b + 1)
+                            if pat.bumped(j, k, +1) is not None
+                        ]
+                        assert list(pat.raises(k)) == expected
+                        checked += len(expected)
+    assert checked > 0
