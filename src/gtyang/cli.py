@@ -271,10 +271,21 @@ def cmd_modes(args) -> int:
     return 0
 
 
+# suites that read amplitudes or mode operators, which exist only at h = 0
+_H_ZERO_SUITES = ("hysteresis", "modes", "serre", "gelfand", "localization", "reductions")
+
+
 def _run_suites(args, params) -> list:
     n, p, lam = args.n, args.p, args.lam
     chosen = args.suite
     reports = []
+    if chosen == "all" and params.h != 0:
+        # `all` runs what is defined at this h; a suite named alone still
+        # refuses h != 0 as a usage error
+        for name in _H_ZERO_SUITES:
+            if name != "reductions" or p == 1:
+                print(f"SKIP {name} (needs h = 0)", file=sys.stderr)
+        chosen = "constraints"
 
     def want(name):
         return chosen in (name, "all")

@@ -56,18 +56,6 @@ def pattern_atoms(pat: GTPattern) -> list[Atom]:
     return out
 
 
-def ico_identity(n: int, m: int) -> RationalMatrix:
-    return RationalMatrix([[1 if i == j else 0 for j in range(m)] for i in range(n)], cols=m)
-
-
-def ico_shift(n: int) -> RationalMatrix:
-    return RationalMatrix([[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)], cols=n)
-
-
-def ico_zero(n: int, m: int) -> RationalMatrix:
-    return RationalMatrix.zeros(n, m)
-
-
 @dataclass(frozen=True)
 class FixedPoint:
     pattern: GTPattern

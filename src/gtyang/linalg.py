@@ -3,15 +3,17 @@
 A matrix stores only its nonzero entries, as a dict of rows, each a dict
 column -> nonzero Fraction; rows without a nonzero entry are absent. All
 arithmetic runs over those nonzeros. Kernel and rank go through integer
-Bareiss elimination on dense rows after clearing row denominators, which
-keeps intermediate entries as honest minors instead of exploding gcd-free
-fractions.
+Bareiss elimination on dense rows, which keeps intermediate entries as
+honest minors instead of exploding gcd-free fractions. Both take either a
+``RationalMatrix``, whose row denominators are cleared once, or a list of
+dense integer rows, which go to the elimination as they are; kernel vectors
+come back primitive, with integer entries whose gcd is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -179,10 +181,11 @@ def _integer_rows(m: RationalMatrix) -> list[list[int]]:
 
 
 def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form; returns (matrix, pivot column list)."""
+    """Fraction-free row echelon form; returns (matrix, pivot column list).
+    The rows passed in are not modified."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    a = [row[:] for row in a]
+    a = list(a)
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -194,41 +197,63 @@ def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             continue
         if pivot_row != r:
             a[r], a[pivot_row] = a[pivot_row], a[r]
+        top = a[r]
+        p = top[c]
         for i in range(r + 1, rows):
-            for j in range(cols):
-                if j == c:
-                    continue
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
+            row = a[i]
+            f = row[c]
+            # every row below is scaled by p / prev, so column c clears to 0
+            if f:
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                a[i] = [x * p // prev for x in row]
+        prev = p
         pivots.append(c)
         r += 1
     return a, pivots
 
 
-def rank(m: RationalMatrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = _bareiss_echelon(_integer_rows(m))
-    return len(pivots)
+def rank(m: RationalMatrix | list[list[int]]) -> int:
+    rows = _integer_rows(m) if isinstance(m, RationalMatrix) else m
+    return len(_bareiss_echelon(rows)[1])
 
 
-def kernel_basis(m: RationalMatrix) -> list[RationalMatrix]:
-    """Exact basis of the right null space, as column vectors.
+def kernel_basis(m: RationalMatrix | list[list[int]]) -> list:
+    """Exact basis of the right null space, one primitive integer vector per
+    free column.
 
-    One basis vector per free column, built by back substitution on the
-    fraction-free echelon form; rank + len(result) == cols by construction.
+    Built by back substitution on the fraction-free echelon form, so
+    rank + len(result) == cols by construction. Integer rows give each
+    vector as a dict column -> nonzero int; a ``RationalMatrix`` gives column
+    ``RationalMatrix`` vectors.
     """
-    ech, pivots = _bareiss_echelon(_integer_rows(m))
+    rational = isinstance(m, RationalMatrix)
+    rows = _integer_rows(m) if rational else m
+    cols = m.cols if rational else len(rows[0]) if rows else 0
+    ech, pivots = _bareiss_echelon(rows)
     pivot_set = set(pivots)
     basis = []
-    for free in (c for c in range(m.cols) if c not in pivot_set):
-        vec = {free: Fraction(1)}
+    for free in (c for c in range(cols) if c not in pivot_set):
+        vec = {free: 1}
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
             row = ech[r]
             acc = sum(row[c] * v for c, v in vec.items() if c > pc and row[c])
             if acc:
-                vec[pc] = -acc / row[pc]
-        basis.append(RationalMatrix._of(m.cols, 1, {c: {0: v} for c, v in vec.items()}))
+                # vec[pc] = -acc / row[pc], after scaling vec to keep it integral
+                d = row[pc]
+                g = gcd(acc, d)
+                scale = abs(d) // g
+                if scale != 1:
+                    vec = {c: v * scale for c, v in vec.items()}
+                vec[pc] = -(acc // g) if d > 0 else acc // g
+        content = gcd(*vec.values())
+        if content != 1:
+            vec = {c: v // content for c, v in vec.items()}
+        basis.append(vec)
+    if rational:
+        return [
+            RationalMatrix._of(cols, 1, {c: {0: Fraction(v)} for c, v in vec.items()})
+            for vec in basis
+        ]
     return basis

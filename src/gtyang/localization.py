@@ -6,6 +6,12 @@ pairs with the asymmetry parameter kept symbolic. Cutoff data enters through
 the conjugate framing directions, whose grading is negated; this single
 convention is pinned by the closed-form Euler classes of the rank-two chain
 and survives every cross-check against the amplitude formulas.
+
+Everything from the fixed point to the sector counts runs on Python ints:
+each weight is an integer pair in units of (eps/2, h), relation rows, gauge
+columns and intertwining conditions hold integer coefficients, and kernels
+are primitive integer vectors. ``LinearForm`` and ``Fraction`` come back
+only in the outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from gtyang.quiver import FRAMING, EquivariantParams, InvariantViolation, Linear
 
 Rat = Fraction
 
-Weight = tuple[Rat, Rat]  # (loop coefficient, asymmetry coefficient)
+Weight = tuple[int, int]  # (e, h): the weight e * eps/2 + h * h
 
 
 class StabilityViolation(RuntimeError):
@@ -40,18 +46,40 @@ def _require(condition: bool, message: str) -> None:
         raise InvariantViolation(message)
 
 
+def _lattice(form: LinearForm) -> Weight:
+    """``form`` in units of (eps/2, h); every atom and arrow weight of the
+    A-type crystals lies on that lattice."""
+    e = 2 * form.c_eps
+    _require(
+        e.denominator == 1 and form.c_h.denominator == 1,
+        f"weight {form.c_eps} eps + {form.c_h} h is off the (eps/2, h) lattice",
+    )
+    return e.numerator, form.c_h.numerator
+
+
+def _form(w: Weight) -> LinearForm:
+    return LinearForm(Fraction(w[0], 2), w[1])
+
+
 def _atom_coords(fp: FixedPoint, node) -> list[Weight]:
-    return [(a.weight.c_eps, a.weight.c_h) for a in fp.node_atoms(node)]
+    return [_lattice(a.weight) for a in fp.node_atoms(node)]
 
 
 def _sub(x: Weight, y: Weight) -> Weight:
     return (x[0] - y[0], x[1] - y[1])
 
 
-def _lines(m: RationalMatrix) -> dict[int, list[tuple[int, Rat]]]:
-    """Row index -> [(column, value)] over the nonzero entries."""
-    out: dict[int, list[tuple[int, Rat]]] = {}
+def _int_nonzeros(m: RationalMatrix):
+    """``(row, col, value)`` of every nonzero entry, the value as an int."""
     for r, c, v in m.nonzeros():
+        _require(v.denominator == 1, "fixed-point matrix entry is not an integer")
+        yield r, c, v.numerator
+
+
+def _lines(m: RationalMatrix) -> dict[int, list[tuple[int, int]]]:
+    """Row index -> [(column, value)] over the nonzero entries."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for r, c, v in _int_nonzeros(m):
         out.setdefault(r, []).append((c, v))
     return out
 
@@ -64,31 +92,39 @@ class DeformationComplex:
     kernel of each weight (``kernels``), the gauge rank of each weight
     (``gauge_ranks``), the tangent grading trimmed to the expected dimension
     (``tangent``, keyed by ``LinearForm``) and the opposite-weight pairs the
-    trim removed (``removed``). Construction raises ``StabilityViolation``
-    when the gauge action is not free.
+    trim removed (``removed``). Weights are integer ``(e, h)`` pairs in units
+    of (eps/2, h). Construction raises ``StabilityViolation`` when the gauge
+    action is not free.
     """
 
     def __init__(self, fp: FixedPoint):
         self.fp = fp
+        self.coords = {node: _atom_coords(fp, node) for node in (FRAMING, *fp.spec.gauge_nodes)}
+        # arrow name -> (row lines, column lines) of its fixed-point matrix
+        self.lines = {
+            name: (_lines(m), _lines(m.transpose())) for name, m in fp.matrices.items()
+        }
         self.slots: list[tuple[str, int, int]] = []  # (arrow, row, col)
         self.slot_weight: list[Weight] = []
         self.slot_index: dict[tuple[str, int, int], int] = {}
+        self.slots_by_weight: dict[Weight, list[int]] = {}
         for arr in fp.spec.arrows:
-            src = _atom_coords(fp, arr.source)
-            tgt = _atom_coords(fp, arr.target)
-            disp = (arr.weight.c_eps, arr.weight.c_h)
+            src = self.coords[arr.source]
+            tgt = self.coords[arr.target]
+            disp = _lattice(arr.weight)
             for r in range(len(tgt)):
                 for c in range(len(src)):
                     key = (arr.name, r, c)
-                    self.slot_index[key] = len(self.slots)
-                    self.slots.append(key)
                     w = _sub(_sub(tgt[r], src[c]), disp)
                     if arr.r_charge == 2:
                         w = (-w[0], -w[1])  # conjugate framing direction
+                    self.slot_index[key] = len(self.slots)
+                    self.slots_by_weight.setdefault(w, []).append(len(self.slots))
+                    self.slots.append(key)
                     self.slot_weight.append(w)
         self.rows = self._build_relation_rows()
         self.gauge_cols = self._build_gauge_columns()
-        self.kernels = {w: self.kernel_sector(w) for w in sorted(set(self.slot_weight))}
+        self.kernels = {w: self.kernel_sector(w) for w in sorted(self.slots_by_weight)}
         self.gauge_ranks = {w: self.gauge_rank_sector(w) for w in {w for w, _ in self.gauge_cols}}
         if not self.gauge_injective():
             raise StabilityViolation("gauge action is not free at this fixed point")
@@ -99,7 +135,7 @@ class DeformationComplex:
             if dim:
                 raw[w] = dim
         trimmed, self.removed = _regularize_tangent(raw, 2 * len(_all_atoms(fp)))
-        self.tangent = {LinearForm(w[0], w[1]): d for w, d in trimmed.items()}
+        self.tangent = {_form(w): d for w, d in trimmed.items()}
 
     # -- linearized relations -------------------------------------------
 
@@ -111,13 +147,13 @@ class DeformationComplex:
             if not any(f in framing for f in factors)
         ]
 
-    def _build_relation_rows(self):
+    def _build_relation_rows(self) -> dict[Weight, list[dict[int, int]]]:
         """First-order expansion of each gauge-sector derivative; every row
-        is a dict slot index -> coefficient, tagged with its weight."""
+        is a dict slot index -> integer coefficient, grouped by its weight."""
         fp = self.fp
         words = self._gauge_words()
         gauge_names = [a.name for a in fp.spec.gauge_arrows]
-        rows = []
+        rows: dict[Weight, list[dict[int, int]]] = {}
         for q in gauge_names:
             arrow = fp.spec.arrow(q)
             n_from = len(fp.node_atoms(arrow.target))
@@ -128,17 +164,18 @@ class DeformationComplex:
                     if factor != q:
                         continue
                     rest = factors[pos + 1 :] + factors[:pos]
+                    # prefix[t] = product of mats[:t], suffix[t] = of mats[t + 1:]
                     mats = [fp.matrices[name] for name in rest]
                     prefix = [RationalMatrix.identity(n_to)]
-                    for m in mats:
+                    for m in mats[:-1]:
                         prefix.append(prefix[-1] * m)
                     suffix = [RationalMatrix.identity(n_from)]
-                    for m in reversed(mats):
+                    for m in reversed(mats[1:]):
                         suffix.append(m * suffix[-1])
                     suffix.reverse()
                     for t, name in enumerate(rest):
-                        right = list(suffix[t + 1].nonzeros())
-                        for r, rr, lv in prefix[t].nonzeros():
+                        right = list(_int_nonzeros(suffix[t]))
+                        for r, rr, lv in _int_nonzeros(prefix[t]):
                             for cc, c, rv in right:
                                 idx = self.slot_index[(name, rr, cc)]
                                 cell = cells[r][c]
@@ -149,7 +186,7 @@ class DeformationComplex:
                     if entries:
                         weights = {self.slot_weight[i] for i in entries}
                         _require(len(weights) == 1, "relation row mixes weights")
-                        rows.append((weights.pop(), entries))
+                        rows.setdefault(weights.pop(), []).append(entries)
         return rows
 
     # -- gauge action ----------------------------------------------------
@@ -158,20 +195,16 @@ class DeformationComplex:
         """One column per gl(V_a) direction: image of gamma under
         gamma -> gamma q - q gamma across all arrows."""
         fp = self.fp
-        lines = {
-            arr.name: (_lines(fp.matrices[arr.name]), _lines(fp.matrices[arr.name].transpose()))
-            for arr in fp.spec.arrows
-        }
         cols = []
         for node in fp.spec.gauge_nodes:
-            coords = _atom_coords(fp, node)
+            coords = self.coords[node]
             dim = len(coords)
             for r in range(dim):
                 for c in range(dim):
                     w = _sub(coords[r], coords[c])
                     image = {}
                     for arr in fp.spec.arrows:
-                        q_rows, q_cols = lines[arr.name]
+                        q_rows, q_cols = self.lines[arr.name]
                         if arr.target == node:  # gamma * q
                             for cc, v in q_rows.get(c, ()):
                                 idx = self.slot_index[(arr.name, r, cc)]
@@ -190,25 +223,24 @@ class DeformationComplex:
 
     # -- per-weight kernels ----------------------------------------------
 
-    def kernel_sector(self, w: Weight) -> list[dict[int, Rat]]:
+    def kernel_sector(self, w: Weight) -> list[dict[int, int]]:
         """Basis of ker(dF) restricted to the weight-w slots, as sparse
-        vectors over the global slot index."""
-        idxs = [i for i, sw in enumerate(self.slot_weight) if sw == w]
+        primitive integer vectors over the global slot index."""
+        idxs = self.slots_by_weight.get(w)
         if not idxs:
             return []
-        rows = [entries for rw, entries in self.rows if rw == w]
+        rows = self.rows.get(w)
         if not rows:
-            return [{g: Fraction(1)} for g in idxs]
-        mat = RationalMatrix([[entries.get(g, 0) for g in idxs] for entries in rows])
-        return [{idxs[l]: v for l, _, v in vec.nonzeros()} for vec in kernel_basis(mat)]
+            return [{g: 1} for g in idxs]
+        basis = kernel_basis([[entries.get(g, 0) for g in idxs] for entries in rows])
+        return [{idxs[l]: v for l, v in vec.items()} for vec in basis]
 
     def gauge_rank_sector(self, w: Weight) -> int:
         cols = [image for cw, image in self.gauge_cols if cw == w]
         if not cols:
             return 0
         idxs = sorted({i for image in cols for i in image})
-        mat = RationalMatrix([[image.get(i, 0) for i in idxs] for image in cols])
-        return rank(mat)
+        return rank([[image.get(i, 0) for i in idxs] for image in cols])
 
     def gauge_injective(self) -> bool:
         # one gauge column per gl(V_a) direction
@@ -222,7 +254,9 @@ def _regularize_tangent(
 
     Scheme tangents jump upward at special fixed points; the excess always
     shows up as opposite-weight pairs, which get removed largest magnitude
-    first. Returns the trimmed grading and what was removed.
+    |c_eps| + |c_h| first, ties in weight order. Weights are (e, h) pairs
+    in units of (eps/2, h), so the magnitude key is |e| + 2|h|. Returns the
+    trimmed grading and what was removed.
     """
     out = dict(sectors)
     removed: dict[Weight, int] = {}
@@ -233,7 +267,7 @@ def _regularize_tangent(
     _require(excess % 2 == 0, "odd tangent excess cannot pair up")
     candidates = sorted(
         (w for w in out if (-w[0], -w[1]) in out and w > (-w[0], -w[1])),
-        key=lambda w: (-abs(w[0]) - abs(w[1]), w),
+        key=lambda w: (-abs(w[0]) - 2 * abs(w[1]), w),
     )
     for w in candidates:
         mw = (-w[0], -w[1])
@@ -297,6 +331,8 @@ def incidence_tangent_graded(
     spec = fp.spec
     tau = {node: _projection(fp_plus, fp, node) for node in spec.gauge_nodes}
     tau[FRAMING] = RationalMatrix.identity(1)
+    tau_rows = {node: _lines(t) for node, t in tau.items()}
+    tau_cols = {node: _lines(t.transpose()) for node, t in tau.items()}
 
     # sanity: tau is an honest homomorphism from the extension to the base
     for arr in spec.arrows:
@@ -310,8 +346,8 @@ def incidence_tangent_graded(
     tau_weight: list[Weight] = []
     tau_by_weight: dict[Weight, list[int]] = {}
     for node in spec.gauge_nodes:
-        small_c = _atom_coords(fp, node)
-        big_c = _atom_coords(fp_plus, node)
+        small_c = cx.coords[node]
+        big_c = cx_plus.coords[node]
         for r in range(len(small_c)):
             for c in range(len(big_c)):
                 w = _sub(small_c[r], big_c[c])
@@ -325,19 +361,17 @@ def incidence_tangent_graded(
     # part), grouped by its weight
     conditions: dict[Weight, list[tuple[dict, dict, dict]]] = {}
     for arr in spec.arrows:
-        q = fp.matrices[arr.name]
-        qp = fp_plus.matrices[arr.name]
-        q_rows = _lines(q)
-        qp_cols = _lines(qp.transpose())
-        t_src_cols = _lines(tau[arr.source].transpose())
-        t_tgt_rows = _lines(tau[arr.target])
-        n_rows = q.rows
-        n_cols = qp.cols
+        q_rows = cx.lines[arr.name][0]
+        qp_cols = cx_plus.lines[arr.name][1]
+        t_src_cols = tau_cols[arr.source]
+        t_tgt_rows = tau_rows[arr.target]
+        n_rows = fp.matrices[arr.name].rows
+        n_cols = fp_plus.matrices[arr.name].cols
         for r in range(n_rows):
             for c in range(n_cols):
-                left_a: dict[int, Rat] = {}
-                left_b: dict[int, Rat] = {}
-                mid: dict[int, Rat] = {}
+                left_a: dict[int, int] = {}
+                left_b: dict[int, int] = {}
+                mid: dict[int, int] = {}
                 for cc, v in t_src_cols.get(c, ()):
                     idx = cx.slot_index[(arr.name, r, cc)]
                     left_a[idx] = left_a.get(idx, 0) + v
@@ -382,9 +416,8 @@ def incidence_tangent_graded(
                 row += [sum(v * vec.get(i, 0) for i, v in left_b.items()) for vec in k_b]
                 row += [mid.get(i, 0) for i in tau_idx]
                 cond.append(row)
-            full = RationalMatrix(cond)
-            tau_only = RationalMatrix([row[n_pairs:] for row in cond], cols=len(tau_idx))
-            solutions = n_pairs - (rank(full) - rank(tau_only))
+            tau_only = [row[n_pairs:] for row in cond]
+            solutions = n_pairs - (rank(cond) - rank(tau_only))
         else:
             solutions = n_pairs
         dim = solutions - cx.gauge_ranks.get(w, 0) - cx_plus.gauge_ranks.get(w, 0)
@@ -417,7 +450,7 @@ def incidence_tangent_graded(
             else:
                 drops = [w]
         elif len(pool) == 2 and fp.pattern.n <= 4:
-            hi, lo = sorted(pool, key=lambda w: (abs(w[0]) + abs(w[1]), w), reverse=True)
+            hi, lo = sorted(pool, key=lambda w: (abs(w[0]) + 2 * abs(w[1]), w), reverse=True)
             drops = [hi, (-lo[0], -lo[1])]
         else:
             raise UncalibratedCell(
@@ -432,7 +465,7 @@ def incidence_tangent_graded(
                 del sectors[w]
             excess -= 1
     _require(excess == 0, "incidence dimension off the expected count")
-    return {LinearForm(w[0], w[1]): d for w, d in sectors.items()}
+    return {_form(w): d for w, d in sectors.items()}
 
 
 def _all_atoms(fp: FixedPoint):

@@ -240,6 +240,53 @@ def test_psi_amplitudes_stdout_pinned(capsys, case, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# (exit code, SHA-256 of stdout) of `verify --suite localization --format csv`,
+# pinned from the earlier implementation that localized over Fractions, so the
+# integer weights, rows and kernels keep every check count and verdict; (5,2,2)
+# holds the uncalibrated jump cells and exits 1. The report is the same for
+# every epsilon.
+LOCALIZATION_VERIFY_CSV = {
+    (4, 2, 2): (0, "a27634109abc952be102d63016c93d8ad914949a6fa9e787917771c34b576b05"),
+    (4, 2, 3): (0, "a5319f8171d3826d41731381cbca4888c46597aa6b986563e7746ca0f334f620"),
+    (6, 3, 1): (0, "cf13dc9de722ffa829be52f8f025948f66ecfc69124a73f25822527e116d66d0"),
+    (5, 2, 2): (1, "6764723b3bfdd5854c55a331e905f55c2ea8e2e9bae2a0f4c2e2394ce42b30ed"),
+}
+
+# SHA-256 of `amplitudes --method localization --format csv`, pinned likewise.
+LOCALIZATION_AMPLITUDES_CSV = {
+    ((4, 2, 2), "1"): "bcfdb827289974c4c71184a9c07a63bc8e0fa5d67603ce0bad990289332a98dc",
+    ((4, 2, 2), "-3/2"): "1ea48021d9227a67c92dca8a68bf2512104746a09ecc5538a53c45aa1f2a4a75",
+    ((4, 2, 2), "2/7"): "80b1fdbff406fd66e561bc7add9ac86a1b2829a4481eab405ae146e5d8b6ab1d",
+    ((4, 2, 3), "1"): "159927026bd8ed0a77f41d350caac541c21cc69ba2df4981c9bb6c1f20368014",
+    ((4, 2, 3), "-3/2"): "d94f5191cb809df3c69d41a6196cdc9b777a6cb81003afcbbf5568a62579df38",
+    ((4, 2, 3), "2/7"): "c25ded46753ec79436e669e330e556808077dac9afedd64f8a7d683e2a24a5f9",
+}
+
+
+def _grid_args(grid, eps):
+    n, p, lam = grid
+    return ["--n", str(n), "--p", str(p), "--lambda", str(lam), f"--epsilon={eps}"]
+
+
+@pytest.mark.parametrize("eps", ["1", "-3/2", "2/7"])
+@pytest.mark.parametrize("grid", list(LOCALIZATION_VERIFY_CSV))
+def test_localization_verify_stdout_pinned(capsys, grid, eps):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "localization", "--format", "csv", *_grid_args(grid, eps)
+    )
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == LOCALIZATION_VERIFY_CSV[grid]
+
+
+@pytest.mark.parametrize("grid,eps", list(LOCALIZATION_AMPLITUDES_CSV))
+def test_localization_amplitudes_stdout_pinned(capsys, grid, eps):
+    code, out, _ = run(
+        capsys, "amplitudes", "--method", "localization", "--format", "csv", *_grid_args(grid, eps)
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == LOCALIZATION_AMPLITUDES_CSV[grid, eps]
+
+
 @pytest.mark.parametrize(
     "command", [["states"], ["psi"], ["verify", "--suite", "constraints", "--format", "csv"]]
 )
@@ -256,6 +303,56 @@ def test_negative_rational_with_space(capsys, command):
     assert out_spaced == out_joined
     if command[0] != "verify":
         assert json.loads(out_spaced)["params"]["epsilon"] == "-3/2"
+
+
+def test_verify_all_at_nonzero_h_runs_constraints_and_skips_the_rest(capsys):
+    base = ["verify", "--n", "3", "--p", "1", "--lambda", "2", "--h", "1", "--format", "csv"]
+    code_all, out_all, err_all = run(capsys, *base, "--suite", "all")
+    code_one, out_one, err_one = run(capsys, *base, "--suite", "constraints")
+    assert code_all == code_one == 0
+    assert out_all == out_one
+    skipped = ["hysteresis", "modes", "serre", "gelfand", "localization", "reductions"]
+    assert err_all == "".join(f"SKIP {name} (needs h = 0)\n" for name in skipped) + err_one
+    # reductions is not part of `all` unless p = 1, so it is not reported skipped
+    _, _, err = run(capsys, "verify", "--n", "4", "--p", "2", "--lambda", "2", "--h", "1")
+    assert "SKIP localization" in err and "SKIP reductions" not in err
+
+
+def test_verify_single_suite_at_nonzero_h_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "--n", "3", "--p", "1", "--lambda", "2", "--h", "1", "--suite", "hysteresis"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: amplitude computations require h = 0\n"
+
+
+def test_verify_all_at_zero_h_stdout_pinned(capsys):
+    # SHA-256 of stdout and stderr, pinned before `all` learned to skip suites
+    # at h != 0
+    code, out, err = run(
+        capsys, "verify", "--n", "3", "--p", "1", "--lambda", "2", "--format", "csv", "--mode-cutoff", "2"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "3968c4946e69da259f1f2447a0cb7d7accdfb76e600696cd441570c5473463eb"
+    )
+    assert hashlib.sha256(err.encode("utf-8")).hexdigest() == (
+        "1cf22197270b63460fdd6e7d7cd2fe5941700c5fca47e220fc990e22f3cda7a8"
+    )
+
+
+@pytest.mark.parametrize("grid", [("4", "2", "2"), ("5", "2", "2")])
+def test_localization_verify_unchanged_under_optimize(cli_env, grid):
+    # the invariants raise typed errors, not asserts, so `python -O` runs
+    # every check and reports the same, uncalibrated (5,2,2) cells included
+    n, p, lam = grid
+    args = ["-m", "gtyang.cli", "verify", "--suite", "localization", "--format", "csv"]
+    args += ["--n", n, "--p", p, "--lambda", lam]
+    plain = subprocess.run([sys.executable, *args], capture_output=True, env=cli_env)
+    optimized = subprocess.run([sys.executable, "-O", *args], capture_output=True, env=cli_env)
+    assert plain.stdout
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
 
 
 def test_subprocess_byte_identical(cli_env):

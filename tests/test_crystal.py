@@ -4,9 +4,6 @@ from gtyang.crystal import (
     FixedPoint,
     atoms_at_node,
     fixed_point_matrices,
-    ico_identity,
-    ico_shift,
-    ico_zero,
     pattern_atoms,
     verify_f_terms,
 )
@@ -17,6 +14,18 @@ from gtyang.quiver import EquivariantParams, LinearForm
 F = Fraction
 EPS1 = EquivariantParams(1)
 GENERIC = EquivariantParams(F(2, 3), F(1, 7))
+
+
+def ico_identity(n: int, m: int) -> RationalMatrix:
+    return RationalMatrix([[1 if i == j else 0 for j in range(m)] for i in range(n)], cols=m)
+
+
+def ico_shift(n: int) -> RationalMatrix:
+    return RationalMatrix([[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)], cols=n)
+
+
+def ico_zero(n: int, m: int) -> RationalMatrix:
+    return RationalMatrix.zeros(n, m)
 
 
 def test_atom_examples_for_middle_framing():

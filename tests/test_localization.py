@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -16,7 +17,7 @@ from gtyang.localization import (
 )
 from gtyang.modes import verify_localization
 from gtyang.patterns import build_pattern, enumerate_patterns, raise_pole, vacuum_pattern
-from gtyang.quiver import EquivariantParams, InvariantViolation
+from gtyang.quiver import EquivariantParams, InvariantViolation, LinearForm
 
 F = Fraction
 EPS1 = EquivariantParams(1)
@@ -201,6 +202,26 @@ def test_expected_dimension_is_twice_atom_count():
 def test_untrimmable_excess_raises_typed_error(sectors):
     with pytest.raises(InvariantViolation):
         _regularize_tangent(sectors, 0)
+
+
+def test_trim_tie_keeps_the_half_integer_loop_weight():
+    # weights in units of (eps/2, h): +-(3/2, 0) and +-(1/2, 1) both have
+    # magnitude |c_eps| + |c_h| = 3/2, and the tie goes to the smaller weight,
+    # so +-(1/2, 1) is removed; a key of |e| + |h| in eps/2 units would rank
+    # (3, 0) above (1, 1) and remove +-(3/2, 0) instead
+    sectors = {(3, 0): 1, (-3, 0): 1, (1, 1): 1, (-1, -1): 1}
+    trimmed, removed = _regularize_tangent(sectors, 2)
+    assert trimmed == {(3, 0): 1, (-3, 0): 1}
+    assert removed == {(1, 1): 1, (-1, -1): 1}
+
+
+def test_off_lattice_atom_weight_raises_typed_error():
+    fp = fp_of(build_pattern(3, 1, 2, [1, 0]))
+    atom = fp.atoms[0][0]
+    bad = dataclasses.replace(atom, weight=LinearForm(F(1, 3), 0))
+    doctored = dataclasses.replace(fp, atoms=((bad, *fp.atoms[0][1:]), *fp.atoms[1:]))
+    with pytest.raises(InvariantViolation, match="off the"):
+        DeformationComplex(doctored)
 
 
 def test_module_pass_builds_one_complex_per_pattern(monkeypatch):
