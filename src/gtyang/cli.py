@@ -256,10 +256,9 @@ def cmd_modes(args) -> int:
     states = enumerate_patterns(args.n, args.p, args.lam)
     ops = modes_mod.build_mode_operators(args.n, args.p, args.lam, params, args.mode_cutoff)
     payload = []
-    for op in ops:
-        entries = [[r, c, fmt_rat(v)] for r, c, v in op.matrix.nonzeros()]
-        payload.append({"kind": op.kind, "node": op.node, "mode": op.mode, "entries": entries})
-    payload.sort(key=lambda item: (item["kind"], item["node"], item["mode"]))
+    for (kind, node, mode), matrix in ops.items():
+        entries = [[r, c, fmt_rat(v)] for r, c, v in matrix.nonzeros()]
+        payload.append({"kind": kind, "node": node, "mode": mode, "entries": entries})
     _emit_json(
         args,
         {
@@ -301,7 +300,7 @@ def _run_suites(args, params) -> list:
         reports += modes_mod.verify_mode_relations(ops, cartan_matrix(n), params)
     if want("serre"):
         ops = modes_mod.build_mode_operators(n, p, lam, params, max(args.mode_cutoff, 1))
-        reports += modes_mod.verify_serre(ops, params)
+        reports += modes_mod.verify_serre(ops)
     if want("gelfand"):
         reports += modes_mod.verify_gelfand(n, p, lam, params)
     if want("localization"):

@@ -37,8 +37,9 @@ class NotAdjacent(ValueError):
 
 
 class UncalibratedCell(RuntimeError):
-    """Incidence trim outside the configurations pinned against the closed
-    forms; the magnitude is still determined, the sign is not."""
+    """Trim outside the configurations pinned against the closed forms: an
+    incidence whose sign the rule does not decide, or a tangent excess that
+    does not pair up into opposite weights."""
 
 
 def _require(condition: bool, message: str) -> None:
@@ -134,7 +135,7 @@ class DeformationComplex:
             _require(dim >= 0, "gauge orbit escapes the relation kernel")
             if dim:
                 raw[w] = dim
-        trimmed, self.removed = _regularize_tangent(raw, 2 * len(_all_atoms(fp)))
+        trimmed, self.removed = _regularize_tangent(raw, 2 * len(_all_atoms(fp)), fp.pattern)
         self.tangent = {_form(w): d for w, d in trimmed.items()}
 
     # -- linearized relations -------------------------------------------
@@ -248,7 +249,7 @@ class DeformationComplex:
 
 
 def _regularize_tangent(
-    sectors: dict[Weight, int], expected_dim: int
+    sectors: dict[Weight, int], expected_dim: int, pattern: GTPattern
 ) -> tuple[dict[Weight, int], dict[Weight, int]]:
     """Cut the kernel down to the expected dimension.
 
@@ -256,7 +257,8 @@ def _regularize_tangent(
     shows up as opposite-weight pairs, which get removed largest magnitude
     |c_eps| + |c_h| first, ties in weight order. Weights are (e, h) pairs
     in units of (eps/2, h), so the magnitude key is |e| + 2|h|. Returns the
-    trimmed grading and what was removed.
+    trimmed grading and what was removed; an excess that does not pair up
+    raises ``UncalibratedCell`` naming the pattern.
     """
     out = dict(sectors)
     removed: dict[Weight, int] = {}
@@ -264,7 +266,8 @@ def _regularize_tangent(
     if excess <= 0:
         # undershoot happens only for reduced framing choices; nothing to trim
         return out, removed
-    _require(excess % 2 == 0, "odd tangent excess cannot pair up")
+    if excess % 2:
+        raise UncalibratedCell(f"odd tangent excess at {pattern.free_values} cannot pair up")
     candidates = sorted(
         (w for w in out if (-w[0], -w[1]) in out and w > (-w[0], -w[1])),
         key=lambda w: (-abs(w[0]) - 2 * abs(w[1]), w),
@@ -280,7 +283,8 @@ def _regularize_tangent(
             excess -= 2
         if excess == 0:
             break
-    _require(excess == 0, "tangent excess is not hyperbolic")
+    if excess:
+        raise UncalibratedCell(f"tangent excess at {pattern.free_values} is not hyperbolic")
     return out, removed
 
 
@@ -511,18 +515,25 @@ def localize_module(
 ) -> dict[tuple[GTPattern, int, int], tuple[Rat, Rat] | UncalibratedCell]:
     """(state, node, type) of each raising move -> its (raising, lowering)
     amplitudes, or the ``UncalibratedCell`` it raised; one deformation
-    complex per pattern, shared by every move it takes part in."""
+    complex per pattern, shared by every move it takes part in. A pattern
+    whose tangent cannot be trimmed leaves every move into or out of it
+    undetermined."""
     patterns = enumerate_patterns(n, p, lam)
-    complexes = {
-        pat: DeformationComplex(fixed_point_matrices(pat, params, all_framings=True))
-        for pat in patterns
-    }
+    complexes = {}
+    for pat in patterns:
+        fp = fixed_point_matrices(pat, params, all_framings=True)
+        try:
+            complexes[pat] = DeformationComplex(fp)
+        except UncalibratedCell as exc:
+            complexes[pat] = exc
     table = {}
     for pat in patterns:
         for k in range(1, n):
             for j, up in pat.raises(k):
+                ends = (complexes[pat], complexes[up])
+                failed = [cx for cx in ends if isinstance(cx, UncalibratedCell)]
                 try:
-                    table[pat, k, j] = _move_amplitudes(complexes[pat], complexes[up], params)
+                    table[pat, k, j] = failed[0] if failed else _move_amplitudes(*ends, params)
                 except UncalibratedCell as exc:
                     table[pat, k, j] = exc
     return table

@@ -8,6 +8,8 @@ reported relation by relation with their worst residual.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -15,23 +17,32 @@ from gtyang.amplitudes import (
     amplitude_E,
     amplitude_F,
     amplitude_table,
+    gelfand_squared,
+    gelfand_squared_closed_form,
     psi_closed_form,
     psi_generic,
 )
 from gtyang.linalg import RationalMatrix
-from gtyang.patterns import enumerate_patterns, raise_pole, rectangular_dimension
-from gtyang.quiver import EquivariantParams, InvalidParams, build_quiver, bond_factor
+from gtyang.patterns import (
+    add_remove_sets,
+    build_pattern,
+    enumerate_patterns,
+    raise_pole,
+    rectangular_dimension,
+)
+from gtyang.quiver import (
+    EquivariantParams,
+    InvalidParams,
+    bond_factor,
+    build_quiver,
+    check_constraints,
+)
 from gtyang.rational import FactoredRatFunc
 
 Rat = Fraction
 
-
-@dataclass(frozen=True)
-class ModeOperator:
-    kind: str  # "e", "f" or "psi"
-    node: int
-    mode: int
-    matrix: RationalMatrix
+# modes of every generator that the Serre relations are checked on
+SERRE_MODES = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -51,11 +62,12 @@ def all_pass(reports) -> bool:
 
 def build_mode_operators(
     n: int, p: int, lam: int, params: EquivariantParams, cutoff: int
-) -> list[ModeOperator]:
-    """Sparse matrices of every mode: raising/lowering through ``cutoff``,
-    diagonal modes through ``2 * cutoff`` so products stay checkable. Each
-    raising/lowering mode is assembled from the module's edges as (row, col,
-    amplitude * pole**mode) triples."""
+) -> dict[tuple[str, int, int], RationalMatrix]:
+    """Sparse matrices of every mode, keyed ``(kind, node, mode)`` in sorted
+    order, kind ``"e"``, ``"f"`` or ``"psi"``: raising/lowering through
+    ``cutoff``, diagonal modes through ``2 * cutoff`` so products stay
+    checkable. Each raising/lowering mode is assembled from the module's
+    edges as (row, col, amplitude * pole**mode) triples."""
     if params.h != 0:
         raise InvalidParams("mode operators are defined at h = 0")
     if cutoff < 0:
@@ -64,7 +76,7 @@ def build_mode_operators(
     index = {pat: i for i, pat in enumerate(states)}
     dim = len(states)
     table = amplitude_table(n, p, lam, params)
-    ops: list[ModeOperator] = []
+    ops = {}
     for node in range(1, n):
         # each edge pat -> up has one pole: lowering up sits where raising pat does
         edges = []  # (index of up, index of pat, E, F, pole)
@@ -73,39 +85,43 @@ def build_mode_operators(
                 e, f = table[pat, node, j]
                 edges.append((index[up], col, e, f, raise_pole(pat, node, j, params)))
         for mode in range(cutoff + 1):
-            e_mat = RationalMatrix.from_triples(
+            ops["e", node, mode] = RationalMatrix.from_triples(
                 dim, dim, ((hi, lo, e * pole**mode) for hi, lo, e, _, pole in edges)
             )
-            f_mat = RationalMatrix.from_triples(
+            ops["f", node, mode] = RationalMatrix.from_triples(
                 dim, dim, ((lo, hi, f * pole**mode) for hi, lo, _, f, pole in edges)
             )
-            ops += (ModeOperator("e", node, mode, e_mat), ModeOperator("f", node, mode, f_mat))
         series = [
             psi_closed_form(pat, node, params).series_at_infinity(2 * cutoff)
             for pat in states
         ]
         for mode in range(2 * cutoff + 1):
-            diag = [s.coefficients[mode] for s in series]
-            ops.append(ModeOperator("psi", node, mode, RationalMatrix.diagonal(diag)))
-    return ops
+            ops["psi", node, mode] = RationalMatrix.diagonal([s.coefficients[mode] for s in series])
+    return dict(sorted(ops.items()))
 
 
-def _op_table(ops) -> dict:
-    return {(op.kind, op.node, op.mode): op.matrix for op in ops}
+def _products(ops):
+    """``prod(x, y) = ops[x] * ops[y]`` and ``comm(x, y) = [ops[x], ops[y]]``
+    for operator keys; each product is computed once per pair of keys."""
+
+    @functools.cache
+    def prod(x, y) -> RationalMatrix:
+        return ops[x] * ops[y]
+
+    def comm(x, y) -> RationalMatrix:
+        return prod(x, y) - prod(y, x)
+
+    return prod, comm
 
 
-def _comm(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    return a * b - b * a
-
-
-def _detect_sign(candidates) -> int | None:
-    """Uniform sign s with lhs = s * rhs, read off the first nonzero entry
-    (row-major) of the first nonzero rhs."""
-    for lhs, rhs in candidates:
+def _detect_sign(checks) -> int:
+    """Uniform sign s with lhs = s * rhs over ``(instance, lhs, rhs)`` checks,
+    read off the first nonzero entry (row-major) of the first nonzero rhs;
+    1 when that ratio is not -1 or every rhs is zero."""
+    for _, lhs, rhs in checks:
         for r, c, v in rhs.nonzeros():
-            ratio = lhs[r, c] / v
-            return int(ratio) if ratio in (1, -1) else None
-    return None
+            return -1 if lhs[r, c] / v == -1 else 1
+    return 1
 
 
 def verify_mode_relations(ops, cartan, params: EquivariantParams) -> list[RelationReport]:
@@ -115,20 +131,11 @@ def verify_mode_relations(ops, cartan, params: EquivariantParams) -> list[Relati
 
     Every product of two operators, keyed by their (kind, node, mode), is
     computed once per call and shared by all the checks that use it."""
-    table = _op_table(ops)
-    nodes = sorted({node for _, node, _ in table})
-    cutoff = max(mode for kind, _, mode in table if kind == "e")
-    eps = params.epsilon
+    nodes = sorted({node for _, node, _ in ops})
+    cutoff = max(mode for kind, _, mode in ops if kind == "e")
+    modes = range(cutoff + 1)
+    prod, comm = _products(ops)
     reports: list[RelationReport] = []
-    products: dict[tuple, RationalMatrix] = {}
-
-    def prod(x, y) -> RationalMatrix:
-        if (x, y) not in products:
-            products[(x, y)] = table[x] * table[y]
-        return products[(x, y)]
-
-    def comm(x, y) -> RationalMatrix:
-        return prod(x, y) - prod(y, x)
 
     def anti(x, y) -> RationalMatrix:
         return prod(x, y) + prod(y, x)
@@ -136,122 +143,73 @@ def verify_mode_relations(ops, cartan, params: EquivariantParams) -> list[Relati
     def emit(rel_id, residual, **info):
         reports.append(RelationReport(rel_id, info, residual))
 
-    half = eps / 2
-    for a in nodes:
-        for b in nodes:
-            coupling = half * cartan[a - 1][b - 1]
-            for n_mode in range(cutoff):
-                for k_mode in range(cutoff):
-                    for x_kind, kind, sign in (
-                        ("e", "e", 1), ("f", "f", -1), ("psi", "e", 1), ("psi", "f", -1)
-                    ):
-                        x_n, x_n1 = (x_kind, a, n_mode), (x_kind, a, n_mode + 1)
-                        y_k, y_k1 = (kind, b, k_mode), (kind, b, k_mode + 1)
-                        res = (
-                            comm(x_n1, y_k)
-                            - comm(x_n, y_k1)
-                            - anti(x_n, y_k).scaled(sign * coupling)
-                        )
-                        emit(f"{x_kind}{kind}", res.max_abs(), a=a, b=b, n=n_mode, k=k_mode)
-            for n_mode in range(cutoff + 1):
-                for k_mode in range(cutoff + 1):
-                    res = comm(("psi", a, n_mode), ("psi", b, k_mode))
-                    emit("psipsi", res.max_abs(), a=a, b=b, n=n_mode, k=k_mode)
+    half = params.epsilon / 2
+    for a, b in itertools.product(nodes, nodes):
+        coupling = half * cartan[a - 1][b - 1]
+        for n, k in itertools.product(range(cutoff), range(cutoff)):
+            for x_kind, kind, sign in (
+                ("e", "e", 1), ("f", "f", -1), ("psi", "e", 1), ("psi", "f", -1)
+            ):
+                x_n, x_n1 = (x_kind, a, n), (x_kind, a, n + 1)
+                y_k, y_k1 = (kind, b, k), (kind, b, k + 1)
+                res = comm(x_n1, y_k) - comm(x_n, y_k1) - anti(x_n, y_k).scaled(sign * coupling)
+                emit(f"{x_kind}{kind}", res.max_abs(), a=a, b=b, n=n, k=k)
+        for n, k in itertools.product(modes, modes):
+            res = comm(("psi", a, n), ("psi", b, k))
+            emit("psipsi", res.max_abs(), a=a, b=b, n=n, k=k)
 
-    # pairing sign: [e_n, f_k] = sign * psi_{n+k} on the diagonal node pair
-    pairing = []
-    for a in nodes:
-        for n_mode in range(cutoff + 1):
-            for k_mode in range(cutoff + 1):
-                lhs = comm(("e", a, n_mode), ("f", a, k_mode))
-                pairing.append((lhs, table[("psi", a, n_mode + k_mode)]))
-    pairing_sign = _detect_sign(pairing) or 1
-    idx = 0
-    for a in nodes:
-        for n_mode in range(cutoff + 1):
-            for k_mode in range(cutoff + 1):
-                lhs, rhs = pairing[idx]
-                idx += 1
-                emit(
-                    "ef-pairing",
-                    (lhs - rhs.scaled(pairing_sign)).max_abs(),
-                    a=a,
-                    b=a,
-                    n=n_mode,
-                    k=k_mode,
-                    sign=pairing_sign,
-                )
-        for b in nodes:
-            if b == a:
-                continue
-            for n_mode in range(cutoff + 1):
-                for k_mode in range(cutoff + 1):
-                    res = comm(("e", a, n_mode), ("f", b, k_mode))
-                    emit("ef-offdiag", res.max_abs(), a=a, b=b, n=n_mode, k=k_mode)
+    # pairing: [e_n, f_k] = sign * psi_{n+k} on the diagonal node pair, zero off it
+    pairing = [
+        ((a, n, k), comm(("e", a, n), ("f", a, k)), ops["psi", a, n + k])
+        for a, n, k in itertools.product(nodes, modes, modes)
+    ]
+    sign = _detect_sign(pairing)
+    for (a, n, k), lhs, rhs in pairing:
+        emit("ef-pairing", (lhs - rhs.scaled(sign)).max_abs(), a=a, b=a, n=n, k=k, sign=sign)
+    for a, b, n, k in itertools.product(nodes, nodes, modes, modes):
+        if a != b:
+            emit("ef-offdiag", comm(("e", a, n), ("f", b, k)).max_abs(), a=a, b=b, n=n, k=k)
 
-    # boundary: [psi_0, e_k] = s * A_ab e_k and [psi_0, f_k] = -s * A_ab f_k
-    boundary = []
-    for a in nodes:
-        for b in nodes:
-            for k_mode in range(cutoff + 1):
-                lhs = comm(("psi", a, 0), ("e", b, k_mode))
-                boundary.append((lhs, table[("e", b, k_mode)].scaled(cartan[a - 1][b - 1])))
-    boundary_sign = _detect_sign(boundary) or 1
-    for a in nodes:
-        for b in nodes:
-            coupling = cartan[a - 1][b - 1]
-            for k_mode in range(cutoff + 1):
-                res_e = comm(("psi", a, 0), ("e", b, k_mode)) - table[
-                    ("e", b, k_mode)
-                ].scaled(boundary_sign * coupling)
-                emit("boundary-e", res_e.max_abs(), a=a, b=b, k=k_mode, sign=boundary_sign)
-                res_f = comm(("psi", a, 0), ("f", b, k_mode)) + table[
-                    ("f", b, k_mode)
-                ].scaled(boundary_sign * coupling)
-                emit("boundary-f", res_f.max_abs(), a=a, b=b, k=k_mode, sign=boundary_sign)
+    # boundary: [psi_0, e_k] = sign * A_ab e_k and [psi_0, f_k] = -sign * A_ab f_k
+    boundary = [
+        ((a, b, k), comm(("psi", a, 0), ("e", b, k)), ops["e", b, k].scaled(cartan[a - 1][b - 1]))
+        for a, b, k in itertools.product(nodes, nodes, modes)
+    ]
+    sign = _detect_sign(boundary)
+    for (a, b, k), lhs, rhs in boundary:
+        emit("boundary-e", (lhs - rhs.scaled(sign)).max_abs(), a=a, b=b, k=k, sign=sign)
+        res = comm(("psi", a, 0), ("f", b, k)) + ops["f", b, k].scaled(sign * cartan[a - 1][b - 1])
+        emit("boundary-f", res.max_abs(), a=a, b=b, k=k, sign=sign)
     return reports
 
 
-def verify_serre(ops, params: EquivariantParams, modes=(0, 1)) -> list[RelationReport]:
-    """Symmetrized nested commutators: triple for neighbouring nodes,
-    plain commutators for distance two or more."""
-    table = _op_table(ops)
-    nodes = sorted({node for _, node, _ in table})
+def verify_serre(ops) -> list[RelationReport]:
+    """Symmetrized nested commutators on the modes in ``SERRE_MODES``: triple
+    for neighbouring nodes, plain commutators for distance two or more. Each
+    inner commutator [X_{a,s}, X_{b,m}] and each nested term
+    [X_{a,s1}, [X_{a,s2}, X_{b,m}]] is computed once."""
+    nodes = sorted({node for _, node, _ in ops})
+    pairs = list(itertools.product(SERRE_MODES, SERRE_MODES))
+    _, comm = _products(ops)
     reports = []
-    for kind in ("e", "f"):
-        for a in nodes:
-            for b in nodes:
-                if a == b:
-                    continue
-                if abs(a - b) == 1:
-                    for n1 in modes:
-                        for n2 in modes:
-                            for m in modes:
-                                total = None
-                                for s1, s2 in ((n1, n2), (n2, n1)):
-                                    term = _comm(
-                                        table[(kind, a, s1)],
-                                        _comm(table[(kind, a, s2)], table[(kind, b, m)]),
-                                    )
-                                    total = term if total is None else total + term
-                                reports.append(
-                                    RelationReport(
-                                        f"serre-{kind}",
-                                        {"a": a, "b": b, "modes": (n1, n2, m)},
-                                        total.max_abs(),
-                                    )
-                                )
-                else:
-                    for n1 in modes:
-                        for m in modes:
-                            res = _comm(table[(kind, a, n1)], table[(kind, b, m)])
-                            reports.append(
-                                RelationReport(
-                                    f"serre-{kind}-far",
-                                    {"a": a, "b": b, "modes": (n1, m)},
-                                    res.max_abs(),
-                                )
-                            )
+    for kind, a, b in itertools.product(("e", "f"), nodes, nodes):
+        if a == b:
+            continue
+        inner = {(s, m): comm((kind, a, s), (kind, b, m)) for s, m in pairs}
+        if abs(a - b) > 1:
+            for (n1, m), res in inner.items():
+                info = {"a": a, "b": b, "modes": (n1, m)}
+                reports.append(RelationReport(f"serre-{kind}-far", info, res.max_abs()))
+            continue
+        nested = {}
+        for s1 in SERRE_MODES:
+            x = ops[kind, a, s1]
+            for (s2, m), c in inner.items():
+                nested[s1, s2, m] = x * c - c * x
+        for n1, n2, m in nested:
+            total = nested[n1, n2, m] + nested[n2, n1, m]
+            info = {"a": a, "b": b, "modes": (n1, n2, m)}
+            reports.append(RelationReport(f"serre-{kind}", info, total.max_abs()))
     return reports
 
 
@@ -329,8 +287,6 @@ def verify_hysteresis(n, p, lam, params: EquivariantParams) -> list[RelationRepo
 def verify_pole_classification(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
     """Poles of the cancelled eigenvalue function against candidate moves,
     and exact vanishing of amplitudes toward invalid patterns."""
-    from gtyang.patterns import add_remove_sets
-
     reports = []
     for pat in enumerate_patterns(n, p, lam):
         state = pat.free_values
@@ -369,8 +325,6 @@ def verify_reductions(n, p, lam, params: EquivariantParams) -> list[RelationRepo
         free = [m] + [0] * sum(
             b - a + 1 for a, b in ((max(1, k - p + 1), min(n - p, k)) for k in range(2, n))
         )
-        from gtyang.patterns import build_pattern
-
         pat = build_pattern(n, p, lam, free)
         if m < lam:
             e_val = amplitude_E(pat, 1, 1, params)
@@ -408,8 +362,6 @@ def verify_dual_routes(n, p, lam, params: EquivariantParams) -> list[RelationRep
 
 
 def verify_gelfand(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
-    from gtyang.amplitudes import gelfand_squared, gelfand_squared_closed_form
-
     reports = []
     for pat in enumerate_patterns(n, p, lam):
         state = pat.free_values
@@ -449,8 +401,6 @@ def verify_localization(n, p, lam, params: EquivariantParams) -> list[RelationRe
 
 
 def verify_constraints(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
-    from gtyang.quiver import check_constraints
-
     spec = build_quiver(n, p, lam, all_framings=True)
     report = check_constraints(spec, params)
     out = []

@@ -192,16 +192,11 @@ def raise_pole(pat: GTPattern, k: int, i: int, params: EquivariantParams) -> Rat
     return coeff * params.epsilon
 
 
-def lower_pole(pat: GTPattern, k: int, i: int, params: EquivariantParams) -> Rat:
-    a, _ = pat.window(k)
-    coeff = Fraction(pat.entry(i, k) - 1 - (i - a)) - Fraction(abs(k - pat.p), 2)
-    return coeff * params.epsilon
-
-
 def add_remove_sets(
     pat: GTPattern, k: int, params: EquivariantParams
 ) -> tuple[list[tuple[int, Rat]], list[tuple[int, Rat]]]:
-    """Candidate moves at node k: (type index, pole position) lists."""
+    """Candidate moves at node k: (type index, pole position) lists. A
+    lowering pole sits one epsilon below the raising pole of the same entry."""
     a, b = pat.window(k)
     add = []
     rem = []
@@ -209,7 +204,7 @@ def add_remove_sets(
         if pat.bumped(i, k, +1) is not None:
             add.append((i, raise_pole(pat, k, i, params)))
         if pat.bumped(i, k, -1) is not None:
-            rem.append((i, lower_pole(pat, k, i, params)))
+            rem.append((i, raise_pole(pat, k, i, params) - params.epsilon))
     return add, rem
 
 

@@ -14,6 +14,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _grid_args(grid, eps):
+    n, p, lam = grid
+    return ["--n", str(n), "--p", str(p), "--lambda", str(lam), f"--epsilon={eps}"]
+
+
 def test_dims_prints_value(capsys):
     code, out, _ = run(capsys, "dims", "--n", "4", "--p", "2", "--lambda", "2")
     assert code == 0
@@ -152,23 +157,46 @@ def test_modes_output_deterministic(capsys):
 # implementation so the operator dump from sparse rows stays byte-identical.
 MODES_STDOUT_SHA256 = [
     (
-        ["--n", "3", "--p", "1", "--lambda", "2", "--mode-cutoff", "2", "--epsilon", "3/2"],
+        ["modes", "--mode-cutoff", "2", *_grid_args((3, 1, 2), "3/2")],
         "c3514e63ddcf745307d77fbf48e57d669c7d40f0b363b016892f4d75eb3aaf98",
     ),
     (
-        ["--n", "4", "--p", "2", "--lambda", "2", "--mode-cutoff", "3", "--epsilon", "2/7"],
+        ["modes", "--mode-cutoff", "3", *_grid_args((4, 2, 2), "2/7")],
         "9a99fa2165ab6f512c1163cb9094e2857eec92f402a4f8262ed659cff7619d1e",
     ),
     (
-        ["--n", "5", "--p", "2", "--lambda", "1", "--mode-cutoff", "1"],
+        ["modes", "--mode-cutoff", "1", *_grid_args((5, 2, 1), "1")],
         "dfd71fc371d188a1d688c1a32a827a79befba61bcda464a7a161125db269bb5b",
     ),
+]
+
+# SHA-256 of `verify --format csv` for the mode and Serre suites, pinned from
+# the implementation that passed the operators as a list and recomputed the
+# Serre commutators; the table is the same for every epsilon.
+MATRIX_VERIFY_CSV_SHA256 = {
+    ("--suite modes --mode-cutoff 2", (4, 2, 2)):
+        "314094086561e57615d7ec07420ad6ac7e28288d09dec56a74436363c8507c6b",
+    ("--suite modes --mode-cutoff 2", (5, 2, 2)):
+        "6ad816f0105223cfaca3e5e54efcc854e84b8860f9e3b51e175b5aaa150875da",
+    ("--suite serre", (4, 2, 2)):
+        "61efd76977850b94928139095c16ece7ab473ee0edfd83a267f8f6dd8dde7603",
+    ("--suite serre", (5, 2, 2)):
+        "3559e7f2489c86848e56d626844f455c9a3bae6d30cbd7ec6fee02427da132b4",
+    ("--suite serre --mode-cutoff 0", (4, 2, 2)):
+        "61efd76977850b94928139095c16ece7ab473ee0edfd83a267f8f6dd8dde7603",
+    ("--suite serre --mode-cutoff 0", (5, 2, 2)):
+        "3559e7f2489c86848e56d626844f455c9a3bae6d30cbd7ec6fee02427da132b4",
+}
+MODES_STDOUT_SHA256 += [
+    (["verify", "--format", "csv", *suite.split(), *_grid_args(grid, eps)], digest)
+    for (suite, grid), digest in MATRIX_VERIFY_CSV_SHA256.items()
+    for eps in ("1", "-3/2", "2/7")
 ]
 
 
 @pytest.mark.parametrize("args,digest", MODES_STDOUT_SHA256)
 def test_modes_stdout_pinned(capsys, args, digest):
-    code, out, _ = run(capsys, "modes", *args)
+    code, out, _ = run(capsys, *args)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
@@ -261,11 +289,6 @@ LOCALIZATION_AMPLITUDES_CSV = {
     ((4, 2, 3), "-3/2"): "d94f5191cb809df3c69d41a6196cdc9b777a6cb81003afcbbf5568a62579df38",
     ((4, 2, 3), "2/7"): "c25ded46753ec79436e669e330e556808077dac9afedd64f8a7d683e2a24a5f9",
 }
-
-
-def _grid_args(grid, eps):
-    n, p, lam = grid
-    return ["--n", str(n), "--p", str(p), "--lambda", str(lam), f"--epsilon={eps}"]
 
 
 @pytest.mark.parametrize("eps", ["1", "-3/2", "2/7"])
@@ -398,3 +421,28 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert len(payload["states"]) == 3
+
+
+def test_untrimmable_tangent_is_reported_not_raised(capsys):
+    # the tangent excess of pattern (1,2,0,1) at (4,2,4) does not pair up: the
+    # 7 moves into or out of it and 6 undecided jump cells are uncalibrated
+    grid = ["--n", "4", "--p", "2", "--lambda", "4"]
+    code, out, _ = run(capsys, "verify", "--suite", "localization", "--format", "csv", *grid)
+    assert code == 1
+    assert out == (
+        "relation,checks,max_residual,status\n"
+        "localization,227,0,pass\n"
+        "localization-uncalibrated,13,1,fail\n"
+    )
+    code, out, _ = run(capsys, "verify", "--mode-cutoff", "1", "--format", "csv", *grid)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.endswith(",fail")] == [
+        "localization-uncalibrated,13,1,fail"
+    ]
+    assert len(out.splitlines()) == 27
+    code, out, err = run(capsys, "amplitudes", "--method", "localization", *grid)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: localization leaves the move at state 0;2,0;1, node 1, type 1 "
+        "undetermined: tangent excess at (1, 2, 0, 1) is not hyperbolic\n"
+    )

@@ -9,6 +9,7 @@ from gtyang.crystal import fixed_point_matrices
 from gtyang.localization import (
     DeformationComplex,
     NotAdjacent,
+    UncalibratedCell,
     _regularize_tangent,
     amplitudes_via_localization,
     euler_class,
@@ -200,8 +201,10 @@ def test_expected_dimension_is_twice_atom_count():
     ids=["odd-excess", "non-hyperbolic-excess"],
 )
 def test_untrimmable_excess_raises_typed_error(sectors):
-    with pytest.raises(InvariantViolation):
-        _regularize_tangent(sectors, 0)
+    # a typed error, which `python -O` keeps, naming the pattern
+    pat = build_pattern(4, 2, 4, [1, 2, 0, 1])
+    with pytest.raises(UncalibratedCell, match=r"excess at \(1, 2, 0, 1\)"):
+        _regularize_tangent(sectors, 0, pat)
 
 
 def test_trim_tie_keeps_the_half_integer_loop_weight():
@@ -210,7 +213,7 @@ def test_trim_tie_keeps_the_half_integer_loop_weight():
     # so +-(1/2, 1) is removed; a key of |e| + |h| in eps/2 units would rank
     # (3, 0) above (1, 1) and remove +-(3/2, 0) instead
     sectors = {(3, 0): 1, (-3, 0): 1, (1, 1): 1, (-1, -1): 1}
-    trimmed, removed = _regularize_tangent(sectors, 2)
+    trimmed, removed = _regularize_tangent(sectors, 2, build_pattern(3, 1, 2, [1, 0]))
     assert trimmed == {(3, 0): 1, (-3, 0): 1}
     assert removed == {(1, 1): 1, (-1, -1): 1}
 

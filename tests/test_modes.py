@@ -18,23 +18,19 @@ F = Fraction
 EPS1 = EquivariantParams(1)
 
 
-def op_table(ops):
-    return {(op.kind, op.node, op.mode): op.matrix for op in ops}
-
-
 def test_mode_matrix_examples():
     ops = build_mode_operators(3, 1, 1, EPS1, cutoff=1)
-    table = op_table(ops)
-    e0 = table[("e", 1, 0)]
+    e0 = ops["e", 1, 0]
     # basis order (0,0), (1,0), (1,1): single raise from the bottom state
     assert e0 == RationalMatrix([[0, 0, 0], [-1, 0, 0], [0, 0, 0]])
-    psi0 = table[("psi", 1, 0)]
+    psi0 = ops["psi", 1, 0]
     assert [psi0.entries[i][i] for i in range(3)] == [1, -1, 0]
 
 
 def test_operator_count_at_cutoff_zero():
     ops = build_mode_operators(4, 2, 1, EPS1, cutoff=0)
     assert len(ops) == 3 * (4 - 1)
+    assert list(ops) == sorted(ops)
 
 
 def test_mode_relations_small_grid():
@@ -55,11 +51,61 @@ def test_diagonal_modes_commute_and_offdiag_pairing_vanishes():
 
 def test_serre_small_grids():
     ops = build_mode_operators(3, 1, 2, EPS1, cutoff=1)
-    assert all_pass(verify_serre(ops, EPS1))
+    assert all_pass(verify_serre(ops))
     ops = build_mode_operators(4, 2, 1, EPS1, cutoff=1)
-    reports = verify_serre(ops, EPS1)
+    reports = verify_serre(ops)
     assert all_pass(reports)
     assert any(r.relation_id == "serre-e-far" for r in reports)
+
+
+# (4,2,2) at eps = 1, cutoff 2, with the first nonzero entry (row-major) of one
+# operator doubled: every failing relation of the mode and Serre suites as
+# relation -> (checks, max residual), and the set of detected signs. Doubling
+# e_{1,0} flips the pairing sign alone, so the candidate order of the sign
+# detection is pinned too.
+DOUBLED_ENTRY_FAILURES = {
+    ("e", 1, 0): (
+        {
+            "ee": (36, 3),
+            "ef-offdiag": (54, 4),
+            "ef-pairing": (27, 6),
+            "psie": (36, 2),
+            "serre-e": (32, 16),
+            "serre-e-far": (8, 4),
+        },
+        {-1, 1},
+    ),
+    ("f", 2, 1): (
+        {
+            "ef-offdiag": (54, 4),
+            "ef-pairing": (27, 2),
+            "ff": (36, 8),
+            "psif": (36, 8),
+            "serre-f": (32, 2),
+        },
+        {-1},
+    ),
+    ("psi", 3, 1): (
+        {"ef-pairing": (27, F(1, 2)), "psie": (36, F(3, 2)), "psif": (36, F(3, 2))},
+        {-1},
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(DOUBLED_ENTRY_FAILURES))
+def test_doubled_operator_entry_fails_the_pinned_relations(key):
+    ops = build_mode_operators(4, 2, 2, EPS1, cutoff=2)
+    matrix = ops[key]
+    r, c, v = next(matrix.nonzeros())
+    ops[key] = matrix + RationalMatrix.from_triples(matrix.rows, matrix.cols, [(r, c, v)])
+    reports = verify_mode_relations(ops, cartan_matrix(4), EPS1) + verify_serre(ops)
+    grouped = {}
+    for rep in reports:
+        count, worst = grouped.get(rep.relation_id, (0, 0))
+        grouped[rep.relation_id] = (count + 1, max(worst, rep.residual))
+    failing = {rel: found for rel, found in grouped.items() if found[1] != 0}
+    signs = {rep.params["sign"] for rep in reports if "sign" in rep.params}
+    assert (failing, signs) == DOUBLED_ENTRY_FAILURES[key]
 
 
 def test_hysteresis_examples():
