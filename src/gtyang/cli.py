@@ -9,6 +9,7 @@ every rational is rendered as an integer-or-P/Q string.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import re
@@ -253,8 +254,9 @@ def cmd_modes(args) -> int:
     params = _params(args)
     if params.h != 0:
         raise InvalidParams("mode operators are computed at h = 0")
-    states = enumerate_patterns(args.n, args.p, args.lam)
-    ops = modes_mod.build_mode_operators(args.n, args.p, args.lam, params, args.mode_cutoff)
+    data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
+    states = data.states
+    ops = modes_mod.build_mode_operators(data, args.mode_cutoff)
     payload = []
     for (kind, node, mode), matrix in ops.items():
         entries = [[r, c, fmt_rat(v)] for r, c, v in matrix.nonzeros()]
@@ -289,18 +291,22 @@ def _run_suites(args, params) -> list:
     def want(name):
         return chosen in (name, "all")
 
+    # the closed-form data and the operator table of each cutoff are built
+    # once and read by every suite that needs them
+    data = modes_mod.ModuleData(n, p, lam, params)
+    operators = functools.cache(lambda cutoff: modes_mod.build_mode_operators(data, cutoff))
     if want("constraints"):
         reports += modes_mod.verify_constraints(n, p, lam, params)
     if want("hysteresis"):
-        reports += modes_mod.verify_hysteresis(n, p, lam, params)
-        reports += modes_mod.verify_pole_classification(n, p, lam, params)
-        reports += modes_mod.verify_dual_routes(n, p, lam, params)
+        reports += modes_mod.verify_hysteresis(data)
+        reports += modes_mod.verify_pole_classification(data)
+        reports += modes_mod.verify_dual_routes(data)
     if want("modes"):
-        ops = modes_mod.build_mode_operators(n, p, lam, params, args.mode_cutoff)
-        reports += modes_mod.verify_mode_relations(ops, cartan_matrix(n), params)
+        reports += modes_mod.verify_mode_relations(
+            operators(args.mode_cutoff), cartan_matrix(n), params
+        )
     if want("serre"):
-        ops = modes_mod.build_mode_operators(n, p, lam, params, max(args.mode_cutoff, 1))
-        reports += modes_mod.verify_serre(ops)
+        reports += modes_mod.verify_serre(operators(max(args.mode_cutoff, 1)))
     if want("gelfand"):
         reports += modes_mod.verify_gelfand(n, p, lam, params)
     if want("localization"):
@@ -317,8 +323,9 @@ def cmd_verify(args) -> int:
     params = _params(args)
     reports = _run_suites(args, params)
     grouped: dict[str, tuple[int, Fraction]] = {}
+    unseen = (0, Fraction(0))
     for report in reports:
-        count, worst = grouped.get(report.relation_id, (0, Fraction(0)))
+        count, worst = grouped.get(report.relation_id, unseen)
         grouped[report.relation_id] = (count + 1, max(worst, report.residual))
     if args.format == "csv":
         buf = io.StringIO()

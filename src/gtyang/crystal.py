@@ -43,7 +43,7 @@ def atoms_at_node(pat: GTPattern, k: int) -> tuple[Atom, ...]:
     out = []
     for i in range(a, b + 1):
         for level in range(pat.entry(i, k)):
-            c_eps = Fraction(level - (i - a)) - Fraction(abs(k - pat.p), 2)
+            c_eps = Fraction(2 * (level - (i - a)) - abs(k - pat.p), 2)
             weight = LinearForm(c_eps, k - pat.p)
             out.append(Atom(k, i, level, weight, abs(k - pat.p) + 2 * (i - a)))
     return tuple(out)

@@ -24,6 +24,7 @@ from gtyang.amplitudes import (
 )
 from gtyang.linalg import RationalMatrix
 from gtyang.patterns import (
+    GTPattern,
     add_remove_sets,
     build_pattern,
     enumerate_patterns,
@@ -60,30 +61,64 @@ def all_pass(reports) -> bool:
     return all(r.passed for r in reports)
 
 
+@dataclass
+class ModuleData:
+    """Closed-form data of one module, read by the hysteresis, pole,
+    dual-route and mode-operator checks. Each field is computed at most once,
+    on its first read: the states, the edge table of ``amplitude_table``,
+    ``psi_closed_form`` per (state, node) and the raising pole of each edge.
+    The independent routes (``psi_generic``, ``add_remove_sets``,
+    ``localize_module`` and the Gelfand squares) never read it."""
+
+    n: int
+    p: int
+    lam: int
+    params: EquivariantParams
+
+    @functools.cached_property
+    def states(self) -> list[GTPattern]:
+        return enumerate_patterns(self.n, self.p, self.lam)
+
+    @functools.cached_property
+    def table(self) -> dict[tuple[GTPattern, int, int], tuple[Rat, Rat]]:
+        return amplitude_table(self.n, self.p, self.lam, self.params)
+
+    @functools.cached_property
+    def psi(self) -> dict[tuple[GTPattern, int], FactoredRatFunc]:
+        return {
+            (pat, k): psi_closed_form(pat, k, self.params)
+            for pat in self.states
+            for k in range(1, self.n)
+        }
+
+    @functools.cached_property
+    def poles(self) -> dict[tuple[GTPattern, int, int], Rat]:
+        return {(pat, k, j): raise_pole(pat, k, j, self.params) for pat, k, j in self.table}
+
+
 def build_mode_operators(
-    n: int, p: int, lam: int, params: EquivariantParams, cutoff: int
+    data: ModuleData, cutoff: int
 ) -> dict[tuple[str, int, int], RationalMatrix]:
     """Sparse matrices of every mode, keyed ``(kind, node, mode)`` in sorted
     order, kind ``"e"``, ``"f"`` or ``"psi"``: raising/lowering through
     ``cutoff``, diagonal modes through ``2 * cutoff`` so products stay
     checkable. Each raising/lowering mode is assembled from the module's
     edges as (row, col, amplitude * pole**mode) triples."""
-    if params.h != 0:
+    if data.params.h != 0:
         raise InvalidParams("mode operators are defined at h = 0")
     if cutoff < 0:
         raise InvalidParams("cutoff must be non-negative")
-    states = enumerate_patterns(n, p, lam)
+    states, table, poles = data.states, data.table, data.poles
     index = {pat: i for i, pat in enumerate(states)}
     dim = len(states)
-    table = amplitude_table(n, p, lam, params)
     ops = {}
-    for node in range(1, n):
+    for node in range(1, data.n):
         # each edge pat -> up has one pole: lowering up sits where raising pat does
         edges = []  # (index of up, index of pat, E, F, pole)
         for col, pat in enumerate(states):
             for j, up in pat.raises(node):
                 e, f = table[pat, node, j]
-                edges.append((index[up], col, e, f, raise_pole(pat, node, j, params)))
+                edges.append((index[up], col, e, f, poles[pat, node, j]))
         for mode in range(cutoff + 1):
             ops["e", node, mode] = RationalMatrix.from_triples(
                 dim, dim, ((hi, lo, e * pole**mode) for hi, lo, e, _, pole in edges)
@@ -91,10 +126,7 @@ def build_mode_operators(
             ops["f", node, mode] = RationalMatrix.from_triples(
                 dim, dim, ((lo, hi, f * pole**mode) for hi, lo, _, f, pole in edges)
             )
-        series = [
-            psi_closed_form(pat, node, params).series_at_infinity(2 * cutoff)
-            for pat in states
-        ]
+        series = [data.psi[pat, node].series_at_infinity(2 * cutoff) for pat in states]
         for mode in range(2 * cutoff + 1):
             ops["psi", node, mode] = RationalMatrix.diagonal([s.coefficients[mode] for s in series])
     return dict(sorted(ops.items()))
@@ -225,16 +257,33 @@ def _bond_parts(phi: FactoredRatFunc, x: Rat) -> tuple[Rat, Rat]:
     return num, den
 
 
-def verify_hysteresis(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
+def _product_gap(xs, ys) -> Rat:
+    """``abs(prod(xs) - prod(ys))`` for rationals: the numerators and the
+    denominators are multiplied as ints, and equal cross products give 0
+    without building a ``Fraction``."""
+    x_num = x_den = y_num = y_den = 1
+    for x in xs:
+        x_num *= x.numerator
+        x_den *= x.denominator
+    for y in ys:
+        y_num *= y.numerator
+        y_den *= y.denominator
+    if x_num * y_den == y_num * x_den:
+        return Fraction(0)
+    return abs(Fraction(x_num, x_den) - Fraction(y_num, y_den))
+
+
+def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
     """The four consistency identities tying amplitudes, bond factors and
     residues together, checked on every state and every admissible pair.
-    Amplitudes are read from the module's edge table, where a move that
-    leaves the cone has none and reads as zero; each bond factor is computed
-    once per node pair."""
-    spec = build_quiver(n, p, lam)
-    states = enumerate_patterns(n, p, lam)
+    Amplitudes, psi and poles are read from ``data``; a move that leaves the
+    cone has no edge and reads as zero. Each bond factor is computed once per
+    node pair."""
+    n, params = data.n, data.params
+    spec = build_quiver(n, data.p, data.lam)
+    states = data.states
     bonds = {(a, b): bond_factor(spec, a, b, params) for a in range(1, n) for b in range(1, n)}
-    table = amplitude_table(n, p, lam, params)
+    table, psi, poles = data.table, data.psi, data.poles
     no_edge = (Fraction(0), Fraction(0))
     reports = []
     for pat in states:
@@ -244,10 +293,9 @@ def verify_hysteresis(n, p, lam, params: EquivariantParams) -> list[RelationRepo
             a, b = pat.window(k)
             movelist.extend((k, j) for j in range(a, b + 1))
         ups = {(k, j): up for k in range(1, n) for j, up in pat.raises(k)}
-        psi = {k: psi_closed_form(pat, k, params) for k in range(1, n)}
-        for (k, j), up in ups.items():
+        for k, j in ups:
             e, f = table[pat, k, j]
-            residual = e * f - psi[k].residue_simple(raise_pole(pat, k, j, params))
+            residual = e * f - psi[pat, k].residue_simple(poles[pat, k, j])
             reports.append(
                 RelationReport("residue", {"state": state, "move": (k, j)}, abs(residual))
             )
@@ -256,54 +304,50 @@ def verify_hysteresis(n, p, lam, params: EquivariantParams) -> list[RelationRepo
             for k2, j2 in movelist:
                 if (k1, j1) == (k2, j2):
                     continue
-                moves = ((k1, j1), (k2, j2))
+                info = {"state": state, "moves": ((k1, j1), (k2, j2))}
                 up2 = ups.get((k2, j2))
                 # the edges of the square pat -> up1, up2 -> both
                 e2, f2 = table.get((pat, k2, j2), no_edge)
                 e12, f12 = table.get((up1, k2, j2), no_edge)
                 e21, f21 = table.get((up2, k1, j1), no_edge)
-                reports.append(
-                    RelationReport(
-                        "exchange", {"state": state, "moves": moves}, abs(e12 * f21 - f1 * e2)
-                    )
-                )
+                gap = _product_gap((e12, f21), (f1, e2))
+                reports.append(RelationReport("exchange", info, gap))
                 if up2 is None or (up1, k2, j2) not in table:
                     continue
-                x = raise_pole(pat, k1, j1, params) - raise_pole(pat, k2, j2, params)
+                x = poles[pat, k1, j1] - poles[pat, k2, j2]
                 num, den = _bond_parts(bonds[k1, k2], x)
-                lhs = e1 * e12 * num
-                rhs = e2 * e21 * den
-                reports.append(
-                    RelationReport("raise-ratio", {"state": state, "moves": moves}, abs(lhs - rhs))
-                )
-                lhs = f12 * f1 * num
-                rhs = f21 * f2 * den
-                reports.append(
-                    RelationReport("lower-ratio", {"state": state, "moves": moves}, abs(lhs - rhs))
-                )
+                gap = _product_gap((e1, e12, num), (e2, e21, den))
+                reports.append(RelationReport("raise-ratio", info, gap))
+                gap = _product_gap((f12, f1, num), (f21, f2, den))
+                reports.append(RelationReport("lower-ratio", info, gap))
     return reports
 
 
-def verify_pole_classification(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
+def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
     """Poles of the cancelled eigenvalue function against candidate moves,
-    and exact vanishing of amplitudes toward invalid patterns."""
+    and exact vanishing of amplitudes toward invalid patterns. E and F of a
+    move inside the cone are read from the edge table (F of a lowering move
+    from the edge that raises back); a move that leaves the cone is evaluated
+    on the closed forms, which must vanish there."""
+    params, table = data.params, data.table
     reports = []
-    for pat in enumerate_patterns(n, p, lam):
+    for pat in data.states:
         state = pat.free_values
-        for k in range(1, n):
+        for k in range(1, data.n):
             add, rem = add_remove_sets(pat, k, params)
             expected = sorted(pole for _, pole in add + rem)
-            value = psi_closed_form(pat, k, params)
-            match = sorted(value.den_roots) == expected
+            match = sorted(data.psi[pat, k].den_roots) == expected
             reports.append(
                 RelationReport("pole-set", {"state": state, "node": k}, Fraction(0 if match else 1))
             )
             a, b = pat.window(k)
             for j in range(a, b + 1):
-                e_val = amplitude_E(pat, k, j, params)
-                f_val = amplitude_F(pat, k, j, params)
-                ok_e = (e_val != 0) == (pat.bumped(j, k, +1) is not None)
-                ok_f = (f_val != 0) == (pat.bumped(j, k, -1) is not None)
+                up = pat.bumped(j, k, +1)
+                down = pat.bumped(j, k, -1)
+                e_val = amplitude_E(pat, k, j, params) if up is None else table[pat, k, j][0]
+                f_val = amplitude_F(pat, k, j, params) if down is None else table[down, k, j][1]
+                ok_e = (e_val != 0) == (up is not None)
+                ok_f = (f_val != 0) == (down is not None)
                 reports.append(
                     RelationReport(
                         "vanishing",
@@ -346,13 +390,14 @@ def verify_reductions(n, p, lam, params: EquivariantParams) -> list[RelationRepo
     return reports
 
 
-def verify_dual_routes(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
-    """Atom-product route against the level-free closed form, per state/node."""
+def verify_dual_routes(data: ModuleData) -> list[RelationReport]:
+    """Atom-product route against the level-free closed form, per state/node;
+    the closed form is read from ``data``, the atom product never is."""
     reports = []
-    for pat in enumerate_patterns(n, p, lam):
+    for pat in data.states:
         state = pat.free_values
-        for k in range(1, n):
-            same = psi_generic(pat, k, params) == psi_closed_form(pat, k, params)
+        for k in range(1, data.n):
+            same = psi_generic(pat, k, data.params) == data.psi[pat, k]
             reports.append(
                 RelationReport(
                     "psi-routes", {"state": state, "node": k}, Fraction(0 if same else 1)

@@ -8,6 +8,7 @@ triangle so the general coefficient formulas apply uniformly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation, validate_params
@@ -15,8 +16,10 @@ from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation, 
 Rat = Fraction
 
 
+@functools.cache
 def type_range(n: int, p: int, k: int) -> tuple[int, int]:
-    """Inclusive window [a, b] of free entries in row k (1 <= k <= n-1)."""
+    """Inclusive window [a, b] of free entries in row k (1 <= k <= n-1);
+    cached, since every move and report loop asks for it per pattern."""
     return max(1, k - p + 1), min(n - p, k)
 
 

@@ -25,6 +25,7 @@ from gtyang.amplitudes import (
 from gtyang.crystal import fixed_point_matrices
 from gtyang.localization import amplitudes_via_localization, euler_class
 from gtyang.modes import (
+    ModuleData,
     all_pass,
     build_mode_operators,
     verify_hysteresis,
@@ -138,7 +139,7 @@ def test_criterion_03_hysteresis():
     start = time.time()
     total = 0
     for n, p, lam in HYSTERESIS_GRID:
-        reports = verify_hysteresis(n, p, lam, EPS1)
+        reports = verify_hysteresis(ModuleData(n, p, lam, EPS1))
         assert all_pass(reports), f"hysteresis fails on ({n},{p},{lam})"
         total += len(reports)
     report("criterion-03 hysteresis", f"{total} identities on {len(HYSTERESIS_GRID)} grids "
@@ -200,7 +201,7 @@ def test_criterion_05_mode_relations():
     start = time.time()
     signs = set()
     for n, p, lam in MODE_GRID:
-        ops = build_mode_operators(n, p, lam, EPS1, cutoff=3)
+        ops = build_mode_operators(ModuleData(n, p, lam, EPS1), cutoff=3)
         reports = verify_mode_relations(ops, cartan_matrix(n), EPS1)
         assert all_pass(reports), f"mode relations fail on ({n},{p},{lam})"
         signs |= {r.params["sign"] for r in reports if "sign" in r.params}
@@ -213,7 +214,7 @@ def test_criterion_05_mode_relations():
 
 def test_criterion_06_serre():
     for n, p, lam in MODE_GRID:
-        ops = build_mode_operators(n, p, lam, EPS1, cutoff=1)
+        ops = build_mode_operators(ModuleData(n, p, lam, EPS1), cutoff=1)
         assert all_pass(verify_serre(ops))
     report("criterion-06 serre", f"triple and distant commutators on {MODE_GRID}")
 
@@ -324,7 +325,7 @@ def test_criterion_09_epsilon_covariance():
 
 def test_criterion_10_pole_classification():
     for n, p, lam in [(3, 1, 3), (4, 1, 2), (4, 2, 2), (5, 2, 1)]:
-        assert all_pass(verify_pole_classification(n, p, lam, EPS1))
+        assert all_pass(verify_pole_classification(ModuleData(n, p, lam, EPS1)))
     report("criterion-10 poles", "candidate moves equal eigenvalue poles; invalid moves vanish")
 
 

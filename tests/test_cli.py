@@ -193,11 +193,48 @@ MODES_STDOUT_SHA256 += [
     for eps in ("1", "-3/2", "2/7")
 ]
 
+# SHA-256 of `verify --format csv --suite hysteresis`, pinned from the
+# implementation that recomputed psi and the amplitudes in every scalar check
+# and multiplied the ratio products as Fractions; the table is the same for
+# every epsilon.
+HYSTERESIS_VERIFY_CSV_SHA256 = {
+    (3, 1, 2): "84326d176e8be81856c6cb2a787009e430fe03b033289a6b1a506e5777c33305",
+    (4, 2, 2): "18a59113c964b11e6911672418e84d3e42ee9d403159e465fdf4f2c785048dce",
+    (5, 2, 2): "cb41793b474eb1fd253524db0b4932a68c997caa37f315db2930715e20be5d25",
+    (6, 3, 2): "e1fce3450a543944285855040c6a7d02dd9a2e93328349b374b905ef27a8d767",
+}
+# SHA-256 of the JSON `verify --suite all --mode-cutoff 1`, pinned from the
+# same implementation, which also built the operator table once per matrix
+# suite; the JSON header carries epsilon.
+ALL_VERIFY_JSON_SHA256 = {
+    ((4, 2, 2), "1"): "3c567975866978a87ea2b515667232b7a6fe420abf6db5bde9bbcf494016289f",
+    ((4, 2, 2), "-3/2"): "3b995f4ccaa4cc0707f3dea04e12d312140b0a24f59f2c78399c82285b68a275",
+    ((4, 2, 2), "2/7"): "8997f0f35d89ff81797526545f078cf17a4c4c6735eb5a3f5dc4a072eafc76a4",
+    ((5, 2, 2), "1"): "018138c0ae196ab171f687191524752c32f4424c136962f8848ca7f152ccdb0d",
+    ((5, 2, 2), "-3/2"): "380596941d06a1df3f0e87265a0f81be6bcbfa2cf558bd62017a03828718c2d2",
+    ((5, 2, 2), "2/7"): "d53dfb5e119a2bcd9a8b36e30a5245e9baa74e4f65f2538f170f34f2e5ea1577",
+}
+MODES_STDOUT_SHA256 += [
+    (["verify", "--format", "csv", "--suite", "hysteresis", *_grid_args(grid, eps)], digest)
+    for grid, digest in HYSTERESIS_VERIFY_CSV_SHA256.items()
+    for eps in ("1", "-3/2", "2/7")
+] + [
+    (["verify", "--suite", "all", "--mode-cutoff", "1", *_grid_args(grid, eps)], digest)
+    for (grid, eps), digest in ALL_VERIFY_JSON_SHA256.items()
+]
+
+# exit code of the pinned invocations that do not exit 0: the uncalibrated
+# localization cells of (5,2,2) fail `verify --suite all`
+PINNED_EXIT_CODES = {
+    ("verify", "--suite", "all", "--mode-cutoff", "1", *_grid_args((5, 2, 2), eps)): 1
+    for eps in ("1", "-3/2", "2/7")
+}
+
 
 @pytest.mark.parametrize("args,digest", MODES_STDOUT_SHA256)
 def test_modes_stdout_pinned(capsys, args, digest):
     code, out, _ = run(capsys, *args)
-    assert code == 0
+    assert code == PINNED_EXIT_CODES.get(tuple(args), 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
@@ -446,3 +483,25 @@ def test_untrimmable_tangent_is_reported_not_raised(capsys):
         "error: localization leaves the move at state 0;2,0;1, node 1, type 1 "
         "undetermined: tangent excess at (1, 2, 0, 1) is not hyperbolic\n"
     )
+
+
+@pytest.mark.parametrize("cutoff,built", [(None, [3]), ("1", [1]), ("0", [0, 1])])
+def test_verify_all_builds_the_operator_table_once(capsys, monkeypatch, cutoff, built):
+    # `modes` and `serre` read one table when the cutoff is at least 1; at
+    # cutoff 0 Serre still needs mode 1, so it builds its own
+    import gtyang.modes as modes
+
+    cutoffs = []
+    build = modes.build_mode_operators
+
+    def recorded(data, cutoff):
+        cutoffs.append(cutoff)
+        return build(data, cutoff)
+
+    monkeypatch.setattr(modes, "build_mode_operators", recorded)
+    argv = ["verify", "--n", "4", "--p", "2", "--lambda", "2", "--format", "csv"]
+    if cutoff is not None:
+        argv += ["--mode-cutoff", cutoff]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert cutoffs == built

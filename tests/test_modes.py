@@ -1,17 +1,25 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from gtyang import modes
+from gtyang.amplitudes import psi_closed_form
+from gtyang.cli import run_cli
 from gtyang.linalg import RationalMatrix
 from gtyang.modes import (
+    ModuleData,
+    _product_gap,
     all_pass,
     build_mode_operators,
+    verify_dual_routes,
     verify_hysteresis,
     verify_mode_relations,
     verify_pole_classification,
     verify_reductions,
     verify_serre,
 )
+from gtyang.patterns import build_pattern, enumerate_patterns
 from gtyang.quiver import EquivariantParams, InvalidParams, cartan_matrix
 
 F = Fraction
@@ -19,7 +27,7 @@ EPS1 = EquivariantParams(1)
 
 
 def test_mode_matrix_examples():
-    ops = build_mode_operators(3, 1, 1, EPS1, cutoff=1)
+    ops = build_mode_operators(ModuleData(3, 1, 1, EPS1), cutoff=1)
     e0 = ops["e", 1, 0]
     # basis order (0,0), (1,0), (1,1): single raise from the bottom state
     assert e0 == RationalMatrix([[0, 0, 0], [-1, 0, 0], [0, 0, 0]])
@@ -28,14 +36,14 @@ def test_mode_matrix_examples():
 
 
 def test_operator_count_at_cutoff_zero():
-    ops = build_mode_operators(4, 2, 1, EPS1, cutoff=0)
+    ops = build_mode_operators(ModuleData(4, 2, 1, EPS1), cutoff=0)
     assert len(ops) == 3 * (4 - 1)
     assert list(ops) == sorted(ops)
 
 
 def test_mode_relations_small_grid():
     cutoff = 3
-    ops = build_mode_operators(3, 1, 2, EPS1, cutoff=cutoff)
+    ops = build_mode_operators(ModuleData(3, 1, 2, EPS1), cutoff=cutoff)
     reports = verify_mode_relations(ops, cartan_matrix(3), EPS1)
     assert all_pass(reports)
     signs = {r.params["sign"] for r in reports if "sign" in r.params}
@@ -43,16 +51,16 @@ def test_mode_relations_small_grid():
 
 
 def test_diagonal_modes_commute_and_offdiag_pairing_vanishes():
-    ops = build_mode_operators(4, 2, 1, EPS1, cutoff=2)
+    ops = build_mode_operators(ModuleData(4, 2, 1, EPS1), cutoff=2)
     reports = verify_mode_relations(ops, cartan_matrix(4), EPS1)
     assert all(r.passed for r in reports if r.relation_id == "psipsi")
     assert all(r.passed for r in reports if r.relation_id == "ef-offdiag")
 
 
 def test_serre_small_grids():
-    ops = build_mode_operators(3, 1, 2, EPS1, cutoff=1)
+    ops = build_mode_operators(ModuleData(3, 1, 2, EPS1), cutoff=1)
     assert all_pass(verify_serre(ops))
-    ops = build_mode_operators(4, 2, 1, EPS1, cutoff=1)
+    ops = build_mode_operators(ModuleData(4, 2, 1, EPS1), cutoff=1)
     reports = verify_serre(ops)
     assert all_pass(reports)
     assert any(r.relation_id == "serre-e-far" for r in reports)
@@ -94,38 +102,102 @@ DOUBLED_ENTRY_FAILURES = {
 
 @pytest.mark.parametrize("key", list(DOUBLED_ENTRY_FAILURES))
 def test_doubled_operator_entry_fails_the_pinned_relations(key):
-    ops = build_mode_operators(4, 2, 2, EPS1, cutoff=2)
+    ops = build_mode_operators(ModuleData(4, 2, 2, EPS1), cutoff=2)
     matrix = ops[key]
     r, c, v = next(matrix.nonzeros())
     ops[key] = matrix + RationalMatrix.from_triples(matrix.rows, matrix.cols, [(r, c, v)])
     reports = verify_mode_relations(ops, cartan_matrix(4), EPS1) + verify_serre(ops)
+    signs = {rep.params["sign"] for rep in reports if "sign" in rep.params}
+    assert (_failing(reports), signs) == DOUBLED_ENTRY_FAILURES[key]
+
+
+def _failing(reports) -> dict:
+    """relation -> (checks, max residual) of every relation that fails."""
     grouped = {}
     for rep in reports:
         count, worst = grouped.get(rep.relation_id, (0, 0))
         grouped[rep.relation_id] = (count + 1, max(worst, rep.residual))
-    failing = {rel: found for rel, found in grouped.items() if found[1] != 0}
-    signs = {rep.params["sign"] for rep in reports if "sign" in rep.params}
-    assert (failing, signs) == DOUBLED_ENTRY_FAILURES[key]
+    return {rel: found for rel, found in grouped.items() if found[1] != 0}
+
+
+# (4,2,2) at eps = 1 with one field of the shared module data corrupted at the
+# state with free entries (0,1,0,0), node 1: every failing relation of the
+# hysteresis suite as relation -> (checks, max residual). Doubling psi there
+# fails psi-routes, so the atom-product route does not read the shared psi;
+# doubling the E of the type-1 move leaves lower-ratio, which reads no E,
+# passing.
+SHARED_DATA_FAILURES = {
+    "psi": {"residue": (32, 1), "psi-routes": (60, 1)},
+    "table": {"residue": (32, 1), "exchange": (96, 4), "raise-ratio": (30, 4)},
+}
+
+
+@pytest.mark.parametrize("field", list(SHARED_DATA_FAILURES))
+def test_doubled_shared_data_fails_the_pinned_relations(field):
+    data = ModuleData(4, 2, 2, EPS1)
+    pat = build_pattern(4, 2, 2, [0, 1, 0, 0])
+    if field == "psi":
+        data.psi[pat, 1] = data.psi[pat, 1].scaled(2)
+    else:
+        e, f = data.table[pat, 1, 1]
+        data.table[pat, 1, 1] = (2 * e, f)
+    reports = verify_hysteresis(data) + verify_pole_classification(data)
+    reports += verify_dual_routes(data)
+    assert _failing(reports) == SHARED_DATA_FAILURES[field]
+
+
+@pytest.mark.parametrize(
+    "xs,ys",
+    [
+        ((F(2, 3), F(9, 4)), (F(3, 2), 1)),  # equal products
+        ((F(1, 3), F(5, 7), F(-2)), (F(3, 4), F(-1, 6))),  # unequal
+        ((F(0), F(5, 2)), (F(3), F(0))),  # a move with no edge reads 0
+        ((F(0), F(5, 2)), (F(-3, 8), F(7, 5))),
+        ((F(-3, 2), F(-4, 9)), (F(2, 3),)),  # negative factors, equal
+        ((F(-3, 2), F(4, 9)), (F(2, 3), F(1))),  # signs differ
+        ((), (F(-1, 5),)),
+    ],
+)
+def test_product_gap_is_the_exact_difference(xs, ys):
+    expected = abs(math.prod(xs, start=F(1)) - math.prod(ys, start=F(1)))
+    gap = _product_gap(xs, ys)
+    assert gap == expected and isinstance(gap, F)
+
+
+def test_hysteresis_suite_computes_each_closed_form_psi_once(capsys, monkeypatch):
+    # ModuleData reads psi_closed_form through gtyang.modes; the hysteresis
+    # suite must not recompute it per check
+    calls = []
+
+    def counted(pat, k, params):
+        calls.append((pat, k))
+        return psi_closed_form(pat, k, params)
+
+    monkeypatch.setattr(modes, "psi_closed_form", counted)
+    argv = ["verify", "--suite", "hysteresis", "--n", "4", "--p", "2", "--lambda", "2"]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == len(enumerate_patterns(4, 2, 2)) * (4 - 1)
 
 
 def test_hysteresis_examples():
-    reports = verify_hysteresis(3, 1, 2, EPS1)
+    reports = verify_hysteresis(ModuleData(3, 1, 2, EPS1))
     assert all_pass(reports)
     residue_checks = [r for r in reports if r.relation_id == "residue"]
     assert residue_checks
-    reports = verify_hysteresis(4, 2, 1, EPS1)
+    reports = verify_hysteresis(ModuleData(4, 2, 1, EPS1))
     assert all_pass(reports)
 
 
 def test_hysteresis_with_collisions():
     # origin-crossing poles appear on this grid; the identities must still
     # close exactly under the dropped-factor convention
-    assert all_pass(verify_hysteresis(4, 1, 2, EPS1))
+    assert all_pass(verify_hysteresis(ModuleData(4, 1, 2, EPS1)))
 
 
 def test_pole_classification():
-    assert all_pass(verify_pole_classification(3, 1, 3, EPS1))
-    assert all_pass(verify_pole_classification(4, 2, 2, EPS1))
+    assert all_pass(verify_pole_classification(ModuleData(3, 1, 3, EPS1)))
+    assert all_pass(verify_pole_classification(ModuleData(4, 2, 2, EPS1)))
 
 
 def test_reductions():
@@ -142,6 +214,6 @@ def test_reductions():
 
 def test_cutoff_validation():
     with pytest.raises(InvalidParams):
-        build_mode_operators(3, 1, 1, EPS1, cutoff=-1)
+        build_mode_operators(ModuleData(3, 1, 1, EPS1), cutoff=-1)
     with pytest.raises(InvalidParams):
-        build_mode_operators(3, 1, 1, EquivariantParams(1, F(1, 2)), cutoff=1)
+        build_mode_operators(ModuleData(3, 1, 1, EquivariantParams(1, F(1, 2))), cutoff=1)
