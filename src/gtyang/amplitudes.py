@@ -3,8 +3,9 @@
 Two independent routes produce the eigenvalue of a diagonal generator on a
 state: an atom-by-atom product of bond factors, and a level-free closed form
 assembled from the boundary factors of each type ladder. Raising/lowering
-amplitudes come from closed-form products over the full pattern triangle and
-vanish exactly on moves that leave the pattern cone.
+amplitudes come from closed-form products over the full pattern triangle; on
+a move that leaves the pattern cone they are 0 by definition, returned before
+any product is formed.
 """
 
 from __future__ import annotations
@@ -111,10 +112,10 @@ def _check_type_index(pat: GTPattern, k: int, j: int) -> None:
 
 
 def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Rat:
-    """Raising coefficient onto the pattern with m[j,k] incremented.
+    """Raising coefficient onto the pattern with m[j,k] incremented; 0 by
+    definition when the target leaves the pattern cone.
 
-    Products run over full triangle rows, frozen entries included; the
-    result is exactly zero whenever the target leaves the pattern cone.
+    Products run over full triangle rows, frozen entries included.
     """
     _require_h_zero(params)
     _check_type_index(pat, k, j)
@@ -145,20 +146,9 @@ def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Ra
     return Fraction(num, den)
 
 
-def amplitude_F(
-    pat: GTPattern,
-    k: int,
-    j: int,
-    params: EquivariantParams,
-    *,
-    top_factor_offset: int = 1,
-) -> Rat:
-    """Lowering coefficient onto the pattern with m[j,k] decremented.
-
-    ``top_factor_offset`` shifts the leading boundary factor at the marked
-    node; the default is the unique value compatible with the residue
-    identity, offset 0 demonstrably breaks it.
-    """
+def amplitude_F(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Rat:
+    """Lowering coefficient onto the pattern with m[j,k] decremented; 0 by
+    definition when the target leaves the pattern cone."""
     _require_h_zero(params)
     _check_type_index(pat, k, j)
     if pat.bumped(j, k, -1) is None:
@@ -174,7 +164,8 @@ def amplitude_F(
     for i in range(j + 1, k + 1):
         den *= (l(i, k) - lj + 1) * (l(i, k) - lj)
     if k == pat.p:
-        num *= l(1, k + 1) - lj + top_factor_offset
+        # the shift of 1 is the one value compatible with the residue identity
+        num *= l(1, k + 1) - lj + 1
         return Fraction(num * eps.numerator, den * eps.denominator)  # times eps
     a_k, _ = pat.window(k)
     pole = 2 * (lj - 1 + a_k) - abs(k - pat.p)  # in units of eps/2

@@ -9,7 +9,6 @@ every rational is rendered as an integer-or-P/Q string.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import re
@@ -17,14 +16,9 @@ import sys
 from fractions import Fraction
 
 from gtyang import modes as modes_mod
-from gtyang.amplitudes import amplitude_table, psi_closed_form
-from gtyang.patterns import (
-    enumerate_patterns,
-    format_pattern,
-    parse_pattern,
-    rectangular_dimension,
-)
-from gtyang.quiver import EquivariantParams, InvalidParams, cartan_matrix
+from gtyang.amplitudes import psi_closed_form
+from gtyang.patterns import format_pattern, parse_pattern, rectangular_dimension
+from gtyang.quiver import EquivariantParams, InvalidParams
 
 USAGE_ERROR = 2
 
@@ -73,20 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "amplitudes":
             sub.add_argument("--method", choices=("closed", "localization"), default="closed")
         if name == "verify":
-            sub.add_argument(
-                "--suite",
-                choices=(
-                    "constraints",
-                    "hysteresis",
-                    "modes",
-                    "serre",
-                    "gelfand",
-                    "localization",
-                    "reductions",
-                    "all",
-                ),
-                default="all",
-            )
+            sub.add_argument("--suite", choices=(*modes_mod.SUITES, "all"), default="all")
     return parser
 
 
@@ -138,7 +119,7 @@ def cmd_dims(args) -> int:
 
 def cmd_states(args) -> int:
     params = _params(args)
-    states = enumerate_patterns(args.n, args.p, args.lam)
+    states = modes_mod.ModuleData(args.n, args.p, args.lam, params).states
     if args.format == "csv":
         buf = io.StringIO()
         buf.write("id,pattern\n")
@@ -153,8 +134,7 @@ def cmd_states(args) -> int:
     return 0
 
 
-def _psi_entry(pat, node, params, state_id) -> dict:
-    value = psi_closed_form(pat, node, params)
+def _psi_entry(value, node, state_id) -> dict:
     return {
         "state": state_id,
         "node": node,
@@ -168,14 +148,16 @@ def cmd_psi(args) -> int:
     params = _params(args)
     if params.h != 0:
         raise InvalidParams("eigenvalue functions are computed at h = 0")
-    states = enumerate_patterns(args.n, args.p, args.lam)
+    data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
+    states = data.states
     if args.pattern is not None:
+        # only the chosen pattern's psi is computed
         chosen = parse_pattern(args.pattern, args.n, args.p, args.lam)
-        index = {pat: i for i, pat in enumerate(states)}
-        rows = [_psi_entry(chosen, k, params, index[chosen]) for k in range(1, args.n)]
+        i = states.index(chosen)
+        rows = [_psi_entry(psi_closed_form(chosen, k, params), k, i) for k in range(1, args.n)]
     else:
         rows = [
-            _psi_entry(pat, k, params, i)
+            _psi_entry(data.psi[pat, k], k, i)
             for i, pat in enumerate(states)
             for k in range(1, args.n)
         ]
@@ -190,13 +172,13 @@ def cmd_psi(args) -> int:
     return 0
 
 
-def _amplitude_rows(args, states, table) -> list:
+def _amplitude_rows(n, states, table) -> list:
     """E and F rows per state, node and type, read from an edge table: E from
     the state's own raising move and F from the move that raises into the
     state, 0 where no such move exists."""
     rows = []
     for i, pat in enumerate(states):
-        for k in range(1, args.n):
+        for k in range(1, n):
             a, b = pat.window(k)
             for j in range(a, b + 1):
                 e_val = table.get((pat, k, j), (0, 0))[0]
@@ -214,7 +196,8 @@ def cmd_amplitudes(args) -> int:
     params = _params(args)
     if params.h != 0:
         raise InvalidParams("amplitudes are computed at h = 0")
-    states = enumerate_patterns(args.n, args.p, args.lam)
+    data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
+    states = data.states
     if args.method == "localization":
         from gtyang.localization import UncalibratedCell, localize_module
 
@@ -230,8 +213,8 @@ def cmd_amplitudes(args) -> int:
                 )
                 return 1
     else:
-        table = amplitude_table(args.n, args.p, args.lam, params)
-    rows = _amplitude_rows(args, states, table)
+        table = data.table
+    rows = _amplitude_rows(args.n, states, table)
     if args.format == "csv":
         buf = io.StringIO()
         buf.write("state_id,node,type,kind,value\n")
@@ -255,68 +238,36 @@ def cmd_modes(args) -> int:
     if params.h != 0:
         raise InvalidParams("mode operators are computed at h = 0")
     data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
-    states = data.states
-    ops = modes_mod.build_mode_operators(data, args.mode_cutoff)
     payload = []
-    for (kind, node, mode), matrix in ops.items():
+    for (kind, node, mode), matrix in data.operators(args.mode_cutoff).items():
         entries = [[r, c, fmt_rat(v)] for r, c, v in matrix.nonzeros()]
         payload.append({"kind": kind, "node": node, "mode": mode, "entries": entries})
     _emit_json(
         args,
         {
             "params": _bundle_header(args, params),
-            "states": _states_payload(states),
+            "states": _states_payload(data.states),
             "modes": payload,
         },
     )
     return 0
 
 
-# suites that read amplitudes or mode operators, which exist only at h = 0
-_H_ZERO_SUITES = ("hysteresis", "modes", "serre", "gelfand", "localization", "reductions")
-
-
 def _run_suites(args, params) -> list:
-    n, p, lam = args.n, args.p, args.lam
-    chosen = args.suite
-    reports = []
-    if chosen == "all" and params.h != 0:
-        # `all` runs what is defined at this h; a suite named alone still
-        # refuses h != 0 as a usage error
-        for name in _H_ZERO_SUITES:
-            if name != "reductions" or p == 1:
-                print(f"SKIP {name} (needs h = 0)", file=sys.stderr)
-        chosen = "constraints"
-
-    def want(name):
-        return chosen in (name, "all")
-
-    # the closed-form data and the operator table of each cutoff are built
-    # once and read by every suite that needs them
-    data = modes_mod.ModuleData(n, p, lam, params)
-    operators = functools.cache(lambda cutoff: modes_mod.build_mode_operators(data, cutoff))
-    if want("constraints"):
-        reports += modes_mod.verify_constraints(n, p, lam, params)
-    if want("hysteresis"):
-        reports += modes_mod.verify_hysteresis(data)
-        reports += modes_mod.verify_pole_classification(data)
-        reports += modes_mod.verify_dual_routes(data)
-    if want("modes"):
-        reports += modes_mod.verify_mode_relations(
-            operators(args.mode_cutoff), cartan_matrix(n), params
-        )
-    if want("serre"):
-        reports += modes_mod.verify_serre(operators(max(args.mode_cutoff, 1)))
-    if want("gelfand"):
-        reports += modes_mod.verify_gelfand(n, p, lam, params)
-    if want("localization"):
-        reports += modes_mod.verify_localization(n, p, lam, params)
-    if want("reductions"):
-        if p == 1:
-            reports += modes_mod.verify_reductions(n, p, lam, params)
-        elif chosen == "reductions":
-            raise InvalidParams("the reduction suite needs p = 1")
-    return reports
+    names = [args.suite]
+    if args.suite == "all":
+        # the reduction suite is defined only at p = 1
+        names = [name for name in modes_mod.SUITES if name != "reductions" or args.p == 1]
+        if params.h != 0:
+            # `all` runs what is defined at this h; a suite named alone still
+            # refuses h != 0 as a usage error
+            for name in names:
+                if name != "constraints":
+                    print(f"SKIP {name} (needs h = 0)", file=sys.stderr)
+            names = ["constraints"]
+    # one module for every suite: its data and operator tables are built once
+    data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
+    return [r for name in names for r in modes_mod.SUITES[name](data, args.mode_cutoff)]
 
 
 def cmd_verify(args) -> int:

@@ -30,12 +30,14 @@ from gtyang.patterns import (
     enumerate_patterns,
     raise_pole,
     rectangular_dimension,
+    type_range,
 )
 from gtyang.quiver import (
     EquivariantParams,
     InvalidParams,
     bond_factor,
     build_quiver,
+    cartan_matrix,
     check_constraints,
 )
 from gtyang.rational import FactoredRatFunc
@@ -63,12 +65,13 @@ def all_pass(reports) -> bool:
 
 @dataclass
 class ModuleData:
-    """Closed-form data of one module, read by the hysteresis, pole,
-    dual-route and mode-operator checks. Each field is computed at most once,
-    on its first read: the states, the edge table of ``amplitude_table``,
-    ``psi_closed_form`` per (state, node) and the raising pole of each edge.
-    The independent routes (``psi_generic``, ``add_remove_sets``,
-    ``localize_module`` and the Gelfand squares) never read it."""
+    """One module and its closed-form data, the input of every suite and
+    command. Each field is computed at most once, on its first read: the
+    states, the edge table of ``amplitude_table``, ``psi_closed_form`` per
+    (state, node), the raising pole of each edge and the mode-operator table
+    of each cutoff. The independent routes (``psi_generic``,
+    ``add_remove_sets``, ``localize_module`` and the Gelfand squares) never
+    read it."""
 
     n: int
     p: int
@@ -94,6 +97,12 @@ class ModuleData:
     @functools.cached_property
     def poles(self) -> dict[tuple[GTPattern, int, int], Rat]:
         return {(pat, k, j): raise_pole(pat, k, j, self.params) for pat, k, j in self.table}
+
+    @functools.cached_property
+    def operators(self):
+        """``operators(cutoff)`` is ``build_mode_operators(self, cutoff)``,
+        built once per cutoff."""
+        return functools.cache(lambda cutoff: build_mode_operators(self, cutoff))
 
 
 def build_mode_operators(
@@ -156,7 +165,7 @@ def _detect_sign(checks) -> int:
     return 1
 
 
-def verify_mode_relations(ops, cartan, params: EquivariantParams) -> list[RelationReport]:
+def verify_mode_relations(ops, params: EquivariantParams) -> list[RelationReport]:
     """Quadratic relations in Cartan-matrix form, the pairing of raising
     against lowering modes, and the boundary action of the zeroth diagonal
     mode (whose global sign is detected and reported, not assumed).
@@ -164,6 +173,7 @@ def verify_mode_relations(ops, cartan, params: EquivariantParams) -> list[Relati
     Every product of two operators, keyed by their (kind, node, mode), is
     computed once per call and shared by all the checks that use it."""
     nodes = sorted({node for _, node, _ in ops})
+    cartan = cartan_matrix(len(nodes) + 1)  # of the chain of nodes in ops
     cutoff = max(mode for kind, _, mode in ops if kind == "e")
     modes = range(cutoff + 1)
     prod, comm = _products(ops)
@@ -325,10 +335,11 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
 
 def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
     """Poles of the cancelled eigenvalue function against candidate moves,
-    and exact vanishing of amplitudes toward invalid patterns. E and F of a
-    move inside the cone are read from the edge table (F of a lowering move
-    from the edge that raises back); a move that leaves the cone is evaluated
-    on the closed forms, which must vanish there."""
+    and vanishing of amplitudes toward invalid patterns. E and F of a move
+    inside the cone are read from the edge table (F of a lowering move from
+    the edge that raises back) and must be nonzero. On a move that leaves the
+    cone ``amplitude_E``/``amplitude_F`` are 0 by definition: they return 0
+    before forming any product."""
     params, table = data.params, data.table
     reports = []
     for pat in data.states:
@@ -358,18 +369,18 @@ def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
     return reports
 
 
-def verify_reductions(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
+def verify_reductions(data: ModuleData) -> list[RelationReport]:
     """Chain restriction onto the one-node module and the conjugation
     symmetry of the state counts."""
-    if p != 1:
-        raise InvalidParams("the chain restriction starts from p = 1")
+    n, lam, params = data.n, data.lam, data.params
+    if data.p != 1:
+        raise InvalidParams("the reduction suite needs p = 1")
     eps = params.epsilon
+    # the free entries below row 1, all zero on the chain
+    zeros = [0] * sum(b - a + 1 for a, b in (type_range(n, 1, k) for k in range(2, n)))
     reports = []
     for m in range(lam + 1):
-        free = [m] + [0] * sum(
-            b - a + 1 for a, b in ((max(1, k - p + 1), min(n - p, k)) for k in range(2, n))
-        )
-        pat = build_pattern(n, p, lam, free)
+        pat = build_pattern(n, 1, lam, [m] + zeros)
         if m < lam:
             e_val = amplitude_E(pat, 1, 1, params)
             reports.append(
@@ -406,11 +417,12 @@ def verify_dual_routes(data: ModuleData) -> list[RelationReport]:
     return reports
 
 
-def verify_gelfand(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
+def verify_gelfand(data: ModuleData) -> list[RelationReport]:
+    params = data.params
     reports = []
-    for pat in enumerate_patterns(n, p, lam):
+    for pat in data.states:
         state = pat.free_values
-        for k in range(1, n):
+        for k in range(1, data.n):
             a, b = pat.window(k)
             for j in range(a, b + 1):
                 for direction in ("raise", "lower"):
@@ -426,12 +438,12 @@ def verify_gelfand(n, p, lam, params: EquivariantParams) -> list[RelationReport]
     return reports
 
 
-def verify_localization(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
+def verify_localization(data: ModuleData) -> list[RelationReport]:
     from gtyang.localization import UncalibratedCell, localize_module
 
     reports = []
-    closed = amplitude_table(n, p, lam, params)
-    table = localize_module(n, p, lam, params)
+    closed = data.table
+    table = localize_module(data.n, data.p, data.lam, data.params)
     states = {pat: pat.free_values for pat in dict.fromkeys(pat for pat, _, _ in table)}
     for (pat, k, j), cell in table.items():
         if isinstance(cell, UncalibratedCell):
@@ -445,9 +457,9 @@ def verify_localization(n, p, lam, params: EquivariantParams) -> list[RelationRe
     return reports
 
 
-def verify_constraints(n, p, lam, params: EquivariantParams) -> list[RelationReport]:
-    spec = build_quiver(n, p, lam, all_framings=True)
-    report = check_constraints(spec, params)
+def verify_constraints(data: ModuleData) -> list[RelationReport]:
+    spec = build_quiver(data.n, data.p, data.lam, all_framings=True)
+    report = check_constraints(spec, data.params)
     out = []
     for idx, form, _ in report.loop_weight_residuals:
         out.append(
@@ -459,3 +471,19 @@ def verify_constraints(n, p, lam, params: EquivariantParams) -> list[RelationRep
     total_h = sum(form.c_h for _, form, _ in report.vertex_residuals)
     out.append(RelationReport("vertex-sum", {}, abs(total_eps) + abs(total_h)))
     return out
+
+
+# Every verify suite, in `verify --suite all` order: a function of (module data,
+# mode cutoff). Entries look their checks up when called, so wrappers apply.
+SUITES = {
+    "constraints": lambda data, cutoff: verify_constraints(data),
+    "hysteresis": lambda data, cutoff: (
+        verify_hysteresis(data) + verify_pole_classification(data) + verify_dual_routes(data)
+    ),
+    "modes": lambda data, cutoff: verify_mode_relations(data.operators(cutoff), data.params),
+    # Serre runs on modes 0 and 1 whatever the cutoff
+    "serre": lambda data, cutoff: verify_serre(data.operators(max(cutoff, 1))),
+    "gelfand": lambda data, cutoff: verify_gelfand(data),
+    "localization": lambda data, cutoff: verify_localization(data),
+    "reductions": lambda data, cutoff: verify_reductions(data),
+}

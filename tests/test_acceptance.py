@@ -41,7 +41,7 @@ from gtyang.patterns import (
     rectangular_dimension,
     type_range,
 )
-from gtyang.quiver import EquivariantParams, cartan_matrix
+from gtyang.quiver import EquivariantParams
 
 F = Fraction
 EPS1 = EquivariantParams(1)
@@ -186,10 +186,9 @@ def test_criterion_04_specialization_tables():
     up = pat.bumped(1, 1, +1)
     res = psi_closed_form(pat, 1, EPS1).residue_simple(raise_pole(pat, 1, 1, EPS1))
     good = amplitude_E(pat, 1, 1, EPS1) * amplitude_F(up, 1, 1, EPS1)
-    bad = (
-        amplitude_E(pat, 1, 1, EPS1)
-        * amplitude_F(up, 1, 1, EPS1, top_factor_offset=0)
-    )
+    # the marked-node factor l(1,2) - l(1,1) + 1 of F with the shift of 1 dropped
+    t = up.shifted(1, 2) - up.shifted(1, 1)
+    bad = amplitude_E(pat, 1, 1, EPS1) * amplitude_F(up, 1, 1, EPS1) * Fraction(t, t + 1)
     assert good == res and bad != res
     report("criterion-04 specialization", "printed tables reproduced; offset-0 control fails")
 
@@ -202,7 +201,7 @@ def test_criterion_05_mode_relations():
     signs = set()
     for n, p, lam in MODE_GRID:
         ops = build_mode_operators(ModuleData(n, p, lam, EPS1), cutoff=3)
-        reports = verify_mode_relations(ops, cartan_matrix(n), EPS1)
+        reports = verify_mode_relations(ops, EPS1)
         assert all_pass(reports), f"mode relations fail on ({n},{p},{lam})"
         signs |= {r.params["sign"] for r in reports if "sign" in r.params}
     elapsed = time.time() - start
@@ -331,7 +330,7 @@ def test_criterion_10_pole_classification():
 
 def test_criterion_11_reductions():
     for n in (3, 4, 5):
-        assert all_pass(verify_reductions(n, 1, 2, EPS1))
+        assert all_pass(verify_reductions(ModuleData(n, 1, 2, EPS1)))
     for n in range(2, 7):
         for p in range(1, n):
             for lam in range(3):

@@ -260,7 +260,9 @@ def test_residue_example_rank_two():
 def test_uncorrected_edge_factor_breaks_residues():
     pat = build_pattern(3, 1, 2, [1, 0])
     up = pat.bumped(1, 1, +1)
-    broken = amplitude_F(up, 1, 1, EPS1, top_factor_offset=0)
+    # the marked-node factor l(1,2) - l(1,1) + 1 of F with the shift of 1 dropped
+    t = up.shifted(1, 2) - up.shifted(1, 1)
+    broken = amplitude_F(up, 1, 1, EPS1) * F(t, t + 1)
     res = psi_closed_form(pat, 1, EPS1).residue_simple(1)
     assert amplitude_E(pat, 1, 1, EPS1) * broken != res
 

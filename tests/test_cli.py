@@ -223,6 +223,26 @@ MODES_STDOUT_SHA256 += [
     for (grid, eps), digest in ALL_VERIFY_JSON_SHA256.items()
 ]
 
+# SHA-256 of `verify --format csv` for the constraints, Gelfand and reduction
+# suites, pinned from the implementation whose checks each took
+# (n, p, lambda, params) instead of one ModuleData; the table is the same for
+# every epsilon, and every run exits 0.
+SCALAR_VERIFY_CSV_SHA256 = {
+    ("constraints", (3, 1, 2)): "7ee8d866636f302dcf55c2b58e9c8e1b65451953b34d78a9b1e4d49e32a6f808",
+    ("constraints", (4, 1, 2)): "e99a2c9713ba54106e9572873ec213616dbe31114f738ac3bdc5d3450f5995a2",
+    ("constraints", (4, 2, 2)): "e99a2c9713ba54106e9572873ec213616dbe31114f738ac3bdc5d3450f5995a2",
+    ("gelfand", (3, 1, 2)): "b4f8b867c1897f5c9e1e2e8deeec0ba203ce34fde402aeb5609da1797981a9be",
+    ("gelfand", (4, 1, 2)): "7474b8f62f53d02471ed457bdd5519b58d860f114a2c68d3afcbf83d9c42a8f9",
+    ("gelfand", (4, 2, 2)): "4e2fb7aa680dce606735e639994dddc2d3fbdf094fa344a050f358be44cac597",
+    ("reductions", (3, 1, 2)): "1d1a95737ce44bc8dce93e5eb6553a29dd5003d4ddccb89c31c227db88195166",
+    ("reductions", (4, 1, 2)): "892f787178160a5db6e65b9bfe1a34b61584c99bfe1806441b4a9b7c0f91176d",
+}
+MODES_STDOUT_SHA256 += [
+    (["verify", "--format", "csv", "--suite", suite, *_grid_args(grid, eps)], digest)
+    for (suite, grid), digest in SCALAR_VERIFY_CSV_SHA256.items()
+    for eps in ("1", "-3/2", "2/7")
+]
+
 # exit code of the pinned invocations that do not exit 0: the uncalibrated
 # localization cells of (5,2,2) fail `verify --suite all`
 PINNED_EXIT_CODES = {
@@ -378,6 +398,16 @@ def test_verify_all_at_nonzero_h_runs_constraints_and_skips_the_rest(capsys):
     assert "SKIP localization" in err and "SKIP reductions" not in err
 
 
+def test_unknown_suite_lists_the_choices_in_order(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "bogus", "--n", "3", "--p", "1", "--lambda", "2")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "gtyang verify: error: argument --suite: invalid choice: 'bogus' (choose from "
+        "'constraints', 'hysteresis', 'modes', 'serre', 'gelfand', 'localization', "
+        "'reductions', 'all')"
+    )
+
+
 def test_verify_single_suite_at_nonzero_h_is_a_usage_error(capsys):
     code, out, err = run(
         capsys, "verify", "--n", "3", "--p", "1", "--lambda", "2", "--h", "1", "--suite", "hysteresis"
@@ -505,3 +535,22 @@ def test_verify_all_builds_the_operator_table_once(capsys, monkeypatch, cutoff, 
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert cutoffs == built
+
+
+def test_verify_all_builds_the_closed_table_once(capsys, monkeypatch):
+    # the hysteresis and localization suites compare against one closed-form
+    # edge table
+    import gtyang.modes as modes
+
+    calls = []
+    build = modes.amplitude_table
+
+    def recorded(*args):
+        calls.append(args[:3])
+        return build(*args)
+
+    monkeypatch.setattr(modes, "amplitude_table", recorded)
+    argv = ["verify", "--n", "4", "--p", "2", "--lambda", "2", "--mode-cutoff", "1"]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == [(4, 2, 2)]

@@ -16,7 +16,7 @@ from gtyang.localization import (
     incidence_euler,
     tangent_graded,
 )
-from gtyang.modes import verify_localization
+from gtyang.modes import ModuleData, verify_localization
 from gtyang.patterns import build_pattern, enumerate_patterns, raise_pole, vacuum_pattern
 from gtyang.quiver import EquivariantParams, InvariantViolation, LinearForm
 
@@ -236,6 +236,6 @@ def test_module_pass_builds_one_complex_per_pattern(monkeypatch):
         init(self, fp)
 
     monkeypatch.setattr(DeformationComplex, "__init__", counting_init)
-    verify_localization(4, 2, 2, EPS1)
+    verify_localization(ModuleData(4, 2, 2, EPS1))
     assert len(built) == 20
     assert set(built) == set(enumerate_patterns(4, 2, 2))

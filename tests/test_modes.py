@@ -20,7 +20,7 @@ from gtyang.modes import (
     verify_serre,
 )
 from gtyang.patterns import build_pattern, enumerate_patterns
-from gtyang.quiver import EquivariantParams, InvalidParams, cartan_matrix
+from gtyang.quiver import EquivariantParams, InvalidParams
 
 F = Fraction
 EPS1 = EquivariantParams(1)
@@ -44,7 +44,7 @@ def test_operator_count_at_cutoff_zero():
 def test_mode_relations_small_grid():
     cutoff = 3
     ops = build_mode_operators(ModuleData(3, 1, 2, EPS1), cutoff=cutoff)
-    reports = verify_mode_relations(ops, cartan_matrix(3), EPS1)
+    reports = verify_mode_relations(ops, EPS1)
     assert all_pass(reports)
     signs = {r.params["sign"] for r in reports if "sign" in r.params}
     assert signs == {-1}
@@ -52,7 +52,7 @@ def test_mode_relations_small_grid():
 
 def test_diagonal_modes_commute_and_offdiag_pairing_vanishes():
     ops = build_mode_operators(ModuleData(4, 2, 1, EPS1), cutoff=2)
-    reports = verify_mode_relations(ops, cartan_matrix(4), EPS1)
+    reports = verify_mode_relations(ops, EPS1)
     assert all(r.passed for r in reports if r.relation_id == "psipsi")
     assert all(r.passed for r in reports if r.relation_id == "ef-offdiag")
 
@@ -106,7 +106,7 @@ def test_doubled_operator_entry_fails_the_pinned_relations(key):
     matrix = ops[key]
     r, c, v = next(matrix.nonzeros())
     ops[key] = matrix + RationalMatrix.from_triples(matrix.rows, matrix.cols, [(r, c, v)])
-    reports = verify_mode_relations(ops, cartan_matrix(4), EPS1) + verify_serre(ops)
+    reports = verify_mode_relations(ops, EPS1) + verify_serre(ops)
     signs = {rep.params["sign"] for rep in reports if "sign" in rep.params}
     assert (_failing(reports), signs) == DOUBLED_ENTRY_FAILURES[key]
 
@@ -201,14 +201,15 @@ def test_pole_classification():
 
 
 def test_reductions():
-    reports = verify_reductions(3, 1, 2, EPS1)
+    reports = verify_reductions(ModuleData(3, 1, 2, EPS1))
     assert all_pass(reports)
     lower = {r.params["n"]: r for r in reports if r.relation_id == "chain-lower"}
     assert lower[1].residual == 0  # -n(lam - n + 1) at n = 1 is -2
-    assert all_pass(verify_reductions(4, 1, 2, EPS1))
+    assert all_pass(verify_reductions(ModuleData(4, 1, 2, EPS1)))
     with pytest.raises(InvalidParams):
-        verify_reductions(4, 2, 1, EPS1)
-    conj = [r for r in verify_reductions(5, 1, 2, EPS1) if r.relation_id == "dim-conjugation"]
+        verify_reductions(ModuleData(4, 2, 1, EPS1))
+    reports = verify_reductions(ModuleData(5, 1, 2, EPS1))
+    conj = [r for r in reports if r.relation_id == "dim-conjugation"]
     assert all(r.passed for r in conj)
 
 
