@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from gtyang.crystal import atoms_at_node
 from gtyang.patterns import GTPattern, enumerate_patterns
-from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation
+from gtyang.quiver import EquivariantParams, InvalidParams
 from gtyang.rational import FactoredRatFunc
 
 Rat = Fraction
@@ -63,10 +63,7 @@ def psi_generic(pat: GTPattern, k: int, params: EquivariantParams) -> FactoredRa
             continue
         roots = _bond_units(k, b)
         for atom in atoms_at_node(pat, b):
-            w = 2 * atom.weight.c_eps  # the atom weight at h = 0, in eps/2
-            if w.denominator != 1:
-                raise InvariantViolation(f"atom weight {atom.weight.c_eps} is not in eps/2 units")
-            w = w.numerator
+            w = atom.weight.e  # the atom weight at h = 0, in eps/2
             num.extend(w + r for r in roots[0])
             den.extend(w + r for r in roots[1])
     return _psi_value(params.epsilon, num, den)

@@ -344,6 +344,9 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        # refused before any work: `serre` alone would run at a cutoff of 1
+        if getattr(args, "mode_cutoff", 0) < 0:
+            raise InvalidParams("cutoff must be non-negative")
         return COMMANDS[args.command](args)
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Crystals of weighted atoms and explicit fixed-point matrices.
 
 Each pattern entry m[i,k] contributes a ladder of atoms at node k. Atom
-coordinates live in the three-dimensional space (loop weight, chain
-asymmetry, R-charge); arrow matrices are filled by pure coordinate matching,
-which reproduces the block identity/shift forms without case analysis.
+coordinates are integer triples (e, h, R-charge), the weight e * eps/2 + h * h;
+arrow matrices are filled by pure coordinate matching, which reproduces the
+block identity/shift forms without case analysis.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from gtyang.linalg import RationalMatrix
 from gtyang.patterns import GTPattern
 from gtyang.quiver import (
     FRAMING,
+    ZERO_FORM,
     EquivariantParams,
     LinearForm,
     QuiverSpec,
@@ -33,8 +34,8 @@ class Atom:
     r_charge: int
 
     @property
-    def coordinate(self) -> tuple[Rat, Rat, int]:
-        return (self.weight.c_eps, self.weight.c_h, self.r_charge)
+    def coordinate(self) -> tuple[int, int, int]:
+        return (*self.weight, self.r_charge)
 
 
 def atoms_at_node(pat: GTPattern, k: int) -> tuple[Atom, ...]:
@@ -43,8 +44,7 @@ def atoms_at_node(pat: GTPattern, k: int) -> tuple[Atom, ...]:
     out = []
     for i in range(a, b + 1):
         for level in range(pat.entry(i, k)):
-            c_eps = Fraction(2 * (level - (i - a)) - abs(k - pat.p), 2)
-            weight = LinearForm(c_eps, k - pat.p)
+            weight = LinearForm(2 * (level - (i - a)) - abs(k - pat.p), k - pat.p)
             out.append(Atom(k, i, level, weight, abs(k - pat.p) + 2 * (i - a)))
     return tuple(out)
 
@@ -71,14 +71,15 @@ class FixedPoint:
         return self.atoms[node - 1]
 
 
-_FRAMING_ATOM = Atom(0, 0, 0, LinearForm(0, 0), 0)
+_FRAMING_ATOM = Atom(0, 0, 0, ZERO_FORM, 0)
 
 
 def fixed_point_matrices(
     pat: GTPattern, params: EquivariantParams, all_framings: bool = False
 ) -> FixedPoint:
     """Arrow matrices by coordinate matching: entry 1 exactly when the
-    target atom sits at source coordinate plus arrow displacement."""
+    target atom sits at source coordinate plus arrow displacement. Atom
+    coordinates are distinct, so each source atom has at most one image."""
     spec = build_quiver(pat.n, pat.p, pat.lam, all_framings=all_framings)
     atoms = tuple(atoms_at_node(pat, k) for k in range(1, pat.n))
 
@@ -89,19 +90,14 @@ def fixed_point_matrices(
     for arr in spec.arrows:
         src = node_list(arr.source)
         tgt = node_list(arr.target)
-        disp = (arr.weight.c_eps, arr.weight.c_h, arr.r_charge)
-        rows = []
-        for t in tgt:
-            row = []
-            for s in src:
-                hit = (
-                    s.coordinate[0] + disp[0] == t.coordinate[0]
-                    and s.coordinate[1] + disp[1] == t.coordinate[1]
-                    and s.coordinate[2] + disp[2] == t.coordinate[2]
-                )
-                row.append(1 if hit else 0)
-            rows.append(row)
-        matrices[arr.name] = RationalMatrix(rows, cols=len(src))
+        index = {t.coordinate: r for r, t in enumerate(tgt)}
+        hits = []
+        for c, s in enumerate(src):
+            w = s.weight + arr.weight
+            r = index.get((w.e, w.h, s.r_charge + arr.r_charge))
+            if r is not None:
+                hits.append((r, c, 1))
+        matrices[arr.name] = RationalMatrix.from_triples(len(tgt), len(src), hits)
 
     phi = tuple(
         RationalMatrix.diagonal([atom.weight.value(params) for atom in atoms[k - 1]])

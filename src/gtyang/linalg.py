@@ -4,16 +4,15 @@ A matrix stores only its nonzero entries, as a dict of rows, each a dict
 column -> nonzero Fraction; rows without a nonzero entry are absent. All
 arithmetic runs over those nonzeros. Kernel and rank go through integer
 Bareiss elimination on dense rows, which keeps intermediate entries as
-honest minors instead of exploding gcd-free fractions. Both take either a
-``RationalMatrix``, whose row denominators are cleared once, or a list of
+honest minors instead of exploding gcd-free fractions. Both take a list of
 dense integer rows, which go to the elimination as they are; kernel vectors
-come back primitive, with integer entries whose gcd is 1.
+come back primitive, as dicts column -> nonzero int whose gcd is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -168,18 +167,6 @@ class RationalMatrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    out = []
-    for r in range(m.rows):
-        row = [0] * m.cols
-        nonzero = m._data.get(r, {})
-        mult = lcm(*(x.denominator for x in nonzero.values()))
-        for c, x in nonzero.items():
-            row[c] = x.numerator * (mult // x.denominator)
-        out.append(row)
-    return out
-
-
 def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form; returns (matrix, pivot column list).
     The rows passed in are not modified."""
@@ -213,23 +200,19 @@ def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
-def rank(m: RationalMatrix | list[list[int]]) -> int:
-    rows = _integer_rows(m) if isinstance(m, RationalMatrix) else m
+def rank(rows: list[list[int]]) -> int:
     return len(_bareiss_echelon(rows)[1])
 
 
-def kernel_basis(m: RationalMatrix | list[list[int]]) -> list:
-    """Exact basis of the right null space, one primitive integer vector per
-    free column.
+def kernel_basis(rows: list[list[int]]) -> list[dict[int, int]]:
+    """Exact basis of the right null space of dense integer rows, one
+    primitive integer vector (a dict column -> nonzero int) per free column.
 
     Built by back substitution on the fraction-free echelon form, so
-    rank + len(result) == cols by construction. Integer rows give each
-    vector as a dict column -> nonzero int; a ``RationalMatrix`` gives column
-    ``RationalMatrix`` vectors.
+    rank + len(result) == cols by construction. No rows means no columns,
+    so the basis is empty.
     """
-    rational = isinstance(m, RationalMatrix)
-    rows = _integer_rows(m) if rational else m
-    cols = m.cols if rational else len(rows[0]) if rows else 0
+    cols = len(rows[0]) if rows else 0
     ech, pivots = _bareiss_echelon(rows)
     pivot_set = set(pivots)
     basis = []
@@ -251,9 +234,4 @@ def kernel_basis(m: RationalMatrix | list[list[int]]) -> list:
         if content != 1:
             vec = {c: v // content for c, v in vec.items()}
         basis.append(vec)
-    if rational:
-        return [
-            RationalMatrix._of(cols, 1, {c: {0: Fraction(v)} for c, v in vec.items()})
-            for vec in basis
-        ]
     return basis

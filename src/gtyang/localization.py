@@ -8,10 +8,10 @@ convention is pinned by the closed-form Euler classes of the rank-two chain
 and survives every cross-check against the amplitude formulas.
 
 Everything from the fixed point to the sector counts runs on Python ints:
-each weight is an integer pair in units of (eps/2, h), relation rows, gauge
-columns and intertwining conditions hold integer coefficients, and kernels
-are primitive integer vectors. ``LinearForm`` and ``Fraction`` come back
-only in the outputs.
+every weight is a ``LinearForm(e, h)`` integer pair in units of (eps/2, h),
+relation rows, gauge columns and intertwining conditions hold integer
+coefficients, kernels take integer rows and come back as primitive integer
+vectors. ``Fraction`` enters only when a weight is evaluated at the params.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from gtyang.patterns import GTPattern, enumerate_patterns
 from gtyang.quiver import FRAMING, EquivariantParams, InvariantViolation, LinearForm
 
 Rat = Fraction
-
-Weight = tuple[int, int]  # (e, h): the weight e * eps/2 + h * h
 
 
 class StabilityViolation(RuntimeError):
@@ -45,29 +43,6 @@ class UncalibratedCell(RuntimeError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvariantViolation(message)
-
-
-def _lattice(form: LinearForm) -> Weight:
-    """``form`` in units of (eps/2, h); every atom and arrow weight of the
-    A-type crystals lies on that lattice."""
-    e = 2 * form.c_eps
-    _require(
-        e.denominator == 1 and form.c_h.denominator == 1,
-        f"weight {form.c_eps} eps + {form.c_h} h is off the (eps/2, h) lattice",
-    )
-    return e.numerator, form.c_h.numerator
-
-
-def _form(w: Weight) -> LinearForm:
-    return LinearForm(Fraction(w[0], 2), w[1])
-
-
-def _atom_coords(fp: FixedPoint, node) -> list[Weight]:
-    return [_lattice(a.weight) for a in fp.node_atoms(node)]
-
-
-def _sub(x: Weight, y: Weight) -> Weight:
-    return (x[0] - y[0], x[1] - y[1])
 
 
 def _int_nonzeros(m: RationalMatrix):
@@ -92,33 +67,35 @@ class DeformationComplex:
     Everything about the fixed point is computed once, here: the relation
     kernel of each weight (``kernels``), the gauge rank of each weight
     (``gauge_ranks``), the tangent grading trimmed to the expected dimension
-    (``tangent``, keyed by ``LinearForm``) and the opposite-weight pairs the
-    trim removed (``removed``). Weights are integer ``(e, h)`` pairs in units
-    of (eps/2, h). Construction raises ``StabilityViolation`` when the gauge
-    action is not free.
+    (``tangent``) and the opposite-weight pairs the trim removed
+    (``removed``), all keyed by ``LinearForm``. Construction raises
+    ``StabilityViolation`` when the gauge action is not free.
     """
 
     def __init__(self, fp: FixedPoint):
         self.fp = fp
-        self.coords = {node: _atom_coords(fp, node) for node in (FRAMING, *fp.spec.gauge_nodes)}
+        # node -> the weights of its atoms, in atom order
+        self.coords = {
+            node: [a.weight for a in fp.node_atoms(node)]
+            for node in (FRAMING, *fp.spec.gauge_nodes)
+        }
         # arrow name -> (row lines, column lines) of its fixed-point matrix
         self.lines = {
             name: (_lines(m), _lines(m.transpose())) for name, m in fp.matrices.items()
         }
         self.slots: list[tuple[str, int, int]] = []  # (arrow, row, col)
-        self.slot_weight: list[Weight] = []
+        self.slot_weight: list[LinearForm] = []
         self.slot_index: dict[tuple[str, int, int], int] = {}
-        self.slots_by_weight: dict[Weight, list[int]] = {}
+        self.slots_by_weight: dict[LinearForm, list[int]] = {}
         for arr in fp.spec.arrows:
             src = self.coords[arr.source]
             tgt = self.coords[arr.target]
-            disp = _lattice(arr.weight)
             for r in range(len(tgt)):
                 for c in range(len(src)):
                     key = (arr.name, r, c)
-                    w = _sub(_sub(tgt[r], src[c]), disp)
+                    w = tgt[r] - src[c] - arr.weight
                     if arr.r_charge == 2:
-                        w = (-w[0], -w[1])  # conjugate framing direction
+                        w = -w  # conjugate framing direction
                     self.slot_index[key] = len(self.slots)
                     self.slots_by_weight.setdefault(w, []).append(len(self.slots))
                     self.slots.append(key)
@@ -129,14 +106,13 @@ class DeformationComplex:
         self.gauge_ranks = {w: self.gauge_rank_sector(w) for w in {w for w, _ in self.gauge_cols}}
         if not self.gauge_injective():
             raise StabilityViolation("gauge action is not free at this fixed point")
-        raw: dict[Weight, int] = {}
+        raw: dict[LinearForm, int] = {}
         for w, kernel in self.kernels.items():
             dim = len(kernel) - self.gauge_ranks.get(w, 0)
             _require(dim >= 0, "gauge orbit escapes the relation kernel")
             if dim:
                 raw[w] = dim
-        trimmed, self.removed = _regularize_tangent(raw, 2 * len(_all_atoms(fp)), fp.pattern)
-        self.tangent = {_form(w): d for w, d in trimmed.items()}
+        self.tangent, self.removed = _regularize_tangent(raw, 2 * len(_all_atoms(fp)), fp.pattern)
 
     # -- linearized relations -------------------------------------------
 
@@ -148,13 +124,13 @@ class DeformationComplex:
             if not any(f in framing for f in factors)
         ]
 
-    def _build_relation_rows(self) -> dict[Weight, list[dict[int, int]]]:
+    def _build_relation_rows(self) -> dict[LinearForm, list[dict[int, int]]]:
         """First-order expansion of each gauge-sector derivative; every row
         is a dict slot index -> integer coefficient, grouped by its weight."""
         fp = self.fp
         words = self._gauge_words()
         gauge_names = [a.name for a in fp.spec.gauge_arrows]
-        rows: dict[Weight, list[dict[int, int]]] = {}
+        rows: dict[LinearForm, list[dict[int, int]]] = {}
         for q in gauge_names:
             arrow = fp.spec.arrow(q)
             n_from = len(fp.node_atoms(arrow.target))
@@ -202,7 +178,7 @@ class DeformationComplex:
             dim = len(coords)
             for r in range(dim):
                 for c in range(dim):
-                    w = _sub(coords[r], coords[c])
+                    w = coords[r] - coords[c]
                     image = {}
                     for arr in fp.spec.arrows:
                         q_rows, q_cols = self.lines[arr.name]
@@ -224,7 +200,7 @@ class DeformationComplex:
 
     # -- per-weight kernels ----------------------------------------------
 
-    def kernel_sector(self, w: Weight) -> list[dict[int, int]]:
+    def kernel_sector(self, w: LinearForm) -> list[dict[int, int]]:
         """Basis of ker(dF) restricted to the weight-w slots, as sparse
         primitive integer vectors over the global slot index."""
         idxs = self.slots_by_weight.get(w)
@@ -236,7 +212,7 @@ class DeformationComplex:
         basis = kernel_basis([[entries.get(g, 0) for g in idxs] for entries in rows])
         return [{idxs[l]: v for l, v in vec.items()} for vec in basis]
 
-    def gauge_rank_sector(self, w: Weight) -> int:
+    def gauge_rank_sector(self, w: LinearForm) -> int:
         cols = [image for cw, image in self.gauge_cols if cw == w]
         if not cols:
             return 0
@@ -248,20 +224,24 @@ class DeformationComplex:
         return sum(self.gauge_ranks.values()) == len(self.gauge_cols)
 
 
+def _magnitude(w: LinearForm) -> int:
+    """|e| + 2|h|: twice the size of the weight in units of (eps, h)."""
+    return abs(w.e) + 2 * abs(w.h)
+
+
 def _regularize_tangent(
-    sectors: dict[Weight, int], expected_dim: int, pattern: GTPattern
-) -> tuple[dict[Weight, int], dict[Weight, int]]:
+    sectors: dict[LinearForm, int], expected_dim: int, pattern: GTPattern
+) -> tuple[dict[LinearForm, int], dict[LinearForm, int]]:
     """Cut the kernel down to the expected dimension.
 
     Scheme tangents jump upward at special fixed points; the excess always
-    shows up as opposite-weight pairs, which get removed largest magnitude
-    |c_eps| + |c_h| first, ties in weight order. Weights are (e, h) pairs
-    in units of (eps/2, h), so the magnitude key is |e| + 2|h|. Returns the
-    trimmed grading and what was removed; an excess that does not pair up
-    raises ``UncalibratedCell`` naming the pattern.
+    shows up as opposite-weight pairs, which get removed largest
+    ``_magnitude`` first, ties in weight order. Returns the trimmed grading
+    and what was removed; an excess that does not pair up raises
+    ``UncalibratedCell`` naming the pattern.
     """
     out = dict(sectors)
-    removed: dict[Weight, int] = {}
+    removed: dict[LinearForm, int] = {}
     excess = sum(out.values()) - expected_dim
     if excess <= 0:
         # undershoot happens only for reduced framing choices; nothing to trim
@@ -269,11 +249,10 @@ def _regularize_tangent(
     if excess % 2:
         raise UncalibratedCell(f"odd tangent excess at {pattern.free_values} cannot pair up")
     candidates = sorted(
-        (w for w in out if (-w[0], -w[1]) in out and w > (-w[0], -w[1])),
-        key=lambda w: (-abs(w[0]) - 2 * abs(w[1]), w),
+        (w for w in out if -w in out and w > -w), key=lambda w: (-_magnitude(w), w)
     )
     for w in candidates:
-        mw = (-w[0], -w[1])
+        mw = -w
         while excess > 0 and out.get(w, 0) > 0 and out.get(mw, 0) > 0:
             for u in (w, mw):
                 out[u] -= 1
@@ -347,14 +326,14 @@ def incidence_tangent_graded(
     # intertwiner deformation slots: Hom(V'_a, V_a) per gauge node, the
     # slot indices grouped by weight
     tau_index: dict[tuple[int, int, int], int] = {}
-    tau_weight: list[Weight] = []
-    tau_by_weight: dict[Weight, list[int]] = {}
+    tau_weight: list[LinearForm] = []
+    tau_by_weight: dict[LinearForm, list[int]] = {}
     for node in spec.gauge_nodes:
         small_c = cx.coords[node]
         big_c = cx_plus.coords[node]
         for r in range(len(small_c)):
             for c in range(len(big_c)):
-                w = _sub(small_c[r], big_c[c])
+                w = small_c[r] - big_c[c]
                 tau_index[(node, r, c)] = len(tau_weight)
                 tau_by_weight.setdefault(w, []).append(len(tau_weight))
                 tau_weight.append(w)
@@ -363,7 +342,7 @@ def incidence_tangent_graded(
     #   dq.tau + q.dtau - dtau.q' - tau.dq' = 0
     # each row is (dq part over cx slots, dq' part over cx_plus slots, dtau
     # part), grouped by its weight
-    conditions: dict[Weight, list[tuple[dict, dict, dict]]] = {}
+    conditions: dict[LinearForm, list[tuple[dict, dict, dict]]] = {}
     for arr in spec.arrows:
         q_rows = cx.lines[arr.name][0]
         qp_cols = cx_plus.lines[arr.name][1]
@@ -402,7 +381,7 @@ def incidence_tangent_graded(
                     _require(len(weights) == 1, "condition row mixes weights")
                     conditions.setdefault(weights.pop(), []).append((left_a, left_b, mid))
 
-    sectors: dict[Weight, int] = {}
+    sectors: dict[LinearForm, int] = {}
     # a weight without kernel vectors on either side has no pairs to solve for
     for w in sorted(set(cx.kernels) | set(cx_plus.kernels)):
         k_a = cx.kernels.get(w, [])
@@ -436,10 +415,10 @@ def incidence_tangent_graded(
     # +larger/-smaller, equal magnitudes drop both signs.
     excess = sum(sectors.values()) - (2 * len(_all_atoms(fp)) + 1)
     if excess > 0:
-        pool: list[Weight] = []
+        pool: list[LinearForm] = []
         for rem in (cx.removed, cx_plus.removed):
             for w, count in rem.items():
-                if w > (-w[0], -w[1]):
+                if w > -w:
                     pool.extend([w] * count)
         if excess != len(pool):
             raise UncalibratedCell("incidence excess does not match the pair pool")
@@ -450,12 +429,12 @@ def incidence_tangent_graded(
             )
             w = pool[0]
             if abs(added_node - fp.pattern.p) % 2:
-                drops = [(-w[0], -w[1])]
+                drops = [-w]
             else:
                 drops = [w]
         elif len(pool) == 2 and fp.pattern.n <= 4:
-            hi, lo = sorted(pool, key=lambda w: (abs(w[0]) + 2 * abs(w[1]), w), reverse=True)
-            drops = [hi, (-lo[0], -lo[1])]
+            hi, lo = sorted(pool, key=lambda w: (_magnitude(w), w), reverse=True)
+            drops = [hi, -lo]
         else:
             raise UncalibratedCell(
                 f"jump-cell sign not calibrated for {fp.pattern.free_values} -> "
@@ -469,7 +448,7 @@ def incidence_tangent_graded(
                 del sectors[w]
             excess -= 1
     _require(excess == 0, "incidence dimension off the expected count")
-    return {_form(w): d for w, d in sectors.items()}
+    return sectors
 
 
 def _all_atoms(fp: FixedPoint):

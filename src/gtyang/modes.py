@@ -33,8 +33,10 @@ from gtyang.patterns import (
     type_range,
 )
 from gtyang.quiver import (
+    ZERO_FORM,
     EquivariantParams,
     InvalidParams,
+    LinearForm,
     bond_factor,
     build_quiver,
     cartan_matrix,
@@ -460,16 +462,18 @@ def verify_localization(data: ModuleData) -> list[RelationReport]:
 def verify_constraints(data: ModuleData) -> list[RelationReport]:
     spec = build_quiver(data.n, data.p, data.lam, all_framings=True)
     report = check_constraints(spec, data.params)
+
+    def size(form: LinearForm) -> Rat:
+        """|e|/2 + |h|: the size of the weight in units of (eps, h)."""
+        return Fraction(abs(form.e), 2) + abs(form.h)
+
     out = []
     for idx, form, _ in report.loop_weight_residuals:
-        out.append(
-            RelationReport("loop-weight", {"loop": idx}, abs(form.c_eps) + abs(form.c_h))
-        )
+        out.append(RelationReport("loop-weight", {"loop": idx}, size(form)))
     for idx, r in report.loop_rcharge_residuals:
         out.append(RelationReport("loop-rcharge", {"loop": idx}, Fraction(abs(r))))
-    total_eps = sum(form.c_eps for _, form, _ in report.vertex_residuals)
-    total_h = sum(form.c_h for _, form, _ in report.vertex_residuals)
-    out.append(RelationReport("vertex-sum", {}, abs(total_eps) + abs(total_h)))
+    total = sum((form for _, form, _ in report.vertex_residuals), ZERO_FORM)
+    out.append(RelationReport("vertex-sum", {}, size(total)))
     return out
 
 

@@ -3,14 +3,15 @@
 The quiver for the rank-(n-1) chain carries a self-loop on every gauge node,
 a forward/backward arrow pair between neighbours, and a framing pair attached
 to the marked node. Weights live in the two-parameter space spanned by the
-loop weight and the chain asymmetry parameter; both are carried exactly.
+loop weight and the chain asymmetry parameter, as integer ``LinearForm``
+pairs in units of (eps/2, h).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from gtyang.rational import FactoredRatFunc
 
@@ -41,31 +42,28 @@ class EquivariantParams:
             raise InvalidParams("epsilon must be nonzero")
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """c_eps * epsilon + c_h * h, both coefficients exact."""
+class LinearForm(NamedTuple):
+    """The weight e * eps/2 + h * h. Every weight of the construction lies on
+    the lattice (eps/2)Z + hZ, so both coordinates are ints; it hashes,
+    compares and sorts as the tuple (e, h)."""
 
-    c_eps: Rat
-    c_h: Rat
-
-    def __post_init__(self):
-        object.__setattr__(self, "c_eps", Fraction(self.c_eps))
-        object.__setattr__(self, "c_h", Fraction(self.c_h))
+    e: int
+    h: int
 
     def value(self, params: EquivariantParams) -> Rat:
-        return self.c_eps * params.epsilon + self.c_h * params.h
+        return Fraction(self.e, 2) * params.epsilon + self.h * params.h
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(self.c_eps + other.c_eps, self.c_h + other.c_h)
+        return LinearForm(self.e + other.e, self.h + other.h)
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(self.c_eps - other.c_eps, self.c_h - other.c_h)
+        return LinearForm(self.e - other.e, self.h - other.h)
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm(-self.c_eps, -self.c_h)
+        return LinearForm(-self.e, -self.h)
 
     def is_zero(self) -> bool:
-        return self.c_eps == 0 and self.c_h == 0
+        return self.e == 0 and self.h == 0
 
 
 ZERO_FORM = LinearForm(0, 0)
@@ -140,15 +138,15 @@ def build_quiver(n: int, p: int, lam: int, all_framings: bool = False) -> Quiver
     validate_params(n, p, lam)
     arrows = []
     for k in range(1, n):
-        arrows.append(Arrow(f"C{k}", k, k, LinearForm(1, 0), 0))
+        arrows.append(Arrow(f"C{k}", k, k, LinearForm(2, 0), 0))
     for k in range(1, n - 1):
-        arrows.append(Arrow(f"A{k}", k, k + 1, LinearForm(Fraction(-1, 2), 1), 1))
-        arrows.append(Arrow(f"B{k}", k + 1, k, LinearForm(Fraction(-1, 2), -1), 1))
+        arrows.append(Arrow(f"A{k}", k, k + 1, LinearForm(-1, 1), 1))
+        arrows.append(Arrow(f"B{k}", k + 1, k, LinearForm(-1, -1), 1))
     framed_nodes = list(range(1, n)) if all_framings else [p]
     for a in framed_nodes:
         lam_a = lam if a == p else 0
         arrows.append(Arrow(f"R{a}", FRAMING, a, ZERO_FORM, 0))
-        arrows.append(Arrow(f"S{a}", a, FRAMING, LinearForm(-lam_a, 0), 2))
+        arrows.append(Arrow(f"S{a}", a, FRAMING, LinearForm(-2 * lam_a, 0), 2))
 
     words: list[SignedWord] = []
     if n >= 3:

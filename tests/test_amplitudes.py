@@ -107,18 +107,6 @@ def test_psi_poles_match_candidate_moves():
                 assert len(set(f.den_roots)) == len(f.den_roots)
 
 
-def test_psi_generic_rejects_atom_weight_off_half_eps_lattice(monkeypatch):
-    import gtyang.amplitudes as amplitudes
-    from gtyang.crystal import Atom
-    from gtyang.quiver import InvariantViolation, LinearForm
-
-    pat = build_pattern(3, 1, 2, [1, 0])
-    stray = Atom(1, 1, 0, LinearForm(F(1, 4), 0), 0)
-    monkeypatch.setattr(amplitudes, "atoms_at_node", lambda pat, b: (stray,))
-    with pytest.raises(InvariantViolation):
-        psi_generic(pat, 1, EPS1)
-
-
 def test_psi_requires_h_zero():
     pat = build_pattern(3, 1, 2, [1, 0])
     with pytest.raises(InvalidParams):

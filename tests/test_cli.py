@@ -554,3 +554,27 @@ def test_verify_all_builds_the_closed_table_once(capsys, monkeypatch):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert calls == [(4, 2, 2)]
+
+
+def test_negative_cutoff_is_refused_by_the_serre_suite(capsys):
+    # serre runs on modes 0 and 1 at any cutoff, but -1 is still no cutoff
+    argv = ["verify", "--suite", "serre", "--mode-cutoff", "-1"]
+    code, out, err = run(capsys, *argv, "--n", "3", "--p", "1", "--lambda", "2")
+    assert (code, out, err) == (2, "", "error: cutoff must be non-negative\n")
+
+
+def test_negative_cutoff_is_refused_before_any_suite_runs(capsys, monkeypatch):
+    import gtyang.modes as modes
+
+    calls = []
+    check = modes.verify_constraints
+
+    def recorded(data):
+        calls.append(data)
+        return check(data)
+
+    monkeypatch.setattr(modes, "verify_constraints", recorded)
+    argv = ["verify", "--mode-cutoff", "-1", "--n", "3", "--p", "1", "--lambda", "2"]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (2, "error: cutoff must be non-negative\n")
+    assert calls == []

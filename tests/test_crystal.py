@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from gtyang.crystal import (
     FixedPoint,
     atoms_at_node,
@@ -9,7 +11,7 @@ from gtyang.crystal import (
 )
 from gtyang.linalg import RationalMatrix
 from gtyang.patterns import build_pattern, enumerate_patterns, vacuum_pattern
-from gtyang.quiver import EquivariantParams, LinearForm
+from gtyang.quiver import FRAMING, EquivariantParams, LinearForm, build_quiver
 
 F = Fraction
 EPS1 = EquivariantParams(1)
@@ -31,9 +33,9 @@ def ico_zero(n: int, m: int) -> RationalMatrix:
 def test_atom_examples_for_middle_framing():
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
     (one,) = atoms_at_node(pat, 1)
-    assert one.weight == LinearForm(F(-1, 2), -1) and one.r_charge == 1
+    assert one.weight == LinearForm(-1, -1) and one.r_charge == 1
     (three,) = atoms_at_node(pat, 3)
-    assert three.weight == LinearForm(F(-1, 2), 1) and three.r_charge == 1
+    assert three.weight == LinearForm(-1, 1) and three.r_charge == 1
     (two,) = atoms_at_node(pat, 2)
     assert two.weight == LinearForm(0, 0) and two.r_charge == 0
 
@@ -41,10 +43,10 @@ def test_atom_examples_for_middle_framing():
 def test_atom_ladders_for_edge_framing():
     pat = build_pattern(3, 1, 2, [2, 1])
     node1 = atoms_at_node(pat, 1)
-    assert [a.weight.c_eps for a in node1] == [0, 1]
-    assert all(a.weight.c_h == 0 and a.r_charge == 0 for a in node1)
+    assert [a.weight.e for a in node1] == [0, 2]
+    assert all(a.weight.h == 0 and a.r_charge == 0 for a in node1)
     (node2,) = atoms_at_node(pat, 2)
-    assert node2.weight == LinearForm(F(-1, 2), 1) and node2.r_charge == 1
+    assert node2.weight == LinearForm(-1, 1) and node2.r_charge == 1
 
 
 def test_vacuum_has_no_atoms():
@@ -63,8 +65,20 @@ def test_deep_path_weights():
     # two steps away from the framing node: double chain asymmetry, R = 2
     pat = build_pattern(4, 1, 1, [1, 1, 1])
     (a3,) = atoms_at_node(pat, 3)
-    assert a3.weight == LinearForm(-1, 2)
+    assert a3.weight == LinearForm(-2, 2)
     assert a3.r_charge == 2
+
+
+@pytest.mark.parametrize("grid", [(3, 1, 2), (4, 2, 2), (5, 2, 2), (6, 3, 1)])
+def test_every_weight_is_an_integer_lattice_pair(grid):
+    # arrow and atom weights are (e, h) int pairs worth e * eps/2 + h * h
+    weights = [
+        arr.weight for framed in (False, True) for arr in build_quiver(*grid, framed).arrows
+    ]
+    weights += [a.weight for pat in enumerate_patterns(*grid) for a in pattern_atoms(pat)]
+    for w in weights:
+        assert type(w.e) is int and type(w.h) is int
+        assert w.value(GENERIC) == F(w.e, 2) * GENERIC.epsilon + w.h * GENERIC.h
 
 
 def test_fixed_point_blocks_edge_framing():
@@ -92,6 +106,35 @@ def test_fixed_point_blocks_middle_framing():
     )
     assert fp.matrices["C2"] == block
     assert fp.matrices["R2"] == RationalMatrix([[1], [0], [0], [0]])
+
+
+def pairwise_matrices(pat, all_framings):
+    """Reference for ``fixed_point_matrices``: every (target, source) pair of
+    atoms is compared, and the entry is 1 exactly where the target coordinate
+    equals the source coordinate plus the arrow's (weight, r_charge)."""
+    spec = build_quiver(pat.n, pat.p, pat.lam, all_framings=all_framings)
+
+    def coords(node):
+        return [(0, 0, 0)] if node == FRAMING else [a.coordinate for a in atoms_at_node(pat, node)]
+
+    out = {}
+    for arr in spec.arrows:
+        disp = (*arr.weight, arr.r_charge)
+        src = coords(arr.source)
+        rows = [
+            [1 if all(s + d == t for s, d, t in zip(sc, disp, tc)) else 0 for sc in src]
+            for tc in coords(arr.target)
+        ]
+        out[arr.name] = RationalMatrix(rows, cols=len(src))
+    return out
+
+
+@pytest.mark.parametrize("all_framings", [False, True])
+@pytest.mark.parametrize("grid", [(4, 2, 2), (5, 2, 2), (6, 3, 1)])
+def test_fixed_point_matrices_match_pairwise_matching(grid, all_framings):
+    for pat in enumerate_patterns(*grid):
+        fp = fixed_point_matrices(pat, GENERIC, all_framings=all_framings)
+        assert fp.matrices == pairwise_matrices(pat, all_framings)
 
 
 def test_vacuum_fixed_point_shapes():

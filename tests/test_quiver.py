@@ -56,11 +56,12 @@ def test_invalid_build():
 
 def test_weight_table():
     spec = build_quiver(4, 2, 3, all_framings=True)
-    assert spec.arrow("C2").weight == LinearForm(1, 0)
-    assert spec.arrow("A1").weight == LinearForm(F(-1, 2), 1)
-    assert spec.arrow("B2").weight == LinearForm(F(-1, 2), -1)
+    # in units of (eps/2, h)
+    assert spec.arrow("C2").weight == LinearForm(2, 0)
+    assert spec.arrow("A1").weight == LinearForm(-1, 1)
+    assert spec.arrow("B2").weight == LinearForm(-1, -1)
     assert spec.arrow("R2").weight == LinearForm(0, 0)
-    assert spec.arrow("S2").weight == LinearForm(-3, 0)
+    assert spec.arrow("S2").weight == LinearForm(-6, 0)
     assert spec.arrow("S1").weight == LinearForm(0, 0)  # zero cutoff off the marked node
     assert [spec.arrow(x).r_charge for x in ("C1", "A1", "B1", "R2", "S2")] == [0, 1, 1, 0, 2]
 
@@ -131,13 +132,13 @@ def test_vertex_residuals_sum_to_zero_in_h():
     for n, p in [(3, 1), (4, 2), (5, 2), (6, 3)]:
         spec = build_quiver(n, p, 2)
         report = check_constraints(spec, EquivariantParams(1, F(1, 3)))
-        total_eps = sum(form.c_eps for _, form, _ in report.vertex_residuals)
-        total_h = sum(form.c_h for _, form, _ in report.vertex_residuals)
-        assert total_eps == 0 and total_h == 0
+        total_e = sum(form.e for _, form, _ in report.vertex_residuals)
+        total_h = sum(form.h for _, form, _ in report.vertex_residuals)
+        assert total_e == 0 and total_h == 0
 
 
 def test_loop_constraint_matrix_full_rank():
-    from gtyang.linalg import RationalMatrix, rank
+    from gtyang.linalg import rank
 
     for n in range(3, 7):
         spec = build_quiver(n, 1, 2)
@@ -152,7 +153,7 @@ def test_loop_constraint_matrix_full_rank():
                 row[index[name]] += 1
             rows.append(row)
         assert len(rows) == 2 * (n - 2)
-        assert rank(RationalMatrix(rows)) == len(rows)
+        assert rank(rows) == len(rows)
 
 
 def test_non_chiral():
