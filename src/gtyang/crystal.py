@@ -8,8 +8,8 @@ block identity/shift forms without case analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from gtyang.linalg import RationalMatrix
 from gtyang.patterns import GTPattern
@@ -25,8 +25,7 @@ from gtyang.quiver import (
 Rat = Fraction
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     node: int
     type_index: int
     level: int
@@ -56,8 +55,7 @@ def pattern_atoms(pat: GTPattern) -> list[Atom]:
     return out
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     pattern: GTPattern
     params: EquivariantParams
     spec: QuiverSpec
@@ -126,8 +124,7 @@ def superpotential_derivative(fp: FixedPoint, name: str) -> RationalMatrix:
     return total
 
 
-@dataclass(frozen=True)
-class FTermReport:
+class FTermReport(NamedTuple):
     residuals: tuple[tuple[str, Rat], ...]  # (relation id, max abs entry)
 
     @property

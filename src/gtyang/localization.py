@@ -267,7 +267,7 @@ def _regularize_tangent(
     return out, removed
 
 
-def tangent_graded(fp: FixedPoint, params: EquivariantParams) -> dict[LinearForm, int]:
+def tangent_graded(fp: FixedPoint) -> dict[LinearForm, int]:
     """Graded dimensions of ker(dF)/im(gauge), asymmetry kept symbolic,
     trimmed to the expected dimension (twice the atom count)."""
     return DeformationComplex(fp).tangent
@@ -281,7 +281,7 @@ def _euler(graded: dict[LinearForm, int], params: EquivariantParams) -> Rat:
 
 
 def euler_class(fp: FixedPoint, params: EquivariantParams) -> Rat:
-    return _euler(tangent_graded(fp, params), params)
+    return _euler(tangent_graded(fp), params)
 
 
 def _projection(fp_plus: FixedPoint, fp: FixedPoint, node) -> RationalMatrix:

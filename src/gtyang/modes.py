@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from gtyang.amplitudes import (
     amplitude_E,
@@ -50,10 +50,9 @@ Rat = Fraction
 SERRE_MODES = (0, 1)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     relation_id: str
-    params: dict = field(compare=False)
+    params: dict
     residual: Rat = Fraction(0)
 
     @property
@@ -65,7 +64,6 @@ def all_pass(reports) -> bool:
     return all(r.passed for r in reports)
 
 
-@dataclass
 class ModuleData:
     """One module and its closed-form data, the input of every suite and
     command. Each field is computed at most once, on its first read: the
@@ -75,10 +73,11 @@ class ModuleData:
     ``add_remove_sets``, ``localize_module`` and the Gelfand squares) never
     read it."""
 
-    n: int
-    p: int
-    lam: int
-    params: EquivariantParams
+    def __init__(self, n: int, p: int, lam: int, params: EquivariantParams):
+        self.n = n
+        self.p = p
+        self.lam = lam
+        self.params = params
 
     @functools.cached_property
     def states(self) -> list[GTPattern]:

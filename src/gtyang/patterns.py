@@ -9,8 +9,8 @@ triangle so the general coefficient formulas apply uniformly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation, validate_params
 
 Rat = Fraction
@@ -23,8 +23,7 @@ def type_range(n: int, p: int, k: int) -> tuple[int, int]:
     return max(1, k - p + 1), min(n - p, k)
 
 
-@dataclass(frozen=True)
-class GTPattern:
+class GTPattern(NamedTuple):
     n: int
     p: int
     lam: int

@@ -9,7 +9,6 @@ pairs in units of (eps/2, h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -30,16 +29,20 @@ class InvariantViolation(RuntimeError):
     of ``assert`` so the check survives ``python -O``."""
 
 
-@dataclass(frozen=True)
-class EquivariantParams:
+# a NamedTuple body cannot define __new__, so a subclass coerces and checks
+class _Params(NamedTuple):
     epsilon: Rat
-    h: Rat = Fraction(0)
+    h: Rat
 
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        object.__setattr__(self, "h", Fraction(self.h))
-        if self.epsilon == 0:
+
+class EquivariantParams(_Params):
+    __slots__ = ()
+
+    def __new__(cls, epsilon, h=0):
+        epsilon, h = Fraction(epsilon), Fraction(h)
+        if epsilon == 0:
             raise InvalidParams("epsilon must be nonzero")
+        return super().__new__(cls, epsilon, h)
 
 
 class LinearForm(NamedTuple):
@@ -52,6 +55,12 @@ class LinearForm(NamedTuple):
 
     def value(self, params: EquivariantParams) -> Rat:
         return Fraction(self.e, 2) * params.epsilon + self.h * params.h
+
+    def __mul__(self, other):
+        # a weight is not a tuple: refuse repetition
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         return LinearForm(self.e + other.e, self.h + other.h)
@@ -69,8 +78,7 @@ class LinearForm(NamedTuple):
 ZERO_FORM = LinearForm(0, 0)
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: NodeRef
     target: NodeRef
@@ -86,20 +94,15 @@ class Arrow:
 SignedWord = tuple[int, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class QuiverSpec:
+class QuiverSpec(NamedTuple):
     n: int
     p: int
     lam: int
     arrows: tuple[Arrow, ...]
     superpotential: tuple[SignedWord, ...]
-    _by_name: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name", {a.name: a for a in self.arrows})
 
     def arrow(self, name: str) -> Arrow:
-        return self._by_name[name]
+        return {a.name: a for a in self.arrows}[name]
 
     @property
     def gauge_nodes(self) -> range:
@@ -189,8 +192,7 @@ def cartan_matrix(n: int) -> list[list[int]]:
     ]
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     # (word index, symbolic residual, value at the given params)
     loop_weight_residuals: tuple[tuple[int, LinearForm, Rat], ...]
     # (word index, R-charge sum minus 2)

@@ -9,9 +9,8 @@ comparison and poles, residues and large-z expansions are O(#roots).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Rat = Fraction
 
@@ -44,8 +43,7 @@ def _cancel(num: Iterable[Rat], den: Iterable[Rat]) -> tuple[tuple[Rat, ...], tu
     return num_out, den_out
 
 
-@dataclass(frozen=True)
-class SeriesPrefix:
+class SeriesPrefix(NamedTuple):
     """Constant term plus the first coefficients of a 1/z expansion.
 
     ``coefficients[j]`` multiplies ``z**(-j-1)``.
@@ -55,8 +53,7 @@ class SeriesPrefix:
     coefficients: tuple[Rat, ...]
 
 
-@dataclass(frozen=True)
-class FactoredRatFunc:
+class FactoredRatFunc(NamedTuple):
     scalar: Rat
     num_roots: tuple[Rat, ...] = ()
     den_roots: tuple[Rat, ...] = ()
@@ -102,6 +99,12 @@ class FactoredRatFunc:
             self.num_roots + other.num_roots,
             self.den_roots + other.den_roots,
         )
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        # a function is not a tuple: refuse concatenation
+        return NotImplemented
 
     def inverse(self) -> "FactoredRatFunc":
         if self.scalar == 0:

@@ -578,3 +578,18 @@ def test_negative_cutoff_is_refused_before_any_suite_runs(capsys, monkeypatch):
     code, _, err = run(capsys, *argv)
     assert (code, err) == (2, "error: cutoff must be non-negative\n")
     assert calls == []
+
+
+def test_cli_import_loads_no_dataclasses(cli_env):
+    """Every CLI call pays the import of gtyang.cli, so it must not pull in
+    ``dataclasses`` or the ``inspect`` module that comes with it."""
+    probe = "import sys; {} print(' '.join(sorted(sys.modules)))"
+
+    def loaded(code):
+        cmd = [sys.executable, "-c", probe.format(code)]
+        out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=cli_env)
+        return set(out.stdout.split())
+
+    added = loaded("import gtyang.cli;") - loaded("")
+    assert "gtyang.cli" in added
+    assert not {"dataclasses", "inspect"} & added

@@ -42,7 +42,7 @@ def closed_form_euler_chain(lam, n, eps=F(1)):
 
 
 def test_vacuum_tangent_is_empty():
-    assert tangent_graded(fp_of(vacuum_pattern(3, 1, 2)), EPS1) == {}
+    assert tangent_graded(fp_of(vacuum_pattern(3, 1, 2))) == {}
     assert euler_class(fp_of(vacuum_pattern(4, 2, 2)), EPS1) == 1
 
 
@@ -187,7 +187,7 @@ def test_expected_dimension_is_twice_atom_count():
     for grid in [(3, 1, 3), (4, 2, 2), (4, 1, 2)]:
         n, p, lam = grid
         for pat in enumerate_patterns(n, p, lam):
-            graded = tangent_graded(fp_of(pat), EPS1)
+            graded = tangent_graded(fp_of(pat))
             atoms = sum(pat.node_dimension(k) for k in range(1, n))
             assert sum(graded.values()) == 2 * atoms
 

@@ -54,6 +54,14 @@ def test_invalid_build():
         build_quiver(3, 1, -1)
 
 
+def test_params_coerce_to_fraction_and_refuse_zero_epsilon():
+    params = EquivariantParams(3, h="1/2")
+    assert (params.epsilon, params.h) == (F(3), F(1, 2))
+    assert type(params.epsilon) is F and type(EquivariantParams(1).h) is F
+    with pytest.raises(InvalidParams):
+        EquivariantParams(F(0), 1)
+
+
 def test_weight_table():
     spec = build_quiver(4, 2, 3, all_framings=True)
     # in units of (eps/2, h)

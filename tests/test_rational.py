@@ -11,6 +11,7 @@ from gtyang.rational import (
     NotASimplePole,
     UnboundedAtInfinity,
 )
+from gtyang.quiver import LinearForm
 
 F = Fraction
 
@@ -212,3 +213,19 @@ def test_from_multiples_matches_make(num, den, unit, scalar):
     expected = make(scalar, [c * unit for c in num], [c * unit for c in den])
     got = FactoredRatFunc.from_multiples(scalar, unit, num, den)
     assert got == expected
+
+
+W = LinearForm(1, 0)
+R = FactoredRatFunc.make(2, [1], [3])
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda: 2 * W, lambda: W * 2, lambda: 2 * R, lambda: R * 2, lambda: R + R],
+    ids=["int*form", "form*int", "int*func", "func*int", "func+func"],
+)
+def test_tuple_arithmetic_is_refused(op):
+    # the numeric records are NamedTuples; tuple repetition and
+    # concatenation must not leak through as plain tuples
+    with pytest.raises(TypeError):
+        op()
