@@ -179,30 +179,13 @@ def amplitude_table(
     """(state, node, type) of each raising move -> its (raising, lowering)
     amplitudes from the closed forms: E out of the state, F back from the
     raised state. Keys and values are shaped like ``localize_module``'s."""
+    _require_h_zero(params)  # up front: at lambda = 0 no move reaches amplitude_E
     table = {}
     for pat in enumerate_patterns(n, p, lam):
         for k in range(1, n):
             for j, up in pat.raises(k):
                 table[pat, k, j] = amplitude_E(pat, k, j, params), amplitude_F(up, k, j, params)
     return table
-
-
-def gelfand_squared(
-    pat: GTPattern, k: int, j: int, direction: str, params: EquivariantParams
-) -> Rat:
-    """Squared unit-norm coefficient of a move, as a hysteresis product."""
-    _check_type_index(pat, k, j)
-    if direction == "raise":
-        target = pat.bumped(j, k, +1)
-        if target is None:
-            return Fraction(0)
-        return amplitude_E(pat, k, j, params) * amplitude_F(target, k, j, params)
-    if direction == "lower":
-        target = pat.bumped(j, k, -1)
-        if target is None:
-            return Fraction(0)
-        return amplitude_F(pat, k, j, params) * amplitude_E(target, k, j, params)
-    raise InvalidMove(f"direction must be 'raise' or 'lower', got {direction!r}")
 
 
 def gelfand_squared_closed_form(

@@ -48,13 +48,6 @@ def atoms_at_node(pat: GTPattern, k: int) -> tuple[Atom, ...]:
     return tuple(out)
 
 
-def pattern_atoms(pat: GTPattern) -> list[Atom]:
-    out: list[Atom] = []
-    for k in range(1, pat.n):
-        out.extend(atoms_at_node(pat, k))
-    return out
-
-
 class FixedPoint(NamedTuple):
     pattern: GTPattern
     params: EquivariantParams

@@ -156,9 +156,6 @@ class RationalMatrix:
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
-    def is_zero(self) -> bool:
-        return not self._data
-
     def max_abs(self) -> Rat:
         return max((abs(v) for row in self._data.values() for v in row.values()), default=Fraction(0))
 

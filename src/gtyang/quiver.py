@@ -71,9 +71,6 @@ class LinearForm(NamedTuple):
     def __neg__(self) -> "LinearForm":
         return LinearForm(-self.e, -self.h)
 
-    def is_zero(self) -> bool:
-        return self.e == 0 and self.h == 0
-
 
 ZERO_FORM = LinearForm(0, 0)
 
@@ -111,16 +108,6 @@ class QuiverSpec(NamedTuple):
     @property
     def gauge_arrows(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if not a.is_framing)
-
-    @property
-    def framing_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted({a.target if a.source == FRAMING else a.source
-                             for a in self.arrows if a.is_framing}))
-
-    def chirality(self, a: NodeRef, b: NodeRef) -> int:
-        forward = sum(1 for arr in self.arrows if arr.source == a and arr.target == b)
-        backward = sum(1 for arr in self.arrows if arr.source == b and arr.target == a)
-        return forward - backward
 
 
 def validate_params(n: int, p: int, lam: int) -> None:
@@ -193,25 +180,17 @@ def cartan_matrix(n: int) -> list[list[int]]:
 
 
 class ConstraintReport(NamedTuple):
-    # (word index, symbolic residual, value at the given params)
-    loop_weight_residuals: tuple[tuple[int, LinearForm, Rat], ...]
+    """Symbolic residuals: they do not depend on (eps, h)."""
+
+    # (word index, weight sum)
+    loop_weight_residuals: tuple[tuple[int, LinearForm], ...]
     # (word index, R-charge sum minus 2)
     loop_rcharge_residuals: tuple[tuple[int, int], ...]
-    # (gauge node, symbolic residual over gauge arrows, value at params)
-    vertex_residuals: tuple[tuple[int, LinearForm, Rat], ...]
-
-    @property
-    def loops_ok(self) -> bool:
-        return all(form.is_zero() for _, form, _ in self.loop_weight_residuals) and all(
-            r == 0 for _, r in self.loop_rcharge_residuals
-        )
-
-    @property
-    def vertices_ok_at_params(self) -> bool:
-        return all(v == 0 for _, _, v in self.vertex_residuals)
+    # (gauge node, net weight over gauge arrows)
+    vertex_residuals: tuple[tuple[int, LinearForm], ...]
 
 
-def check_constraints(spec: QuiverSpec, params: EquivariantParams) -> ConstraintReport:
+def check_constraints(spec: QuiverSpec) -> ConstraintReport:
     loop_w = []
     loop_r = []
     for idx, (_, factors) in enumerate(spec.superpotential):
@@ -221,7 +200,7 @@ def check_constraints(spec: QuiverSpec, params: EquivariantParams) -> Constraint
             arr = spec.arrow(name)
             total = total + arr.weight
             rsum += arr.r_charge
-        loop_w.append((idx, total, total.value(params)))
+        loop_w.append((idx, total))
         loop_r.append((idx, rsum - 2))
 
     vertex = []
@@ -234,5 +213,5 @@ def check_constraints(spec: QuiverSpec, params: EquivariantParams) -> Constraint
                 total = total + arr.weight
             elif arr.source == node:
                 total = total - arr.weight
-        vertex.append((node, total, total.value(params)))
+        vertex.append((node, total))
     return ConstraintReport(tuple(loop_w), tuple(loop_r), tuple(vertex))

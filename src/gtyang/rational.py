@@ -15,10 +15,6 @@ from typing import Iterable, NamedTuple, Sequence
 Rat = Fraction
 
 
-class EvalAtPole(ArithmeticError):
-    """Evaluation point sits on a denominator root."""
-
-
 class NotAPole(ValueError):
     """Residue requested at a point that is not a pole."""
 
@@ -84,13 +80,6 @@ class FactoredRatFunc(NamedTuple):
             num, den = num[::-1], den[::-1]
         return FactoredRatFunc(s, tuple(c * u for c in num), tuple(c * u for c in den))
 
-    @staticmethod
-    def one() -> "FactoredRatFunc":
-        return FactoredRatFunc(Fraction(1), (), ())
-
-    def is_zero(self) -> bool:
-        return self.scalar == 0
-
     def __mul__(self, other: "FactoredRatFunc") -> "FactoredRatFunc":
         if not isinstance(other, FactoredRatFunc):
             return NotImplemented
@@ -106,35 +95,8 @@ class FactoredRatFunc(NamedTuple):
         # a function is not a tuple: refuse concatenation
         return NotImplemented
 
-    def inverse(self) -> "FactoredRatFunc":
-        if self.scalar == 0:
-            raise ZeroDivisionError("zero function has no inverse")
-        return FactoredRatFunc(1 / self.scalar, self.den_roots, self.num_roots)
-
     def scaled(self, c) -> "FactoredRatFunc":
         return FactoredRatFunc.make(self.scalar * Fraction(c), self.num_roots, self.den_roots)
-
-    def shifted(self, delta) -> "FactoredRatFunc":
-        """f(z - delta): every root moves by +delta."""
-        d = Fraction(delta)
-        if self.scalar == 0:
-            return self
-        return FactoredRatFunc(
-            self.scalar,
-            tuple(r + d for r in self.num_roots),
-            tuple(r + d for r in self.den_roots),
-        )
-
-    def eval_at(self, z0) -> Rat:
-        z = Fraction(z0)
-        if z in self.den_roots:
-            raise EvalAtPole(f"evaluation at pole z = {z}")
-        value = self.scalar
-        for a in self.num_roots:
-            value *= z - a
-        for b in self.den_roots:
-            value /= z - b
-        return value
 
     def residue_simple(self, z0) -> Rat:
         z = Fraction(z0)

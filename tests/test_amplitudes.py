@@ -9,7 +9,6 @@ from gtyang.amplitudes import (
     amplitude_E,
     amplitude_F,
     amplitude_table,
-    gelfand_squared,
     gelfand_squared_closed_form,
     psi_closed_form,
     psi_generic,
@@ -212,6 +211,7 @@ def test_middle_framing_spot_values():
 def test_amplitudes_vanish_iff_target_valid():
     params = EquivariantParams(F(3, 2))
     for n, p, lam in [(3, 1, 2), (4, 2, 2), (5, 2, 1)]:
+        table = amplitude_table(n, p, lam, params)
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
                 for j in moves(pat, k):
@@ -255,38 +255,50 @@ def test_uncorrected_edge_factor_breaks_residues():
     assert amplitude_E(pat, 1, 1, EPS1) * broken != res
 
 
+def squared(table, pat, k, j, direction):
+    """E * F of a move read from an edge table: a raise from the state's own
+    edge, a lower from the edge that raises back into it, 0 off the cone."""
+    source = pat if direction == "raise" else pat.bumped(j, k, -1)
+    e, f = table.get((source, k, j), (0, 0))
+    return e * f
+
+
 def test_gelfand_squares():
     lam = 2
+    table = amplitude_table(3, 1, lam, EPS1)
     for pat in enumerate_patterns(3, 1, lam):
         n1, n2 = pat.free_values
-        assert gelfand_squared(pat, 1, 1, "raise", EPS1) == (lam - n1) * (n1 - n2 + 1)
-        assert gelfand_squared(pat, 2, 2, "raise", EPS1) == (n1 - n2) * (n2 + 1)
-        assert gelfand_squared(pat, 1, 1, "lower", EPS1) == (n1 - n2) * (lam - n1 + 1)
-        assert gelfand_squared(pat, 2, 2, "lower", EPS1) == n2 * (n1 - n2 + 1)
+        assert squared(table, pat, 1, 1, "raise") == (lam - n1) * (n1 - n2 + 1)
+        assert squared(table, pat, 2, 2, "raise") == (n1 - n2) * (n2 + 1)
+        assert squared(table, pat, 1, 1, "lower") == (n1 - n2) * (lam - n1 + 1)
+        assert squared(table, pat, 2, 2, "lower") == n2 * (n1 - n2 + 1)
+    table = amplitude_table(4, 1, lam, EPS1)
     for pat in enumerate_patterns(4, 1, lam):
         n1, n2, n3 = pat.free_values
-        assert gelfand_squared(pat, 2, 2, "raise", EPS1) == (n1 - n2) * (n2 - n3 + 1)
-        assert gelfand_squared(pat, 3, 3, "lower", EPS1) == n3 * (n2 - n3 + 1)
+        assert squared(table, pat, 2, 2, "raise") == (n1 - n2) * (n2 - n3 + 1)
+        assert squared(table, pat, 3, 3, "lower") == n3 * (n2 - n3 + 1)
 
 
 def test_gelfand_square_closed_form_matches_product_route():
     params = EPS1
     for n, p, lam in [(3, 1, 2), (4, 2, 2), (5, 2, 1)]:
+        table = amplitude_table(n, p, lam, params)
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
                 for j in moves(pat, k):
                     for direction in ("raise", "lower"):
-                        assert gelfand_squared(pat, k, j, direction, params) == \
+                        assert squared(table, pat, k, j, direction) == \
                             gelfand_squared_closed_form(pat, k, j, direction, params)
 
 
 def test_gelfand_invalid_target_and_direction():
     pat = build_pattern(3, 1, 2, [2, 0])
-    assert gelfand_squared(pat, 1, 1, "raise", EPS1) == 0
+    assert gelfand_squared_closed_form(pat, 1, 1, "raise", EPS1) == 0
+    assert squared(amplitude_table(3, 1, 2, EPS1), pat, 1, 1, "raise") == 0
     with pytest.raises(InvalidMove):
-        gelfand_squared(pat, 1, 1, "sideways", EPS1)
+        gelfand_squared_closed_form(pat, 1, 1, "sideways", EPS1)
     with pytest.raises(IndexOutOfRange):
-        gelfand_squared(pat, 1, 2, "raise", EPS1)
+        gelfand_squared_closed_form(pat, 1, 2, "raise", EPS1)
 
 
 def test_epsilon_covariance():

@@ -242,6 +242,13 @@ MODES_STDOUT_SHA256 += [
     for (suite, grid), digest in SCALAR_VERIFY_CSV_SHA256.items()
     for eps in ("1", "-3/2", "2/7")
 ]
+# the constraint residuals are symbolic in (eps, h): the same table at h != 0
+MODES_STDOUT_SHA256 += [
+    (["verify", "--format", "csv", "--suite", suite, "--h", "1/7", *_grid_args(grid, eps)], digest)
+    for (suite, grid), digest in SCALAR_VERIFY_CSV_SHA256.items()
+    if suite == "constraints"
+    for eps in ("1", "-3/2", "2/7")
+]
 
 # exit code of the pinned invocations that do not exit 0: the uncalibrated
 # localization cells of (5,2,2) fail `verify --suite all`
@@ -409,12 +416,19 @@ def test_unknown_suite_lists_the_choices_in_order(capsys):
 
 
 def test_verify_single_suite_at_nonzero_h_is_a_usage_error(capsys):
-    code, out, err = run(
-        capsys, "verify", "--n", "3", "--p", "1", "--lambda", "2", "--h", "1", "--suite", "hysteresis"
-    )
-    assert code == 2
-    assert out == ""
-    assert err == "error: amplitude computations require h = 0\n"
+    # at lambda = 0 there is no move, so no amplitude is computed: the edge
+    # table refuses h != 0 before it looks for one
+    from gtyang.modes import SUITES
+
+    for lam in ("2", "0"):
+        for suite in [name for name in SUITES if name != "constraints"]:
+            argv = ["--n", "3", "--p", "1", "--lambda", lam, "--h", "1", "--suite", suite]
+            code, out, err = run(capsys, "verify", *argv)
+            assert (code, out) == (2, ""), argv
+            if suite in ("modes", "serre"):
+                assert err == "error: mode operators are defined at h = 0\n"
+            else:
+                assert err == "error: amplitude computations require h = 0\n"
 
 
 def test_verify_all_at_zero_h_stdout_pinned(capsys):
@@ -477,6 +491,28 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["passed"] is False
     assert "FAIL fake" in err
+
+
+def test_scaled_edge_fails_the_gelfand_suite(capsys, monkeypatch):
+    # the Gelfand squares read E * F from the module's edge table: one wrong
+    # lowering amplitude there must fail them
+    import gtyang.modes as modes
+
+    build = modes.amplitude_table
+
+    def scaled(*args):
+        table = build(*args)
+        key = next(iter(table))
+        e, f = table[key]
+        table[key] = e, 3 * f
+        return table
+
+    monkeypatch.setattr(modes, "amplitude_table", scaled)
+    grid = ["--n", "3", "--p", "1", "--lambda", "2"]
+    code, out, err = run(capsys, "verify", "--suite", "gelfand", "--format", "csv", *grid)
+    assert code == 1
+    assert out.splitlines()[1:] == ["gelfand-square,24,4,fail"]
+    assert err == "FAIL gelfand-square (24 checks)\n"
 
 
 def test_out_file(tmp_path, capsys):

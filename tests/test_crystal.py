@@ -6,7 +6,6 @@ from gtyang.crystal import (
     FixedPoint,
     atoms_at_node,
     fixed_point_matrices,
-    pattern_atoms,
     verify_f_terms,
 )
 from gtyang.linalg import RationalMatrix
@@ -50,14 +49,15 @@ def test_atom_ladders_for_edge_framing():
 
 
 def test_vacuum_has_no_atoms():
-    assert pattern_atoms(vacuum_pattern(5, 2, 3)) == []
+    pat = vacuum_pattern(5, 2, 3)
+    assert all(atoms_at_node(pat, k) == () for k in range(1, 5))
 
 
 def test_atom_counts_and_no_overlap():
     for pat in enumerate_patterns(4, 2, 2):
         for k in range(1, 4):
             assert len(atoms_at_node(pat, k)) == pat.node_dimension(k)
-        coords = [a.coordinate for a in pattern_atoms(pat)]
+        coords = [a.coordinate for k in range(1, 4) for a in atoms_at_node(pat, k)]
         assert len(coords) == len(set(coords))
 
 
@@ -75,7 +75,12 @@ def test_every_weight_is_an_integer_lattice_pair(grid):
     weights = [
         arr.weight for framed in (False, True) for arr in build_quiver(*grid, framed).arrows
     ]
-    weights += [a.weight for pat in enumerate_patterns(*grid) for a in pattern_atoms(pat)]
+    weights += [
+        a.weight
+        for pat in enumerate_patterns(*grid)
+        for k in range(1, pat.n)
+        for a in atoms_at_node(pat, k)
+    ]
     for w in weights:
         assert type(w.e) is int and type(w.h) is int
         assert w.value(GENERIC) == F(w.e, 2) * GENERIC.epsilon + w.h * GENERIC.h
@@ -149,7 +154,7 @@ def test_cutoff_relation_shape():
     fp = fixed_point_matrices(pat, EPS1)
     climbed = fp.matrices["C1"] * fp.matrices["C1"] * fp.matrices["R1"]
     assert climbed.shape == (2, 1)
-    assert climbed.is_zero()
+    assert climbed == RationalMatrix.zeros(2, 1)
 
 
 def test_f_terms_exhaustive_small_grid():

@@ -10,7 +10,6 @@ from gtyang.linalg import RationalMatrix
 from gtyang.modes import (
     ModuleData,
     _product_gap,
-    all_pass,
     build_mode_operators,
     verify_dual_routes,
     verify_hysteresis,
@@ -45,7 +44,7 @@ def test_mode_relations_small_grid():
     cutoff = 3
     ops = build_mode_operators(ModuleData(3, 1, 2, EPS1), cutoff=cutoff)
     reports = verify_mode_relations(ops, EPS1)
-    assert all_pass(reports)
+    assert all(r.passed for r in reports)
     signs = {r.params["sign"] for r in reports if "sign" in r.params}
     assert signs == {-1}
 
@@ -59,10 +58,10 @@ def test_diagonal_modes_commute_and_offdiag_pairing_vanishes():
 
 def test_serre_small_grids():
     ops = build_mode_operators(ModuleData(3, 1, 2, EPS1), cutoff=1)
-    assert all_pass(verify_serre(ops))
+    assert all(r.passed for r in verify_serre(ops))
     ops = build_mode_operators(ModuleData(4, 2, 1, EPS1), cutoff=1)
     reports = verify_serre(ops)
-    assert all_pass(reports)
+    assert all(r.passed for r in reports)
     assert any(r.relation_id == "serre-e-far" for r in reports)
 
 
@@ -182,30 +181,30 @@ def test_hysteresis_suite_computes_each_closed_form_psi_once(capsys, monkeypatch
 
 def test_hysteresis_examples():
     reports = verify_hysteresis(ModuleData(3, 1, 2, EPS1))
-    assert all_pass(reports)
+    assert all(r.passed for r in reports)
     residue_checks = [r for r in reports if r.relation_id == "residue"]
     assert residue_checks
     reports = verify_hysteresis(ModuleData(4, 2, 1, EPS1))
-    assert all_pass(reports)
+    assert all(r.passed for r in reports)
 
 
 def test_hysteresis_with_collisions():
     # origin-crossing poles appear on this grid; the identities must still
     # close exactly under the dropped-factor convention
-    assert all_pass(verify_hysteresis(ModuleData(4, 1, 2, EPS1)))
+    assert all(r.passed for r in verify_hysteresis(ModuleData(4, 1, 2, EPS1)))
 
 
 def test_pole_classification():
-    assert all_pass(verify_pole_classification(ModuleData(3, 1, 3, EPS1)))
-    assert all_pass(verify_pole_classification(ModuleData(4, 2, 2, EPS1)))
+    assert all(r.passed for r in verify_pole_classification(ModuleData(3, 1, 3, EPS1)))
+    assert all(r.passed for r in verify_pole_classification(ModuleData(4, 2, 2, EPS1)))
 
 
 def test_reductions():
     reports = verify_reductions(ModuleData(3, 1, 2, EPS1))
-    assert all_pass(reports)
+    assert all(r.passed for r in reports)
     lower = {r.params["n"]: r for r in reports if r.relation_id == "chain-lower"}
     assert lower[1].residual == 0  # -n(lam - n + 1) at n = 1 is -2
-    assert all_pass(verify_reductions(ModuleData(4, 1, 2, EPS1)))
+    assert all(r.passed for r in verify_reductions(ModuleData(4, 1, 2, EPS1)))
     with pytest.raises(InvalidParams):
         verify_reductions(ModuleData(4, 2, 1, EPS1))
     reports = verify_reductions(ModuleData(5, 1, 2, EPS1))

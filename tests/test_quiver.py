@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gtyang.quiver import (
+    FRAMING,
     EquivariantParams,
     InvalidParams,
     LinearForm,
@@ -15,6 +16,15 @@ from gtyang.rational import FactoredRatFunc
 
 F = Fraction
 EPS1 = EquivariantParams(1)
+
+
+def framing_nodes(spec):
+    ends = {(a.source, a.target) for a in spec.arrows if a.is_framing}
+    return sorted({t if s == FRAMING else s for s, t in ends})
+
+
+def arrow_count(spec, a, b):
+    return sum(1 for arr in spec.arrows if (arr.source, arr.target) == (a, b))
 
 
 def test_gauge_arrow_counts():
@@ -35,12 +45,12 @@ def test_build_examples():
 
     spec = build_quiver(4, 2, 1)
     assert len(spec.gauge_arrows) == 7
-    assert spec.framing_nodes == (2,)
+    assert framing_nodes(spec) == [2]
 
     spec = build_quiver(2, 1, 3)
     assert len(spec.gauge_arrows) == 1
     assert not [a for a in spec.gauge_arrows if a.source != a.target]
-    assert spec.framing_nodes == (1,)
+    assert framing_nodes(spec) == [1]
 
 
 def test_invalid_build():
@@ -79,7 +89,7 @@ def test_bond_factor_examples():
     assert bond_factor(spec, 1, 1, EPS1) == FactoredRatFunc.make(1, [-1], [1])
     spec4 = build_quiver(4, 1, 1)
     assert bond_factor(spec4, 1, 2, EPS1) == FactoredRatFunc.make(1, [F(1, 2)], [F(-1, 2)])
-    assert bond_factor(spec4, 1, 3, EPS1) == FactoredRatFunc.one()
+    assert bond_factor(spec4, 1, 3, EPS1) == FactoredRatFunc.make(1)
 
 
 def test_bond_factor_with_h():
@@ -107,20 +117,25 @@ def test_bond_factor_reciprocity():
                     [-r for r in fwd.num_roots],
                     [-r for r in fwd.den_roots],
                 )
-                assert flipped * bwd == FactoredRatFunc.one()
+                assert flipped * bwd == FactoredRatFunc.make(1)
+
+
+def assert_loops_vanish(report):
+    assert all(form == LinearForm(0, 0) for _, form in report.loop_weight_residuals)
+    assert all(r == 0 for _, r in report.loop_rcharge_residuals)
 
 
 def test_constraints_all_zero_at_h0():
-    report = check_constraints(build_quiver(3, 1, 2), EPS1)
-    assert report.loops_ok
-    assert report.vertices_ok_at_params
+    report = check_constraints(build_quiver(3, 1, 2))
+    assert_loops_vanish(report)
+    assert all(form.value(EPS1) == 0 for _, form in report.vertex_residuals)
 
 
 def test_vertex_residual_with_h():
     params = EquivariantParams(1, F(1, 7))
-    report = check_constraints(build_quiver(3, 1, 2), params)
-    assert report.loops_ok  # loop sums vanish identically
-    by_node = {node: value for node, _, value in report.vertex_residuals}
+    report = check_constraints(build_quiver(3, 1, 2))
+    assert_loops_vanish(report)  # loop sums vanish identically
+    by_node = {node: form.value(params) for node, form in report.vertex_residuals}
     assert by_node[1] == F(-2, 7)
     assert by_node[2] == F(2, 7)
 
@@ -129,19 +144,17 @@ def test_loop_sums_identically_zero_and_rcharge_two():
     params = EquivariantParams(F(3, 2), F(5, 11))
     for n, p in [(2, 1), (3, 1), (4, 2), (5, 3), (6, 4)]:
         spec = build_quiver(n, p, 3, all_framings=True)
-        report = check_constraints(spec, params)
-        for _, form, value in report.loop_weight_residuals:
-            assert form.is_zero() and value == 0
-        for _, r in report.loop_rcharge_residuals:
-            assert r == 0
+        report = check_constraints(spec)
+        assert_loops_vanish(report)
+        assert all(form.value(params) == 0 for _, form in report.loop_weight_residuals)
 
 
 def test_vertex_residuals_sum_to_zero_in_h():
     for n, p in [(3, 1), (4, 2), (5, 2), (6, 3)]:
         spec = build_quiver(n, p, 2)
-        report = check_constraints(spec, EquivariantParams(1, F(1, 3)))
-        total_e = sum(form.e for _, form, _ in report.vertex_residuals)
-        total_h = sum(form.h for _, form, _ in report.vertex_residuals)
+        report = check_constraints(spec)
+        total_e = sum(form.e for _, form in report.vertex_residuals)
+        total_h = sum(form.h for _, form in report.vertex_residuals)
         assert total_e == 0 and total_h == 0
 
 
@@ -168,7 +181,7 @@ def test_non_chiral():
     spec = build_quiver(5, 2, 2)
     for a in range(1, 5):
         for b in range(1, 5):
-            assert spec.chirality(a, b) == 0
+            assert arrow_count(spec, a, b) == arrow_count(spec, b, a)
 
 
 def test_cartan_matrix():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtyang.rational import (
-    EvalAtPole,
     FactoredRatFunc,
     NotAPole,
     NotASimplePole,
@@ -98,15 +97,8 @@ def test_mul_squares_bond_factor():
 
 def test_mul_zero_absorbs():
     f = make(F(2, 3), [1, 2], [5])
-    assert (f * make(0)).is_zero()
+    assert f * make(0) == make(0)
     assert make(0) * f == make(0)
-
-
-def test_eval_simple():
-    assert make(1, [-1], [1]).eval_at(3) == 2
-    assert make(-1, [2, -1], [1, 0]).eval_at(2) == 0
-    with pytest.raises(EvalAtPole):
-        make(1, [-1], [1]).eval_at(1)
 
 
 def test_residue_examples():
@@ -133,12 +125,6 @@ def test_series_examples():
     assert s.coefficients == (0, 0, 0, 0)
     with pytest.raises(UnboundedAtInfinity):
         make(1, [0, 1], [2]).series_at_infinity(1)
-
-
-def test_shift_and_inverse():
-    f = make(1, [0], [F(1, 2)])
-    assert f.shifted(F(3, 2)) == make(1, [F(3, 2)], [2])
-    assert f * f.inverse() == FactoredRatFunc.one()
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +174,6 @@ def test_series_matches_long_division_oracle(f, order):
 def test_mul_associative_commutative(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-
-
-@given(ratfuncs, small_rat)
-@settings(max_examples=100)
-def test_eval_consistent_with_factors(f, z):
-    if z in f.den_roots:
-        with pytest.raises(EvalAtPole):
-            f.eval_at(z)
-        return
-    num = dense_from_roots(f.num_roots)
-    den = dense_from_roots(f.den_roots)
-    assert f.eval_at(z) == f.scalar * dense_eval(num, z) / dense_eval(den, z)
 
 
 @given(
