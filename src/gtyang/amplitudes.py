@@ -3,9 +3,8 @@
 Two independent routes produce the eigenvalue of a diagonal generator on a
 state: an atom-by-atom product of bond factors, and a level-free closed form
 assembled from the boundary factors of each type ladder. Raising/lowering
-amplitudes come from closed-form products over the full pattern triangle; on
-a move that leaves the pattern cone they are 0 by definition, returned before
-any product is formed.
+amplitudes come from closed-form products over the full pattern triangle and
+exist only on the edges of ``amplitude_table``, the moves inside the cone.
 """
 
 from __future__ import annotations
@@ -109,16 +108,13 @@ def _check_type_index(pat: GTPattern, k: int, j: int) -> None:
 
 
 def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Rat:
-    """Raising coefficient onto the pattern with m[j,k] incremented; 0 by
-    definition when the target leaves the pattern cone.
+    """Raising coefficient onto the pattern with m[j,k] incremented, for a
+    move inside the cone: interlacing keeps every denominator factor nonzero.
 
     Products run over full triangle rows, frozen entries included.
     """
     _require_h_zero(params)
     _check_type_index(pat, k, j)
-    # interlacing of a valid move keeps every denominator factor nonzero
-    if pat.bumped(j, k, +1) is None:
-        return Fraction(0)
     eps = params.epsilon
     l = pat.shifted
     lj = l(j, k)
@@ -144,12 +140,10 @@ def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Ra
 
 
 def amplitude_F(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Rat:
-    """Lowering coefficient onto the pattern with m[j,k] decremented; 0 by
-    definition when the target leaves the pattern cone."""
+    """Lowering coefficient onto the pattern with m[j,k] decremented, for a
+    move inside the cone."""
     _require_h_zero(params)
     _check_type_index(pat, k, j)
-    if pat.bumped(j, k, -1) is None:
-        return Fraction(0)
     eps = params.epsilon
     l = pat.shifted
     lj = l(j, k)

@@ -9,14 +9,12 @@ every rational is rendered as an integer-or-P/Q string.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import re
 import sys
 from fractions import Fraction
 
 from gtyang import modes as modes_mod
-from gtyang.amplitudes import psi_closed_form
 from gtyang.patterns import format_pattern, parse_pattern, rectangular_dimension
 from gtyang.quiver import EquivariantParams, InvalidParams
 
@@ -85,10 +83,6 @@ def _bundle_header(args, params) -> dict:
     }
 
 
-def _states_payload(states) -> list:
-    return [{"id": i, "pattern": format_pattern(pat)} for i, pat in enumerate(states)]
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         try:
@@ -105,11 +99,21 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _emit_csv(args, header, rows) -> None:
+    _emit(args, "".join(",".join(map(str, line)) + "\n" for line in (header, *rows)))
+
+
+def _emit_bundle(args, params, states, **table) -> None:
+    """The module's params and states, plus the command's table if any."""
+    listed = [{"id": i, "pattern": format_pattern(pat)} for i, pat in enumerate(states)]
+    _emit_json(args, {"params": _bundle_header(args, params), "states": listed, **table})
+
+
 def cmd_dims(args) -> int:
     params = _params(args)
     dim = rectangular_dimension(args.n, args.p, args.lam)
     if args.format == "csv":
-        _emit(args, "n,p,lambda,dimension\n" f"{args.n},{args.p},{args.lam},{dim}\n")
+        _emit_csv(args, ("n", "p", "lambda", "dimension"), [(args.n, args.p, args.lam, dim)])
     elif args.out:
         _emit_json(args, {"params": _bundle_header(args, params), "dimension": dim})
     else:
@@ -121,16 +125,9 @@ def cmd_states(args) -> int:
     params = _params(args)
     states = modes_mod.ModuleData(args.n, args.p, args.lam, params).states
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("id,pattern\n")
-        for i, pat in enumerate(states):
-            buf.write(f"{i},{format_pattern(pat)}\n")
-        _emit(args, buf.getvalue())
+        _emit_csv(args, ("id", "pattern"), enumerate(map(format_pattern, states)))
     else:
-        _emit_json(
-            args,
-            {"params": _bundle_header(args, params), "states": _states_payload(states)},
-        )
+        _emit_bundle(args, params, states)
     return 0
 
 
@@ -150,45 +147,26 @@ def cmd_psi(args) -> int:
         raise InvalidParams("eigenvalue functions are computed at h = 0")
     data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
     states = data.states
+    picked = enumerate(states)
     if args.pattern is not None:
-        # only the chosen pattern's psi is computed
         chosen = parse_pattern(args.pattern, args.n, args.p, args.lam)
-        i = states.index(chosen)
-        rows = [_psi_entry(psi_closed_form(chosen, k, params), k, i) for k in range(1, args.n)]
-    else:
-        rows = [
-            _psi_entry(data.psi[pat, k], k, i)
-            for i, pat in enumerate(states)
-            for k in range(1, args.n)
-        ]
-    _emit_json(
-        args,
-        {
-            "params": _bundle_header(args, params),
-            "states": _states_payload(states),
-            "psi": rows,
-        },
-    )
+        picked = [(states.index(chosen), chosen)]
+    rows = [_psi_entry(data.psi[pat, k], k, i) for i, pat in picked for k in range(1, args.n)]
+    _emit_bundle(args, params, states, psi=rows)
     return 0
 
 
 def _amplitude_rows(n, states, table) -> list:
-    """E and F rows per state, node and type, read from an edge table: E from
-    the state's own raising move and F from the move that raises into the
-    state, 0 where no such move exists."""
+    """(state, node, type, kind, value) rows, E then F per state, node and
+    type, read from an edge table by ``move_pair``."""
     rows = []
     for i, pat in enumerate(states):
         for k in range(1, n):
             a, b = pat.window(k)
             for j in range(a, b + 1):
-                e_val = table.get((pat, k, j), (0, 0))[0]
-                f_val = table.get((pat.bumped(j, k, -1), k, j), (0, 0))[1]
-                rows.append(
-                    {"state": i, "node": k, "type": j, "kind": "E", "value": fmt_rat(e_val)}
-                )
-                rows.append(
-                    {"state": i, "node": k, "type": j, "kind": "F", "value": fmt_rat(f_val)}
-                )
+                e_val, f_val = modes_mod.move_pair(table, pat, k, j)
+                rows.append((i, k, j, "E", fmt_rat(e_val)))
+                rows.append((i, k, j, "F", fmt_rat(f_val)))
     return rows
 
 
@@ -216,20 +194,10 @@ def cmd_amplitudes(args) -> int:
         table = data.table
     rows = _amplitude_rows(args.n, states, table)
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("state_id,node,type,kind,value\n")
-        for row in rows:
-            buf.write(f"{row['state']},{row['node']},{row['type']},{row['kind']},{row['value']}\n")
-        _emit(args, buf.getvalue())
+        _emit_csv(args, ("state_id", "node", "type", "kind", "value"), rows)
     else:
-        _emit_json(
-            args,
-            {
-                "params": _bundle_header(args, params),
-                "states": _states_payload(states),
-                "amplitudes": rows,
-            },
-        )
+        keys = ("state", "node", "type", "kind", "value")
+        _emit_bundle(args, params, states, amplitudes=[dict(zip(keys, row)) for row in rows])
     return 0
 
 
@@ -242,14 +210,7 @@ def cmd_modes(args) -> int:
     for (kind, node, mode), matrix in data.operators(args.mode_cutoff).items():
         entries = [[r, c, fmt_rat(v)] for r, c, v in matrix.nonzeros()]
         payload.append({"kind": kind, "node": node, "mode": mode, "entries": entries})
-    _emit_json(
-        args,
-        {
-            "params": _bundle_header(args, params),
-            "states": _states_payload(data.states),
-            "modes": payload,
-        },
-    )
+    _emit_bundle(args, params, data.states, modes=payload)
     return 0
 
 
@@ -272,41 +233,27 @@ def _run_suites(args, params) -> list:
 
 def cmd_verify(args) -> int:
     params = _params(args)
-    reports = _run_suites(args, params)
     grouped: dict[str, tuple[int, Fraction]] = {}
     unseen = (0, Fraction(0))
-    for report in reports:
+    for report in _run_suites(args, params):
         count, worst = grouped.get(report.relation_id, unseen)
         grouped[report.relation_id] = (count + 1, max(worst, report.residual))
+    # (relation, checks, max residual, passed), sorted once for every output
+    rows = [
+        (rel, count, fmt_rat(worst), worst == 0) for rel, (count, worst) in sorted(grouped.items())
+    ]
+    passed = all(ok for *_, ok in rows)
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("relation,checks,max_residual,status\n")
-        for rel_id in sorted(grouped):
-            count, worst = grouped[rel_id]
-            status = "pass" if worst == 0 else "fail"
-            buf.write(f"{rel_id},{count},{fmt_rat(worst)},{status}\n")
-        _emit(args, buf.getvalue())
+        header = ("relation", "checks", "max_residual", "status")
+        _emit_csv(args, header, [(*row, "pass" if ok else "fail") for *row, ok in rows])
     else:
-        payload = {
-            "params": _bundle_header(args, params),
-            "suite": args.suite,
-            "reports": [
-                {
-                    "relation": rel_id,
-                    "checks": grouped[rel_id][0],
-                    "max_residual": fmt_rat(grouped[rel_id][1]),
-                    "passed": grouped[rel_id][1] == 0,
-                }
-                for rel_id in sorted(grouped)
-            ],
-            "passed": all(worst == 0 for _, worst in grouped.values()),
-        }
-        _emit_json(args, payload)
-    for rel_id in sorted(grouped):
-        count, worst = grouped[rel_id]
-        status = "PASS" if worst == 0 else "FAIL"
-        print(f"{status} {rel_id} ({count} checks)", file=sys.stderr)
-    return 0 if all(worst == 0 for _, worst in grouped.values()) else 1
+        keys = ("relation", "checks", "max_residual", "passed")
+        reports = [dict(zip(keys, row)) for row in rows]
+        payload = {"params": _bundle_header(args, params), "suite": args.suite, "reports": reports}
+        _emit_json(args, {**payload, "passed": passed})
+    for rel_id, count, _, ok in rows:
+        print(f"{'PASS' if ok else 'FAIL'} {rel_id} ({count} checks)", file=sys.stderr)
+    return 0 if passed else 1
 
 
 COMMANDS = {

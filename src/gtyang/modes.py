@@ -14,8 +14,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from gtyang.amplitudes import (
-    amplitude_E,
-    amplitude_F,
     amplitude_table,
     gelfand_squared_closed_form,
     psi_closed_form,
@@ -25,11 +23,9 @@ from gtyang.linalg import RationalMatrix
 from gtyang.patterns import (
     GTPattern,
     add_remove_sets,
-    build_pattern,
     enumerate_patterns,
     raise_pole,
     rectangular_dimension,
-    type_range,
 )
 from gtyang.quiver import (
     ZERO_FORM,
@@ -47,6 +43,9 @@ Rat = Fraction
 
 # modes of every generator that the Serre relations are checked on
 SERRE_MODES = (0, 1)
+
+# the (E, F) that a move with no edge in the table reads as
+NO_EDGE = (Fraction(0), Fraction(0))
 
 
 class RelationReport(NamedTuple):
@@ -99,6 +98,14 @@ class ModuleData:
         """``operators(cutoff)`` is ``build_mode_operators(self, cutoff)``,
         built once per cutoff."""
         return functools.cache(lambda cutoff: build_mode_operators(self, cutoff))
+
+
+def move_pair(table, pat: GTPattern, k: int, j: int) -> tuple[Rat, Rat]:
+    """(E, F) of the move of type j at node k on ``pat``, read from an edge
+    table: E from the state's own raising edge, F from the edge that raises
+    its lowering back into the state, 0 where there is no such edge."""
+    down = pat.bumped(j, k, -1)
+    return table.get((pat, k, j), NO_EDGE)[0], table.get((down, k, j), NO_EDGE)[1]
 
 
 def build_mode_operators(
@@ -290,7 +297,6 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
     states = data.states
     bonds = {(a, b): bond_factor(spec, a, b, params) for a in range(1, n) for b in range(1, n)}
     table, psi, poles = data.table, data.psi, data.poles
-    no_edge = (Fraction(0), Fraction(0))
     reports = []
     for pat in states:
         state = pat.free_values
@@ -313,9 +319,9 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
                 info = {"state": state, "moves": ((k1, j1), (k2, j2))}
                 up2 = ups.get((k2, j2))
                 # the edges of the square pat -> up1, up2 -> both
-                e2, f2 = table.get((pat, k2, j2), no_edge)
-                e12, f12 = table.get((up1, k2, j2), no_edge)
-                e21, f21 = table.get((up2, k1, j1), no_edge)
+                e2, f2 = table.get((pat, k2, j2), NO_EDGE)
+                e12, f12 = table.get((up1, k2, j2), NO_EDGE)
+                e21, f21 = table.get((up2, k1, j1), NO_EDGE)
                 gap = _product_gap((e12, f21), (f1, e2))
                 reports.append(RelationReport("exchange", info, gap))
                 if up2 is None or (up1, k2, j2) not in table:
@@ -331,11 +337,8 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
 
 def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
     """Poles of the cancelled eigenvalue function against candidate moves,
-    and vanishing of amplitudes toward invalid patterns. E and F of a move
-    inside the cone are read from the edge table (F of a lowering move from
-    the edge that raises back) and must be nonzero. On a move that leaves the
-    cone ``amplitude_E``/``amplitude_F`` are 0 by definition: they return 0
-    before forming any product."""
+    and vanishing of amplitudes toward invalid patterns: the ``move_pair`` of
+    each move is nonzero exactly where the move stays in the cone."""
     params, table = data.params, data.table
     reports = []
     for pat in data.states:
@@ -349,12 +352,9 @@ def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
             )
             a, b = pat.window(k)
             for j in range(a, b + 1):
-                up = pat.bumped(j, k, +1)
-                down = pat.bumped(j, k, -1)
-                e_val = amplitude_E(pat, k, j, params) if up is None else table[pat, k, j][0]
-                f_val = amplitude_F(pat, k, j, params) if down is None else table[down, k, j][1]
-                ok_e = (e_val != 0) == (up is not None)
-                ok_f = (f_val != 0) == (down is not None)
+                e_val, f_val = move_pair(table, pat, k, j)
+                ok_e = (e_val != 0) == (pat.bumped(j, k, +1) is not None)
+                ok_f = (f_val != 0) == (pat.bumped(j, k, -1) is not None)
                 reports.append(
                     RelationReport(
                         "vanishing",
@@ -367,25 +367,26 @@ def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
 
 def verify_reductions(data: ModuleData) -> list[RelationReport]:
     """Chain restriction onto the one-node module and the conjugation
-    symmetry of the state counts."""
-    n, lam, params = data.n, data.lam, data.params
+    symmetry of the state counts. E, F and psi of the chain states are read
+    from ``data``."""
+    n, lam = data.n, data.lam
     if data.p != 1:
         raise InvalidParams("the reduction suite needs p = 1")
-    eps = params.epsilon
-    # the free entries below row 1, all zero on the chain
-    zeros = [0] * sum(b - a + 1 for a, b in (type_range(n, 1, k) for k in range(2, n)))
+    eps = data.params.epsilon
     reports = []
-    for m in range(lam + 1):
-        pat = build_pattern(n, 1, lam, [m] + zeros)
+    # the chain: every free entry below row 1 is zero, m ascending
+    for pat in data.states:
+        m, *below = pat.free_values
+        if any(below):
+            continue
+        e_val, f_val = move_pair(data.table, pat, 1, 1)
         if m < lam:
-            e_val = amplitude_E(pat, 1, 1, params)
             reports.append(
                 RelationReport("chain-raise", {"n": m}, abs(e_val - Fraction(-1) / eps))
             )
-        f_val = amplitude_F(pat, 1, 1, params)
         expected_f = -m * (lam - m + 1) * eps
         reports.append(RelationReport("chain-lower", {"n": m}, abs(f_val - expected_f)))
-        psi = psi_closed_form(pat, 1, params)
+        psi = data.psi[pat, 1]
         chain_form = FactoredRatFunc.make(
             1, [lam * eps, -eps], [m * eps, (m - 1) * eps]
         )
@@ -418,7 +419,6 @@ def verify_gelfand(data: ModuleData) -> list[RelationReport]:
     is read from the edge table: a raise from the state's own edge, a lower
     from the edge that raises back into the state, 0 where there is none."""
     params, table = data.params, data.table
-    no_edge = (Fraction(0), Fraction(0))
     reports = []
     for pat in data.states:
         state = pat.free_values
@@ -426,7 +426,7 @@ def verify_gelfand(data: ModuleData) -> list[RelationReport]:
             a, b = pat.window(k)
             for j in range(a, b + 1):
                 for direction, source in (("raise", pat), ("lower", pat.bumped(j, k, -1))):
-                    e, f = table.get((source, k, j), no_edge)
+                    e, f = table.get((source, k, j), NO_EDGE)
                     rhs = gelfand_squared_closed_form(pat, k, j, direction, params)
                     reports.append(
                         RelationReport(

@@ -13,8 +13,9 @@ from gtyang.amplitudes import (
     psi_closed_form,
     psi_generic,
 )
-from gtyang.patterns import add_remove_sets, build_pattern, enumerate_patterns
+from gtyang.patterns import GTPattern, add_remove_sets, build_pattern, enumerate_patterns
 from gtyang.localization import localize_module
+from gtyang.modes import move_pair
 from gtyang.quiver import EquivariantParams, InvalidParams, bond_factor, build_quiver
 from gtyang.rational import FactoredRatFunc
 
@@ -123,24 +124,34 @@ def moves(pat, k):
 
 
 def expect(pat, k, j, step, formula):
-    """Printed table value, masked to zero on moves leaving the cone."""
+    """Printed table value; a move that leaves the cone has no edge and
+    reads as zero."""
     if pat.bumped(j, k, step) is None:
         return F(0)
     return formula()
 
 
+def raising(table, pat, k, j):
+    return move_pair(table, pat, k, j)[0]
+
+
+def lowering(table, pat, k, j):
+    return move_pair(table, pat, k, j)[1]
+
+
 def test_rank_two_chain_tables():
     lam = 3
+    table = amplitude_table(3, 1, lam, EPS1)
     for pat in enumerate_patterns(3, 1, lam):
         n1, n2 = pat.free_values
-        assert amplitude_E(pat, 1, 1, EPS1) == expect(pat, 1, 1, +1, lambda: F(-1))
-        assert amplitude_E(pat, 2, 2, EPS1) == expect(
+        assert raising(table, pat, 1, 1) == expect(pat, 1, 1, +1, lambda: F(-1))
+        assert raising(table, pat, 2, 2) == expect(
             pat, 2, 2, +1, lambda: F(n1 - n2, 1) / (n2 - F(1, 2))
         )
-        assert amplitude_F(pat, 1, 1, EPS1) == expect(
+        assert lowering(table, pat, 1, 1) == expect(
             pat, 1, 1, -1, lambda: -(n1 - n2) * (lam - n1 + 1)
         )
-        assert amplitude_F(pat, 2, 2, EPS1) == expect(
+        assert lowering(table, pat, 2, 2) == expect(
             pat, 2, 2, -1, lambda: n2 * (n2 - F(3, 2))
         )
 
@@ -150,62 +161,65 @@ def test_rank_three_edge_tables():
     # the origin (n3 = 1 raising, n3 = 2 lowering); there the vanishing
     # pole factor is dropped and the rest of the table entry survives
     lam = 2
+    table = amplitude_table(4, 1, lam, EPS1)
     for pat in enumerate_patterns(4, 1, lam):
         n1, n2, n3 = pat.free_values
-        assert amplitude_E(pat, 1, 1, EPS1) == expect(pat, 1, 1, +1, lambda: F(-1))
-        assert amplitude_E(pat, 2, 2, EPS1) == expect(
+        assert raising(table, pat, 1, 1) == expect(pat, 1, 1, +1, lambda: F(-1))
+        assert raising(table, pat, 2, 2) == expect(
             pat, 2, 2, +1, lambda: F(n1 - n2, 1) / (n2 - F(1, 2))
         )
-        assert amplitude_E(pat, 3, 3, EPS1) == expect(
+        assert raising(table, pat, 3, 3) == expect(
             pat, 3, 3, +1,
             lambda: F(n2 - n3, 1) if n3 == 1 else F(n2 - n3, 1) / (n3 - 1),
         )
-        assert amplitude_F(pat, 1, 1, EPS1) == expect(
+        assert lowering(table, pat, 1, 1) == expect(
             pat, 1, 1, -1, lambda: -(n1 - n2) * (lam - n1 + 1)
         )
-        assert amplitude_F(pat, 2, 2, EPS1) == expect(
+        assert lowering(table, pat, 2, 2) == expect(
             pat, 2, 2, -1, lambda: (n2 - n3) * (n2 - F(3, 2))
         )
-        assert amplitude_F(pat, 3, 3, EPS1) == expect(
+        assert lowering(table, pat, 3, 3) == expect(
             pat, 3, 3, -1, lambda: F(n3) if n3 == 2 else n3 * (n3 - 2)
         )
 
 
 def test_rank_three_middle_tables():
     lam = 2
+    table = amplitude_table(4, 2, lam, EPS1)
     for pat in enumerate_patterns(4, 2, lam):
         n1, m1, m2, n3 = pat.free_values
-        assert amplitude_E(pat, 1, 1, EPS1) == expect(
+        assert raising(table, pat, 1, 1) == expect(
             pat, 1, 1, +1, lambda: F(m1 - n1, 1) / (n1 - F(1, 2))
         )
-        assert amplitude_E(pat, 2, 1, EPS1) == expect(pat, 2, 1, +1, lambda: F(-1))
-        assert amplitude_E(pat, 2, 2, EPS1) == expect(
+        assert raising(table, pat, 2, 1) == expect(pat, 2, 1, +1, lambda: F(-1))
+        assert raising(table, pat, 2, 2) == expect(
             pat, 2, 2, +1,
             lambda: -F((n1 - m2) * (n3 - m2), (m1 - m2) * (m1 - m2 + 1)),
         )
-        assert amplitude_E(pat, 3, 2, EPS1) == expect(
+        assert raising(table, pat, 3, 2) == expect(
             pat, 3, 2, +1, lambda: F(m1 - n3, 1) / (n3 - F(1, 2))
         )
-        assert amplitude_F(pat, 1, 1, EPS1) == expect(
+        assert lowering(table, pat, 1, 1) == expect(
             pat, 1, 1, -1, lambda: (n1 - m2) * (n1 - F(3, 2))
         )
-        assert amplitude_F(pat, 2, 1, EPS1) == expect(
+        assert lowering(table, pat, 2, 1) == expect(
             pat, 2, 1, -1,
             lambda: -F((m1 + 1) * (lam - m1 + 1) * (m1 - n1) * (m1 - n3),
                        (m1 - m2 + 1) * (m1 - m2)),
         )
-        assert amplitude_F(pat, 2, 2, EPS1) == expect(
+        assert lowering(table, pat, 2, 2) == expect(
             pat, 2, 2, -1, lambda: -m2 * (lam - m2 + 2)
         )
-        assert amplitude_F(pat, 3, 2, EPS1) == expect(
+        assert lowering(table, pat, 3, 2) == expect(
             pat, 3, 2, -1, lambda: (n3 - m2) * (n3 - F(3, 2))
         )
 
 
 def test_middle_framing_spot_values():
+    table = amplitude_table(4, 2, 2, EPS1)
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
-    assert amplitude_E(pat, 2, 2, EPS1) == F(-1, 2)
-    assert amplitude_F(pat, 2, 1, EPS1) == 0  # m1 == n1 blocks the move
+    assert raising(table, pat, 2, 2) == F(-1, 2)
+    assert lowering(table, pat, 2, 1) == 0  # m1 == n1 blocks the move: no edge
 
 
 def test_amplitudes_vanish_iff_target_valid():
@@ -215,10 +229,27 @@ def test_amplitudes_vanish_iff_target_valid():
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
                 for j in moves(pat, k):
-                    up = pat.bumped(j, k, +1)
-                    assert (amplitude_E(pat, k, j, params) != 0) == (up is not None)
-                    down = pat.bumped(j, k, -1)
-                    assert (amplitude_F(pat, k, j, params) != 0) == (down is not None)
+                    e, f = move_pair(table, pat, k, j)
+                    assert (e != 0) == (pat.bumped(j, k, +1) is not None)
+                    assert (f != 0) == (pat.bumped(j, k, -1) is not None)
+
+
+def test_amplitude_table_bumps_once_per_window_move(monkeypatch):
+    # the raising walk is the one cone test per edge: the closed forms do
+    # not re-bump the state or its raise
+    calls = []
+    bumped = GTPattern.bumped
+
+    def counted(pat, *args):
+        calls.append(args)
+        return bumped(pat, *args)
+
+    monkeypatch.setattr(GTPattern, "bumped", counted)
+    amplitude_table(6, 3, 2, EPS1)
+    window_moves = sum(
+        len(moves(pat, k)) for pat in enumerate_patterns(6, 3, 2) for k in range(1, 6)
+    )
+    assert len(calls) == window_moves == 1575
 
 
 def test_hysteresis_residue_identity():
@@ -305,6 +336,8 @@ def test_epsilon_covariance():
     sigma = F(2)
     base = EquivariantParams(1)
     scaled = EquivariantParams(sigma)
+    base_table = amplitude_table(4, 2, 2, base)
+    scaled_table = amplitude_table(4, 2, 2, scaled)
     for pat in enumerate_patterns(4, 2, 2):
         for k in range(1, 4):
             f1 = psi_closed_form(pat, k, base)
@@ -313,8 +346,8 @@ def test_epsilon_covariance():
             assert f2.num_roots == tuple(sigma * r for r in f1.num_roots)
             assert f2.den_roots == tuple(sigma * r for r in f1.den_roots)
             for j in moves(pat, k):
-                assert amplitude_E(pat, k, j, scaled) == amplitude_E(pat, k, j, base) / sigma
-                assert amplitude_F(pat, k, j, scaled) == amplitude_F(pat, k, j, base) * sigma
+                e, f = move_pair(base_table, pat, k, j)
+                assert move_pair(scaled_table, pat, k, j) == (e / sigma, f * sigma)
 
 
 @pytest.mark.parametrize("eps", [F(1), F(-3, 2), F(2, 7)])

@@ -629,3 +629,51 @@ def test_cli_import_loads_no_dataclasses(cli_env):
     added = loaded("import gtyang.cli;") - loaded("")
     assert "gtyang.cli" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+def test_scaled_chain_edge_fails_the_reductions_suite(capsys, monkeypatch):
+    # the chain restriction reads E and F from the module's edge table, not
+    # from the closed forms directly
+    import gtyang.modes as modes
+
+    build = modes.amplitude_table
+
+    def scaled(*args):
+        table = build(*args)
+        for (pat, k, j), (e, f) in table.items():
+            if k == 1:
+                table[pat, k, j] = 3 * e, 3 * f
+        return table
+
+    monkeypatch.setattr(modes, "amplitude_table", scaled)
+    grid = ["--n", "3", "--p", "1", "--lambda", "2"]
+    code, out, err = run(capsys, "verify", "--suite", "reductions", "--format", "csv", *grid)
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "chain-lower,3,4,fail",
+        "chain-psi,3,0,pass",
+        "chain-raise,2,2,fail",
+        "dim-conjugation,2,0,pass",
+    ]
+    assert "FAIL chain-raise (2 checks)\n" in err and "FAIL chain-lower (3 checks)\n" in err
+
+
+def test_zeroed_edge_fails_the_vanishing_check(capsys, monkeypatch):
+    # negative control: an in-cone raising amplitude of 0 in the edge table
+    # must fail `vanishing`
+    import gtyang.modes as modes
+
+    build = modes.amplitude_table
+
+    def zeroed(*args):
+        table = build(*args)
+        key = next(iter(table))
+        table[key] = 0, table[key][1]
+        return table
+
+    monkeypatch.setattr(modes, "amplitude_table", zeroed)
+    grid = ["--n", "3", "--p", "1", "--lambda", "2"]
+    code, out, err = run(capsys, "verify", "--suite", "hysteresis", "--format", "csv", *grid)
+    assert code == 1
+    assert "vanishing,12,1,fail" in out.splitlines()
+    assert "FAIL vanishing (12 checks)\n" in err
