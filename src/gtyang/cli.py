@@ -99,8 +99,16 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _csv_field(value) -> str:
+    """RFC 4180: quoted, quotes doubled, when it holds a comma, quote or line break."""
+    text = str(value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit_csv(args, header, rows) -> None:
-    _emit(args, "".join(",".join(map(str, line)) + "\n" for line in (header, *rows)))
+    _emit(args, "".join(",".join(map(_csv_field, line)) + "\n" for line in (header, *rows)))
 
 
 def _emit_bundle(args, params, states, **table) -> None:

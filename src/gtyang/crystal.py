@@ -27,8 +27,6 @@ Rat = Fraction
 
 class Atom(NamedTuple):
     node: int
-    type_index: int
-    level: int
     weight: LinearForm
     r_charge: int
 
@@ -44,17 +42,17 @@ def atoms_at_node(pat: GTPattern, k: int) -> tuple[Atom, ...]:
     for i in range(a, b + 1):
         for level in range(pat.entry(i, k)):
             weight = LinearForm(2 * (level - (i - a)) - abs(k - pat.p), k - pat.p)
-            out.append(Atom(k, i, level, weight, abs(k - pat.p) + 2 * (i - a)))
+            out.append(Atom(k, weight, abs(k - pat.p) + 2 * (i - a)))
     return tuple(out)
 
 
 class FixedPoint(NamedTuple):
+    """Symbolic: every weight is a ``LinearForm``, every matrix 0/1."""
+
     pattern: GTPattern
-    params: EquivariantParams
     spec: QuiverSpec
     atoms: tuple[tuple[Atom, ...], ...]  # index k-1 -> node-k atoms
     matrices: dict  # arrow name -> RationalMatrix
-    phi: tuple[RationalMatrix, ...]  # diagonal weight matrices per gauge node
 
     def node_atoms(self, node) -> tuple[Atom, ...]:
         if node == FRAMING:
@@ -62,25 +60,19 @@ class FixedPoint(NamedTuple):
         return self.atoms[node - 1]
 
 
-_FRAMING_ATOM = Atom(0, 0, 0, ZERO_FORM, 0)
+_FRAMING_ATOM = Atom(0, ZERO_FORM, 0)
 
 
-def fixed_point_matrices(
-    pat: GTPattern, params: EquivariantParams, all_framings: bool = False
-) -> FixedPoint:
+def fixed_point_matrices(pat: GTPattern, all_framings: bool = False) -> FixedPoint:
     """Arrow matrices by coordinate matching: entry 1 exactly when the
     target atom sits at source coordinate plus arrow displacement. Atom
     coordinates are distinct, so each source atom has at most one image."""
     spec = build_quiver(pat.n, pat.p, pat.lam, all_framings=all_framings)
     atoms = tuple(atoms_at_node(pat, k) for k in range(1, pat.n))
-
-    def node_list(node):
-        return (_FRAMING_ATOM,) if node == FRAMING else atoms[node - 1]
-
-    matrices = {}
+    fp = FixedPoint(pat, spec, atoms, {})
     for arr in spec.arrows:
-        src = node_list(arr.source)
-        tgt = node_list(arr.target)
+        src = fp.node_atoms(arr.source)
+        tgt = fp.node_atoms(arr.target)
         index = {t.coordinate: r for r, t in enumerate(tgt)}
         hits = []
         for c, s in enumerate(src):
@@ -88,13 +80,8 @@ def fixed_point_matrices(
             r = index.get((w.e, w.h, s.r_charge + arr.r_charge))
             if r is not None:
                 hits.append((r, c, 1))
-        matrices[arr.name] = RationalMatrix.from_triples(len(tgt), len(src), hits)
-
-    phi = tuple(
-        RationalMatrix.diagonal([atom.weight.value(params) for atom in atoms[k - 1]])
-        for k in range(1, pat.n)
-    )
-    return FixedPoint(pat, params, spec, atoms, matrices, phi)
+        fp.matrices[arr.name] = RationalMatrix.from_triples(len(tgt), len(src), hits)
+    return fp
 
 
 def superpotential_derivative(fp: FixedPoint, name: str) -> RationalMatrix:
@@ -128,21 +115,20 @@ class FTermReport(NamedTuple):
         return [name for name, value in self.residuals if value != 0]
 
 
-def verify_f_terms(fp: FixedPoint) -> FTermReport:
-    """Check every superpotential derivative and every equivariance
-    equation exactly at the fixed point, for the stored params."""
+def verify_f_terms(fp: FixedPoint, params: EquivariantParams) -> FTermReport:
+    """Check every superpotential derivative exactly at the fixed point,
+    and every equivariance equation at the given params."""
     out = []
     for arr in fp.spec.arrows:
         out.append((f"dW/d{arr.name}", superpotential_derivative(fp, arr.name).max_abs()))
 
-    params = fp.params
-    framing_phi = RationalMatrix.zeros(1, 1)
-
-    def phi_of(node):
-        return framing_phi if node == FRAMING else fp.phi[node - 1]
-
+    # diagonal weight matrix per node; the framing atom weighs 0
+    phi = {
+        node: RationalMatrix.diagonal([a.weight.value(params) for a in fp.node_atoms(node)])
+        for node in (FRAMING, *fp.spec.gauge_nodes)
+    }
     for arr in fp.spec.arrows:
         q = fp.matrices[arr.name]
-        residual = phi_of(arr.target) * q - q * phi_of(arr.source) - q.scaled(arr.weight.value(params))
+        residual = phi[arr.target] * q - q * phi[arr.source] - q.scaled(arr.weight.value(params))
         out.append((f"equivariance[{arr.name}]", residual.max_abs()))
     return FTermReport(tuple(out))

@@ -145,13 +145,6 @@ class RationalMatrix:
         data = {r: {k: c * v for k, v in row.items()} for r, row in self._data.items()}
         return RationalMatrix._of(self.rows, self.cols, data)
 
-    def transpose(self) -> "RationalMatrix":
-        data: dict[int, dict[int, Fraction]] = {}
-        for r, row in self._data.items():
-            for c, v in row.items():
-                data.setdefault(c, {})[r] = v
-        return RationalMatrix._of(self.cols, self.rows, data)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols

@@ -45,19 +45,15 @@ def _require(condition: bool, message: str) -> None:
         raise InvariantViolation(message)
 
 
-def _int_nonzeros(m: RationalMatrix):
-    """``(row, col, value)`` of every nonzero entry, the value as an int."""
+def _lines(m: RationalMatrix) -> tuple[dict, dict]:
+    """Row lines (row -> [(column, value)]) and column lines (column ->
+    [(row, value)]) over the nonzero entries, every value an int."""
+    rows, cols = {}, {}
     for r, c, v in m.nonzeros():
         _require(v.denominator == 1, "fixed-point matrix entry is not an integer")
-        yield r, c, v.numerator
-
-
-def _lines(m: RationalMatrix) -> dict[int, list[tuple[int, int]]]:
-    """Row index -> [(column, value)] over the nonzero entries."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for r, c, v in _int_nonzeros(m):
-        out.setdefault(r, []).append((c, v))
-    return out
+        rows.setdefault(r, []).append((c, v.numerator))
+        cols.setdefault(c, []).append((r, v.numerator))
+    return rows, cols
 
 
 class DeformationComplex:
@@ -80,10 +76,7 @@ class DeformationComplex:
             for node in (FRAMING, *fp.spec.gauge_nodes)
         }
         # arrow name -> (row lines, column lines) of its fixed-point matrix
-        self.lines = {
-            name: (_lines(m), _lines(m.transpose())) for name, m in fp.matrices.items()
-        }
-        self.slots: list[tuple[str, int, int]] = []  # (arrow, row, col)
+        self.lines = {name: _lines(m) for name, m in fp.matrices.items()}
         self.slot_weight: list[LinearForm] = []
         self.slot_index: dict[tuple[str, int, int], int] = {}
         self.slots_by_weight: dict[LinearForm, list[int]] = {}
@@ -96,14 +89,13 @@ class DeformationComplex:
                     w = tgt[r] - src[c] - arr.weight
                     if arr.r_charge == 2:
                         w = -w  # conjugate framing direction
-                    self.slot_index[key] = len(self.slots)
-                    self.slots_by_weight.setdefault(w, []).append(len(self.slots))
-                    self.slots.append(key)
+                    self.slot_index[key] = len(self.slot_weight)
+                    self.slots_by_weight.setdefault(w, []).append(len(self.slot_weight))
                     self.slot_weight.append(w)
         self.rows = self._build_relation_rows()
         self.gauge_cols = self._build_gauge_columns()
         self.kernels = {w: self.kernel_sector(w) for w in sorted(self.slots_by_weight)}
-        self.gauge_ranks = {w: self.gauge_rank_sector(w) for w in {w for w, _ in self.gauge_cols}}
+        self.gauge_ranks = {w: self.gauge_rank_sector(w) for w in self.gauge_cols}
         if not self.gauge_injective():
             raise StabilityViolation("gauge action is not free at this fixed point")
         raw: dict[LinearForm, int] = {}
@@ -116,47 +108,34 @@ class DeformationComplex:
 
     # -- linearized relations -------------------------------------------
 
-    def _gauge_words(self):
-        framing = {a.name for a in self.fp.spec.arrows if a.is_framing}
-        return [
-            (sign, factors)
-            for sign, factors in self.fp.spec.superpotential
-            if not any(f in framing for f in factors)
-        ]
-
     def _build_relation_rows(self) -> dict[LinearForm, list[dict[int, int]]]:
         """First-order expansion of each gauge-sector derivative; every row
-        is a dict slot index -> integer coefficient, grouped by its weight."""
-        fp = self.fp
-        words = self._gauge_words()
-        gauge_names = [a.name for a in fp.spec.gauge_arrows]
+        is a dict slot index -> integer coefficient, grouped by its weight.
+        Every word without a framing arrow is cubic: the derivative of
+        sign * tr(q x y) by q is sign * x y, of first order sign * (dx y + x dy)."""
+        spec = self.fp.spec
+        framing = {a.name for a in spec.arrows if a.is_framing}
+        words = [(sign, f) for sign, f in spec.superpotential if framing.isdisjoint(f)]
         rows: dict[LinearForm, list[dict[int, int]]] = {}
-        for q in gauge_names:
-            arrow = fp.spec.arrow(q)
-            n_from = len(fp.node_atoms(arrow.target))
-            n_to = len(fp.node_atoms(arrow.source))
+        for arrow in spec.gauge_arrows:
+            n_to = len(self.coords[arrow.source])
+            n_from = len(self.coords[arrow.target])
             cells = [[{} for _ in range(n_from)] for _ in range(n_to)]
             for sign, factors in words:
                 for pos, factor in enumerate(factors):
-                    if factor != q:
+                    if factor != arrow.name:
                         continue
-                    rest = factors[pos + 1 :] + factors[:pos]
-                    # prefix[t] = product of mats[:t], suffix[t] = of mats[t + 1:]
-                    mats = [fp.matrices[name] for name in rest]
-                    prefix = [RationalMatrix.identity(n_to)]
-                    for m in mats[:-1]:
-                        prefix.append(prefix[-1] * m)
-                    suffix = [RationalMatrix.identity(n_from)]
-                    for m in reversed(mats[1:]):
-                        suffix.append(m * suffix[-1])
-                    suffix.reverse()
-                    for t, name in enumerate(rest):
-                        right = list(_int_nonzeros(suffix[t]))
-                        for r, rr, lv in _int_nonzeros(prefix[t]):
-                            for cc, c, rv in right:
-                                idx = self.slot_index[(name, rr, cc)]
-                                cell = cells[r][c]
-                                cell[idx] = cell.get(idx, 0) + sign * lv * rv
+                    x, y = factors[pos + 1 :] + factors[:pos]
+                    x_rows, y_cols = self.lines[x][0], self.lines[y][1]
+                    for r in range(n_to):
+                        for c in range(n_from):
+                            cell = cells[r][c]
+                            for cc, v in y_cols.get(c, ()):  # dx y
+                                idx = self.slot_index[(x, r, cc)]
+                                cell[idx] = cell.get(idx, 0) + sign * v
+                            for rr, v in x_rows.get(r, ()):  # x dy
+                                idx = self.slot_index[(y, rr, c)]
+                                cell[idx] = cell.get(idx, 0) + sign * v
             for r in range(n_to):
                 for c in range(n_from):
                     entries = {i: v for i, v in cells[r][c].items() if v != 0}
@@ -170,9 +149,9 @@ class DeformationComplex:
 
     def _build_gauge_columns(self):
         """One column per gl(V_a) direction: image of gamma under
-        gamma -> gamma q - q gamma across all arrows."""
+        gamma -> gamma q - q gamma across all arrows, grouped by weight."""
         fp = self.fp
-        cols = []
+        cols: dict[LinearForm, list[dict[int, int]]] = {}
         for node in fp.spec.gauge_nodes:
             coords = self.coords[node]
             dim = len(coords)
@@ -195,7 +174,7 @@ class DeformationComplex:
                         weights = {self.slot_weight[i] for i in image}
                         _require(len(weights) == 1, "gauge column mixes weights")
                         _require(weights.pop() == w, "gauge column off its gl weight")
-                    cols.append((w, image))
+                    cols.setdefault(w, []).append(image)
         return cols
 
     # -- per-weight kernels ----------------------------------------------
@@ -213,7 +192,7 @@ class DeformationComplex:
         return [{idxs[l]: v for l, v in vec.items()} for vec in basis]
 
     def gauge_rank_sector(self, w: LinearForm) -> int:
-        cols = [image for cw, image in self.gauge_cols if cw == w]
+        cols = self.gauge_cols.get(w)
         if not cols:
             return 0
         idxs = sorted({i for image in cols for i in image})
@@ -221,7 +200,7 @@ class DeformationComplex:
 
     def gauge_injective(self) -> bool:
         # one gauge column per gl(V_a) direction
-        return sum(self.gauge_ranks.values()) == len(self.gauge_cols)
+        return sum(self.gauge_ranks.values()) == sum(map(len, self.gauge_cols.values()))
 
 
 def _magnitude(w: LinearForm) -> int:
@@ -314,8 +293,7 @@ def incidence_tangent_graded(
     spec = fp.spec
     tau = {node: _projection(fp_plus, fp, node) for node in spec.gauge_nodes}
     tau[FRAMING] = RationalMatrix.identity(1)
-    tau_rows = {node: _lines(t) for node, t in tau.items()}
-    tau_cols = {node: _lines(t.transpose()) for node, t in tau.items()}
+    tau_lines = {node: _lines(t) for node, t in tau.items()}
 
     # sanity: tau is an honest homomorphism from the extension to the base
     for arr in spec.arrows:
@@ -346,8 +324,8 @@ def incidence_tangent_graded(
     for arr in spec.arrows:
         q_rows = cx.lines[arr.name][0]
         qp_cols = cx_plus.lines[arr.name][1]
-        t_src_cols = tau_cols[arr.source]
-        t_tgt_rows = tau_rows[arr.target]
+        t_src_cols = tau_lines[arr.source][1]
+        t_tgt_rows = tau_lines[arr.target][0]
         n_rows = fp.matrices[arr.name].rows
         n_cols = fp_plus.matrices[arr.name].cols
         for r in range(n_rows):
@@ -500,7 +478,7 @@ def localize_module(
     patterns = enumerate_patterns(n, p, lam)
     complexes = {}
     for pat in patterns:
-        fp = fixed_point_matrices(pat, params, all_framings=True)
+        fp = fixed_point_matrices(pat, all_framings=True)
         try:
             complexes[pat] = DeformationComplex(fp)
         except UncalibratedCell as exc:

@@ -105,6 +105,22 @@ def test_amplitude_csv_columns(capsys):
     assert any(line.endswith(",E,-1") for line in lines[1:])
 
 
+def test_states_csv_quotes_the_pattern_field(capsys):
+    import csv
+
+    from gtyang.patterns import enumerate_patterns, parse_pattern
+
+    argv = ["states", "--n", "4", "--p", "2", "--lambda", "2", "--format", "csv"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert header == ["id", "pattern"]
+    assert all(len(row) == 2 for row in rows)
+    assert [int(i) for i, _ in rows] == list(range(len(rows)))
+    patterns = [parse_pattern(text, 4, 2, 2) for _, text in rows]
+    assert patterns == list(enumerate_patterns(4, 2, 2))
+
+
 # (4,2,3) holds the double-jump cells
 @pytest.mark.parametrize("n,p,lam", [(3, 1, 2), (4, 2, 2), (4, 2, 3), (6, 3, 1)])
 def test_amplitude_methods_agree(capsys, n, p, lam):

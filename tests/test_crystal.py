@@ -88,7 +88,7 @@ def test_every_weight_is_an_integer_lattice_pair(grid):
 
 def test_fixed_point_blocks_edge_framing():
     pat = build_pattern(3, 1, 2, [2, 1])
-    fp = fixed_point_matrices(pat, EPS1)
+    fp = fixed_point_matrices(pat)
     assert fp.matrices["C1"] == ico_shift(2)
     assert fp.matrices["C2"] == ico_shift(1)
     assert fp.matrices["A1"] == ico_identity(1, 2)
@@ -99,7 +99,7 @@ def test_fixed_point_blocks_edge_framing():
 
 def test_fixed_point_blocks_middle_framing():
     pat = build_pattern(4, 2, 2, [2, 2, 2, 2])
-    fp = fixed_point_matrices(pat, EPS1)
+    fp = fixed_point_matrices(pat)
     stacked = RationalMatrix([[0, 0], [0, 0], [1, 0], [0, 1]])
     assert fp.matrices["A1"] == stacked
     side = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0]])
@@ -138,12 +138,12 @@ def pairwise_matrices(pat, all_framings):
 @pytest.mark.parametrize("grid", [(4, 2, 2), (5, 2, 2), (6, 3, 1)])
 def test_fixed_point_matrices_match_pairwise_matching(grid, all_framings):
     for pat in enumerate_patterns(*grid):
-        fp = fixed_point_matrices(pat, GENERIC, all_framings=all_framings)
+        fp = fixed_point_matrices(pat, all_framings=all_framings)
         assert fp.matrices == pairwise_matrices(pat, all_framings)
 
 
 def test_vacuum_fixed_point_shapes():
-    fp = fixed_point_matrices(vacuum_pattern(4, 2, 2), EPS1)
+    fp = fixed_point_matrices(vacuum_pattern(4, 2, 2))
     assert fp.matrices["R2"].shape == (0, 1)
     assert fp.matrices["S2"].shape == (1, 0)
     assert fp.matrices["A1"].shape == (0, 0)
@@ -151,25 +151,26 @@ def test_vacuum_fixed_point_shapes():
 
 def test_cutoff_relation_shape():
     pat = build_pattern(3, 1, 2, [2, 1])
-    fp = fixed_point_matrices(pat, EPS1)
+    fp = fixed_point_matrices(pat)
     climbed = fp.matrices["C1"] * fp.matrices["C1"] * fp.matrices["R1"]
     assert climbed.shape == (2, 1)
     assert climbed == RationalMatrix.zeros(2, 1)
 
 
 def test_f_terms_exhaustive_small_grid():
-    for params in (EPS1, GENERIC):
-        for pat in enumerate_patterns(4, 2, 2):
-            fp = fixed_point_matrices(pat, params)
-            assert verify_f_terms(fp).ok
+    # one symbolic fixed point holds at every (eps, h)
+    for pat in enumerate_patterns(4, 2, 2):
+        fp = fixed_point_matrices(pat)
+        for params in (EPS1, GENERIC, EquivariantParams(F(-3, 2), F(1, 3))):
+            assert verify_f_terms(fp, params).ok
     for pat in enumerate_patterns(2, 1, 3):
-        assert verify_f_terms(fixed_point_matrices(pat, GENERIC)).ok
+        assert verify_f_terms(fixed_point_matrices(pat), GENERIC).ok
 
 
 def test_f_terms_with_all_framings():
     for pat in enumerate_patterns(3, 1, 2):
-        fp = fixed_point_matrices(pat, GENERIC, all_framings=True)
-        assert verify_f_terms(fp).ok
+        fp = fixed_point_matrices(pat, all_framings=True)
+        assert verify_f_terms(fp, GENERIC).ok
 
 
 def hstack(left, right):
@@ -188,7 +189,7 @@ def vstack(top, bottom):
 def test_block_forms_exhaustive_edge_framing():
     for pat in enumerate_patterns(4, 1, 2):
         n1, n2, n3 = pat.free_values
-        fp = fixed_point_matrices(pat, EPS1)
+        fp = fixed_point_matrices(pat)
         assert fp.matrices["C1"] == ico_shift(n1)
         assert fp.matrices["C2"] == ico_shift(n2)
         assert fp.matrices["C3"] == ico_shift(n3)
@@ -203,7 +204,7 @@ def test_block_forms_exhaustive_edge_framing():
 def test_block_forms_exhaustive_middle_framing():
     for pat in enumerate_patterns(4, 2, 2):
         n1, m1, m2, n3 = pat.free_values
-        fp = fixed_point_matrices(pat, EPS1)
+        fp = fixed_point_matrices(pat)
         assert fp.matrices["C1"] == ico_shift(n1)
         assert fp.matrices["C3"] == ico_shift(n3)
         blocked = vstack(
@@ -221,16 +222,9 @@ def test_block_forms_exhaustive_middle_framing():
 
 def test_corrupted_matrix_reports_nonzero():
     pat = build_pattern(3, 1, 2, [2, 1])
-    fp = fixed_point_matrices(pat, EPS1)
+    fp = fixed_point_matrices(pat)
     bad = RationalMatrix([[1, 1]])  # extra entry breaks the F-terms
-    corrupted = FixedPoint(
-        fp.pattern,
-        fp.params,
-        fp.spec,
-        fp.atoms,
-        {**fp.matrices, "A1": bad},
-        fp.phi,
-    )
-    report = verify_f_terms(corrupted)
+    corrupted = FixedPoint(fp.pattern, fp.spec, fp.atoms, {**fp.matrices, "A1": bad})
+    report = verify_f_terms(corrupted, EPS1)
     assert not report.ok
     assert report.failures()

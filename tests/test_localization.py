@@ -1,10 +1,13 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
 
 from gtyang.amplitudes import amplitude_E, amplitude_F, psi_closed_form
-from gtyang.crystal import fixed_point_matrices
+from gtyang.crystal import fixed_point_matrices, superpotential_derivative
+from gtyang.linalg import RationalMatrix
 from gtyang.localization import (
     DeformationComplex,
     NotAdjacent,
@@ -23,8 +26,8 @@ F = Fraction
 EPS1 = EquivariantParams(1)
 
 
-def fp_of(pat, params=EPS1):
-    return fixed_point_matrices(pat, params, all_framings=True)
+def fp_of(pat):
+    return fixed_point_matrices(pat, all_framings=True)
 
 
 def closed_form_euler(lam, n1, n2, eps=F(1)):
@@ -59,7 +62,7 @@ def test_rank_two_euler_table_scaled_coupling():
     params = EquivariantParams(eps)
     for pat in enumerate_patterns(3, 1, 2):
         n1, n2 = pat.free_values
-        got = euler_class(fixed_point_matrices(pat, params, all_framings=True), params)
+        got = euler_class(fp_of(pat), params)
         assert got == closed_form_euler(2, n1, n2, eps)
 
 
@@ -146,20 +149,68 @@ def test_weight_preservation_and_gauge_inside_kernel():
     # them here keeps the structural check on the record
     assert cx.rows
     assert cx.gauge_cols
-    for w, image in cx.gauge_cols:
+    for w, images in cx.gauge_cols.items():
         kernel = cx.kernel_sector(w)
-        idxs = sorted({i for vec in kernel for i in vec} | set(image))
-        from gtyang.linalg import rank
+        for image in images:
+            idxs = sorted({i for vec in kernel for i in vec} | set(image))
+            from gtyang.linalg import rank
 
-        base = [[vec.get(i, 0) for i in idxs] for vec in kernel]
-        assert rank(base + [[image.get(i, 0) for i in idxs]]) == rank(base)
+            base = [[vec.get(i, 0) for i in idxs] for vec in kernel]
+            assert rank(base + [[image.get(i, 0) for i in idxs]]) == rank(base)
+
+
+def superpotential_rows(fp):
+    """Reference for ``DeformationComplex.rows``: raise each slot of the
+    fixed point by one unit and read off how every derivative of the words
+    without framing arrows moves, one row per derivative entry, as (weight,
+    slot -> coefficient) with the slots indexed as the complex indexes them."""
+    cx = DeformationComplex(fp)
+    framing = {a.name for a in fp.spec.arrows if a.is_framing}
+    words = tuple(w for w in fp.spec.superpotential if framing.isdisjoint(w[1]))
+    gauge_fp = fp._replace(spec=fp.spec._replace(superpotential=words))
+    entries = {}  # (derivative, row, col) -> {slot index: coefficient}
+    weights = {}  # (derivative, row, col) -> weights of those slots
+    for q in fp.spec.gauge_arrows:
+        base = superpotential_derivative(gauge_fp, q.name)
+        for name in {a for _, f in words if q.name in f for a in f} - {q.name}:
+            arr = fp.spec.arrow(name)
+            m = fp.matrices[name]
+            for r, c in product(range(m.rows), range(m.cols)):
+                bump = RationalMatrix.from_triples(m.rows, m.cols, [(r, c, 1)])
+                moved = gauge_fp._replace(matrices={**fp.matrices, name: m + bump})
+                delta = superpotential_derivative(moved, q.name) - base
+                weight = (
+                    fp.node_atoms(arr.target)[r].weight
+                    - fp.node_atoms(arr.source)[c].weight
+                    - arr.weight
+                )
+                for rr, cc, v in delta.nonzeros():
+                    entries.setdefault((q.name, rr, cc), {})[cx.slot_index[name, r, c]] = v
+                    weights.setdefault((q.name, rr, cc), set()).add(weight)
+    out = Counter()
+    for key, row in entries.items():
+        (weight,) = weights[key]
+        out[weight, frozenset(row.items())] += 1
+    return out
+
+
+@pytest.mark.parametrize("grid", [(3, 1, 2), (4, 2, 2), (5, 2, 1)])
+def test_relation_rows_are_the_superpotential_first_order(grid):
+    for pat in enumerate_patterns(*grid):
+        fp = fp_of(pat)
+        got = Counter(
+            (w, frozenset(row.items()))
+            for w, rows in DeformationComplex(fp).rows.items()
+            for row in rows
+        )
+        assert got == superpotential_rows(fp)
 
 
 def test_reduced_framing_misses_the_table():
     # without the extra framing perturbations the rank-two norms come out
     # wrong, which is why the localization route keeps them all
     pat = build_pattern(3, 1, 2, [1, 1])
-    fp = fixed_point_matrices(pat, EPS1, all_framings=False)
+    fp = fixed_point_matrices(pat, all_framings=False)
     assert euler_class(fp, EPS1) != closed_form_euler(2, 1, 1)
 
 
