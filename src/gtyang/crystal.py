@@ -1,9 +1,10 @@
-"""Crystals of weighted atoms and explicit fixed-point matrices.
+"""Crystals of weighted atoms and explicit fixed points.
 
 Each pattern entry m[i,k] contributes a ladder of atoms at node k. Atom
-coordinates are integer triples (e, h, R-charge), the weight e * eps/2 + h * h;
-arrow matrices are filled by pure coordinate matching, which reproduces the
-block identity/shift forms without case analysis.
+coordinates are integer triples (e, h, R-charge), the weight e * eps/2 + h * h.
+Each arrow sends an atom to at most one atom, so a fixed-point arrow is a map
+{source atom index: target atom index}, filled by pure coordinate matching;
+its 0/1 matrix reproduces the block identity/shift forms without case analysis.
 """
 
 from __future__ import annotations
@@ -47,59 +48,62 @@ def atoms_at_node(pat: GTPattern, k: int) -> tuple[Atom, ...]:
 
 
 class FixedPoint(NamedTuple):
-    """Symbolic: every weight is a ``LinearForm``, every matrix 0/1."""
+    """Symbolic: every weight is a ``LinearForm``, every arrow an atom map."""
 
     pattern: GTPattern
     spec: QuiverSpec
     atoms: tuple[tuple[Atom, ...], ...]  # index k-1 -> node-k atoms
-    matrices: dict  # arrow name -> RationalMatrix
+    maps: dict  # arrow name -> {source atom index: target atom index}
 
     def node_atoms(self, node) -> tuple[Atom, ...]:
         if node == FRAMING:
             return (_FRAMING_ATOM,)
         return self.atoms[node - 1]
 
+    def matrix(self, name: str) -> RationalMatrix:
+        """The 0/1 matrix of the named arrow, rows indexed by target atoms."""
+        arr = self.spec.arrow(name)
+        return RationalMatrix.from_triples(
+            len(self.node_atoms(arr.target)),
+            len(self.node_atoms(arr.source)),
+            ((t, s, 1) for s, t in self.maps[name].items()),
+        )
+
 
 _FRAMING_ATOM = Atom(0, ZERO_FORM, 0)
 
 
 def fixed_point_matrices(pat: GTPattern, all_framings: bool = False) -> FixedPoint:
-    """Arrow matrices by coordinate matching: entry 1 exactly when the
-    target atom sits at source coordinate plus arrow displacement. Atom
-    coordinates are distinct, so each source atom has at most one image."""
+    """Arrow maps by coordinate matching: a source atom goes to the target
+    atom at its coordinate plus the arrow displacement, if there is one.
+    Atom coordinates are distinct, so every map is injective."""
     spec = build_quiver(pat.n, pat.p, pat.lam, all_framings=all_framings)
     atoms = tuple(atoms_at_node(pat, k) for k in range(1, pat.n))
     fp = FixedPoint(pat, spec, atoms, {})
     for arr in spec.arrows:
-        src = fp.node_atoms(arr.source)
-        tgt = fp.node_atoms(arr.target)
-        index = {t.coordinate: r for r, t in enumerate(tgt)}
-        hits = []
-        for c, s in enumerate(src):
+        index = {t.coordinate: r for r, t in enumerate(fp.node_atoms(arr.target))}
+        hits = fp.maps[arr.name] = {}
+        for c, s in enumerate(fp.node_atoms(arr.source)):
             w = s.weight + arr.weight
             r = index.get((w.e, w.h, s.r_charge + arr.r_charge))
             if r is not None:
-                hits.append((r, c, 1))
-        fp.matrices[arr.name] = RationalMatrix.from_triples(len(tgt), len(src), hits)
+                hits[c] = r
     return fp
 
 
-def superpotential_derivative(fp: FixedPoint, name: str) -> RationalMatrix:
-    """Cyclic derivative of the superpotential by the named arrow,
-    evaluated at the fixed point."""
-    spec = fp.spec
-    arrow = spec.arrow(name)
-    n_src = len(fp.node_atoms(arrow.source))
-    n_tgt = len(fp.node_atoms(arrow.target))
+def superpotential_derivative(spec: QuiverSpec, matrices: dict, name: str) -> RationalMatrix:
+    """Cyclic derivative of the superpotential by the named arrow, every
+    arrow valued by ``matrices`` (arrow name -> RationalMatrix)."""
+    n_tgt, n_src = matrices[name].shape
     total = RationalMatrix.zeros(n_src, n_tgt)
     for sign, factors in spec.superpotential:
         for pos, factor in enumerate(factors):
             if factor != name:
                 continue
-            remainder = factors[pos + 1 :] + factors[:pos]
-            term = RationalMatrix.identity(n_src)
-            for other in remainder:
-                term = term * fp.matrices[other]
+            first, *rest = factors[pos + 1 :] + factors[:pos]
+            term = matrices[first]
+            for other in rest:
+                term = term * matrices[other]
             total = total + term.scaled(sign)
     return total
 
@@ -118,9 +122,11 @@ class FTermReport(NamedTuple):
 def verify_f_terms(fp: FixedPoint, params: EquivariantParams) -> FTermReport:
     """Check every superpotential derivative exactly at the fixed point,
     and every equivariance equation at the given params."""
+    matrices = {arr.name: fp.matrix(arr.name) for arr in fp.spec.arrows}
     out = []
     for arr in fp.spec.arrows:
-        out.append((f"dW/d{arr.name}", superpotential_derivative(fp, arr.name).max_abs()))
+        residual = superpotential_derivative(fp.spec, matrices, arr.name)
+        out.append((f"dW/d{arr.name}", residual.max_abs()))
 
     # diagonal weight matrix per node; the framing atom weighs 0
     phi = {
@@ -128,7 +134,7 @@ def verify_f_terms(fp: FixedPoint, params: EquivariantParams) -> FTermReport:
         for node in (FRAMING, *fp.spec.gauge_nodes)
     }
     for arr in fp.spec.arrows:
-        q = fp.matrices[arr.name]
+        q = matrices[arr.name]
         residual = phi[arr.target] * q - q * phi[arr.source] - q.scaled(arr.weight.value(params))
         out.append((f"equivariance[{arr.name}]", residual.max_abs()))
     return FTermReport(tuple(out))

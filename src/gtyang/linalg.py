@@ -55,10 +55,6 @@ class RationalMatrix:
         return RationalMatrix._of(rows, cols, {})
 
     @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix._of(n, n, {i: {i: Fraction(1)} for i in range(n)})
-
-    @staticmethod
     def diagonal(values: Sequence) -> "RationalMatrix":
         n = len(values)
         return RationalMatrix.from_triples(n, n, ((i, i, v) for i, v in enumerate(values)))
@@ -73,12 +69,6 @@ class RationalMatrix:
                 row[c] = v
             out.append(row)
         return out
-
-    def __getitem__(self, key: tuple[int, int]) -> Rat:
-        r, c = key
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"entry {key} outside shape {self.shape}")
-        return self._data.get(r, {}).get(c, Fraction(0))
 
     def nonzeros(self):
         """``(row, col, value)`` of every nonzero entry, in row-major order."""

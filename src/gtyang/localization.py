@@ -9,9 +9,10 @@ and survives every cross-check against the amplitude formulas.
 
 Everything from the fixed point to the sector counts runs on Python ints:
 every weight is a ``LinearForm(e, h)`` integer pair in units of (eps/2, h),
-relation rows, gauge columns and intertwining conditions hold integer
-coefficients, kernels take integer rows and come back as primitive integer
-vectors. ``Fraction`` enters only when a weight is evaluated at the params.
+every arrow is an atom map, so relation rows, gauge columns and intertwining
+conditions hold integer coefficients, kernels take integer rows and come back
+as primitive integer vectors. ``Fraction`` enters only when a weight is
+evaluated at the params.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from gtyang.crystal import FixedPoint, fixed_point_matrices
-from gtyang.linalg import RationalMatrix, kernel_basis, rank
+from gtyang.linalg import kernel_basis, rank
 from gtyang.patterns import GTPattern, enumerate_patterns
 from gtyang.quiver import FRAMING, EquivariantParams, InvariantViolation, LinearForm
 
@@ -45,17 +46,6 @@ def _require(condition: bool, message: str) -> None:
         raise InvariantViolation(message)
 
 
-def _lines(m: RationalMatrix) -> tuple[dict, dict]:
-    """Row lines (row -> [(column, value)]) and column lines (column ->
-    [(row, value)]) over the nonzero entries, every value an int."""
-    rows, cols = {}, {}
-    for r, c, v in m.nonzeros():
-        _require(v.denominator == 1, "fixed-point matrix entry is not an integer")
-        rows.setdefault(r, []).append((c, v.numerator))
-        cols.setdefault(c, []).append((r, v.numerator))
-    return rows, cols
-
-
 class DeformationComplex:
     """Deformation directions, linearized gauge relations and gauge orbits
     of one fixed point, everything indexed by exact weight pairs.
@@ -75,8 +65,8 @@ class DeformationComplex:
             node: [a.weight for a in fp.node_atoms(node)]
             for node in (FRAMING, *fp.spec.gauge_nodes)
         }
-        # arrow name -> (row lines, column lines) of its fixed-point matrix
-        self.lines = {name: _lines(m) for name, m in fp.matrices.items()}
+        # arrow name -> {target atom index: source atom index}; maps are injective
+        self.preimage = {name: {t: s for s, t in m.items()} for name, m in fp.maps.items()}
         self.slot_weight: list[LinearForm] = []
         self.slot_index: dict[tuple[str, int, int], int] = {}
         self.slots_by_weight: dict[LinearForm, list[int]] = {}
@@ -126,16 +116,16 @@ class DeformationComplex:
                     if factor != arrow.name:
                         continue
                     x, y = factors[pos + 1 :] + factors[:pos]
-                    x_rows, y_cols = self.lines[x][0], self.lines[y][1]
+                    x_pre, y_map = self.preimage[x], self.fp.maps[y]
                     for r in range(n_to):
                         for c in range(n_from):
                             cell = cells[r][c]
-                            for cc, v in y_cols.get(c, ()):  # dx y
-                                idx = self.slot_index[(x, r, cc)]
-                                cell[idx] = cell.get(idx, 0) + sign * v
-                            for rr, v in x_rows.get(r, ()):  # x dy
-                                idx = self.slot_index[(y, rr, c)]
-                                cell[idx] = cell.get(idx, 0) + sign * v
+                            if c in y_map:  # dx y
+                                idx = self.slot_index[(x, r, y_map[c])]
+                                cell[idx] = cell.get(idx, 0) + sign
+                            if r in x_pre:  # x dy
+                                idx = self.slot_index[(y, x_pre[r], c)]
+                                cell[idx] = cell.get(idx, 0) + sign
             for r in range(n_to):
                 for c in range(n_from):
                     entries = {i: v for i, v in cells[r][c].items() if v != 0}
@@ -160,15 +150,13 @@ class DeformationComplex:
                     w = coords[r] - coords[c]
                     image = {}
                     for arr in fp.spec.arrows:
-                        q_rows, q_cols = self.lines[arr.name]
-                        if arr.target == node:  # gamma * q
-                            for cc, v in q_rows.get(c, ()):
-                                idx = self.slot_index[(arr.name, r, cc)]
-                                image[idx] = image.get(idx, 0) + v
-                        if arr.source == node:  # - q * gamma
-                            for rr, v in q_cols.get(r, ()):
-                                idx = self.slot_index[(arr.name, rr, c)]
-                                image[idx] = image.get(idx, 0) - v
+                        q_map, q_pre = fp.maps[arr.name], self.preimage[arr.name]
+                        if arr.target == node and c in q_pre:  # gamma * q
+                            idx = self.slot_index[(arr.name, r, q_pre[c])]
+                            image[idx] = image.get(idx, 0) + 1
+                        if arr.source == node and r in q_map:  # - q * gamma
+                            idx = self.slot_index[(arr.name, q_map[r], c)]
+                            image[idx] = image.get(idx, 0) - 1
                     image = {i: v for i, v in image.items() if v != 0}
                     if image:
                         weights = {self.slot_weight[i] for i in image}
@@ -263,16 +251,15 @@ def euler_class(fp: FixedPoint, params: EquivariantParams) -> Rat:
     return _euler(tangent_graded(fp), params)
 
 
-def _projection(fp_plus: FixedPoint, fp: FixedPoint, node) -> RationalMatrix:
-    """Coordinate-matching surjection from the bigger crystal to the smaller."""
-    small = fp.node_atoms(node)
-    big = fp_plus.node_atoms(node)
-    small_coords = {a.coordinate: i for i, a in enumerate(small)}
-    return RationalMatrix.from_triples(
-        len(small),
-        len(big),
-        ((small_coords[a.coordinate], j, 1) for j, a in enumerate(big) if a.coordinate in small_coords),
-    )
+def _projection(fp_plus: FixedPoint, fp: FixedPoint, node) -> dict[int, int]:
+    """Coordinate-matching surjection from the bigger crystal to the smaller,
+    as the map {big atom index: small atom index}."""
+    small_coords = {a.coordinate: i for i, a in enumerate(fp.node_atoms(node))}
+    return {
+        j: small_coords[a.coordinate]
+        for j, a in enumerate(fp_plus.node_atoms(node))
+        if a.coordinate in small_coords
+    }
 
 
 def incidence_tangent_graded(
@@ -292,13 +279,16 @@ def incidence_tangent_graded(
 
     spec = fp.spec
     tau = {node: _projection(fp_plus, fp, node) for node in spec.gauge_nodes}
-    tau[FRAMING] = RationalMatrix.identity(1)
-    tau_lines = {node: _lines(t) for node, t in tau.items()}
+    tau[FRAMING] = {0: 0}
+    # tau is injective, so its preimage is the inclusion of the smaller crystal
+    tau_pre = {node: {s: b for b, s in t.items()} for node, t in tau.items()}
 
-    # sanity: tau is an honest homomorphism from the extension to the base
+    # sanity: tau is an honest homomorphism from the extension to the base;
+    # both sides compose injective partial maps, so no entry is a sum
     for arr in spec.arrows:
-        lhs = fp.matrices[arr.name] * tau[arr.source]
-        rhs = tau[arr.target] * fp_plus.matrices[arr.name]
+        q, qp, t_tgt = fp.maps[arr.name], fp_plus.maps[arr.name], tau[arr.target]
+        lhs = {j: q[s] for j, s in tau[arr.source].items() if s in q}
+        rhs = {j: t_tgt[b] for j, b in qp.items() if b in t_tgt}
         _require(lhs == rhs, f"projection fails to intertwine {arr.name}")
 
     # intertwiner deformation slots: Hom(V'_a, V_a) per gauge node, the
@@ -322,33 +312,25 @@ def incidence_tangent_graded(
     # part), grouped by its weight
     conditions: dict[LinearForm, list[tuple[dict, dict, dict]]] = {}
     for arr in spec.arrows:
-        q_rows = cx.lines[arr.name][0]
-        qp_cols = cx_plus.lines[arr.name][1]
-        t_src_cols = tau_lines[arr.source][1]
-        t_tgt_rows = tau_lines[arr.target][0]
-        n_rows = fp.matrices[arr.name].rows
-        n_cols = fp_plus.matrices[arr.name].cols
-        for r in range(n_rows):
-            for c in range(n_cols):
+        q_pre = cx.preimage[arr.name]
+        qp_map = fp_plus.maps[arr.name]
+        t_src = tau[arr.source]
+        t_tgt_pre = tau_pre[arr.target]
+        for r in range(len(cx.coords[arr.target])):
+            for c in range(len(cx_plus.coords[arr.source])):
                 left_a: dict[int, int] = {}
                 left_b: dict[int, int] = {}
                 mid: dict[int, int] = {}
-                for cc, v in t_src_cols.get(c, ()):
-                    idx = cx.slot_index[(arr.name, r, cc)]
-                    left_a[idx] = left_a.get(idx, 0) + v
-                if arr.source != FRAMING:
-                    for rr, v in q_rows.get(r, ()):
-                        idx = tau_index[(arr.source, rr, c)]
-                        mid[idx] = mid.get(idx, 0) + v
-                if arr.target != FRAMING:
-                    for rr, v in qp_cols.get(c, ()):
-                        idx = tau_index[(arr.target, r, rr)]
-                        mid[idx] = mid.get(idx, 0) - v
-                for cc, v in t_tgt_rows.get(r, ()):
-                    idx = cx_plus.slot_index[(arr.name, cc, c)]
-                    left_b[idx] = left_b.get(idx, 0) - v
-                left_a = {k: v for k, v in left_a.items() if v != 0}
-                left_b = {k: v for k, v in left_b.items() if v != 0}
+                if c in t_src:
+                    left_a[cx.slot_index[(arr.name, r, t_src[c])]] = 1
+                if arr.source != FRAMING and r in q_pre:
+                    idx = tau_index[(arr.source, q_pre[r], c)]
+                    mid[idx] = mid.get(idx, 0) + 1
+                if arr.target != FRAMING and c in qp_map:
+                    idx = tau_index[(arr.target, r, qp_map[c])]
+                    mid[idx] = mid.get(idx, 0) - 1
+                if r in t_tgt_pre:
+                    left_b[cx_plus.slot_index[(arr.name, t_tgt_pre[r], c)]] = -1
                 mid = {k: v for k, v in mid.items() if v != 0}
                 if left_a or left_b or mid:
                     weights = (

@@ -158,20 +158,11 @@ def _products(ops):
     return prod, comm
 
 
-def _detect_sign(checks) -> int:
-    """Uniform sign s with lhs = s * rhs over ``(instance, lhs, rhs)`` checks,
-    read off the first nonzero entry (row-major) of the first nonzero rhs;
-    1 when that ratio is not -1 or every rhs is zero."""
-    for _, lhs, rhs in checks:
-        for r, c, v in rhs.nonzeros():
-            return -1 if lhs[r, c] / v == -1 else 1
-    return 1
-
-
 def verify_mode_relations(ops, params: EquivariantParams) -> list[RelationReport]:
     """Quadratic relations in Cartan-matrix form, the pairing of raising
-    against lowering modes, and the boundary action of the zeroth diagonal
-    mode (whose global sign is detected and reported, not assumed).
+    against lowering modes, [e_n, f_k] = -psi_{n+k}, and the boundary action
+    of the zeroth diagonal mode, [psi_0, e_k] = -A_ab e_k and
+    [psi_0, f_k] = A_ab f_k.
 
     Every product of two operators, keyed by their (kind, node, mode), is
     computed once per call and shared by all the checks that use it."""
@@ -203,28 +194,21 @@ def verify_mode_relations(ops, params: EquivariantParams) -> list[RelationReport
             res = comm(("psi", a, n), ("psi", b, k))
             emit("psipsi", res.max_abs(), a=a, b=b, n=n, k=k)
 
-    # pairing: [e_n, f_k] = sign * psi_{n+k} on the diagonal node pair, zero off it
-    pairing = [
-        ((a, n, k), comm(("e", a, n), ("f", a, k)), ops["psi", a, n + k])
-        for a, n, k in itertools.product(nodes, modes, modes)
-    ]
-    sign = _detect_sign(pairing)
-    for (a, n, k), lhs, rhs in pairing:
-        emit("ef-pairing", (lhs - rhs.scaled(sign)).max_abs(), a=a, b=a, n=n, k=k, sign=sign)
+    # pairing on the diagonal node pair, zero off it
+    for a, n, k in itertools.product(nodes, modes, modes):
+        res = comm(("e", a, n), ("f", a, k)) + ops["psi", a, n + k]
+        emit("ef-pairing", res.max_abs(), a=a, b=a, n=n, k=k)
     for a, b, n, k in itertools.product(nodes, nodes, modes, modes):
         if a != b:
             emit("ef-offdiag", comm(("e", a, n), ("f", b, k)).max_abs(), a=a, b=b, n=n, k=k)
 
-    # boundary: [psi_0, e_k] = sign * A_ab e_k and [psi_0, f_k] = -sign * A_ab f_k
-    boundary = [
-        ((a, b, k), comm(("psi", a, 0), ("e", b, k)), ops["e", b, k].scaled(cartan[a - 1][b - 1]))
-        for a, b, k in itertools.product(nodes, nodes, modes)
-    ]
-    sign = _detect_sign(boundary)
-    for (a, b, k), lhs, rhs in boundary:
-        emit("boundary-e", (lhs - rhs.scaled(sign)).max_abs(), a=a, b=b, k=k, sign=sign)
-        res = comm(("psi", a, 0), ("f", b, k)) + ops["f", b, k].scaled(sign * cartan[a - 1][b - 1])
-        emit("boundary-f", res.max_abs(), a=a, b=b, k=k, sign=sign)
+    # boundary action of the zeroth diagonal mode
+    for a, b, k in itertools.product(nodes, nodes, modes):
+        cartan_ab = cartan[a - 1][b - 1]
+        res = comm(("psi", a, 0), ("e", b, k)) + ops["e", b, k].scaled(cartan_ab)
+        emit("boundary-e", res.max_abs(), a=a, b=b, k=k)
+        res = comm(("psi", a, 0), ("f", b, k)) - ops["f", b, k].scaled(cartan_ab)
+        emit("boundary-f", res.max_abs(), a=a, b=b, k=k)
     return reports
 
 

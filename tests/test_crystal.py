@@ -89,28 +89,28 @@ def test_every_weight_is_an_integer_lattice_pair(grid):
 def test_fixed_point_blocks_edge_framing():
     pat = build_pattern(3, 1, 2, [2, 1])
     fp = fixed_point_matrices(pat)
-    assert fp.matrices["C1"] == ico_shift(2)
-    assert fp.matrices["C2"] == ico_shift(1)
-    assert fp.matrices["A1"] == ico_identity(1, 2)
-    assert fp.matrices["B1"] == ico_zero(2, 1)
-    assert fp.matrices["R1"] == ico_identity(2, 1)
-    assert fp.matrices["S1"] == ico_zero(1, 2)
+    assert fp.matrix("C1") == ico_shift(2)
+    assert fp.matrix("C2") == ico_shift(1)
+    assert fp.matrix("A1") == ico_identity(1, 2)
+    assert fp.matrix("B1") == ico_zero(2, 1)
+    assert fp.matrix("R1") == ico_identity(2, 1)
+    assert fp.matrix("S1") == ico_zero(1, 2)
 
 
 def test_fixed_point_blocks_middle_framing():
     pat = build_pattern(4, 2, 2, [2, 2, 2, 2])
     fp = fixed_point_matrices(pat)
     stacked = RationalMatrix([[0, 0], [0, 0], [1, 0], [0, 1]])
-    assert fp.matrices["A1"] == stacked
+    assert fp.matrix("A1") == stacked
     side = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert fp.matrices["B1"] == side
-    assert fp.matrices["A2"] == side
-    assert fp.matrices["B2"] == stacked
+    assert fp.matrix("B1") == side
+    assert fp.matrix("A2") == side
+    assert fp.matrix("B2") == stacked
     block = RationalMatrix(
         [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
     )
-    assert fp.matrices["C2"] == block
-    assert fp.matrices["R2"] == RationalMatrix([[1], [0], [0], [0]])
+    assert fp.matrix("C2") == block
+    assert fp.matrix("R2") == RationalMatrix([[1], [0], [0], [0]])
 
 
 def pairwise_matrices(pat, all_framings):
@@ -139,20 +139,63 @@ def pairwise_matrices(pat, all_framings):
 def test_fixed_point_matrices_match_pairwise_matching(grid, all_framings):
     for pat in enumerate_patterns(*grid):
         fp = fixed_point_matrices(pat, all_framings=all_framings)
-        assert fp.matrices == pairwise_matrices(pat, all_framings)
+        matrices = {name: fp.matrix(name) for name in fp.maps}
+        assert matrices == pairwise_matrices(pat, all_framings)
+
+
+def reachable_atoms(fp) -> set:
+    """(node, atom index) of every atom that the arrow maps reach from the
+    framing atom, the framing atom included."""
+    seen = {(FRAMING, 0)}
+    stack = [(FRAMING, 0)]
+    while stack:
+        node, i = stack.pop()
+        for arr in fp.spec.arrows:
+            j = fp.maps[arr.name].get(i)
+            if arr.source == node and j is not None and (arr.target, j) not in seen:
+                seen.add((arr.target, j))
+                stack.append((arr.target, j))
+    return seen
+
+
+def gauge_atoms(fp) -> set:
+    return {(k, i) for k in fp.spec.gauge_nodes for i in range(len(fp.node_atoms(k)))}
+
+
+STABILITY_GRIDS = [(2, 1, 3), (3, 1, 2), (4, 2, 2), (5, 2, 2), (5, 3, 2), (6, 3, 1), (4, 2, 4)]
+
+
+@pytest.mark.parametrize("all_framings", [False, True])
+def test_every_atom_is_reachable_from_the_framing_atom(all_framings):
+    # stability: the framing vector generates every node space under the arrows
+    checked = 0
+    for grid in STABILITY_GRIDS:
+        for pat in enumerate_patterns(*grid):
+            fp = fixed_point_matrices(pat, all_framings=all_framings)
+            assert gauge_atoms(fp) <= reachable_atoms(fp), pat.free_values
+            checked += 1
+    assert checked == 255
+
+
+def test_emptied_framing_map_leaves_atoms_unreachable():
+    pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
+    fp = fixed_point_matrices(pat)
+    cut = fp._replace(maps={**fp.maps, "R2": {}})
+    assert gauge_atoms(fp) <= reachable_atoms(fp)
+    assert not gauge_atoms(cut) <= reachable_atoms(cut)
 
 
 def test_vacuum_fixed_point_shapes():
     fp = fixed_point_matrices(vacuum_pattern(4, 2, 2))
-    assert fp.matrices["R2"].shape == (0, 1)
-    assert fp.matrices["S2"].shape == (1, 0)
-    assert fp.matrices["A1"].shape == (0, 0)
+    assert fp.matrix("R2").shape == (0, 1)
+    assert fp.matrix("S2").shape == (1, 0)
+    assert fp.matrix("A1").shape == (0, 0)
 
 
 def test_cutoff_relation_shape():
     pat = build_pattern(3, 1, 2, [2, 1])
     fp = fixed_point_matrices(pat)
-    climbed = fp.matrices["C1"] * fp.matrices["C1"] * fp.matrices["R1"]
+    climbed = fp.matrix("C1") * fp.matrix("C1") * fp.matrix("R1")
     assert climbed.shape == (2, 1)
     assert climbed == RationalMatrix.zeros(2, 1)
 
@@ -190,41 +233,41 @@ def test_block_forms_exhaustive_edge_framing():
     for pat in enumerate_patterns(4, 1, 2):
         n1, n2, n3 = pat.free_values
         fp = fixed_point_matrices(pat)
-        assert fp.matrices["C1"] == ico_shift(n1)
-        assert fp.matrices["C2"] == ico_shift(n2)
-        assert fp.matrices["C3"] == ico_shift(n3)
-        assert fp.matrices["A1"] == ico_identity(n2, n1)
-        assert fp.matrices["A2"] == ico_identity(n3, n2)
-        assert fp.matrices["B1"] == ico_zero(n1, n2)
-        assert fp.matrices["B2"] == ico_zero(n2, n3)
-        assert fp.matrices["R1"] == ico_identity(n1, 1)
-        assert fp.matrices["S1"] == ico_zero(1, n1)
+        assert fp.matrix("C1") == ico_shift(n1)
+        assert fp.matrix("C2") == ico_shift(n2)
+        assert fp.matrix("C3") == ico_shift(n3)
+        assert fp.matrix("A1") == ico_identity(n2, n1)
+        assert fp.matrix("A2") == ico_identity(n3, n2)
+        assert fp.matrix("B1") == ico_zero(n1, n2)
+        assert fp.matrix("B2") == ico_zero(n2, n3)
+        assert fp.matrix("R1") == ico_identity(n1, 1)
+        assert fp.matrix("S1") == ico_zero(1, n1)
 
 
 def test_block_forms_exhaustive_middle_framing():
     for pat in enumerate_patterns(4, 2, 2):
         n1, m1, m2, n3 = pat.free_values
         fp = fixed_point_matrices(pat)
-        assert fp.matrices["C1"] == ico_shift(n1)
-        assert fp.matrices["C3"] == ico_shift(n3)
+        assert fp.matrix("C1") == ico_shift(n1)
+        assert fp.matrix("C3") == ico_shift(n3)
         blocked = vstack(
             hstack(ico_shift(m1), ico_zero(m1, m2)),
             hstack(ico_zero(m2, m1), ico_shift(m2)),
         )
-        assert fp.matrices["C2"] == blocked
-        assert fp.matrices["A1"] == vstack(ico_zero(m1, n1), ico_identity(m2, n1))
-        assert fp.matrices["B1"] == hstack(ico_identity(n1, m1), ico_zero(n1, m2))
-        assert fp.matrices["A2"] == hstack(ico_identity(n3, m1), ico_zero(n3, m2))
-        assert fp.matrices["B2"] == vstack(ico_zero(m1, n3), ico_identity(m2, n3))
-        assert fp.matrices["R2"] == ico_identity(m1 + m2, 1)
-        assert fp.matrices["S2"] == ico_zero(1, m1 + m2)
+        assert fp.matrix("C2") == blocked
+        assert fp.matrix("A1") == vstack(ico_zero(m1, n1), ico_identity(m2, n1))
+        assert fp.matrix("B1") == hstack(ico_identity(n1, m1), ico_zero(n1, m2))
+        assert fp.matrix("A2") == hstack(ico_identity(n3, m1), ico_zero(n3, m2))
+        assert fp.matrix("B2") == vstack(ico_zero(m1, n3), ico_identity(m2, n3))
+        assert fp.matrix("R2") == ico_identity(m1 + m2, 1)
+        assert fp.matrix("S2") == ico_zero(1, m1 + m2)
 
 
 def test_corrupted_matrix_reports_nonzero():
     pat = build_pattern(3, 1, 2, [2, 1])
     fp = fixed_point_matrices(pat)
-    bad = RationalMatrix([[1, 1]])  # extra entry breaks the F-terms
-    corrupted = FixedPoint(fp.pattern, fp.spec, fp.atoms, {**fp.matrices, "A1": bad})
+    bad = {0: 0, 1: 0}  # the matrix [[1, 1]]: an extra entry breaks the F-terms
+    corrupted = FixedPoint(fp.pattern, fp.spec, fp.atoms, {**fp.maps, "A1": bad})
     report = verify_f_terms(corrupted, EPS1)
     assert not report.ok
     assert report.failures()

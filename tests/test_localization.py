@@ -167,18 +167,19 @@ def superpotential_rows(fp):
     cx = DeformationComplex(fp)
     framing = {a.name for a in fp.spec.arrows if a.is_framing}
     words = tuple(w for w in fp.spec.superpotential if framing.isdisjoint(w[1]))
-    gauge_fp = fp._replace(spec=fp.spec._replace(superpotential=words))
+    gauge_spec = fp.spec._replace(superpotential=words)
+    matrices = {arr.name: fp.matrix(arr.name) for arr in fp.spec.arrows}
     entries = {}  # (derivative, row, col) -> {slot index: coefficient}
     weights = {}  # (derivative, row, col) -> weights of those slots
     for q in fp.spec.gauge_arrows:
-        base = superpotential_derivative(gauge_fp, q.name)
+        base = superpotential_derivative(gauge_spec, matrices, q.name)
         for name in {a for _, f in words if q.name in f for a in f} - {q.name}:
             arr = fp.spec.arrow(name)
-            m = fp.matrices[name]
+            m = matrices[name]
             for r, c in product(range(m.rows), range(m.cols)):
                 bump = RationalMatrix.from_triples(m.rows, m.cols, [(r, c, 1)])
-                moved = gauge_fp._replace(matrices={**fp.matrices, name: m + bump})
-                delta = superpotential_derivative(moved, q.name) - base
+                moved = {**matrices, name: m + bump}
+                delta = superpotential_derivative(gauge_spec, moved, q.name) - base
                 weight = (
                     fp.node_atoms(arr.target)[r].weight
                     - fp.node_atoms(arr.source)[c].weight
