@@ -21,24 +21,11 @@ Rat = Fraction
 class RationalMatrix:
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
-        """From dense rows; ``cols`` gives the width when there are none."""
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if self.rows else (cols or 0)
-        if any(len(row) != self.cols for row in entries):
-            raise ValueError("ragged rows")
-        self._data = {}
-        for r, row in enumerate(entries):
-            nonzero = {c: Fraction(x) for c, x in enumerate(row) if x != 0}
-            if nonzero:
-                self._data[r] = nonzero
-
-    @staticmethod
-    def _of(rows: int, cols: int, data: dict) -> "RationalMatrix":
-        """Wrap row dicts that already hold only nonzero Fractions."""
-        m = RationalMatrix.__new__(RationalMatrix)
-        m.rows, m.cols, m._data = rows, cols, data
-        return m
+    def __init__(self, rows: int, cols: int, data: dict):
+        """Wrap row dicts (row -> {col: nonzero Fraction}) without copying;
+        every row dict must be nonempty. ``from_triples`` builds one from
+        any entries."""
+        self.rows, self.cols, self._data = rows, cols, data
 
     @staticmethod
     def from_triples(rows: int, cols: int, triples: Iterable[tuple]) -> "RationalMatrix":
@@ -48,11 +35,7 @@ class RationalMatrix:
             row = data.setdefault(r, {})
             row[c] = row.get(c, 0) + Fraction(v)
         nonzero = {r: {c: v for c, v in row.items() if v} for r, row in data.items()}
-        return RationalMatrix._of(rows, cols, {r: row for r, row in nonzero.items() if row})
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix._of(rows, cols, {})
+        return RationalMatrix(rows, cols, {r: row for r, row in nonzero.items() if row})
 
     @staticmethod
     def diagonal(values: Sequence) -> "RationalMatrix":
@@ -83,7 +66,7 @@ class RationalMatrix:
         return self.shape == other.shape and self._data == other._data
 
     def __repr__(self) -> str:
-        return f"RationalMatrix({self.entries!r})"
+        return f"RationalMatrix({self.rows}, {self.cols}, {self._data!r})"
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self._merged(other, negate=False)
@@ -106,34 +89,32 @@ class RationalMatrix:
                     del acc[c]
             if not acc:
                 del data[r]
-        return RationalMatrix._of(self.rows, self.cols, data)
+        return RationalMatrix(self.rows, self.cols, data)
 
-    def __mul__(self, other):
-        if isinstance(other, RationalMatrix):
-            if self.cols != other.rows:
-                raise ValueError(f"shape mismatch {self.shape} x {other.shape}")
-            right = other._data
-            data = {}
-            for r, row in self._data.items():
-                acc: dict[int, Fraction] = {}
-                for k, a in row.items():
-                    brow = right.get(k)
-                    if brow is None:
-                        continue
-                    for c, b in brow.items():
-                        acc[c] = acc[c] + a * b if c in acc else a * b
-                acc = {c: v for c, v in acc.items() if v}
-                if acc:
-                    data[r] = acc
-            return RationalMatrix._of(self.rows, other.cols, data)
-        return self.scaled(other)
+    def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.shape} x {other.shape}")
+        right = other._data
+        data = {}
+        for r, row in self._data.items():
+            acc: dict[int, Fraction] = {}
+            for k, a in row.items():
+                brow = right.get(k)
+                if brow is None:
+                    continue
+                for c, b in brow.items():
+                    acc[c] = acc[c] + a * b if c in acc else a * b
+            acc = {c: v for c, v in acc.items() if v}
+            if acc:
+                data[r] = acc
+        return RationalMatrix(self.rows, other.cols, data)
 
     def scaled(self, c) -> "RationalMatrix":
         c = Fraction(c)
         if c == 0:
-            return RationalMatrix.zeros(self.rows, self.cols)
+            return RationalMatrix(self.rows, self.cols, {})
         data = {r: {k: c * v for k, v in row.items()} for r, row in self._data.items()}
-        return RationalMatrix._of(self.rows, self.cols, data)
+        return RationalMatrix(self.rows, self.cols, data)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -101,31 +101,30 @@ class DeformationComplex:
     def _build_relation_rows(self) -> dict[LinearForm, list[dict[int, int]]]:
         """First-order expansion of each gauge-sector derivative; every row
         is a dict slot index -> integer coefficient, grouped by its weight.
-        Every word without a framing arrow is cubic: the derivative of
-        sign * tr(q x y) by q is sign * x y, of first order sign * (dx y + x dy)."""
+        Of ``QuiverSpec.cyclic_derivative`` it keeps the rests without a
+        framing arrow, all of length two: the derivative of sign * tr(q x y)
+        by q is sign * x y, of first order sign * (dx y + x dy)."""
         spec = self.fp.spec
         framing = {a.name for a in spec.arrows if a.is_framing}
-        words = [(sign, f) for sign, f in spec.superpotential if framing.isdisjoint(f)]
         rows: dict[LinearForm, list[dict[int, int]]] = {}
         for arrow in spec.gauge_arrows:
             n_to = len(self.coords[arrow.source])
             n_from = len(self.coords[arrow.target])
             cells = [[{} for _ in range(n_from)] for _ in range(n_to)]
-            for sign, factors in words:
-                for pos, factor in enumerate(factors):
-                    if factor != arrow.name:
-                        continue
-                    x, y = factors[pos + 1 :] + factors[:pos]
-                    x_pre, y_map = self.preimage[x], self.fp.maps[y]
-                    for r in range(n_to):
-                        for c in range(n_from):
-                            cell = cells[r][c]
-                            if c in y_map:  # dx y
-                                idx = self.slot_index[(x, r, y_map[c])]
-                                cell[idx] = cell.get(idx, 0) + sign
-                            if r in x_pre:  # x dy
-                                idx = self.slot_index[(y, x_pre[r], c)]
-                                cell[idx] = cell.get(idx, 0) + sign
+            for sign, rest in spec.cyclic_derivative(arrow.name):
+                if not framing.isdisjoint(rest):
+                    continue
+                x, y = rest
+                x_pre, y_map = self.preimage[x], self.fp.maps[y]
+                for r in range(n_to):
+                    for c in range(n_from):
+                        cell = cells[r][c]
+                        if c in y_map:  # dx y
+                            idx = self.slot_index[(x, r, y_map[c])]
+                            cell[idx] = cell.get(idx, 0) + sign
+                        if r in x_pre:  # x dy
+                            idx = self.slot_index[(y, x_pre[r], c)]
+                            cell[idx] = cell.get(idx, 0) + sign
             for r in range(n_to):
                 for c in range(n_from):
                     entries = {i: v for i, v in cells[r][c].items() if v != 0}
@@ -191,11 +190,6 @@ class DeformationComplex:
         return sum(self.gauge_ranks.values()) == sum(map(len, self.gauge_cols.values()))
 
 
-def _magnitude(w: LinearForm) -> int:
-    """|e| + 2|h|: twice the size of the weight in units of (eps, h)."""
-    return abs(w.e) + 2 * abs(w.h)
-
-
 def _regularize_tangent(
     sectors: dict[LinearForm, int], expected_dim: int, pattern: GTPattern
 ) -> tuple[dict[LinearForm, int], dict[LinearForm, int]]:
@@ -203,7 +197,7 @@ def _regularize_tangent(
 
     Scheme tangents jump upward at special fixed points; the excess always
     shows up as opposite-weight pairs, which get removed largest
-    ``_magnitude`` first, ties in weight order. Returns the trimmed grading
+    ``LinearForm.magnitude`` first, ties in weight order. Returns the trimmed grading
     and what was removed; an excess that does not pair up raises
     ``UncalibratedCell`` naming the pattern.
     """
@@ -216,7 +210,7 @@ def _regularize_tangent(
     if excess % 2:
         raise UncalibratedCell(f"odd tangent excess at {pattern.free_values} cannot pair up")
     candidates = sorted(
-        (w for w in out if -w in out and w > -w), key=lambda w: (-_magnitude(w), w)
+        (w for w in out if -w in out and w > -w), key=lambda w: (-w.magnitude(), w)
     )
     for w in candidates:
         mw = -w
@@ -308,9 +302,9 @@ def incidence_tangent_graded(
 
     # intertwining condition rows per arrow: rows in Hom(V'_src, V_tgt):
     #   dq.tau + q.dtau - dtau.q' - tau.dq' = 0
-    # each row is (dq part over cx slots, dq' part over cx_plus slots, dtau
+    # each row is (dq slot of cx or None, dq' slot of cx_plus or None, dtau
     # part), grouped by its weight
-    conditions: dict[LinearForm, list[tuple[dict, dict, dict]]] = {}
+    conditions: dict[LinearForm, list[tuple[int | None, int | None, dict]]] = {}
     for arr in spec.arrows:
         q_pre = cx.preimage[arr.name]
         qp_map = fp_plus.maps[arr.name]
@@ -318,28 +312,27 @@ def incidence_tangent_graded(
         t_tgt_pre = tau_pre[arr.target]
         for r in range(len(cx.coords[arr.target])):
             for c in range(len(cx_plus.coords[arr.source])):
-                left_a: dict[int, int] = {}
-                left_b: dict[int, int] = {}
+                # dq.tau and tau.dq' each touch at most one slot, at +1 and -1
+                slot_a = cx.slot_index[(arr.name, r, t_src[c])] if c in t_src else None
+                slot_b = (
+                    cx_plus.slot_index[(arr.name, t_tgt_pre[r], c)] if r in t_tgt_pre else None
+                )
                 mid: dict[int, int] = {}
-                if c in t_src:
-                    left_a[cx.slot_index[(arr.name, r, t_src[c])]] = 1
                 if arr.source != FRAMING and r in q_pre:
                     idx = tau_index[(arr.source, q_pre[r], c)]
                     mid[idx] = mid.get(idx, 0) + 1
                 if arr.target != FRAMING and c in qp_map:
                     idx = tau_index[(arr.target, r, qp_map[c])]
                     mid[idx] = mid.get(idx, 0) - 1
-                if r in t_tgt_pre:
-                    left_b[cx_plus.slot_index[(arr.name, t_tgt_pre[r], c)]] = -1
                 mid = {k: v for k, v in mid.items() if v != 0}
-                if left_a or left_b or mid:
-                    weights = (
-                        {cx.slot_weight[i] for i in left_a}
-                        | {cx_plus.slot_weight[i] for i in left_b}
-                        | {tau_weight[i] for i in mid}
-                    )
+                if slot_a is not None or slot_b is not None or mid:
+                    weights = {tau_weight[i] for i in mid}
+                    if slot_a is not None:
+                        weights.add(cx.slot_weight[slot_a])
+                    if slot_b is not None:
+                        weights.add(cx_plus.slot_weight[slot_b])
                     _require(len(weights) == 1, "condition row mixes weights")
-                    conditions.setdefault(weights.pop(), []).append((left_a, left_b, mid))
+                    conditions.setdefault(weights.pop(), []).append((slot_a, slot_b, mid))
 
     sectors: dict[LinearForm, int] = {}
     # a weight without kernel vectors on either side has no pairs to solve for
@@ -354,9 +347,10 @@ def incidence_tangent_graded(
         if rows_w:
             # columns: kernel basis of both sides, then the tau directions
             cond = []
-            for left_a, left_b, mid in rows_w:
-                row = [sum(v * vec.get(i, 0) for i, v in left_a.items()) for vec in k_a]
-                row += [sum(v * vec.get(i, 0) for i, v in left_b.items()) for vec in k_b]
+            for slot_a, slot_b, mid in rows_w:
+                # a missing slot is None, which no kernel vector holds
+                row = [vec.get(slot_a, 0) for vec in k_a]
+                row += [-vec.get(slot_b, 0) for vec in k_b]
                 row += [mid.get(i, 0) for i in tau_idx]
                 cond.append(row)
             tau_only = [row[n_pairs:] for row in cond]
@@ -393,7 +387,7 @@ def incidence_tangent_graded(
             else:
                 drops = [w]
         elif len(pool) == 2 and fp.pattern.n <= 4:
-            hi, lo = sorted(pool, key=lambda w: (_magnitude(w), w), reverse=True)
+            hi, lo = sorted(pool, key=lambda w: (w.magnitude(), w), reverse=True)
             drops = [hi, -lo]
         else:
             raise UncalibratedCell(

@@ -31,7 +31,6 @@ from gtyang.quiver import (
     ZERO_FORM,
     EquivariantParams,
     InvalidParams,
-    LinearForm,
     bond_factor,
     build_quiver,
     cartan_matrix,
@@ -445,17 +444,13 @@ def verify_constraints(data: ModuleData) -> list[RelationReport]:
     spec = build_quiver(data.n, data.p, data.lam, all_framings=True)
     report = check_constraints(spec)
 
-    def size(form: LinearForm) -> Rat:
-        """|e|/2 + |h|: the size of the weight in units of (eps, h)."""
-        return Fraction(abs(form.e), 2) + abs(form.h)
-
     out = []
     for idx, form in report.loop_weight_residuals:
-        out.append(RelationReport("loop-weight", {"loop": idx}, size(form)))
+        out.append(RelationReport("loop-weight", {"loop": idx}, Fraction(form.magnitude(), 2)))
     for idx, r in report.loop_rcharge_residuals:
         out.append(RelationReport("loop-rcharge", {"loop": idx}, Fraction(abs(r))))
     total = sum((form for _, form in report.vertex_residuals), ZERO_FORM)
-    out.append(RelationReport("vertex-sum", {}, size(total)))
+    out.append(RelationReport("vertex-sum", {}, Fraction(total.magnitude(), 2)))
     return out
 
 

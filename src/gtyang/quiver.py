@@ -71,6 +71,10 @@ class LinearForm(NamedTuple):
     def __neg__(self) -> "LinearForm":
         return LinearForm(-self.e, -self.h)
 
+    def magnitude(self) -> int:
+        """|e| + 2|h|: twice the size of the weight in units of (eps, h)."""
+        return abs(self.e) + 2 * abs(self.h)
+
 
 ZERO_FORM = LinearForm(0, 0)
 
@@ -100,6 +104,15 @@ class QuiverSpec(NamedTuple):
 
     def arrow(self, name: str) -> Arrow:
         return {a.name: a for a in self.arrows}[name]
+
+    def cyclic_derivative(self, name: str):
+        """``(sign, rest)`` for each occurrence of the named arrow: the
+        derivative of sign * tr(word) by it is the sum of sign * rest, the
+        word read cyclically from the factor after it, in product order."""
+        for sign, factors in self.superpotential:
+            for pos, factor in enumerate(factors):
+                if factor == name:
+                    yield sign, factors[pos + 1 :] + factors[:pos]
 
     @property
     def gauge_nodes(self) -> range:

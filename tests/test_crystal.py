@@ -8,25 +8,34 @@ from gtyang.crystal import (
     fixed_point_matrices,
     verify_f_terms,
 )
-from gtyang.linalg import RationalMatrix
 from gtyang.patterns import build_pattern, enumerate_patterns, vacuum_pattern
 from gtyang.quiver import FRAMING, EquivariantParams, LinearForm, build_quiver
 
 F = Fraction
-EPS1 = EquivariantParams(1)
 GENERIC = EquivariantParams(F(2, 3), F(1, 7))
 
 
-def ico_identity(n: int, m: int) -> RationalMatrix:
-    return RationalMatrix([[1 if i == j else 0 for j in range(m)] for i in range(n)], cols=m)
+def identity_map(n: int, m: int, row_offset: int = 0) -> dict:
+    """The map of an n x m identity block whose rows start at ``row_offset``."""
+    return {i: row_offset + i for i in range(min(n, m))}
 
 
-def ico_shift(n: int) -> RationalMatrix:
-    return RationalMatrix([[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)], cols=n)
+def shift_map(n: int, offset: int = 0) -> dict:
+    """The map of an n x n shift block on the atoms from ``offset`` on."""
+    return {offset + j: offset + j + 1 for j in range(n - 1)}
 
 
-def ico_zero(n: int, m: int) -> RationalMatrix:
-    return RationalMatrix.zeros(n, m)
+def atom_counts(fp) -> list[int]:
+    return [len(fp.node_atoms(k)) for k in fp.spec.gauge_nodes]
+
+
+def compose(fp, *names) -> dict:
+    """The map of the product of the named arrows, the last acting first."""
+    out = dict(fp.maps[names[-1]])
+    for name in reversed(names[:-1]):
+        step = fp.maps[name]
+        out = {c: step[r] for c, r in out.items() if r in step}
+    return out
 
 
 def test_atom_examples_for_middle_framing():
@@ -89,34 +98,34 @@ def test_every_weight_is_an_integer_lattice_pair(grid):
 def test_fixed_point_blocks_edge_framing():
     pat = build_pattern(3, 1, 2, [2, 1])
     fp = fixed_point_matrices(pat)
-    assert fp.matrix("C1") == ico_shift(2)
-    assert fp.matrix("C2") == ico_shift(1)
-    assert fp.matrix("A1") == ico_identity(1, 2)
-    assert fp.matrix("B1") == ico_zero(2, 1)
-    assert fp.matrix("R1") == ico_identity(2, 1)
-    assert fp.matrix("S1") == ico_zero(1, 2)
+    assert atom_counts(fp) == [2, 1]
+    assert fp.maps["C1"] == shift_map(2) == {0: 1}
+    assert fp.maps["C2"] == shift_map(1) == {}
+    assert fp.maps["A1"] == identity_map(1, 2) == {0: 0}
+    assert fp.maps["B1"] == {}
+    assert fp.maps["R1"] == identity_map(2, 1) == {0: 0}
+    assert fp.maps["S1"] == {}
 
 
 def test_fixed_point_blocks_middle_framing():
     pat = build_pattern(4, 2, 2, [2, 2, 2, 2])
     fp = fixed_point_matrices(pat)
-    stacked = RationalMatrix([[0, 0], [0, 0], [1, 0], [0, 1]])
-    assert fp.matrix("A1") == stacked
-    side = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert fp.matrix("B1") == side
-    assert fp.matrix("A2") == side
-    assert fp.matrix("B2") == stacked
-    block = RationalMatrix(
-        [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
-    )
-    assert fp.matrix("C2") == block
-    assert fp.matrix("R2") == RationalMatrix([[1], [0], [0], [0]])
+    assert atom_counts(fp) == [2, 4, 2]
+    stacked = {0: 2, 1: 3}  # the 4 x 2 matrix [[0, 0], [0, 0], [1, 0], [0, 1]]
+    assert fp.maps["A1"] == stacked
+    side = {0: 0, 1: 1}  # the 2 x 4 matrix [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert fp.maps["B1"] == side
+    assert fp.maps["A2"] == side
+    assert fp.maps["B2"] == stacked
+    assert fp.maps["C2"] == {0: 1, 2: 3}  # two 2 x 2 shift blocks
+    assert fp.maps["R2"] == {0: 0}
 
 
-def pairwise_matrices(pat, all_framings):
-    """Reference for ``fixed_point_matrices``: every (target, source) pair of
-    atoms is compared, and the entry is 1 exactly where the target coordinate
-    equals the source coordinate plus the arrow's (weight, r_charge)."""
+def pairwise_maps(pat, all_framings):
+    """Reference for ``fixed_point_matrices``: every (source, target) pair of
+    atoms is compared, and the pair is kept exactly where the target
+    coordinate equals the source coordinate plus the arrow's (weight,
+    r_charge). A source atom with two matches would keep both pairs."""
     spec = build_quiver(pat.n, pat.p, pat.lam, all_framings=all_framings)
 
     def coords(node):
@@ -125,12 +134,12 @@ def pairwise_matrices(pat, all_framings):
     out = {}
     for arr in spec.arrows:
         disp = (*arr.weight, arr.r_charge)
-        src = coords(arr.source)
-        rows = [
-            [1 if all(s + d == t for s, d, t in zip(sc, disp, tc)) else 0 for sc in src]
-            for tc in coords(arr.target)
-        ]
-        out[arr.name] = RationalMatrix(rows, cols=len(src))
+        out[arr.name] = {
+            (c, r)
+            for c, sc in enumerate(coords(arr.source))
+            for r, tc in enumerate(coords(arr.target))
+            if all(s + d == t for s, d, t in zip(sc, disp, tc))
+        }
     return out
 
 
@@ -139,8 +148,8 @@ def pairwise_matrices(pat, all_framings):
 def test_fixed_point_matrices_match_pairwise_matching(grid, all_framings):
     for pat in enumerate_patterns(*grid):
         fp = fixed_point_matrices(pat, all_framings=all_framings)
-        matrices = {name: fp.matrix(name) for name in fp.maps}
-        assert matrices == pairwise_matrices(pat, all_framings)
+        pairs = {name: set(m.items()) for name, m in fp.maps.items()}
+        assert pairs == pairwise_maps(pat, all_framings)
 
 
 def reachable_atoms(fp) -> set:
@@ -187,87 +196,93 @@ def test_emptied_framing_map_leaves_atoms_unreachable():
 
 def test_vacuum_fixed_point_shapes():
     fp = fixed_point_matrices(vacuum_pattern(4, 2, 2))
-    assert fp.matrix("R2").shape == (0, 1)
-    assert fp.matrix("S2").shape == (1, 0)
-    assert fp.matrix("A1").shape == (0, 0)
+    assert atom_counts(fp) == [0, 0, 0]
+    assert len(fp.node_atoms(FRAMING)) == 1
+    assert fp.maps["R2"] == fp.maps["S2"] == fp.maps["A1"] == {}
 
 
 def test_cutoff_relation_shape():
     pat = build_pattern(3, 1, 2, [2, 1])
     fp = fixed_point_matrices(pat)
-    climbed = fp.matrix("C1") * fp.matrix("C1") * fp.matrix("R1")
-    assert climbed.shape == (2, 1)
-    assert climbed == RationalMatrix.zeros(2, 1)
+    # C1 C1 R1 runs from the framing atom to the two node-1 atoms
+    assert atom_counts(fp)[0] == 2 and len(fp.node_atoms(FRAMING)) == 1
+    assert compose(fp, "C1", "R1") == {0: 1}
+    assert compose(fp, "C1", "C1", "R1") == {}
+
+
+def f_terms_on_stability_grids(all_framings: bool) -> int:
+    """Check the F-terms on every pattern of ``STABILITY_GRIDS``; each check
+    is symbolic, so it holds at every (eps, h)."""
+    checked = 0
+    for grid in STABILITY_GRIDS:
+        for pat in enumerate_patterns(*grid):
+            report = verify_f_terms(fixed_point_matrices(pat, all_framings=all_framings))
+            assert report.ok, (pat.free_values, report.failures())
+            checked += 1
+    return checked
 
 
 def test_f_terms_exhaustive_small_grid():
-    # one symbolic fixed point holds at every (eps, h)
-    for pat in enumerate_patterns(4, 2, 2):
-        fp = fixed_point_matrices(pat)
-        for params in (EPS1, GENERIC, EquivariantParams(F(-3, 2), F(1, 3))):
-            assert verify_f_terms(fp, params).ok
-    for pat in enumerate_patterns(2, 1, 3):
-        assert verify_f_terms(fixed_point_matrices(pat), GENERIC).ok
+    assert f_terms_on_stability_grids(all_framings=False) == 255
 
 
 def test_f_terms_with_all_framings():
-    for pat in enumerate_patterns(3, 1, 2):
-        fp = fixed_point_matrices(pat, all_framings=True)
-        assert verify_f_terms(fp, GENERIC).ok
+    assert f_terms_on_stability_grids(all_framings=True) == 255
 
 
-def hstack(left, right):
-    if left.rows == 0 and right.rows == 0:
-        return RationalMatrix.zeros(0, left.cols + right.cols)
-    return RationalMatrix(
-        [lr + rr for lr, rr in zip(left.entries, right.entries)],
-        cols=left.cols + right.cols,
-    )
-
-
-def vstack(top, bottom):
-    return RationalMatrix(top.entries + bottom.entries, cols=top.cols)
+def test_equivariance_is_symbolic():
+    # a gap of weight h vanishes at h = 0 but is caught symbolically
+    fp = fixed_point_matrices(build_pattern(3, 1, 2, [1, 1]))
+    assert fp.maps["A1"] == {0: 0}
+    lifted = tuple(a._replace(weight=a.weight + LinearForm(0, 1)) for a in fp.atoms[1])
+    report = verify_f_terms(fp._replace(atoms=(fp.atoms[0], lifted)))
+    assert ("equivariance[A1]", 2) in report.residuals
+    assert "equivariance[A1]" in report.failures()
 
 
 def test_block_forms_exhaustive_edge_framing():
     for pat in enumerate_patterns(4, 1, 2):
         n1, n2, n3 = pat.free_values
         fp = fixed_point_matrices(pat)
-        assert fp.matrix("C1") == ico_shift(n1)
-        assert fp.matrix("C2") == ico_shift(n2)
-        assert fp.matrix("C3") == ico_shift(n3)
-        assert fp.matrix("A1") == ico_identity(n2, n1)
-        assert fp.matrix("A2") == ico_identity(n3, n2)
-        assert fp.matrix("B1") == ico_zero(n1, n2)
-        assert fp.matrix("B2") == ico_zero(n2, n3)
-        assert fp.matrix("R1") == ico_identity(n1, 1)
-        assert fp.matrix("S1") == ico_zero(1, n1)
+        assert atom_counts(fp) == [n1, n2, n3]
+        assert fp.maps["C1"] == shift_map(n1)
+        assert fp.maps["C2"] == shift_map(n2)
+        assert fp.maps["C3"] == shift_map(n3)
+        assert fp.maps["A1"] == identity_map(n2, n1)
+        assert fp.maps["A2"] == identity_map(n3, n2)
+        assert fp.maps["B1"] == fp.maps["B2"] == {}
+        assert fp.maps["R1"] == identity_map(n1, 1)
+        assert fp.maps["S1"] == {}
 
 
 def test_block_forms_exhaustive_middle_framing():
     for pat in enumerate_patterns(4, 2, 2):
         n1, m1, m2, n3 = pat.free_values
         fp = fixed_point_matrices(pat)
-        assert fp.matrix("C1") == ico_shift(n1)
-        assert fp.matrix("C3") == ico_shift(n3)
-        blocked = vstack(
-            hstack(ico_shift(m1), ico_zero(m1, m2)),
-            hstack(ico_zero(m2, m1), ico_shift(m2)),
-        )
-        assert fp.matrix("C2") == blocked
-        assert fp.matrix("A1") == vstack(ico_zero(m1, n1), ico_identity(m2, n1))
-        assert fp.matrix("B1") == hstack(ico_identity(n1, m1), ico_zero(n1, m2))
-        assert fp.matrix("A2") == hstack(ico_identity(n3, m1), ico_zero(n3, m2))
-        assert fp.matrix("B2") == vstack(ico_zero(m1, n3), ico_identity(m2, n3))
-        assert fp.matrix("R2") == ico_identity(m1 + m2, 1)
-        assert fp.matrix("S2") == ico_zero(1, m1 + m2)
+        assert atom_counts(fp) == [n1, m1 + m2, n3]
+        assert fp.maps["C1"] == shift_map(n1)
+        assert fp.maps["C3"] == shift_map(n3)
+        # node 2 holds an m1 block, then an m2 block
+        assert fp.maps["C2"] == {**shift_map(m1), **shift_map(m2, offset=m1)}
+        assert fp.maps["A1"] == identity_map(m2, n1, row_offset=m1)
+        assert fp.maps["B1"] == identity_map(n1, m1)
+        assert fp.maps["A2"] == identity_map(n3, m1)
+        assert fp.maps["B2"] == identity_map(m2, n3, row_offset=m1)
+        assert fp.maps["R2"] == identity_map(m1 + m2, 1)
+        assert fp.maps["S2"] == {}
 
 
 def test_corrupted_matrix_reports_nonzero():
     pat = build_pattern(3, 1, 2, [2, 1])
     fp = fixed_point_matrices(pat)
-    bad = {0: 0, 1: 0}  # the matrix [[1, 1]]: an extra entry breaks the F-terms
-    corrupted = FixedPoint(fp.pattern, fp.spec, fp.atoms, {**fp.maps, "A1": bad})
-    report = verify_f_terms(corrupted, EPS1)
-    assert not report.ok
-    assert report.failures()
+    pinned = {
+        # the matrix [[1, 1]]: an extra entry breaks the F-terms
+        ("A1", (0, 0), (1, 0)): ["dW/dB1", "equivariance[A1]"],
+        # the identity on the bottom atom instead of the shift
+        ("C1", (0, 0)): ["dW/dB1", "dW/dS1", "equivariance[C1]"],
+    }
+    for (name, *entries), failures in pinned.items():
+        corrupted = FixedPoint(fp.pattern, fp.spec, fp.atoms, {**fp.maps, name: dict(entries)})
+        report = verify_f_terms(corrupted)
+        assert not report.ok
+        assert report.failures() == failures

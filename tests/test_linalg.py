@@ -1,4 +1,7 @@
+import ast
+import re
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from gtyang.linalg import RationalMatrix, kernel_basis, rank
 
 F = Fraction
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gtyang"
 
 
 def gauss_rank_oracle(entries):
@@ -34,20 +38,26 @@ def test_kernel_examples():
     assert kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
 
 
+def dense(rows) -> RationalMatrix:
+    """The matrix of nonempty dense rows, through ``from_triples``."""
+    triples = ((r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row))
+    return RationalMatrix.from_triples(len(rows), len(rows[0]), triples)
+
+
 def test_matrix_arithmetic():
-    a = RationalMatrix([[1, 2], [3, 4]])
-    b = RationalMatrix([[0, 1], [1, 0]])
-    assert a * b == RationalMatrix([[2, 1], [4, 3]])
+    a = dense([[1, 2], [3, 4]])
+    b = dense([[0, 1], [1, 0]])
+    assert a * b == dense([[2, 1], [4, 3]])
     assert a + b - b == a
-    assert a.scaled(F(1, 2)) == RationalMatrix([[F(1, 2), 1], [F(3, 2), 2]])
-    assert RationalMatrix([[0, 0]]) == RationalMatrix.zeros(1, 2)
-    m = RationalMatrix([[0, 0], [1, 0]])
-    assert m * m == RationalMatrix.zeros(2, 2)
+    assert a.scaled(F(1, 2)) == dense([[F(1, 2), 1], [F(3, 2), 2]])
+    assert dense([[0, 0]]) == RationalMatrix(1, 2, {})
+    m = dense([[0, 0], [1, 0]])
+    assert m * m == RationalMatrix(2, 2, {})
 
 
 def test_empty_shapes():
-    tall = RationalMatrix.zeros(3, 0)
-    wide = RationalMatrix.zeros(0, 3)
+    tall = RationalMatrix(3, 0, {})
+    wide = RationalMatrix(0, 3, {})
     assert (tall * wide).shape == (3, 3)
     assert rank([[], [], []]) == 0 and rank([]) == 0
 
@@ -76,3 +86,23 @@ def test_kernel_vectors_are_annihilated_and_rank_nullity_holds(entries):
     if basis:
         stacked = [[vec.get(i, 0) for vec in basis] for i in range(cols)]
         assert rank(stacked) == len(basis)
+
+
+def test_rational_matrix_serves_only_the_mode_operators():
+    # the fixed points and the localization run on atom maps and integer
+    # rows; of gtyang.linalg they take only the integer elimination
+    for module in ("crystal", "localization"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gtyang.linalg":
+                imported |= {alias.name for alias in node.names}
+            if isinstance(node, ast.Import):
+                assert "gtyang.linalg" not in {alias.name for alias in node.names}, module
+        assert imported <= {"rank", "kernel_basis"}, module
+    naming = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if re.search(r"\bRationalMatrix\b", path.read_text())
+    }
+    assert naming <= {"linalg.py", "modes.py", "__init__.py"}

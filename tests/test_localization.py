@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,7 @@ from math import factorial
 import pytest
 
 from gtyang.amplitudes import amplitude_E, amplitude_F, psi_closed_form
-from gtyang.crystal import fixed_point_matrices, superpotential_derivative
+from gtyang.crystal import fixed_point_matrices, verify_f_terms
 from gtyang.linalg import RationalMatrix
 from gtyang.localization import (
     DeformationComplex,
@@ -159,6 +160,70 @@ def test_weight_preservation_and_gauge_inside_kernel():
             assert rank(base + [[image.get(i, 0) for i in idxs]]) == rank(base)
 
 
+def arrow_matrix(fp, name: str) -> RationalMatrix:
+    """The 0/1 matrix of the named arrow's atom map, rows indexed by target atoms."""
+    arr = fp.spec.arrow(name)
+    return RationalMatrix.from_triples(
+        len(fp.node_atoms(arr.target)),
+        len(fp.node_atoms(arr.source)),
+        ((t, s, 1) for s, t in fp.maps[name].items()),
+    )
+
+
+def superpotential_derivative(spec, matrices: dict, name: str) -> RationalMatrix:
+    """Cyclic derivative of the superpotential by the named arrow, every
+    arrow valued by ``matrices`` (arrow name -> RationalMatrix)."""
+    n_tgt, n_src = matrices[name].shape
+    total = RationalMatrix(n_src, n_tgt, {})
+    for sign, factors in spec.superpotential:
+        for pos, factor in enumerate(factors):
+            if factor != name:
+                continue
+            first, *rest = factors[pos + 1 :] + factors[:pos]
+            term = matrices[first]
+            for other in rest:
+                term = term * matrices[other]
+            total = total + term.scaled(sign)
+    return total
+
+
+def corrupted_copies(fp, rng):
+    """One copy of the fixed point with an arrow entry deleted and one with
+    an entry redirected to another atom of its target node, where possible."""
+    arrows = [a for a in fp.spec.arrows if fp.maps[a.name]]
+    if not arrows:
+        return []
+    arr = rng.choice(arrows)
+    s = rng.choice(sorted(fp.maps[arr.name]))
+    deleted = {k: v for k, v in fp.maps[arr.name].items() if k != s}
+    out = [fp._replace(maps={**fp.maps, arr.name: deleted})]
+    others = [t for t in range(len(fp.node_atoms(arr.target))) if t != fp.maps[arr.name][s]]
+    if others:
+        moved = {**fp.maps[arr.name], s: rng.choice(others)}
+        out.append(fp._replace(maps={**fp.maps, arr.name: moved}))
+    return out
+
+
+@pytest.mark.parametrize("all_framings", [False, True])
+@pytest.mark.parametrize("grid", [(4, 2, 2), (5, 2, 2), (6, 3, 1)])
+def test_map_f_terms_match_the_matrix_derivative(grid, all_framings):
+    rng = random.Random(f"{grid}-{all_framings}")
+    broken = 0
+    for pat in enumerate_patterns(*grid):
+        fp = fixed_point_matrices(pat, all_framings=all_framings)
+        for case in [fp, *corrupted_copies(fp, rng)]:
+            names = [arr.name for arr in case.spec.arrows]
+            matrices = {name: arrow_matrix(case, name) for name in names}
+            expected = [
+                (f"dW/d{name}", superpotential_derivative(case.spec, matrices, name).max_abs())
+                for name in names
+            ]
+            got = list(verify_f_terms(case).residuals[: len(names)])
+            assert got == expected, (pat.free_values, case.maps)
+            broken += case is not fp and any(value for _, value in expected)
+    assert broken  # the corruptions reach the derivative
+
+
 def superpotential_rows(fp):
     """Reference for ``DeformationComplex.rows``: raise each slot of the
     fixed point by one unit and read off how every derivative of the words
@@ -168,7 +233,7 @@ def superpotential_rows(fp):
     framing = {a.name for a in fp.spec.arrows if a.is_framing}
     words = tuple(w for w in fp.spec.superpotential if framing.isdisjoint(w[1]))
     gauge_spec = fp.spec._replace(superpotential=words)
-    matrices = {arr.name: fp.matrix(arr.name) for arr in fp.spec.arrows}
+    matrices = {arr.name: arrow_matrix(fp, arr.name) for arr in fp.spec.arrows}
     entries = {}  # (derivative, row, col) -> {slot index: coefficient}
     weights = {}  # (derivative, row, col) -> weights of those slots
     for q in fp.spec.gauge_arrows:
@@ -261,7 +326,7 @@ def test_trim_tie_keeps_the_half_integer_loop_weight():
     # size 3/2 in units of (eps, h), and the tie goes to the smaller weight,
     # so +-(1, 1) is removed; a key of |e| + |h| would rank (3, 0) above
     # (1, 1) and remove +-(3, 0) instead. The two-member pool split of
-    # incidence_tangent_graded orders by the same _magnitude key.
+    # incidence_tangent_graded orders by the same LinearForm.magnitude key.
     w3, w1 = LinearForm(3, 0), LinearForm(1, 1)
     sectors = {w3: 1, -w3: 1, w1: 1, -w1: 1}
     trimmed, removed = _regularize_tangent(sectors, 2, build_pattern(3, 1, 2, [1, 0]))

@@ -29,7 +29,7 @@ def test_mode_matrix_examples():
     ops = build_mode_operators(ModuleData(3, 1, 1, EPS1), cutoff=1)
     e0 = ops["e", 1, 0]
     # basis order (0,0), (1,0), (1,1): single raise from the bottom state
-    assert e0 == RationalMatrix([[0, 0, 0], [-1, 0, 0], [0, 0, 0]])
+    assert e0 == RationalMatrix.from_triples(3, 3, [(1, 0, -1)])
     psi0 = ops["psi", 1, 0]
     assert [psi0.entries[i][i] for i in range(3)] == [1, -1, 0]
 
