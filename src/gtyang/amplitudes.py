@@ -5,6 +5,7 @@ state: an atom-by-atom product of bond factors, and a level-free closed form
 assembled from the boundary factors of each type ladder. Raising/lowering
 amplitudes come from closed-form products over the full pattern triangle and
 exist only on the edges of ``amplitude_table``, the moves inside the cone.
+Every closed form is written at h = 0 and takes epsilon alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from fractions import Fraction
 
 from gtyang.crystal import atoms_at_node
 from gtyang.patterns import GTPattern, enumerate_patterns
-from gtyang.quiver import EquivariantParams, InvalidParams
 from gtyang.rational import FactoredRatFunc
 
 Rat = Fraction
@@ -25,11 +25,6 @@ class IndexOutOfRange(IndexError):
 
 class InvalidMove(ValueError):
     pass
-
-
-def _require_h_zero(params: EquivariantParams) -> None:
-    if params.h != 0:
-        raise InvalidParams("amplitude computations require h = 0")
 
 
 def _bond_units(node_k: int, node_b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -47,9 +42,8 @@ def _psi_value(eps: Rat, num: list[int], den: list[int]) -> FactoredRatFunc:
     return FactoredRatFunc.from_multiples(Fraction(-1) / eps, eps / 2, num, den)
 
 
-def psi_generic(pat: GTPattern, k: int, params: EquivariantParams) -> FactoredRatFunc:
+def psi_generic(pat: GTPattern, k: int, eps: Rat) -> FactoredRatFunc:
     """Bond-factor product over every atom of the crystal."""
-    _require_h_zero(params)
     if not 1 <= k <= pat.n - 1:
         raise IndexOutOfRange(f"node {k} out of range")
     num: list[int] = []
@@ -65,13 +59,12 @@ def psi_generic(pat: GTPattern, k: int, params: EquivariantParams) -> FactoredRa
             w = atom.weight.e  # the atom weight at h = 0, in eps/2
             num.extend(w + r for r in roots[0])
             den.extend(w + r for r in roots[1])
-    return _psi_value(params.epsilon, num, den)
+    return _psi_value(eps, num, den)
 
 
-def psi_closed_form(pat: GTPattern, k: int, params: EquivariantParams) -> FactoredRatFunc:
+def psi_closed_form(pat: GTPattern, k: int, eps: Rat) -> FactoredRatFunc:
     """Level-free route: per type ladder only the boundary factors survive,
     with positions read off the pattern entries directly (in units of eps/2)."""
-    _require_h_zero(params)
     if not 1 <= k <= pat.n - 1:
         raise IndexOutOfRange(f"node {k} out of range")
     num: list[int] = []
@@ -96,7 +89,7 @@ def psi_closed_form(pat: GTPattern, k: int, params: EquivariantParams) -> Factor
             m = pat.entry(i, r)
             num.append(base + 2 * m - 1)
             den.append(base - 1)
-    return _psi_value(params.epsilon, num, den)
+    return _psi_value(eps, num, den)
 
 
 def _check_type_index(pat: GTPattern, k: int, j: int) -> None:
@@ -107,15 +100,13 @@ def _check_type_index(pat: GTPattern, k: int, j: int) -> None:
         raise IndexOutOfRange(f"type index {j} outside [{a}, {b}] at node {k}")
 
 
-def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Rat:
+def amplitude_E(pat: GTPattern, k: int, j: int, eps: Rat) -> Rat:
     """Raising coefficient onto the pattern with m[j,k] incremented, for a
     move inside the cone: interlacing keeps every denominator factor nonzero.
 
     Products run over full triangle rows, frozen entries included.
     """
-    _require_h_zero(params)
     _check_type_index(pat, k, j)
-    eps = params.epsilon
     l = pat.shifted
     lj = l(j, k)
     num = den = 1
@@ -139,12 +130,10 @@ def amplitude_E(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Ra
     return Fraction(num, den)
 
 
-def amplitude_F(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Rat:
+def amplitude_F(pat: GTPattern, k: int, j: int, eps: Rat) -> Rat:
     """Lowering coefficient onto the pattern with m[j,k] decremented, for a
     move inside the cone."""
-    _require_h_zero(params)
     _check_type_index(pat, k, j)
-    eps = params.epsilon
     l = pat.shifted
     lj = l(j, k)
     num = den = 1
@@ -168,23 +157,20 @@ def amplitude_F(pat: GTPattern, k: int, j: int, params: EquivariantParams) -> Ra
 
 
 def amplitude_table(
-    n: int, p: int, lam: int, params: EquivariantParams
+    n: int, p: int, lam: int, eps: Rat
 ) -> dict[tuple[GTPattern, int, int], tuple[Rat, Rat]]:
     """(state, node, type) of each raising move -> its (raising, lowering)
     amplitudes from the closed forms: E out of the state, F back from the
     raised state. Keys and values are shaped like ``localize_module``'s."""
-    _require_h_zero(params)  # up front: at lambda = 0 no move reaches amplitude_E
     table = {}
     for pat in enumerate_patterns(n, p, lam):
         for k in range(1, n):
             for j, up in pat.raises(k):
-                table[pat, k, j] = amplitude_E(pat, k, j, params), amplitude_F(up, k, j, params)
+                table[pat, k, j] = amplitude_E(pat, k, j, eps), amplitude_F(up, k, j, eps)
     return table
 
 
-def gelfand_squared_closed_form(
-    pat: GTPattern, k: int, j: int, direction: str, params: EquivariantParams
-) -> Rat:
+def gelfand_squared_closed_form(pat: GTPattern, k: int, j: int, direction: str) -> Rat:
     """Independent route: the classical square formula on shifted entries."""
     _check_type_index(pat, k, j)
     l = pat.shifted

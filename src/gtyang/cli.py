@@ -151,8 +151,6 @@ def _psi_entry(value, node, state_id) -> dict:
 
 def cmd_psi(args) -> int:
     params = _params(args)
-    if params.h != 0:
-        raise InvalidParams("eigenvalue functions are computed at h = 0")
     data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
     states = data.states
     picked = enumerate(states)
@@ -180,13 +178,12 @@ def _amplitude_rows(n, states, table) -> list:
 
 def cmd_amplitudes(args) -> int:
     params = _params(args)
-    if params.h != 0:
-        raise InvalidParams("amplitudes are computed at h = 0")
     data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
     states = data.states
     if args.method == "localization":
         from gtyang.localization import UncalibratedCell, localize_module
 
+        data.epsilon  # the h = 0 gate, read although this route keeps h symbolic
         table = localize_module(args.n, args.p, args.lam, params)
         for (pat, k, j), cell in table.items():
             if isinstance(cell, UncalibratedCell):
@@ -211,8 +208,6 @@ def cmd_amplitudes(args) -> int:
 
 def cmd_modes(args) -> int:
     params = _params(args)
-    if params.h != 0:
-        raise InvalidParams("mode operators are computed at h = 0")
     data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
     payload = []
     for (kind, node, mode), matrix in data.operators(args.mode_cutoff).items():

@@ -62,9 +62,10 @@ class ModuleData:
     command. Each field is computed at most once, on its first read: the
     states, the edge table of ``amplitude_table``, ``psi_closed_form`` per
     (state, node), the raising pole of each edge and the mode-operator table
-    of each cutoff. The independent routes (``psi_generic``,
-    ``add_remove_sets``, ``localize_module`` and
-    ``gelfand_squared_closed_form``) never read it."""
+    of each cutoff. The closed forms are written at h = 0 and take
+    ``epsilon``, the one gate that refuses a nonzero h; the states need none.
+    The independent routes (``psi_generic``, ``add_remove_sets``,
+    ``localize_module`` and ``gelfand_squared_closed_form``) never read it."""
 
     def __init__(self, n: int, p: int, lam: int, params: EquivariantParams):
         self.n = n
@@ -77,20 +78,28 @@ class ModuleData:
         return enumerate_patterns(self.n, self.p, self.lam)
 
     @functools.cached_property
+    def epsilon(self) -> Rat:
+        if self.params.h != 0:
+            raise InvalidParams(
+                "modules are built at h = 0 (only the constraints suite runs at h != 0)"
+            )
+        return self.params.epsilon
+
+    @functools.cached_property
     def table(self) -> dict[tuple[GTPattern, int, int], tuple[Rat, Rat]]:
-        return amplitude_table(self.n, self.p, self.lam, self.params)
+        return amplitude_table(self.n, self.p, self.lam, self.epsilon)
 
     @functools.cached_property
     def psi(self) -> dict[tuple[GTPattern, int], FactoredRatFunc]:
         return {
-            (pat, k): psi_closed_form(pat, k, self.params)
+            (pat, k): psi_closed_form(pat, k, self.epsilon)
             for pat in self.states
             for k in range(1, self.n)
         }
 
     @functools.cached_property
     def poles(self) -> dict[tuple[GTPattern, int, int], Rat]:
-        return {(pat, k, j): raise_pole(pat, k, j, self.params) for pat, k, j in self.table}
+        return {(pat, k, j): raise_pole(pat, k, j, self.epsilon) for pat, k, j in self.table}
 
     @functools.cached_property
     def operators(self):
@@ -115,8 +124,6 @@ def build_mode_operators(
     ``cutoff``, diagonal modes through ``2 * cutoff`` so products stay
     checkable. Each raising/lowering mode is assembled from the module's
     edges as (row, col, amplitude * pole**mode) triples."""
-    if data.params.h != 0:
-        raise InvalidParams("mode operators are defined at h = 0")
     if cutoff < 0:
         raise InvalidParams("cutoff must be non-negative")
     states, table, poles = data.states, data.table, data.poles
@@ -157,7 +164,7 @@ def _products(ops):
     return prod, comm
 
 
-def verify_mode_relations(ops, params: EquivariantParams) -> list[RelationReport]:
+def verify_mode_relations(ops, eps: Rat) -> list[RelationReport]:
     """Quadratic relations in Cartan-matrix form, the pairing of raising
     against lowering modes, [e_n, f_k] = -psi_{n+k}, and the boundary action
     of the zeroth diagonal mode, [psi_0, e_k] = -A_ab e_k and
@@ -178,7 +185,7 @@ def verify_mode_relations(ops, params: EquivariantParams) -> list[RelationReport
     def emit(rel_id, residual, **info):
         reports.append(RelationReport(rel_id, info, residual))
 
-    half = params.epsilon / 2
+    half = eps / 2
     for a, b in itertools.product(nodes, nodes):
         coupling = half * cartan[a - 1][b - 1]
         for n, k in itertools.product(range(cutoff), range(cutoff)):
@@ -322,12 +329,12 @@ def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
     """Poles of the cancelled eigenvalue function against candidate moves,
     and vanishing of amplitudes toward invalid patterns: the ``move_pair`` of
     each move is nonzero exactly where the move stays in the cone."""
-    params, table = data.params, data.table
+    eps, table = data.epsilon, data.table
     reports = []
     for pat in data.states:
         state = pat.free_values
         for k in range(1, data.n):
-            add, rem = add_remove_sets(pat, k, params)
+            add, rem = add_remove_sets(pat, k, eps)
             expected = sorted(pole for _, pole in add + rem)
             match = sorted(data.psi[pat, k].den_roots) == expected
             reports.append(
@@ -355,7 +362,7 @@ def verify_reductions(data: ModuleData) -> list[RelationReport]:
     n, lam = data.n, data.lam
     if data.p != 1:
         raise InvalidParams("the reduction suite needs p = 1")
-    eps = data.params.epsilon
+    eps = data.epsilon
     reports = []
     # the chain: every free entry below row 1 is zero, m ascending
     for pat in data.states:
@@ -388,7 +395,7 @@ def verify_dual_routes(data: ModuleData) -> list[RelationReport]:
     for pat in data.states:
         state = pat.free_values
         for k in range(1, data.n):
-            same = psi_generic(pat, k, data.params) == data.psi[pat, k]
+            same = psi_generic(pat, k, data.epsilon) == data.psi[pat, k]
             reports.append(
                 RelationReport(
                     "psi-routes", {"state": state, "node": k}, Fraction(0 if same else 1)
@@ -401,7 +408,7 @@ def verify_gelfand(data: ModuleData) -> list[RelationReport]:
     """E * F of every move against the classical square formula. The product
     is read from the edge table: a raise from the state's own edge, a lower
     from the edge that raises back into the state, 0 where there is none."""
-    params, table = data.params, data.table
+    table = data.table
     reports = []
     for pat in data.states:
         state = pat.free_values
@@ -410,7 +417,7 @@ def verify_gelfand(data: ModuleData) -> list[RelationReport]:
             for j in range(a, b + 1):
                 for direction, source in (("raise", pat), ("lower", pat.bumped(j, k, -1))):
                     e, f = table.get((source, k, j), NO_EDGE)
-                    rhs = gelfand_squared_closed_form(pat, k, j, direction, params)
+                    rhs = gelfand_squared_closed_form(pat, k, j, direction)
                     reports.append(
                         RelationReport(
                             "gelfand-square",
@@ -461,7 +468,7 @@ SUITES = {
     "hysteresis": lambda data, cutoff: (
         verify_hysteresis(data) + verify_pole_classification(data) + verify_dual_routes(data)
     ),
-    "modes": lambda data, cutoff: verify_mode_relations(data.operators(cutoff), data.params),
+    "modes": lambda data, cutoff: verify_mode_relations(data.operators(cutoff), data.epsilon),
     # Serre runs on modes 0 and 1 whatever the cutoff
     "serre": lambda data, cutoff: verify_serre(data.operators(max(cutoff, 1))),
     "gelfand": lambda data, cutoff: verify_gelfand(data),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from typing import NamedTuple
-from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation, validate_params
+from gtyang.quiver import InvalidParams, InvariantViolation, validate_params
 
 Rat = Fraction
 
@@ -188,14 +188,14 @@ def rectangular_dimension(n: int, p: int, lam: int) -> int:
     return int(total)
 
 
-def raise_pole(pat: GTPattern, k: int, i: int, params: EquivariantParams) -> Rat:
+def raise_pole(pat: GTPattern, k: int, i: int, eps: Rat) -> Rat:
     a, _ = pat.window(k)
     coeff = Fraction(pat.entry(i, k) - (i - a)) - Fraction(abs(k - pat.p), 2)
-    return coeff * params.epsilon
+    return coeff * eps
 
 
 def add_remove_sets(
-    pat: GTPattern, k: int, params: EquivariantParams
+    pat: GTPattern, k: int, eps: Rat
 ) -> tuple[list[tuple[int, Rat]], list[tuple[int, Rat]]]:
     """Candidate moves at node k: (type index, pole position) lists. A
     lowering pole sits one epsilon below the raising pole of the same entry."""
@@ -204,9 +204,9 @@ def add_remove_sets(
     rem = []
     for i in range(a, b + 1):
         if pat.bumped(i, k, +1) is not None:
-            add.append((i, raise_pole(pat, k, i, params)))
+            add.append((i, raise_pole(pat, k, i, eps)))
         if pat.bumped(i, k, -1) is not None:
-            rem.append((i, raise_pole(pat, k, i, params) - params.epsilon))
+            rem.append((i, raise_pole(pat, k, i, eps) - eps))
     return add, rem
 
 

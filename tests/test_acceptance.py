@@ -116,8 +116,8 @@ def test_criterion_02_psi_dual_routes():
                     states += 1
                     for k in range(1, n):
                         assert (
-                            psi_generic(pat, k, EPS1)
-                            == psi_closed_form(pat, k, EPS1)
+                            psi_generic(pat, k, EPS1.epsilon)
+                            == psi_closed_form(pat, k, EPS1.epsilon)
                         )
     elapsed = time.time() - start
     assert elapsed < 30, f"criterion 2 took {elapsed:.1f}s"
@@ -149,44 +149,45 @@ def test_criterion_04_specialization_tables():
     for pat in enumerate_patterns(3, 1, lam):
         n1, n2 = pat.free_values
         if n1 < lam:
-            assert amplitude_E(pat, 1, 1, EPS1) == -1
+            assert amplitude_E(pat, 1, 1, EPS1.epsilon) == -1
         if n2 < n1:
-            assert amplitude_E(pat, 2, 2, EPS1) == F(n1 - n2, 1) / (n2 - F(1, 2))
-            assert amplitude_F(pat, 1, 1, EPS1) == -(n1 - n2) * (lam - n1 + 1)
+            assert amplitude_E(pat, 2, 2, EPS1.epsilon) == F(n1 - n2, 1) / (n2 - F(1, 2))
+            assert amplitude_F(pat, 1, 1, EPS1.epsilon) == -(n1 - n2) * (lam - n1 + 1)
         if n2 > 0:
-            assert amplitude_F(pat, 2, 2, EPS1) == n2 * (n2 - F(3, 2))
+            assert amplitude_F(pat, 2, 2, EPS1.epsilon) == n2 * (n2 - F(3, 2))
     lam = 2
     for pat in enumerate_patterns(4, 1, lam):
         n1, n2, n3 = pat.free_values
         if n2 < n1:
-            assert amplitude_E(pat, 2, 2, EPS1) == F(n1 - n2, 1) / (n2 - F(1, 2))
+            assert amplitude_E(pat, 2, 2, EPS1.epsilon) == F(n1 - n2, 1) / (n2 - F(1, 2))
         if n3 < n2 and n3 != 1:
-            assert amplitude_E(pat, 3, 3, EPS1) == F(n2 - n3, 1) / (n3 - 1)
+            assert amplitude_E(pat, 3, 3, EPS1.epsilon) == F(n2 - n3, 1) / (n3 - 1)
         if n3 > 0 and n3 != 2:
-            assert amplitude_F(pat, 3, 3, EPS1) == n3 * (n3 - 2)
+            assert amplitude_F(pat, 3, 3, EPS1.epsilon) == n3 * (n3 - 2)
     for pat in enumerate_patterns(4, 2, lam):
         n1, m1, m2, n3 = pat.free_values
         if pat.bumped(2, 2, +1) is not None:
-            assert amplitude_E(pat, 2, 2, EPS1) == -F(
+            assert amplitude_E(pat, 2, 2, EPS1.epsilon) == -F(
                 (n1 - m2) * (n3 - m2), (m1 - m2) * (m1 - m2 + 1)
             )
         if pat.bumped(1, 2, -1) is not None:
-            assert amplitude_F(pat, 2, 1, EPS1) == -F(
+            assert amplitude_F(pat, 2, 1, EPS1.epsilon) == -F(
                 (m1 + 1) * (lam - m1 + 1) * (m1 - n1) * (m1 - n3),
                 (m1 - m2 + 1) * (m1 - m2),
             )
         if pat.bumped(2, 2, -1) is not None:
-            assert amplitude_F(pat, 2, 2, EPS1) == -m2 * (lam - m2 + 2)
+            assert amplitude_F(pat, 2, 2, EPS1.epsilon) == -m2 * (lam - m2 + 2)
 
     # negative control: the uncorrected marked-node lowering factor breaks
     # the residue identity on an explicit state
     pat = build_pattern(3, 1, 2, [1, 0])
     up = pat.bumped(1, 1, +1)
-    res = psi_closed_form(pat, 1, EPS1).residue_simple(raise_pole(pat, 1, 1, EPS1))
-    good = amplitude_E(pat, 1, 1, EPS1) * amplitude_F(up, 1, 1, EPS1)
+    eps = EPS1.epsilon
+    res = psi_closed_form(pat, 1, eps).residue_simple(raise_pole(pat, 1, 1, eps))
+    good = amplitude_E(pat, 1, 1, eps) * amplitude_F(up, 1, 1, eps)
     # the marked-node factor l(1,2) - l(1,1) + 1 of F with the shift of 1 dropped
     t = up.shifted(1, 2) - up.shifted(1, 1)
-    bad = amplitude_E(pat, 1, 1, EPS1) * amplitude_F(up, 1, 1, EPS1) * Fraction(t, t + 1)
+    bad = amplitude_E(pat, 1, 1, eps) * amplitude_F(up, 1, 1, eps) * Fraction(t, t + 1)
     assert good == res and bad != res
     report("criterion-04 specialization", "printed tables reproduced; offset-0 control fails")
 
@@ -198,7 +199,7 @@ def test_criterion_05_mode_relations():
     start = time.time()
     for n, p, lam in MODE_GRID:
         ops = build_mode_operators(ModuleData(n, p, lam, EPS1), cutoff=3)
-        reports = verify_mode_relations(ops, EPS1)
+        reports = verify_mode_relations(ops, EPS1.epsilon)
         assert all(r.passed for r in reports), f"mode relations fail on ({n},{p},{lam})"
     elapsed = time.time() - start
     assert elapsed < 60, f"criterion 5 took {elapsed:.1f}s"
@@ -227,7 +228,7 @@ def test_criterion_07_gelfand_squares():
         for pat, k, j in grid_moves(n, p, lam):
             for direction in ("raise", "lower"):
                 assert squared(table, pat, k, j, direction) == \
-                    gelfand_squared_closed_form(pat, k, j, direction, EPS1)
+                    gelfand_squared_closed_form(pat, k, j, direction)
     # printed square tables
     lam = 2
     table = ModuleData(3, 1, lam, EPS1).table
@@ -293,8 +294,8 @@ def test_criterion_08_localization_oracle():
                 if target is None:
                     continue
                 e_loc, f_loc = amplitudes_via_localization(fp_of(pat), fp_of(target), EPS1)
-                assert e_loc == amplitude_E(pat, k, j, EPS1)
-                assert f_loc == amplitude_F(target, k, j, EPS1)
+                assert e_loc == amplitude_E(pat, k, j, EPS1.epsilon)
+                assert f_loc == amplitude_F(target, k, j, EPS1.epsilon)
                 pairs += 1
     elapsed = time.time() - start
     assert elapsed < 120, f"criterion 8 took {elapsed:.1f}s"
@@ -303,8 +304,7 @@ def test_criterion_08_localization_oracle():
 
 def test_criterion_09_epsilon_covariance():
     sigma = F(2)
-    base = EquivariantParams(1)
-    scaled = EquivariantParams(sigma)
+    base, scaled = F(1), sigma
     for n, p, lam in [(3, 1, 2), (4, 2, 2), (5, 2, 1)]:
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):

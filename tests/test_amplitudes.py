@@ -1,7 +1,11 @@
+import ast
+import inspect
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from gtyang import amplitudes, patterns
 from gtyang.amplitudes import (
     IndexOutOfRange,
     InvalidMove,
@@ -15,12 +19,13 @@ from gtyang.amplitudes import (
 )
 from gtyang.patterns import GTPattern, add_remove_sets, build_pattern, enumerate_patterns
 from gtyang.localization import localize_module
-from gtyang.modes import move_pair
+from gtyang.modes import ModuleData, move_pair
 from gtyang.quiver import EquivariantParams, InvalidParams, bond_factor, build_quiver
 from gtyang.rational import FactoredRatFunc
 
 F = Fraction
 EPS1 = EquivariantParams(1)
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gtyang"
 
 
 def ratio(num_roots, den_roots, scalar=-1):
@@ -35,11 +40,11 @@ def ratio(num_roots, den_roots, scalar=-1):
 def test_psi_rank_two_chain():
     lam = 1
     pat = build_pattern(3, 1, lam, [0, 0])
-    assert psi_generic(pat, 1, EPS1) == ratio([1], [0])
+    assert psi_generic(pat, 1, EPS1.epsilon) == ratio([1], [0])
 
     lam = 2
     pat = build_pattern(3, 1, lam, [1, 0])
-    assert psi_generic(pat, 1, EPS1) == ratio([2, -1], [1, 0])
+    assert psi_generic(pat, 1, EPS1.epsilon) == ratio([2, -1], [1, 0])
 
     for n1, n2 in [(0, 0), (1, 0), (2, 1), (2, 2)]:
         pat = build_pattern(3, 1, lam, [n1, n2])
@@ -47,8 +52,8 @@ def test_psi_rank_two_chain():
         expected2 = ratio(
             [F(-3, 2), n1 - F(1, 2)], [n2 - F(1, 2), n2 - F(3, 2)]
         )
-        assert psi_closed_form(pat, 1, EPS1) == expected1
-        assert psi_closed_form(pat, 2, EPS1) == expected2
+        assert psi_closed_form(pat, 1, EPS1.epsilon) == expected1
+        assert psi_closed_form(pat, 2, EPS1.epsilon) == expected2
 
 
 def test_psi_rank_three_edge_framing():
@@ -56,7 +61,7 @@ def test_psi_rank_three_edge_framing():
     for n1, n2, n3 in [(0, 0, 0), (2, 1, 0), (2, 2, 1)]:
         pat = build_pattern(4, 1, lam, [n1, n2, n3])
         expected3 = ratio([-2, n2 - 1], [n3 - 1, n3 - 2])
-        assert psi_closed_form(pat, 3, EPS1) == expected3
+        assert psi_closed_form(pat, 3, EPS1.epsilon) == expected3
 
 
 def test_psi_rank_three_middle_framing():
@@ -69,29 +74,29 @@ def test_psi_rank_three_middle_framing():
         expected2 = ratio(
             [lam, -2, n1 - 1, n3 - 1], [m1, m1 - 1, m2 - 1, m2 - 2]
         )
-        assert psi_closed_form(pat, 1, EPS1) == expected1
-        assert psi_closed_form(pat, 2, EPS1) == expected2
+        assert psi_closed_form(pat, 1, EPS1.epsilon) == expected1
+        assert psi_closed_form(pat, 2, EPS1.epsilon) == expected2
 
 
 def test_psi_cancellation_example():
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
-    value = psi_generic(pat, 2, EPS1)
+    value = psi_generic(pat, 2, EPS1.epsilon)
     assert sorted(set(value.den_roots)) == [-1, 1]
     assert value == ratio([2, 0], [1, -1])
 
 
 def test_dual_routes_agree_on_grid():
-    params = EquivariantParams(F(2, 3))
+    eps = F(2, 3)
     for n, p, lam in [(3, 1, 3), (4, 2, 2), (5, 2, 1), (5, 3, 2)]:
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
-                assert psi_generic(pat, k, params) == psi_closed_form(pat, k, params)
+                assert psi_generic(pat, k, eps) == psi_closed_form(pat, k, eps)
 
 
 def test_psi_constant_at_infinity():
     for pat in enumerate_patterns(5, 2, 2):
         for k in range(1, 5):
-            f = psi_closed_form(pat, k, EPS1)
+            f = psi_closed_form(pat, k, EPS1.epsilon)
             assert len(f.num_roots) == len(f.den_roots)
             assert f.scalar == -1  # -1/eps at eps = 1
 
@@ -100,17 +105,51 @@ def test_psi_poles_match_candidate_moves():
     for n, p, lam in [(3, 1, 3), (4, 2, 2), (5, 2, 1)]:
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
-                add, rem = add_remove_sets(pat, k, EPS1)
+                add, rem = add_remove_sets(pat, k, EPS1.epsilon)
                 expected = sorted(pole for _, pole in add + rem)
-                f = psi_closed_form(pat, k, EPS1)
+                f = psi_closed_form(pat, k, EPS1.epsilon)
                 assert sorted(f.den_roots) == expected
                 assert len(set(f.den_roots)) == len(f.den_roots)
 
 
 def test_psi_requires_h_zero():
-    pat = build_pattern(3, 1, 2, [1, 0])
-    with pytest.raises(InvalidParams):
-        psi_generic(pat, 1, EquivariantParams(1, F(1, 2)))
+    # the states need no h; every closed-form field of the module reads the
+    # one epsilon gate
+    data = ModuleData(3, 1, 2, EquivariantParams(1, F(1, 2)))
+    assert len(data.states) == 6
+    refused = "modules are built at h = 0"
+    for field in ("epsilon", "table", "psi", "poles"):
+        with pytest.raises(InvalidParams, match=refused):
+            getattr(data, field)
+    with pytest.raises(InvalidParams, match=refused):
+        data.operators(1)
+
+
+def _definitions(tree, prefix=""):
+    """(qualified name, first line, last line) of every function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _definitions(node, prefix + node.name + ".")
+        elif isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node.lineno, node.end_lineno
+
+
+def test_closed_forms_take_epsilon_and_one_gate_checks_h():
+    # h = 0 is a contract of the closed-form signatures: none can be handed
+    # an h it would ignore, and only the gate and the `all` skip test h
+    for module in (amplitudes, patterns):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and not name.startswith("_"):
+                assert "params" not in inspect.signature(fn).parameters, name
+    owners = set()
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        spans = list(_definitions(ast.parse(text)))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "h != 0" in line:
+                inside = [name for name, first, last in spans if first <= lineno <= last]
+                owners.update(inside or [f"{path.name}:{lineno}"])
+    assert owners == {"ModuleData.epsilon", "_run_suites"}
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +180,7 @@ def lowering(table, pat, k, j):
 
 def test_rank_two_chain_tables():
     lam = 3
-    table = amplitude_table(3, 1, lam, EPS1)
+    table = amplitude_table(3, 1, lam, EPS1.epsilon)
     for pat in enumerate_patterns(3, 1, lam):
         n1, n2 = pat.free_values
         assert raising(table, pat, 1, 1) == expect(pat, 1, 1, +1, lambda: F(-1))
@@ -161,7 +200,7 @@ def test_rank_three_edge_tables():
     # the origin (n3 = 1 raising, n3 = 2 lowering); there the vanishing
     # pole factor is dropped and the rest of the table entry survives
     lam = 2
-    table = amplitude_table(4, 1, lam, EPS1)
+    table = amplitude_table(4, 1, lam, EPS1.epsilon)
     for pat in enumerate_patterns(4, 1, lam):
         n1, n2, n3 = pat.free_values
         assert raising(table, pat, 1, 1) == expect(pat, 1, 1, +1, lambda: F(-1))
@@ -185,7 +224,7 @@ def test_rank_three_edge_tables():
 
 def test_rank_three_middle_tables():
     lam = 2
-    table = amplitude_table(4, 2, lam, EPS1)
+    table = amplitude_table(4, 2, lam, EPS1.epsilon)
     for pat in enumerate_patterns(4, 2, lam):
         n1, m1, m2, n3 = pat.free_values
         assert raising(table, pat, 1, 1) == expect(
@@ -216,16 +255,16 @@ def test_rank_three_middle_tables():
 
 
 def test_middle_framing_spot_values():
-    table = amplitude_table(4, 2, 2, EPS1)
+    table = amplitude_table(4, 2, 2, EPS1.epsilon)
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
     assert raising(table, pat, 2, 2) == F(-1, 2)
     assert lowering(table, pat, 2, 1) == 0  # m1 == n1 blocks the move: no edge
 
 
 def test_amplitudes_vanish_iff_target_valid():
-    params = EquivariantParams(F(3, 2))
+    eps = F(3, 2)
     for n, p, lam in [(3, 1, 2), (4, 2, 2), (5, 2, 1)]:
-        table = amplitude_table(n, p, lam, params)
+        table = amplitude_table(n, p, lam, eps)
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
                 for j in moves(pat, k):
@@ -245,7 +284,7 @@ def test_amplitude_table_bumps_once_per_window_move(monkeypatch):
         return bumped(pat, *args)
 
     monkeypatch.setattr(GTPattern, "bumped", counted)
-    amplitude_table(6, 3, 2, EPS1)
+    amplitude_table(6, 3, 2, EPS1.epsilon)
     window_moves = sum(
         len(moves(pat, k)) for pat in enumerate_patterns(6, 3, 2) for k in range(1, 6)
     )
@@ -253,27 +292,24 @@ def test_amplitude_table_bumps_once_per_window_move(monkeypatch):
 
 
 def test_hysteresis_residue_identity():
-    params = EPS1
+    eps = EPS1.epsilon
     for n, p, lam in [(3, 1, 3), (4, 2, 2)]:
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
-                psi = psi_closed_form(pat, k, params)
-                add, _ = add_remove_sets(pat, k, params)
+                psi = psi_closed_form(pat, k, eps)
+                add, _ = add_remove_sets(pat, k, eps)
                 for j, pole in add:
                     up = pat.bumped(j, k, +1)
-                    product = (
-                        amplitude_E(pat, k, j, params)
-                        * amplitude_F(up, k, j, params)
-                    )
+                    product = amplitude_E(pat, k, j, eps) * amplitude_F(up, k, j, eps)
                     assert product == psi.residue_simple(pole)
 
 
 def test_residue_example_rank_two():
     pat = build_pattern(3, 1, 2, [1, 0])
     up = pat.bumped(1, 1, +1)
-    value = amplitude_E(pat, 1, 1, EPS1) * amplitude_F(up, 1, 1, EPS1)
+    value = amplitude_E(pat, 1, 1, EPS1.epsilon) * amplitude_F(up, 1, 1, EPS1.epsilon)
     assert value == 2
-    assert value == psi_closed_form(pat, 1, EPS1).residue_simple(1)
+    assert value == psi_closed_form(pat, 1, EPS1.epsilon).residue_simple(1)
 
 
 def test_uncorrected_edge_factor_breaks_residues():
@@ -281,9 +317,9 @@ def test_uncorrected_edge_factor_breaks_residues():
     up = pat.bumped(1, 1, +1)
     # the marked-node factor l(1,2) - l(1,1) + 1 of F with the shift of 1 dropped
     t = up.shifted(1, 2) - up.shifted(1, 1)
-    broken = amplitude_F(up, 1, 1, EPS1) * F(t, t + 1)
-    res = psi_closed_form(pat, 1, EPS1).residue_simple(1)
-    assert amplitude_E(pat, 1, 1, EPS1) * broken != res
+    broken = amplitude_F(up, 1, 1, EPS1.epsilon) * F(t, t + 1)
+    res = psi_closed_form(pat, 1, EPS1.epsilon).residue_simple(1)
+    assert amplitude_E(pat, 1, 1, EPS1.epsilon) * broken != res
 
 
 def squared(table, pat, k, j, direction):
@@ -296,14 +332,14 @@ def squared(table, pat, k, j, direction):
 
 def test_gelfand_squares():
     lam = 2
-    table = amplitude_table(3, 1, lam, EPS1)
+    table = amplitude_table(3, 1, lam, EPS1.epsilon)
     for pat in enumerate_patterns(3, 1, lam):
         n1, n2 = pat.free_values
         assert squared(table, pat, 1, 1, "raise") == (lam - n1) * (n1 - n2 + 1)
         assert squared(table, pat, 2, 2, "raise") == (n1 - n2) * (n2 + 1)
         assert squared(table, pat, 1, 1, "lower") == (n1 - n2) * (lam - n1 + 1)
         assert squared(table, pat, 2, 2, "lower") == n2 * (n1 - n2 + 1)
-    table = amplitude_table(4, 1, lam, EPS1)
+    table = amplitude_table(4, 1, lam, EPS1.epsilon)
     for pat in enumerate_patterns(4, 1, lam):
         n1, n2, n3 = pat.free_values
         assert squared(table, pat, 2, 2, "raise") == (n1 - n2) * (n2 - n3 + 1)
@@ -311,31 +347,29 @@ def test_gelfand_squares():
 
 
 def test_gelfand_square_closed_form_matches_product_route():
-    params = EPS1
     for n, p, lam in [(3, 1, 2), (4, 2, 2), (5, 2, 1)]:
-        table = amplitude_table(n, p, lam, params)
+        table = amplitude_table(n, p, lam, EPS1.epsilon)
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
                 for j in moves(pat, k):
                     for direction in ("raise", "lower"):
                         assert squared(table, pat, k, j, direction) == \
-                            gelfand_squared_closed_form(pat, k, j, direction, params)
+                            gelfand_squared_closed_form(pat, k, j, direction)
 
 
 def test_gelfand_invalid_target_and_direction():
     pat = build_pattern(3, 1, 2, [2, 0])
-    assert gelfand_squared_closed_form(pat, 1, 1, "raise", EPS1) == 0
-    assert squared(amplitude_table(3, 1, 2, EPS1), pat, 1, 1, "raise") == 0
+    assert gelfand_squared_closed_form(pat, 1, 1, "raise") == 0
+    assert squared(amplitude_table(3, 1, 2, EPS1.epsilon), pat, 1, 1, "raise") == 0
     with pytest.raises(InvalidMove):
-        gelfand_squared_closed_form(pat, 1, 1, "sideways", EPS1)
+        gelfand_squared_closed_form(pat, 1, 1, "sideways")
     with pytest.raises(IndexOutOfRange):
-        gelfand_squared_closed_form(pat, 1, 2, "raise", EPS1)
+        gelfand_squared_closed_form(pat, 1, 2, "raise")
 
 
 def test_epsilon_covariance():
     sigma = F(2)
-    base = EquivariantParams(1)
-    scaled = EquivariantParams(sigma)
+    base, scaled = F(1), sigma
     base_table = amplitude_table(4, 2, 2, base)
     scaled_table = amplitude_table(4, 2, 2, scaled)
     for pat in enumerate_patterns(4, 2, 2):
@@ -373,8 +407,8 @@ def test_bond_units_match_quiver_bond_factor(eps):
 @pytest.mark.parametrize("grid", [(3, 1, 2), (4, 2, 2), (5, 2, 2)])
 def test_amplitude_table_covers_the_localization_edges(grid):
     n, p, lam = grid
-    table = amplitude_table(n, p, lam, EPS1)
+    table = amplitude_table(n, p, lam, EPS1.epsilon)
     assert list(table) == list(localize_module(n, p, lam, EPS1))
     for (pat, k, j), value in table.items():
         up = pat.bumped(j, k, +1)
-        assert value == (amplitude_E(pat, k, j, EPS1), amplitude_F(up, k, j, EPS1))
+        assert value == (amplitude_E(pat, k, j, EPS1.epsilon), amplitude_F(up, k, j, EPS1.epsilon))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -431,20 +432,50 @@ def test_unknown_suite_lists_the_choices_in_order(capsys):
     )
 
 
+H_REFUSAL = "error: modules are built at h = 0 (only the constraints suite runs at h != 0)\n"
+
+
 def test_verify_single_suite_at_nonzero_h_is_a_usage_error(capsys):
-    # at lambda = 0 there is no move, so no amplitude is computed: the edge
-    # table refuses h != 0 before it looks for one
+    # at lambda = 0 there is no move, so no amplitude is computed: the
+    # module's epsilon gate refuses h != 0 before any closed form runs
     from gtyang.modes import SUITES
 
     for lam in ("2", "0"):
         for suite in [name for name in SUITES if name != "constraints"]:
             argv = ["--n", "3", "--p", "1", "--lambda", lam, "--h", "1", "--suite", suite]
-            code, out, err = run(capsys, "verify", *argv)
-            assert (code, out) == (2, ""), argv
-            if suite in ("modes", "serre"):
-                assert err == "error: mode operators are defined at h = 0\n"
-            else:
-                assert err == "error: amplitude computations require h = 0\n"
+            assert run(capsys, "verify", *argv) == (2, "", H_REFUSAL), argv
+
+
+def test_every_closed_form_command_refuses_nonzero_h_with_one_message(capsys):
+    refused = [["psi"], ["amplitudes"], ["amplitudes", "--method", "localization"], ["modes"]]
+    allowed = [["states"], ["dims"], ["verify", "--suite", "constraints"]]
+    for lam in ("2", "0"):
+        grid = ["--n", "3", "--p", "1", "--lambda", lam, "--h", "1"]
+        for command in refused:
+            assert run(capsys, *command, *grid) == (2, "", H_REFUSAL), command
+        for command in allowed:
+            assert run(capsys, *command, *grid)[0] == 0, command
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("states.json", ["states"]),
+        ("psi.json", ["psi"]),
+        ("amplitudes.csv", ["amplitudes", "--format", "csv"]),
+        ("modes.json", ["modes", "--mode-cutoff", "1"]),
+        ("verify.csv", ["verify", "--format", "csv", "--mode-cutoff", "1"]),
+    ],
+)
+def test_stdout_matches_the_golden_file(capsys, name, command):
+    """Each file is the stdout of ``gtyang <command> --n 3 --p 1 --lambda 2
+    --epsilon=-3/2``; regenerate one only for a change meant to alter stdout."""
+    code, out, _ = run(capsys, *command, "--n", "3", "--p", "1", "--lambda", "2", "--epsilon=-3/2")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 def test_verify_all_at_zero_h_stdout_pinned(capsys):

@@ -132,15 +132,15 @@ def test_localization_matches_closed_forms(grid):
     n, p, lam = grid
     for pat, target, k, j in grid_pairs(n, p, lam):
         e_loc, f_loc = amplitudes_via_localization(fp_of(pat), fp_of(target), EPS1)
-        assert e_loc == amplitude_E(pat, k, j, EPS1)
-        assert f_loc == amplitude_F(target, k, j, EPS1)
+        assert e_loc == amplitude_E(pat, k, j, EPS1.epsilon)
+        assert f_loc == amplitude_F(target, k, j, EPS1.epsilon)
 
 
 def test_product_equals_residue_via_localization():
     for pat, target, k, j in grid_pairs(4, 2, 1):
         e_loc, f_loc = amplitudes_via_localization(fp_of(pat), fp_of(target), EPS1)
-        psi = psi_closed_form(pat, k, EPS1)
-        assert e_loc * f_loc == psi.residue_simple(raise_pole(pat, k, j, EPS1))
+        psi = psi_closed_form(pat, k, EPS1.epsilon)
+        assert e_loc * f_loc == psi.residue_simple(raise_pole(pat, k, j, EPS1.epsilon))
 
 
 def test_weight_preservation_and_gauge_inside_kernel():
@@ -296,8 +296,8 @@ def test_double_jump_cells_match_closed_forms():
     a = build_pattern(4, 2, 3, [1, 2, 0, 1])
     b = build_pattern(4, 2, 3, [1, 3, 0, 1])
     e_loc, f_loc = amplitudes_via_localization(fp_of(a), fp_of(b), EPS1)
-    assert e_loc == amplitude_E(a, 2, 1, EPS1)
-    assert f_loc == amplitude_F(b, 2, 1, EPS1)
+    assert e_loc == amplitude_E(a, 2, 1, EPS1.epsilon)
+    assert f_loc == amplitude_F(b, 2, 1, EPS1.epsilon)
 
 
 def test_expected_dimension_is_twice_atom_count():

@@ -43,13 +43,13 @@ def test_operator_count_at_cutoff_zero():
 def test_mode_relations_small_grid():
     cutoff = 3
     ops = build_mode_operators(ModuleData(3, 1, 2, EPS1), cutoff=cutoff)
-    reports = verify_mode_relations(ops, EPS1)
+    reports = verify_mode_relations(ops, EPS1.epsilon)
     assert all(r.passed for r in reports)
 
 
 def test_diagonal_modes_commute_and_offdiag_pairing_vanishes():
     ops = build_mode_operators(ModuleData(4, 2, 1, EPS1), cutoff=2)
-    reports = verify_mode_relations(ops, EPS1)
+    reports = verify_mode_relations(ops, EPS1.epsilon)
     assert all(r.passed for r in reports if r.relation_id == "psipsi")
     assert all(r.passed for r in reports if r.relation_id == "ef-offdiag")
 
@@ -92,7 +92,7 @@ def test_doubled_operator_entry_fails_the_pinned_relations(key):
     matrix = ops[key]
     r, c, v = next(matrix.nonzeros())
     ops[key] = matrix + RationalMatrix.from_triples(matrix.rows, matrix.cols, [(r, c, v)])
-    reports = verify_mode_relations(ops, EPS1) + verify_serre(ops)
+    reports = verify_mode_relations(ops, EPS1.epsilon) + verify_serre(ops)
     assert _failing(reports) == DOUBLED_ENTRY_FAILURES[key]
 
 
@@ -103,7 +103,7 @@ def test_negated_psi_fails_the_pairing_and_boundary_relations():
     params = EquivariantParams(F(3, 2))
     ops = build_mode_operators(ModuleData(4, 2, 2, params), cutoff=2)
     ops = {key: m.scaled(-1) if key[0] == "psi" else m for key, m in ops.items()}
-    assert _failing(verify_mode_relations(ops, params)) == {
+    assert _failing(verify_mode_relations(ops, params.epsilon)) == {
         "ef-pairing": (27, F(81, 4)),
         "boundary-e": (27, F(32, 3)),
         "boundary-f": (27, F(81, 2)),
@@ -168,9 +168,9 @@ def test_hysteresis_suite_computes_each_closed_form_psi_once(capsys, monkeypatch
     # suite must not recompute it per check
     calls = []
 
-    def counted(pat, k, params):
+    def counted(pat, k, eps):
         calls.append((pat, k))
-        return psi_closed_form(pat, k, params)
+        return psi_closed_form(pat, k, eps)
 
     monkeypatch.setattr(modes, "psi_closed_form", counted)
     argv = ["verify", "--suite", "hysteresis", "--n", "4", "--p", "2", "--lambda", "2"]

@@ -14,10 +14,10 @@ from gtyang.patterns import (
     type_range,
     vacuum_pattern,
 )
-from gtyang.quiver import EquivariantParams, InvalidParams
+from gtyang.quiver import InvalidParams
 
 F = Fraction
-EPS1 = EquivariantParams(1)
+EPS1 = Fraction(1)
 
 
 def brute_force_patterns(n, p, lam):
