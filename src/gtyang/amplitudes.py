@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from gtyang.crystal import atoms_at_node
-from gtyang.patterns import GTPattern, enumerate_patterns
+from gtyang.patterns import GTPattern, enumerate_patterns, pole_units
+from gtyang.quiver import build_quiver, exchange_roots
 from gtyang.rational import FactoredRatFunc
 
 Rat = Fraction
@@ -27,38 +28,24 @@ class InvalidMove(ValueError):
     pass
 
 
-def _bond_units(node_k: int, node_b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Numerator/denominator roots of the h = 0 exchange function, in units
-    of eps/2."""
-    if node_k == node_b:
-        return (-2,), (2,)
-    if abs(node_k - node_b) == 1:
-        return (1,), (-1,)
-    return (), ()
-
-
 def _psi_value(eps: Rat, num: list[int], den: list[int]) -> FactoredRatFunc:
     """-1/eps times the root bags, which are given in units of eps/2."""
     return FactoredRatFunc.from_multiples(Fraction(-1) / eps, eps / 2, num, den)
 
 
 def psi_generic(pat: GTPattern, k: int, eps: Rat) -> FactoredRatFunc:
-    """Bond-factor product over every atom of the crystal."""
+    """Bond-factor product over every atom of the crystal, the framing atom
+    included: a node-b atom of weight w contributes the exchange roots of
+    node k with node b, shifted by w (at h = 0, in units of eps/2)."""
     if not 1 <= k <= pat.n - 1:
         raise IndexOutOfRange(f"node {k} out of range")
     num: list[int] = []
     den: list[int] = []
-    if k == pat.p:
-        num.append(2 * pat.lam)  # (z + h_S) with h_S = -lam*eps
-        den.append(0)  # (z - h_R) with h_R = 0
-    for b in (k - 1, k, k + 1):
-        if not 1 <= b <= pat.n - 1:
-            continue
-        roots = _bond_units(k, b)
+    for b, (b_num, b_den) in exchange_roots(build_quiver(pat.n, pat.p, pat.lam), k).items():
         for atom in atoms_at_node(pat, b):
-            w = atom.weight.e  # the atom weight at h = 0, in eps/2
-            num.extend(w + r for r in roots[0])
-            den.extend(w + r for r in roots[1])
+            w = atom.weight.e
+            num.extend(w + r.e for r in b_num)
+            den.extend(w + r.e for r in b_den)
     return _psi_value(eps, num, den)
 
 
@@ -119,8 +106,7 @@ def amplitude_E(pat: GTPattern, k: int, j: int, eps: Rat) -> Rat:
         return Fraction(-num * eps.denominator, den * eps.numerator)  # times -1/eps
     for i in range(1, j + 1):
         num *= l(i, k + 1) - lj
-    a_k, _ = pat.window(k)
-    pole = 2 * (lj + a_k) - abs(k - pat.p)  # in units of eps/2
+    pole = pole_units(pat, k, j)
     # moves whose pole hits the origin collide with the root at h = 0;
     # the vanishing factor is dropped, its partner drops from the
     # reverse lowering, so the residue identity survives untouched
@@ -147,8 +133,7 @@ def amplitude_F(pat: GTPattern, k: int, j: int, eps: Rat) -> Rat:
         # the shift of 1 is the one value compatible with the residue identity
         num *= l(1, k + 1) - lj + 1
         return Fraction(num * eps.numerator, den * eps.denominator)  # times eps
-    a_k, _ = pat.window(k)
-    pole = 2 * (lj - 1 + a_k) - abs(k - pat.p)  # in units of eps/2
+    pole = pole_units(pat, k, j) - 2  # the raise pole of the entry below
     num = -num
     if pole != 0:  # dropped in step with the matching raise, see above
         num *= pole * eps.numerator
@@ -171,31 +156,22 @@ def amplitude_table(
 
 
 def gelfand_squared_closed_form(pat: GTPattern, k: int, j: int, direction: str) -> Rat:
-    """Independent route: the classical square formula on shifted entries."""
+    """Independent route: the classical square formula on shifted entries.
+    The lowering square is the raising square at the entry one below."""
     _check_type_index(pat, k, j)
+    step = {"raise": +1, "lower": -1}.get(direction)
+    if step is None:
+        raise InvalidMove(f"direction must be 'raise' or 'lower', got {direction!r}")
+    if pat.bumped(j, k, step) is None:
+        return Fraction(0)
     l = pat.shifted
-    if direction == "raise":
-        if pat.bumped(j, k, +1) is None:
-            return Fraction(0)
-        value = Fraction(-1)
-        for i in range(1, k + 2):
-            value *= l(i, k + 1) - l(j, k)
-        for i in range(1, k):
-            value *= l(i, k - 1) - l(j, k) - 1
-        for i in range(1, k + 1):
-            if i != j:
-                value /= (l(i, k) - l(j, k)) * (l(i, k) - l(j, k) - 1)
-        return value
-    if direction == "lower":
-        if pat.bumped(j, k, -1) is None:
-            return Fraction(0)
-        value = Fraction(-1)
-        for i in range(1, k + 2):
-            value *= l(i, k + 1) - l(j, k) + 1
-        for i in range(1, k):
-            value *= l(i, k - 1) - l(j, k)
-        for i in range(1, k + 1):
-            if i != j:
-                value /= (l(i, k) - l(j, k) + 1) * (l(i, k) - l(j, k))
-        return value
-    raise InvalidMove(f"direction must be 'raise' or 'lower', got {direction!r}")
+    x = l(j, k) if step > 0 else l(j, k) - 1
+    value = Fraction(-1)
+    for i in range(1, k + 2):
+        value *= l(i, k + 1) - x
+    for i in range(1, k):
+        value *= l(i, k - 1) - x - 1
+    for i in range(1, k + 1):
+        if i != j:
+            value /= (l(i, k) - x) * (l(i, k) - x - 1)
+    return value

@@ -28,14 +28,17 @@ def fmt_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# the one grammar of a rational: an optional minus, digits, optional /digits
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rat(text: str) -> Fraction:
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParams(f"bad rational literal {text!r}") from exc
+        if _RATIONAL.fullmatch(text):
+            return Fraction(text)
+    except ZeroDivisionError:
+        pass
+    raise InvalidParams(f"bad rational literal {text!r}")
 
 
 def _common_flags(sub):
@@ -272,14 +275,14 @@ COMMANDS = {
 # argparse takes "-3/2" for an option flag, since only integers and
 # decimals look like negative numbers to it
 _RATIONAL_FLAGS = ("--epsilon", "--h")
-_NEGATIVE_RATIONAL = re.compile(r"-\d+(/\d+)?")
 
 
 def _join_negative_rationals(argv: list[str]) -> list[str]:
     """Rewrite ``--epsilon -3/2`` as ``--epsilon=-3/2`` (likewise ``--h``)."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _RATIONAL_FLAGS and _NEGATIVE_RATIONAL.fullmatch(token):
+        negative = token.startswith("-") and _RATIONAL.fullmatch(token)
+        if out and out[-1] in _RATIONAL_FLAGS and negative:
             out[-1] += "=" + token
         else:
             out.append(token)

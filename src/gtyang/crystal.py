@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from gtyang.patterns import GTPattern
-from gtyang.quiver import FRAMING, ZERO_FORM, LinearForm, QuiverSpec, build_quiver
+from gtyang.quiver import FRAMING, ZERO_FORM, LinearForm, NodeRef, QuiverSpec, build_quiver
 
 
 class Atom(NamedTuple):
@@ -26,8 +26,14 @@ class Atom(NamedTuple):
         return (*self.weight, self.r_charge)
 
 
-def atoms_at_node(pat: GTPattern, k: int) -> tuple[Atom, ...]:
-    """Atoms ordered by type index, then level."""
+_FRAMING_ATOMS = (Atom(0, ZERO_FORM, 0),)
+
+
+def atoms_at_node(pat: GTPattern, k: NodeRef) -> tuple[Atom, ...]:
+    """Atoms ordered by type index, then level; the framing node holds the
+    one framing atom, of weight 0."""
+    if k == FRAMING:
+        return _FRAMING_ATOMS
     a, b = pat.window(k)
     out = []
     for i in range(a, b + 1):
@@ -46,29 +52,29 @@ class FixedPoint(NamedTuple):
     maps: dict  # arrow name -> {source atom index: target atom index}
 
     def node_atoms(self, node) -> tuple[Atom, ...]:
-        if node == FRAMING:
-            return (_FRAMING_ATOM,)
-        return self.atoms[node - 1]
+        return _FRAMING_ATOMS if node == FRAMING else self.atoms[node - 1]
 
 
-_FRAMING_ATOM = Atom(0, ZERO_FORM, 0)
+def atom_map(src, tgt, weight: LinearForm, r_charge: int) -> dict[int, int]:
+    """{source atom index: target atom index}: a source atom goes to the
+    target atom at its coordinate plus (weight, r_charge), if there is one.
+    Atom coordinates are distinct, so the map is injective."""
+    index = {(t.weight, t.r_charge): r for r, t in enumerate(tgt)}
+    return {
+        c: r
+        for c, s in enumerate(src)
+        if (r := index.get((s.weight + weight, s.r_charge + r_charge))) is not None
+    }
 
 
 def fixed_point_matrices(pat: GTPattern, all_framings: bool = False) -> FixedPoint:
-    """Arrow maps by coordinate matching: a source atom goes to the target
-    atom at its coordinate plus the arrow displacement, if there is one.
-    Atom coordinates are distinct, so every map is injective."""
+    """Arrow maps by coordinate matching, one ``atom_map`` per arrow."""
     spec = build_quiver(pat.n, pat.p, pat.lam, all_framings=all_framings)
     atoms = tuple(atoms_at_node(pat, k) for k in range(1, pat.n))
     fp = FixedPoint(pat, spec, atoms, {})
     for arr in spec.arrows:
-        index = {t.coordinate: r for r, t in enumerate(fp.node_atoms(arr.target))}
-        hits = fp.maps[arr.name] = {}
-        for c, s in enumerate(fp.node_atoms(arr.source)):
-            w = s.weight + arr.weight
-            r = index.get((w.e, w.h, s.r_charge + arr.r_charge))
-            if r is not None:
-                hits[c] = r
+        src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
+        fp.maps[arr.name] = atom_map(src, tgt, arr.weight, arr.r_charge)
     return fp
 
 

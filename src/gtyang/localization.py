@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from gtyang.crystal import FixedPoint, fixed_point_matrices
+from gtyang.crystal import FixedPoint, atom_map, fixed_point_matrices
 from gtyang.linalg import kernel_basis, rank
 from gtyang.patterns import GTPattern, enumerate_patterns
-from gtyang.quiver import FRAMING, EquivariantParams, InvariantViolation, LinearForm
+from gtyang.quiver import FRAMING, ZERO_FORM, EquivariantParams, InvariantViolation, LinearForm
 
 Rat = Fraction
 
@@ -245,25 +245,14 @@ def euler_class(fp: FixedPoint, params: EquivariantParams) -> Rat:
     return _euler(tangent_graded(fp), params)
 
 
-def _projection(fp_plus: FixedPoint, fp: FixedPoint, node) -> dict[int, int]:
-    """Coordinate-matching surjection from the bigger crystal to the smaller,
-    as the map {big atom index: small atom index}."""
-    small_coords = {a.coordinate: i for i, a in enumerate(fp.node_atoms(node))}
-    return {
-        j: small_coords[a.coordinate]
-        for j, a in enumerate(fp_plus.node_atoms(node))
-        if a.coordinate in small_coords
-    }
-
-
 def incidence_tangent_graded(
     cx: DeformationComplex, cx_plus: DeformationComplex
 ) -> dict[LinearForm, int]:
     """Tangent grading of the one-atom extension locus.
 
     Pairs of kernel deformations that admit an intertwiner deformation,
-    modulo both gauge orbits. The base intertwiner is the atom projection
-    from the extended crystal onto the original one.
+    modulo both gauge orbits. The base intertwiner tau is the atom map of
+    zero displacement from the extended crystal onto the original one.
     """
     fp, fp_plus = cx.fp, cx_plus.fp
     small = set(a.coordinate for a in _all_atoms(fp))
@@ -272,8 +261,10 @@ def incidence_tangent_graded(
         raise NotAdjacent("second fixed point is not a single-atom extension")
 
     spec = fp.spec
-    tau = {node: _projection(fp_plus, fp, node) for node in spec.gauge_nodes}
-    tau[FRAMING] = {0: 0}
+    tau = {
+        node: atom_map(fp_plus.node_atoms(node), fp.node_atoms(node), ZERO_FORM, 0)
+        for node in (*spec.gauge_nodes, FRAMING)
+    }
     # tau is injective, so its preimage is the inclusion of the smaller crystal
     tau_pre = {node: {s: b for b, s in t.items()} for node, t in tau.items()}
 

@@ -9,6 +9,7 @@ triangle so the general coefficient formulas apply uniformly.
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 from typing import NamedTuple
 from gtyang.quiver import InvalidParams, InvariantViolation, validate_params
@@ -145,35 +146,19 @@ def vacuum_pattern(n: int, p: int, lam: int) -> GTPattern:
 
 
 def enumerate_patterns(n: int, p: int, lam: int) -> list[GTPattern]:
-    """All patterns, ordered lexicographically on the free entries
-    (row 1 first, then row 2, type index ascending inside a row)."""
-    validate_params(n, p, lam)
-    top = tuple(lam if i <= n - p else 0 for i in range(1, n + 1))
-    partial = [[top]]  # rows collected from row n downward
-    for k in range(n - 1, 0, -1):
-        a, b = type_range(n, p, k)
-        grown = []
-        for rows_above in partial:
-            upper = rows_above[-1]  # row k+1
-            choices = [[]]
-            for i in range(1, k + 1):
-                lo = upper[i] if i + 1 <= k + 1 else 0  # m[i+1,k+1]
-                hi = upper[i - 1]  # m[i,k+1]
-                frozen = _frozen_value(n, p, lam, i, k)
-                if frozen is not None:
-                    allowed = [frozen] if lo <= frozen <= hi else []
-                else:
-                    allowed = list(range(lo, hi + 1))
-                choices = [c + [v] for c in choices for v in allowed]
-            for row in choices:
-                grown.append(rows_above + [tuple(row)])
-        partial = grown
-    out = []
-    for rows_desc in partial:
-        rows = tuple(reversed(rows_desc))
-        out.append(GTPattern(n, p, lam, rows))
-    out.sort(key=lambda pat: pat.free_values)
-    return out
+    """The crystal grown from the vacuum by adding atoms, ordered
+    lexicographically on the free entries (row 1 first, then row 2, type
+    index ascending inside a row)."""
+    grown = {vacuum_pattern(n, p, lam)}
+    frontier = list(grown)
+    while frontier:
+        pat = frontier.pop()
+        for k in range(1, n):
+            for _, up in pat.raises(k):
+                if up not in grown:
+                    grown.add(up)
+                    frontier.append(up)
+    return sorted(grown, key=lambda pat: pat.free_values)
 
 
 def rectangular_dimension(n: int, p: int, lam: int) -> int:
@@ -188,10 +173,14 @@ def rectangular_dimension(n: int, p: int, lam: int) -> int:
     return int(total)
 
 
-def raise_pole(pat: GTPattern, k: int, i: int, eps: Rat) -> Rat:
+def pole_units(pat: GTPattern, k: int, i: int) -> int:
+    """Raising pole of m[i,k], in units of eps/2."""
     a, _ = pat.window(k)
-    coeff = Fraction(pat.entry(i, k) - (i - a)) - Fraction(abs(k - pat.p), 2)
-    return coeff * eps
+    return 2 * (pat.entry(i, k) - (i - a)) - abs(k - pat.p)
+
+
+def raise_pole(pat: GTPattern, k: int, i: int, eps: Rat) -> Rat:
+    return Fraction(pole_units(pat, k, i), 2) * eps
 
 
 def add_remove_sets(
@@ -226,8 +215,7 @@ def parse_pattern(text: str, n: int, p: int, lam: int) -> GTPattern:
         raise InvalidParams(f"expected {n - 1} rows, got {len(rows)}")
     for chunk in rows:
         for piece in chunk.split(","):
-            try:
-                values.append(int(piece))
-            except ValueError as exc:
-                raise InvalidParams(f"bad pattern entry {piece!r}") from exc
+            if not re.fullmatch(r"[0-9]+", piece):
+                raise InvalidParams(f"bad pattern entry {piece!r}")
+            values.append(int(piece))
     return build_pattern(n, p, lam, values)

@@ -9,6 +9,7 @@ pairs in units of (eps/2, h).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -132,8 +133,10 @@ def validate_params(n: int, p: int, lam: int) -> None:
         raise InvalidParams(f"need lambda >= 0, got {lam}")
 
 
+@functools.cache
 def build_quiver(n: int, p: int, lam: int, all_framings: bool = False) -> QuiverSpec:
-    """Framed chain quiver for the p-row, lam-column rectangular module.
+    """Framed chain quiver for the p-row, lam-column rectangular module;
+    cached, since every psi_generic call reads it.
 
     With ``all_framings`` every gauge node gets a framing pair; the extra
     pairs carry zero cutoff weight and only matter for localization.
@@ -164,22 +167,26 @@ def build_quiver(n: int, p: int, lam: int, all_framings: bool = False) -> Quiver
     return QuiverSpec(n, p, lam, tuple(arrows), tuple(words))
 
 
-def bond_factor(spec: QuiverSpec, a: int, b: int, params: EquivariantParams) -> FactoredRatFunc:
-    """Exchange function between node-a and node-b generators.
+def exchange_roots(spec: QuiverSpec, a: int) -> dict[NodeRef, tuple[list, list]]:
+    """Node b -> (numerator, denominator) roots of the exchange function
+    between node-a and node-b generators: an arrow a->b gives the root
+    -weight, an arrow b->a the root +weight."""
+    roots: dict[NodeRef, tuple[list, list]] = {}
+    for arr in spec.arrows:
+        if arr.source == a:
+            roots.setdefault(arr.target, ([], []))[0].append(-arr.weight)
+        if arr.target == a:
+            roots.setdefault(arr.source, ([], []))[1].append(arr.weight)
+    return roots
 
-    Built from gauge arrows only: a->b arrows give numerator factors
-    (z + h), b->a arrows denominator factors (z - h).
-    """
+
+def bond_factor(spec: QuiverSpec, a: int, b: int, params: EquivariantParams) -> FactoredRatFunc:
+    """Exchange function between node-a and node-b generators, from the gauge
+    arrows between them."""
     if not (1 <= a <= spec.n - 1 and 1 <= b <= spec.n - 1):
         raise InvalidParams(f"nodes out of range: {a}, {b}")
-    num = []
-    den = []
-    for arr in spec.gauge_arrows:
-        if arr.source == a and arr.target == b:
-            num.append(-arr.weight.value(params))
-        if arr.source == b and arr.target == a:
-            den.append(arr.weight.value(params))
-    return FactoredRatFunc.make(1, num, den)
+    num, den = exchange_roots(spec, a).get(b, ((), ()))
+    return FactoredRatFunc.make(1, [r.value(params) for r in num], [r.value(params) for r in den])
 
 
 def cartan_matrix(n: int) -> list[list[int]]:

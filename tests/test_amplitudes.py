@@ -9,7 +9,6 @@ from gtyang import amplitudes, patterns
 from gtyang.amplitudes import (
     IndexOutOfRange,
     InvalidMove,
-    _bond_units,
     amplitude_E,
     amplitude_F,
     amplitude_table,
@@ -19,8 +18,15 @@ from gtyang.amplitudes import (
 )
 from gtyang.patterns import GTPattern, add_remove_sets, build_pattern, enumerate_patterns
 from gtyang.localization import localize_module
-from gtyang.modes import ModuleData, move_pair
-from gtyang.quiver import EquivariantParams, InvalidParams, bond_factor, build_quiver
+from gtyang.modes import ModuleData, move_pair, verify_dual_routes
+from gtyang.quiver import (
+    EquivariantParams,
+    InvalidParams,
+    LinearForm,
+    bond_factor,
+    build_quiver,
+    cartan_matrix,
+)
 from gtyang.rational import FactoredRatFunc
 
 F = Fraction
@@ -275,7 +281,10 @@ def test_amplitudes_vanish_iff_target_valid():
 
 def test_amplitude_table_bumps_once_per_window_move(monkeypatch):
     # the raising walk is the one cone test per edge: the closed forms do
-    # not re-bump the state or its raise
+    # not re-bump the state or its raise. The states are handed in, so the
+    # bumps that grow them from the vacuum are not counted
+    states = enumerate_patterns(6, 3, 2)
+    monkeypatch.setattr(amplitudes, "enumerate_patterns", lambda *grid: states)
     calls = []
     bumped = GTPattern.bumped
 
@@ -285,9 +294,7 @@ def test_amplitude_table_bumps_once_per_window_move(monkeypatch):
 
     monkeypatch.setattr(GTPattern, "bumped", counted)
     amplitude_table(6, 3, 2, EPS1.epsilon)
-    window_moves = sum(
-        len(moves(pat, k)) for pat in enumerate_patterns(6, 3, 2) for k in range(1, 6)
-    )
+    window_moves = sum(len(moves(pat, k)) for pat in states for k in range(1, 6))
     assert len(calls) == window_moves == 1575
 
 
@@ -386,17 +393,35 @@ def test_epsilon_covariance():
 
 @pytest.mark.parametrize("eps", [F(1), F(-3, 2), F(2, 7)])
 def test_bond_units_match_quiver_bond_factor(eps):
-    """The hard-coded exchange roots are the quiver's bond factor at h = 0."""
+    """At h = 0 the quiver's exchange function between nodes k and b is
+    (u + eps*a_kb/2)/(u - eps*a_kb/2) with a the Cartan matrix: 1 off the
+    Dynkin diagram, where a_kb = 0."""
     params = EquivariantParams(eps)
     for n in range(2, 7):
         spec = build_quiver(n, 1, 1)
+        cartan = cartan_matrix(n)
         for k in range(1, n):
             for b in range(1, n):
-                num, den = _bond_units(k, b)
-                expected = FactoredRatFunc.make(
-                    1, [c * eps / 2 for c in num], [c * eps / 2 for c in den]
-                )
+                root = cartan[k - 1][b - 1] * eps / 2
+                expected = FactoredRatFunc.make(1, [-root], [root])
                 assert bond_factor(spec, k, b, params) == expected
+
+
+def test_shifted_quiver_arrow_fails_the_psi_routes_at_its_nodes(monkeypatch):
+    # negative control: the atom product reads its exchange roots from the
+    # quiver and the closed form does not, so a wrong weight on A1 (node 1
+    # to node 2) shows up as psi-routes failures at exactly those two nodes
+    def shifted(*grid):
+        spec = build_quiver(*grid)
+        arrows = tuple(
+            arr._replace(weight=arr.weight + LinearForm(2, 0)) if arr.name == "A1" else arr
+            for arr in spec.arrows
+        )
+        return spec._replace(arrows=arrows)
+
+    monkeypatch.setattr(amplitudes, "build_quiver", shifted)
+    reports = verify_dual_routes(ModuleData(4, 2, 2, EPS1))
+    assert {r.params["node"] for r in reports if not r.passed} == {1, 2}
 
 
 # ---------------------------------------------------------------------------

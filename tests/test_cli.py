@@ -72,6 +72,29 @@ def test_malformed_pattern_is_a_usage_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--epsilon", "1_0"],
+        ["--epsilon", " 3/2"],
+        ["--epsilon", "3/2 "],
+        ["--epsilon", "3/-2"],
+        ["--epsilon", "+3"],
+        ["--h", "0_0"],
+        ["--pattern", "+0;0"],
+        ["--pattern", " 0;0"],
+        ["--pattern", "0_0;0"],
+    ],
+)
+def test_malformed_numeric_literal_is_a_usage_error(capsys, flags):
+    # a rational is -?[0-9]+(/[0-9]+)? and a pattern entry [0-9]+, nothing
+    # else that int() would take
+    code, out, err = run(capsys, "psi", "--n", "3", "--p", "1", "--lambda", "2", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_states_round_trip(capsys):
     code, out, _ = run(capsys, "states", "--n", "4", "--p", "2", "--lambda", "1")
     assert code == 0
@@ -460,6 +483,15 @@ def test_every_closed_form_command_refuses_nonzero_h_with_one_message(capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+# golden grid by the file's folder
+GOLDEN_GRIDS = {
+    "": ["--n", "3", "--p", "1", "--lambda", "2", "--epsilon=-3/2"],
+    # two free entries in the middle row pin the sort order and the
+    # lowering squares
+    "4-2-2": ["--n", "4", "--p", "2", "--lambda", "2", "--epsilon=3/2"],
+}
+
+
 @pytest.mark.parametrize(
     "name, command",
     [
@@ -468,12 +500,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("amplitudes.csv", ["amplitudes", "--format", "csv"]),
         ("modes.json", ["modes", "--mode-cutoff", "1"]),
         ("verify.csv", ["verify", "--format", "csv", "--mode-cutoff", "1"]),
+        ("4-2-2/states.json", ["states"]),
+        ("4-2-2/psi.json", ["psi"]),
+        ("4-2-2/amplitudes.csv", ["amplitudes", "--format", "csv"]),
+        ("4-2-2/verify-hysteresis.csv", ["verify", "--suite", "hysteresis", "--format", "csv"]),
+        ("4-2-2/verify-gelfand.csv", ["verify", "--suite", "gelfand", "--format", "csv"]),
     ],
 )
 def test_stdout_matches_the_golden_file(capsys, name, command):
-    """Each file is the stdout of ``gtyang <command> --n 3 --p 1 --lambda 2
-    --epsilon=-3/2``; regenerate one only for a change meant to alter stdout."""
-    code, out, _ = run(capsys, *command, "--n", "3", "--p", "1", "--lambda", "2", "--epsilon=-3/2")
+    """Each file is the stdout of ``gtyang <command>`` on the grid of its
+    folder in ``GOLDEN_GRIDS``; regenerate one only for a change meant to
+    alter stdout."""
+    grid = GOLDEN_GRIDS[Path(name).parent.name]
+    code, out, _ = run(capsys, *command, *grid)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 

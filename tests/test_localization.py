@@ -291,6 +291,18 @@ def test_jump_cells_on_wider_grids_fail_loudly_not_silently():
         amplitudes_via_localization(fp_of(a), fp_of(b), EPS1)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: 8 decided cells at (4,2,5) differ from the closed forms",
+)
+def test_decided_cells_at_rank_three_match_the_closed_forms():
+    # no UncalibratedCell is raised for these cells, yet their values are
+    # wrong: the pinned sign rule does not reach (4,2,5)
+    reports = verify_localization(ModuleData(4, 2, 5, EPS1))
+    wrong = [r.params for r in reports if r.relation_id == "localization" and not r.passed]
+    assert wrong == []
+
+
 def test_double_jump_cells_match_closed_forms():
     # both endpoints jump here; the calibrated split is +larger/-smaller
     a = build_pattern(4, 2, 3, [1, 2, 0, 1])

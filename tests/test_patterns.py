@@ -50,14 +50,30 @@ def test_dimension_formulas():
 
 
 def test_enumeration_matches_dimension_and_oracle():
-    for n in range(2, 6):
-        for p in range(1, n):
-            for lam in range(3):
-                pats = enumerate_patterns(n, p, lam)
-                assert len(pats) == rectangular_dimension(n, p, lam)
-                assert len(pats) == len(set(pats))
-                oracle = brute_force_patterns(n, p, lam)
-                assert sorted(pat.free_values for pat in pats) == sorted(oracle)
+    grids = [(n, p, lam) for n in range(2, 6) for p in range(1, n) for lam in range(3)]
+    for n, p, lam in grids + [(6, 3, 2), (4, 2, 5)]:
+        pats = enumerate_patterns(n, p, lam)
+        assert len(pats) == rectangular_dimension(n, p, lam)
+        assert len(pats) == len(set(pats))
+        oracle = brute_force_patterns(n, p, lam)
+        assert sorted(pat.free_values for pat in pats) == sorted(oracle)
+
+
+def test_a_refused_raise_loses_a_state(monkeypatch):
+    # negative control: the states are what the cone test lets grow from
+    # the vacuum, so refusing one valid raise, the only way into (1,1,1,1),
+    # loses a state that the hook-content count still has
+    bumped = GTPattern.bumped
+    refused = (build_pattern(4, 2, 2, [1, 1, 0, 1]), 2, 2, +1)
+    lost = build_pattern(4, 2, 2, [1, 1, 1, 1])
+
+    def refusing(pat, i, k, step):
+        return None if (pat, i, k, step) == refused else bumped(pat, i, k, step)
+
+    monkeypatch.setattr(GTPattern, "bumped", refusing)
+    pats = enumerate_patterns(4, 2, 2)
+    assert lost not in pats
+    assert len(pats) < rectangular_dimension(4, 2, 2) == 20
 
 
 def test_conjugation_symmetry():
