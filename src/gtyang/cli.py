@@ -28,8 +28,13 @@ def fmt_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# the one grammar of a rational: an optional minus, digits, optional /digits
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# the one grammar of an integer, an optional minus and digits, and of a
+# rational, an integer with optional /digits
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(_INTEGER.pattern + r"(/[0-9]+)?")
+
+# the integer flags, by their dest; each is parsed with ``parse_int``
+_INTEGER_DESTS = ("n", "p", "lam", "mode_cutoff")
 
 
 def parse_rat(text: str) -> Fraction:
@@ -41,10 +46,16 @@ def parse_rat(text: str) -> Fraction:
     raise InvalidParams(f"bad rational literal {text!r}")
 
 
+def parse_int(text: str) -> int:
+    if _INTEGER.fullmatch(text):
+        return int(text)
+    raise InvalidParams(f"bad integer literal {text!r}")
+
+
 def _common_flags(sub):
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--lambda", dest="lam", type=int, required=True)
+    sub.add_argument("--n", required=True)
+    sub.add_argument("--p", required=True)
+    sub.add_argument("--lambda", dest="lam", required=True)
     sub.add_argument("--epsilon", default="1")
     sub.add_argument("--h", default="0")
     sub.add_argument("--out", default=None)
@@ -62,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("dims", "states", "amplitudes", "verify"):
             sub.add_argument("--format", choices=("json", "csv"), default="json")
         if name in ("modes", "verify"):
-            sub.add_argument("--mode-cutoff", type=int, default=3)
+            sub.add_argument("--mode-cutoff", default="3")
         if name == "psi":
             sub.add_argument("--pattern", default=None)
         if name == "amplitudes":
@@ -272,17 +283,19 @@ COMMANDS = {
 }
 
 
-# argparse takes "-3/2" for an option flag, since only integers and
-# decimals look like negative numbers to it
-_RATIONAL_FLAGS = ("--epsilon", "--h")
+# argparse takes "-3/2" or "-1_0" for an option flag, since only integers
+# and decimals look like negative numbers to it
+_NUMERIC_FLAGS = ("--epsilon", "--h", "--n", "--p", "--lambda", "--mode-cutoff")
 
 
-def _join_negative_rationals(argv: list[str]) -> list[str]:
-    """Rewrite ``--epsilon -3/2`` as ``--epsilon=-3/2`` (likewise ``--h``)."""
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--epsilon -3/2`` as ``--epsilon=-3/2``, for every numeric
+    flag whose value starts with a minus and a digit, so that a malformed
+    value such as ``-1_0`` meets the flag's grammar, not argparse."""
     out: list[str] = []
     for token in argv:
-        negative = token.startswith("-") and _RATIONAL.fullmatch(token)
-        if out and out[-1] in _RATIONAL_FLAGS and negative:
+        negative = re.match("-[0-9]", token)
+        if out and out[-1] in _NUMERIC_FLAGS and negative:
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -291,12 +304,15 @@ def _join_negative_rationals(argv: list[str]) -> list[str]:
 
 def run_cli(argv=None) -> int:
     parser = build_parser()
-    argv = _join_negative_rationals(sys.argv[1:] if argv is None else list(argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        for dest in _INTEGER_DESTS:
+            if hasattr(args, dest):
+                setattr(args, dest, parse_int(getattr(args, dest)))
         # refused before any work: `serre` alone would run at a cutoff of 1
         if getattr(args, "mode_cutoff", 0) < 0:
             raise InvalidParams("cutoff must be non-negative")

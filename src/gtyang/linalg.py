@@ -1,95 +1,114 @@
-"""Sparse exact matrices over Fractions with fraction-free elimination.
+"""Sparse exact matrices as integers over one denominator, and fraction-free
+elimination.
 
 A matrix stores only its nonzero entries, as a dict of rows, each a dict
-column -> nonzero Fraction; rows without a nonzero entry are absent. All
-arithmetic runs over those nonzeros. Kernel and rank go through integer
-Bareiss elimination on dense rows, which keeps intermediate entries as
-honest minors instead of exploding gcd-free fractions. Both take a list of
-dense integer rows, which go to the elimination as they are; kernel vectors
-come back primitive, as dicts column -> nonzero int whose gcd is 1.
+column -> nonzero int numerator, over one positive integer denominator
+``den`` shared by every entry; rows without a nonzero entry are absent.
+Products multiply the ints and the two denominators; sums and scalings are
+one linear combination over the lcm of the terms' denominators. No entry is
+a Fraction until it is read: ``entries``, ``nonzeros`` and ``max_abs`` give
+reduced Fractions, and equality compares values, whatever the denominators.
+Kernel and rank go through integer Bareiss elimination on dense rows, which
+keeps intermediate entries as honest minors instead of exploding gcd-free
+fractions. Both take a list of dense integer rows, which go to the
+elimination as they are; kernel vectors come back primitive, as dicts
+column -> nonzero int whose gcd is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
 
 
 class RationalMatrix:
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "den")
 
-    def __init__(self, rows: int, cols: int, data: dict):
-        """Wrap row dicts (row -> {col: nonzero Fraction}) without copying;
-        every row dict must be nonempty. ``from_triples`` builds one from
-        any entries."""
-        self.rows, self.cols, self._data = rows, cols, data
+    def __init__(self, rows: int, cols: int, data: dict, den: int = 1):
+        """Wrap row dicts (row -> {col: nonzero int}) over the positive int
+        ``den`` without copying; every row dict must be nonempty.
+        ``from_triples`` builds one from any rational entries."""
+        self.rows, self.cols, self._data, self.den = rows, cols, data, den
 
     @staticmethod
     def from_triples(rows: int, cols: int, triples: Iterable[tuple]) -> "RationalMatrix":
-        """Sum of ``value`` at ``(row, col)`` over ``(row, col, value)`` triples."""
-        data: dict[int, dict[int, Fraction]] = {}
+        """Sum of ``value`` at ``(row, col)`` over ``(row, col, value)`` triples,
+        over the lcm of the values' denominators."""
+        triples = [(r, c, Fraction(v)) for r, c, v in triples]
+        den = lcm(*(v.denominator for _, _, v in triples))
+        data: dict[int, dict[int, int]] = {}
         for r, c, v in triples:
             row = data.setdefault(r, {})
-            row[c] = row.get(c, 0) + Fraction(v)
-        nonzero = {r: {c: v for c, v in row.items() if v} for r, row in data.items()}
-        return RationalMatrix(rows, cols, {r: row for r, row in nonzero.items() if row})
+            row[c] = row.get(c, 0) + v.numerator * (den // v.denominator)
+        return RationalMatrix(rows, cols, _nonzero(data), den)
 
     @staticmethod
     def diagonal(values: Sequence) -> "RationalMatrix":
         n = len(values)
         return RationalMatrix.from_triples(n, n, ((i, i, v) for i, v in enumerate(values)))
 
+    @staticmethod
+    def combination(terms: Iterable[tuple]) -> "RationalMatrix":
+        """``sum(c * m)`` over ``(c, m)`` pairs of an int or Fraction
+        coefficient and a matrix, all of one shape; at least one pair is
+        needed, for the shape. Every term is put over the lcm of the
+        denominators and added into one dict of rows."""
+        terms = list(terms)
+        rows, cols = terms[0][1].shape
+        if any(m.shape != (rows, cols) for _, m in terms):
+            raise ValueError(f"shape mismatch {[m.shape for _, m in terms]}")
+        terms = [(c, m) for c, m in terms if c and m._data]
+        den = lcm(*(c.denominator * m.den for c, m in terms))
+        data: dict[int, dict[int, int]] = {}
+        for c, m in terms:
+            f = c.numerator * (den // (c.denominator * m.den))
+            for r, row in m._data.items():
+                acc = data.get(r)
+                if acc is None:
+                    data[r] = {k: f * v for k, v in row.items()}
+                else:
+                    for k, v in row.items():
+                        acc[k] = acc.get(k, 0) + f * v
+        return RationalMatrix(rows, cols, _nonzero(data), den)
+
     @property
     def entries(self) -> list[list[Rat]]:
-        """Dense rows, built on demand."""
+        """Dense rows of reduced Fractions, built on demand."""
         out = []
         for r in range(self.rows):
             row = [Fraction(0)] * self.cols
             for c, v in self._data.get(r, {}).items():
-                row[c] = v
+                row[c] = Fraction(v, self.den)
             out.append(row)
         return out
 
     def nonzeros(self):
-        """``(row, col, value)`` of every nonzero entry, in row-major order."""
+        """``(row, col, value)`` of every nonzero entry, in row-major order,
+        the value a reduced Fraction."""
         for r in sorted(self._data):
             row = self._data[r]
             for c in sorted(row):
-                yield r, c, row[c]
+                yield r, c, Fraction(row[c], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._data == other._data
+        return self.shape == other.shape and not (self - other)._data
 
     def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}, {self.cols}, {self._data!r})"
+        return f"RationalMatrix({self.rows}, {self.cols}, {self._data!r}, den={self.den})"
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._merged(other, negate=False)
+        return RationalMatrix.combination(((1, self), (1, other)))
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._merged(other, negate=True)
+        return RationalMatrix.combination(((1, self), (-1, other)))
 
-    def _merged(self, other: "RationalMatrix", negate: bool) -> "RationalMatrix":
-        self._check_shape(other)
-        data = {r: dict(row) for r, row in self._data.items()}
-        for r, row in other._data.items():
-            if negate:
-                row = {c: -v for c, v in row.items()}
-            acc = data.setdefault(r, {})
-            for c, v in row.items():
-                new = acc[c] + v if c in acc else v
-                if new:
-                    acc[c] = new
-                else:
-                    del acc[c]
-            if not acc:
-                del data[r]
-        return RationalMatrix(self.rows, self.cols, data)
+    def scaled(self, c) -> "RationalMatrix":
+        return RationalMatrix.combination(((c, self),))
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -97,35 +116,35 @@ class RationalMatrix:
         right = other._data
         data = {}
         for r, row in self._data.items():
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int] = {}
             for k, a in row.items():
                 brow = right.get(k)
                 if brow is None:
                     continue
                 for c, b in brow.items():
-                    acc[c] = acc[c] + a * b if c in acc else a * b
+                    acc[c] = acc.get(c, 0) + a * b
             acc = {c: v for c, v in acc.items() if v}
             if acc:
                 data[r] = acc
-        return RationalMatrix(self.rows, other.cols, data)
-
-    def scaled(self, c) -> "RationalMatrix":
-        c = Fraction(c)
-        if c == 0:
-            return RationalMatrix(self.rows, self.cols, {})
-        data = {r: {k: c * v for k, v in row.items()} for r, row in self._data.items()}
-        return RationalMatrix(self.rows, self.cols, data)
+        return RationalMatrix(self.rows, other.cols, data, self.den * other.den)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
     def max_abs(self) -> Rat:
-        return max((abs(v) for row in self._data.values() for v in row.values()), default=Fraction(0))
+        top = max((abs(v) for row in self._data.values() for v in row.values()), default=0)
+        return Fraction(top, self.den)
 
-    def _check_shape(self, other: "RationalMatrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+
+def _nonzero(data: dict) -> dict:
+    """Row dicts without their zero entries and empty rows."""
+    out = {}
+    for r, row in data.items():
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            out[r] = row
+    return out
 
 
 def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:

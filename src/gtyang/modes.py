@@ -151,15 +151,17 @@ def build_mode_operators(
 
 
 def _products(ops):
-    """``prod(x, y) = ops[x] * ops[y]`` and ``comm(x, y) = [ops[x], ops[y]]``
-    for operator keys; each product is computed once per pair of keys."""
+    """``prod(x, y) = ops[x] * ops[y]`` for operator keys, computed once per
+    pair of keys, and ``comm(x, y, *extra)``: the combination of
+    ``prod(x, y) - prod(y, x)`` and the ``(coefficient, matrix)`` pairs in
+    ``extra``, built in one pass."""
 
     @functools.cache
     def prod(x, y) -> RationalMatrix:
         return ops[x] * ops[y]
 
-    def comm(x, y) -> RationalMatrix:
-        return prod(x, y) - prod(y, x)
+    def comm(x, y, *extra) -> RationalMatrix:
+        return RationalMatrix.combination(((1, prod(x, y)), (-1, prod(y, x)), *extra))
 
     return prod, comm
 
@@ -171,7 +173,9 @@ def verify_mode_relations(ops, eps: Rat) -> list[RelationReport]:
     [psi_0, f_k] = A_ab f_k.
 
     Every product of two operators, keyed by their (kind, node, mode), is
-    computed once per call and shared by all the checks that use it."""
+    computed once per call and shared by all the checks that use it; each
+    residual is one linear combination of those products (and of one
+    operator, for the pairing and the boundary action)."""
     nodes = sorted({node for _, node, _ in ops})
     cartan = cartan_matrix(len(nodes) + 1)  # of the chain of nodes in ops
     cutoff = max(mode for kind, _, mode in ops if kind == "e")
@@ -179,50 +183,53 @@ def verify_mode_relations(ops, eps: Rat) -> list[RelationReport]:
     prod, comm = _products(ops)
     reports: list[RelationReport] = []
 
-    def anti(x, y) -> RationalMatrix:
-        return prod(x, y) + prod(y, x)
-
     def emit(rel_id, residual, **info):
-        reports.append(RelationReport(rel_id, info, residual))
+        reports.append(RelationReport(rel_id, info, residual.max_abs()))
 
     half = eps / 2
     for a, b in itertools.product(nodes, nodes):
         coupling = half * cartan[a - 1][b - 1]
         for n, k in itertools.product(range(cutoff), range(cutoff)):
-            for x_kind, kind, sign in (
-                ("e", "e", 1), ("f", "f", -1), ("psi", "e", 1), ("psi", "f", -1)
+            for x_kind, kind, c in (
+                ("e", "e", -coupling), ("f", "f", coupling),
+                ("psi", "e", -coupling), ("psi", "f", coupling),
             ):
                 x_n, x_n1 = (x_kind, a, n), (x_kind, a, n + 1)
                 y_k, y_k1 = (kind, b, k), (kind, b, k + 1)
-                res = comm(x_n1, y_k) - comm(x_n, y_k1) - anti(x_n, y_k).scaled(sign * coupling)
-                emit(f"{x_kind}{kind}", res.max_abs(), a=a, b=b, n=n, k=k)
+                # [x_n1, y_k] - [x_n, y_k1] + c {x_n, y_k}
+                res = comm(
+                    x_n1, y_k,
+                    (-1, prod(x_n, y_k1)), (1, prod(y_k1, x_n)),
+                    (c, prod(x_n, y_k)), (c, prod(y_k, x_n)),
+                )
+                emit(f"{x_kind}{kind}", res, a=a, b=b, n=n, k=k)
         for n, k in itertools.product(modes, modes):
-            res = comm(("psi", a, n), ("psi", b, k))
-            emit("psipsi", res.max_abs(), a=a, b=b, n=n, k=k)
+            emit("psipsi", comm(("psi", a, n), ("psi", b, k)), a=a, b=b, n=n, k=k)
 
     # pairing on the diagonal node pair, zero off it
     for a, n, k in itertools.product(nodes, modes, modes):
-        res = comm(("e", a, n), ("f", a, k)) + ops["psi", a, n + k]
-        emit("ef-pairing", res.max_abs(), a=a, b=a, n=n, k=k)
+        res = comm(("e", a, n), ("f", a, k), (1, ops["psi", a, n + k]))
+        emit("ef-pairing", res, a=a, b=a, n=n, k=k)
     for a, b, n, k in itertools.product(nodes, nodes, modes, modes):
         if a != b:
-            emit("ef-offdiag", comm(("e", a, n), ("f", b, k)).max_abs(), a=a, b=b, n=n, k=k)
+            emit("ef-offdiag", comm(("e", a, n), ("f", b, k)), a=a, b=b, n=n, k=k)
 
     # boundary action of the zeroth diagonal mode
     for a, b, k in itertools.product(nodes, nodes, modes):
         cartan_ab = cartan[a - 1][b - 1]
-        res = comm(("psi", a, 0), ("e", b, k)) + ops["e", b, k].scaled(cartan_ab)
-        emit("boundary-e", res.max_abs(), a=a, b=b, k=k)
-        res = comm(("psi", a, 0), ("f", b, k)) - ops["f", b, k].scaled(cartan_ab)
-        emit("boundary-f", res.max_abs(), a=a, b=b, k=k)
+        res = comm(("psi", a, 0), ("e", b, k), (cartan_ab, ops["e", b, k]))
+        emit("boundary-e", res, a=a, b=b, k=k)
+        res = comm(("psi", a, 0), ("f", b, k), (-cartan_ab, ops["f", b, k]))
+        emit("boundary-f", res, a=a, b=b, k=k)
     return reports
 
 
 def verify_serre(ops) -> list[RelationReport]:
     """Symmetrized nested commutators on the modes in ``SERRE_MODES``: triple
     for neighbouring nodes, plain commutators for distance two or more. Each
-    inner commutator [X_{a,s}, X_{b,m}] and each nested term
-    [X_{a,s1}, [X_{a,s2}, X_{b,m}]] is computed once."""
+    inner commutator c = [X_{a,s}, X_{b,m}] and each product X_{a,s1} c and
+    c X_{a,s1} is computed once, and each symmetrized sum is one linear
+    combination of four such products."""
     nodes = sorted({node for _, node, _ in ops})
     pairs = list(itertools.product(SERRE_MODES, SERRE_MODES))
     _, comm = _products(ops)
@@ -236,13 +243,17 @@ def verify_serre(ops) -> list[RelationReport]:
                 info = {"a": a, "b": b, "modes": (n1, m)}
                 reports.append(RelationReport(f"serre-{kind}-far", info, res.max_abs()))
             continue
-        nested = {}
+        # [X_{a,s1}, [X_{a,s2}, X_{b,m}]] = left - right
+        left, right = {}, {}
         for s1 in SERRE_MODES:
             x = ops[kind, a, s1]
             for (s2, m), c in inner.items():
-                nested[s1, s2, m] = x * c - c * x
-        for n1, n2, m in nested:
-            total = nested[n1, n2, m] + nested[n2, n1, m]
+                left[s1, s2, m], right[s1, s2, m] = x * c, c * x
+        for n1, n2, m in left:
+            total = RationalMatrix.combination((
+                (1, left[n1, n2, m]), (-1, right[n1, n2, m]),
+                (1, left[n2, n1, m]), (-1, right[n2, n1, m]),
+            ))
             info = {"a": a, "b": b, "modes": (n1, n2, m)}
             reports.append(RelationReport(f"serre-{kind}", info, total.max_abs()))
     return reports

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 Rat = Fraction
@@ -123,34 +124,39 @@ class FactoredRatFunc(NamedTuple):
         if gap < 0:
             raise UnboundedAtInfinity("deg num > deg den")
         terms = order + 2  # t^0 .. t^(order+1), t = 1/z
-        num = _poly_from_roots_in_t(self.num_roots, terms)
-        den = _poly_from_roots_in_t(self.den_roots, terms)
+        # every root over one common denominator d, r = a / d: the t**j
+        # coefficients of prod(1 - r*t) and of the quotient are ints over d**j
+        d = lcm(*(r.denominator for r in self.num_roots + self.den_roots))
+        num, den = (
+            _poly_from_roots_in_t([r.numerator * (d // r.denominator) for r in roots], terms)
+            for roots in (self.num_roots, self.den_roots)
+        )
         quot = _series_divide(num, den, terms)
-        # multiply by t**gap and read off coefficients
+        # multiply by scalar * t**gap and read off coefficients
+        s_num, s_den = self.scalar.numerator, self.scalar.denominator
         coeffs = [Fraction(0)] * terms
-        for j, c in enumerate(quot):
-            if j + gap < terms:
-                coeffs[j + gap] = c * self.scalar
+        for j in range(terms - gap):
+            coeffs[j + gap] = Fraction(s_num * quot[j], s_den * d**j)
         return SeriesPrefix(coeffs[0], tuple(coeffs[1 : order + 2]))
 
 
-def _poly_from_roots_in_t(roots: Sequence[Rat], terms: int) -> list[Rat]:
+def _poly_from_roots_in_t(roots: Sequence[int], terms: int) -> list[int]:
     """Coefficients of prod(1 - r*t) in ascending powers of t, truncated."""
-    out = [Fraction(0)] * terms
-    out[0] = Fraction(1)
+    out = [0] * terms
+    out[0] = 1
     for r in roots:
         for j in range(terms - 1, 0, -1):
             out[j] -= r * out[j - 1]
     return out
 
 
-def _series_divide(num: Sequence[Rat], den: Sequence[Rat], terms: int) -> list[Rat]:
-    # den[0] == 1 for root products, so the recurrence never divides by zero
-    out = [Fraction(0)] * terms
+def _series_divide(num: Sequence[int], den: Sequence[int], terms: int) -> list[int]:
+    """Power series num / den, truncated; den[0] == 1 for root products, so
+    the recurrence stays in the ints and never divides."""
+    out = [0] * terms
     for j in range(terms):
         acc = num[j]
         for i in range(1, j + 1):
             acc -= den[i] * out[j - i]
-        out[j] = acc / den[0]
+        out[j] = acc
     return out
-

@@ -84,12 +84,20 @@ def test_malformed_pattern_is_a_usage_error(capsys):
         ["--pattern", "+0;0"],
         ["--pattern", " 0;0"],
         ["--pattern", "0_0;0"],
+        ["--n", "1_0"],
+        ["--lambda", " 2"],
+        ["--p", "+1"],
+        ["--mode-cutoff", "0_1"],
+        ["--n", "abc"],
+        ["--n", "-1_0"],
+        ["--epsilon", "-3/2_0"],
     ],
 )
 def test_malformed_numeric_literal_is_a_usage_error(capsys, flags):
-    # a rational is -?[0-9]+(/[0-9]+)? and a pattern entry [0-9]+, nothing
-    # else that int() would take
-    code, out, err = run(capsys, "psi", "--n", "3", "--p", "1", "--lambda", "2", *flags)
+    # an integer is -?[0-9]+, a rational -?[0-9]+(/[0-9]+)? and a pattern
+    # entry [0-9]+, nothing else that int() would take
+    command = ["verify", "--suite", "serre"] if flags[0] == "--mode-cutoff" else ["psi"]
+    code, out, err = run(capsys, *command, "--n", "3", "--p", "1", "--lambda", "2", *flags)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -86,6 +87,72 @@ def test_kernel_vectors_are_annihilated_and_rank_nullity_holds(entries):
     if basis:
         stacked = [[vec.get(i, 0) for vec in basis] for i in range(cols)]
         assert rank(stacked) == len(basis)
+
+
+# entries with unlike denominators, zero half of the time
+fraction_entries = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+
+
+def dense_fractions(rows, cols):
+    return st.lists(
+        st.lists(fraction_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+def over(rows, scale) -> RationalMatrix:
+    """The matrix of dense Fraction rows, stored over ``scale`` times the lcm
+    of their denominators."""
+    den = scale * math.lcm(*(v.denominator for row in rows for v in row))
+    data = {
+        r: {c: int(v * den) for c, v in enumerate(row) if v} for r, row in enumerate(rows)
+    }
+    return RationalMatrix(len(rows), len(rows[0]), {r: row for r, row in data.items() if row}, den)
+
+
+def reference_nonzeros(rows):
+    return [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
+
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+scales = st.integers(min_value=1, max_value=5)
+# a, b of one shape and c with as many rows as a has columns
+operands = st.tuples(*[st.integers(min_value=1, max_value=4)] * 3).flatmap(
+    lambda s: st.tuples(
+        dense_fractions(s[0], s[1]), dense_fractions(s[0], s[1]), dense_fractions(s[1], s[2])
+    )
+)
+
+
+@given(operands, scales, scales, coefficients, coefficients)
+@settings(max_examples=100)
+def test_integer_matrices_match_the_dense_fraction_reference(mats, sa, sb, ca, cb):
+    a_rows, b_rows, c_rows = mats
+    a, b, c = over(a_rows, sa), over(b_rows, sb), over(c_rows, 1)
+    # values, not denominators, decide equality
+    assert a == over(a_rows, sa + 1) == dense(a_rows)
+    assert a.entries == a_rows
+    assert list(a.nonzeros()) == reference_nonzeros(a_rows)
+    assert a.max_abs() == max(abs(v) for row in a_rows for v in row)
+    assert all(type(v) is F for _, _, v in a.nonzeros()) and type(a.max_abs()) is F
+    product = [
+        [sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*c_rows)] for row in a_rows
+    ]
+    assert (a * c).entries == product
+    assert list((a * c).nonzeros()) == reference_nonzeros(product)
+    pairs = [list(zip(x, y)) for x, y in zip(a_rows, b_rows)]
+    assert (a + b).entries == [[x + y for x, y in row] for row in pairs]
+    assert (a - b).entries == [[x - y for x, y in row] for row in pairs]
+    assert a.scaled(ca).entries == [[ca * x for x in row] for row in a_rows]
+    mixed = RationalMatrix.combination([(ca, a), (cb, b), (1, a)])
+    assert mixed.entries == [[ca * x + cb * y + x for x, y in row] for row in pairs]
+    assert mixed.max_abs() == max(abs(ca * x + cb * y + x) for row in pairs for x, y in row)
+    # cancellation leaves no entry behind
+    empty = RationalMatrix(a.rows, a.cols, {})
+    assert a.scaled(0) == a - over(a_rows, sb) == empty
+    assert list((a - a).nonzeros()) == [] and (a - a).max_abs() == 0
+    assert RationalMatrix.combination([(ca, a), (-ca, a)]) == empty
 
 
 def test_rational_matrix_serves_only_the_mode_operators():

@@ -63,51 +63,89 @@ def test_serre_small_grids():
     assert any(r.relation_id == "serre-e-far" for r in reports)
 
 
-# (4,2,2) at eps = 1, cutoff 2, with the first nonzero entry (row-major) of one
-# operator doubled: every failing relation of the mode and Serre suites as
-# relation -> (checks, max residual).
+# (4,2,2) with the first nonzero entry (row-major) of one operator doubled:
+# every failing relation of the mode and Serre suites as relation -> (checks,
+# max residual), per (epsilon, cutoff) and operator. The cases at eps = 2/7
+# were pinned while every matrix entry was a separate Fraction.
 DOUBLED_ENTRY_FAILURES = {
-    ("e", 1, 0): {
-        "ee": (36, 3),
-        "ef-offdiag": (54, 4),
-        "ef-pairing": (27, 1),
-        "psie": (36, 2),
-        "serre-e": (32, 16),
-        "serre-e-far": (8, 4),
+    (F(1), 2): {
+        ("e", 1, 0): {
+            "ee": (36, 3),
+            "ef-offdiag": (54, 4),
+            "ef-pairing": (27, 1),
+            "psie": (36, 2),
+            "serre-e": (32, 16),
+            "serre-e-far": (8, 4),
+        },
+        ("f", 2, 1): {
+            "ef-offdiag": (54, 4),
+            "ef-pairing": (27, 2),
+            "ff": (36, 8),
+            "psif": (36, 8),
+            "serre-f": (32, 2),
+        },
+        ("psi", 3, 1): {"ef-pairing": (27, F(1, 2)), "psie": (36, F(3, 2)), "psif": (36, F(3, 2))},
     },
-    ("f", 2, 1): {
-        "ef-offdiag": (54, 4),
-        "ef-pairing": (27, 2),
-        "ff": (36, 8),
-        "psif": (36, 8),
-        "serre-f": (32, 2),
+    (F(2, 7), 3): {
+        ("e", 1, 0): {
+            "ee": (81, F(21, 2)),
+            "ef-offdiag": (96, 4),
+            "ef-pairing": (48, 1),
+            "psie": (81, 2),
+            "serre-e": (32, 686),
+            "serre-e-far": (8, 49),
+        },
+        ("f", 2, 1): {
+            "ef-offdiag": (96, F(8, 7)),
+            "ef-pairing": (48, F(4, 7)),
+            "ff": (81, F(64, 343)),
+            "psif": (81, F(16, 49)),
+            "serre-f": (32, F(32, 2401)),
+        },
+        ("psi", 3, 1): {"ef-pairing": (48, F(1, 7)), "psie": (81, 1), "psif": (81, F(4, 49))},
     },
-    ("psi", 3, 1): {"ef-pairing": (27, F(1, 2)), "psie": (36, F(3, 2)), "psif": (36, F(3, 2))},
 }
 
 
-@pytest.mark.parametrize("key", list(DOUBLED_ENTRY_FAILURES))
+@pytest.mark.parametrize(
+    "key", [(*grid, op) for grid, table in DOUBLED_ENTRY_FAILURES.items() for op in table]
+)
 def test_doubled_operator_entry_fails_the_pinned_relations(key):
-    ops = build_mode_operators(ModuleData(4, 2, 2, EPS1), cutoff=2)
-    matrix = ops[key]
+    eps, cutoff, op = key
+    params = EquivariantParams(eps)
+    ops = build_mode_operators(ModuleData(4, 2, 2, params), cutoff=cutoff)
+    matrix = ops[op]
     r, c, v = next(matrix.nonzeros())
-    ops[key] = matrix + RationalMatrix.from_triples(matrix.rows, matrix.cols, [(r, c, v)])
-    reports = verify_mode_relations(ops, EPS1.epsilon) + verify_serre(ops)
-    assert _failing(reports) == DOUBLED_ENTRY_FAILURES[key]
+    ops[op] = matrix + RationalMatrix.from_triples(matrix.rows, matrix.cols, [(r, c, v)])
+    reports = verify_mode_relations(ops, params.epsilon) + verify_serre(ops)
+    assert _failing(reports) == DOUBLED_ENTRY_FAILURES[eps, cutoff][op]
 
 
-def test_negated_psi_fails_the_pairing_and_boundary_relations():
-    # the pairing and boundary relations hold at one fixed sign, so a module
-    # with every diagonal mode negated fails them; every other relation is
-    # linear in psi or quadratic in it, and still holds
-    params = EquivariantParams(F(3, 2))
-    ops = build_mode_operators(ModuleData(4, 2, 2, params), cutoff=2)
-    ops = {key: m.scaled(-1) if key[0] == "psi" else m for key, m in ops.items()}
-    assert _failing(verify_mode_relations(ops, params.epsilon)) == {
+# (4,2,2) with every diagonal mode negated, per (epsilon, cutoff): the pairing
+# and boundary relations hold at one fixed sign, so they fail; every other
+# relation is linear in psi or quadratic in it, and still holds
+NEGATED_PSI_FAILURES = {
+    (F(3, 2), 2): {
         "ef-pairing": (27, F(81, 4)),
         "boundary-e": (27, F(32, 3)),
         "boundary-f": (27, F(81, 2)),
-    }
+    },
+    (F(2, 7), 3): {
+        "ef-pairing": (48, 4),
+        "boundary-e": (36, 56),
+        "boundary-f": (36, F(32, 7)),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "eps,cutoff", list(NEGATED_PSI_FAILURES), ids=["eps=3/2", "eps=2/7"]
+)
+def test_negated_psi_fails_the_pairing_and_boundary_relations(eps, cutoff):
+    params = EquivariantParams(eps)
+    ops = build_mode_operators(ModuleData(4, 2, 2, params), cutoff=cutoff)
+    ops = {key: m.scaled(-1) if key[0] == "psi" else m for key, m in ops.items()}
+    assert _failing(verify_mode_relations(ops, params.epsilon)) == NEGATED_PSI_FAILURES[eps, cutoff]
 
 
 def _failing(reports) -> dict:
