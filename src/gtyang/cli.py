@@ -33,9 +33,6 @@ def fmt_rat(x: Fraction) -> str:
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(_INTEGER.pattern + r"(/[0-9]+)?")
 
-# the integer flags, by their dest; each is parsed with ``parse_int``
-_INTEGER_DESTS = ("n", "p", "lam", "mode_cutoff")
-
 
 def parse_rat(text: str) -> Fraction:
     try:
@@ -50,6 +47,25 @@ def parse_int(text: str) -> int:
     if _INTEGER.fullmatch(text):
         return int(text)
     raise InvalidParams(f"bad integer literal {text!r}")
+
+
+def parse_cutoff(text: str) -> int:
+    # refused before any work: `serre` alone would run at a cutoff of 1
+    cutoff = parse_int(text)
+    if cutoff < 0:
+        raise InvalidParams("cutoff must be non-negative")
+    return cutoff
+
+
+# every numeric flag, flag -> (dest, grammar), in the order they are parsed
+NUMERIC_FLAGS = {
+    "--n": ("n", parse_int),
+    "--p": ("p", parse_int),
+    "--lambda": ("lam", parse_int),
+    "--mode-cutoff": ("mode_cutoff", parse_cutoff),
+    "--epsilon": ("epsilon", parse_rat),
+    "--h": ("h", parse_rat),
+}
 
 
 def _common_flags(sub):
@@ -68,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("dims", "states", "psi", "amplitudes", "modes", "verify"):
-        sub = subs.add_parser(name)
+        # one spelling per flag: a prefix would bypass `_join_negative_values`
+        sub = subs.add_parser(name, allow_abbrev=False)
         _common_flags(sub)
         if name in ("dims", "states", "amplitudes", "verify"):
             sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -83,17 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params(args) -> EquivariantParams:
-    return EquivariantParams(parse_rat(args.epsilon), parse_rat(args.h))
-
-
-def _bundle_header(args, params) -> dict:
+def _bundle_header(data) -> dict:
     return {
-        "n": args.n,
-        "p": args.p,
-        "lambda": args.lam,
-        "epsilon": fmt_rat(params.epsilon),
-        "h": fmt_rat(params.h),
+        "n": data.n,
+        "p": data.p,
+        "lambda": data.lam,
+        "epsilon": fmt_rat(data.params.epsilon),
+        "h": fmt_rat(data.params.h),
     }
 
 
@@ -125,31 +138,28 @@ def _emit_csv(args, header, rows) -> None:
     _emit(args, "".join(",".join(map(_csv_field, line)) + "\n" for line in (header, *rows)))
 
 
-def _emit_bundle(args, params, states, **table) -> None:
+def _emit_bundle(args, data, **table) -> None:
     """The module's params and states, plus the command's table if any."""
-    listed = [{"id": i, "pattern": format_pattern(pat)} for i, pat in enumerate(states)]
-    _emit_json(args, {"params": _bundle_header(args, params), "states": listed, **table})
+    listed = [{"id": i, "pattern": format_pattern(pat)} for i, pat in enumerate(data.states)]
+    _emit_json(args, {"params": _bundle_header(data), "states": listed, **table})
 
 
-def cmd_dims(args) -> int:
-    params = _params(args)
-    dim = rectangular_dimension(args.n, args.p, args.lam)
+def cmd_dims(args, data) -> int:
+    dim = rectangular_dimension(data.n, data.p, data.lam)
     if args.format == "csv":
-        _emit_csv(args, ("n", "p", "lambda", "dimension"), [(args.n, args.p, args.lam, dim)])
+        _emit_csv(args, ("n", "p", "lambda", "dimension"), [(data.n, data.p, data.lam, dim)])
     elif args.out:
-        _emit_json(args, {"params": _bundle_header(args, params), "dimension": dim})
+        _emit_json(args, {"params": _bundle_header(data), "dimension": dim})
     else:
         _emit(args, f"{dim}\n")
     return 0
 
 
-def cmd_states(args) -> int:
-    params = _params(args)
-    states = modes_mod.ModuleData(args.n, args.p, args.lam, params).states
+def cmd_states(args, data) -> int:
     if args.format == "csv":
-        _emit_csv(args, ("id", "pattern"), enumerate(map(format_pattern, states)))
+        _emit_csv(args, ("id", "pattern"), enumerate(map(format_pattern, data.states)))
     else:
-        _emit_bundle(args, params, states)
+        _emit_bundle(args, data)
     return 0
 
 
@@ -163,16 +173,14 @@ def _psi_entry(value, node, state_id) -> dict:
     }
 
 
-def cmd_psi(args) -> int:
-    params = _params(args)
-    data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
+def cmd_psi(args, data) -> int:
     states = data.states
     picked = enumerate(states)
     if args.pattern is not None:
-        chosen = parse_pattern(args.pattern, args.n, args.p, args.lam)
+        chosen = parse_pattern(args.pattern, data.n, data.p, data.lam)
         picked = [(states.index(chosen), chosen)]
-    rows = [_psi_entry(data.psi[pat, k], k, i) for i, pat in picked for k in range(1, args.n)]
-    _emit_bundle(args, params, states, psi=rows)
+    rows = [_psi_entry(data.psi[pat, k], k, i) for i, pat in picked for k in range(1, data.n)]
+    _emit_bundle(args, data, psi=rows)
     return 0
 
 
@@ -190,15 +198,13 @@ def _amplitude_rows(n, states, table) -> list:
     return rows
 
 
-def cmd_amplitudes(args) -> int:
-    params = _params(args)
-    data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
+def cmd_amplitudes(args, data) -> int:
     states = data.states
     if args.method == "localization":
         from gtyang.localization import UncalibratedCell, localize_module
 
         data.epsilon  # the h = 0 gate, read although this route keeps h symbolic
-        table = localize_module(args.n, args.p, args.lam, params)
+        table = localize_module(data.n, data.p, data.lam, data.params)
         for (pat, k, j), cell in table.items():
             if isinstance(cell, UncalibratedCell):
                 # a valid input whose value the route cannot determine: no
@@ -211,48 +217,43 @@ def cmd_amplitudes(args) -> int:
                 return 1
     else:
         table = data.table
-    rows = _amplitude_rows(args.n, states, table)
+    rows = _amplitude_rows(data.n, states, table)
     if args.format == "csv":
         _emit_csv(args, ("state_id", "node", "type", "kind", "value"), rows)
     else:
         keys = ("state", "node", "type", "kind", "value")
-        _emit_bundle(args, params, states, amplitudes=[dict(zip(keys, row)) for row in rows])
+        _emit_bundle(args, data, amplitudes=[dict(zip(keys, row)) for row in rows])
     return 0
 
 
-def cmd_modes(args) -> int:
-    params = _params(args)
-    data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
+def cmd_modes(args, data) -> int:
     payload = []
     for (kind, node, mode), matrix in data.operators(args.mode_cutoff).items():
         entries = [[r, c, fmt_rat(v)] for r, c, v in matrix.nonzeros()]
         payload.append({"kind": kind, "node": node, "mode": mode, "entries": entries})
-    _emit_bundle(args, params, data.states, modes=payload)
+    _emit_bundle(args, data, modes=payload)
     return 0
 
 
-def _run_suites(args, params) -> list:
+def _run_suites(args, data) -> list:
     names = [args.suite]
     if args.suite == "all":
         # the reduction suite is defined only at p = 1
-        names = [name for name in modes_mod.SUITES if name != "reductions" or args.p == 1]
-        if params.h != 0:
+        names = [name for name in modes_mod.SUITES if name != "reductions" or data.p == 1]
+        if data.params.h != 0:
             # `all` runs what is defined at this h; a suite named alone still
             # refuses h != 0 as a usage error
             for name in names:
                 if name != "constraints":
                     print(f"SKIP {name} (needs h = 0)", file=sys.stderr)
             names = ["constraints"]
-    # one module for every suite: its data and operator tables are built once
-    data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
     return [r for name in names for r in modes_mod.SUITES[name](data, args.mode_cutoff)]
 
 
-def cmd_verify(args) -> int:
-    params = _params(args)
+def cmd_verify(args, data) -> int:
     grouped: dict[str, tuple[int, Fraction]] = {}
     unseen = (0, Fraction(0))
-    for report in _run_suites(args, params):
+    for report in _run_suites(args, data):
         count, worst = grouped.get(report.relation_id, unseen)
         grouped[report.relation_id] = (count + 1, max(worst, report.residual))
     # (relation, checks, max residual, passed), sorted once for every output
@@ -266,7 +267,7 @@ def cmd_verify(args) -> int:
     else:
         keys = ("relation", "checks", "max_residual", "passed")
         reports = [dict(zip(keys, row)) for row in rows]
-        payload = {"params": _bundle_header(args, params), "suite": args.suite, "reports": reports}
+        payload = {"params": _bundle_header(data), "suite": args.suite, "reports": reports}
         _emit_json(args, {**payload, "passed": passed})
     for rel_id, count, _, ok in rows:
         print(f"{'PASS' if ok else 'FAIL'} {rel_id} ({count} checks)", file=sys.stderr)
@@ -283,19 +284,16 @@ COMMANDS = {
 }
 
 
-# argparse takes "-3/2" or "-1_0" for an option flag, since only integers
-# and decimals look like negative numbers to it
-_NUMERIC_FLAGS = ("--epsilon", "--h", "--n", "--p", "--lambda", "--mode-cutoff")
-
-
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Rewrite ``--epsilon -3/2`` as ``--epsilon=-3/2``, for every numeric
     flag whose value starts with a minus and a digit, so that a malformed
-    value such as ``-1_0`` meets the flag's grammar, not argparse."""
+    value such as ``-1_0`` meets the flag's grammar, not argparse, which
+    takes "-3/2" or "-1_0" for an option flag since only integers and
+    decimals look like negative numbers to it."""
     out: list[str] = []
     for token in argv:
         negative = re.match("-[0-9]", token)
-        if out and out[-1] in _NUMERIC_FLAGS and negative:
+        if out and out[-1] in NUMERIC_FLAGS and negative:
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -310,13 +308,12 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        for dest in _INTEGER_DESTS:
+        for dest, grammar in NUMERIC_FLAGS.values():
             if hasattr(args, dest):
-                setattr(args, dest, parse_int(getattr(args, dest)))
-        # refused before any work: `serre` alone would run at a cutoff of 1
-        if getattr(args, "mode_cutoff", 0) < 0:
-            raise InvalidParams("cutoff must be non-negative")
-        return COMMANDS[args.command](args)
+                setattr(args, dest, grammar(getattr(args, dest)))
+        params = EquivariantParams(args.epsilon, args.h)
+        data = modes_mod.ModuleData(args.n, args.p, args.lam, params)
+        return COMMANDS[args.command](args, data)
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -88,56 +88,29 @@ class GTPattern(NamedTuple):
                 yield j, up
 
 
-def _frozen_value(n: int, p: int, lam: int, i: int, k: int) -> int | None:
-    if k == n:
-        return lam if i <= n - p else 0
-    a, b = type_range(n, p, k)
-    if i < a:
-        return lam
-    if i > b:
-        return 0
-    return None
-
-
-def _validate(pat: GTPattern) -> None:
-    n, p, lam = pat.n, pat.p, pat.lam
-    validate_params(n, p, lam)
-    if len(pat.rows) != n or any(len(pat.rows[k - 1]) != k for k in range(1, n + 1)):
-        raise InvalidParams("malformed triangle")
-    for k in range(1, n + 1):
-        for i in range(1, k + 1):
-            frozen = _frozen_value(n, p, lam, i, k)
-            if frozen is not None and pat.entry(i, k) != frozen:
-                raise InvalidParams(f"frozen entry m[{i},{k}] must be {frozen}")
-    for k in range(1, n):
-        for i in range(1, k + 1):
-            if not pat.entry(i, k + 1) >= pat.entry(i, k) >= pat.entry(i + 1, k + 1):
-                raise InvalidParams(f"interlacing fails at m[{i},{k}]")
-
-
 def build_pattern(n: int, p: int, lam: int, free_values) -> GTPattern:
-    """Assemble the full triangle from the free entries, row 1 upward."""
+    """Assemble the full triangle from the free entries, row 1 upward: row k
+    is lam left of its window, the window's free entries, zero right of it;
+    the top row is the partition (lam^(n-p), 0^p)."""
     validate_params(n, p, lam)
-    vals = list(free_values)
+    vals = tuple(free_values)
     rows = []
     pos = 0
-    for k in range(1, n + 1):
-        row = []
-        for i in range(1, k + 1):
-            frozen = _frozen_value(n, p, lam, i, k)
-            if frozen is None:
-                if pos >= len(vals):
-                    raise InvalidParams("not enough free entries")
-                row.append(int(vals[pos]))
-                pos += 1
-            else:
-                row.append(frozen)
-        rows.append(tuple(row))
+    for k in range(1, n):
+        a, b = type_range(n, p, k)
+        free = vals[pos : pos + b - a + 1]
+        if len(free) != b - a + 1:
+            raise InvalidParams("not enough free entries")
+        rows.append((lam,) * (a - 1) + free + (0,) * (k - b))
+        pos += len(free)
     if pos != len(vals):
         raise InvalidParams("too many free entries")
-    pat = GTPattern(n, p, lam, tuple(rows))
-    _validate(pat)
-    return pat
+    rows.append((lam,) * (n - p) + (0,) * p)
+    for k in range(1, n):
+        for i in range(1, k + 1):
+            if not rows[k][i - 1] >= rows[k - 1][i - 1] >= rows[k][i]:
+                raise InvalidParams(f"interlacing fails at m[{i},{k}]")
+    return GTPattern(n, p, lam, tuple(rows))
 
 
 def vacuum_pattern(n: int, p: int, lam: int) -> GTPattern:
@@ -209,13 +182,17 @@ def format_pattern(pat: GTPattern) -> str:
 
 
 def parse_pattern(text: str, n: int, p: int, lam: int) -> GTPattern:
-    values = []
-    rows = text.split(";")
+    """Read ``format_pattern`` text: n-1 rows, row k holding exactly the
+    entries of its window."""
+    rows = [chunk.split(",") for chunk in text.split(";")]
     if len(rows) != n - 1:
         raise InvalidParams(f"expected {n - 1} rows, got {len(rows)}")
-    for chunk in rows:
-        for piece in chunk.split(","):
-            if not re.fullmatch(r"[0-9]+", piece):
-                raise InvalidParams(f"bad pattern entry {piece!r}")
-            values.append(int(piece))
-    return build_pattern(n, p, lam, values)
+    for piece in (piece for row in rows for piece in row):
+        if not re.fullmatch(r"[0-9]+", piece):
+            raise InvalidParams(f"bad pattern entry {piece!r}")
+    validate_params(n, p, lam)  # the windows below are defined only then
+    for k, row in enumerate(rows, start=1):
+        a, b = type_range(n, p, k)
+        if len(row) != b - a + 1:
+            raise InvalidParams(f"expected {b - a + 1} entries in row {k}, got {len(row)}")
+    return build_pattern(n, p, lam, [int(piece) for row in rows for piece in row])

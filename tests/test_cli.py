@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gtyang.cli import run_cli
+from gtyang.cli import NUMERIC_FLAGS, build_parser, run_cli
 
 
 def run(capsys, *argv):
@@ -64,12 +65,14 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
 
 
 def test_malformed_pattern_is_a_usage_error(capsys):
-    code, out, err = run(
-        capsys, "psi", "--n", "3", "--p", "1", "--lambda", "2", "--pattern", "a;0"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for grid, pattern, message in [
+        ((3, 1, 2), "a;0", "bad pattern entry 'a'"),
+        # the total count is right, but row 1 holds two entries and row 2 one
+        ((4, 2, 2), "1,1;0;1", "expected 1 entries in row 1, got 2"),
+        ((3, 1, 2), "1;1,1", "expected 1 entries in row 2, got 2"),
+    ]:
+        code, out, err = run(capsys, "psi", *_grid_args(grid, "1"), "--pattern", pattern)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -91,6 +94,10 @@ def test_malformed_pattern_is_a_usage_error(capsys):
         ["--n", "abc"],
         ["--n", "-1_0"],
         ["--epsilon", "-3/2_0"],
+        ["--p", "-1_0"],
+        ["--lambda", "-1_0"],
+        ["--h", "-3/2_0"],
+        ["--mode-cutoff", "-1_0"],
     ],
 )
 def test_malformed_numeric_literal_is_a_usage_error(capsys, flags):
@@ -101,6 +108,27 @@ def test_malformed_numeric_literal_is_a_usage_error(capsys, flags):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_numeric_flags_table_covers_every_numeric_option():
+    # every option a subcommand declares is either in the numeric table or
+    # one of these, so a new numeric flag cannot skip its grammar
+    other = {"-h", "--help", "--out", "--format", "--pattern", "--method", "--suite"}
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        flag
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+    }
+    assert set(NUMERIC_FLAGS) == declared - other
+
+
+@pytest.mark.parametrize("flags", [["--eps", "3/2"], ["--eps", "-3/2"], ["--lam", "2"]])
+def test_abbreviated_flag_is_unrecognized(capsys, flags):
+    code, out, err = run(capsys, "dims", "--n", "3", "--p", "1", "--lambda", "2", *flags)
+    assert (code, out) == (2, "")
+    assert f"error: unrecognized arguments: {' '.join(flags)}" in err
 
 
 def test_states_round_trip(capsys):

@@ -139,14 +139,20 @@ def test_poles_distinct_within_node():
 
 
 def test_invalid_patterns_rejected():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^interlacing fails at m\[1,1\]$"):
         build_pattern(3, 1, 2, [0, 1])  # n2 > n1
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^interlacing fails at m\[1,1\]$"):
         build_pattern(3, 1, 2, [3, 0])  # n1 > lam
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="^not enough free entries$"):
+        build_pattern(3, 1, 2, [1])
+    with pytest.raises(InvalidParams, match="^too many free entries$"):
+        build_pattern(3, 1, 2, [1, 1, 1])
+    with pytest.raises(InvalidParams, match="^expected 1 entries in row 2, got 2$"):
         parse_pattern("1;1,1", 3, 1, 2)  # row 2 has one free entry, not two
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="^expected 2 rows, got 1$"):
         parse_pattern("1", 3, 1, 2)
+    with pytest.raises(InvalidParams, match=r"^need 1 <= p <= n-1, got p=5 for n=2$"):
+        parse_pattern("0", 2, 5, 1)  # no windows to count the rows against
 
 
 def test_lambda_zero_has_single_state():
