@@ -10,10 +10,11 @@ Every closed form is written at h = 0 and takes epsilon alone.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from gtyang.crystal import atoms_at_node
-from gtyang.patterns import GTPattern, enumerate_patterns, pole_units
+from gtyang.patterns import GTPattern, pole_units
 from gtyang.quiver import build_quiver, exchange_roots
 from gtyang.rational import FactoredRatFunc
 
@@ -28,9 +29,15 @@ class InvalidMove(ValueError):
     pass
 
 
+@functools.cache
+def _psi_scale(eps: Rat) -> tuple[Rat, Rat]:
+    """The scalar -1/eps and the root unit eps/2 of every psi at eps."""
+    return Fraction(-1) / eps, eps / 2
+
+
 def _psi_value(eps: Rat, num: list[int], den: list[int]) -> FactoredRatFunc:
     """-1/eps times the root bags, which are given in units of eps/2."""
-    return FactoredRatFunc.from_multiples(Fraction(-1) / eps, eps / 2, num, den)
+    return FactoredRatFunc.from_multiples(*_psi_scale(eps), num, den)
 
 
 def psi_generic(pat: GTPattern, k: int, eps: Rat) -> FactoredRatFunc:
@@ -42,10 +49,9 @@ def psi_generic(pat: GTPattern, k: int, eps: Rat) -> FactoredRatFunc:
     num: list[int] = []
     den: list[int] = []
     for b, (b_num, b_den) in exchange_roots(build_quiver(pat.n, pat.p, pat.lam), k).items():
-        for atom in atoms_at_node(pat, b):
-            w = atom.weight.e
-            num.extend(w + r.e for r in b_num)
-            den.extend(w + r.e for r in b_den)
+        weights = [atom.weight.e for atom in atoms_at_node(pat, b)]
+        num.extend(w + r.e for r in b_num for w in weights)
+        den.extend(w + r.e for r in b_den for w in weights)
     return _psi_value(eps, num, den)
 
 
@@ -142,14 +148,15 @@ def amplitude_F(pat: GTPattern, k: int, j: int, eps: Rat) -> Rat:
 
 
 def amplitude_table(
-    n: int, p: int, lam: int, eps: Rat
+    states: list[GTPattern], eps: Rat
 ) -> dict[tuple[GTPattern, int, int], tuple[Rat, Rat]]:
-    """(state, node, type) of each raising move -> its (raising, lowering)
-    amplitudes from the closed forms: E out of the state, F back from the
-    raised state. Keys and values are shaped like ``localize_module``'s."""
+    """(state, node, type) of each raising move out of ``states`` -> its
+    (raising, lowering) amplitudes from the closed forms: E out of the state,
+    F back from the raised state. Keys and values are shaped like
+    ``localize_module``'s."""
     table = {}
-    for pat in enumerate_patterns(n, p, lam):
-        for k in range(1, n):
+    for pat in states:
+        for k in range(1, pat.n):
             for j, up in pat.raises(k):
                 table[pat, k, j] = amplitude_E(pat, k, j, eps), amplitude_F(up, k, j, eps)
     return table
@@ -166,12 +173,12 @@ def gelfand_squared_closed_form(pat: GTPattern, k: int, j: int, direction: str) 
         return Fraction(0)
     l = pat.shifted
     x = l(j, k) if step > 0 else l(j, k) - 1
-    value = Fraction(-1)
+    num, den = -1, 1
     for i in range(1, k + 2):
-        value *= l(i, k + 1) - x
+        num *= l(i, k + 1) - x
     for i in range(1, k):
-        value *= l(i, k - 1) - x - 1
+        num *= l(i, k - 1) - x - 1
     for i in range(1, k + 1):
         if i != j:
-            value /= (l(i, k) - x) * (l(i, k) - x - 1)
-    return value
+            den *= (l(i, k) - x) * (l(i, k) - x - 1)
+    return Fraction(num, den)

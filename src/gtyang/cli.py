@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from gtyang import modes as modes_mod
 from gtyang.patterns import format_pattern, parse_pattern, rectangular_dimension
@@ -22,7 +23,7 @@ USAGE_ERROR = 2
 
 
 def fmt_rat(x: Fraction) -> str:
-    x = Fraction(x)
+    """An int or a Fraction as "P" or "P/Q", read without conversion."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -126,10 +127,14 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+# a CSV field that holds one of these is quoted
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
 def _csv_field(value) -> str:
     """RFC 4180: quoted, quotes doubled, when it holds a comma, quote or line break."""
     text = str(value)
-    if any(ch in text for ch in ',"\r\n'):
+    if _CSV_SPECIAL.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -163,13 +168,20 @@ def cmd_states(args, data) -> int:
     return 0
 
 
+def _root_text(a: int, d: int) -> str:
+    """``fmt_rat(Fraction(a, d))`` for a root numerator over a root denominator d > 0."""
+    g = gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
+
+
 def _psi_entry(value, node, state_id) -> dict:
+    d = value.root_den
     return {
         "state": state_id,
         "node": node,
         "scalar": fmt_rat(value.scalar),
-        "num_roots": [fmt_rat(r) for r in value.num_roots],
-        "den_roots": [fmt_rat(r) for r in value.den_roots],
+        "num_roots": [_root_text(a, d) for a in value.num_ints],
+        "den_roots": [_root_text(b, d) for b in value.den_ints],
     }
 
 
@@ -255,7 +267,9 @@ def cmd_verify(args, data) -> int:
     unseen = (0, Fraction(0))
     for report in _run_suites(args, data):
         count, worst = grouped.get(report.relation_id, unseen)
-        grouped[report.relation_id] = (count + 1, max(worst, report.residual))
+        if report.residual:  # a zero residual never raises the worst
+            worst = max(worst, report.residual)
+        grouped[report.relation_id] = (count + 1, worst)
     # (relation, checks, max residual, passed), sorted once for every output
     rows = [
         (rel, count, fmt_rat(worst), worst == 0) for rel, (count, worst) in sorted(grouped.items())

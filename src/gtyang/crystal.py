@@ -10,6 +10,7 @@ F-terms and the equivariance equations are checked on those maps, symbolically.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from gtyang.patterns import GTPattern
@@ -29,9 +30,11 @@ class Atom(NamedTuple):
 _FRAMING_ATOMS = (Atom(0, ZERO_FORM, 0),)
 
 
+@functools.cache
 def atoms_at_node(pat: GTPattern, k: NodeRef) -> tuple[Atom, ...]:
     """Atoms ordered by type index, then level; the framing node holds the
-    one framing atom, of weight 0."""
+    one framing atom, of weight 0. Cached, since psi_generic reads each
+    node's atoms once for every node next to it."""
     if k == FRAMING:
         return _FRAMING_ATOMS
     a, b = pat.window(k)

@@ -36,21 +36,25 @@ from gtyang.quiver import (
     cartan_matrix,
     check_constraints,
 )
-from gtyang.rational import FactoredRatFunc
+from gtyang.rational import FactoredRatFunc, NotAPole, NotASimplePole
 
 Rat = Fraction
 
 # modes of every generator that the Serre relations are checked on
 SERRE_MODES = (0, 1)
 
+# shared residuals: every passing check reads ZERO, a check that fails
+# outright ONE
+ZERO, ONE = Fraction(0), Fraction(1)
+
 # the (E, F) that a move with no edge in the table reads as
-NO_EDGE = (Fraction(0), Fraction(0))
+NO_EDGE = (ZERO, ZERO)
 
 
 class RelationReport(NamedTuple):
     relation_id: str
     params: dict
-    residual: Rat = Fraction(0)
+    residual: Rat = ZERO
 
     @property
     def passed(self) -> bool:
@@ -87,7 +91,7 @@ class ModuleData:
 
     @functools.cached_property
     def table(self) -> dict[tuple[GTPattern, int, int], tuple[Rat, Rat]]:
-        return amplitude_table(self.n, self.p, self.lam, self.epsilon)
+        return amplitude_table(self.states, self.epsilon)
 
     @functools.cached_property
     def psi(self) -> dict[tuple[GTPattern, int], FactoredRatFunc]:
@@ -261,14 +265,20 @@ def verify_serre(ops) -> list[RelationReport]:
 
 def _bond_parts(phi: FactoredRatFunc, x: Rat) -> tuple[Rat, Rat]:
     """Exchange function at argument x as an exact (numerator, denominator)
-    pair, so coincident poles stay cross-multipliable."""
-    num = phi.scalar
-    den = Fraction(1)
-    for r in phi.num_roots:
-        num *= x - r
-    for r in phi.den_roots:
-        den *= x - r
-    return num, den
+    pair, so coincident poles stay cross-multipliable. With x = t / (q d)
+    over the root denominator d, each factor x - a/d is (t - a q) / (q d)."""
+    d, q = phi.root_den, x.denominator
+    t = x.numerator * d
+    num, den = phi.scalar.numerator, 1
+    for a in phi.num_ints:
+        num *= t - a * q
+    for b in phi.den_ints:
+        den *= t - b * q
+    unit = q * d
+    return (
+        Fraction(num, phi.scalar.denominator * unit ** len(phi.num_ints)),
+        Fraction(den, unit ** len(phi.den_ints)),
+    )
 
 
 def _product_gap(xs, ys) -> Rat:
@@ -283,7 +293,7 @@ def _product_gap(xs, ys) -> Rat:
         y_num *= y.numerator
         y_den *= y.denominator
     if x_num * y_den == y_num * x_den:
-        return Fraction(0)
+        return ZERO
     return abs(Fraction(x_num, x_den) - Fraction(y_num, y_den))
 
 
@@ -308,10 +318,13 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
         ups = {(k, j): up for k in range(1, n) for j, up in pat.raises(k)}
         for k, j in ups:
             e, f = table[pat, k, j]
-            residual = e * f - psi[pat, k].residue_simple(poles[pat, k, j])
-            reports.append(
-                RelationReport("residue", {"state": state, "move": (k, j)}, abs(residual))
-            )
+            try:
+                gap = _product_gap((e, f), (psi[pat, k].residue_simple(poles[pat, k, j]),))
+            except NotAPole:  # the residue at a regular point is 0
+                gap = abs(e * f)
+            except NotASimplePole:
+                gap = ONE
+            reports.append(RelationReport("residue", {"state": state, "move": (k, j)}, gap))
         for (k1, j1), up1 in ups.items():
             e1, f1 = table[pat, k1, j1]
             for k2, j2 in movelist:
@@ -347,9 +360,14 @@ def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
         for k in range(1, data.n):
             add, rem = add_remove_sets(pat, k, eps)
             expected = sorted(pole for _, pole in add + rem)
-            match = sorted(data.psi[pat, k].den_roots) == expected
+            # the poles of psi are its sorted den_ints over its root_den
+            psi = data.psi[pat, k]
+            match = len(psi.den_ints) == len(expected) and all(
+                b * pole.denominator == pole.numerator * psi.root_den
+                for b, pole in zip(psi.den_ints, expected)
+            )
             reports.append(
-                RelationReport("pole-set", {"state": state, "node": k}, Fraction(0 if match else 1))
+                RelationReport("pole-set", {"state": state, "node": k}, ZERO if match else ONE)
             )
             a, b = pat.window(k)
             for j in range(a, b + 1):
@@ -360,7 +378,7 @@ def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
                     RelationReport(
                         "vanishing",
                         {"state": state, "move": (k, j)},
-                        Fraction(0 if (ok_e and ok_f) else 1),
+                        ZERO if (ok_e and ok_f) else ONE,
                     )
                 )
     return reports
@@ -392,10 +410,10 @@ def verify_reductions(data: ModuleData) -> list[RelationReport]:
             1, [lam * eps, -eps], [m * eps, (m - 1) * eps]
         )
         match = psi.scaled(-eps) == chain_form
-        reports.append(RelationReport("chain-psi", {"n": m}, Fraction(0 if match else 1)))
+        reports.append(RelationReport("chain-psi", {"n": m}, ZERO if match else ONE))
     for q in range(1, n):
         same = rectangular_dimension(n, q, lam) == rectangular_dimension(n, n - q, lam)
-        reports.append(RelationReport("dim-conjugation", {"p": q}, Fraction(0 if same else 1)))
+        reports.append(RelationReport("dim-conjugation", {"p": q}, ZERO if same else ONE))
     return reports
 
 
@@ -409,7 +427,7 @@ def verify_dual_routes(data: ModuleData) -> list[RelationReport]:
             same = psi_generic(pat, k, data.epsilon) == data.psi[pat, k]
             reports.append(
                 RelationReport(
-                    "psi-routes", {"state": state, "node": k}, Fraction(0 if same else 1)
+                    "psi-routes", {"state": state, "node": k}, ZERO if same else ONE
                 )
             )
     return reports
@@ -433,7 +451,7 @@ def verify_gelfand(data: ModuleData) -> list[RelationReport]:
                         RelationReport(
                             "gelfand-square",
                             {"state": state, "move": (k, j, direction)},
-                            abs(e * f - rhs),
+                            _product_gap((e, f), (rhs,)),
                         )
                     )
     return reports
@@ -448,7 +466,7 @@ def verify_localization(data: ModuleData) -> list[RelationReport]:
     states = {pat: pat.free_values for pat in dict.fromkeys(pat for pat, _, _ in table)}
     for (pat, k, j), cell in table.items():
         if isinstance(cell, UncalibratedCell):
-            res = Fraction(1)
+            res = ONE
             rel_id = "localization-uncalibrated"
         else:
             (e_loc, f_loc), (e, f) = cell, closed[pat, k, j]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import NamedTuple, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Union
 
 from gtyang.rational import FactoredRatFunc
 
@@ -167,17 +168,19 @@ def build_quiver(n: int, p: int, lam: int, all_framings: bool = False) -> Quiver
     return QuiverSpec(n, p, lam, tuple(arrows), tuple(words))
 
 
-def exchange_roots(spec: QuiverSpec, a: int) -> dict[NodeRef, tuple[list, list]]:
+@functools.cache
+def exchange_roots(spec: QuiverSpec, a: int) -> Mapping[NodeRef, tuple[tuple, tuple]]:
     """Node b -> (numerator, denominator) roots of the exchange function
     between node-a and node-b generators: an arrow a->b gives the root
-    -weight, an arrow b->a the root +weight."""
+    -weight, an arrow b->a the root +weight. Cached like ``build_quiver``,
+    since every psi_generic call reads it, and read-only."""
     roots: dict[NodeRef, tuple[list, list]] = {}
     for arr in spec.arrows:
         if arr.source == a:
             roots.setdefault(arr.target, ([], []))[0].append(-arr.weight)
         if arr.target == a:
             roots.setdefault(arr.source, ([], []))[1].append(arr.weight)
-    return roots
+    return MappingProxyType({b: (tuple(num), tuple(den)) for b, (num, den) in roots.items()})
 
 
 def bond_factor(spec: QuiverSpec, a: int, b: int, params: EquivariantParams) -> FactoredRatFunc:

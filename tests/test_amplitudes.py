@@ -186,7 +186,7 @@ def lowering(table, pat, k, j):
 
 def test_rank_two_chain_tables():
     lam = 3
-    table = amplitude_table(3, 1, lam, EPS1.epsilon)
+    table = amplitude_table(enumerate_patterns(3, 1, lam), EPS1.epsilon)
     for pat in enumerate_patterns(3, 1, lam):
         n1, n2 = pat.free_values
         assert raising(table, pat, 1, 1) == expect(pat, 1, 1, +1, lambda: F(-1))
@@ -206,7 +206,7 @@ def test_rank_three_edge_tables():
     # the origin (n3 = 1 raising, n3 = 2 lowering); there the vanishing
     # pole factor is dropped and the rest of the table entry survives
     lam = 2
-    table = amplitude_table(4, 1, lam, EPS1.epsilon)
+    table = amplitude_table(enumerate_patterns(4, 1, lam), EPS1.epsilon)
     for pat in enumerate_patterns(4, 1, lam):
         n1, n2, n3 = pat.free_values
         assert raising(table, pat, 1, 1) == expect(pat, 1, 1, +1, lambda: F(-1))
@@ -230,7 +230,7 @@ def test_rank_three_edge_tables():
 
 def test_rank_three_middle_tables():
     lam = 2
-    table = amplitude_table(4, 2, lam, EPS1.epsilon)
+    table = amplitude_table(enumerate_patterns(4, 2, lam), EPS1.epsilon)
     for pat in enumerate_patterns(4, 2, lam):
         n1, m1, m2, n3 = pat.free_values
         assert raising(table, pat, 1, 1) == expect(
@@ -261,7 +261,7 @@ def test_rank_three_middle_tables():
 
 
 def test_middle_framing_spot_values():
-    table = amplitude_table(4, 2, 2, EPS1.epsilon)
+    table = amplitude_table(enumerate_patterns(4, 2, 2), EPS1.epsilon)
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
     assert raising(table, pat, 2, 2) == F(-1, 2)
     assert lowering(table, pat, 2, 1) == 0  # m1 == n1 blocks the move: no edge
@@ -270,7 +270,7 @@ def test_middle_framing_spot_values():
 def test_amplitudes_vanish_iff_target_valid():
     eps = F(3, 2)
     for n, p, lam in [(3, 1, 2), (4, 2, 2), (5, 2, 1)]:
-        table = amplitude_table(n, p, lam, eps)
+        table = amplitude_table(enumerate_patterns(n, p, lam), eps)
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
                 for j in moves(pat, k):
@@ -284,7 +284,6 @@ def test_amplitude_table_bumps_once_per_window_move(monkeypatch):
     # not re-bump the state or its raise. The states are handed in, so the
     # bumps that grow them from the vacuum are not counted
     states = enumerate_patterns(6, 3, 2)
-    monkeypatch.setattr(amplitudes, "enumerate_patterns", lambda *grid: states)
     calls = []
     bumped = GTPattern.bumped
 
@@ -293,7 +292,7 @@ def test_amplitude_table_bumps_once_per_window_move(monkeypatch):
         return bumped(pat, *args)
 
     monkeypatch.setattr(GTPattern, "bumped", counted)
-    amplitude_table(6, 3, 2, EPS1.epsilon)
+    amplitude_table(states, EPS1.epsilon)
     window_moves = sum(len(moves(pat, k)) for pat in states for k in range(1, 6))
     assert len(calls) == window_moves == 1575
 
@@ -339,14 +338,14 @@ def squared(table, pat, k, j, direction):
 
 def test_gelfand_squares():
     lam = 2
-    table = amplitude_table(3, 1, lam, EPS1.epsilon)
+    table = amplitude_table(enumerate_patterns(3, 1, lam), EPS1.epsilon)
     for pat in enumerate_patterns(3, 1, lam):
         n1, n2 = pat.free_values
         assert squared(table, pat, 1, 1, "raise") == (lam - n1) * (n1 - n2 + 1)
         assert squared(table, pat, 2, 2, "raise") == (n1 - n2) * (n2 + 1)
         assert squared(table, pat, 1, 1, "lower") == (n1 - n2) * (lam - n1 + 1)
         assert squared(table, pat, 2, 2, "lower") == n2 * (n1 - n2 + 1)
-    table = amplitude_table(4, 1, lam, EPS1.epsilon)
+    table = amplitude_table(enumerate_patterns(4, 1, lam), EPS1.epsilon)
     for pat in enumerate_patterns(4, 1, lam):
         n1, n2, n3 = pat.free_values
         assert squared(table, pat, 2, 2, "raise") == (n1 - n2) * (n2 - n3 + 1)
@@ -355,7 +354,7 @@ def test_gelfand_squares():
 
 def test_gelfand_square_closed_form_matches_product_route():
     for n, p, lam in [(3, 1, 2), (4, 2, 2), (5, 2, 1)]:
-        table = amplitude_table(n, p, lam, EPS1.epsilon)
+        table = amplitude_table(enumerate_patterns(n, p, lam), EPS1.epsilon)
         for pat in enumerate_patterns(n, p, lam):
             for k in range(1, n):
                 for j in moves(pat, k):
@@ -364,10 +363,42 @@ def test_gelfand_square_closed_form_matches_product_route():
                             gelfand_squared_closed_form(pat, k, j, direction)
 
 
+def fraction_gelfand_square(pat, k, j, direction):
+    """The classical square as a running Fraction product and quotient, the
+    form the closed form had before it multiplied ints."""
+    step = +1 if direction == "raise" else -1
+    if pat.bumped(j, k, step) is None:
+        return F(0)
+    l = pat.shifted
+    x = l(j, k) if step > 0 else l(j, k) - 1
+    value = F(-1)
+    for i in range(1, k + 2):
+        value *= l(i, k + 1) - x
+    for i in range(1, k):
+        value *= l(i, k - 1) - x - 1
+    for i in range(1, k + 1):
+        if i != j:
+            value /= (l(i, k) - x) * (l(i, k) - x - 1)
+    return value
+
+
+@pytest.mark.parametrize("grid", [(5, 2, 3), (6, 3, 2)])
+def test_gelfand_square_int_product_matches_the_fraction_loop(grid):
+    n = grid[0]
+    for pat in enumerate_patterns(*grid):
+        for k in range(1, n):
+            for j in moves(pat, k):
+                for direction in ("raise", "lower"):
+                    got = gelfand_squared_closed_form(pat, k, j, direction)
+                    assert got == fraction_gelfand_square(pat, k, j, direction)
+                    assert isinstance(got, F)
+
+
 def test_gelfand_invalid_target_and_direction():
     pat = build_pattern(3, 1, 2, [2, 0])
     assert gelfand_squared_closed_form(pat, 1, 1, "raise") == 0
-    assert squared(amplitude_table(3, 1, 2, EPS1.epsilon), pat, 1, 1, "raise") == 0
+    table = amplitude_table(enumerate_patterns(3, 1, 2), EPS1.epsilon)
+    assert squared(table, pat, 1, 1, "raise") == 0
     with pytest.raises(InvalidMove):
         gelfand_squared_closed_form(pat, 1, 1, "sideways")
     with pytest.raises(IndexOutOfRange):
@@ -377,8 +408,8 @@ def test_gelfand_invalid_target_and_direction():
 def test_epsilon_covariance():
     sigma = F(2)
     base, scaled = F(1), sigma
-    base_table = amplitude_table(4, 2, 2, base)
-    scaled_table = amplitude_table(4, 2, 2, scaled)
+    base_table = amplitude_table(enumerate_patterns(4, 2, 2), base)
+    scaled_table = amplitude_table(enumerate_patterns(4, 2, 2), scaled)
     for pat in enumerate_patterns(4, 2, 2):
         for k in range(1, 4):
             f1 = psi_closed_form(pat, k, base)
@@ -432,7 +463,7 @@ def test_shifted_quiver_arrow_fails_the_psi_routes_at_its_nodes(monkeypatch):
 @pytest.mark.parametrize("grid", [(3, 1, 2), (4, 2, 2), (5, 2, 2)])
 def test_amplitude_table_covers_the_localization_edges(grid):
     n, p, lam = grid
-    table = amplitude_table(n, p, lam, EPS1.epsilon)
+    table = amplitude_table(enumerate_patterns(n, p, lam), EPS1.epsilon)
     assert list(table) == list(localize_module(n, p, lam, EPS1))
     for (pat, k, j), value in table.items():
         up = pat.bumped(j, k, +1)

@@ -450,6 +450,44 @@ def test_localization_amplitudes_stdout_pinned(capsys, grid, eps):
     assert digest == LOCALIZATION_AMPLITUDES_CSV[grid, eps]
 
 
+# SHA-256 of stdout of the five scalar-suite invocations at (6,3,2), the
+# hysteresis, Gelfand and constraints tables, `psi` and `amplitudes --format
+# csv`, pinned from the implementation that kept every psi root and Gelfand
+# factor as a Fraction; each exits 0. A negative epsilon reverses the root
+# order, so only `psi` and `amplitudes` differ between the two.
+_SCALAR_GRID = ("--n", "6", "--p", "3", "--lambda", "2")
+SCALAR_GRID_STDOUT_SHA256 = {
+    ("verify", "--suite", "hysteresis", *_SCALAR_GRID, "--format", "csv"): {
+        "2/7": "e1fce3450a543944285855040c6a7d02dd9a2e93328349b374b905ef27a8d767",
+        "-3/2": "e1fce3450a543944285855040c6a7d02dd9a2e93328349b374b905ef27a8d767",
+    },
+    ("verify", "--suite", "gelfand", *_SCALAR_GRID, "--format", "csv"): {
+        "2/7": "00f43946d1f2b5058db479405b7a160b677c0d1bb04e2d72788fafbfc0447018",
+        "-3/2": "00f43946d1f2b5058db479405b7a160b677c0d1bb04e2d72788fafbfc0447018",
+    },
+    ("verify", "--suite", "constraints", *_SCALAR_GRID, "--format", "csv"): {
+        "2/7": "c37df48756096afc60661ed3e18b0e12a2943fe2a961321adf0cb76a5d8491dc",
+        "-3/2": "c37df48756096afc60661ed3e18b0e12a2943fe2a961321adf0cb76a5d8491dc",
+    },
+    ("psi", *_SCALAR_GRID): {
+        "2/7": "6987cbd1876b09c91b1010d47b4b7cb88ee0c13da6a775ed2c2843d6d9564fa2",
+        "-3/2": "25019974faf2fe58aabc7f143abb7a78f8138e006b8f3851271575040cdc5a8f",
+    },
+    ("amplitudes", "--format", "csv", *_SCALAR_GRID): {
+        "2/7": "4c3bc3028330a55cd3be1a514f03924f22711088f707a15e6c8503b54f99446d",
+        "-3/2": "60de4e73a76ac6a536e5f236f530972a96db5439dfb84aaa6ebaa5992f69af99",
+    },
+}
+
+
+@pytest.mark.parametrize("eps", ["2/7", "-3/2"])
+@pytest.mark.parametrize("args", list(SCALAR_GRID_STDOUT_SHA256))
+def test_scalar_grid_stdout_pinned(capsys, args, eps):
+    code, out, _ = run(capsys, *args, f"--epsilon={eps}")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCALAR_GRID_STDOUT_SHA256[args][eps]
+
+
 @pytest.mark.parametrize(
     "command", [["states"], ["psi"], ["verify", "--suite", "constraints", "--format", "csv"]]
 )
@@ -703,9 +741,9 @@ def test_verify_all_builds_the_closed_table_once(capsys, monkeypatch):
     calls = []
     build = modes.amplitude_table
 
-    def recorded(*args):
-        calls.append(args[:3])
-        return build(*args)
+    def recorded(states, eps):
+        calls.append(states[0][:3])  # the (n, p, lambda) of the module
+        return build(states, eps)
 
     monkeypatch.setattr(modes, "amplitude_table", recorded)
     argv = ["verify", "--n", "4", "--p", "2", "--lambda", "2", "--mode-cutoff", "1"]

@@ -20,6 +20,7 @@ from gtyang.modes import (
 )
 from gtyang.patterns import build_pattern, enumerate_patterns
 from gtyang.quiver import EquivariantParams, InvalidParams
+from gtyang.rational import FactoredRatFunc
 
 F = Fraction
 EPS1 = EquivariantParams(1)
@@ -181,6 +182,35 @@ def test_doubled_shared_data_fails_the_pinned_relations(field):
     reports = verify_hysteresis(data) + verify_pole_classification(data)
     reports += verify_dual_routes(data)
     assert _failing(reports) == SHARED_DATA_FAILURES[field]
+
+
+@pytest.mark.parametrize("eps", [F(1), F(3, 2), F(-3, 2), F(2, 7)])
+def test_moved_pole_is_a_failed_residue_report_not_an_exception(eps):
+    # negative control: the first raise pole of (4,2,2) moved by eps is not a
+    # pole of its psi, where the residue is 0, so the check fails by |E * F|
+    data = ModuleData(4, 2, 2, EquivariantParams(eps))
+    key = next(iter(data.poles))
+    data.poles[key] += eps
+    pat, k, j = key
+    e, f = data.table[key]
+    failed = [r for r in verify_hysteresis(data) if r.relation_id == "residue" and not r.passed]
+    assert [(r.params, r.residual) for r in failed] == [
+        ({"state": pat.free_values, "move": (k, j)}, abs(e * f))
+    ]
+
+
+def test_double_pole_is_a_failed_residue_report_not_an_exception():
+    # a psi whose pole at a move is double fails that move's residue check
+    # with residual 1, as the 0/1 checks of pole-set do
+    data = ModuleData(4, 2, 2, EPS1)
+    (pat, k, j), pole = next(iter(data.poles.items()))
+    data.psi[pat, k] = data.psi[pat, k] * FactoredRatFunc.make(1, [], [pole])
+    residues = {
+        r.params["move"]: r.residual
+        for r in verify_hysteresis(data)
+        if r.relation_id == "residue" and r.params["state"] == pat.free_values
+    }
+    assert residues[k, j] == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -187,6 +189,95 @@ def test_from_multiples_matches_make(num, den, unit, scalar):
     expected = make(scalar, [c * unit for c in num], [c * unit for c in den])
     got = FactoredRatFunc.from_multiples(scalar, unit, num, den)
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# the int-root representation: numerators over one canonical root denominator
+# ---------------------------------------------------------------------------
+
+
+def canonical_den(f):
+    """The lcm of the reduced denominators of the roots, read from the views."""
+    return math.lcm(*(r.denominator for r in f.num_roots + f.den_roots))
+
+
+def oracle_cancel(num, den):
+    """Sorted root bags with shared roots removed, by multiset difference."""
+    num_c, den_c = Counter(map(F, num)), Counter(map(F, den))
+    return tuple(sorted((num_c - den_c).elements())), tuple(sorted((den_c - num_c).elements()))
+
+
+def non_pole(*fs):
+    """A point that is no root of any of the functions."""
+    roots = {r for f in fs for r in f.num_roots + f.den_roots}
+    return next(F(k, 7) for k in range(100) if F(k, 7) not in roots)
+
+
+@given(
+    st.lists(st.integers(-12, 12), max_size=6),
+    st.lists(st.integers(-12, 12), max_size=6),
+    st.integers(1, 12),
+    st.sampled_from([1, -1]),
+    st.sampled_from([F(1), F(-2, 3), F(5, 4)]),
+)
+@settings(max_examples=150)
+def test_make_over_unlike_denominators_is_from_multiples(num, den, big, sign, scalar):
+    # roots c/big reduce to unlike denominators; the unit sign/big is negative
+    # for half the draws, which reverses the order of the coefficients
+    unit = F(sign, big)
+    f = make(scalar, [c * unit for c in num], [c * unit for c in den])
+    assert f == FactoredRatFunc.from_multiples(scalar, unit, num, den)
+    expected = oracle_cancel([c * unit for c in num], [c * unit for c in den])
+    assert (f.num_roots, f.den_roots) == expected
+    assert f.root_den == canonical_den(f) > 0
+    assert all(isinstance(a, int) for a in f.num_ints + f.den_ints)
+
+
+def test_cancelled_root_leaves_the_canonical_denominator():
+    f = make(1, [F(1, 2), 1], [F(1, 2)])
+    assert f == make(1, [1])
+    assert (f.num_ints, f.den_ints, f.root_den) == ((1,), (), 1)
+
+
+@given(ratfuncs, small_rat)
+@settings(max_examples=150)
+def test_shared_root_of_any_denominator_cancels_away(f, root):
+    g = make(f.scalar, [*f.num_roots, root], [*f.den_roots, root])
+    assert g == f
+    assert g.root_den == canonical_den(f)
+
+
+@given(ratfuncs, ratfuncs)
+@settings(max_examples=150)
+def test_mul_over_different_root_denominators(a, b):
+    product = a * b
+    assert product.root_den == canonical_den(product)
+    expected = oracle_cancel(a.num_roots + b.num_roots, a.den_roots + b.den_roots)
+    assert (product.num_roots, product.den_roots) == expected
+    z = non_pole(a, b)
+
+    def value(f):
+        return f.scalar * dense_eval(dense_from_roots(f.num_roots), z) / dense_eval(
+            dense_from_roots(f.den_roots), z
+        )
+
+    assert value(product) == value(a) * value(b)
+
+
+def test_mul_of_unlike_root_denominators_example():
+    product = make(1, [F(1, 2)], [F(1, 3)]) * make(2, [F(1, 3)], [F(-3, 4)])
+    assert product == make(2, [F(1, 2)], [F(-3, 4)])
+    assert product.root_den == 4
+
+
+@given(ratfuncs, st.integers(-20, 20), st.integers(2, 30))
+@settings(max_examples=150)
+def test_residue_off_the_root_denominator_is_not_a_pole(f, top, bottom):
+    z = F(top, bottom)
+    if f.root_den % z.denominator == 0:
+        return
+    with pytest.raises(NotAPole):
+        f.residue_simple(z)
 
 
 W = LinearForm(1, 0)
