@@ -33,7 +33,6 @@ from gtyang.quiver import (
     InvalidParams,
     bond_factor,
     build_quiver,
-    cartan_matrix,
     check_constraints,
 )
 from gtyang.rational import FactoredRatFunc, NotAPole, NotASimplePole
@@ -65,9 +64,11 @@ class ModuleData:
     """One module and its closed-form data, the input of every suite and
     command. Each field is computed at most once, on its first read: the
     states, the edge table of ``amplitude_table``, ``psi_closed_form`` per
-    (state, node), the raising pole of each edge and the mode-operator table
+    (state, node), the raising pole of each edge, the exchange function
+    ``bond_factor`` of each pair of gauge nodes and the mode-operator table
     of each cutoff. The closed forms are written at h = 0 and take
-    ``epsilon``, the one gate that refuses a nonzero h; the states need none.
+    ``epsilon``, the one gate that refuses a nonzero h; the states need none,
+    and the bonds are read from the quiver at ``params``, whatever h is.
     The independent routes (``psi_generic``, ``add_remove_sets``,
     ``localize_module`` and ``gelfand_squared_closed_form``) never read it."""
 
@@ -104,6 +105,11 @@ class ModuleData:
     @functools.cached_property
     def poles(self) -> dict[tuple[GTPattern, int, int], Rat]:
         return {(pat, k, j): raise_pole(pat, k, j, self.epsilon) for pat, k, j in self.table}
+
+    @functools.cached_property
+    def bonds(self) -> dict[tuple[int, int], FactoredRatFunc]:
+        spec, nodes = build_quiver(self.n, self.p, self.lam), range(1, self.n)
+        return {(a, b): bond_factor(spec, a, b, self.params) for a in nodes for b in nodes}
 
     @functools.cached_property
     def operators(self):
@@ -170,18 +176,21 @@ def _products(ops):
     return prod, comm
 
 
-def verify_mode_relations(ops, eps: Rat) -> list[RelationReport]:
-    """Quadratic relations in Cartan-matrix form, the pairing of raising
-    against lowering modes, [e_n, f_k] = -psi_{n+k}, and the boundary action
-    of the zeroth diagonal mode, [psi_0, e_k] = -A_ab e_k and
-    [psi_0, f_k] = A_ab f_k.
+def verify_mode_relations(ops, data: ModuleData) -> list[RelationReport]:
+    """Quadratic relations in exchange-function form, the pairing
+    [e_n, f_k] = -psi_{n+k} of raising against lowering modes, and the boundary
+    action [psi_0, e_k] = -A_ab e_k, [psi_0, f_k] = A_ab f_k of psi_0.
 
-    Every product of two operators, keyed by their (kind, node, mode), is
-    computed once per call and shared by all the checks that use it; each
-    residual is one linear combination of those products (and of one
-    operator, for the pairing and the boundary action)."""
+    The exchange function of nodes a and b is ``data.bonds[a, b]``,
+    phi_ab(u) = (u - alpha)/(u - beta), or 1 (alpha = beta = 0) where no
+    arrow joins them. The residual of (x, y) = (e, e) and (psi, e) is
+    [x_{n+1}, y_k] - [x_n, y_{k+1}] - beta x_n y_k + alpha y_k x_n, alpha and
+    beta trade places for (f, f) and (psi, f), and A_ab = (beta - alpha)/eps.
+
+    Each product of two operators, keyed by their (kind, node, mode), is
+    computed once per call and shared; each residual is one linear combination
+    of those products (and of one operator, for the pairing and boundary)."""
     nodes = sorted({node for _, node, _ in ops})
-    cartan = cartan_matrix(len(nodes) + 1)  # of the chain of nodes in ops
     cutoff = max(mode for kind, _, mode in ops if kind == "e")
     modes = range(cutoff + 1)
     prod, comm = _products(ops)
@@ -190,21 +199,25 @@ def verify_mode_relations(ops, eps: Rat) -> list[RelationReport]:
     def emit(rel_id, residual, **info):
         reports.append(RelationReport(rel_id, info, residual.max_abs()))
 
-    half = eps / 2
+    # at most one numerator and one denominator root: one chain arrow each way
+    roots = {
+        ab: (phi.num_roots or (ZERO,), phi.den_roots or (ZERO,)) for ab, phi in data.bonds.items()
+    }
     for a, b in itertools.product(nodes, nodes):
-        coupling = half * cartan[a - 1][b - 1]
+        (alpha,), (beta,) = roots[a, b]
+        forms = (
+            ("e", "e", -beta, alpha), ("f", "f", -alpha, beta),
+            ("psi", "e", -beta, alpha), ("psi", "f", -alpha, beta),
+        )
         for n, k in itertools.product(range(cutoff), range(cutoff)):
-            for x_kind, kind, c in (
-                ("e", "e", -coupling), ("f", "f", coupling),
-                ("psi", "e", -coupling), ("psi", "f", coupling),
-            ):
+            for x_kind, kind, c_xy, c_yx in forms:
                 x_n, x_n1 = (x_kind, a, n), (x_kind, a, n + 1)
                 y_k, y_k1 = (kind, b, k), (kind, b, k + 1)
-                # [x_n1, y_k] - [x_n, y_k1] + c {x_n, y_k}
+                # [x_n1, y_k] - [x_n, y_k1] + c_xy x_n y_k + c_yx y_k x_n
                 res = comm(
                     x_n1, y_k,
                     (-1, prod(x_n, y_k1)), (1, prod(y_k1, x_n)),
-                    (c, prod(x_n, y_k)), (c, prod(y_k, x_n)),
+                    (c_xy, prod(x_n, y_k)), (c_yx, prod(y_k, x_n)),
                 )
                 emit(f"{x_kind}{kind}", res, a=a, b=b, n=n, k=k)
         for n, k in itertools.product(modes, modes):
@@ -219,12 +232,14 @@ def verify_mode_relations(ops, eps: Rat) -> list[RelationReport]:
             emit("ef-offdiag", comm(("e", a, n), ("f", b, k)), a=a, b=b, n=n, k=k)
 
     # boundary action of the zeroth diagonal mode
-    for a, b, k in itertools.product(nodes, nodes, modes):
-        cartan_ab = cartan[a - 1][b - 1]
-        res = comm(("psi", a, 0), ("e", b, k), (cartan_ab, ops["e", b, k]))
-        emit("boundary-e", res, a=a, b=b, k=k)
-        res = comm(("psi", a, 0), ("f", b, k), (-cartan_ab, ops["f", b, k]))
-        emit("boundary-f", res, a=a, b=b, k=k)
+    for a, b in itertools.product(nodes, nodes):
+        (alpha,), (beta,) = roots[a, b]
+        a_ab = (beta - alpha) / data.params.epsilon
+        for k in modes:
+            res = comm(("psi", a, 0), ("e", b, k), (a_ab, ops["e", b, k]))
+            emit("boundary-e", res, a=a, b=b, k=k)
+            res = comm(("psi", a, 0), ("f", b, k), (-a_ab, ops["f", b, k]))
+            emit("boundary-f", res, a=a, b=b, k=k)
     return reports
 
 
@@ -302,11 +317,8 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
     residues together, checked on every state and every admissible pair.
     Amplitudes, psi and poles are read from ``data``; a move that leaves the
     cone has no edge and reads as zero. Each bond factor is computed once per
-    node pair."""
-    n, params = data.n, data.params
-    spec = build_quiver(n, data.p, data.lam)
-    states = data.states
-    bonds = {(a, b): bond_factor(spec, a, b, params) for a in range(1, n) for b in range(1, n)}
+    node pair, in ``data.bonds``."""
+    n, states, bonds = data.n, data.states, data.bonds
     table, psi, poles = data.table, data.psi, data.poles
     reports = []
     for pat in states:
@@ -369,18 +381,14 @@ def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
             reports.append(
                 RelationReport("pole-set", {"state": state, "node": k}, ZERO if match else ONE)
             )
+            raisable, lowerable = {j for j, _ in add}, {j for j, _ in rem}
             a, b = pat.window(k)
             for j in range(a, b + 1):
                 e_val, f_val = move_pair(table, pat, k, j)
-                ok_e = (e_val != 0) == (pat.bumped(j, k, +1) is not None)
-                ok_f = (f_val != 0) == (pat.bumped(j, k, -1) is not None)
-                reports.append(
-                    RelationReport(
-                        "vanishing",
-                        {"state": state, "move": (k, j)},
-                        ZERO if (ok_e and ok_f) else ONE,
-                    )
-                )
+                ok_e = (e_val != 0) == (j in raisable)
+                ok_f = (f_val != 0) == (j in lowerable)
+                info = {"state": state, "move": (k, j)}
+                reports.append(RelationReport("vanishing", info, ZERO if ok_e and ok_f else ONE))
     return reports
 
 
@@ -497,7 +505,7 @@ SUITES = {
     "hysteresis": lambda data, cutoff: (
         verify_hysteresis(data) + verify_pole_classification(data) + verify_dual_routes(data)
     ),
-    "modes": lambda data, cutoff: verify_mode_relations(data.operators(cutoff), data.epsilon),
+    "modes": lambda data, cutoff: verify_mode_relations(data.operators(cutoff), data),
     # Serre runs on modes 0 and 1 whatever the cutoff
     "serre": lambda data, cutoff: verify_serre(data.operators(max(cutoff, 1))),
     "gelfand": lambda data, cutoff: verify_gelfand(data),

@@ -192,16 +192,6 @@ def bond_factor(spec: QuiverSpec, a: int, b: int, params: EquivariantParams) -> 
     return FactoredRatFunc.make(1, [r.value(params) for r in num], [r.value(params) for r in den])
 
 
-def cartan_matrix(n: int) -> list[list[int]]:
-    if n < 2:
-        raise InvalidParams("need n >= 2")
-    size = n - 1
-    return [
-        [2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(size)]
-        for i in range(size)
-    ]
-
-
 class ConstraintReport(NamedTuple):
     """Symbolic residuals: they do not depend on (eps, h)."""
 

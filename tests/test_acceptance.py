@@ -198,8 +198,8 @@ MODE_GRID = [(3, 1, 2), (4, 1, 2), (4, 2, 2), (5, 2, 1), (5, 2, 2), (6, 3, 2)]
 def test_criterion_05_mode_relations():
     start = time.time()
     for n, p, lam in MODE_GRID:
-        ops = build_mode_operators(ModuleData(n, p, lam, EPS1), cutoff=3)
-        reports = verify_mode_relations(ops, EPS1.epsilon)
+        data = ModuleData(n, p, lam, EPS1)
+        reports = verify_mode_relations(build_mode_operators(data, cutoff=3), data)
         assert all(r.passed for r in reports), f"mode relations fail on ({n},{p},{lam})"
     elapsed = time.time() - start
     assert elapsed < 60, f"criterion 5 took {elapsed:.1f}s"

@@ -42,15 +42,14 @@ def test_operator_count_at_cutoff_zero():
 
 
 def test_mode_relations_small_grid():
-    cutoff = 3
-    ops = build_mode_operators(ModuleData(3, 1, 2, EPS1), cutoff=cutoff)
-    reports = verify_mode_relations(ops, EPS1.epsilon)
+    data = ModuleData(3, 1, 2, EPS1)
+    reports = verify_mode_relations(build_mode_operators(data, cutoff=3), data)
     assert all(r.passed for r in reports)
 
 
 def test_diagonal_modes_commute_and_offdiag_pairing_vanishes():
-    ops = build_mode_operators(ModuleData(4, 2, 1, EPS1), cutoff=2)
-    reports = verify_mode_relations(ops, EPS1.epsilon)
+    data = ModuleData(4, 2, 1, EPS1)
+    reports = verify_mode_relations(build_mode_operators(data, cutoff=2), data)
     assert all(r.passed for r in reports if r.relation_id == "psipsi")
     assert all(r.passed for r in reports if r.relation_id == "ef-offdiag")
 
@@ -67,7 +66,8 @@ def test_serre_small_grids():
 # (4,2,2) with the first nonzero entry (row-major) of one operator doubled:
 # every failing relation of the mode and Serre suites as relation -> (checks,
 # max residual), per (epsilon, cutoff) and operator. The cases at eps = 2/7
-# were pinned while every matrix entry was a separate Fraction.
+# were pinned while every matrix entry was a separate Fraction, and those at
+# eps = -3/2 while the quadratic relations read the Cartan matrix.
 DOUBLED_ENTRY_FAILURES = {
     (F(1), 2): {
         ("e", 1, 0): {
@@ -105,6 +105,28 @@ DOUBLED_ENTRY_FAILURES = {
         },
         ("psi", 3, 1): {"ef-pairing": (48, F(1, 7)), "psie": (81, 1), "psif": (81, F(4, 49))},
     },
+    (F(-3, 2), 2): {
+        ("e", 1, 0): {
+            "ee": (36, 3),
+            "ef-offdiag": (54, 9),
+            "ef-pairing": (27, 1),
+            "psie": (36, 2),
+            "serre-e": (32, F(64, 9)),
+            "serre-e-far": (8, F(16, 9)),
+        },
+        ("f", 2, 1): {
+            "ef-offdiag": (54, 6),
+            "ef-pairing": (27, F(27, 4)),
+            "ff": (36, 27),
+            "psif": (36, F(81, 2)),
+            "serre-f": (32, F(81, 8)),
+        },
+        ("psi", 3, 1): {
+            "ef-pairing": (27, F(3, 4)),
+            "psie": (36, F(9, 4)),
+            "psif": (36, F(243, 32)),
+        },
+    },
 }
 
 
@@ -113,12 +135,12 @@ DOUBLED_ENTRY_FAILURES = {
 )
 def test_doubled_operator_entry_fails_the_pinned_relations(key):
     eps, cutoff, op = key
-    params = EquivariantParams(eps)
-    ops = build_mode_operators(ModuleData(4, 2, 2, params), cutoff=cutoff)
+    data = ModuleData(4, 2, 2, EquivariantParams(eps))
+    ops = build_mode_operators(data, cutoff=cutoff)
     matrix = ops[op]
     r, c, v = next(matrix.nonzeros())
     ops[op] = matrix + RationalMatrix.from_triples(matrix.rows, matrix.cols, [(r, c, v)])
-    reports = verify_mode_relations(ops, params.epsilon) + verify_serre(ops)
+    reports = verify_mode_relations(ops, data) + verify_serre(ops)
     assert _failing(reports) == DOUBLED_ENTRY_FAILURES[eps, cutoff][op]
 
 
@@ -143,10 +165,29 @@ NEGATED_PSI_FAILURES = {
     "eps,cutoff", list(NEGATED_PSI_FAILURES), ids=["eps=3/2", "eps=2/7"]
 )
 def test_negated_psi_fails_the_pairing_and_boundary_relations(eps, cutoff):
-    params = EquivariantParams(eps)
-    ops = build_mode_operators(ModuleData(4, 2, 2, params), cutoff=cutoff)
+    data = ModuleData(4, 2, 2, EquivariantParams(eps))
+    ops = build_mode_operators(data, cutoff=cutoff)
     ops = {key: m.scaled(-1) if key[0] == "psi" else m for key, m in ops.items()}
-    assert _failing(verify_mode_relations(ops, params.epsilon)) == NEGATED_PSI_FAILURES[eps, cutoff]
+    assert _failing(verify_mode_relations(ops, data)) == NEGATED_PSI_FAILURES[eps, cutoff]
+
+
+@pytest.mark.parametrize("eps", [F(1), F(3, 2), F(-3, 2)])
+def test_swapped_exchange_roots_fail_the_quadratic_and_boundary_relations(eps):
+    # negative control: the quadratic and boundary relations read the
+    # exchange function of each node pair from data.bonds, so the bond of
+    # nodes (1, 2) with its numerator and denominator roots swapped fails
+    # exactly those relations, at that pair alone
+    data = ModuleData(4, 2, 2, EquivariantParams(eps))
+    phi = data.bonds[1, 2]
+    data.bonds[1, 2] = FactoredRatFunc.make(1, phi.den_roots, phi.num_roots)
+    failed = {
+        (r.relation_id, r.params["a"], r.params["b"])
+        for r in verify_mode_relations(data.operators(2), data)
+        if not r.passed
+    }
+    assert failed == {
+        (rel, 1, 2) for rel in ("ee", "ff", "psie", "psif", "boundary-e", "boundary-f")
+    }
 
 
 def _failing(reports) -> dict:

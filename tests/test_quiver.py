@@ -9,7 +9,6 @@ from gtyang.quiver import (
     LinearForm,
     bond_factor,
     build_quiver,
-    cartan_matrix,
     check_constraints,
 )
 from gtyang.rational import FactoredRatFunc
@@ -182,10 +181,3 @@ def test_non_chiral():
     for a in range(1, 5):
         for b in range(1, 5):
             assert arrow_count(spec, a, b) == arrow_count(spec, b, a)
-
-
-def test_cartan_matrix():
-    assert cartan_matrix(3) == [[2, -1], [-1, 2]]
-    assert cartan_matrix(2) == [[2]]
-    m = cartan_matrix(5)
-    assert [sum(row) for row in m] == [1, 0, 0, 1]
