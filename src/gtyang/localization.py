@@ -1,17 +1,19 @@
 """Equivariant localization route to the amplitudes.
 
-The tangent space at a fixed point is the kernel of the linearized gauge
-relations modulo gauge orbits, graded by exact (loop, asymmetry) weight
-pairs with the asymmetry parameter kept symbolic. Cutoff data enters through
-the conjugate framing directions, whose grading is negated; this single
-convention is pinned by the closed-form Euler classes of the rank-two chain
-and survives every cross-check against the amplitude formulas.
+A move needs two linear systems, both on one linearization of fixed points
+V, V': ``_hom`` lays out weight-graded Hom slots, and ``_action`` sends each
+direction X in Hom(V'_a, V_a) to X q' - q X in the arrow slots. The
+deformation complex is V' = V, its gauge orbits the deformations of the
+identity intertwiner; the incidence pushes both ends' kernels through the
+intertwiner tau into the same slots and solves by two ranks per weight.
 
-Everything from the fixed point to the sector counts runs on Python ints:
-every weight is a ``LinearForm(e, h)`` integer pair in units of (eps/2, h),
-every arrow is an atom map, so relation rows, gauge columns and intertwining
-conditions hold integer coefficients, kernels take integer rows and come back
-as primitive integer vectors. ``Fraction`` enters only when a weight is
+Weights are exact (loop, asymmetry) pairs, the asymmetry kept symbolic.
+Cutoff data enters through the conjugate framing directions, whose grading
+is negated; this single convention is pinned by the closed-form Euler
+classes of the rank-two chain and survives every cross-check against the
+amplitude formulas. Everything from the fixed point to the sector counts
+runs on ints (``LinearForm`` weights, atom maps, integer rows and primitive
+integer kernel vectors); ``Fraction`` enters only when a weight is
 evaluated at the params.
 """
 
@@ -67,23 +69,10 @@ class DeformationComplex:
         }
         # arrow name -> {target atom index: source atom index}; maps are injective
         self.preimage = {name: {t: s for s, t in m.items()} for name, m in fp.maps.items()}
-        self.slot_weight: list[LinearForm] = []
-        self.slot_index: dict[tuple[str, int, int], int] = {}
-        self.slots_by_weight: dict[LinearForm, list[int]] = {}
-        for arr in fp.spec.arrows:
-            src = self.coords[arr.source]
-            tgt = self.coords[arr.target]
-            for r in range(len(tgt)):
-                for c in range(len(src)):
-                    key = (arr.name, r, c)
-                    w = tgt[r] - src[c] - arr.weight
-                    if arr.r_charge == 2:
-                        w = -w  # conjugate framing direction
-                    self.slot_index[key] = len(self.slot_weight)
-                    self.slots_by_weight.setdefault(w, []).append(len(self.slot_weight))
-                    self.slot_weight.append(w)
+        # the gauge orbit is the deformation of the identity intertwiner
+        slots, _, self.gauge_cols = _action(self, self)
+        self.slot_index, self.slot_weight, self.slots_by_weight = slots
         self.rows = self._build_relation_rows()
-        self.gauge_cols = self._build_gauge_columns()
         self.kernels = {w: self.kernel_sector(w) for w in sorted(self.slots_by_weight)}
         self.gauge_ranks = {w: self.gauge_rank_sector(w) for w in self.gauge_cols}
         if not self.gauge_injective():
@@ -134,36 +123,6 @@ class DeformationComplex:
                         rows.setdefault(weights.pop(), []).append(entries)
         return rows
 
-    # -- gauge action ----------------------------------------------------
-
-    def _build_gauge_columns(self):
-        """One column per gl(V_a) direction: image of gamma under
-        gamma -> gamma q - q gamma across all arrows, grouped by weight."""
-        fp = self.fp
-        cols: dict[LinearForm, list[dict[int, int]]] = {}
-        for node in fp.spec.gauge_nodes:
-            coords = self.coords[node]
-            dim = len(coords)
-            for r in range(dim):
-                for c in range(dim):
-                    w = coords[r] - coords[c]
-                    image = {}
-                    for arr in fp.spec.arrows:
-                        q_map, q_pre = fp.maps[arr.name], self.preimage[arr.name]
-                        if arr.target == node and c in q_pre:  # gamma * q
-                            idx = self.slot_index[(arr.name, r, q_pre[c])]
-                            image[idx] = image.get(idx, 0) + 1
-                        if arr.source == node and r in q_map:  # - q * gamma
-                            idx = self.slot_index[(arr.name, q_map[r], c)]
-                            image[idx] = image.get(idx, 0) - 1
-                    image = {i: v for i, v in image.items() if v != 0}
-                    if image:
-                        weights = {self.slot_weight[i] for i in image}
-                        _require(len(weights) == 1, "gauge column mixes weights")
-                        _require(weights.pop() == w, "gauge column off its gl weight")
-                    cols.setdefault(w, []).append(image)
-        return cols
-
     # -- per-weight kernels ----------------------------------------------
 
     def kernel_sector(self, w: LinearForm) -> list[dict[int, int]]:
@@ -179,15 +138,79 @@ class DeformationComplex:
         return [{idxs[l]: v for l, v in vec.items()} for vec in basis]
 
     def gauge_rank_sector(self, w: LinearForm) -> int:
-        cols = self.gauge_cols.get(w)
-        if not cols:
-            return 0
-        idxs = sorted({i for image in cols for i in image})
-        return rank([[image.get(i, 0) for i in idxs] for image in cols])
+        return _rank(self.gauge_cols.get(w, []))
 
     def gauge_injective(self) -> bool:
         # one gauge column per gl(V_a) direction
         return sum(self.gauge_ranks.values()) == sum(map(len, self.gauge_cols.values()))
+
+
+def _hom(blocks):
+    """One slot per entry of each block ``(key, row weights, column weights,
+    shift, negated)``, of weight row - column - shift, negated for a
+    conjugate framing direction. Returns (key, r, c) -> slot index, the
+    weight of each slot, and the slots of each weight in index order."""
+    index, weight, by_weight = {}, [], {}
+    for key, rows, cols, shift, negated in blocks:
+        for r, row in enumerate(rows):
+            row = row - shift
+            for c, col in enumerate(cols):
+                w = col - row if negated else row - col
+                index[key, r, c] = n = len(weight)
+                by_weight.setdefault(w, []).append(n)
+                weight.append(w)
+    return index, weight, by_weight
+
+
+def _action(cx: DeformationComplex, cx_prime: DeformationComplex):
+    """The linearized action for fixed points V, V' with atom maps q, q':
+    the arrow slots Hom(V'_src, V_tgt), the directions Hom(V'_a, V_a) of the
+    gauge nodes, and the image X q' - q X of each direction X in index
+    order, grouped by its weight. With V' = V it is gamma q - q gamma."""
+    spec, coords, coords_prime = cx.fp.spec, cx.coords, cx_prime.coords
+    slots = _hom(
+        (arr.name, coords[arr.target], coords_prime[arr.source], arr.weight, arr.r_charge == 2)
+        for arr in spec.arrows
+    )
+    directions = _hom(
+        (node, coords[node], coords_prime[node], ZERO_FORM, False) for node in spec.gauge_nodes
+    )
+    slot_index, slot_weight, _ = slots
+    into, out_of = {}, {}
+    for arr in spec.arrows:
+        into.setdefault(arr.target, []).append((arr.name, cx_prime.preimage[arr.name]))
+        out_of.setdefault(arr.source, []).append((arr.name, cx.fp.maps[arr.name]))
+    images: dict[LinearForm, list[dict[int, int]]] = {}
+    for (node, r, c), i in directions[0].items():
+        image = {}
+        for name, pre in into.get(node, ()):  # X q'
+            if c in pre:
+                idx = slot_index[name, r, pre[c]]
+                image[idx] = image.get(idx, 0) + 1
+        for name, m in out_of.get(node, ()):  # - q X
+            if r in m:
+                idx = slot_index[name, m[r], c]
+                image[idx] = image.get(idx, 0) - 1
+        image = {j: v for j, v in image.items() if v != 0}
+        w = directions[1][i]
+        if image:
+            weights = {slot_weight[j] for j in image}
+            _require(len(weights) == 1, "action image mixes weights")
+            _require(weights.pop() == w, "action image off its direction weight")
+        images.setdefault(w, []).append(image)
+    return slots, directions, images
+
+
+def _rank(vectors: list[dict[int, int]]) -> int:
+    """Rank of sparse integer vectors, densified as the columns of one row
+    per slot they touch."""
+    if not vectors:
+        return 0
+    rows: dict[int, list[int]] = {}
+    for c, vec in enumerate(vectors):
+        for i, v in vec.items():
+            rows.setdefault(i, [0] * len(vectors))[c] = v
+    return rank(list(rows.values()))
 
 
 def _regularize_tangent(
@@ -245,109 +268,84 @@ def euler_class(fp: FixedPoint, params: EquivariantParams) -> Rat:
     return _euler(tangent_graded(fp), params)
 
 
+def _intertwiner(cx: DeformationComplex, cx_plus: DeformationComplex):
+    """The base intertwiner tau, node -> the atom map of zero displacement
+    from the extended crystal onto the original one, and the node of the
+    added atom. Raises ``NotAdjacent`` unless tau covers the original
+    crystal and misses exactly one atom of the extension."""
+    fp, fp_plus = cx.fp, cx_plus.fp
+    tau = {
+        node: atom_map(fp_plus.node_atoms(node), fp.node_atoms(node), ZERO_FORM, 0)
+        for node in (*fp.spec.gauge_nodes, FRAMING)
+    }
+    missed = [
+        node for node, t in tau.items() for b in range(len(cx_plus.coords[node])) if b not in t
+    ]
+    # tau is injective, so it covers a node when it has an entry per atom
+    if len(missed) != 1 or any(len(t) < len(cx.coords[node]) for node, t in tau.items()):
+        raise NotAdjacent("second fixed point is not a single-atom extension")
+
+    # sanity: tau is an honest homomorphism from the extension to the base;
+    # both sides compose injective partial maps, so no entry is a sum
+    for arr in fp.spec.arrows:
+        q, qp, t_tgt = fp.maps[arr.name], fp_plus.maps[arr.name], tau[arr.target]
+        lhs = {j: q[s] for j, s in tau[arr.source].items() if s in q}
+        rhs = {j: t_tgt[b] for j, b in qp.items() if b in t_tgt}
+        _require(lhs == rhs, f"projection fails to intertwine {arr.name}")
+    return tau, missed[0]
+
+
+def _pushes(cx: DeformationComplex, cx_plus: DeformationComplex, tau, slots):
+    """Slot index maps of both ends into the intertwining slots: dq -> dq tau
+    from the smaller end, dq' -> tau dq' from the larger one, where tau has
+    no row at the added atom. Every slot keeps its weight."""
+    slot_index, slot_weight, _ = slots
+    ends = {arr.name: (arr.source, arr.target) for arr in cx.fp.spec.arrows}
+    # tau is injective, so its preimage is the inclusion of the smaller crystal
+    tau_pre = {node: {s: b for b, s in t.items()} for node, t in tau.items()}
+    push = {
+        i: slot_index[name, r, tau_pre[ends[name][0]][s]]
+        for (name, r, s), i in cx.slot_index.items()
+    }
+    push_plus = {
+        i: slot_index[name, t_tgt[b], c]
+        for (name, b, c), i in cx_plus.slot_index.items()
+        if b in (t_tgt := tau[ends[name][1]])
+    }
+    for end, step in ((cx, push), (cx_plus, push_plus)):
+        kept = all(slot_weight[j] == end.slot_weight[i] for i, j in step.items())
+        _require(kept, "push leaves its weight")
+    return push, push_plus
+
+
 def incidence_tangent_graded(
     cx: DeformationComplex, cx_plus: DeformationComplex
 ) -> dict[LinearForm, int]:
     """Tangent grading of the one-atom extension locus.
 
-    Pairs of kernel deformations that admit an intertwiner deformation,
-    modulo both gauge orbits. The base intertwiner tau is the atom map of
-    zero displacement from the extended crystal onto the original one.
+    Pairs of kernel deformations (dq, dq') that admit an intertwiner
+    deformation dtau, dq tau - tau dq' = dtau q' - q dtau, modulo both gauge
+    orbits. At each weight the pairs push into the intertwining slots, and
+    those whose push lies in the image of the action on dtau solve it.
     """
     fp, fp_plus = cx.fp, cx_plus.fp
-    small = set(a.coordinate for a in _all_atoms(fp))
-    big = set(a.coordinate for a in _all_atoms(fp_plus))
-    if not (small <= big and len(big) == len(small) + 1):
-        raise NotAdjacent("second fixed point is not a single-atom extension")
-
-    spec = fp.spec
-    tau = {
-        node: atom_map(fp_plus.node_atoms(node), fp.node_atoms(node), ZERO_FORM, 0)
-        for node in (*spec.gauge_nodes, FRAMING)
-    }
-    # tau is injective, so its preimage is the inclusion of the smaller crystal
-    tau_pre = {node: {s: b for b, s in t.items()} for node, t in tau.items()}
-
-    # sanity: tau is an honest homomorphism from the extension to the base;
-    # both sides compose injective partial maps, so no entry is a sum
-    for arr in spec.arrows:
-        q, qp, t_tgt = fp.maps[arr.name], fp_plus.maps[arr.name], tau[arr.target]
-        lhs = {j: q[s] for j, s in tau[arr.source].items() if s in q}
-        rhs = {j: t_tgt[b] for j, b in qp.items() if b in t_tgt}
-        _require(lhs == rhs, f"projection fails to intertwine {arr.name}")
-
-    # intertwiner deformation slots: Hom(V'_a, V_a) per gauge node, the
-    # slot indices grouped by weight
-    tau_index: dict[tuple[int, int, int], int] = {}
-    tau_weight: list[LinearForm] = []
-    tau_by_weight: dict[LinearForm, list[int]] = {}
-    for node in spec.gauge_nodes:
-        small_c = cx.coords[node]
-        big_c = cx_plus.coords[node]
-        for r in range(len(small_c)):
-            for c in range(len(big_c)):
-                w = small_c[r] - big_c[c]
-                tau_index[(node, r, c)] = len(tau_weight)
-                tau_by_weight.setdefault(w, []).append(len(tau_weight))
-                tau_weight.append(w)
-
-    # intertwining condition rows per arrow: rows in Hom(V'_src, V_tgt):
-    #   dq.tau + q.dtau - dtau.q' - tau.dq' = 0
-    # each row is (dq slot of cx or None, dq' slot of cx_plus or None, dtau
-    # part), grouped by its weight
-    conditions: dict[LinearForm, list[tuple[int | None, int | None, dict]]] = {}
-    for arr in spec.arrows:
-        q_pre = cx.preimage[arr.name]
-        qp_map = fp_plus.maps[arr.name]
-        t_src = tau[arr.source]
-        t_tgt_pre = tau_pre[arr.target]
-        for r in range(len(cx.coords[arr.target])):
-            for c in range(len(cx_plus.coords[arr.source])):
-                # dq.tau and tau.dq' each touch at most one slot, at +1 and -1
-                slot_a = cx.slot_index[(arr.name, r, t_src[c])] if c in t_src else None
-                slot_b = (
-                    cx_plus.slot_index[(arr.name, t_tgt_pre[r], c)] if r in t_tgt_pre else None
-                )
-                mid: dict[int, int] = {}
-                if arr.source != FRAMING and r in q_pre:
-                    idx = tau_index[(arr.source, q_pre[r], c)]
-                    mid[idx] = mid.get(idx, 0) + 1
-                if arr.target != FRAMING and c in qp_map:
-                    idx = tau_index[(arr.target, r, qp_map[c])]
-                    mid[idx] = mid.get(idx, 0) - 1
-                mid = {k: v for k, v in mid.items() if v != 0}
-                if slot_a is not None or slot_b is not None or mid:
-                    weights = {tau_weight[i] for i in mid}
-                    if slot_a is not None:
-                        weights.add(cx.slot_weight[slot_a])
-                    if slot_b is not None:
-                        weights.add(cx_plus.slot_weight[slot_b])
-                    _require(len(weights) == 1, "condition row mixes weights")
-                    conditions.setdefault(weights.pop(), []).append((slot_a, slot_b, mid))
+    tau, added_node = _intertwiner(cx, cx_plus)
+    slots, _, images = _action(cx, cx_plus)
+    push, push_plus = _pushes(cx, cx_plus, tau, slots)
 
     sectors: dict[LinearForm, int] = {}
     # a weight without kernel vectors on either side has no pairs to solve for
     for w in sorted(set(cx.kernels) | set(cx_plus.kernels)):
-        k_a = cx.kernels.get(w, [])
-        k_b = cx_plus.kernels.get(w, [])
-        n_pairs = len(k_a) + len(k_b)
-        if n_pairs == 0:
+        # dq tau - tau dq' for the kernel vectors (dq, 0) and (0, dq')
+        pairs = [{push[i]: v for i, v in vec.items()} for vec in cx.kernels.get(w, ())]
+        pairs += [
+            {push_plus[i]: -v for i, v in vec.items() if i in push_plus}
+            for vec in cx_plus.kernels.get(w, ())
+        ]
+        if not pairs:
             continue
-        tau_idx = tau_by_weight.get(w, [])
-        rows_w = conditions.get(w, [])
-        if rows_w:
-            # columns: kernel basis of both sides, then the tau directions
-            cond = []
-            for slot_a, slot_b, mid in rows_w:
-                # a missing slot is None, which no kernel vector holds
-                row = [vec.get(slot_a, 0) for vec in k_a]
-                row += [-vec.get(slot_b, 0) for vec in k_b]
-                row += [mid.get(i, 0) for i in tau_idx]
-                cond.append(row)
-            tau_only = [row[n_pairs:] for row in cond]
-            solutions = n_pairs - (rank(cond) - rank(tau_only))
-        else:
-            solutions = n_pairs
+        orbits = images.get(w, [])
+        solutions = len(pairs) - (_rank(pairs + orbits) - _rank(orbits))
         dim = solutions - cx.gauge_ranks.get(w, 0) - cx_plus.gauge_ranks.get(w, 0)
         _require(dim >= 0, "gauge orbits exceed the incidence solutions")
         if dim:
@@ -368,10 +366,6 @@ def incidence_tangent_graded(
         if excess != len(pool):
             raise UncalibratedCell("incidence excess does not match the pair pool")
         if len(pool) == 1 and fp.pattern.n <= 4:
-            (new_atom,) = sorted(big - small)
-            added_node = next(
-                a.node for a in _all_atoms(fp_plus) if a.coordinate == new_atom
-            )
             w = pool[0]
             if abs(added_node - fp.pattern.p) % 2:
                 drops = [-w]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,15 +14,19 @@ from gtyang.localization import (
     DeformationComplex,
     NotAdjacent,
     UncalibratedCell,
+    _action,
+    _intertwiner,
+    _pushes,
     _regularize_tangent,
     amplitudes_via_localization,
     euler_class,
     incidence_euler,
+    incidence_tangent_graded,
     tangent_graded,
 )
 from gtyang.modes import ModuleData, verify_localization
 from gtyang.patterns import build_pattern, enumerate_patterns, raise_pole, vacuum_pattern
-from gtyang.quiver import EquivariantParams, LinearForm
+from gtyang.quiver import EquivariantParams, InvariantViolation, LinearForm
 
 F = Fraction
 EPS1 = EquivariantParams(1)
@@ -29,6 +34,10 @@ EPS1 = EquivariantParams(1)
 
 def fp_of(pat):
     return fixed_point_matrices(pat, all_framings=True)
+
+
+def grid_id(grid):
+    return "-".join(map(str, grid))
 
 
 def closed_form_euler(lam, n1, n2, eps=F(1)):
@@ -358,3 +367,110 @@ def test_module_pass_builds_one_complex_per_pattern(monkeypatch):
     verify_localization(ModuleData(4, 2, 2, EPS1))
     assert len(built) == 20
     assert set(built) == set(enumerate_patterns(4, 2, 2))
+
+
+# SHA-256 of every move's incidence sectors, fixed points with all
+# framings; a move whose endpoint or incidence raises records the exception
+# by type and message
+INCIDENCE_SECTOR_DIGESTS = {
+    (4, 2, 2): "52399d859196711f4bc85aff5a71455e61f76634ac248d664e062fb7e3ff3c73",
+    (6, 3, 1): "1c8695ed944b00ccab56d9036bac8afbd7909c3eaf20950e6af6abb4a84dafc1",
+    (5, 2, 2): "4e07fa892f9f8d493050cc044822d91da2d0d54bc0380ccea99eb37352790696",
+    (4, 2, 5): "7157072dcca9254636e466b60e02dc0af4fd97ee2b46f9ca580a82e4a074f053",
+}
+
+
+@pytest.mark.parametrize("grid", list(INCIDENCE_SECTOR_DIGESTS), ids=grid_id)
+def test_incidence_sectors_pinned(grid):
+    # the Euler ratios alone would hide two sector changes that cancel
+    complexes = {}
+    for pat in enumerate_patterns(*grid):
+        try:
+            complexes[pat] = DeformationComplex(fp_of(pat))
+        except UncalibratedCell as exc:
+            complexes[pat] = exc
+    records = []
+    for pat in enumerate_patterns(*grid):
+        for k in range(1, grid[0]):
+            for j, up in pat.raises(k):
+                ends = complexes[pat], complexes[up]
+                try:
+                    for end in ends:
+                        if isinstance(end, UncalibratedCell):
+                            raise end
+                    out = sorted((w.e, w.h, d) for w, d in incidence_tangent_graded(*ends).items())
+                except UncalibratedCell as exc:
+                    out = (type(exc).__name__, str(exc))
+                records.append((pat.free_values, k, j, out))
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == INCIDENCE_SECTOR_DIGESTS[grid]
+
+
+def _image_of(images, table, key):
+    """The action image of the direction ``key`` of a Hom-slot table."""
+    index, weight, by_weight = table
+    i = index[key]
+    return images[weight[i]][by_weight[weight[i]].index(i)]
+
+
+def gauge_identity_failures(cx, cx_plus, tau):
+    """(checked, failed) over the identities that let the incidence subtract
+    both gauge ranks. For each gl(V_a) direction gamma = E_rs, the push
+    dq tau of its gauge image is the action image of gamma tau = E_(r, s'),
+    tau(s') = s. For each gl(V'_a) direction gamma' = E_rs, the push
+    -tau dq' of its gauge image is minus the action image of
+    tau gamma' = E_(tau(r), s), or 0 when r is the added atom."""
+    slots, directions, images = _action(cx, cx_plus)
+    push, push_plus = _pushes(cx, cx_plus, tau, slots)
+    tau_pre = {node: {s: b for b, s in t.items()} for node, t in tau.items()}
+    checked = failed = 0
+    for end in (cx, cx_plus):
+        gl = _action(end, end)[1]
+        for (node, r, s), i in gl[0].items():
+            w = gl[1][i]
+            gauge_image = end.gauge_cols[w][gl[2][w].index(i)]
+            if end is cx:
+                got = {push[j]: v for j, v in gauge_image.items()}
+                want = _image_of(images, directions, (node, r, tau_pre[node][s]))
+            else:
+                got = {push_plus[j]: -v for j, v in gauge_image.items() if j in push_plus}
+                want = {}
+                if r in tau[node]:
+                    image = _image_of(images, directions, (node, tau[node][r], s))
+                    want = {j: -v for j, v in image.items()}
+            checked += 1
+            failed += got != want
+    return checked, failed
+
+
+@pytest.mark.parametrize("all_framings", [False, True])
+@pytest.mark.parametrize("grid", [(3, 1, 2), (4, 2, 2), (6, 3, 1), (5, 2, 2)], ids=grid_id)
+def test_gauge_orbits_solve_the_intertwining(grid, all_framings):
+    complexes = {
+        pat: DeformationComplex(fixed_point_matrices(pat, all_framings=all_framings))
+        for pat in enumerate_patterns(*grid)
+    }
+    checked = 0
+    for pat, up, _, _ in grid_pairs(*grid):
+        cx, cx_plus = complexes[pat], complexes[up]
+        tau, _ = _intertwiner(cx, cx_plus)
+        count, failed = gauge_identity_failures(cx, cx_plus, tau)
+        assert failed == 0, (pat.free_values, up.free_values)
+        checked += count
+    assert checked
+
+
+def test_a_wrong_tau_fails_the_gauge_identities():
+    # negative control at (5,2,2): two node-2 atoms of weight 0 swap their
+    # images, so every weight is kept and only the intertwining breaks; an
+    # image of another weight is refused by the push itself
+    pat = build_pattern(5, 2, 2, [2, 2, 2, 2, 0, 0])
+    cx, cx_plus = DeformationComplex(fp_of(pat)), DeformationComplex(fp_of(pat.bumped(3, 4, +1)))
+    tau, _ = _intertwiner(cx, cx_plus)
+    assert gauge_identity_failures(cx, cx_plus, tau)[1] == 0
+    swapped = {**tau, 2: {**tau[2], 0: tau[2][3], 3: tau[2][0]}}
+    assert cx_plus.coords[2][0] == cx_plus.coords[2][3]
+    assert gauge_identity_failures(cx, cx_plus, swapped)[1] > 0
+    crossed = {**tau, 2: {**tau[2], 0: tau[2][1], 1: tau[2][0]}}
+    with pytest.raises(InvariantViolation, match="push leaves its weight"):
+        gauge_identity_failures(cx, cx_plus, crossed)

@@ -130,8 +130,17 @@ DOUBLED_ENTRY_FAILURES = {
 }
 
 
+DOUBLED_ENTRY_KEYS = [
+    (*grid, op) for grid, table in DOUBLED_ENTRY_FAILURES.items() for op in table
+]
+
+
+# each id names its case, e.g. "eps=2/7-cutoff=3-f-2-1", so a row added to
+# the table renames no other case
 @pytest.mark.parametrize(
-    "key", [(*grid, op) for grid, table in DOUBLED_ENTRY_FAILURES.items() for op in table]
+    "key",
+    DOUBLED_ENTRY_KEYS,
+    ids=[f"eps={e}-cutoff={c}-{'-'.join(map(str, op))}" for e, c, op in DOUBLED_ENTRY_KEYS],
 )
 def test_doubled_operator_entry_fails_the_pinned_relations(key):
     eps, cutoff, op = key
