@@ -8,11 +8,11 @@ Products multiply the ints and the two denominators; sums and scalings are
 one linear combination over the lcm of the terms' denominators. No entry is
 a Fraction until it is read: ``entries``, ``nonzeros`` and ``max_abs`` give
 reduced Fractions, and equality compares values, whatever the denominators.
-Kernel and rank go through integer Bareiss elimination on dense rows, which
-keeps intermediate entries as honest minors instead of exploding gcd-free
-fractions. Both take a list of dense integer rows, which go to the
-elimination as they are; kernel vectors come back primitive, as dicts
-column -> nonzero int whose gcd is 1.
+Kernel and rank take sparse integer vectors, dicts key -> int, the
+columns of a map, laid out once as one dense row per key for integer
+Bareiss elimination, which keeps intermediate entries as honest minors
+instead of exploding gcd-free fractions. Kernel vectors are the primitive
+integer relations among the vectors, dicts position -> nonzero int.
 """
 
 from __future__ import annotations
@@ -147,23 +147,29 @@ def _nonzero(data: dict) -> dict:
     return out
 
 
-def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form; returns (matrix, pivot column list).
-    The rows passed in are not modified."""
+def _bareiss_echelon(vectors: list[dict]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of the matrix with the sparse vectors
+    as columns, one dense row per key; returns (matrix, pivot column list)."""
+    cols = len(vectors)
+    dense: dict = {}
+    for c, vec in enumerate(vectors):
+        for i, v in vec.items():
+            dense.setdefault(i, [0] * cols)[c] = v
+    a = list(dense.values())
     rows = len(a)
-    cols = len(a[0]) if rows else 0
-    a = list(a)
     pivots: list[int] = []
     prev = 1
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
+        for i in range(r, rows):
+            if a[i][c]:
+                break
+        else:
+            continue  # no pivot in column c
+        if i != r:
+            a[r], a[i] = a[i], a[r]
         top = a[r]
         p = top[c]
         for i in range(r + 1, rows):
@@ -180,28 +186,27 @@ def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
-def rank(rows: list[list[int]]) -> int:
-    return len(_bareiss_echelon(rows)[1])
+def rank(vectors: list[dict]) -> int:
+    return len(_bareiss_echelon(vectors)[1])
 
 
-def kernel_basis(rows: list[list[int]]) -> list[dict[int, int]]:
-    """Exact basis of the right null space of dense integer rows, one
-    primitive integer vector (a dict column -> nonzero int) per free column.
-
-    Built by back substitution on the fraction-free echelon form, so
-    rank + len(result) == cols by construction. No rows means no columns,
-    so the basis is empty.
+def kernel_basis(vectors: list[dict]) -> list[dict[int, int]]:
+    """Exact basis of the integer relations among sparse integer vectors:
+    per free column, by back substitution on the fraction-free echelon form,
+    the primitive one (a dict position -> nonzero int) positive there and
+    zero at the other free columns. So rank + len(result) == len(vectors),
+    and the result depends on the order of the vectors, not of their keys.
     """
-    cols = len(rows[0]) if rows else 0
-    ech, pivots = _bareiss_echelon(rows)
+    ech, pivots = _bareiss_echelon(vectors)
     pivot_set = set(pivots)
     basis = []
-    for free in (c for c in range(cols) if c not in pivot_set):
+    for free in (c for c in range(len(vectors)) if c not in pivot_set):
         vec = {free: 1}
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
             row = ech[r]
-            acc = sum(row[c] * v for c, v in vec.items() if c > pc and row[c])
+            # row r is zero left of its pivot column pc, and vec has no entry at pc yet
+            acc = sum(row[c] * v for c, v in vec.items() if row[c])
             if acc:
                 # vec[pc] = -acc / row[pc], after scaling vec to keep it integral
                 d = row[pc]

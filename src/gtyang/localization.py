@@ -1,9 +1,12 @@
 """Equivariant localization route to the amplitudes.
 
-A move needs two linear systems, both on one linearization of fixed points
-V, V': ``_hom`` lays out weight-graded Hom slots, and ``_action`` sends each
+A move needs three linear maps, all images of directions built by one
+``_images`` from weight-graded Hom slots laid out by ``_hom``: the
+linearized relations send each arrow direction dq to its first-order
+change of the gauge-arrow derivatives dW/dq, and ``_action`` sends each
 direction X in Hom(V'_a, V_a) to X q' - q X in the arrow slots. The
-deformation complex is V' = V, its gauge orbits the deformations of the
+deformation complex is V' = V, its kernels the relations among the
+relation images of each weight, its gauge orbits the deformations of the
 identity intertwiner; the incidence pushes both ends' kernels through the
 intertwiner tau into the same slots and solves by two ranks per weight.
 
@@ -12,8 +15,8 @@ Cutoff data enters through the conjugate framing directions, whose grading
 is negated; this single convention is pinned by the closed-form Euler
 classes of the rank-two chain and survives every cross-check against the
 amplitude formulas. Everything from the fixed point to the sector counts
-runs on ints (``LinearForm`` weights, atom maps, integer rows and primitive
-integer kernel vectors); ``Fraction`` enters only when a weight is
+runs on ints (``LinearForm`` weights, atom maps, sparse integer images and
+primitive integer kernel vectors); ``Fraction`` enters only when a weight is
 evaluated at the params.
 """
 
@@ -24,7 +27,15 @@ from fractions import Fraction
 from gtyang.crystal import FixedPoint, atom_map, fixed_point_matrices
 from gtyang.linalg import kernel_basis, rank
 from gtyang.patterns import GTPattern, enumerate_patterns
-from gtyang.quiver import FRAMING, ZERO_FORM, EquivariantParams, InvariantViolation, LinearForm
+from gtyang.quiver import (
+    FRAMING,
+    ZERO_FORM,
+    EquivariantParams,
+    InvalidParams,
+    InvariantViolation,
+    LinearForm,
+    build_quiver,
+)
 
 Rat = Fraction
 
@@ -49,15 +60,16 @@ def _require(condition: bool, message: str) -> None:
 
 
 class DeformationComplex:
-    """Deformation directions, linearized gauge relations and gauge orbits
+    """Deformation directions, their linearized relations and gauge orbits
     of one fixed point, everything indexed by exact weight pairs.
 
     Everything about the fixed point is computed once, here: the relation
-    kernel of each weight (``kernels``), the gauge rank of each weight
-    (``gauge_ranks``), the tangent grading trimmed to the expected dimension
-    (``tangent``) and the opposite-weight pairs the trim removed
-    (``removed``), all keyed by ``LinearForm``. Construction raises
-    ``StabilityViolation`` when the gauge action is not free.
+    images of the slots (``relations``) and their kernel (``kernels``) and
+    the gauge rank (``gauge_ranks``) of each weight, the tangent grading
+    trimmed to the expected dimension (``tangent``) and the opposite-weight
+    pairs the trim removed (``removed``), all keyed by ``LinearForm``.
+    Construction raises ``StabilityViolation`` when the gauge action is not
+    free.
     """
 
     def __init__(self, fp: FixedPoint):
@@ -72,7 +84,7 @@ class DeformationComplex:
         # the gauge orbit is the deformation of the identity intertwiner
         slots, _, self.gauge_cols = _action(self, self)
         self.slot_index, self.slot_weight, self.slots_by_weight = slots
-        self.rows = self._build_relation_rows()
+        self.relations = _relations(self, slots)
         self.kernels = {w: self.kernel_sector(w) for w in sorted(self.slots_by_weight)}
         self.gauge_ranks = {w: self.gauge_rank_sector(w) for w in self.gauge_cols}
         if not self.gauge_injective():
@@ -85,60 +97,15 @@ class DeformationComplex:
                 raw[w] = dim
         self.tangent, self.removed = _regularize_tangent(raw, 2 * len(_all_atoms(fp)), fp.pattern)
 
-    # -- linearized relations -------------------------------------------
-
-    def _build_relation_rows(self) -> dict[LinearForm, list[dict[int, int]]]:
-        """First-order expansion of each gauge-sector derivative; every row
-        is a dict slot index -> integer coefficient, grouped by its weight.
-        Of ``QuiverSpec.cyclic_derivative`` it keeps the rests without a
-        framing arrow, all of length two: the derivative of sign * tr(q x y)
-        by q is sign * x y, of first order sign * (dx y + x dy)."""
-        spec = self.fp.spec
-        framing = {a.name for a in spec.arrows if a.is_framing}
-        rows: dict[LinearForm, list[dict[int, int]]] = {}
-        for arrow in spec.gauge_arrows:
-            n_to = len(self.coords[arrow.source])
-            n_from = len(self.coords[arrow.target])
-            cells = [[{} for _ in range(n_from)] for _ in range(n_to)]
-            for sign, rest in spec.cyclic_derivative(arrow.name):
-                if not framing.isdisjoint(rest):
-                    continue
-                x, y = rest
-                x_pre, y_map = self.preimage[x], self.fp.maps[y]
-                for r in range(n_to):
-                    for c in range(n_from):
-                        cell = cells[r][c]
-                        if c in y_map:  # dx y
-                            idx = self.slot_index[(x, r, y_map[c])]
-                            cell[idx] = cell.get(idx, 0) + sign
-                        if r in x_pre:  # x dy
-                            idx = self.slot_index[(y, x_pre[r], c)]
-                            cell[idx] = cell.get(idx, 0) + sign
-            for r in range(n_to):
-                for c in range(n_from):
-                    entries = {i: v for i, v in cells[r][c].items() if v != 0}
-                    if entries:
-                        weights = {self.slot_weight[i] for i in entries}
-                        _require(len(weights) == 1, "relation row mixes weights")
-                        rows.setdefault(weights.pop(), []).append(entries)
-        return rows
-
-    # -- per-weight kernels ----------------------------------------------
-
     def kernel_sector(self, w: LinearForm) -> list[dict[int, int]]:
-        """Basis of ker(dF) restricted to the weight-w slots, as sparse
-        primitive integer vectors over the global slot index."""
-        idxs = self.slots_by_weight.get(w)
-        if not idxs:
-            return []
-        rows = self.rows.get(w)
-        if not rows:
-            return [{g: 1} for g in idxs]
-        basis = kernel_basis([[entries.get(g, 0) for g in idxs] for entries in rows])
+        """Basis of ker(dF) on the weight-w slots, the relations among their
+        relation images, as primitive integer vectors over the slot index."""
+        idxs = self.slots_by_weight.get(w, [])
+        basis = kernel_basis(self.relations.get(w, []))
         return [{idxs[l]: v for l, v in vec.items()} for vec in basis]
 
     def gauge_rank_sector(self, w: LinearForm) -> int:
-        return _rank(self.gauge_cols.get(w, []))
+        return rank(self.gauge_cols.get(w, []))
 
     def gauge_injective(self) -> bool:
         # one gauge column per gl(V_a) direction
@@ -152,14 +119,40 @@ def _hom(blocks):
     weight of each slot, and the slots of each weight in index order."""
     index, weight, by_weight = {}, [], {}
     for key, rows, cols, shift, negated in blocks:
-        for r, row in enumerate(rows):
-            row = row - shift
-            for c, col in enumerate(cols):
-                w = col - row if negated else row - col
+        sign = -1 if negated else 1
+        for r, (e, h) in enumerate(rows):
+            e, h = e - shift.e, h - shift.h
+            for c, (e_col, h_col) in enumerate(cols):
+                w = LinearForm(sign * (e - e_col), sign * (h - h_col))
                 index[key, r, c] = n = len(weight)
                 by_weight.setdefault(w, []).append(n)
                 weight.append(w)
     return index, weight, by_weight
+
+
+def _images(directions, targets, terms):
+    """Each direction (key, r, c) of the Hom-slot table ``directions`` to
+    its image in the slots ``targets``, target slot -> nonzero int, in index
+    order grouped by weight. A key's ``(sign, target key, left, right)``
+    terms, an atom map and the preimage of one (``range(n)`` is the identity
+    of n atoms), send E_rc to sign * left E_rc right: to (left[r], right[c])
+    when both are defined. Every image entry has its direction's weight."""
+    index, weight, _ = targets
+    direction_index, direction_weight, by_weight = directions
+    images: dict[LinearForm, list[dict[int, int]]] = {w: [] for w in by_weight}
+    for (key, r, c), i in direction_index.items():
+        image: dict[int, int] = {}
+        for sign, target, left, right in terms.get(key, ()):
+            if r in left and c in right:
+                j = index[target, left[r], right[c]]
+                image[j] = image.get(j, 0) + sign
+        if 0 in image.values():
+            image = {j: v for j, v in image.items() if v}
+        images[direction_weight[i]].append(image)
+    for w, group in images.items():
+        kept = all(weight[j] == w for image in group for j in image)
+        _require(kept, "image leaves its direction weight")
+    return images
 
 
 def _action(cx: DeformationComplex, cx_prime: DeformationComplex):
@@ -175,42 +168,38 @@ def _action(cx: DeformationComplex, cx_prime: DeformationComplex):
     directions = _hom(
         (node, coords[node], coords_prime[node], ZERO_FORM, False) for node in spec.gauge_nodes
     )
-    slot_index, slot_weight, _ = slots
-    into, out_of = {}, {}
-    for arr in spec.arrows:
-        into.setdefault(arr.target, []).append((arr.name, cx_prime.preimage[arr.name]))
-        out_of.setdefault(arr.source, []).append((arr.name, cx.fp.maps[arr.name]))
-    images: dict[LinearForm, list[dict[int, int]]] = {}
-    for (node, r, c), i in directions[0].items():
-        image = {}
-        for name, pre in into.get(node, ()):  # X q'
-            if c in pre:
-                idx = slot_index[name, r, pre[c]]
-                image[idx] = image.get(idx, 0) + 1
-        for name, m in out_of.get(node, ()):  # - q X
-            if r in m:
-                idx = slot_index[name, m[r], c]
-                image[idx] = image.get(idx, 0) - 1
-        image = {j: v for j, v in image.items() if v != 0}
-        w = directions[1][i]
-        if image:
-            weights = {slot_weight[j] for j in image}
-            _require(len(weights) == 1, "action image mixes weights")
-            _require(weights.pop() == w, "action image off its direction weight")
-        images.setdefault(w, []).append(image)
-    return slots, directions, images
+    terms: dict = {}
+    for arr in spec.arrows:  # X q'
+        id_tgt = range(len(coords[arr.target]))
+        terms.setdefault(arr.target, []).append((1, arr.name, id_tgt, cx_prime.preimage[arr.name]))
+    for arr in spec.arrows:  # - q X
+        id_src = range(len(coords_prime[arr.source]))
+        terms.setdefault(arr.source, []).append((-1, arr.name, cx.fp.maps[arr.name], id_src))
+    return slots, directions, _images(directions, slots, terms)
 
 
-def _rank(vectors: list[dict[int, int]]) -> int:
-    """Rank of sparse integer vectors, densified as the columns of one row
-    per slot they touch."""
-    if not vectors:
-        return 0
-    rows: dict[int, list[int]] = {}
-    for c, vec in enumerate(vectors):
-        for i, v in vec.items():
-            rows.setdefault(i, [0] * len(vectors))[c] = v
-    return rank(list(rows.values()))
+def _relations(cx: DeformationComplex, slots) -> dict[LinearForm, list[dict[int, int]]]:
+    """The linearized relations: the image of each arrow slot dq in the cells
+    of the gauge-arrow derivatives dW/dq, each the block Hom(V_tgt(q),
+    V_src(q)) shifted by -w(q), in index order, grouped by weight. Of
+    ``QuiverSpec.cyclic_derivative`` it keeps the rests without a framing
+    arrow, all of length two: the derivative of sign * tr(q x y) by q is
+    sign * x y, of first order sign * (dx y + x dy)."""
+    spec, coords = cx.fp.spec, cx.coords
+    cells = _hom(
+        (q.name, coords[q.source], coords[q.target], -q.weight, False) for q in spec.gauge_arrows
+    )
+    framing = {arr.name for arr in spec.arrows if arr.is_framing}
+    terms: dict = {}
+    for q in spec.gauge_arrows:
+        # dx and x end at V_src(q), dy and y start at V_tgt(q)
+        id_src, id_tgt = range(len(coords[q.source])), range(len(coords[q.target]))
+        for sign, rest in spec.cyclic_derivative(q.name):
+            if framing.isdisjoint(rest):
+                x, y = rest
+                terms.setdefault(x, []).append((sign, q.name, id_src, cx.preimage[y]))  # dx y
+                terms.setdefault(y, []).append((sign, q.name, cx.fp.maps[x], id_tgt))  # x dy
+    return _images(slots, cells, terms)
 
 
 def _regularize_tangent(
@@ -329,6 +318,10 @@ def incidence_tangent_graded(
     those whose push lies in the image of the action on dtau solve it.
     """
     fp, fp_plus = cx.fp, cx_plus.fp
+    # the trim and the drop rule are pinned with a framing pair at every node
+    for spec in (fp.spec, fp_plus.spec):
+        if spec != build_quiver(spec.n, spec.p, spec.lam, all_framings=True):
+            raise InvalidParams("the incidence needs every framing")
     tau, added_node = _intertwiner(cx, cx_plus)
     slots, _, images = _action(cx, cx_plus)
     push, push_plus = _pushes(cx, cx_plus, tau, slots)
@@ -345,7 +338,7 @@ def incidence_tangent_graded(
         if not pairs:
             continue
         orbits = images.get(w, [])
-        solutions = len(pairs) - (_rank(pairs + orbits) - _rank(orbits))
+        solutions = len(pairs) - (rank(pairs + orbits) - rank(orbits))
         dim = solutions - cx.gauge_ranks.get(w, 0) - cx_plus.gauge_ranks.get(w, 0)
         _require(dim >= 0, "gauge orbits exceed the incidence solutions")
         if dim:

@@ -32,11 +32,19 @@ def gauss_rank_oracle(entries):
     return r
 
 
+def columns(rows) -> list[dict[int, int]]:
+    """The columns of dense integer rows, as sparse vectors row -> entry."""
+    cols = len(rows[0]) if rows else 0
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(cols)]
+
+
 def test_kernel_examples():
-    (v,) = kernel_basis([[1, 1], [2, 2]])
+    (v,) = kernel_basis(columns([[1, 1], [2, 2]]))
     assert v[0] == -v[1] and v[0] != 0
 
-    assert kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
+    assert kernel_basis(columns([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
+    # vectors with no entry are each a relation of their own
+    assert kernel_basis([{}, {"x": 2}, {}]) == [{0: 1}, {2: 1}]
 
 
 def dense(rows) -> RationalMatrix:
@@ -60,7 +68,8 @@ def test_empty_shapes():
     tall = RationalMatrix(3, 0, {})
     wide = RationalMatrix(0, 3, {})
     assert (tall * wide).shape == (3, 3)
-    assert rank([[], [], []]) == 0 and rank([]) == 0
+    assert rank([{}, {}, {}]) == 0 and rank([]) == 0
+    assert kernel_basis([]) == []
 
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -78,15 +87,34 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
 @settings(max_examples=200)
 def test_kernel_vectors_are_annihilated_and_rank_nullity_holds(entries):
     cols = len(entries[0])
-    basis = kernel_basis(entries)
+    vectors = columns(entries)
+    basis = kernel_basis(vectors)
     for vec in basis:
         for row in entries:
             assert sum(row[c] * v for c, v in vec.items()) == 0
-    assert rank(entries) + len(basis) == cols
-    assert rank(entries) == gauss_rank_oracle(entries)
-    if basis:
-        stacked = [[vec.get(i, 0) for vec in basis] for i in range(cols)]
-        assert rank(stacked) == len(basis)
+    assert rank(vectors) + len(basis) == cols
+    assert rank(vectors) == gauss_rank_oracle(entries)
+    assert rank(basis) == len(basis)
+
+
+sparse_vectors = st.lists(
+    st.dictionaries(st.integers(0, 5), st.integers(min_value=-4, max_value=4), max_size=6),
+    max_size=7,
+)
+
+
+@given(sparse_vectors, st.permutations(range(6)), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_kernel_and_rank_ignore_the_keys_and_their_order(vectors, relabel, rng):
+    # the layout puts the keys in the order they first appear; relabelled
+    # and reordered, every vector keeps its entries and its place
+    moved = []
+    for vec in vectors:
+        items = [(f"k{relabel[i]}", v) for i, v in vec.items()]
+        rng.shuffle(items)
+        moved.append(dict(items))
+    assert kernel_basis(moved) == kernel_basis(vectors)
+    assert rank(moved) == rank(vectors)
 
 
 # entries with unlike denominators, zero half of the time
@@ -156,8 +184,8 @@ def test_integer_matrices_match_the_dense_fraction_reference(mats, sa, sb, ca, c
 
 
 def test_rational_matrix_serves_only_the_mode_operators():
-    # the fixed points and the localization run on atom maps and integer
-    # rows; of gtyang.linalg they take only the integer elimination
+    # the fixed points and the localization run on atom maps and sparse
+    # integer vectors; of gtyang.linalg they take only the integer elimination
     for module in ("crystal", "localization"):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         imported = set()

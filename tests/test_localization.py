@@ -9,7 +9,7 @@ import pytest
 
 from gtyang.amplitudes import amplitude_E, amplitude_F, psi_closed_form
 from gtyang.crystal import fixed_point_matrices, verify_f_terms
-from gtyang.linalg import RationalMatrix
+from gtyang.linalg import RationalMatrix, rank
 from gtyang.localization import (
     DeformationComplex,
     NotAdjacent,
@@ -26,7 +26,7 @@ from gtyang.localization import (
 )
 from gtyang.modes import ModuleData, verify_localization
 from gtyang.patterns import build_pattern, enumerate_patterns, raise_pole, vacuum_pattern
-from gtyang.quiver import EquivariantParams, InvariantViolation, LinearForm
+from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation, LinearForm
 
 F = Fraction
 EPS1 = EquivariantParams(1)
@@ -155,18 +155,14 @@ def test_product_equals_residue_via_localization():
 def test_weight_preservation_and_gauge_inside_kernel():
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
     cx = DeformationComplex(fp_of(pat))
-    # rows and gauge columns are built with homogeneity checks; touching
-    # them here keeps the structural check on the record
-    assert cx.rows
+    # relation images and gauge columns are built with the homogeneity
+    # check; touching them here keeps the structural check on the record
+    assert any(image for images in cx.relations.values() for image in images)
     assert cx.gauge_cols
     for w, images in cx.gauge_cols.items():
         kernel = cx.kernel_sector(w)
         for image in images:
-            idxs = sorted({i for vec in kernel for i in vec} | set(image))
-            from gtyang.linalg import rank
-
-            base = [[vec.get(i, 0) for i in idxs] for vec in kernel]
-            assert rank(base + [[image.get(i, 0) for i in idxs]]) == rank(base)
+            assert rank(kernel + [image]) == rank(kernel)
 
 
 def arrow_matrix(fp, name: str) -> RationalMatrix:
@@ -234,10 +230,11 @@ def test_map_f_terms_match_the_matrix_derivative(grid, all_framings):
 
 
 def superpotential_rows(fp):
-    """Reference for ``DeformationComplex.rows``: raise each slot of the
-    fixed point by one unit and read off how every derivative of the words
-    without framing arrows moves, one row per derivative entry, as (weight,
-    slot -> coefficient) with the slots indexed as the complex indexes them."""
+    """Reference for ``DeformationComplex.relations``, transposed into rows:
+    raise each slot of the fixed point by one unit and read off how every
+    derivative of the words without framing arrows moves, one row per
+    derivative entry, as (weight, slot -> coefficient) with the slots
+    indexed as the complex indexes them."""
     cx = DeformationComplex(fp)
     framing = {a.name for a in fp.spec.arrows if a.is_framing}
     words = tuple(w for w in fp.spec.superpotential if framing.isdisjoint(w[1]))
@@ -273,12 +270,50 @@ def superpotential_rows(fp):
 def test_relation_rows_are_the_superpotential_first_order(grid):
     for pat in enumerate_patterns(*grid):
         fp = fp_of(pat)
-        got = Counter(
-            (w, frozenset(row.items()))
-            for w, rows in DeformationComplex(fp).rows.items()
-            for row in rows
-        )
+        cx = DeformationComplex(fp)
+        # transpose the images of the slots into rows, one per relation cell
+        rows = {}
+        for w, images in cx.relations.items():
+            for slot, image in zip(cx.slots_by_weight[w], images, strict=True):
+                for cell, v in image.items():
+                    rows.setdefault(cell, (w, {}))[1][slot] = v
+        got = Counter((w, frozenset(row.items())) for w, row in rows.values())
         assert got == superpotential_rows(fp)
+
+
+def test_an_off_weight_arrow_entry_fails_the_image_weight_check():
+    # negative control at (4,2,2): redirect one gauge-arrow entry to an atom
+    # the arrow does not hit, of another weight than its own target
+    corruptions = 0
+    for pat in enumerate_patterns(4, 2, 2):
+        fp = fp_of(pat)
+        for arr in fp.spec.gauge_arrows:
+            m, targets = fp.maps[arr.name], fp.node_atoms(arr.target)
+            for s, t in m.items():
+                for moved in range(len(targets)):
+                    if moved in m.values() or targets[moved].weight == targets[t].weight:
+                        continue
+                    bad = fp._replace(maps={**fp.maps, arr.name: {**m, s: moved}})
+                    message = "image leaves its direction weight"
+                    with pytest.raises(InvariantViolation, match=message):
+                        DeformationComplex(bad)
+                    corruptions += 1
+    assert corruptions == 56
+
+
+@pytest.mark.parametrize("grid", [(4, 2, 2), (5, 2, 2)], ids=grid_id)
+def test_incidence_refuses_a_reduced_framing(grid):
+    # the trim and the drop rule are pinned with every framing; without them
+    # every move is refused before any rank, by a typed input error
+    complexes = {
+        pat: DeformationComplex(fixed_point_matrices(pat, all_framings=False))
+        for pat in enumerate_patterns(*grid)
+    }
+    moves = list(grid_pairs(*grid))
+    for pat, up, _, _ in moves:
+        with pytest.raises(InvalidParams, match="the incidence needs every framing"):
+            incidence_tangent_graded(complexes[pat], complexes[up])
+    assert len(moves) == {(4, 2, 2): 32, (5, 2, 2): 100}[grid]
 
 
 def test_reduced_framing_misses_the_table():
@@ -404,6 +439,49 @@ def test_incidence_sectors_pinned(grid):
                 records.append((pat.free_values, k, j, out))
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == INCIDENCE_SECTOR_DIGESTS[grid]
+
+
+# SHA-256 of every complex's kernel vectors (sorted within each weight),
+# gauge ranks, trimmed tangent and removed pairs, per grid and framing; a
+# complex whose construction raises records the exception by type and message
+COMPLEX_DIGESTS = {
+    ((4, 2, 2), False): "54bc24f6002da670d03e8b4598d8c352ea2b29c1e0a6afc8f500dc4cf7dde9ad",
+    ((4, 2, 2), True): "ec97a39edbd05eb0dd63d1b8e6bd46b33d9a278042be8add12428d346002a7c1",
+    ((6, 3, 1), False): "f27e067db9266254b419d39ac373b203c3324f5340a2249ef70f5d360ae05eca",
+    ((6, 3, 1), True): "12739b022b8c55a9ba4108be71f9c2655ccae0d9f5ae755dcbf80cc294d063fc",
+    ((5, 2, 2), False): "94cc9ba97ec06c89a5a56ac2304999bb214f7665eb2f5d09b2446d76acdef122",
+    ((5, 2, 2), True): "2a1eb17657d4cafe411dca09ce378d4a2d43725dbc50b80928a5352ec05b8ecb",
+    ((4, 2, 5), False): "f47337ffd14d0903de05136d379b2c15b2a8585920e65379e159ce49c8960a87",
+    ((4, 2, 5), True): "095dce57a012446d63d37c0e4d8ac5a7651633b87bb45d3f5ce92ba010162ed9",
+}
+
+
+def complex_record(fp):
+    try:
+        cx = DeformationComplex(fp)
+    except UncalibratedCell as exc:
+        return (type(exc).__name__, str(exc))
+    kernels = sorted(
+        (w.e, w.h, sorted(sorted(vec.items()) for vec in vecs)) for w, vecs in cx.kernels.items()
+    )
+    gauge_ranks = sorted((w.e, w.h, r) for w, r in cx.gauge_ranks.items())
+    tangent = sorted((w.e, w.h, d) for w, d in cx.tangent.items())
+    removed = sorted((w.e, w.h, d) for w, d in cx.removed.items())
+    return kernels, gauge_ranks, tangent, removed
+
+
+@pytest.mark.parametrize(
+    "grid, all_framings",
+    list(COMPLEX_DIGESTS),
+    ids=[f"{grid_id(g)}-{'all' if a else 'reduced'}" for g, a in COMPLEX_DIGESTS],
+)
+def test_complexes_pinned(grid, all_framings):
+    records = [
+        (pat.free_values, complex_record(fixed_point_matrices(pat, all_framings=all_framings)))
+        for pat in enumerate_patterns(*grid)
+    ]
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == COMPLEX_DIGESTS[grid, all_framings]
 
 
 def _image_of(images, table, key):
