@@ -112,7 +112,7 @@ def _bundle_header(data) -> dict:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    if args.out is not None:
         try:
             handle = open(args.out, "w")
         except OSError as exc:
@@ -153,7 +153,7 @@ def cmd_dims(args, data) -> int:
     dim = rectangular_dimension(data.n, data.p, data.lam)
     if args.format == "csv":
         _emit_csv(args, ("n", "p", "lambda", "dimension"), [(data.n, data.p, data.lam, dim)])
-    elif args.out:
+    elif args.out is not None:
         _emit_json(args, {"params": _bundle_header(data), "dimension": dim})
     else:
         _emit(args, f"{dim}\n")

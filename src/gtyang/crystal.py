@@ -70,9 +70,9 @@ def atom_map(src, tgt, weight: LinearForm, r_charge: int) -> dict[int, int]:
     }
 
 
-def fixed_point_matrices(pat: GTPattern, all_framings: bool = False) -> FixedPoint:
+def fixed_point_matrices(pat: GTPattern) -> FixedPoint:
     """Arrow maps by coordinate matching, one ``atom_map`` per arrow."""
-    spec = build_quiver(pat.n, pat.p, pat.lam, all_framings=all_framings)
+    spec = build_quiver(pat.n, pat.p, pat.lam)
     atoms = tuple(atoms_at_node(pat, k) for k in range(1, pat.n))
     fp = FixedPoint(pat, spec, atoms, {})
     for arr in spec.arrows:

@@ -27,15 +27,7 @@ from fractions import Fraction
 from gtyang.crystal import FixedPoint, atom_map, fixed_point_matrices
 from gtyang.linalg import kernel_basis, rank
 from gtyang.patterns import GTPattern, enumerate_patterns
-from gtyang.quiver import (
-    FRAMING,
-    ZERO_FORM,
-    EquivariantParams,
-    InvalidParams,
-    InvariantViolation,
-    LinearForm,
-    build_quiver,
-)
+from gtyang.quiver import FRAMING, ZERO_FORM, EquivariantParams, InvariantViolation, LinearForm
 
 Rat = Fraction
 
@@ -211,13 +203,15 @@ def _regularize_tangent(
     shows up as opposite-weight pairs, which get removed largest
     ``LinearForm.magnitude`` first, ties in weight order. Returns the trimmed grading
     and what was removed; an excess that does not pair up raises
-    ``UncalibratedCell`` naming the pattern.
+    ``UncalibratedCell`` naming the pattern. With a framing pair at every
+    gauge node the kernel never undershoots, so a shortfall is an
+    ``InvariantViolation``.
     """
     out = dict(sectors)
     removed: dict[LinearForm, int] = {}
     excess = sum(out.values()) - expected_dim
-    if excess <= 0:
-        # undershoot happens only for reduced framing choices; nothing to trim
+    _require(excess >= 0, f"tangent at {pattern.free_values} undershoots the expected dimension")
+    if excess == 0:
         return out, removed
     if excess % 2:
         raise UncalibratedCell(f"odd tangent excess at {pattern.free_values} cannot pair up")
@@ -318,10 +312,6 @@ def incidence_tangent_graded(
     those whose push lies in the image of the action on dtau solve it.
     """
     fp, fp_plus = cx.fp, cx_plus.fp
-    # the trim and the drop rule are pinned with a framing pair at every node
-    for spec in (fp.spec, fp_plus.spec):
-        if spec != build_quiver(spec.n, spec.p, spec.lam, all_framings=True):
-            raise InvalidParams("the incidence needs every framing")
     tau, added_node = _intertwiner(cx, cx_plus)
     slots, _, images = _action(cx, cx_plus)
     push, push_plus = _pushes(cx, cx_plus, tau, slots)
@@ -346,9 +336,10 @@ def incidence_tangent_graded(
 
     # expected dimension: one more than the smaller state's tangent. Each
     # neighbouring jump state sheds exactly one member of its trimmed pair
-    # here; the realized signs are pinned against the closed forms: a lone
-    # pair follows the move node's parity, two distinct magnitudes split as
-    # +larger/-smaller, equal magnitudes drop both signs.
+    # here; the realized signs are pinned against the closed forms, with a
+    # framing pair at every gauge node: a lone pair follows the move node's
+    # parity, two distinct magnitudes split as +larger/-smaller, equal
+    # magnitudes drop both signs.
     excess = sum(sectors.values()) - (2 * len(_all_atoms(fp)) + 1)
     if excess > 0:
         pool: list[LinearForm] = []
@@ -432,7 +423,7 @@ def localize_module(
     patterns = enumerate_patterns(n, p, lam)
     complexes = {}
     for pat in patterns:
-        fp = fixed_point_matrices(pat, all_framings=True)
+        fp = fixed_point_matrices(pat)
         try:
             complexes[pat] = DeformationComplex(fp)
         except UncalibratedCell as exc:

@@ -485,7 +485,7 @@ def verify_localization(data: ModuleData) -> list[RelationReport]:
 
 
 def verify_constraints(data: ModuleData) -> list[RelationReport]:
-    spec = build_quiver(data.n, data.p, data.lam, all_framings=True)
+    spec = build_quiver(data.n, data.p, data.lam)
     report = check_constraints(spec)
 
     out = []

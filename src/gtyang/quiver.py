@@ -1,10 +1,11 @@
 """Framed A-type chain quivers with equivariant weights and R-charges.
 
 The quiver for the rank-(n-1) chain carries a self-loop on every gauge node,
-a forward/backward arrow pair between neighbours, and a framing pair attached
-to the marked node. Weights live in the two-parameter space spanned by the
-loop weight and the chain asymmetry parameter, as integer ``LinearForm``
-pairs in units of (eps/2, h).
+a forward/backward arrow pair between neighbours, and a framing pair at every
+gauge node, whose Dynkin label is lambda at the marked node and 0 elsewhere.
+Weights live in the two-parameter space spanned by the loop weight and the
+chain asymmetry parameter, as integer ``LinearForm`` pairs in units of
+(eps/2, h).
 """
 
 from __future__ import annotations
@@ -135,12 +136,13 @@ def validate_params(n: int, p: int, lam: int) -> None:
 
 
 @functools.cache
-def build_quiver(n: int, p: int, lam: int, all_framings: bool = False) -> QuiverSpec:
+def build_quiver(n: int, p: int, lam: int) -> QuiverSpec:
     """Framed chain quiver for the p-row, lam-column rectangular module;
     cached, since every psi_generic call reads it.
 
-    With ``all_framings`` every gauge node gets a framing pair; the extra
-    pairs carry zero cutoff weight and only matter for localization.
+    Every gauge node a gets a framing pair of label lam_a, lam at the marked
+    node and 0 elsewhere. A pair of label 0 adds the root 0 to both sides of
+    an exchange function, which cancel, so psi does not see it.
     """
     validate_params(n, p, lam)
     arrows = []
@@ -149,8 +151,7 @@ def build_quiver(n: int, p: int, lam: int, all_framings: bool = False) -> Quiver
     for k in range(1, n - 1):
         arrows.append(Arrow(f"A{k}", k, k + 1, LinearForm(-1, 1), 1))
         arrows.append(Arrow(f"B{k}", k + 1, k, LinearForm(-1, -1), 1))
-    framed_nodes = list(range(1, n)) if all_framings else [p]
-    for a in framed_nodes:
+    for a in range(1, n):
         lam_a = lam if a == p else 0
         arrows.append(Arrow(f"R{a}", FRAMING, a, ZERO_FORM, 0))
         arrows.append(Arrow(f"S{a}", a, FRAMING, LinearForm(-2 * lam_a, 0), 2))
@@ -162,7 +163,7 @@ def build_quiver(n: int, p: int, lam: int, all_framings: bool = False) -> Quiver
             words.append((1, (f"A{a}", f"C{a}", f"B{a}")))
             words.append((-1, (f"B{a-1}", f"C{a}", f"A{a-1}")))
         words.append((-1, (f"B{n-2}", f"C{n-1}", f"A{n-2}")))
-    for a in framed_nodes:
+    for a in range(1, n):
         lam_a = lam if a == p else 0
         words.append((1, (f"C{a}",) * lam_a + (f"R{a}", f"S{a}")))
     return QuiverSpec(n, p, lam, tuple(arrows), tuple(words))

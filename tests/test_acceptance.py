@@ -277,7 +277,7 @@ def test_criterion_08_localization_oracle():
     for lam in range(4):
         for pat in enumerate_patterns(3, 1, lam):
             n1, n2 = pat.free_values
-            fp = fixed_point_matrices(pat, all_framings=True)
+            fp = fixed_point_matrices(pat)
             assert euler_class(fp, EPS1) == closed_form_euler(lam, n1, n2)
     pairs = 0
     for n, p, lam_max in [(3, 1, 3), (4, 1, 2), (4, 2, 2)]:
@@ -286,7 +286,7 @@ def test_criterion_08_localization_oracle():
 
             def fp_of(pattern):
                 if pattern not in cache:
-                    cache[pattern] = fixed_point_matrices(pattern, all_framings=True)
+                    cache[pattern] = fixed_point_matrices(pattern)
                 return cache[pattern]
 
             for pat, k, j in grid_moves(n, p, lam):

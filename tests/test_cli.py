@@ -64,6 +64,15 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--format", "csv"]])
+def test_empty_out_path_is_a_usage_error(capsys, flags):
+    # an empty path names no file; it must not fall back to stdout
+    grid = ["--n", "3", "--p", "1", "--lambda", "2"]
+    code, out, err = run(capsys, "dims", *grid, *flags, "--out", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write : ") and err.count("\n") == 1
+
+
 def test_malformed_pattern_is_a_usage_error(capsys):
     for grid, pattern, message in [
         ((3, 1, 2), "a;0", "bad pattern entry 'a'"),

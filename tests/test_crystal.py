@@ -81,9 +81,7 @@ def test_deep_path_weights():
 @pytest.mark.parametrize("grid", [(3, 1, 2), (4, 2, 2), (5, 2, 2), (6, 3, 1)])
 def test_every_weight_is_an_integer_lattice_pair(grid):
     # arrow and atom weights are (e, h) int pairs worth e * eps/2 + h * h
-    weights = [
-        arr.weight for framed in (False, True) for arr in build_quiver(*grid, framed).arrows
-    ]
+    weights = [arr.weight for arr in build_quiver(*grid).arrows]
     weights += [
         a.weight
         for pat in enumerate_patterns(*grid)
@@ -121,12 +119,12 @@ def test_fixed_point_blocks_middle_framing():
     assert fp.maps["R2"] == {0: 0}
 
 
-def pairwise_maps(pat, all_framings):
+def pairwise_maps(pat):
     """Reference for ``fixed_point_matrices``: every (source, target) pair of
     atoms is compared, and the pair is kept exactly where the target
     coordinate equals the source coordinate plus the arrow's (weight,
     r_charge). A source atom with two matches would keep both pairs."""
-    spec = build_quiver(pat.n, pat.p, pat.lam, all_framings=all_framings)
+    spec = build_quiver(pat.n, pat.p, pat.lam)
 
     def coords(node):
         return [(0, 0, 0)] if node == FRAMING else [a.coordinate for a in atoms_at_node(pat, node)]
@@ -143,13 +141,12 @@ def pairwise_maps(pat, all_framings):
     return out
 
 
-@pytest.mark.parametrize("all_framings", [False, True])
 @pytest.mark.parametrize("grid", [(4, 2, 2), (5, 2, 2), (6, 3, 1)])
-def test_fixed_point_matrices_match_pairwise_matching(grid, all_framings):
+def test_fixed_point_matrices_match_pairwise_matching(grid):
     for pat in enumerate_patterns(*grid):
-        fp = fixed_point_matrices(pat, all_framings=all_framings)
+        fp = fixed_point_matrices(pat)
         pairs = {name: set(m.items()) for name, m in fp.maps.items()}
-        assert pairs == pairwise_maps(pat, all_framings)
+        assert pairs == pairwise_maps(pat)
 
 
 def reachable_atoms(fp) -> set:
@@ -174,13 +171,12 @@ def gauge_atoms(fp) -> set:
 STABILITY_GRIDS = [(2, 1, 3), (3, 1, 2), (4, 2, 2), (5, 2, 2), (5, 3, 2), (6, 3, 1), (4, 2, 4)]
 
 
-@pytest.mark.parametrize("all_framings", [False, True])
-def test_every_atom_is_reachable_from_the_framing_atom(all_framings):
+def test_every_atom_is_reachable_from_the_framing_atom():
     # stability: the framing vector generates every node space under the arrows
     checked = 0
     for grid in STABILITY_GRIDS:
         for pat in enumerate_patterns(*grid):
-            fp = fixed_point_matrices(pat, all_framings=all_framings)
+            fp = fixed_point_matrices(pat)
             assert gauge_atoms(fp) <= reachable_atoms(fp), pat.free_values
             checked += 1
     assert checked == 255
@@ -210,24 +206,15 @@ def test_cutoff_relation_shape():
     assert compose(fp, "C1", "C1", "R1") == {}
 
 
-def f_terms_on_stability_grids(all_framings: bool) -> int:
-    """Check the F-terms on every pattern of ``STABILITY_GRIDS``; each check
-    is symbolic, so it holds at every (eps, h)."""
+def test_f_terms_exhaustive_small_grid():
+    # every check is symbolic, so it holds at every (eps, h)
     checked = 0
     for grid in STABILITY_GRIDS:
         for pat in enumerate_patterns(*grid):
-            report = verify_f_terms(fixed_point_matrices(pat, all_framings=all_framings))
+            report = verify_f_terms(fixed_point_matrices(pat))
             assert report.ok, (pat.free_values, report.failures())
             checked += 1
-    return checked
-
-
-def test_f_terms_exhaustive_small_grid():
-    assert f_terms_on_stability_grids(all_framings=False) == 255
-
-
-def test_f_terms_with_all_framings():
-    assert f_terms_on_stability_grids(all_framings=True) == 255
+    assert checked == 255
 
 
 def test_equivariance_is_symbolic():

@@ -13,6 +13,7 @@ from gtyang.linalg import RationalMatrix, rank
 from gtyang.localization import (
     DeformationComplex,
     NotAdjacent,
+    StabilityViolation,
     UncalibratedCell,
     _action,
     _intertwiner,
@@ -26,14 +27,14 @@ from gtyang.localization import (
 )
 from gtyang.modes import ModuleData, verify_localization
 from gtyang.patterns import build_pattern, enumerate_patterns, raise_pole, vacuum_pattern
-from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation, LinearForm
+from gtyang.quiver import EquivariantParams, InvariantViolation, LinearForm
 
 F = Fraction
 EPS1 = EquivariantParams(1)
 
 
 def fp_of(pat):
-    return fixed_point_matrices(pat, all_framings=True)
+    return fixed_point_matrices(pat)
 
 
 def grid_id(grid):
@@ -209,13 +210,12 @@ def corrupted_copies(fp, rng):
     return out
 
 
-@pytest.mark.parametrize("all_framings", [False, True])
 @pytest.mark.parametrize("grid", [(4, 2, 2), (5, 2, 2), (6, 3, 1)])
-def test_map_f_terms_match_the_matrix_derivative(grid, all_framings):
-    rng = random.Random(f"{grid}-{all_framings}")
+def test_map_f_terms_match_the_matrix_derivative(grid):
+    rng = random.Random(str(grid))
     broken = 0
     for pat in enumerate_patterns(*grid):
-        fp = fixed_point_matrices(pat, all_framings=all_framings)
+        fp = fp_of(pat)
         for case in [fp, *corrupted_copies(fp, rng)]:
             names = [arr.name for arr in case.spec.arrows]
             matrices = {name: arrow_matrix(case, name) for name in names}
@@ -301,29 +301,6 @@ def test_an_off_weight_arrow_entry_fails_the_image_weight_check():
     assert corruptions == 56
 
 
-@pytest.mark.parametrize("grid", [(4, 2, 2), (5, 2, 2)], ids=grid_id)
-def test_incidence_refuses_a_reduced_framing(grid):
-    # the trim and the drop rule are pinned with every framing; without them
-    # every move is refused before any rank, by a typed input error
-    complexes = {
-        pat: DeformationComplex(fixed_point_matrices(pat, all_framings=False))
-        for pat in enumerate_patterns(*grid)
-    }
-    moves = list(grid_pairs(*grid))
-    for pat, up, _, _ in moves:
-        with pytest.raises(InvalidParams, match="the incidence needs every framing"):
-            incidence_tangent_graded(complexes[pat], complexes[up])
-    assert len(moves) == {(4, 2, 2): 32, (5, 2, 2): 100}[grid]
-
-
-def test_reduced_framing_misses_the_table():
-    # without the extra framing perturbations the rank-two norms come out
-    # wrong, which is why the localization route keeps them all
-    pat = build_pattern(3, 1, 2, [1, 1])
-    fp = fixed_point_matrices(pat, all_framings=False)
-    assert euler_class(fp, EPS1) != closed_form_euler(2, 1, 1)
-
-
 def test_jump_cells_on_wider_grids_fail_loudly_not_silently():
     # beyond the calibrated grids the trimmed sign is undetermined; the
     # computation must refuse rather than return a wrong value
@@ -377,6 +354,24 @@ def test_untrimmable_excess_raises_typed_error(sectors):
         _regularize_tangent(sectors, 0, pat)
 
 
+def test_tangent_undershoot_is_an_invariant_violation():
+    # every framing pair keeps the kernel at or above the expected dimension,
+    # so a shortfall is a bug, not a cell to leave untrimmed
+    pat = build_pattern(4, 2, 4, [1, 2, 0, 1])
+    with pytest.raises(InvariantViolation, match=r"\(1, 2, 0, 1\) undershoots"):
+        _regularize_tangent({LinearForm(2, 0): 1}, 2, pat)
+
+
+def test_an_emptied_framing_map_breaks_stability():
+    # the cut of test_emptied_framing_map_leaves_atoms_unreachable: without
+    # R2 no atom is reached from the framing atom, and the gauge action on
+    # the fixed point is not free
+    fp = fp_of(build_pattern(4, 2, 2, [1, 1, 0, 1]))
+    assert DeformationComplex(fp).tangent
+    with pytest.raises(StabilityViolation, match="gauge action is not free"):
+        DeformationComplex(fp._replace(maps={**fp.maps, "R2": {}}))
+
+
 def test_trim_tie_keeps_the_half_integer_loop_weight():
     # weights in units of (eps/2, h): 3/2 eps and eps/2 + h have the same
     # size 3/2 in units of (eps, h), and the tie goes to the smaller weight,
@@ -404,9 +399,8 @@ def test_module_pass_builds_one_complex_per_pattern(monkeypatch):
     assert set(built) == set(enumerate_patterns(4, 2, 2))
 
 
-# SHA-256 of every move's incidence sectors, fixed points with all
-# framings; a move whose endpoint or incidence raises records the exception
-# by type and message
+# SHA-256 of every move's incidence sectors; a move whose endpoint or
+# incidence raises records the exception by type and message
 INCIDENCE_SECTOR_DIGESTS = {
     (4, 2, 2): "52399d859196711f4bc85aff5a71455e61f76634ac248d664e062fb7e3ff3c73",
     (6, 3, 1): "1c8695ed944b00ccab56d9036bac8afbd7909c3eaf20950e6af6abb4a84dafc1",
@@ -442,17 +436,13 @@ def test_incidence_sectors_pinned(grid):
 
 
 # SHA-256 of every complex's kernel vectors (sorted within each weight),
-# gauge ranks, trimmed tangent and removed pairs, per grid and framing; a
-# complex whose construction raises records the exception by type and message
+# gauge ranks, trimmed tangent and removed pairs, per grid; a complex whose
+# construction raises records the exception by type and message
 COMPLEX_DIGESTS = {
-    ((4, 2, 2), False): "54bc24f6002da670d03e8b4598d8c352ea2b29c1e0a6afc8f500dc4cf7dde9ad",
-    ((4, 2, 2), True): "ec97a39edbd05eb0dd63d1b8e6bd46b33d9a278042be8add12428d346002a7c1",
-    ((6, 3, 1), False): "f27e067db9266254b419d39ac373b203c3324f5340a2249ef70f5d360ae05eca",
-    ((6, 3, 1), True): "12739b022b8c55a9ba4108be71f9c2655ccae0d9f5ae755dcbf80cc294d063fc",
-    ((5, 2, 2), False): "94cc9ba97ec06c89a5a56ac2304999bb214f7665eb2f5d09b2446d76acdef122",
-    ((5, 2, 2), True): "2a1eb17657d4cafe411dca09ce378d4a2d43725dbc50b80928a5352ec05b8ecb",
-    ((4, 2, 5), False): "f47337ffd14d0903de05136d379b2c15b2a8585920e65379e159ce49c8960a87",
-    ((4, 2, 5), True): "095dce57a012446d63d37c0e4d8ac5a7651633b87bb45d3f5ce92ba010162ed9",
+    (4, 2, 2): "ec97a39edbd05eb0dd63d1b8e6bd46b33d9a278042be8add12428d346002a7c1",
+    (6, 3, 1): "12739b022b8c55a9ba4108be71f9c2655ccae0d9f5ae755dcbf80cc294d063fc",
+    (5, 2, 2): "2a1eb17657d4cafe411dca09ce378d4a2d43725dbc50b80928a5352ec05b8ecb",
+    (4, 2, 5): "095dce57a012446d63d37c0e4d8ac5a7651633b87bb45d3f5ce92ba010162ed9",
 }
 
 
@@ -470,18 +460,11 @@ def complex_record(fp):
     return kernels, gauge_ranks, tangent, removed
 
 
-@pytest.mark.parametrize(
-    "grid, all_framings",
-    list(COMPLEX_DIGESTS),
-    ids=[f"{grid_id(g)}-{'all' if a else 'reduced'}" for g, a in COMPLEX_DIGESTS],
-)
-def test_complexes_pinned(grid, all_framings):
-    records = [
-        (pat.free_values, complex_record(fixed_point_matrices(pat, all_framings=all_framings)))
-        for pat in enumerate_patterns(*grid)
-    ]
+@pytest.mark.parametrize("grid", list(COMPLEX_DIGESTS), ids=grid_id)
+def test_complexes_pinned(grid):
+    records = [(pat.free_values, complex_record(fp_of(pat))) for pat in enumerate_patterns(*grid)]
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
-    assert digest == COMPLEX_DIGESTS[grid, all_framings]
+    assert digest == COMPLEX_DIGESTS[grid]
 
 
 def _image_of(images, table, key):
@@ -521,13 +504,9 @@ def gauge_identity_failures(cx, cx_plus, tau):
     return checked, failed
 
 
-@pytest.mark.parametrize("all_framings", [False, True])
 @pytest.mark.parametrize("grid", [(3, 1, 2), (4, 2, 2), (6, 3, 1), (5, 2, 2)], ids=grid_id)
-def test_gauge_orbits_solve_the_intertwining(grid, all_framings):
-    complexes = {
-        pat: DeformationComplex(fixed_point_matrices(pat, all_framings=all_framings))
-        for pat in enumerate_patterns(*grid)
-    }
+def test_gauge_orbits_solve_the_intertwining(grid):
+    complexes = {pat: DeformationComplex(fp_of(pat)) for pat in enumerate_patterns(*grid)}
     checked = 0
     for pat, up, _, _ in grid_pairs(*grid):
         cx, cx_plus = complexes[pat], complexes[up]

@@ -45,7 +45,7 @@ def test_build_examples():
 
     spec = build_quiver(4, 2, 1)
     assert len(spec.gauge_arrows) == 7
-    assert framing_nodes(spec) == [2]
+    assert framing_nodes(spec) == [1, 2, 3]
 
     spec = build_quiver(2, 1, 3)
     assert len(spec.gauge_arrows) == 1
@@ -73,7 +73,7 @@ def test_params_coerce_to_fraction_and_refuse_zero_epsilon():
 
 
 def test_weight_table():
-    spec = build_quiver(4, 2, 3, all_framings=True)
+    spec = build_quiver(4, 2, 3)
     # in units of (eps/2, h)
     assert spec.arrow("C2").weight == LinearForm(2, 0)
     assert spec.arrow("A1").weight == LinearForm(-1, 1)
@@ -143,7 +143,7 @@ def test_vertex_residual_with_h():
 def test_loop_sums_identically_zero_and_rcharge_two():
     params = EquivariantParams(F(3, 2), F(5, 11))
     for n, p in [(2, 1), (3, 1), (4, 2), (5, 3), (6, 4)]:
-        spec = build_quiver(n, p, 3, all_framings=True)
+        spec = build_quiver(n, p, 3)
         report = check_constraints(spec)
         assert_loops_vanish(report)
         assert all(form.value(params) == 0 for _, form in report.loop_weight_residuals)
