@@ -217,6 +217,22 @@ def test_f_terms_exhaustive_small_grid():
     assert checked == 255
 
 
+def test_f_terms_with_all_framings():
+    # every gauge node carries a framing pair, label-0 ones included, and
+    # its F-terms and equivariance are among the relations checked
+    checked = 0
+    for grid in STABILITY_GRIDS:
+        for pat in enumerate_patterns(*grid):
+            report = verify_f_terms(fixed_point_matrices(pat))
+            residuals = dict(report.residuals)
+            for a in range(1, pat.n):
+                for arrow in (f"R{a}", f"S{a}"):
+                    assert residuals[f"dW/d{arrow}"] == 0, (pat.free_values, arrow)
+                    assert residuals[f"equivariance[{arrow}]"] == 0, (pat.free_values, arrow)
+            checked += 1
+    assert checked == 255
+
+
 def test_equivariance_is_symbolic():
     # a gap of weight h vanishes at h = 0 but is caught symbolically
     fp = fixed_point_matrices(build_pattern(3, 1, 2, [1, 1]))
