@@ -1,4 +1,4 @@
-"""Sparse exact matrices as integers over one denominator, and fraction-free
+"""Sparse exact matrices as integers over one denominator, and integer
 elimination.
 
 A matrix stores only its nonzero entries, as a dict of rows, each a dict
@@ -10,9 +10,11 @@ a Fraction until it is read: ``entries``, ``nonzeros`` and ``max_abs`` give
 reduced Fractions, and equality compares values, whatever the denominators.
 Kernel and rank take sparse integer vectors, dicts key -> int, the
 columns of a map, laid out once as one dense row per key for integer
-Bareiss elimination, which keeps intermediate entries as honest minors
-instead of exploding gcd-free fractions. Kernel vectors are the primitive
-integer relations among the vectors, dicts position -> nonzero int.
+elimination on primitive rows: a step changes only the rows with an entry
+in the pivot column, each to the primitive multiple of its combination with
+the pivot row, so no entry grows past the content of what it replaces.
+Kernel vectors are the primitive integer relations among the vectors, dicts
+position -> nonzero int.
 """
 
 from __future__ import annotations
@@ -147,9 +149,10 @@ def _nonzero(data: dict) -> dict:
     return out
 
 
-def _bareiss_echelon(vectors: list[dict]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of the matrix with the sparse vectors
-    as columns, one dense row per key; returns (matrix, pivot column list)."""
+def _echelon(vectors: list[dict]) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form, every row primitive, of the matrix with the sparse
+    vectors as columns, one dense row per key; returns (matrix, pivot column
+    list)."""
     cols = len(vectors)
     dense: dict = {}
     for c, vec in enumerate(vectors):
@@ -158,7 +161,6 @@ def _bareiss_echelon(vectors: list[dict]) -> tuple[list[list[int]], list[int]]:
     a = list(dense.values())
     rows = len(a)
     pivots: list[int] = []
-    prev = 1
     r = 0
     for c in range(cols):
         if r == rows:
@@ -175,29 +177,33 @@ def _bareiss_echelon(vectors: list[dict]) -> tuple[list[list[int]], list[int]]:
         for i in range(r + 1, rows):
             row = a[i]
             f = row[c]
-            # every row below is scaled by p / prev, so column c clears to 0
+            # only a row with an entry in column c changes: the primitive
+            # row of (p/g) row - (f/g) top, which clears column c
             if f:
-                a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
-            elif p != prev:
-                a[i] = [x * p // prev for x in row]
-        prev = p
+                g = gcd(p, f)
+                p_g, f_g = p // g, f // g
+                new = [x * p_g - f_g * y for x, y in zip(row, top)]
+                content = gcd(*new)
+                if content > 1:
+                    new = [x // content for x in new]
+                a[i] = new
         pivots.append(c)
         r += 1
     return a, pivots
 
 
 def rank(vectors: list[dict]) -> int:
-    return len(_bareiss_echelon(vectors)[1])
+    return len(_echelon(vectors)[1])
 
 
 def kernel_basis(vectors: list[dict]) -> list[dict[int, int]]:
     """Exact basis of the integer relations among sparse integer vectors:
-    per free column, by back substitution on the fraction-free echelon form,
+    per free column, by back substitution on the primitive-row echelon form,
     the primitive one (a dict position -> nonzero int) positive there and
     zero at the other free columns. So rank + len(result) == len(vectors),
     and the result depends on the order of the vectors, not of their keys.
     """
-    ech, pivots = _bareiss_echelon(vectors)
+    ech, pivots = _echelon(vectors)
     pivot_set = set(pivots)
     basis = []
     for free in (c for c in range(len(vectors)) if c not in pivot_set):

@@ -8,7 +8,7 @@ direction X in Hom(V'_a, V_a) to X q' - q X in the arrow slots. The
 deformation complex is V' = V, its kernels the relations among the
 relation images of each weight, its gauge orbits the deformations of the
 identity intertwiner; the incidence pushes both ends' kernels through the
-intertwiner tau into the same slots and solves by two ranks per weight.
+intertwiner tau into the same slots and solves by one rank per weight.
 
 Weights are exact (loop, asymmetry) pairs, the asymmetry kept symbolic.
 Cutoff data enters through the conjugate framing directions, whose grading
@@ -22,6 +22,7 @@ evaluated at the params.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from gtyang.crystal import FixedPoint, atom_map, fixed_point_matrices
@@ -61,14 +62,14 @@ class DeformationComplex:
     trimmed to the expected dimension (``tangent``) and the opposite-weight
     pairs the trim removed (``removed``), all keyed by ``LinearForm``.
     Construction raises ``StabilityViolation`` when the gauge action is not
-    free.
+    free, or when the framing atom does not generate the fixed point.
     """
 
     def __init__(self, fp: FixedPoint):
         self.fp = fp
         # node -> the weights of its atoms, in atom order
         self.coords = {
-            node: [a.weight for a in fp.node_atoms(node)]
+            node: tuple(a.weight for a in fp.node_atoms(node))
             for node in (FRAMING, *fp.spec.gauge_nodes)
         }
         # arrow name -> {target atom index: source atom index}; maps are injective
@@ -81,6 +82,7 @@ class DeformationComplex:
         self.gauge_ranks = {w: self.gauge_rank_sector(w) for w in self.gauge_cols}
         if not self.gauge_injective():
             raise StabilityViolation("gauge action is not free at this fixed point")
+        _require_generated(fp)
         raw: dict[LinearForm, int] = {}
         for w, kernel in self.kernels.items():
             dim = len(kernel) - self.gauge_ranks.get(w, 0)
@@ -111,15 +113,25 @@ def _hom(blocks):
     weight of each slot, and the slots of each weight in index order."""
     index, weight, by_weight = {}, [], {}
     for key, rows, cols, shift, negated in blocks:
-        sign = -1 if negated else 1
-        for r, (e, h) in enumerate(rows):
-            e, h = e - shift.e, h - shift.h
-            for c, (e_col, h_col) in enumerate(cols):
-                w = LinearForm(sign * (e - e_col), sign * (h - h_col))
-                index[key, r, c] = n = len(weight)
-                by_weight.setdefault(w, []).append(n)
-                weight.append(w)
+        for r, c, w in _block_weights(rows, cols, shift, negated):
+            index[key, r, c] = n = len(weight)
+            by_weight.setdefault(w, []).append(n)
+            weight.append(w)
     return index, weight, by_weight
+
+
+@functools.cache
+def _block_weights(rows, cols, shift, negated):
+    """(r, c, weight) of each entry of a ``_hom`` block, row-major. Cached:
+    away from the added node, an incidence lays out the blocks its two
+    complexes laid out already."""
+    sign = -1 if negated else 1
+    out = []
+    for r, (e, h) in enumerate(rows):
+        e, h = e - shift.e, h - shift.h
+        for c, (e_col, h_col) in enumerate(cols):
+            out.append((r, c, LinearForm(sign * (e - e_col), sign * (h - h_col))))
+    return tuple(out)
 
 
 def _images(directions, targets, terms):
@@ -181,17 +193,47 @@ def _relations(cx: DeformationComplex, slots) -> dict[LinearForm, list[dict[int,
     cells = _hom(
         (q.name, coords[q.source], coords[q.target], -q.weight, False) for q in spec.gauge_arrows
     )
-    framing = {arr.name for arr in spec.arrows if arr.is_framing}
     terms: dict = {}
-    for q in spec.gauge_arrows:
+    for q, sign, x, y in _relation_words(spec):
         # dx and x end at V_src(q), dy and y start at V_tgt(q)
         id_src, id_tgt = range(len(coords[q.source])), range(len(coords[q.target]))
-        for sign, rest in spec.cyclic_derivative(q.name):
-            if framing.isdisjoint(rest):
-                x, y = rest
-                terms.setdefault(x, []).append((sign, q.name, id_src, cx.preimage[y]))  # dx y
-                terms.setdefault(y, []).append((sign, q.name, cx.fp.maps[x], id_tgt))  # x dy
+        terms.setdefault(x, []).append((sign, q.name, id_src, cx.preimage[y]))  # dx y
+        terms.setdefault(y, []).append((sign, q.name, cx.fp.maps[x], id_tgt))  # x dy
     return _images(slots, cells, terms)
+
+
+@functools.cache
+def _relation_words(spec):
+    """(q, sign, x, y) for each rest sign * x y of ``cyclic_derivative(q)``
+    without a framing arrow, over the gauge arrows q in order; once per
+    quiver."""
+    framing = {arr.name for arr in spec.arrows if arr.is_framing}
+    return tuple(
+        (q, sign, *rest)
+        for q in spec.gauge_arrows
+        for sign, rest in spec.cyclic_derivative(q.name)
+        if framing.isdisjoint(rest)
+    )
+
+
+def _require_generated(fp: FixedPoint) -> None:
+    """Raise ``StabilityViolation`` unless the atom maps reach every atom
+    from the framing atom. Then an X in Hom(V'_a, V_a) with X q' = q X,
+    zero at the framing vertex, is zero on every atom, so the action
+    X -> X q' - q X of any pair with this fixed point as V' is injective."""
+    out = {}
+    for arr in fp.spec.arrows:
+        out.setdefault(arr.source, []).append((arr.target, fp.maps[arr.name]))
+    reached = {(FRAMING, 0)}
+    stack = [(FRAMING, 0)]
+    while stack:
+        node, i = stack.pop()
+        for target, m in out.get(node, ()):
+            if i in m and (target, m[i]) not in reached:
+                reached.add((target, m[i]))
+                stack.append((target, m[i]))
+    if len(reached) != 1 + len(_all_atoms(fp)):
+        raise StabilityViolation("framing atom does not generate the fixed point")
 
 
 def _regularize_tangent(
@@ -327,8 +369,11 @@ def incidence_tangent_graded(
         ]
         if not pairs:
             continue
+        # the action on dtau is injective, V' being generated by its framing
+        # atom, so its images are independent and one rank counts the pairs
+        # whose push lies in their span
         orbits = images.get(w, [])
-        solutions = len(pairs) - (rank(pairs + orbits) - rank(orbits))
+        solutions = len(pairs) + len(orbits) - rank(orbits + pairs)
         dim = solutions - cx.gauge_ranks.get(w, 0) - cx_plus.gauge_ranks.get(w, 0)
         _require(dim >= 0, "gauge orbits exceed the incidence solutions")
         if dim:
@@ -387,15 +432,25 @@ def _sector_ratio(
     num: dict[LinearForm, int], den: dict[LinearForm, int], params: EquivariantParams
 ) -> Rat:
     """Euler class ratio taken weight by weight; zero-valued sectors cancel
-    as h -> 0 limits instead of feeding the sign rule."""
-    value = Fraction(1)
+    as h -> 0 limits instead of feeding the sign rule. Every value is an int
+    over the one unit 2 eps_den h_den, so the products run on ints and one
+    Fraction is built at the end."""
+    eps, h = params
+    e_unit, h_unit = eps.numerator * h.denominator, 2 * h.numerator * eps.denominator
+    unit = 2 * eps.denominator * h.denominator
+    top = bottom = 1
     for form in set(num) | set(den):
-        v = form.value(params)
-        if v == 0:
-            continue
+        v = form.e * e_unit + form.h * h_unit
         exponent = num.get(form, 0) - den.get(form, 0)
-        value *= v**exponent
-    return value
+        if v == 0 or exponent == 0:
+            continue
+        if exponent > 0:
+            top *= v**exponent
+            bottom *= unit**exponent
+        else:
+            top *= unit**-exponent
+            bottom *= v**-exponent
+    return Fraction(top, bottom)
 
 
 def _move_amplitudes(

@@ -11,6 +11,7 @@ chain asymmetry parameter, as integer ``LinearForm`` pairs in units of
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
@@ -142,7 +143,8 @@ def build_quiver(n: int, p: int, lam: int) -> QuiverSpec:
 
     Every gauge node a gets a framing pair of label lam_a, lam at the marked
     node and 0 elsewhere. A pair of label 0 adds the root 0 to both sides of
-    an exchange function, which cancel, so psi does not see it.
+    an exchange function, which ``exchange_roots`` cancels, so psi does not
+    see it.
     """
     validate_params(n, p, lam)
     arrows = []
@@ -173,15 +175,23 @@ def build_quiver(n: int, p: int, lam: int) -> QuiverSpec:
 def exchange_roots(spec: QuiverSpec, a: int) -> Mapping[NodeRef, tuple[tuple, tuple]]:
     """Node b -> (numerator, denominator) roots of the exchange function
     between node-a and node-b generators: an arrow a->b gives the root
-    -weight, an arrow b->a the root +weight. Cached like ``build_quiver``,
-    since every psi_generic call reads it, and read-only."""
-    roots: dict[NodeRef, tuple[list, list]] = {}
+    -weight, an arrow b->a the root +weight. A root in both bags cancels,
+    counted with multiplicity, as the 0 over 0 of a label-0 framing pair
+    does, and a node whose roots all cancel is left out. Cached like
+    ``build_quiver``, since every psi_generic call reads it, and read-only."""
+    roots: dict[NodeRef, tuple[Counter, Counter]] = {}
     for arr in spec.arrows:
         if arr.source == a:
-            roots.setdefault(arr.target, ([], []))[0].append(-arr.weight)
+            roots.setdefault(arr.target, (Counter(), Counter()))[0][-arr.weight] += 1
         if arr.target == a:
-            roots.setdefault(arr.source, ([], []))[1].append(arr.weight)
-    return MappingProxyType({b: (tuple(num), tuple(den)) for b, (num, den) in roots.items()})
+            roots.setdefault(arr.source, (Counter(), Counter()))[1][arr.weight] += 1
+    out = {}
+    for b, (num, den) in roots.items():
+        shared = num & den
+        num, den = num - shared, den - shared
+        if num or den:
+            out[b] = (tuple(num.elements()), tuple(den.elements()))
+    return MappingProxyType(out)
 
 
 def bond_factor(spec: QuiverSpec, a: int, b: int, params: EquivariantParams) -> FactoredRatFunc:

@@ -13,23 +13,46 @@ F = Fraction
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gtyang"
 
 
-def gauss_rank_oracle(entries):
-    """Plain fraction Gaussian elimination, no fraction-free tricks."""
+def gauss_jordan(entries):
+    """Plain fraction Gauss-Jordan elimination, no integer tricks: the
+    reduced rows, each pivot 1 and alone in its column, and the pivot
+    columns."""
     m = [[F(x) for x in row] for row in entries]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
         piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != 0:
-                f = m[i][c] / m[r][c]
+                f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return m, pivots
+
+
+def gauss_rank_oracle(entries):
+    return len(gauss_jordan(entries)[1])
+
+
+def null_vector_oracle(entries):
+    """Per free column of the RREF, its null vector (1 there, 0 at the other
+    free columns), scaled to primitive integers, positive at that column."""
+    m, pivots = gauss_jordan(entries)
+    out = []
+    for free in (c for c in range(len(entries[0])) if c not in pivots):
+        vec = {free: F(1)}
+        vec.update({pc: -row[free] for row, pc in zip(m, pivots) if row[free]})
+        scale = math.lcm(*(v.denominator for v in vec.values()))
+        ints = {c: int(v * scale) for c, v in vec.items()}
+        content = math.gcd(*ints.values())
+        out.append({c: v // content for c, v in ints.items()})
+    return out
 
 
 def columns(rows) -> list[dict[int, int]]:
@@ -95,6 +118,32 @@ def test_kernel_vectors_are_annihilated_and_rank_nullity_holds(entries):
     assert rank(vectors) + len(basis) == cols
     assert rank(vectors) == gauss_rank_oracle(entries)
     assert rank(basis) == len(basis)
+
+
+def int_rows(rows, cols):
+    return st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )
+
+
+def product(tall, wide):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*wide)] for row in tall]
+
+
+# rank-deficient too: the product of a tall and a wide factor of inner size 1-3
+low_rank = st.tuples(*[st.integers(min_value=1, max_value=6)] * 2, st.integers(1, 3)).flatmap(
+    lambda s: st.builds(product, int_rows(s[0], s[2]), int_rows(s[2], s[1]))
+)
+
+
+@given(st.one_of(matrices, low_rank))
+@settings(max_examples=300)
+def test_kernel_basis_is_the_primitive_rref_null_space(entries):
+    # each vector is the RREF null vector of its free column, made
+    # primitive and positive there: a changed basis of the same space fails
+    assert kernel_basis(columns(entries)) == null_vector_oracle(entries)
 
 
 sparse_vectors = st.lists(

@@ -6,6 +6,8 @@ from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtyang.amplitudes import amplitude_E, amplitude_F, psi_closed_form
 from gtyang.crystal import fixed_point_matrices, verify_f_terms
@@ -19,6 +21,8 @@ from gtyang.localization import (
     _intertwiner,
     _pushes,
     _regularize_tangent,
+    _require_generated,
+    _sector_ratio,
     amplitudes_via_localization,
     euler_class,
     incidence_euler,
@@ -370,6 +374,52 @@ def test_an_emptied_framing_map_breaks_stability():
     assert DeformationComplex(fp).tangent
     with pytest.raises(StabilityViolation, match="gauge action is not free"):
         DeformationComplex(fp._replace(maps={**fp.maps, "R2": {}}))
+    # the generation check behind the one-rank incidence count refuses it too
+    _require_generated(fp)
+    with pytest.raises(StabilityViolation, match="framing atom does not generate"):
+        _require_generated(fp._replace(maps={**fp.maps, "R2": {}}))
+
+
+@pytest.mark.parametrize("grid", [(4, 2, 2), (6, 3, 1), (5, 2, 2), (6, 3, 2)], ids=grid_id)
+def test_incidence_action_is_injective(grid):
+    # the larger end is generated by its framing atom, so an X with
+    # X q' = q X vanishes: every weight's action images are independent,
+    # which lets the incidence count its solutions with one rank
+    complexes = {pat: DeformationComplex(fp_of(pat)) for pat in enumerate_patterns(*grid)}
+    weights = 0
+    for pat, up, _, _ in grid_pairs(*grid):
+        images = _action(complexes[pat], complexes[up])[2]
+        for w, group in images.items():
+            assert rank(group) == len(group), (pat.free_values, up.free_values, w)
+        weights += len(images)
+    assert weights
+
+
+small_forms = st.builds(LinearForm, st.integers(-4, 4), st.integers(-2, 2))
+sector_grading = st.dictionaries(small_forms, st.integers(1, 3), max_size=5)
+nonzero_fractions = st.fractions(max_denominator=9).filter(bool)
+
+
+@given(
+    sector_grading,
+    sector_grading,
+    nonzero_fractions,
+    st.one_of(st.just(F(0)), st.fractions(max_denominator=9)),
+)
+@example({LinearForm(1, 1): 2}, {LinearForm(3, 0): 1, LinearForm(0, 2): 2}, F(3, 2), F(1, 3))
+@example({LinearForm(-3, 0): 1}, {LinearForm(2, -1): 3, LinearForm(0, 1): 1}, F(2, 7), F(-5, 3))
+@example({LinearForm(0, 1): 1, LinearForm(2, 0): 1}, {LinearForm(-2, 0): 2}, F(-3, 2), F(0))
+@settings(max_examples=200)
+def test_sector_ratio_is_the_fraction_product(num, den, eps, h):
+    # the int products equal the Fraction product of the nonzero values,
+    # zero-valued forms cancelling whatever their exponent
+    params = EquivariantParams(eps, h)
+    expected = F(1)
+    for form in set(num) | set(den):
+        if form.value(params):
+            expected *= form.value(params) ** (num.get(form, 0) - den.get(form, 0))
+    assert _sector_ratio(num, den, params) == expected
+    assert type(_sector_ratio(num, den, params)) is F
 
 
 def test_trim_tie_keeps_the_half_integer_loop_weight():

@@ -11,6 +11,7 @@ from gtyang.quiver import (
     bond_factor,
     build_quiver,
     check_constraints,
+    exchange_roots,
 )
 from gtyang.rational import FactoredRatFunc
 
@@ -118,6 +119,21 @@ def test_bond_factor_reciprocity():
                     [-r for r in fwd.den_roots],
                 )
                 assert flipped * bwd == FactoredRatFunc.make(1)
+
+
+@pytest.mark.parametrize("grid", [(2, 1, 3), (4, 2, 2), (6, 3, 2), (5, 2, 0)])
+def test_exchange_roots_share_no_root(grid):
+    # a root in both bags cancels, with multiplicity: the label-0 framing
+    # pairs leave no 0 over 0, and only a marked node of label > 0 keeps an
+    # exchange with the framing node
+    n, p, lam = grid
+    spec = build_quiver(n, p, lam)
+    for a in spec.gauge_nodes:
+        roots = exchange_roots(spec, a)
+        for b, (num, den) in roots.items():
+            assert not Counter(num) & Counter(den), (a, b)
+            assert num or den, (a, b)
+        assert (FRAMING in roots) == (a == p and lam > 0), a
 
 
 def assert_loops_vanish(report):
