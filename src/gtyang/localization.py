@@ -1,14 +1,15 @@
 """Equivariant localization route to the amplitudes.
 
-A move needs three linear maps, all images of directions built by one
-``_images`` from weight-graded Hom slots laid out by ``_hom``: the
-linearized relations send each arrow direction dq to its first-order
-change of the gauge-arrow derivatives dW/dq, and ``_action`` sends each
-direction X in Hom(V'_a, V_a) to X q' - q X in the arrow slots. The
-deformation complex is V' = V, its kernels the relations among the
-relation images of each weight, its gauge orbits the deformations of the
-identity intertwiner; the incidence pushes both ends' kernels through the
-intertwiner tau into the same slots and solves by one rank per weight.
+A fixed point's deformation complex builds one linear map: ``_images``, on
+weight-graded Hom slots laid out by ``_hom``, sends each arrow direction dq
+to its first-order change of the gauge-arrow derivatives dW/dq, and the
+kernels are the relations among the relation images of each weight. The
+gauge action X -> X q' - q X on Hom(V'_a, V_a) is injective when the framing
+atom generates V', so its ranks are counts of directions, never
+eliminations. A move works in the larger end's slots less the rows at the
+added atom, the intertwining slots: the smaller end's kernel vectors are
+relabelled into them through the intertwiner tau, the larger end's
+restricted, and one rank per weight counts the solutions.
 
 Weights are exact (loop, asymmetry) pairs, the asymmetry kept symbolic.
 Cutoff data enters through the conjugate framing directions, whose grading
@@ -23,6 +24,7 @@ evaluated at the params.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from fractions import Fraction
 
 from gtyang.crystal import FixedPoint, atom_map, fixed_point_matrices
@@ -56,36 +58,50 @@ class DeformationComplex:
     """Deformation directions, their linearized relations and gauge orbits
     of one fixed point, everything indexed by exact weight pairs.
 
-    Everything about the fixed point is computed once, here: the relation
-    images of the slots (``relations``) and their kernel (``kernels``) and
-    the gauge rank (``gauge_ranks``) of each weight, the tangent grading
-    trimmed to the expected dimension (``tangent``) and the opposite-weight
-    pairs the trim removed (``removed``), all keyed by ``LinearForm``.
-    Construction raises ``StabilityViolation`` when the gauge action is not
-    free, or when the framing atom does not generate the fixed point.
+    Everything about the fixed point is computed once, here: the arrow slots
+    Hom(V_src, V_tgt) (``slot_index``, ``slot_weight``, ``slots_by_weight``),
+    their relation images (``relations``) and kernel (``kernels``) and the
+    gauge rank (``gauge_ranks``) of each weight, the tangent grading trimmed
+    to the expected dimension (``tangent``) and the opposite-weight pairs the
+    trim removed (``removed``), all keyed by ``LinearForm``. Construction
+    raises ``InvariantViolation`` when an arrow entry breaks equivariance and
+    ``StabilityViolation`` when the framing atom does not generate the fixed
+    point, the condition that makes the gauge action free.
     """
 
     def __init__(self, fp: FixedPoint):
         self.fp = fp
+        spec, maps = fp.spec, fp.maps
         # node -> the weights of its atoms, in atom order
-        self.coords = {
+        self.coords = coords = {
             node: tuple(a.weight for a in fp.node_atoms(node))
-            for node in (FRAMING, *fp.spec.gauge_nodes)
+            for node in (FRAMING, *spec.gauge_nodes)
         }
         # arrow name -> {target atom index: source atom index}; maps are injective
-        self.preimage = {name: {t: s for s, t in m.items()} for name, m in fp.maps.items()}
-        # the gauge orbit is the deformation of the identity intertwiner
-        slots, _, self.gauge_cols = _action(self, self)
+        self.preimage = {name: {t: s for s, t in m.items()} for name, m in maps.items()}
+        slots = _hom(
+            (arr.name, coords[arr.target], coords[arr.source], arr.weight, arr.r_charge == 2)
+            for arr in spec.arrows
+        )
         self.slot_index, self.slot_weight, self.slots_by_weight = slots
+        # a gauge image gamma q - q gamma keeps the weight of gamma exactly
+        # when every arrow entry sits in a weight-zero slot
+        kept = all(
+            self.slot_weight[self.slot_index[name, t, s]] == ZERO_FORM
+            for name, m in maps.items()
+            for s, t in m.items()
+        )
+        _require(kept, "image leaves its direction weight")
+        if not self.gauge_injective():
+            raise StabilityViolation("framing atom does not generate the fixed point")
+        # the gauge action is injective, so its rank at each weight is the
+        # number of gl(V_a) directions of that weight
+        self.gauge_ranks = _directions(spec, coords, coords)
         self.relations = _relations(self, slots)
         self.kernels = {w: self.kernel_sector(w) for w in sorted(self.slots_by_weight)}
-        self.gauge_ranks = {w: self.gauge_rank_sector(w) for w in self.gauge_cols}
-        if not self.gauge_injective():
-            raise StabilityViolation("gauge action is not free at this fixed point")
-        _require_generated(fp)
         raw: dict[LinearForm, int] = {}
         for w, kernel in self.kernels.items():
-            dim = len(kernel) - self.gauge_ranks.get(w, 0)
+            dim = len(kernel) - self.gauge_ranks[w]
             _require(dim >= 0, "gauge orbit escapes the relation kernel")
             if dim:
                 raw[w] = dim
@@ -99,11 +115,26 @@ class DeformationComplex:
         return [{idxs[l]: v for l, v in vec.items()} for vec in basis]
 
     def gauge_rank_sector(self, w: LinearForm) -> int:
-        return rank(self.gauge_cols.get(w, []))
+        """Rank of the gauge action at weight w, a count (``gauge_ranks``)."""
+        return self.gauge_ranks[w]
 
     def gauge_injective(self) -> bool:
-        # one gauge column per gl(V_a) direction
-        return sum(self.gauge_ranks.values()) == sum(map(len, self.gauge_cols.values()))
+        """Whether the atom maps reach every atom from the framing atom. Then
+        an X in Hom(V'_a, V_a) with X q' = q X, zero at the framing vertex,
+        is zero on every atom, so the action X -> X q' - q X of any pair with
+        this fixed point as V' is injective, V = V' included."""
+        out = {}
+        for arr in self.fp.spec.arrows:
+            out.setdefault(arr.source, []).append((arr.target, self.fp.maps[arr.name]))
+        reached = {(FRAMING, 0)}
+        stack = [(FRAMING, 0)]
+        while stack:
+            node, i = stack.pop()
+            for target, m in out.get(node, ()):
+                if i in m and (target, m[i]) not in reached:
+                    reached.add((target, m[i]))
+                    stack.append((target, m[i]))
+        return len(reached) == sum(map(len, self.coords.values()))
 
 
 def _hom(blocks):
@@ -123,8 +154,8 @@ def _hom(blocks):
 @functools.cache
 def _block_weights(rows, cols, shift, negated):
     """(r, c, weight) of each entry of a ``_hom`` block, row-major. Cached:
-    away from the added node, an incidence lays out the blocks its two
-    complexes laid out already."""
+    neighbouring fixed points share most of their nodes' atoms, so the
+    complexes and the moves between them lay out the same blocks again."""
     sign = -1 if negated else 1
     out = []
     for r, (e, h) in enumerate(rows):
@@ -159,27 +190,15 @@ def _images(directions, targets, terms):
     return images
 
 
-def _action(cx: DeformationComplex, cx_prime: DeformationComplex):
-    """The linearized action for fixed points V, V' with atom maps q, q':
-    the arrow slots Hom(V'_src, V_tgt), the directions Hom(V'_a, V_a) of the
-    gauge nodes, and the image X q' - q X of each direction X in index
-    order, grouped by its weight. With V' = V it is gamma q - q gamma."""
-    spec, coords, coords_prime = cx.fp.spec, cx.coords, cx_prime.coords
-    slots = _hom(
-        (arr.name, coords[arr.target], coords_prime[arr.source], arr.weight, arr.r_charge == 2)
-        for arr in spec.arrows
+def _directions(spec, coords, coords_prime) -> Counter:
+    """Weight -> the number of directions of Hom(V'_a, V_a) of that weight,
+    over the gauge nodes, for atom weights ``coords`` of V and
+    ``coords_prime`` of V'."""
+    return Counter(
+        w
+        for node in spec.gauge_nodes
+        for *_, w in _block_weights(coords[node], coords_prime[node], ZERO_FORM, False)
     )
-    directions = _hom(
-        (node, coords[node], coords_prime[node], ZERO_FORM, False) for node in spec.gauge_nodes
-    )
-    terms: dict = {}
-    for arr in spec.arrows:  # X q'
-        id_tgt = range(len(coords[arr.target]))
-        terms.setdefault(arr.target, []).append((1, arr.name, id_tgt, cx_prime.preimage[arr.name]))
-    for arr in spec.arrows:  # - q X
-        id_src = range(len(coords_prime[arr.source]))
-        terms.setdefault(arr.source, []).append((-1, arr.name, cx.fp.maps[arr.name], id_src))
-    return slots, directions, _images(directions, slots, terms)
 
 
 def _relations(cx: DeformationComplex, slots) -> dict[LinearForm, list[dict[int, int]]]:
@@ -214,26 +233,6 @@ def _relation_words(spec):
         for sign, rest in spec.cyclic_derivative(q.name)
         if framing.isdisjoint(rest)
     )
-
-
-def _require_generated(fp: FixedPoint) -> None:
-    """Raise ``StabilityViolation`` unless the atom maps reach every atom
-    from the framing atom. Then an X in Hom(V'_a, V_a) with X q' = q X,
-    zero at the framing vertex, is zero on every atom, so the action
-    X -> X q' - q X of any pair with this fixed point as V' is injective."""
-    out = {}
-    for arr in fp.spec.arrows:
-        out.setdefault(arr.source, []).append((arr.target, fp.maps[arr.name]))
-    reached = {(FRAMING, 0)}
-    stack = [(FRAMING, 0)]
-    while stack:
-        node, i = stack.pop()
-        for target, m in out.get(node, ()):
-            if i in m and (target, m[i]) not in reached:
-                reached.add((target, m[i]))
-                stack.append((target, m[i]))
-    if len(reached) != 1 + len(_all_atoms(fp)):
-        raise StabilityViolation("framing atom does not generate the fixed point")
 
 
 def _regularize_tangent(
@@ -289,10 +288,6 @@ def _euler(graded: dict[LinearForm, int], params: EquivariantParams) -> Rat:
     return (-1) ** (zero_dims // 2) * _sector_ratio(graded, {}, params)
 
 
-def euler_class(fp: FixedPoint, params: EquivariantParams) -> Rat:
-    return _euler(tangent_graded(fp), params)
-
-
 def _intertwiner(cx: DeformationComplex, cx_plus: DeformationComplex):
     """The base intertwiner tau, node -> the atom map of zero displacement
     from the extended crystal onto the original one, and the node of the
@@ -320,61 +315,59 @@ def _intertwiner(cx: DeformationComplex, cx_plus: DeformationComplex):
     return tau, missed[0]
 
 
-def _pushes(cx: DeformationComplex, cx_plus: DeformationComplex, tau, slots):
-    """Slot index maps of both ends into the intertwining slots: dq -> dq tau
-    from the smaller end, dq' -> tau dq' from the larger one, where tau has
-    no row at the added atom. Every slot keeps its weight."""
-    slot_index, slot_weight, _ = slots
+def _incidence_solutions(
+    cx: DeformationComplex, cx_plus: DeformationComplex, tau
+) -> dict[LinearForm, int]:
+    """Weight -> the dimension of the solutions (dq, dq', dtau) of
+    dq tau - tau dq' = dtau q' - q dtau, dq and dq' kernel vectors, at each
+    weight where either end has some.
+
+    The equation lives in the intertwining slots Hom(V'_src, V_tgt): the
+    larger end's slots less the rows at the added atom, which tau matches
+    with V_tgt. So dq tau relabels dq through tau^-1, and tau dq' restricts
+    dq' to the other rows. The image X q' - q X of a direction X in
+    Hom(V'_a, V_a) is tau applied to the larger end's gauge image of the lift
+    tau^-1 X, inside its kernel: the images lie in the span of the pairs, and
+    they are independent, V' being generated by its framing atom. So the
+    solutions number n_pairs + n_directions - rank(pairs).
+    """
     ends = {arr.name: (arr.source, arr.target) for arr in cx.fp.spec.arrows}
     # tau is injective, so its preimage is the inclusion of the smaller crystal
     tau_pre = {node: {s: b for b, s in t.items()} for node, t in tau.items()}
     push = {
-        i: slot_index[name, r, tau_pre[ends[name][0]][s]]
+        i: cx_plus.slot_index[name, tau_pre[ends[name][1]][r], tau_pre[ends[name][0]][s]]
         for (name, r, s), i in cx.slot_index.items()
     }
-    push_plus = {
-        i: slot_index[name, t_tgt[b], c]
-        for (name, b, c), i in cx_plus.slot_index.items()
-        if b in (t_tgt := tau[ends[name][1]])
+    kept = all(cx_plus.slot_weight[j] == cx.slot_weight[i] for i, j in push.items())
+    _require(kept, "push leaves its weight")
+    added_rows = {
+        i for (name, b, _), i in cx_plus.slot_index.items() if b not in tau[ends[name][1]]
     }
-    for end, step in ((cx, push), (cx_plus, push_plus)):
-        kept = all(slot_weight[j] == end.slot_weight[i] for i, j in step.items())
-        _require(kept, "push leaves its weight")
-    return push, push_plus
+    directions = _directions(cx.fp.spec, cx.coords, cx_plus.coords)
+    solutions = {}
+    for w in sorted(set(cx.kernels) | set(cx_plus.kernels)):
+        # dq tau - tau dq' for the kernel vectors (dq, 0) and (0, dq')
+        pairs = [{push[i]: v for i, v in vec.items()} for vec in cx.kernels.get(w, ())]
+        pairs += [
+            {i: -v for i, v in vec.items() if i not in added_rows}
+            for vec in cx_plus.kernels.get(w, ())
+        ]
+        if pairs:
+            solutions[w] = len(pairs) + directions[w] - rank(pairs)
+    return solutions
 
 
 def incidence_tangent_graded(
     cx: DeformationComplex, cx_plus: DeformationComplex
 ) -> dict[LinearForm, int]:
-    """Tangent grading of the one-atom extension locus.
-
-    Pairs of kernel deformations (dq, dq') that admit an intertwiner
-    deformation dtau, dq tau - tau dq' = dtau q' - q dtau, modulo both gauge
-    orbits. At each weight the pairs push into the intertwining slots, and
-    those whose push lies in the image of the action on dtau solve it.
-    """
+    """Tangent grading of the one-atom extension locus: the solutions of the
+    linearized intertwining (``_incidence_solutions``) modulo both gauge
+    orbits, trimmed to the expected dimension."""
     fp, fp_plus = cx.fp, cx_plus.fp
     tau, added_node = _intertwiner(cx, cx_plus)
-    slots, _, images = _action(cx, cx_plus)
-    push, push_plus = _pushes(cx, cx_plus, tau, slots)
-
     sectors: dict[LinearForm, int] = {}
-    # a weight without kernel vectors on either side has no pairs to solve for
-    for w in sorted(set(cx.kernels) | set(cx_plus.kernels)):
-        # dq tau - tau dq' for the kernel vectors (dq, 0) and (0, dq')
-        pairs = [{push[i]: v for i, v in vec.items()} for vec in cx.kernels.get(w, ())]
-        pairs += [
-            {push_plus[i]: -v for i, v in vec.items() if i in push_plus}
-            for vec in cx_plus.kernels.get(w, ())
-        ]
-        if not pairs:
-            continue
-        # the action on dtau is injective, V' being generated by its framing
-        # atom, so its images are independent and one rank counts the pairs
-        # whose push lies in their span
-        orbits = images.get(w, [])
-        solutions = len(pairs) + len(orbits) - rank(orbits + pairs)
-        dim = solutions - cx.gauge_ranks.get(w, 0) - cx_plus.gauge_ranks.get(w, 0)
+    for w, solutions in _incidence_solutions(cx, cx_plus, tau).items():
+        dim = solutions - cx.gauge_ranks[w] - cx_plus.gauge_ranks[w]
         _require(dim >= 0, "gauge orbits exceed the incidence solutions")
         if dim:
             sectors[w] = dim
@@ -421,11 +414,6 @@ def incidence_tangent_graded(
 
 def _all_atoms(fp: FixedPoint):
     return [a for node in fp.spec.gauge_nodes for a in fp.node_atoms(node)]
-
-
-def incidence_euler(fp: FixedPoint, fp_plus: FixedPoint, params: EquivariantParams) -> Rat:
-    cells = incidence_tangent_graded(DeformationComplex(fp), DeformationComplex(fp_plus))
-    return _euler(cells, params)
 
 
 def _sector_ratio(

@@ -22,7 +22,7 @@ from gtyang.amplitudes import (
     psi_generic,
 )
 from gtyang.crystal import fixed_point_matrices
-from gtyang.localization import amplitudes_via_localization, euler_class
+from gtyang.localization import _euler, amplitudes_via_localization, tangent_graded
 from gtyang.modes import (
     ModuleData,
     build_mode_operators,
@@ -278,7 +278,7 @@ def test_criterion_08_localization_oracle():
         for pat in enumerate_patterns(3, 1, lam):
             n1, n2 = pat.free_values
             fp = fixed_point_matrices(pat)
-            assert euler_class(fp, EPS1) == closed_form_euler(lam, n1, n2)
+            assert _euler(tangent_graded(fp), EPS1) == closed_form_euler(lam, n1, n2)
     pairs = 0
     for n, p, lam_max in [(3, 1, 3), (4, 1, 2), (4, 2, 2)]:
         for lam in range(lam_max + 1):

@@ -17,21 +17,20 @@ from gtyang.localization import (
     NotAdjacent,
     StabilityViolation,
     UncalibratedCell,
-    _action,
+    _euler,
+    _hom,
+    _images,
+    _incidence_solutions,
     _intertwiner,
-    _pushes,
     _regularize_tangent,
-    _require_generated,
     _sector_ratio,
     amplitudes_via_localization,
-    euler_class,
-    incidence_euler,
     incidence_tangent_graded,
     tangent_graded,
 )
 from gtyang.modes import ModuleData, verify_localization
 from gtyang.patterns import build_pattern, enumerate_patterns, raise_pole, vacuum_pattern
-from gtyang.quiver import EquivariantParams, InvariantViolation, LinearForm
+from gtyang.quiver import FRAMING, ZERO_FORM, EquivariantParams, InvariantViolation, LinearForm
 
 F = Fraction
 EPS1 = EquivariantParams(1)
@@ -43,6 +42,15 @@ def fp_of(pat):
 
 def grid_id(grid):
     return "-".join(map(str, grid))
+
+
+def euler_of(pat, params=EPS1):
+    return _euler(tangent_graded(fp_of(pat)), params)
+
+
+def incidence_euler_of(pat, up, params=EPS1):
+    ends = DeformationComplex(fp_of(pat)), DeformationComplex(fp_of(up))
+    return _euler(incidence_tangent_graded(*ends), params)
 
 
 def closed_form_euler(lam, n1, n2, eps=F(1)):
@@ -61,14 +69,14 @@ def closed_form_euler_chain(lam, n, eps=F(1)):
 
 def test_vacuum_tangent_is_empty():
     assert tangent_graded(fp_of(vacuum_pattern(3, 1, 2))) == {}
-    assert euler_class(fp_of(vacuum_pattern(4, 2, 2)), EPS1) == 1
+    assert euler_of(vacuum_pattern(4, 2, 2)) == 1
 
 
 def test_rank_two_euler_table():
     for lam in range(4):
         for pat in enumerate_patterns(3, 1, lam):
             n1, n2 = pat.free_values
-            got = euler_class(fp_of(pat), EPS1)
+            got = euler_of(pat)
             assert got == closed_form_euler(lam, n1, n2)
 
 
@@ -77,7 +85,7 @@ def test_rank_two_euler_table_scaled_coupling():
     params = EquivariantParams(eps)
     for pat in enumerate_patterns(3, 1, 2):
         n1, n2 = pat.free_values
-        got = euler_class(fp_of(pat), params)
+        got = euler_of(pat, params)
         assert got == closed_form_euler(2, n1, n2, eps)
 
 
@@ -85,13 +93,13 @@ def test_one_node_chain_euler():
     for lam in range(4):
         for pat in enumerate_patterns(2, 1, lam):
             (n,) = pat.free_values
-            assert euler_class(fp_of(pat), EPS1) == closed_form_euler_chain(lam, n)
+            assert euler_of(pat) == closed_form_euler_chain(lam, n)
 
 
 def test_euler_spot_values():
-    assert euler_class(fp_of(build_pattern(3, 1, 2, [1, 0])), EPS1) == 2
-    assert euler_class(fp_of(build_pattern(3, 1, 2, [1, 1])), EPS1) == F(1, 2)
-    assert euler_class(fp_of(build_pattern(3, 1, 2, [2, 1])), EPS1) == F(1, 2)
+    assert euler_of(build_pattern(3, 1, 2, [1, 0])) == 2
+    assert euler_of(build_pattern(3, 1, 2, [1, 1])) == F(1, 2)
+    assert euler_of(build_pattern(3, 1, 2, [2, 1])) == F(1, 2)
 
 
 def test_incidence_spot_values():
@@ -99,15 +107,14 @@ def test_incidence_spot_values():
     vac = build_pattern(3, 1, lam, [0, 0])
     one = build_pattern(3, 1, lam, [1, 0])
     oneone = build_pattern(3, 1, lam, [1, 1])
-    assert incidence_euler(fp_of(vac), fp_of(one), EPS1) == -1
-    assert incidence_euler(fp_of(one), fp_of(oneone), EPS1) == -1
+    assert incidence_euler_of(vac, one) == -1
+    assert incidence_euler_of(one, oneone) == -1
     # raising the first entry always scales the source norm by -eps
     for pat in enumerate_patterns(3, 1, lam):
         up = pat.bumped(1, 1, +1)
         if up is None:
             continue
-        value = incidence_euler(fp_of(pat), fp_of(up), EPS1)
-        assert value == -euler_class(fp_of(pat), EPS1)
+        assert incidence_euler_of(pat, up) == -euler_of(pat)
 
 
 def test_incidence_requires_adjacency():
@@ -115,9 +122,9 @@ def test_incidence_requires_adjacency():
     a = build_pattern(3, 1, lam, [0, 0])
     b = build_pattern(3, 1, lam, [1, 1])
     with pytest.raises(NotAdjacent):
-        incidence_euler(fp_of(a), fp_of(b), EPS1)
+        incidence_euler_of(a, b)
     with pytest.raises(NotAdjacent):
-        incidence_euler(fp_of(a), fp_of(a), EPS1)
+        incidence_euler_of(a, a)
 
 
 def test_amplitude_pairs_examples():
@@ -157,15 +164,73 @@ def test_product_equals_residue_via_localization():
         assert e_loc * f_loc == psi.residue_simple(raise_pole(pat, k, j, EPS1.epsilon))
 
 
+def coords_of(fp):
+    """Node -> the weights of its atoms, as ``DeformationComplex.coords``."""
+    nodes = (FRAMING, *fp.spec.gauge_nodes)
+    return {node: tuple(a.weight for a in fp.node_atoms(node)) for node in nodes}
+
+
+def action(fp, fp_prime):
+    """The linearized action for fixed points V, V' with atom maps q, q':
+    the arrow slots Hom(V'_src, V_tgt), the directions Hom(V'_a, V_a) of the
+    gauge nodes, and the image X q' - q X of each direction X in index
+    order, grouped by its weight. With V' = V it is the gauge action
+    gamma q - q gamma, on the slots of the deformation complex."""
+    spec, coords, coords_prime = fp.spec, coords_of(fp), coords_of(fp_prime)
+    slots = _hom(
+        (arr.name, coords[arr.target], coords_prime[arr.source], arr.weight, arr.r_charge == 2)
+        for arr in spec.arrows
+    )
+    directions = _hom(
+        (node, coords[node], coords_prime[node], ZERO_FORM, False) for node in spec.gauge_nodes
+    )
+    terms = {}
+    for arr in spec.arrows:  # X q'
+        id_tgt = range(len(coords[arr.target]))
+        preimage = {t: s for s, t in fp_prime.maps[arr.name].items()}
+        terms.setdefault(arr.target, []).append((1, arr.name, id_tgt, preimage))
+    for arr in spec.arrows:  # - q X
+        id_src = range(len(coords_prime[arr.source]))
+        terms.setdefault(arr.source, []).append((-1, arr.name, fp.maps[arr.name], id_src))
+    return slots, directions, _images(directions, slots, terms)
+
+
+def pushes(cx, cx_plus, tau, slots):
+    """Slot index maps of both ends into the intertwining slots of
+    ``action(cx.fp, cx_plus.fp)``: dq -> dq tau from the smaller end,
+    dq' -> tau dq' from the larger one, where tau has no row at the added
+    atom. Every slot keeps its weight."""
+    slot_index, slot_weight, _ = slots
+    ends = {arr.name: (arr.source, arr.target) for arr in cx.fp.spec.arrows}
+    tau_pre = {node: {s: b for b, s in t.items()} for node, t in tau.items()}
+    push = {
+        i: slot_index[name, r, tau_pre[ends[name][0]][s]]
+        for (name, r, s), i in cx.slot_index.items()
+    }
+    push_plus = {
+        i: slot_index[name, t_tgt[b], c]
+        for (name, b, c), i in cx_plus.slot_index.items()
+        if b in (t_tgt := tau[ends[name][1]])
+    }
+    for end, step in ((cx, push), (cx_plus, push_plus)):
+        kept = all(slot_weight[j] == end.slot_weight[i] for i, j in step.items())
+        if not kept:
+            raise InvariantViolation("push leaves its weight")
+    return push, push_plus
+
+
 def test_weight_preservation_and_gauge_inside_kernel():
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
     cx = DeformationComplex(fp_of(pat))
     # relation images and gauge columns are built with the homogeneity
     # check; touching them here keeps the structural check on the record
     assert any(image for images in cx.relations.values() for image in images)
-    assert cx.gauge_cols
-    for w, images in cx.gauge_cols.items():
+    slots, _, gauge_cols = action(cx.fp, cx.fp)
+    assert slots[0] == cx.slot_index
+    assert gauge_cols
+    for w, images in gauge_cols.items():
         kernel = cx.kernel_sector(w)
+        assert rank(images) == len(images) == cx.gauge_rank_sector(w)
         for image in images:
             assert rank(kernel + [image]) == rank(kernel)
 
@@ -285,24 +350,45 @@ def test_relation_rows_are_the_superpotential_first_order(grid):
         assert got == superpotential_rows(fp)
 
 
+def off_weight_copies(fp, arrows):
+    """Copies of the fixed point with one entry of one of the arrows
+    redirected to an atom the arrow does not hit, of another weight than its
+    own target."""
+    for arr in arrows:
+        m, targets = fp.maps[arr.name], fp.node_atoms(arr.target)
+        for s, t in m.items():
+            for moved in range(len(targets)):
+                if moved in m.values() or targets[moved].weight == targets[t].weight:
+                    continue
+                yield fp._replace(maps={**fp.maps, arr.name: {**m, s: moved}})
+
+
 def test_an_off_weight_arrow_entry_fails_the_image_weight_check():
     # negative control at (4,2,2): redirect one gauge-arrow entry to an atom
     # the arrow does not hit, of another weight than its own target
     corruptions = 0
     for pat in enumerate_patterns(4, 2, 2):
         fp = fp_of(pat)
-        for arr in fp.spec.gauge_arrows:
-            m, targets = fp.maps[arr.name], fp.node_atoms(arr.target)
-            for s, t in m.items():
-                for moved in range(len(targets)):
-                    if moved in m.values() or targets[moved].weight == targets[t].weight:
-                        continue
-                    bad = fp._replace(maps={**fp.maps, arr.name: {**m, s: moved}})
-                    message = "image leaves its direction weight"
-                    with pytest.raises(InvariantViolation, match=message):
-                        DeformationComplex(bad)
-                    corruptions += 1
+        for bad in off_weight_copies(fp, fp.spec.gauge_arrows):
+            with pytest.raises(InvariantViolation, match="image leaves its direction weight"):
+                DeformationComplex(bad)
+            corruptions += 1
     assert corruptions == 56
+
+
+def test_an_off_weight_framing_entry_fails_the_image_weight_check():
+    # the same for the framing arrows, which enter no relation image: the
+    # arrow-entry check runs before the generation walk, which would refuse
+    # these copies too, with another message
+    corruptions = 0
+    for pat in enumerate_patterns(4, 2, 2):
+        fp = fp_of(pat)
+        framing = [arr for arr in fp.spec.arrows if arr.is_framing]
+        for bad in off_weight_copies(fp, framing):
+            with pytest.raises(InvariantViolation, match="image leaves its direction weight"):
+                DeformationComplex(bad)
+            corruptions += 1
+    assert corruptions == 20
 
 
 def test_jump_cells_on_wider_grids_fail_loudly_not_silently():
@@ -372,12 +458,12 @@ def test_an_emptied_framing_map_breaks_stability():
     # the fixed point is not free
     fp = fp_of(build_pattern(4, 2, 2, [1, 1, 0, 1]))
     assert DeformationComplex(fp).tangent
-    with pytest.raises(StabilityViolation, match="gauge action is not free"):
-        DeformationComplex(fp._replace(maps={**fp.maps, "R2": {}}))
-    # the generation check behind the one-rank incidence count refuses it too
-    _require_generated(fp)
-    with pytest.raises(StabilityViolation, match="framing atom does not generate"):
-        _require_generated(fp._replace(maps={**fp.maps, "R2": {}}))
+    cut = fp._replace(maps={**fp.maps, "R2": {}})
+    with pytest.raises(StabilityViolation, match="framing atom does not generate the fixed point"):
+        DeformationComplex(cut)
+    # so the gauge ranks are no longer the direction counts
+    gauge_cols = action(cut, cut)[2]
+    assert sum(map(rank, gauge_cols.values())) < sum(map(len, gauge_cols.values()))
 
 
 @pytest.mark.parametrize("grid", [(4, 2, 2), (6, 3, 1), (5, 2, 2), (6, 3, 2)], ids=grid_id)
@@ -388,10 +474,40 @@ def test_incidence_action_is_injective(grid):
     complexes = {pat: DeformationComplex(fp_of(pat)) for pat in enumerate_patterns(*grid)}
     weights = 0
     for pat, up, _, _ in grid_pairs(*grid):
-        images = _action(complexes[pat], complexes[up])[2]
+        images = action(complexes[pat].fp, complexes[up].fp)[2]
         for w, group in images.items():
             assert rank(group) == len(group), (pat.free_values, up.free_values, w)
         weights += len(images)
+    assert weights
+
+
+@pytest.mark.parametrize("grid", [(4, 2, 2), (6, 3, 1), (5, 2, 2), (6, 3, 2)], ids=grid_id)
+def test_action_images_add_no_rank_to_the_pairs(grid):
+    # the fact behind the count of _incidence_solutions: an action image is
+    # tau applied to a gauge image of the larger end, which lies in its
+    # kernel, so at every weight the images add no rank to the pushed pairs
+    # and the count of directions gives the solutions that the images gave
+    complexes = {pat: DeformationComplex(fp_of(pat)) for pat in enumerate_patterns(*grid)}
+    weights = 0
+    for pat, up, _, _ in grid_pairs(*grid):
+        cx, cx_plus = complexes[pat], complexes[up]
+        tau, _ = _intertwiner(cx, cx_plus)
+        slots, _, images = action(cx.fp, cx_plus.fp)
+        push, push_plus = pushes(cx, cx_plus, tau, slots)
+        expected = {}
+        for w in sorted(set(cx.kernels) | set(cx_plus.kernels)):
+            pairs = [{push[i]: v for i, v in vec.items()} for vec in cx.kernels.get(w, ())]
+            pairs += [
+                {push_plus[i]: -v for i, v in vec.items() if i in push_plus}
+                for vec in cx_plus.kernels.get(w, ())
+            ]
+            if not pairs:
+                continue
+            orbits = images.get(w, [])
+            assert rank(orbits + pairs) == rank(pairs), (pat.free_values, up.free_values, w)
+            expected[w] = len(pairs) + len(orbits) - rank(orbits + pairs)
+        assert _incidence_solutions(cx, cx_plus, tau) == expected
+        weights += len(expected)
     assert weights
 
 
@@ -531,15 +647,14 @@ def gauge_identity_failures(cx, cx_plus, tau):
     tau(s') = s. For each gl(V'_a) direction gamma' = E_rs, the push
     -tau dq' of its gauge image is minus the action image of
     tau gamma' = E_(tau(r), s), or 0 when r is the added atom."""
-    slots, directions, images = _action(cx, cx_plus)
-    push, push_plus = _pushes(cx, cx_plus, tau, slots)
+    slots, directions, images = action(cx.fp, cx_plus.fp)
+    push, push_plus = pushes(cx, cx_plus, tau, slots)
     tau_pre = {node: {s: b for b, s in t.items()} for node, t in tau.items()}
     checked = failed = 0
     for end in (cx, cx_plus):
-        gl = _action(end, end)[1]
-        for (node, r, s), i in gl[0].items():
-            w = gl[1][i]
-            gauge_image = end.gauge_cols[w][gl[2][w].index(i)]
+        _, gl, gauge_images = action(end.fp, end.fp)
+        for node, r, s in gl[0]:
+            gauge_image = _image_of(gauge_images, gl, (node, r, s))
             if end is cx:
                 got = {push[j]: v for j, v in gauge_image.items()}
                 want = _image_of(images, directions, (node, r, tau_pre[node][s]))
@@ -581,3 +696,5 @@ def test_a_wrong_tau_fails_the_gauge_identities():
     crossed = {**tau, 2: {**tau[2], 0: tau[2][1], 1: tau[2][0]}}
     with pytest.raises(InvariantViolation, match="push leaves its weight"):
         gauge_identity_failures(cx, cx_plus, crossed)
+    with pytest.raises(InvariantViolation, match="push leaves its weight"):
+        _incidence_solutions(cx, cx_plus, crossed)
