@@ -6,10 +6,10 @@ to its first-order change of the gauge-arrow derivatives dW/dq, and the
 kernels are the relations among the relation images of each weight. The
 gauge action X -> X q' - q X on Hom(V'_a, V_a) is injective when the framing
 atom generates V', so its ranks are counts of directions, never
-eliminations. A move works in the larger end's slots less the rows at the
-added atom, the intertwining slots: the smaller end's kernel vectors are
-relabelled into them through the intertwiner tau, the larger end's
-restricted, and one rank per weight counts the solutions.
+eliminations. A slot is named by its arrow and its two atoms' coordinates,
+the same in every fixed point: a move reads the smaller end's kernel vectors
+at the larger end's slots of their names, drops the larger end's rows at the
+added atom, and one rank per weight counts the solutions.
 
 Weights are exact (loop, asymmetry) pairs, the asymmetry kept symbolic.
 Cutoff data enters through the conjugate framing directions, whose grading
@@ -27,7 +27,7 @@ import functools
 from collections import Counter
 from fractions import Fraction
 
-from gtyang.crystal import FixedPoint, atom_map, fixed_point_matrices
+from gtyang.crystal import Atom, FixedPoint, fixed_point_matrices
 from gtyang.linalg import kernel_basis, rank
 from gtyang.patterns import GTPattern, enumerate_patterns
 from gtyang.quiver import FRAMING, ZERO_FORM, EquivariantParams, InvariantViolation, LinearForm
@@ -59,14 +59,15 @@ class DeformationComplex:
     of one fixed point, everything indexed by exact weight pairs.
 
     Everything about the fixed point is computed once, here: the arrow slots
-    Hom(V_src, V_tgt) (``slot_index``, ``slot_weight``, ``slots_by_weight``),
-    their relation images (``relations``) and kernel (``kernels``) and the
-    gauge rank (``gauge_ranks``) of each weight, the tangent grading trimmed
-    to the expected dimension (``tangent``) and the opposite-weight pairs the
-    trim removed (``removed``), all keyed by ``LinearForm``. Construction
-    raises ``InvariantViolation`` when an arrow entry breaks equivariance and
-    ``StabilityViolation`` when the framing atom does not generate the fixed
-    point, the condition that makes the gauge action free.
+    Hom(V_src, V_tgt) (``slot_index``, ``slot_weight``, ``slots_by_weight``,
+    ``slot_by_name``), their relation images (``relations``) and kernel
+    (``kernels``) and the gauge rank (``gauge_ranks``) of each weight, the
+    tangent grading trimmed to the expected dimension (``tangent``) and the
+    opposite-weight pairs the trim removed (``removed``), all keyed by
+    ``LinearForm``. Construction raises ``InvariantViolation`` when an arrow
+    entry breaks equivariance and ``StabilityViolation`` when the framing
+    atom does not generate the fixed point, the condition that makes the
+    gauge action free.
     """
 
     def __init__(self, fp: FixedPoint):
@@ -84,6 +85,14 @@ class DeformationComplex:
             for arr in spec.arrows
         )
         self.slot_index, self.slot_weight, self.slots_by_weight = slots
+        # (arrow, target coordinate, source coordinate) -> slot index, in index
+        # order; coordinates are distinct within a node, so the names are too
+        atoms = {node: [a.coordinate for a in fp.node_atoms(node)] for node in coords}
+        ends = {arr.name: (atoms[arr.target], atoms[arr.source]) for arr in spec.arrows}
+        self.slot_by_name = {
+            (name, ends[name][0][r], ends[name][1][c]): i
+            for (name, r, c), i in self.slot_index.items()
+        }
         # a gauge image gamma q - q gamma keeps the weight of gamma exactly
         # when every arrow entry sits in a weight-zero slot
         kept = all(
@@ -288,68 +297,61 @@ def _euler(graded: dict[LinearForm, int], params: EquivariantParams) -> Rat:
     return (-1) ** (zero_dims // 2) * _sector_ratio(graded, {}, params)
 
 
-def _intertwiner(cx: DeformationComplex, cx_plus: DeformationComplex):
-    """The base intertwiner tau, node -> the atom map of zero displacement
-    from the extended crystal onto the original one, and the node of the
-    added atom. Raises ``NotAdjacent`` unless tau covers the original
-    crystal and misses exactly one atom of the extension."""
+def _added_atom(cx: DeformationComplex, cx_plus: DeformationComplex) -> Atom:
+    """The one atom that the larger end adds to the smaller. Raises
+    ``NotAdjacent`` unless the larger crystal is the smaller one plus exactly
+    one atom, and ``InvariantViolation`` unless every arrow of the larger end
+    agrees with the smaller end's on the old atoms and sends the added atom
+    to no old atom, so that forgetting the added atom intertwines the two."""
     fp, fp_plus = cx.fp, cx_plus.fp
-    tau = {
-        node: atom_map(fp_plus.node_atoms(node), fp.node_atoms(node), ZERO_FORM, 0)
-        for node in (*fp.spec.gauge_nodes, FRAMING)
-    }
-    missed = [
-        node for node, t in tau.items() for b in range(len(cx_plus.coords[node])) if b not in t
-    ]
-    # tau is injective, so it covers a node when it has an entry per atom
-    if len(missed) != 1 or any(len(t) < len(cx.coords[node]) for node, t in tau.items()):
+    old, new = ({a for node in c.coords for a in c.fp.node_atoms(node)} for c in (cx, cx_plus))
+    if len(new) != len(old) + 1 or not old < new:
         raise NotAdjacent("second fixed point is not a single-atom extension")
-
-    # sanity: tau is an honest homomorphism from the extension to the base;
-    # both sides compose injective partial maps, so no entry is a sum
+    (added,) = new - old
     for arr in fp.spec.arrows:
-        q, qp, t_tgt = fp.maps[arr.name], fp_plus.maps[arr.name], tau[arr.target]
-        lhs = {j: q[s] for j, s in tau[arr.source].items() if s in q}
-        rhs = {j: t_tgt[b] for j, b in qp.items() if b in t_tgt}
-        _require(lhs == rhs, f"projection fails to intertwine {arr.name}")
-    return tau, missed[0]
+        q, q_plus = fp.maps[arr.name], fp_plus.maps[arr.name]
+        # away from the added atom's node both ends hold the same atoms, in
+        # the same order (by R-charge, then weight), so the index maps compare
+        if added.node in (arr.source, arr.target):
+            src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
+            src_plus, tgt_plus = fp_plus.node_atoms(arr.source), fp_plus.node_atoms(arr.target)
+            q = {src[s]: tgt[t] for s, t in q.items()}
+            q_plus = {src_plus[s]: tgt_plus[t] for s, t in q_plus.items() if tgt_plus[t] != added}
+        _require(q == q_plus, f"projection fails to intertwine {arr.name}")
+    return added
 
 
 def _incidence_solutions(
-    cx: DeformationComplex, cx_plus: DeformationComplex, tau
+    cx: DeformationComplex, cx_plus: DeformationComplex
 ) -> dict[LinearForm, int]:
     """Weight -> the dimension of the solutions (dq, dq', dtau) of
     dq tau - tau dq' = dtau q' - q dtau, dq and dq' kernel vectors, at each
-    weight where either end has some.
+    weight where either end has some; tau forgets the added atom.
 
     The equation lives in the intertwining slots Hom(V'_src, V_tgt): the
-    larger end's slots less the rows at the added atom, which tau matches
-    with V_tgt. So dq tau relabels dq through tau^-1, and tau dq' restricts
-    dq' to the other rows. The image X q' - q X of a direction X in
-    Hom(V'_a, V_a) is tau applied to the larger end's gauge image of the lift
-    tau^-1 X, inside its kernel: the images lie in the span of the pairs, and
-    they are independent, V' being generated by its framing atom. So the
-    solutions number n_pairs + n_directions - rank(pairs).
+    larger end's slots less the rows at the added atom. tau keeps every other
+    coordinate, so dq tau reads dq at the slots of the same names, and
+    tau dq' drops the rows of dq' at the added atom. The image X q' - q X of
+    a direction X in Hom(V'_a, V_a) is tau applied to the larger end's gauge
+    image of the lift of X, inside its kernel: the images lie in the span of
+    the pairs, and they are independent, V' being generated by its framing
+    atom. So the solutions number n_pairs + n_directions - rank(pairs).
     """
-    ends = {arr.name: (arr.source, arr.target) for arr in cx.fp.spec.arrows}
-    # tau is injective, so its preimage is the inclusion of the smaller crystal
-    tau_pre = {node: {s: b for b, s in t.items()} for node, t in tau.items()}
-    push = {
-        i: cx_plus.slot_index[name, tau_pre[ends[name][1]][r], tau_pre[ends[name][0]][s]]
-        for (name, r, s), i in cx.slot_index.items()
-    }
-    kept = all(cx_plus.slot_weight[j] == cx.slot_weight[i] for i, j in push.items())
-    _require(kept, "push leaves its weight")
-    added_rows = {
-        i for (name, b, _), i in cx_plus.slot_index.items() if b not in tau[ends[name][1]]
+    added = _added_atom(cx, cx_plus)
+    names, index = list(cx.slot_by_name), cx_plus.slot_by_name
+    dropped = {
+        index[arr.name, added.coordinate, s.coordinate]
+        for arr in cx.fp.spec.arrows
+        if arr.target == added.node
+        for s in cx_plus.fp.node_atoms(arr.source)
     }
     directions = _directions(cx.fp.spec, cx.coords, cx_plus.coords)
     solutions = {}
     for w in sorted(set(cx.kernels) | set(cx_plus.kernels)):
         # dq tau - tau dq' for the kernel vectors (dq, 0) and (0, dq')
-        pairs = [{push[i]: v for i, v in vec.items()} for vec in cx.kernels.get(w, ())]
+        pairs = [{index[names[i]]: v for i, v in vec.items()} for vec in cx.kernels.get(w, ())]
         pairs += [
-            {i: -v for i, v in vec.items() if i not in added_rows}
+            {i: -v for i, v in vec.items() if i not in dropped}
             for vec in cx_plus.kernels.get(w, ())
         ]
         if pairs:
@@ -364,9 +366,8 @@ def incidence_tangent_graded(
     linearized intertwining (``_incidence_solutions``) modulo both gauge
     orbits, trimmed to the expected dimension."""
     fp, fp_plus = cx.fp, cx_plus.fp
-    tau, added_node = _intertwiner(cx, cx_plus)
     sectors: dict[LinearForm, int] = {}
-    for w, solutions in _incidence_solutions(cx, cx_plus, tau).items():
+    for w, solutions in _incidence_solutions(cx, cx_plus).items():
         dim = solutions - cx.gauge_ranks[w] - cx_plus.gauge_ranks[w]
         _require(dim >= 0, "gauge orbits exceed the incidence solutions")
         if dim:
@@ -389,10 +390,7 @@ def incidence_tangent_graded(
             raise UncalibratedCell("incidence excess does not match the pair pool")
         if len(pool) == 1 and fp.pattern.n <= 4:
             w = pool[0]
-            if abs(added_node - fp.pattern.p) % 2:
-                drops = [-w]
-            else:
-                drops = [w]
+            drops = [-w] if abs(_added_atom(cx, cx_plus).node - fp.pattern.p) % 2 else [w]
         elif len(pool) == 2 and fp.pattern.n <= 4:
             hi, lo = sorted(pool, key=lambda w: (w.magnitude(), w), reverse=True)
             drops = [hi, -lo]

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtyang.amplitudes import amplitude_E, amplitude_F, psi_closed_form
-from gtyang.crystal import fixed_point_matrices, verify_f_terms
+from gtyang.crystal import atom_map, fixed_point_matrices, verify_f_terms
 from gtyang.linalg import RationalMatrix, rank
 from gtyang.localization import (
     DeformationComplex,
@@ -21,7 +23,6 @@ from gtyang.localization import (
     _hom,
     _images,
     _incidence_solutions,
-    _intertwiner,
     _regularize_tangent,
     _sector_ratio,
     amplitudes_via_localization,
@@ -193,6 +194,16 @@ def action(fp, fp_prime):
         id_src = range(len(coords_prime[arr.source]))
         terms.setdefault(arr.source, []).append((-1, arr.name, fp.maps[arr.name], id_src))
     return slots, directions, _images(directions, slots, terms)
+
+
+def tau_of(cx, cx_plus):
+    """The intertwiner tau of a move, the reference the slot names are
+    checked against: node -> the atom map of zero displacement from the
+    larger end's atoms onto the smaller end's, the framing node included."""
+    return {
+        node: atom_map(cx_plus.fp.node_atoms(node), cx.fp.node_atoms(node), ZERO_FORM, 0)
+        for node in cx.coords
+    }
 
 
 def pushes(cx, cx_plus, tau, slots):
@@ -486,12 +497,13 @@ def test_action_images_add_no_rank_to_the_pairs(grid):
     # the fact behind the count of _incidence_solutions: an action image is
     # tau applied to a gauge image of the larger end, which lies in its
     # kernel, so at every weight the images add no rank to the pushed pairs
-    # and the count of directions gives the solutions that the images gave
+    # and the count of directions gives the solutions that the images gave;
+    # reading the slots by name gives the count that tau's pushes give
     complexes = {pat: DeformationComplex(fp_of(pat)) for pat in enumerate_patterns(*grid)}
     weights = 0
     for pat, up, _, _ in grid_pairs(*grid):
         cx, cx_plus = complexes[pat], complexes[up]
-        tau, _ = _intertwiner(cx, cx_plus)
+        tau = tau_of(cx, cx_plus)
         slots, _, images = action(cx.fp, cx_plus.fp)
         push, push_plus = pushes(cx, cx_plus, tau, slots)
         expected = {}
@@ -506,7 +518,7 @@ def test_action_images_add_no_rank_to_the_pairs(grid):
             orbits = images.get(w, [])
             assert rank(orbits + pairs) == rank(pairs), (pat.free_values, up.free_values, w)
             expected[w] = len(pairs) + len(orbits) - rank(orbits + pairs)
-        assert _incidence_solutions(cx, cx_plus, tau) == expected
+        assert _incidence_solutions(cx, cx_plus) == expected
         weights += len(expected)
     assert weights
 
@@ -675,7 +687,7 @@ def test_gauge_orbits_solve_the_intertwining(grid):
     checked = 0
     for pat, up, _, _ in grid_pairs(*grid):
         cx, cx_plus = complexes[pat], complexes[up]
-        tau, _ = _intertwiner(cx, cx_plus)
+        tau = tau_of(cx, cx_plus)
         count, failed = gauge_identity_failures(cx, cx_plus, tau)
         assert failed == 0, (pat.free_values, up.free_values)
         checked += count
@@ -688,7 +700,7 @@ def test_a_wrong_tau_fails_the_gauge_identities():
     # image of another weight is refused by the push itself
     pat = build_pattern(5, 2, 2, [2, 2, 2, 2, 0, 0])
     cx, cx_plus = DeformationComplex(fp_of(pat)), DeformationComplex(fp_of(pat.bumped(3, 4, +1)))
-    tau, _ = _intertwiner(cx, cx_plus)
+    tau = tau_of(cx, cx_plus)
     assert gauge_identity_failures(cx, cx_plus, tau)[1] == 0
     swapped = {**tau, 2: {**tau[2], 0: tau[2][3], 3: tau[2][0]}}
     assert cx_plus.coords[2][0] == cx_plus.coords[2][3]
@@ -696,5 +708,47 @@ def test_a_wrong_tau_fails_the_gauge_identities():
     crossed = {**tau, 2: {**tau[2], 0: tau[2][1], 1: tau[2][0]}}
     with pytest.raises(InvariantViolation, match="push leaves its weight"):
         gauge_identity_failures(cx, cx_plus, crossed)
-    with pytest.raises(InvariantViolation, match="push leaves its weight"):
-        _incidence_solutions(cx, cx_plus, crossed)
+
+
+def test_a_slot_name_fixes_its_weight():
+    # the incidence reads the smaller end's slots at the larger end's slots
+    # of the same names, so names are distinct within a complex and a name
+    # has one weight in every complex of a grid
+    named = 0
+    for grid in [(4, 2, 2), (6, 3, 1), (5, 2, 2)]:
+        weights = {}
+        for pat in enumerate_patterns(*grid):
+            cx = DeformationComplex(fp_of(pat))
+            assert len(cx.slot_by_name) == len(cx.slot_weight), pat.free_values
+            for name, i in cx.slot_by_name.items():
+                assert weights.setdefault(name, cx.slot_weight[i]) == cx.slot_weight[i], name
+        named += len(weights)
+    assert named
+
+
+def test_a_broken_larger_end_arrow_fails_the_intertwining():
+    # negative control at (4,2,2): once both complexes are built, delete one
+    # entry between old atoms from an arrow of the larger end. The smaller
+    # end keeps that entry, so forgetting the added atom no longer
+    # intertwines the two ends, whether or not the arrow meets the node of
+    # the added atom
+    complexes = {pat: DeformationComplex(fp_of(pat)) for pat in enumerate_patterns(4, 2, 2)}
+    broken = Counter()
+    for pat, up, k, _ in grid_pairs(4, 2, 2):
+        cx, cx_plus = complexes[pat], complexes[up]
+        fp_plus = cx_plus.fp
+        added = set(fp_plus.node_atoms(k)) - set(cx.fp.node_atoms(k))
+        for arr in fp_plus.spec.arrows:
+            m = fp_plus.maps[arr.name]
+            src, tgt = fp_plus.node_atoms(arr.source), fp_plus.node_atoms(arr.target)
+            old = [s for s, t in m.items() if added.isdisjoint((src[s], tgt[t]))]
+            if not old:
+                continue
+            corrupt = copy.copy(cx_plus)
+            cut = {s: t for s, t in m.items() if s != old[0]}
+            corrupt.fp = fp_plus._replace(maps={**fp_plus.maps, arr.name: cut})
+            message = f"projection fails to intertwine {re.escape(arr.name)}$"
+            with pytest.raises(InvariantViolation, match=message):
+                incidence_tangent_graded(cx, corrupt)
+            broken[k in (arr.source, arr.target)] += 1
+    assert broken[True] and broken[False]
