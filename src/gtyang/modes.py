@@ -31,9 +31,10 @@ from gtyang.quiver import (
     ZERO_FORM,
     EquivariantParams,
     InvalidParams,
-    bond_factor,
+    InvariantViolation,
     build_quiver,
     check_constraints,
+    exchange_roots,
 )
 from gtyang.rational import FactoredRatFunc, NotAPole, NotASimplePole
 
@@ -64,11 +65,11 @@ class ModuleData:
     """One module and its closed-form data, the input of every suite and
     command. Each field is computed at most once, on its first read: the
     states, the edge table of ``amplitude_table``, ``psi_closed_form`` per
-    (state, node), the raising pole of each edge, the exchange function
-    ``bond_factor`` of each pair of gauge nodes and the mode-operator table
-    of each cutoff. The closed forms are written at h = 0 and take
-    ``epsilon``, the one gate that refuses a nonzero h; the states need none,
-    and the bonds are read from the quiver at ``params``, whatever h is.
+    (state, node), the raising pole of each edge, the exchange roots of each
+    pair of gauge nodes and the mode-operator table of each cutoff. The
+    closed forms are written at h = 0 and take ``epsilon``, the one gate that
+    refuses a nonzero h; the states need none, and the bonds are read from
+    the quiver at ``params``, whatever h is.
     The independent routes (``psi_generic``, ``add_remove_sets``,
     ``localize_module`` and ``gelfand_squared_closed_form``) never read it."""
 
@@ -107,9 +108,19 @@ class ModuleData:
         return {(pat, k, j): raise_pole(pat, k, j, self.epsilon) for pat, k, j in self.table}
 
     @functools.cached_property
-    def bonds(self) -> dict[tuple[int, int], FactoredRatFunc]:
+    def bonds(self) -> dict[tuple[int, int], tuple[tuple[Rat, ...], tuple[Rat, ...]]]:
+        """(a, b) -> the numerator and denominator roots of the exchange
+        function phi_ab(u) of two gauge nodes, from ``exchange_roots`` at
+        ``params``. On the chain two nodes share at most one arrow each way,
+        so each bag holds at most one root, and an empty pair is phi = 1."""
         spec, nodes = build_quiver(self.n, self.p, self.lam), range(1, self.n)
-        return {(a, b): bond_factor(spec, a, b, self.params) for a in nodes for b in nodes}
+        bonds = {}
+        for a, b in itertools.product(nodes, nodes):
+            bags = exchange_roots(spec, a).get(b, ((), ()))
+            if max(map(len, bags)) > 1:
+                raise InvariantViolation(f"nodes {a} and {b} share more than one arrow one way")
+            bonds[a, b] = tuple(tuple(r.value(self.params) for r in bag) for bag in bags)
+        return bonds
 
     @functools.cached_property
     def operators(self):
@@ -181,9 +192,10 @@ def verify_mode_relations(ops, data: ModuleData) -> list[RelationReport]:
     [e_n, f_k] = -psi_{n+k} of raising against lowering modes, and the boundary
     action [psi_0, e_k] = -A_ab e_k, [psi_0, f_k] = A_ab f_k of psi_0.
 
-    The exchange function of nodes a and b is ``data.bonds[a, b]``,
-    phi_ab(u) = (u - alpha)/(u - beta), or 1 (alpha = beta = 0) where no
-    arrow joins them. The residual of (x, y) = (e, e) and (psi, e) is
+    The exchange function of nodes a and b is
+    phi_ab(u) = (u - alpha)/(u - beta), its roots read from
+    ``data.bonds[a, b]``; a pair with no arrow (phi = 1) reads
+    alpha = beta = 0. The residual of (x, y) = (e, e) and (psi, e) is
     [x_{n+1}, y_k] - [x_n, y_{k+1}] - beta x_n y_k + alpha y_k x_n, alpha and
     beta trade places for (f, f) and (psi, f), and A_ab = (beta - alpha)/eps.
 
@@ -199,12 +211,9 @@ def verify_mode_relations(ops, data: ModuleData) -> list[RelationReport]:
     def emit(rel_id, residual, **info):
         reports.append(RelationReport(rel_id, info, residual.max_abs()))
 
-    # at most one numerator and one denominator root: one chain arrow each way
-    roots = {
-        ab: (phi.num_roots or (ZERO,), phi.den_roots or (ZERO,)) for ab, phi in data.bonds.items()
-    }
     for a, b in itertools.product(nodes, nodes):
-        (alpha,), (beta,) = roots[a, b]
+        # each bag holds at most one root; an empty one reads 0
+        alpha, beta = (sum(bag, ZERO) for bag in data.bonds[a, b])
         forms = (
             ("e", "e", -beta, alpha), ("f", "f", -alpha, beta),
             ("psi", "e", -beta, alpha), ("psi", "f", -alpha, beta),
@@ -233,7 +242,7 @@ def verify_mode_relations(ops, data: ModuleData) -> list[RelationReport]:
 
     # boundary action of the zeroth diagonal mode
     for a, b in itertools.product(nodes, nodes):
-        (alpha,), (beta,) = roots[a, b]
+        alpha, beta = (sum(bag, ZERO) for bag in data.bonds[a, b])
         a_ab = (beta - alpha) / data.params.epsilon
         for k in modes:
             res = comm(("psi", a, 0), ("e", b, k), (a_ab, ops["e", b, k]))
@@ -278,24 +287,6 @@ def verify_serre(ops) -> list[RelationReport]:
     return reports
 
 
-def _bond_parts(phi: FactoredRatFunc, x: Rat) -> tuple[Rat, Rat]:
-    """Exchange function at argument x as an exact (numerator, denominator)
-    pair, so coincident poles stay cross-multipliable. With x = t / (q d)
-    over the root denominator d, each factor x - a/d is (t - a q) / (q d)."""
-    d, q = phi.root_den, x.denominator
-    t = x.numerator * d
-    num, den = phi.scalar.numerator, 1
-    for a in phi.num_ints:
-        num *= t - a * q
-    for b in phi.den_ints:
-        den *= t - b * q
-    unit = q * d
-    return (
-        Fraction(num, phi.scalar.denominator * unit ** len(phi.num_ints)),
-        Fraction(den, unit ** len(phi.den_ints)),
-    )
-
-
 def _product_gap(xs, ys) -> Rat:
     """``abs(prod(xs) - prod(ys))`` for rationals: the numerators and the
     denominators are multiplied as ints, and equal cross products give 0
@@ -313,11 +304,12 @@ def _product_gap(xs, ys) -> Rat:
 
 
 def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
-    """The four consistency identities tying amplitudes, bond factors and
-    residues together, checked on every state and every admissible pair.
+    """The four consistency identities tying amplitudes, exchange functions
+    and residues together, checked on every state and every admissible pair.
     Amplitudes, psi and poles are read from ``data``; a move that leaves the
-    cone has no edge and reads as zero. Each bond factor is computed once per
-    node pair, in ``data.bonds``."""
+    cone has no edge and reads as zero. The ratio checks read phi_ab at the
+    pole difference x as num = x - alpha over den = x - beta, the roots from
+    ``data.bonds``, each side 1 where its bag is empty."""
     n, states, bonds = data.n, data.states, data.bonds
     table, psi, poles = data.table, data.psi, data.poles
     reports = []
@@ -353,7 +345,9 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
                 if up2 is None or (up1, k2, j2) not in table:
                     continue
                 x = poles[pat, k1, j1] - poles[pat, k2, j2]
-                num, den = _bond_parts(bonds[k1, k2], x)
+                alphas, betas = bonds[k1, k2]
+                num = x - alphas[0] if alphas else ONE
+                den = x - betas[0] if betas else ONE
                 gap = _product_gap((e1, e12, num), (e2, e21, den))
                 reports.append(RelationReport("raise-ratio", info, gap))
                 gap = _product_gap((f12, f1, num), (f21, f2, den))

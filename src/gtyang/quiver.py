@@ -16,8 +16,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
 
-from gtyang.rational import FactoredRatFunc
-
 Rat = Fraction
 
 FRAMING = "f"
@@ -192,15 +190,6 @@ def exchange_roots(spec: QuiverSpec, a: int) -> Mapping[NodeRef, tuple[tuple, tu
         if num or den:
             out[b] = (tuple(num.elements()), tuple(den.elements()))
     return MappingProxyType(out)
-
-
-def bond_factor(spec: QuiverSpec, a: int, b: int, params: EquivariantParams) -> FactoredRatFunc:
-    """Exchange function between node-a and node-b generators, from the gauge
-    arrows between them."""
-    if not (1 <= a <= spec.n - 1 and 1 <= b <= spec.n - 1):
-        raise InvalidParams(f"nodes out of range: {a}, {b}")
-    num, den = exchange_roots(spec, a).get(b, ((), ()))
-    return FactoredRatFunc.make(1, [r.value(params) for r in num], [r.value(params) for r in den])
 
 
 class ConstraintReport(NamedTuple):

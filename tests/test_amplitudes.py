@@ -23,7 +23,6 @@ from gtyang.quiver import (
     EquivariantParams,
     InvalidParams,
     LinearForm,
-    bond_factor,
     build_quiver,
 )
 from gtyang.rational import FactoredRatFunc
@@ -425,16 +424,15 @@ def test_epsilon_covariance():
 def test_bond_units_match_quiver_bond_factor(eps):
     """At h = 0 the quiver's exchange function between nodes k and b is
     (u + eps*a_kb/2)/(u - eps*a_kb/2) with a the Cartan matrix: 1 off the
-    Dynkin diagram, where a_kb = 0."""
+    Dynkin diagram, where a_kb = 0 and ModuleData.bonds holds no root."""
     params = EquivariantParams(eps)
     for n in range(2, 7):
-        spec = build_quiver(n, 1, 1)
+        bonds = ModuleData(n, 1, 1, params).bonds
         for k in range(1, n):
             for b in range(1, n):
                 a_kb = 2 if k == b else -1 if abs(k - b) == 1 else 0
                 root = a_kb * eps / 2
-                expected = FactoredRatFunc.make(1, [-root], [root])
-                assert bond_factor(spec, k, b, params) == expected
+                assert bonds[k, b] == (((-root,), (root,)) if a_kb else ((), ()))
 
 
 def test_shifted_quiver_arrow_fails_the_psi_routes_at_its_nodes(monkeypatch):

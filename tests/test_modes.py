@@ -19,7 +19,7 @@ from gtyang.modes import (
     verify_serre,
 )
 from gtyang.patterns import build_pattern, enumerate_patterns
-from gtyang.quiver import EquivariantParams, InvalidParams
+from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation
 from gtyang.rational import FactoredRatFunc
 
 F = Fraction
@@ -187,8 +187,7 @@ def test_swapped_exchange_roots_fail_the_quadratic_and_boundary_relations(eps):
     # nodes (1, 2) with its numerator and denominator roots swapped fails
     # exactly those relations, at that pair alone
     data = ModuleData(4, 2, 2, EquivariantParams(eps))
-    phi = data.bonds[1, 2]
-    data.bonds[1, 2] = FactoredRatFunc.make(1, phi.den_roots, phi.num_roots)
+    data.bonds[1, 2] = data.bonds[1, 2][::-1]
     failed = {
         (r.relation_id, r.params["a"], r.params["b"])
         for r in verify_mode_relations(data.operators(2), data)
@@ -232,6 +231,60 @@ def test_doubled_shared_data_fails_the_pinned_relations(field):
     reports = verify_hysteresis(data) + verify_pole_classification(data)
     reports += verify_dual_routes(data)
     assert _failing(reports) == SHARED_DATA_FAILURES[field]
+
+
+def test_a_pair_with_no_arrow_reads_one_in_the_ratio_checks():
+    # nodes 1 and 3 share no arrow, so the raise-ratio check of moves (1,1)
+    # and (3,2) reads phi_13 = 1; their poles coincide (x = 0), where reading
+    # an empty bag as the root 0 would give x/x = 0/0 and pass any amplitudes.
+    # Doubling the E of (1,1) fails that row by 4.
+    data = ModuleData(4, 2, 2, EPS1)
+    pat = build_pattern(4, 2, 2, [0, 1, 0, 0])
+    assert data.bonds[1, 3] == ((), ())
+    assert data.poles[pat, 1, 1] == data.poles[pat, 3, 2]
+    e, f = data.table[pat, 1, 1]
+    data.table[pat, 1, 1] = (2 * e, f)
+    (row,) = (
+        r for r in verify_hysteresis(data)
+        if r.relation_id == "raise-ratio"
+        and r.params == {"state": (0, 1, 0, 0), "moves": ((1, 1), (3, 2))}
+    )
+    assert row.residual == 4
+
+
+# (4,2,2) at eps = 1 with the two root bags of one node pair swapped in
+# data.bonds: every failing relation of verify_hysteresis as relation ->
+# (checks, max residual). Nodes 1 and 3 share no arrow, so swapping their
+# empty bags changes nothing.
+SWAPPED_BOND_FAILURES = {
+    (1, 2): {"raise-ratio": (30, 6), "lower-ratio": (30, F(9, 2))},
+    (1, 3): {},
+}
+
+
+@pytest.mark.parametrize("pair", list(SWAPPED_BOND_FAILURES))
+def test_swapped_bond_fails_the_ratio_checks(pair):
+    data = ModuleData(4, 2, 2, EPS1)
+    data.bonds[pair] = data.bonds[pair][::-1]
+    assert _failing(verify_hysteresis(data)) == SWAPPED_BOND_FAILURES[pair]
+
+
+def test_two_arrows_one_way_between_two_nodes_is_an_invariant_violation(monkeypatch):
+    # on the chain two nodes share at most one arrow each way; a second
+    # numerator root is refused when the bonds are built (a typed exception,
+    # so the check survives python -O)
+    original = modes.exchange_roots
+
+    def doubled(spec, a):
+        roots = dict(original(spec, a))
+        if a == 1:
+            num, den = roots[2]
+            roots[2] = (num * 2, den)
+        return roots
+
+    monkeypatch.setattr(modes, "exchange_roots", doubled)
+    with pytest.raises(InvariantViolation, match="nodes 1 and 2"):
+        ModuleData(4, 2, 2, EPS1).bonds
 
 
 @pytest.mark.parametrize("eps", [F(1), F(3, 2), F(-3, 2), F(2, 7)])

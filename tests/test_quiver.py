@@ -3,17 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from gtyang.modes import ModuleData
 from gtyang.quiver import (
     FRAMING,
     EquivariantParams,
     InvalidParams,
     LinearForm,
-    bond_factor,
     build_quiver,
     check_constraints,
     exchange_roots,
 )
-from gtyang.rational import FactoredRatFunc
 
 F = Fraction
 EPS1 = EquivariantParams(1)
@@ -86,39 +85,33 @@ def test_weight_table():
 
 
 def test_bond_factor_examples():
-    spec = build_quiver(3, 1, 2)
-    assert bond_factor(spec, 1, 1, EPS1) == FactoredRatFunc.make(1, [-1], [1])
-    spec4 = build_quiver(4, 1, 1)
-    assert bond_factor(spec4, 1, 2, EPS1) == FactoredRatFunc.make(1, [F(1, 2)], [F(-1, 2)])
-    assert bond_factor(spec4, 1, 3, EPS1) == FactoredRatFunc.make(1)
+    # ModuleData.bonds[a, b]: the (numerator, denominator) exchange roots
+    bonds = ModuleData(3, 1, 2, EPS1).bonds
+    assert bonds[1, 1] == ((-1,), (1,))
+    bonds4 = ModuleData(4, 1, 1, EPS1).bonds
+    assert bonds4[1, 2] == ((F(1, 2),), (F(-1, 2),))
+    assert bonds4[1, 3] == ((), ())
 
 
 def test_bond_factor_with_h():
-    params = EquivariantParams(1, F(1, 3))
-    spec = build_quiver(3, 1, 2)
+    # the bonds are read at params, with no h = 0 gate
+    bonds = ModuleData(3, 1, 2, EquivariantParams(1, F(1, 3))).bonds
     # forward: (z - eps/2 + h) / (z + eps/2 + h)
-    assert bond_factor(spec, 1, 2, params) == FactoredRatFunc.make(
-        1, [F(1, 2) - F(1, 3)], [F(-1, 2) - F(1, 3)]
-    )
-    assert bond_factor(spec, 2, 1, params) == FactoredRatFunc.make(
-        1, [F(1, 2) + F(1, 3)], [F(-1, 2) + F(1, 3)]
-    )
+    assert bonds[1, 2] == ((F(1, 2) - F(1, 3),), (F(-1, 2) - F(1, 3),))
+    assert bonds[2, 1] == ((F(1, 2) + F(1, 3),), (F(-1, 2) + F(1, 3),))
 
 
 def test_bond_factor_reciprocity():
+    # phi_ab(u) phi_ba(-u) = 1: each root of phi_ab is minus a root of phi_ba
+    # on the other side
     params = EquivariantParams(F(2, 3), F(1, 5))
     for n in range(2, 7):
-        spec = build_quiver(n, 1, 1)
+        bonds = ModuleData(n, 1, 1, params).bonds
         for a in range(1, n):
             for b in range(1, n):
-                fwd = bond_factor(spec, a, b, params)
-                bwd = bond_factor(spec, b, a, params)
-                flipped = FactoredRatFunc.make(
-                    fwd.scalar * (-1) ** (len(fwd.num_roots) + len(fwd.den_roots)),
-                    [-r for r in fwd.num_roots],
-                    [-r for r in fwd.den_roots],
-                )
-                assert flipped * bwd == FactoredRatFunc.make(1)
+                (num_ab, den_ab), (num_ba, den_ba) = bonds[a, b], bonds[b, a]
+                assert num_ab == tuple(-r for r in den_ba)
+                assert den_ab == tuple(-r for r in num_ba)
 
 
 @pytest.mark.parametrize("grid", [(2, 1, 3), (4, 2, 2), (6, 3, 2), (5, 2, 0)])
