@@ -25,10 +25,6 @@ class IndexOutOfRange(IndexError):
     pass
 
 
-class InvalidMove(ValueError):
-    pass
-
-
 @functools.cache
 def _psi_scale(eps: Rat) -> tuple[Rat, Rat]:
     """The scalar -1/eps and the root unit eps/2 of every psi at eps."""
@@ -162,17 +158,15 @@ def amplitude_table(
     return table
 
 
-def gelfand_squared_closed_form(pat: GTPattern, k: int, j: int, direction: str) -> Rat:
-    """Independent route: the classical square formula on shifted entries.
-    The lowering square is the raising square at the entry one below."""
+def gelfand_squared_closed_form(pat: GTPattern, k: int, j: int) -> Rat:
+    """Independent route: the classical square E * F of raising m[j,k], a
+    product of shifted entries; 0 where the raise leaves the cone. A lowering
+    square is the raising square of the state one below."""
     _check_type_index(pat, k, j)
-    step = {"raise": +1, "lower": -1}.get(direction)
-    if step is None:
-        raise InvalidMove(f"direction must be 'raise' or 'lower', got {direction!r}")
-    if pat.bumped(j, k, step) is None:
+    if pat.bumped(j, k, +1) is None:
         return Fraction(0)
     l = pat.shifted
-    x = l(j, k) if step > 0 else l(j, k) - 1
+    x = l(j, k)
     num, den = -1, 1
     for i in range(1, k + 2):
         num *= l(i, k + 1) - x

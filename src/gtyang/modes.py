@@ -436,9 +436,9 @@ def verify_dual_routes(data: ModuleData) -> list[RelationReport]:
 
 
 def verify_gelfand(data: ModuleData) -> list[RelationReport]:
-    """E * F of every move against the classical square formula. The product
-    is read from the edge table: a raise from the state's own edge, a lower
-    from the edge that raises back into the state, 0 where there is none."""
+    """E * F of every move against the classical raising square at the
+    move's source state: a raise reads the state's own edge, a lower the edge
+    that raises back into the state, and both sides are 0 with no source."""
     table = data.table
     reports = []
     for pat in data.states:
@@ -448,7 +448,7 @@ def verify_gelfand(data: ModuleData) -> list[RelationReport]:
             for j in range(a, b + 1):
                 for direction, source in (("raise", pat), ("lower", pat.bumped(j, k, -1))):
                     e, f = table.get((source, k, j), NO_EDGE)
-                    rhs = gelfand_squared_closed_form(pat, k, j, direction)
+                    rhs = ZERO if source is None else gelfand_squared_closed_form(source, k, j)
                     reports.append(
                         RelationReport(
                             "gelfand-square",

@@ -227,8 +227,9 @@ def test_criterion_07_gelfand_squares():
         table = ModuleData(n, p, lam, EPS1).table
         for pat, k, j in grid_moves(n, p, lam):
             for direction in ("raise", "lower"):
-                assert squared(table, pat, k, j, direction) == \
-                    gelfand_squared_closed_form(pat, k, j, direction)
+                source = pat if direction == "raise" else pat.bumped(j, k, -1)
+                want = 0 if source is None else gelfand_squared_closed_form(source, k, j)
+                assert squared(table, pat, k, j, direction) == want
     # printed square tables
     lam = 2
     table = ModuleData(3, 1, lam, EPS1).table

@@ -8,7 +8,6 @@ import pytest
 from gtyang import amplitudes, patterns
 from gtyang.amplitudes import (
     IndexOutOfRange,
-    InvalidMove,
     amplitude_E,
     amplitude_F,
     amplitude_table,
@@ -357,8 +356,9 @@ def test_gelfand_square_closed_form_matches_product_route():
             for k in range(1, n):
                 for j in moves(pat, k):
                     for direction in ("raise", "lower"):
-                        assert squared(table, pat, k, j, direction) == \
-                            gelfand_squared_closed_form(pat, k, j, direction)
+                        source = pat if direction == "raise" else pat.bumped(j, k, -1)
+                        want = 0 if source is None else gelfand_squared_closed_form(source, k, j)
+                        assert squared(table, pat, k, j, direction) == want
 
 
 def fraction_gelfand_square(pat, k, j, direction):
@@ -382,25 +382,28 @@ def fraction_gelfand_square(pat, k, j, direction):
 
 @pytest.mark.parametrize("grid", [(5, 2, 3), (6, 3, 2)])
 def test_gelfand_square_int_product_matches_the_fraction_loop(grid):
+    # the oracle keeps the lowering branch x = l - 1, so the lowering square
+    # is checked to be the raising square of the state one below
     n = grid[0]
     for pat in enumerate_patterns(*grid):
         for k in range(1, n):
             for j in moves(pat, k):
-                for direction in ("raise", "lower"):
-                    got = gelfand_squared_closed_form(pat, k, j, direction)
+                below = pat.bumped(j, k, -1)
+                for direction, got in (
+                    ("raise", gelfand_squared_closed_form(pat, k, j)),
+                    ("lower", F(0) if below is None else gelfand_squared_closed_form(below, k, j)),
+                ):
                     assert got == fraction_gelfand_square(pat, k, j, direction)
                     assert isinstance(got, F)
 
 
 def test_gelfand_invalid_target_and_direction():
     pat = build_pattern(3, 1, 2, [2, 0])
-    assert gelfand_squared_closed_form(pat, 1, 1, "raise") == 0
+    assert gelfand_squared_closed_form(pat, 1, 1) == 0
     table = amplitude_table(enumerate_patterns(3, 1, 2), EPS1.epsilon)
     assert squared(table, pat, 1, 1, "raise") == 0
-    with pytest.raises(InvalidMove):
-        gelfand_squared_closed_form(pat, 1, 1, "sideways")
     with pytest.raises(IndexOutOfRange):
-        gelfand_squared_closed_form(pat, 1, 2, "raise")
+        gelfand_squared_closed_form(pat, 1, 2)
 
 
 def test_epsilon_covariance():

@@ -415,7 +415,7 @@ def test_jump_cells_on_wider_grids_fail_loudly_not_silently():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: 8 decided cells at (4,2,5) differ from the closed forms",
+    reason="ROADMAP item 4: 8 decided cells at (4,2,5) differ from the closed forms",
 )
 def test_decided_cells_at_rank_three_match_the_closed_forms():
     # no UncalibratedCell is raised for these cells, yet their values are

@@ -12,6 +12,7 @@ from gtyang.modes import (
     _product_gap,
     build_mode_operators,
     verify_dual_routes,
+    verify_gelfand,
     verify_hysteresis,
     verify_mode_relations,
     verify_pole_classification,
@@ -231,6 +232,40 @@ def test_doubled_shared_data_fails_the_pinned_relations(field):
     reports = verify_hysteresis(data) + verify_pole_classification(data)
     reports += verify_dual_routes(data)
     assert _failing(reports) == SHARED_DATA_FAILURES[field]
+
+
+# (4,2,2) at eps = 1 with the edge table corrupted at the state with free
+# entries (0,1,0,0): every failing gelfand-square row as (state, move,
+# residual). Doubling the E of move (1,1) fails the row at each end of that
+# edge, the raise out of the state and the lower back into the raised state,
+# so each edge is read at both of its ends. A spurious edge for move (2,2),
+# whose raise leaves the cone, fails the one off-cone raise row.
+GELFAND_TABLE_FAILURES = {
+    "doubled": {
+        ((0, 1, 0, 0), (1, 1, "raise"), 1),
+        ((1, 1, 0, 0), (1, 1, "lower"), 1),
+    },
+    "spurious": {((0, 1, 0, 0), (2, 2, "raise"), 1)},
+}
+
+
+@pytest.mark.parametrize("corruption", list(GELFAND_TABLE_FAILURES))
+def test_corrupted_edge_table_fails_the_pinned_gelfand_rows(corruption):
+    data = ModuleData(4, 2, 2, EPS1)
+    pat = build_pattern(4, 2, 2, [0, 1, 0, 0])
+    assert all(r.passed for r in verify_gelfand(data))
+    if corruption == "doubled":
+        e, f = data.table[pat, 1, 1]
+        data.table[pat, 1, 1] = (2 * e, f)
+    else:
+        assert pat.bumped(2, 2, +1) is None
+        data.table[pat, 2, 2] = (F(1), F(1))
+    failed = {
+        (r.params["state"], r.params["move"], r.residual)
+        for r in verify_gelfand(data)
+        if not r.passed
+    }
+    assert failed == GELFAND_TABLE_FAILURES[corruption]
 
 
 def test_a_pair_with_no_arrow_reads_one_in_the_ratio_checks():
