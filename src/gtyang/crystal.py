@@ -8,7 +8,7 @@ which reproduces the block identity/shift forms without case analysis. The
 F-terms and the equivariance equations are checked on those maps, symbolically.
 """
 
-from __future__ import annotations
+# no postponed annotations: NamedTuple compiles a ForwardRef per string field at import
 
 import functools
 from typing import NamedTuple

@@ -6,7 +6,7 @@ All verifications here are exact matrix identities with rational entries,
 reported relation by relation with their worst residual.
 """
 
-from __future__ import annotations
+# no postponed annotations: NamedTuple compiles a ForwardRef per string field at import
 
 import functools
 import itertools

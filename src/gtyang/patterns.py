@@ -6,7 +6,7 @@ frozen to lam, right of it to zero. Everything downstream reads the full
 triangle so the general coefficient formulas apply uniformly.
 """
 
-from __future__ import annotations
+# no postponed annotations: NamedTuple compiles a ForwardRef per string field at import
 
 import functools
 import re

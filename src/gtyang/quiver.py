@@ -8,7 +8,7 @@ chain asymmetry parameter, as integer ``LinearForm`` pairs in units of
 (eps/2, h).
 """
 
-from __future__ import annotations
+# no postponed annotations: NamedTuple compiles a ForwardRef per string field at import
 
 import functools
 from collections import Counter

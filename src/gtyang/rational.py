@@ -8,7 +8,7 @@ cancel at construction time, so equality is plain field comparison and
 poles, residues and large-z expansions are O(#roots) int products.
 """
 
-from __future__ import annotations
+# no postponed annotations: NamedTuple compiles a ForwardRef per string field at import
 
 from fractions import Fraction
 from math import gcd, lcm

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import subprocess
@@ -785,19 +786,99 @@ def test_negative_cutoff_is_refused_before_any_suite_runs(capsys, monkeypatch):
     assert calls == []
 
 
-def test_cli_import_loads_no_dataclasses(cli_env):
-    """Every CLI call pays the import of gtyang.cli, so it must not pull in
-    ``dataclasses`` or the ``inspect`` module that comes with it."""
+def _loaded_by_cli_import(env) -> set:
+    """The modules a fresh interpreter holds after ``import gtyang.cli`` and
+    not before it."""
     probe = "import sys; {} print(' '.join(sorted(sys.modules)))"
 
     def loaded(code):
         cmd = [sys.executable, "-c", probe.format(code)]
-        out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=cli_env)
+        out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
         return set(out.stdout.split())
 
     added = loaded("import gtyang.cli;") - loaded("")
     assert "gtyang.cli" in added
-    assert not {"dataclasses", "inspect"} & added
+    return added
+
+
+def test_cli_import_loads_no_dataclasses(cli_env):
+    """Every CLI call pays the import of gtyang.cli, so it must not pull in
+    ``dataclasses`` or the ``inspect`` module that comes with it."""
+    assert not {"dataclasses", "inspect"} & _loaded_by_cli_import(cli_env)
+
+
+def test_cli_import_loads_no_json(cli_env):
+    # only JSON output imports it: CSV output and plain `dims` never pay for it
+    assert "json" not in _loaded_by_cli_import(cli_env)
+
+
+def test_named_tuples_hold_evaluated_annotations():
+    """Under ``from __future__ import annotations`` a NamedTuple field's
+    annotation is a string, which ``typing`` compiles into a ForwardRef at
+    every import. Every record of every gtyang module is found here, so a new
+    one in a module with postponed annotations fails too."""
+    import importlib
+    import pkgutil
+    import typing
+
+    import gtyang
+
+    records = {}
+    for info in pkgutil.iter_modules(gtyang.__path__):
+        module = importlib.import_module(f"gtyang.{info.name}")
+        for name, obj in vars(module).items():
+            is_record = isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+            if is_record and obj.__module__ == module.__name__:
+                records[f"{module.__name__}.{name}"] = obj
+    assert {"gtyang.patterns.GTPattern", "gtyang.modes.RelationReport"} <= set(records)
+    unevaluated = [
+        f"{qualname}.{field}"
+        for qualname, record in records.items()
+        for field, hint in vars(record).get("__annotations__", {}).items()
+        if isinstance(hint, (str, typing.ForwardRef))
+    ]
+    assert unevaluated == []
+
+
+def test_main_freezes_the_heap_and_run_cli_does_not(cli_env, capsys):
+    """``main`` freezes every live object before ``sys.exit``, so the
+    shutdown collections skip them; ``run_cli``, which tests and the bench's
+    traced pass call in-process, leaves the collector as it found it."""
+    probe = "\n".join(
+        [
+            "import atexit, gc, sys",
+            "from gtyang import cli",
+            "before = gc.get_freeze_count()",
+            "atexit.register(lambda: print(before, gc.get_freeze_count() > 0, file=sys.stderr))",
+            "sys.argv = ['gtyang', 'dims', '--n', '3', '--p', '1', '--lambda', '1']",
+            "cli.main()",
+        ]
+    )
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=cli_env)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "3\n", "0 True\n")
+
+    before = gc.get_freeze_count()
+    assert run(capsys, "dims", "--n", "3", "--p", "1", "--lambda", "1") == (0, "3\n", "")
+    assert gc.get_freeze_count() == before
+
+
+def test_entry_point_exit_codes(cli_env):
+    """``python -m gtyang.cli`` exits with the code of ``run_cli``: 0 on
+    success, 1 when a check fails, 2 on a usage error."""
+
+    def entry(*argv):
+        cmd = [sys.executable, "-m", "gtyang.cli", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+
+    done = entry("dims", "--n", "3", "--p", "1", "--lambda", "1")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3\n", "")
+    # (5,2,2) has uncalibrated localization cells
+    failed = entry("verify", "--suite", "localization", "--n", "5", "--p", "2", "--lambda", "2")
+    assert (failed.returncode, json.loads(failed.stdout)["passed"]) == (1, False)
+    assert "FAIL localization-uncalibrated (28 checks)\n" in failed.stderr
+    refused = entry("dims", "--n", "x", "--p", "1", "--lambda", "1")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr == "error: bad integer literal 'x'\n"
 
 
 def test_scaled_chain_edge_fails_the_reductions_suite(capsys, monkeypatch):
