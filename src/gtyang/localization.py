@@ -105,16 +105,13 @@ class DeformationComplex:
             raise StabilityViolation("framing atom does not generate the fixed point")
         # the gauge action is injective, so its rank at each weight is the
         # number of gl(V_a) directions of that weight
-        self.gauge_ranks = _directions(spec, coords, coords)
+        self.gauge_ranks = ranks = _directions(spec, coords, coords)
         self.relations = _relations(self, slots)
         self.kernels = {w: self.kernel_sector(w) for w in sorted(self.slots_by_weight)}
-        raw: dict[LinearForm, int] = {}
-        for w, kernel in self.kernels.items():
-            dim = len(kernel) - self.gauge_ranks[w]
-            _require(dim >= 0, "gauge orbit escapes the relation kernel")
-            if dim:
-                raw[w] = dim
-        self.tangent, self.removed = _regularize_tangent(raw, 2 * len(_all_atoms(fp)), fp.pattern)
+        dims = Counter({w: d for w, k in self.kernels.items() if (d := len(k) - ranks[w])})
+        _require(min(dims.values(), default=0) >= 0, "gauge orbit escapes the relation kernel")
+        expected_dim = 2 * sum(map(len, fp.atoms))
+        self.tangent, self.removed = _regularize_tangent(dims, expected_dim, fp.pattern)
 
     def kernel_sector(self, w: LinearForm) -> list[dict[int, int]]:
         """Basis of ker(dF) on the weight-w slots, the relations among their
@@ -246,41 +243,33 @@ def _relation_words(spec):
 
 def _regularize_tangent(
     sectors: dict[LinearForm, int], expected_dim: int, pattern: GTPattern
-) -> tuple[dict[LinearForm, int], dict[LinearForm, int]]:
+) -> tuple[Counter, Counter]:
     """Cut the kernel down to the expected dimension.
 
     Scheme tangents jump upward at special fixed points; the excess always
     shows up as opposite-weight pairs, which get removed largest
-    ``LinearForm.magnitude`` first, ties in weight order. Returns the trimmed grading
-    and what was removed; an excess that does not pair up raises
-    ``UncalibratedCell`` naming the pattern. With a framing pair at every
-    gauge node the kernel never undershoots, so a shortfall is an
+    ``LinearForm.magnitude`` first, ties in weight order, as many of each
+    as the excess and both counts allow. Returns the trimmed grading and
+    what was removed, without zero counts; an excess that does not pair up
+    raises ``UncalibratedCell`` naming the pattern. With a framing pair at
+    every gauge node the kernel never undershoots, so a shortfall is an
     ``InvariantViolation``.
     """
-    out = dict(sectors)
-    removed: dict[LinearForm, int] = {}
-    excess = sum(out.values()) - expected_dim
+    out = Counter(sectors)
+    excess = out.total() - expected_dim
     _require(excess >= 0, f"tangent at {pattern.free_values} undershoots the expected dimension")
-    if excess == 0:
-        return out, removed
     if excess % 2:
         raise UncalibratedCell(f"odd tangent excess at {pattern.free_values} cannot pair up")
-    candidates = sorted(
-        (w for w in out if -w in out and w > -w), key=lambda w: (-w.magnitude(), w)
-    )
-    for w in candidates:
-        mw = -w
-        while excess > 0 and out.get(w, 0) > 0 and out.get(mw, 0) > 0:
-            for u in (w, mw):
-                out[u] -= 1
-                removed[u] = removed.get(u, 0) + 1
-                if out[u] == 0:
-                    del out[u]
-            excess -= 2
-        if excess == 0:
-            break
+    removed = Counter()
+    # above zero in the (e, h) order: one weight of each opposite pair
+    candidates = [w for w in out if w > ZERO_FORM and -w in out]
+    for w in sorted(candidates, key=lambda w: (-w.magnitude(), w)):
+        if pairs := min(excess // 2, out[w], out[-w]):
+            removed[w] = removed[-w] = pairs
+            excess -= 2 * pairs
     if excess:
         raise UncalibratedCell(f"tangent excess at {pattern.free_values} is not hyperbolic")
+    out -= removed
     return out, removed
 
 
@@ -366,12 +355,10 @@ def incidence_tangent_graded(
     linearized intertwining (``_incidence_solutions``) modulo both gauge
     orbits, trimmed to the expected dimension."""
     fp, fp_plus = cx.fp, cx_plus.fp
-    sectors: dict[LinearForm, int] = {}
-    for w, solutions in _incidence_solutions(cx, cx_plus).items():
-        dim = solutions - cx.gauge_ranks[w] - cx_plus.gauge_ranks[w]
-        _require(dim >= 0, "gauge orbits exceed the incidence solutions")
-        if dim:
-            sectors[w] = dim
+    solutions = _incidence_solutions(cx, cx_plus)
+    ranks, ranks_plus = cx.gauge_ranks, cx_plus.gauge_ranks
+    sectors = Counter({w: d for w, n in solutions.items() if (d := n - ranks[w] - ranks_plus[w])})
+    _require(min(sectors.values(), default=0) >= 0, "gauge orbits exceed the incidence solutions")
 
     # expected dimension: one more than the smaller state's tangent. Each
     # neighbouring jump state sheds exactly one member of its trimmed pair
@@ -379,13 +366,9 @@ def incidence_tangent_graded(
     # framing pair at every gauge node: a lone pair follows the move node's
     # parity, two distinct magnitudes split as +larger/-smaller, equal
     # magnitudes drop both signs.
-    excess = sum(sectors.values()) - (2 * len(_all_atoms(fp)) + 1)
+    excess = sectors.total() - (2 * sum(map(len, fp.atoms)) + 1)
     if excess > 0:
-        pool: list[LinearForm] = []
-        for rem in (cx.removed, cx_plus.removed):
-            for w, count in rem.items():
-                if w > -w:
-                    pool.extend([w] * count)
+        pool = [w for w in (cx.removed + cx_plus.removed).elements() if w > ZERO_FORM]
         if excess != len(pool):
             raise UncalibratedCell("incidence excess does not match the pair pool")
         if len(pool) == 1 and fp.pattern.n <= 4:
@@ -399,19 +382,12 @@ def incidence_tangent_graded(
                 f"jump-cell sign not calibrated for {fp.pattern.free_values} -> "
                 f"{fp_plus.pattern.free_values}"
             )
-        for w in drops:
-            if sectors.get(w, 0) <= 0:
-                raise UncalibratedCell("calibrated sector missing from incidence")
-            sectors[w] -= 1
-            if sectors[w] == 0:
-                del sectors[w]
-            excess -= 1
+        if not all(sectors[w] > 0 for w in drops):
+            raise UncalibratedCell("calibrated sector missing from incidence")
+        sectors -= Counter(drops)
+        excess -= len(drops)
     _require(excess == 0, "incidence dimension off the expected count")
     return sectors
-
-
-def _all_atoms(fp: FixedPoint):
-    return [a for node in fp.spec.gauge_nodes for a in fp.node_atoms(node)]
 
 
 def _sector_ratio(

@@ -406,6 +406,23 @@ def test_gelfand_invalid_target_and_direction():
         gelfand_squared_closed_form(pat, 1, 2)
 
 
+@pytest.mark.parametrize("k", [0, 3], ids=["node-0", "node-n"])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda pat, k: psi_closed_form(pat, k, F(1)),
+        lambda pat, k: psi_generic(pat, k, F(1)),
+        lambda pat, k: amplitude_E(pat, k, 1, F(1)),
+        lambda pat, k: gelfand_squared_closed_form(pat, k, 1),
+    ],
+    ids=["psi_closed_form", "psi_generic", "amplitude_E", "gelfand_squared_closed_form"],
+)
+def test_node_outside_the_gauge_nodes_is_refused(route, k):
+    # the gauge nodes of n = 3 are 1 and 2
+    with pytest.raises(IndexOutOfRange, match=f"^node {k} out of range$"):
+        route(build_pattern(3, 1, 2, [1, 0]), k)
+
+
 def test_epsilon_covariance():
     sigma = F(2)
     base, scaled = F(1), sigma

@@ -65,6 +65,13 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_zero_denominator_is_a_bad_rational_literal(capsys):
+    # Fraction("1/0") raises ZeroDivisionError; the CLI reports it as the
+    # same usage error as any other malformed rational
+    code, out, err = run(capsys, "psi", "--n", "3", "--p", "1", "--lambda", "2", "--epsilon", "1/0")
+    assert (code, out, err) == (2, "", "error: bad rational literal '1/0'\n")
+
+
 @pytest.mark.parametrize("flags", [[], ["--format", "csv"]])
 def test_empty_out_path_is_a_usage_error(capsys, flags):
     # an empty path names no file; it must not fall back to stdout
@@ -108,6 +115,8 @@ def test_malformed_pattern_is_a_usage_error(capsys):
         ["--lambda", "-1_0"],
         ["--h", "-3/2_0"],
         ["--mode-cutoff", "-1_0"],
+        ["--epsilon", "1/0"],
+        ["--h", "-1/0"],
     ],
 )
 def test_malformed_numeric_literal_is_a_usage_error(capsys, flags):

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +86,14 @@ def test_matrix_arithmetic():
     assert dense([[0, 0]]) == RationalMatrix(1, 2, {})
     m = dense([[0, 0], [1, 0]])
     assert m * m == RationalMatrix(2, 2, {})
+
+
+def test_shape_mismatch_is_a_value_error():
+    square, row = dense([[1, 2], [3, 4]]), dense([[1, 2]])
+    with pytest.raises(ValueError, match=r"^shape mismatch \[\(2, 2\), \(1, 2\)\]$"):
+        RationalMatrix.combination(((1, square), (1, row)))
+    with pytest.raises(ValueError, match=r"^shape mismatch \(1, 2\) x \(1, 2\)$"):
+        row * row
 
 
 def test_empty_shapes():

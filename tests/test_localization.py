@@ -563,6 +563,76 @@ def test_trim_tie_keeps_the_half_integer_loop_weight():
     assert removed == {w1: 1, -w1: 1}
 
 
+def pairwise_trim(sectors, expected_dim, pattern):
+    """The trim one opposite-weight pair at a time, with its exceptions:
+    the oracle of ``_regularize_tangent``."""
+    out = dict(sectors)
+    removed = {}
+    excess = sum(out.values()) - expected_dim
+    if excess < 0:
+        raise InvariantViolation(
+            f"tangent at {pattern.free_values} undershoots the expected dimension"
+        )
+    if excess == 0:
+        return out, removed
+    if excess % 2:
+        raise UncalibratedCell(f"odd tangent excess at {pattern.free_values} cannot pair up")
+    candidates = sorted(
+        (w for w in out if -w in out and w > -w), key=lambda w: (-w.magnitude(), w)
+    )
+    for w in candidates:
+        mw = -w
+        while excess > 0 and out.get(w, 0) > 0 and out.get(mw, 0) > 0:
+            for u in (w, mw):
+                out[u] -= 1
+                removed[u] = removed.get(u, 0) + 1
+                if out[u] == 0:
+                    del out[u]
+            excess -= 2
+        if excess == 0:
+            break
+    if excess:
+        raise UncalibratedCell(f"tangent excess at {pattern.free_values} is not hyperbolic")
+    return out, removed
+
+
+@st.composite
+def trim_cases(draw):
+    """A grading of opposite-weight pairs with random counts on each side
+    and some unpaired weights (zero included), and an expected dimension
+    from 0 to two above its total."""
+    counts = st.integers(1, 3)
+    pairs = draw(st.dictionaries(small_forms.filter(lambda w: w > -w), st.tuples(counts, counts)))
+    grading = {}
+    for w, (up, down) in pairs.items():
+        grading[w], grading[-w] = up, down
+    for u, count in draw(st.dictionaries(small_forms, counts, max_size=3)).items():
+        if u not in grading and -u not in grading:
+            grading[u] = count
+    return grading, draw(st.integers(0, sum(grading.values()) + 2))
+
+
+@given(trim_cases())
+@example(({LinearForm(2, 0): 2, LinearForm(-2, 0): 1}, 0))
+@example(({LinearForm(2, 0): 2}, 0))
+@example(({LinearForm(2, 0): 1}, 2))
+@settings(max_examples=300)
+def test_trim_matches_the_pairwise_oracle(case):
+    # the same trimmed grading and removed pairs, as dicts without zero
+    # counts, or the same exception type and message
+    grading, expected_dim = case
+    pat = build_pattern(4, 2, 4, [1, 2, 0, 1])
+
+    def outcome(trim):
+        try:
+            trimmed, removed = trim(grading, expected_dim, pat)
+        except (InvariantViolation, UncalibratedCell) as exc:
+            return type(exc), str(exc)
+        return dict(trimmed), dict(removed)
+
+    assert outcome(_regularize_tangent) == outcome(pairwise_trim)
+
+
 def test_module_pass_builds_one_complex_per_pattern(monkeypatch):
     built = []
     init = DeformationComplex.__init__

@@ -129,6 +129,15 @@ def test_series_examples():
         make(1, [0, 1], [2]).series_at_infinity(1)
 
 
+def test_series_order_check_and_zero_function():
+    with pytest.raises(ValueError, match="^order must be non-negative$"):
+        make(1, [-1], [1]).series_at_infinity(-1)
+    # zero drops its roots, so no degree check applies
+    s = make(0, [0, 1], [2]).series_at_infinity(2)
+    assert s.constant_term == 0
+    assert s.coefficients == (0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # randomized properties against the oracles
 # ---------------------------------------------------------------------------
