@@ -152,9 +152,8 @@ def amplitude_table(
     ``localize_module``'s."""
     table = {}
     for pat in states:
-        for k in range(1, pat.n):
-            for j, up in pat.raises(k):
-                table[pat, k, j] = amplitude_E(pat, k, j, eps), amplitude_F(up, k, j, eps)
+        for k, j, up in pat.raises():
+            table[pat, k, j] = amplitude_E(pat, k, j, eps), amplitude_F(up, k, j, eps)
     return table
 
 

@@ -197,17 +197,15 @@ def cmd_psi(args, data) -> int:
     return 0
 
 
-def _amplitude_rows(n, states, table) -> list:
-    """(state, node, type, kind, value) rows, E then F per state, node and
-    type, read from an edge table by ``move_pair``."""
+def _amplitude_rows(states, table) -> list:
+    """(state, node, type, kind, value) rows, E then F per state and
+    candidate move, read from an edge table by ``move_pair``."""
     rows = []
     for i, pat in enumerate(states):
-        for k in range(1, n):
-            a, b = pat.window(k)
-            for j in range(a, b + 1):
-                e_val, f_val = modes_mod.move_pair(table, pat, k, j)
-                rows.append((i, k, j, "E", fmt_rat(e_val)))
-                rows.append((i, k, j, "F", fmt_rat(f_val)))
+        for k, j in pat.moves:
+            e_val, f_val = modes_mod.move_pair(table, pat, k, j)
+            rows.append((i, k, j, "E", fmt_rat(e_val)))
+            rows.append((i, k, j, "F", fmt_rat(f_val)))
     return rows
 
 
@@ -217,7 +215,7 @@ def cmd_amplitudes(args, data) -> int:
         from gtyang.localization import UncalibratedCell, localize_module
 
         data.epsilon  # the h = 0 gate, read although this route keeps h symbolic
-        table = localize_module(data.n, data.p, data.lam, data.params)
+        table = localize_module(states, data.params)
         for (pat, k, j), cell in table.items():
             if isinstance(cell, UncalibratedCell):
                 # a valid input whose value the route cannot determine: no
@@ -230,7 +228,7 @@ def cmd_amplitudes(args, data) -> int:
                 return 1
     else:
         table = data.table
-    rows = _amplitude_rows(data.n, states, table)
+    rows = _amplitude_rows(states, table)
     if args.format == "csv":
         _emit_csv(args, ("state_id", "node", "type", "kind", "value"), rows)
     else:

@@ -214,15 +214,13 @@ def kernel_basis(vectors: list[dict]) -> list[dict[int, int]]:
             # row r is zero left of its pivot column pc, and vec has no entry at pc yet
             acc = sum(row[c] * v for c, v in vec.items() if row[c])
             if acc:
-                # vec[pc] = -acc / row[pc], after scaling vec to keep it integral
+                # vec[pc] = -acc / row[pc], after scaling vec to keep it integral;
+                # d/g and acc/g are coprime, so vec stays primitive
                 d = row[pc]
                 g = gcd(acc, d)
                 scale = abs(d) // g
                 if scale != 1:
                     vec = {c: v * scale for c, v in vec.items()}
                 vec[pc] = -(acc // g) if d > 0 else acc // g
-        content = gcd(*vec.values())
-        if content != 1:
-            vec = {c: v // content for c, v in vec.items()}
         basis.append(vec)
     return basis

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from gtyang.crystal import Atom, FixedPoint, fixed_point_matrices
 from gtyang.linalg import kernel_basis, rank
-from gtyang.patterns import GTPattern, enumerate_patterns
+from gtyang.patterns import GTPattern
 from gtyang.quiver import FRAMING, ZERO_FORM, EquivariantParams, InvariantViolation, LinearForm
 
 Rat = Fraction
@@ -311,11 +311,11 @@ def _added_atom(cx: DeformationComplex, cx_plus: DeformationComplex) -> Atom:
 
 
 def _incidence_solutions(
-    cx: DeformationComplex, cx_plus: DeformationComplex
+    cx: DeformationComplex, cx_plus: DeformationComplex, added: Atom
 ) -> dict[LinearForm, int]:
     """Weight -> the dimension of the solutions (dq, dq', dtau) of
     dq tau - tau dq' = dtau q' - q dtau, dq and dq' kernel vectors, at each
-    weight where either end has some; tau forgets the added atom.
+    weight where either end has some; tau forgets the ``added`` atom.
 
     The equation lives in the intertwining slots Hom(V'_src, V_tgt): the
     larger end's slots less the rows at the added atom. tau keeps every other
@@ -326,7 +326,6 @@ def _incidence_solutions(
     the pairs, and they are independent, V' being generated by its framing
     atom. So the solutions number n_pairs + n_directions - rank(pairs).
     """
-    added = _added_atom(cx, cx_plus)
     names, index = list(cx.slot_by_name), cx_plus.slot_by_name
     dropped = {
         index[arr.name, added.coordinate, s.coordinate]
@@ -355,7 +354,8 @@ def incidence_tangent_graded(
     linearized intertwining (``_incidence_solutions``) modulo both gauge
     orbits, trimmed to the expected dimension."""
     fp, fp_plus = cx.fp, cx_plus.fp
-    solutions = _incidence_solutions(cx, cx_plus)
+    added = _added_atom(cx, cx_plus)
+    solutions = _incidence_solutions(cx, cx_plus, added)
     ranks, ranks_plus = cx.gauge_ranks, cx_plus.gauge_ranks
     sectors = Counter({w: d for w, n in solutions.items() if (d := n - ranks[w] - ranks_plus[w])})
     _require(min(sectors.values(), default=0) >= 0, "gauge orbits exceed the incidence solutions")
@@ -373,7 +373,7 @@ def incidence_tangent_graded(
             raise UncalibratedCell("incidence excess does not match the pair pool")
         if len(pool) == 1 and fp.pattern.n <= 4:
             w = pool[0]
-            drops = [-w] if abs(_added_atom(cx, cx_plus).node - fp.pattern.p) % 2 else [w]
+            drops = [-w] if abs(added.node - fp.pattern.p) % 2 else [w]
         elif len(pool) == 2 and fp.pattern.n <= 4:
             hi, lo = sorted(pool, key=lambda w: (w.magnitude(), w), reverse=True)
             drops = [hi, -lo]
@@ -430,30 +430,29 @@ def amplitudes_via_localization(
 
 
 def localize_module(
-    n: int, p: int, lam: int, params: EquivariantParams
+    states: list[GTPattern], params: EquivariantParams
 ) -> dict[tuple[GTPattern, int, int], tuple[Rat, Rat] | UncalibratedCell]:
-    """(state, node, type) of each raising move -> its (raising, lowering)
-    amplitudes, or the ``UncalibratedCell`` it raised; one deformation
-    complex per pattern, shared by every move it takes part in. A pattern
-    whose tangent cannot be trimmed leaves every move into or out of it
-    undetermined."""
-    patterns = enumerate_patterns(n, p, lam)
+    """(state, node, type) of each raising move out of ``states`` -> its
+    (raising, lowering) amplitudes, or the ``UncalibratedCell`` it raised:
+    ``amplitude_table``'s keys, by localization. ``states`` is a whole
+    module, which holds every raised state too. One deformation complex per
+    state, shared by every move it takes part in. A state whose tangent
+    cannot be trimmed leaves every move into or out of it undetermined."""
     complexes = {}
-    for pat in patterns:
+    for pat in states:
         fp = fixed_point_matrices(pat)
         try:
             complexes[pat] = DeformationComplex(fp)
         except UncalibratedCell as exc:
             complexes[pat] = exc
     table = {}
-    for pat in patterns:
-        for k in range(1, n):
-            for j, up in pat.raises(k):
-                ends = (complexes[pat], complexes[up])
-                failed = [cx for cx in ends if isinstance(cx, UncalibratedCell)]
-                try:
-                    table[pat, k, j] = failed[0] if failed else _move_amplitudes(*ends, params)
-                except UncalibratedCell as exc:
-                    table[pat, k, j] = exc
+    for pat in states:
+        for k, j, up in pat.raises():
+            ends = (complexes[pat], complexes[up])
+            failed = [cx for cx in ends if isinstance(cx, UncalibratedCell)]
+            try:
+                table[pat, k, j] = failed[0] if failed else _move_amplitudes(*ends, params)
+            except UncalibratedCell as exc:
+                table[pat, k, j] = exc
     return table
 

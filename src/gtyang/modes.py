@@ -69,9 +69,9 @@ class ModuleData:
     pair of gauge nodes and the mode-operator table of each cutoff. The
     closed forms are written at h = 0 and take ``epsilon``, the one gate that
     refuses a nonzero h; the states need none, and the bonds are read from
-    the quiver at ``params``, whatever h is.
-    The independent routes (``psi_generic``, ``add_remove_sets``,
-    ``localize_module`` and ``gelfand_squared_closed_form``) never read it."""
+    the quiver at ``params``, whatever h is. No independent route reads a
+    closed-form field: ``localize_module`` reads ``states``, ``psi_generic``,
+    ``add_remove_sets`` and ``gelfand_squared_closed_form`` nothing."""
 
     def __init__(self, n: int, p: int, lam: int, params: EquivariantParams):
         self.n = n
@@ -151,13 +151,13 @@ def build_mode_operators(
     index = {pat: i for i, pat in enumerate(states)}
     dim = len(states)
     ops = {}
-    for node in range(1, data.n):
-        # each edge pat -> up has one pole: lowering up sits where raising pat does
-        edges = []  # (index of up, index of pat, E, F, pole)
-        for col, pat in enumerate(states):
-            for j, up in pat.raises(node):
-                e, f = table[pat, node, j]
-                edges.append((index[up], col, e, f, poles[pat, node, j]))
+    # each edge pat -> up has one pole: lowering up sits where raising pat does
+    by_node = {node: [] for node in range(1, data.n)}  # (index of up, index of pat, E, F, pole)
+    for col, pat in enumerate(states):
+        for node, j, up in pat.raises():
+            e, f = table[pat, node, j]
+            by_node[node].append((index[up], col, e, f, poles[pat, node, j]))
+    for node, edges in by_node.items():
         for mode in range(cutoff + 1):
             ops["e", node, mode] = RationalMatrix.from_triples(
                 dim, dim, ((hi, lo, e * pole**mode) for hi, lo, e, _, pole in edges)
@@ -214,6 +214,7 @@ def verify_mode_relations(ops, data: ModuleData) -> list[RelationReport]:
     for a, b in itertools.product(nodes, nodes):
         # each bag holds at most one root; an empty one reads 0
         alpha, beta = (sum(bag, ZERO) for bag in data.bonds[a, b])
+        a_ab = (beta - alpha) / data.params.epsilon
         forms = (
             ("e", "e", -beta, alpha), ("f", "f", -alpha, beta),
             ("psi", "e", -beta, alpha), ("psi", "f", -alpha, beta),
@@ -231,19 +232,11 @@ def verify_mode_relations(ops, data: ModuleData) -> list[RelationReport]:
                 emit(f"{x_kind}{kind}", res, a=a, b=b, n=n, k=k)
         for n, k in itertools.product(modes, modes):
             emit("psipsi", comm(("psi", a, n), ("psi", b, k)), a=a, b=b, n=n, k=k)
-
-    # pairing on the diagonal node pair, zero off it
-    for a, n, k in itertools.product(nodes, modes, modes):
-        res = comm(("e", a, n), ("f", a, k), (1, ops["psi", a, n + k]))
-        emit("ef-pairing", res, a=a, b=a, n=n, k=k)
-    for a, b, n, k in itertools.product(nodes, nodes, modes, modes):
-        if a != b:
-            emit("ef-offdiag", comm(("e", a, n), ("f", b, k)), a=a, b=b, n=n, k=k)
-
-    # boundary action of the zeroth diagonal mode
-    for a, b in itertools.product(nodes, nodes):
-        alpha, beta = (sum(bag, ZERO) for bag in data.bonds[a, b])
-        a_ab = (beta - alpha) / data.params.epsilon
+            # pairing on the diagonal node pair, zero off it
+            pairing = [(1, ops["psi", a, n + k])] if a == b else []
+            rel_id = "ef-pairing" if a == b else "ef-offdiag"
+            emit(rel_id, comm(("e", a, n), ("f", b, k), *pairing), a=a, b=b, n=n, k=k)
+        # boundary action of the zeroth diagonal mode
         for k in modes:
             res = comm(("psi", a, 0), ("e", b, k), (a_ab, ops["e", b, k]))
             emit("boundary-e", res, a=a, b=b, k=k)
@@ -310,28 +303,22 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
     cone has no edge and reads as zero. The ratio checks read phi_ab at the
     pole difference x as num = x - alpha over den = x - beta, the roots from
     ``data.bonds``, each side 1 where its bag is empty."""
-    n, states, bonds = data.n, data.states, data.bonds
+    states, bonds = data.states, data.bonds
     table, psi, poles = data.table, data.psi, data.poles
     reports = []
     for pat in states:
         state = pat.free_values
-        movelist = []
-        for k in range(1, n):
-            a, b = pat.window(k)
-            movelist.extend((k, j) for j in range(a, b + 1))
-        ups = {(k, j): up for k in range(1, n) for j, up in pat.raises(k)}
-        for k, j in ups:
-            e, f = table[pat, k, j]
-            try:
-                gap = _product_gap((e, f), (psi[pat, k].residue_simple(poles[pat, k, j]),))
-            except NotAPole:  # the residue at a regular point is 0
-                gap = abs(e * f)
-            except NotASimplePole:
-                gap = ONE
-            reports.append(RelationReport("residue", {"state": state, "move": (k, j)}, gap))
+        ups = {(k, j): up for k, j, up in pat.raises()}
         for (k1, j1), up1 in ups.items():
             e1, f1 = table[pat, k1, j1]
-            for k2, j2 in movelist:
+            try:
+                gap = _product_gap((e1, f1), (psi[pat, k1].residue_simple(poles[pat, k1, j1]),))
+            except NotAPole:  # the residue at a regular point is 0
+                gap = abs(e1 * f1)
+            except NotASimplePole:
+                gap = ONE
+            reports.append(RelationReport("residue", {"state": state, "move": (k1, j1)}, gap))
+            for k2, j2 in pat.moves:
                 if (k1, j1) == (k2, j2):
                     continue
                 info = {"state": state, "moves": ((k1, j1), (k2, j2))}
@@ -443,19 +430,17 @@ def verify_gelfand(data: ModuleData) -> list[RelationReport]:
     reports = []
     for pat in data.states:
         state = pat.free_values
-        for k in range(1, data.n):
-            a, b = pat.window(k)
-            for j in range(a, b + 1):
-                for direction, source in (("raise", pat), ("lower", pat.bumped(j, k, -1))):
-                    e, f = table.get((source, k, j), NO_EDGE)
-                    rhs = ZERO if source is None else gelfand_squared_closed_form(source, k, j)
-                    reports.append(
-                        RelationReport(
-                            "gelfand-square",
-                            {"state": state, "move": (k, j, direction)},
-                            _product_gap((e, f), (rhs,)),
-                        )
+        for k, j in pat.moves:
+            for direction, source in (("raise", pat), ("lower", pat.bumped(j, k, -1))):
+                e, f = table.get((source, k, j), NO_EDGE)
+                rhs = ZERO if source is None else gelfand_squared_closed_form(source, k, j)
+                reports.append(
+                    RelationReport(
+                        "gelfand-square",
+                        {"state": state, "move": (k, j, direction)},
+                        _product_gap((e, f), (rhs,)),
                     )
+                )
     return reports
 
 
@@ -464,7 +449,7 @@ def verify_localization(data: ModuleData) -> list[RelationReport]:
 
     reports = []
     closed = data.table
-    table = localize_module(data.n, data.p, data.lam, data.params)
+    table = localize_module(data.states, data.params)
     states = {pat: pat.free_values for pat in dict.fromkeys(pat for pat, _, _ in table)}
     for (pat, k, j), cell in table.items():
         if isinstance(cell, UncalibratedCell):

@@ -24,6 +24,14 @@ def type_range(n: int, p: int, k: int) -> tuple[int, int]:
     return max(1, k - p + 1), min(n - p, k)
 
 
+@functools.cache
+def candidate_moves(n: int, p: int) -> tuple[tuple[int, int], ...]:
+    """(node k, type j) of every free entry m[j,k], node by node, types
+    ascending: the one walk over a pattern's candidate moves."""
+    windows = (type_range(n, p, k) for k in range(1, n))
+    return tuple((k, j) for k, (a, b) in enumerate(windows, start=1) for j in range(a, b + 1))
+
+
 class GTPattern(NamedTuple):
     n: int
     p: int
@@ -45,12 +53,12 @@ class GTPattern(NamedTuple):
         return sum(self.entry(i, k) for i in range(a, b + 1))
 
     @property
+    def moves(self) -> tuple[tuple[int, int], ...]:
+        return candidate_moves(self.n, self.p)
+
+    @property
     def free_values(self) -> tuple[int, ...]:
-        out = []
-        for k in range(1, self.n):
-            a, b = self.window(k)
-            out.extend(self.entry(i, k) for i in range(a, b + 1))
-        return tuple(out)
+        return tuple(self.rows[k - 1][j - 1] for k, j in self.moves)
 
     def bumped(self, i: int, k: int, step: int) -> "GTPattern | None":
         """Pattern with m[i,k] changed by a nonzero step, or None if it
@@ -78,14 +86,13 @@ class GTPattern(NamedTuple):
         new_row = row[: i - 1] + (v,) + row[i:]
         return GTPattern(self.n, self.p, self.lam, self.rows[: k - 1] + (new_row,) + self.rows[k:])
 
-    def raises(self, k: int):
-        """(type index j, raised pattern) of each raising move at node k
-        that stays in the cone, j ascending."""
-        a, b = self.window(k)
-        for j in range(a, b + 1):
+    def raises(self):
+        """(node k, type j, raised pattern) of each raising move that stays
+        in the cone, in ``moves`` order."""
+        for k, j in self.moves:
             up = self.bumped(j, k, +1)
             if up is not None:
-                yield j, up
+                yield k, j, up
 
 
 def build_pattern(n: int, p: int, lam: int, free_values) -> GTPattern:
@@ -114,8 +121,7 @@ def build_pattern(n: int, p: int, lam: int, free_values) -> GTPattern:
 
 
 def vacuum_pattern(n: int, p: int, lam: int) -> GTPattern:
-    counts = sum(b - a + 1 for a, b in (type_range(n, p, k) for k in range(1, n)))
-    return build_pattern(n, p, lam, [0] * counts)
+    return build_pattern(n, p, lam, [0] * len(candidate_moves(n, p)))
 
 
 def enumerate_patterns(n: int, p: int, lam: int) -> list[GTPattern]:
@@ -126,11 +132,10 @@ def enumerate_patterns(n: int, p: int, lam: int) -> list[GTPattern]:
     frontier = list(grown)
     while frontier:
         pat = frontier.pop()
-        for k in range(1, n):
-            for _, up in pat.raises(k):
-                if up not in grown:
-                    grown.add(up)
-                    frontier.append(up)
+        for *_, up in pat.raises():
+            if up not in grown:
+                grown.add(up)
+                frontier.append(up)
     return sorted(grown, key=lambda pat: pat.free_values)
 
 

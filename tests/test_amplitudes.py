@@ -480,8 +480,9 @@ def test_shifted_quiver_arrow_fails_the_psi_routes_at_its_nodes(monkeypatch):
 @pytest.mark.parametrize("grid", [(3, 1, 2), (4, 2, 2), (5, 2, 2)])
 def test_amplitude_table_covers_the_localization_edges(grid):
     n, p, lam = grid
-    table = amplitude_table(enumerate_patterns(n, p, lam), EPS1.epsilon)
-    assert list(table) == list(localize_module(n, p, lam, EPS1))
+    states = enumerate_patterns(n, p, lam)
+    table = amplitude_table(states, EPS1.epsilon)
+    assert list(table) == list(localize_module(states, EPS1))
     for (pat, k, j), value in table.items():
         up = pat.bumped(j, k, +1)
         assert value == (amplitude_E(pat, k, j, EPS1.epsilon), amplitude_F(up, k, j, EPS1.epsilon))

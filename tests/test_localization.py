@@ -19,6 +19,7 @@ from gtyang.localization import (
     NotAdjacent,
     StabilityViolation,
     UncalibratedCell,
+    _added_atom,
     _euler,
     _hom,
     _images,
@@ -413,6 +414,29 @@ def test_jump_cells_on_wider_grids_fail_loudly_not_silently():
         amplitudes_via_localization(fp_of(a), fp_of(b), EPS1)
 
 
+# the two incidence refusals of the pinned sign rule, on grids that no
+# other localization test runs: (grid, state, move, message)
+UNCALIBRATED_INCIDENCE_CELLS = [
+    ((5, 2, 3), (1, 3, 0, 2, 0, 1), (1, 1), "incidence excess does not match the pair pool"),
+    ((5, 2, 3), (2, 3, 1, 3, 0, 1), (4, 3), "incidence excess does not match the pair pool"),
+    ((4, 2, 6), (3, 4, 1, 3), (2, 2), "calibrated sector missing from incidence"),
+]
+
+
+@pytest.mark.parametrize(
+    "grid, state, move, message",
+    UNCALIBRATED_INCIDENCE_CELLS,
+    ids=["5-2-3-pool-node1", "5-2-3-pool-node4", "4-2-6-missing-sector"],
+)
+def test_uncalibrated_incidence_cells_pinned(grid, state, move, message):
+    # a derived trim (ROADMAP item 4) that decides one of these cells
+    # shows here which
+    pat = build_pattern(*grid, state)
+    k, j = move
+    with pytest.raises(UncalibratedCell, match=f"^{message}$"):
+        amplitudes_via_localization(fp_of(pat), fp_of(pat.bumped(j, k, +1)), EPS1)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 4: 8 decided cells at (4,2,5) differ from the closed forms",
@@ -518,7 +542,7 @@ def test_action_images_add_no_rank_to_the_pairs(grid):
             orbits = images.get(w, [])
             assert rank(orbits + pairs) == rank(pairs), (pat.free_values, up.free_values, w)
             expected[w] = len(pairs) + len(orbits) - rank(orbits + pairs)
-        assert _incidence_solutions(cx, cx_plus) == expected
+        assert _incidence_solutions(cx, cx_plus, _added_atom(cx, cx_plus)) == expected
         weights += len(expected)
     assert weights
 
@@ -668,17 +692,16 @@ def test_incidence_sectors_pinned(grid):
             complexes[pat] = exc
     records = []
     for pat in enumerate_patterns(*grid):
-        for k in range(1, grid[0]):
-            for j, up in pat.raises(k):
-                ends = complexes[pat], complexes[up]
-                try:
-                    for end in ends:
-                        if isinstance(end, UncalibratedCell):
-                            raise end
-                    out = sorted((w.e, w.h, d) for w, d in incidence_tangent_graded(*ends).items())
-                except UncalibratedCell as exc:
-                    out = (type(exc).__name__, str(exc))
-                records.append((pat.free_values, k, j, out))
+        for k, j, up in pat.raises():
+            ends = complexes[pat], complexes[up]
+            try:
+                for end in ends:
+                    if isinstance(end, UncalibratedCell):
+                        raise end
+                out = sorted((w.e, w.h, d) for w, d in incidence_tangent_graded(*ends).items())
+            except UncalibratedCell as exc:
+                out = (type(exc).__name__, str(exc))
+            records.append((pat.free_values, k, j, out))
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == INCIDENCE_SECTOR_DIGESTS[grid]
 

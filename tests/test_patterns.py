@@ -203,13 +203,18 @@ def test_raises_matches_window_filter():
         for p in range(1, n):
             for lam in range(3):
                 for pat in enumerate_patterns(n, p, lam):
+                    expected = []
                     for k in range(1, n):
                         a, b = pat.window(k)
-                        expected = [
-                            (j, pat.bumped(j, k, +1))
+                        expected += [
+                            (k, j, pat.bumped(j, k, +1))
                             for j in range(a, b + 1)
                             if pat.bumped(j, k, +1) is not None
                         ]
-                        assert list(pat.raises(k)) == expected
-                        checked += len(expected)
+                    assert list(pat.raises()) == expected
+                    checked += len(expected)
+                    # the edges are the moves that stay in the cone, in move order
+                    kept = [(k, j) for k, j in pat.moves if pat.bumped(j, k, +1) is not None]
+                    assert [(k, j) for k, j, _ in pat.raises()] == kept
+                    assert pat.free_values == tuple(pat.entry(j, k) for k, j in pat.moves)
     assert checked > 0
