@@ -1,11 +1,11 @@
 """Crystals of weighted atoms and explicit fixed points.
 
-Each pattern entry m[i,k] contributes a ladder of atoms at node k. Atom
-coordinates are integer triples (e, h, R-charge), the weight e * eps/2 + h * h.
-Each arrow sends an atom to at most one atom, so a fixed-point arrow is a map
-{source atom index: target atom index}, filled by pure coordinate matching,
-which reproduces the block identity/shift forms without case analysis. The
-F-terms and the equivariance equations are checked on those maps, symbolically.
+Each pattern entry m[i,k] contributes a ladder of atoms at node k, each atom
+its node, weight (e, h) = e * eps/2 + h * h and R-charge. An arrow sends an
+atom to at most one atom, so a fixed-point arrow is a map {source Atom: target
+Atom}, filled by matching weights and R-charges, which reproduces the block
+identity/shift forms without case analysis. The F-terms and the equivariance
+equations are checked on those maps, symbolically.
 """
 
 # no postponed annotations: NamedTuple compiles a ForwardRef per string field at import
@@ -18,16 +18,12 @@ from gtyang.quiver import FRAMING, ZERO_FORM, LinearForm, NodeRef, QuiverSpec, b
 
 
 class Atom(NamedTuple):
-    node: int
+    node: NodeRef
     weight: LinearForm
     r_charge: int
 
-    @property
-    def coordinate(self) -> tuple[int, int, int]:
-        return (*self.weight, self.r_charge)
 
-
-_FRAMING_ATOMS = (Atom(0, ZERO_FORM, 0),)
+_FRAMING_ATOMS = (Atom(FRAMING, ZERO_FORM, 0),)
 
 
 @functools.cache
@@ -52,26 +48,26 @@ class FixedPoint(NamedTuple):
     pattern: GTPattern
     spec: QuiverSpec
     atoms: tuple[tuple[Atom, ...], ...]  # index k-1 -> node-k atoms
-    maps: dict  # arrow name -> {source atom index: target atom index}
+    maps: dict  # arrow name -> {source Atom: target Atom}
 
     def node_atoms(self, node) -> tuple[Atom, ...]:
         return _FRAMING_ATOMS if node == FRAMING else self.atoms[node - 1]
 
 
-def atom_map(src, tgt, weight: LinearForm, r_charge: int) -> dict[int, int]:
-    """{source atom index: target atom index}: a source atom goes to the
-    target atom at its coordinate plus (weight, r_charge), if there is one.
-    Atom coordinates are distinct, so the map is injective."""
-    index = {(t.weight, t.r_charge): r for r, t in enumerate(tgt)}
+def atom_map(src, tgt, weight: LinearForm, r_charge: int) -> dict[Atom, Atom]:
+    """{source Atom: target Atom}: a source atom goes to the target atom at
+    its weight plus ``weight`` and its R-charge plus ``r_charge``, if there is
+    one. No two atoms of a node share both, so the map is injective."""
+    index = {(t.weight, t.r_charge): t for t in tgt}
     return {
-        c: r
-        for c, s in enumerate(src)
-        if (r := index.get((s.weight + weight, s.r_charge + r_charge))) is not None
+        s: t
+        for s in src
+        if (t := index.get((s.weight + weight, s.r_charge + r_charge))) is not None
     }
 
 
 def fixed_point_matrices(pat: GTPattern) -> FixedPoint:
-    """Arrow maps by coordinate matching, one ``atom_map`` per arrow."""
+    """Arrow maps by weight and R-charge matching, one ``atom_map`` per arrow."""
     spec = build_quiver(pat.n, pat.p, pat.lam)
     atoms = tuple(atoms_at_node(pat, k) for k in range(1, pat.n))
     fp = FixedPoint(pat, spec, atoms, {})
@@ -103,9 +99,9 @@ def verify_f_terms(fp: FixedPoint) -> FTermReport:
     ``magnitude``."""
     out = []
     for arr in fp.spec.arrows:
-        total: dict[tuple[int, int], int] = {}
+        total: dict[tuple[Atom, Atom], int] = {}
         for sign, rest in fp.spec.cyclic_derivative(arr.name):
-            for col in range(len(fp.node_atoms(arr.target))):
+            for col in fp.node_atoms(arr.target):
                 row = col
                 for name in reversed(rest):  # the last factor acts first
                     row = fp.maps[name].get(row)  # None once the path ends
@@ -113,7 +109,6 @@ def verify_f_terms(fp: FixedPoint) -> FTermReport:
                     total[row, col] = total.get((row, col), 0) + sign
         out.append((f"dW/d{arr.name}", max(map(abs, total.values()), default=0)))
     for arr in fp.spec.arrows:
-        src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
-        gaps = (tgt[t].weight - src[s].weight - arr.weight for s, t in fp.maps[arr.name].items())
+        gaps = (t.weight - s.weight - arr.weight for s, t in fp.maps[arr.name].items())
         out.append((f"equivariance[{arr.name}]", max((g.magnitude() for g in gaps), default=0)))
     return FTermReport(tuple(out))

@@ -6,10 +6,10 @@ to its first-order change of the gauge-arrow derivatives dW/dq, and the
 kernels are the relations among the relation images of each weight. The
 gauge action X -> X q' - q X on Hom(V'_a, V_a) is injective when the framing
 atom generates V', so its ranks are counts of directions, never
-eliminations. A slot is named by its arrow and its two atoms' coordinates,
-the same in every fixed point: a move reads the smaller end's kernel vectors
-at the larger end's slots of their names, drops the larger end's rows at the
-added atom, and one rank per weight counts the solutions.
+eliminations. A slot is keyed by its arrow and its two atoms, which name it
+in every fixed point that holds them: a move reads the smaller end's kernel
+vectors at the larger end's slots of the same keys, drops the larger end's
+rows at the added atom, and one rank per weight counts the solutions.
 
 Weights are exact (loop, asymmetry) pairs, the asymmetry kept symbolic.
 Cutoff data enters through the conjugate framing directions, whose grading
@@ -58,9 +58,10 @@ class DeformationComplex:
     """Deformation directions, their linearized relations and gauge orbits
     of one fixed point, everything indexed by exact weight pairs.
 
-    Everything about the fixed point is computed once, here: the arrow slots
-    Hom(V_src, V_tgt) (``slot_index``, ``slot_weight``, ``slots_by_weight``,
-    ``slot_by_name``), their relation images (``relations``) and kernel
+    Everything about the fixed point is computed once, here: the atoms of
+    each node (``atoms``), the arrow slots Hom(V_src, V_tgt) keyed by
+    (arrow, target atom, source atom) (``slot_index``, ``slot_weight``,
+    ``slots_by_weight``), their relation images (``relations``) and kernel
     (``kernels``) and the gauge rank (``gauge_ranks``) of each weight, the
     tangent grading trimmed to the expected dimension (``tangent``) and the
     opposite-weight pairs the trim removed (``removed``), all keyed by
@@ -73,26 +74,14 @@ class DeformationComplex:
     def __init__(self, fp: FixedPoint):
         self.fp = fp
         spec, maps = fp.spec, fp.maps
-        # node -> the weights of its atoms, in atom order
-        self.coords = coords = {
-            node: tuple(a.weight for a in fp.node_atoms(node))
-            for node in (FRAMING, *spec.gauge_nodes)
-        }
-        # arrow name -> {target atom index: source atom index}; maps are injective
+        self.atoms = atoms = {node: fp.node_atoms(node) for node in (FRAMING, *spec.gauge_nodes)}
+        # arrow name -> {target atom: source atom}; maps are injective
         self.preimage = {name: {t: s for s, t in m.items()} for name, m in maps.items()}
         slots = _hom(
-            (arr.name, coords[arr.target], coords[arr.source], arr.weight, arr.r_charge == 2)
+            (arr.name, atoms[arr.target], atoms[arr.source], arr.weight, arr.r_charge == 2)
             for arr in spec.arrows
         )
         self.slot_index, self.slot_weight, self.slots_by_weight = slots
-        # (arrow, target coordinate, source coordinate) -> slot index, in index
-        # order; coordinates are distinct within a node, so the names are too
-        atoms = {node: [a.coordinate for a in fp.node_atoms(node)] for node in coords}
-        ends = {arr.name: (atoms[arr.target], atoms[arr.source]) for arr in spec.arrows}
-        self.slot_by_name = {
-            (name, ends[name][0][r], ends[name][1][c]): i
-            for (name, r, c), i in self.slot_index.items()
-        }
         # a gauge image gamma q - q gamma keeps the weight of gamma exactly
         # when every arrow entry sits in a weight-zero slot
         kept = all(
@@ -105,7 +94,7 @@ class DeformationComplex:
             raise StabilityViolation("framing atom does not generate the fixed point")
         # the gauge action is injective, so its rank at each weight is the
         # number of gl(V_a) directions of that weight
-        self.gauge_ranks = ranks = _directions(spec, coords, coords)
+        self.gauge_ranks = ranks = _directions(spec, atoms, atoms)
         self.relations = _relations(self, slots)
         self.kernels = {w: self.kernel_sector(w) for w in sorted(self.slots_by_weight)}
         dims = Counter({w: d for w, k in self.kernels.items() if (d := len(k) - ranks[w])})
@@ -131,23 +120,23 @@ class DeformationComplex:
         this fixed point as V' is injective, V = V' included."""
         out = {}
         for arr in self.fp.spec.arrows:
-            out.setdefault(arr.source, []).append((arr.target, self.fp.maps[arr.name]))
-        reached = {(FRAMING, 0)}
-        stack = [(FRAMING, 0)]
+            out.setdefault(arr.source, []).append(self.fp.maps[arr.name])
+        reached = set(self.atoms[FRAMING])
+        stack = list(reached)
         while stack:
-            node, i = stack.pop()
-            for target, m in out.get(node, ()):
-                if i in m and (target, m[i]) not in reached:
-                    reached.add((target, m[i]))
-                    stack.append((target, m[i]))
-        return len(reached) == sum(map(len, self.coords.values()))
+            atom = stack.pop()
+            for m in out.get(atom.node, ()):
+                if atom in m and m[atom] not in reached:
+                    reached.add(m[atom])
+                    stack.append(m[atom])
+        return len(reached) == sum(map(len, self.atoms.values()))
 
 
 def _hom(blocks):
-    """One slot per entry of each block ``(key, row weights, column weights,
-    shift, negated)``, of weight row - column - shift, negated for a
-    conjugate framing direction. Returns (key, r, c) -> slot index, the
-    weight of each slot, and the slots of each weight in index order."""
+    """One slot (key, row atom, column atom) per entry of each block ``(key,
+    row atoms, column atoms, shift, negated)``, of weight row - column -
+    shift, negated for a conjugate framing direction. Returns slot -> index,
+    the weight of each slot, and the slots of each weight in index order."""
     index, weight, by_weight = {}, [], {}
     for key, rows, cols, shift, negated in blocks:
         for r, c, w in _block_weights(rows, cols, shift, negated):
@@ -159,14 +148,15 @@ def _hom(blocks):
 
 @functools.cache
 def _block_weights(rows, cols, shift, negated):
-    """(r, c, weight) of each entry of a ``_hom`` block, row-major. Cached:
-    neighbouring fixed points share most of their nodes' atoms, so the
+    """(row atom, column atom, weight) of each ``_hom`` block entry, row-major.
+    Cached: neighbouring fixed points share most of their nodes' atoms, so the
     complexes and the moves between them lay out the same blocks again."""
     sign = -1 if negated else 1
     out = []
-    for r, (e, h) in enumerate(rows):
-        e, h = e - shift.e, h - shift.h
-        for c, (e_col, h_col) in enumerate(cols):
+    for r in rows:
+        e, h = r.weight - shift
+        for c in cols:
+            e_col, h_col = c.weight
             out.append((r, c, LinearForm(sign * (e - e_col), sign * (h - h_col))))
     return tuple(out)
 
@@ -175,9 +165,9 @@ def _images(directions, targets, terms):
     """Each direction (key, r, c) of the Hom-slot table ``directions`` to
     its image in the slots ``targets``, target slot -> nonzero int, in index
     order grouped by weight. A key's ``(sign, target key, left, right)``
-    terms, an atom map and the preimage of one (``range(n)`` is the identity
-    of n atoms), send E_rc to sign * left E_rc right: to (left[r], right[c])
-    when both are defined. Every image entry has its direction's weight."""
+    terms, an atom map and the preimage of one (or the identity of a node's
+    atoms), send E_rc to sign * left E_rc right: to (left[r], right[c]) when
+    both are defined. Every image entry has its direction's weight."""
     index, weight, _ = targets
     direction_index, direction_weight, by_weight = directions
     images: dict[LinearForm, list[dict[int, int]]] = {w: [] for w in by_weight}
@@ -196,14 +186,14 @@ def _images(directions, targets, terms):
     return images
 
 
-def _directions(spec, coords, coords_prime) -> Counter:
+def _directions(spec, atoms, atoms_prime) -> Counter:
     """Weight -> the number of directions of Hom(V'_a, V_a) of that weight,
-    over the gauge nodes, for atom weights ``coords`` of V and
-    ``coords_prime`` of V'."""
+    over the gauge nodes, for node atoms ``atoms`` of V and ``atoms_prime``
+    of V'."""
     return Counter(
         w
         for node in spec.gauge_nodes
-        for *_, w in _block_weights(coords[node], coords_prime[node], ZERO_FORM, False)
+        for *_, w in _block_weights(atoms[node], atoms_prime[node], ZERO_FORM, False)
     )
 
 
@@ -214,16 +204,16 @@ def _relations(cx: DeformationComplex, slots) -> dict[LinearForm, list[dict[int,
     ``QuiverSpec.cyclic_derivative`` it keeps the rests without a framing
     arrow, all of length two: the derivative of sign * tr(q x y) by q is
     sign * x y, of first order sign * (dx y + x dy)."""
-    spec, coords = cx.fp.spec, cx.coords
+    spec, atoms = cx.fp.spec, cx.atoms
     cells = _hom(
-        (q.name, coords[q.source], coords[q.target], -q.weight, False) for q in spec.gauge_arrows
+        (q.name, atoms[q.source], atoms[q.target], -q.weight, False) for q in spec.gauge_arrows
     )
+    identity = {node: dict(zip(a, a)) for node, a in atoms.items()}
     terms: dict = {}
     for q, sign, x, y in _relation_words(spec):
         # dx and x end at V_src(q), dy and y start at V_tgt(q)
-        id_src, id_tgt = range(len(coords[q.source])), range(len(coords[q.target]))
-        terms.setdefault(x, []).append((sign, q.name, id_src, cx.preimage[y]))  # dx y
-        terms.setdefault(y, []).append((sign, q.name, cx.fp.maps[x], id_tgt))  # x dy
+        terms.setdefault(x, []).append((sign, q.name, identity[q.source], cx.preimage[y]))  # dx y
+        terms.setdefault(y, []).append((sign, q.name, cx.fp.maps[x], identity[q.target]))  # x dy
     return _images(slots, cells, terms)
 
 
@@ -292,21 +282,13 @@ def _added_atom(cx: DeformationComplex, cx_plus: DeformationComplex) -> Atom:
     one atom, and ``InvariantViolation`` unless every arrow of the larger end
     agrees with the smaller end's on the old atoms and sends the added atom
     to no old atom, so that forgetting the added atom intertwines the two."""
-    fp, fp_plus = cx.fp, cx_plus.fp
-    old, new = ({a for node in c.coords for a in c.fp.node_atoms(node)} for c in (cx, cx_plus))
+    old, new = ({a for atoms in c.atoms.values() for a in atoms} for c in (cx, cx_plus))
     if len(new) != len(old) + 1 or not old < new:
         raise NotAdjacent("second fixed point is not a single-atom extension")
     (added,) = new - old
-    for arr in fp.spec.arrows:
-        q, q_plus = fp.maps[arr.name], fp_plus.maps[arr.name]
-        # away from the added atom's node both ends hold the same atoms, in
-        # the same order (by R-charge, then weight), so the index maps compare
-        if added.node in (arr.source, arr.target):
-            src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
-            src_plus, tgt_plus = fp_plus.node_atoms(arr.source), fp_plus.node_atoms(arr.target)
-            q = {src[s]: tgt[t] for s, t in q.items()}
-            q_plus = {src_plus[s]: tgt_plus[t] for s, t in q_plus.items() if tgt_plus[t] != added}
-        _require(q == q_plus, f"projection fails to intertwine {arr.name}")
+    for name, q in cx.fp.maps.items():
+        q_plus = {s: t for s, t in cx_plus.fp.maps[name].items() if t != added}
+        _require(q == q_plus, f"projection fails to intertwine {name}")
     return added
 
 
@@ -318,26 +300,27 @@ def _incidence_solutions(
     weight where either end has some; tau forgets the ``added`` atom.
 
     The equation lives in the intertwining slots Hom(V'_src, V_tgt): the
-    larger end's slots less the rows at the added atom. tau keeps every other
-    coordinate, so dq tau reads dq at the slots of the same names, and
-    tau dq' drops the rows of dq' at the added atom. The image X q' - q X of
-    a direction X in Hom(V'_a, V_a) is tau applied to the larger end's gauge
-    image of the lift of X, inside its kernel: the images lie in the span of
-    the pairs, and they are independent, V' being generated by its framing
-    atom. So the solutions number n_pairs + n_directions - rank(pairs).
+    larger end's slots less the rows at the added atom. tau is the identity
+    on every other atom, so dq tau reads dq at the slots of the same keys,
+    and tau dq' drops the rows of dq' at the added atom. The image
+    X q' - q X of a direction X in Hom(V'_a, V_a) is tau applied to the
+    larger end's gauge image of the lift of X, inside its kernel: the images
+    lie in the span of the pairs, and they are independent, V' being
+    generated by its framing atom. So the solutions number
+    n_pairs + n_directions - rank(pairs).
     """
-    names, index = list(cx.slot_by_name), cx_plus.slot_by_name
+    keys, index = list(cx.slot_index), cx_plus.slot_index
     dropped = {
-        index[arr.name, added.coordinate, s.coordinate]
+        index[arr.name, added, s]
         for arr in cx.fp.spec.arrows
         if arr.target == added.node
-        for s in cx_plus.fp.node_atoms(arr.source)
+        for s in cx_plus.atoms[arr.source]
     }
-    directions = _directions(cx.fp.spec, cx.coords, cx_plus.coords)
+    directions = _directions(cx.fp.spec, cx.atoms, cx_plus.atoms)
     solutions = {}
     for w in sorted(set(cx.kernels) | set(cx_plus.kernels)):
         # dq tau - tau dq' for the kernel vectors (dq, 0) and (0, dq')
-        pairs = [{index[names[i]]: v for i, v in vec.items()} for vec in cx.kernels.get(w, ())]
+        pairs = [{index[keys[i]]: v for i, v in vec.items()} for vec in cx.kernels.get(w, ())]
         pairs += [
             {i: -v for i, v in vec.items() if i not in dropped}
             for vec in cx_plus.kernels.get(w, ())

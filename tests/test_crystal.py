@@ -29,11 +29,21 @@ def atom_counts(fp) -> list[int]:
     return [len(fp.node_atoms(k)) for k in fp.spec.gauge_nodes]
 
 
-def compose(fp, *names) -> dict:
+def index_maps(fp) -> dict:
+    """Arrow name -> {source atom index: target atom index}: the block view
+    of ``fp.maps``, atoms numbered in node order."""
+    out = {}
+    for arr in fp.spec.arrows:
+        src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
+        out[arr.name] = {src.index(s): tgt.index(t) for s, t in fp.maps[arr.name].items()}
+    return out
+
+
+def compose(maps, *names) -> dict:
     """The map of the product of the named arrows, the last acting first."""
-    out = dict(fp.maps[names[-1]])
+    out = dict(maps[names[-1]])
     for name in reversed(names[:-1]):
-        step = fp.maps[name]
+        step = maps[name]
         out = {c: step[r] for c, r in out.items() if r in step}
     return out
 
@@ -66,7 +76,7 @@ def test_atom_counts_and_no_overlap():
     for pat in enumerate_patterns(4, 2, 2):
         for k in range(1, 4):
             assert len(atoms_at_node(pat, k)) == pat.node_dimension(k)
-        coords = [a.coordinate for k in range(1, 4) for a in atoms_at_node(pat, k)]
+        coords = [(a.weight, a.r_charge) for k in range(1, 4) for a in atoms_at_node(pat, k)]
         assert len(coords) == len(set(coords))
 
 
@@ -96,47 +106,50 @@ def test_every_weight_is_an_integer_lattice_pair(grid):
 def test_fixed_point_blocks_edge_framing():
     pat = build_pattern(3, 1, 2, [2, 1])
     fp = fixed_point_matrices(pat)
+    maps = index_maps(fp)
     assert atom_counts(fp) == [2, 1]
-    assert fp.maps["C1"] == shift_map(2) == {0: 1}
-    assert fp.maps["C2"] == shift_map(1) == {}
-    assert fp.maps["A1"] == identity_map(1, 2) == {0: 0}
-    assert fp.maps["B1"] == {}
-    assert fp.maps["R1"] == identity_map(2, 1) == {0: 0}
-    assert fp.maps["S1"] == {}
+    assert maps["C1"] == shift_map(2) == {0: 1}
+    assert maps["C2"] == shift_map(1) == {}
+    assert maps["A1"] == identity_map(1, 2) == {0: 0}
+    assert maps["B1"] == {}
+    assert maps["R1"] == identity_map(2, 1) == {0: 0}
+    assert maps["S1"] == {}
 
 
 def test_fixed_point_blocks_middle_framing():
     pat = build_pattern(4, 2, 2, [2, 2, 2, 2])
     fp = fixed_point_matrices(pat)
+    maps = index_maps(fp)
     assert atom_counts(fp) == [2, 4, 2]
     stacked = {0: 2, 1: 3}  # the 4 x 2 matrix [[0, 0], [0, 0], [1, 0], [0, 1]]
-    assert fp.maps["A1"] == stacked
+    assert maps["A1"] == stacked
     side = {0: 0, 1: 1}  # the 2 x 4 matrix [[1, 0, 0, 0], [0, 1, 0, 0]]
-    assert fp.maps["B1"] == side
-    assert fp.maps["A2"] == side
-    assert fp.maps["B2"] == stacked
-    assert fp.maps["C2"] == {0: 1, 2: 3}  # two 2 x 2 shift blocks
-    assert fp.maps["R2"] == {0: 0}
+    assert maps["B1"] == side
+    assert maps["A2"] == side
+    assert maps["B2"] == stacked
+    assert maps["C2"] == {0: 1, 2: 3}  # two 2 x 2 shift blocks
+    assert maps["R2"] == {0: 0}
 
 
 def pairwise_maps(pat):
     """Reference for ``fixed_point_matrices``: every (source, target) pair of
     atoms is compared, and the pair is kept exactly where the target
-    coordinate equals the source coordinate plus the arrow's (weight,
-    r_charge). A source atom with two matches would keep both pairs."""
+    coordinates (e, h, R-charge) equal the source coordinates plus the
+    arrow's (weight, r_charge). A source atom with two matches would keep
+    both pairs."""
     spec = build_quiver(pat.n, pat.p, pat.lam)
 
-    def coords(node):
-        return [(0, 0, 0)] if node == FRAMING else [a.coordinate for a in atoms_at_node(pat, node)]
+    def coordinates(atom):
+        return (*atom.weight, atom.r_charge)
 
     out = {}
     for arr in spec.arrows:
         disp = (*arr.weight, arr.r_charge)
         out[arr.name] = {
-            (c, r)
-            for c, sc in enumerate(coords(arr.source))
-            for r, tc in enumerate(coords(arr.target))
-            if all(s + d == t for s, d, t in zip(sc, disp, tc))
+            (s, t)
+            for s in atoms_at_node(pat, arr.source)
+            for t in atoms_at_node(pat, arr.target)
+            if all(a + d == b for a, d, b in zip(coordinates(s), disp, coordinates(t)))
         }
     return out
 
@@ -147,25 +160,29 @@ def test_fixed_point_matrices_match_pairwise_matching(grid):
         fp = fixed_point_matrices(pat)
         pairs = {name: set(m.items()) for name, m in fp.maps.items()}
         assert pairs == pairwise_maps(pat)
+        # every atom names the node that holds it, the framing atom included
+        for arr in fp.spec.arrows:
+            for s, t in fp.maps[arr.name].items():
+                assert (s.node, t.node) == (arr.source, arr.target), arr.name
 
 
 def reachable_atoms(fp) -> set:
-    """(node, atom index) of every atom that the arrow maps reach from the
-    framing atom, the framing atom included."""
-    seen = {(FRAMING, 0)}
-    stack = [(FRAMING, 0)]
+    """Every atom that the arrow maps reach from the framing atom, the
+    framing atom included."""
+    seen = set(fp.node_atoms(FRAMING))
+    stack = list(seen)
     while stack:
-        node, i = stack.pop()
-        for arr in fp.spec.arrows:
-            j = fp.maps[arr.name].get(i)
-            if arr.source == node and j is not None and (arr.target, j) not in seen:
-                seen.add((arr.target, j))
-                stack.append((arr.target, j))
+        atom = stack.pop()
+        for m in fp.maps.values():
+            t = m.get(atom)
+            if t is not None and t not in seen:
+                seen.add(t)
+                stack.append(t)
     return seen
 
 
 def gauge_atoms(fp) -> set:
-    return {(k, i) for k in fp.spec.gauge_nodes for i in range(len(fp.node_atoms(k)))}
+    return {a for k in fp.spec.gauge_nodes for a in fp.node_atoms(k)}
 
 
 STABILITY_GRIDS = [(2, 1, 3), (3, 1, 2), (4, 2, 2), (5, 2, 2), (5, 3, 2), (6, 3, 1), (4, 2, 4)]
@@ -202,8 +219,9 @@ def test_cutoff_relation_shape():
     fp = fixed_point_matrices(pat)
     # C1 C1 R1 runs from the framing atom to the two node-1 atoms
     assert atom_counts(fp)[0] == 2 and len(fp.node_atoms(FRAMING)) == 1
-    assert compose(fp, "C1", "R1") == {0: 1}
-    assert compose(fp, "C1", "C1", "R1") == {}
+    maps = index_maps(fp)
+    assert compose(maps, "C1", "R1") == {0: 1}
+    assert compose(maps, "C1", "C1", "R1") == {}
 
 
 def test_f_terms_exhaustive_small_grid():
@@ -236,9 +254,13 @@ def test_f_terms_with_all_framings():
 def test_equivariance_is_symbolic():
     # a gap of weight h vanishes at h = 0 but is caught symbolically
     fp = fixed_point_matrices(build_pattern(3, 1, 2, [1, 1]))
-    assert fp.maps["A1"] == {0: 0}
-    lifted = tuple(a._replace(weight=a.weight + LinearForm(0, 1)) for a in fp.atoms[1])
-    report = verify_f_terms(fp._replace(atoms=(fp.atoms[0], lifted)))
+    assert index_maps(fp)["A1"] == {0: 0}
+    # the node-2 atoms, in the node and in every map, sit one h higher
+    lift = {a: a._replace(weight=a.weight + LinearForm(0, 1)) for a in fp.atoms[1]}
+    maps = {
+        name: {lift.get(s, s): lift.get(t, t) for s, t in m.items()} for name, m in fp.maps.items()
+    }
+    report = verify_f_terms(fp._replace(atoms=(fp.atoms[0], tuple(lift.values())), maps=maps))
     assert ("equivariance[A1]", 2) in report.residuals
     assert "equivariance[A1]" in report.failures()
 
@@ -247,32 +269,34 @@ def test_block_forms_exhaustive_edge_framing():
     for pat in enumerate_patterns(4, 1, 2):
         n1, n2, n3 = pat.free_values
         fp = fixed_point_matrices(pat)
+        maps = index_maps(fp)
         assert atom_counts(fp) == [n1, n2, n3]
-        assert fp.maps["C1"] == shift_map(n1)
-        assert fp.maps["C2"] == shift_map(n2)
-        assert fp.maps["C3"] == shift_map(n3)
-        assert fp.maps["A1"] == identity_map(n2, n1)
-        assert fp.maps["A2"] == identity_map(n3, n2)
-        assert fp.maps["B1"] == fp.maps["B2"] == {}
-        assert fp.maps["R1"] == identity_map(n1, 1)
-        assert fp.maps["S1"] == {}
+        assert maps["C1"] == shift_map(n1)
+        assert maps["C2"] == shift_map(n2)
+        assert maps["C3"] == shift_map(n3)
+        assert maps["A1"] == identity_map(n2, n1)
+        assert maps["A2"] == identity_map(n3, n2)
+        assert maps["B1"] == maps["B2"] == {}
+        assert maps["R1"] == identity_map(n1, 1)
+        assert maps["S1"] == {}
 
 
 def test_block_forms_exhaustive_middle_framing():
     for pat in enumerate_patterns(4, 2, 2):
         n1, m1, m2, n3 = pat.free_values
         fp = fixed_point_matrices(pat)
+        maps = index_maps(fp)
         assert atom_counts(fp) == [n1, m1 + m2, n3]
-        assert fp.maps["C1"] == shift_map(n1)
-        assert fp.maps["C3"] == shift_map(n3)
+        assert maps["C1"] == shift_map(n1)
+        assert maps["C3"] == shift_map(n3)
         # node 2 holds an m1 block, then an m2 block
-        assert fp.maps["C2"] == {**shift_map(m1), **shift_map(m2, offset=m1)}
-        assert fp.maps["A1"] == identity_map(m2, n1, row_offset=m1)
-        assert fp.maps["B1"] == identity_map(n1, m1)
-        assert fp.maps["A2"] == identity_map(n3, m1)
-        assert fp.maps["B2"] == identity_map(m2, n3, row_offset=m1)
-        assert fp.maps["R2"] == identity_map(m1 + m2, 1)
-        assert fp.maps["S2"] == {}
+        assert maps["C2"] == {**shift_map(m1), **shift_map(m2, offset=m1)}
+        assert maps["A1"] == identity_map(m2, n1, row_offset=m1)
+        assert maps["B1"] == identity_map(n1, m1)
+        assert maps["A2"] == identity_map(n3, m1)
+        assert maps["B2"] == identity_map(m2, n3, row_offset=m1)
+        assert maps["R2"] == identity_map(m1 + m2, 1)
+        assert maps["S2"] == {}
 
 
 def test_corrupted_matrix_reports_nonzero():
@@ -285,7 +309,10 @@ def test_corrupted_matrix_reports_nonzero():
         ("C1", (0, 0)): ["dW/dB1", "dW/dS1", "equivariance[C1]"],
     }
     for (name, *entries), failures in pinned.items():
-        corrupted = FixedPoint(fp.pattern, fp.spec, fp.atoms, {**fp.maps, name: dict(entries)})
+        arr = fp.spec.arrow(name)
+        src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
+        m = {src[s]: tgt[t] for s, t in entries}
+        corrupted = FixedPoint(fp.pattern, fp.spec, fp.atoms, {**fp.maps, name: m})
         report = verify_f_terms(corrupted)
         assert not report.ok
         assert report.failures() == failures

@@ -166,10 +166,9 @@ def test_product_equals_residue_via_localization():
         assert e_loc * f_loc == psi.residue_simple(raise_pole(pat, k, j, EPS1.epsilon))
 
 
-def coords_of(fp):
-    """Node -> the weights of its atoms, as ``DeformationComplex.coords``."""
-    nodes = (FRAMING, *fp.spec.gauge_nodes)
-    return {node: tuple(a.weight for a in fp.node_atoms(node)) for node in nodes}
+def atoms_of(fp):
+    """Node -> its atoms, as ``DeformationComplex.atoms``."""
+    return {node: fp.node_atoms(node) for node in (FRAMING, *fp.spec.gauge_nodes)}
 
 
 def action(fp, fp_prime):
@@ -178,32 +177,33 @@ def action(fp, fp_prime):
     gauge nodes, and the image X q' - q X of each direction X in index
     order, grouped by its weight. With V' = V it is the gauge action
     gamma q - q gamma, on the slots of the deformation complex."""
-    spec, coords, coords_prime = fp.spec, coords_of(fp), coords_of(fp_prime)
+    spec, atoms, atoms_prime = fp.spec, atoms_of(fp), atoms_of(fp_prime)
     slots = _hom(
-        (arr.name, coords[arr.target], coords_prime[arr.source], arr.weight, arr.r_charge == 2)
+        (arr.name, atoms[arr.target], atoms_prime[arr.source], arr.weight, arr.r_charge == 2)
         for arr in spec.arrows
     )
     directions = _hom(
-        (node, coords[node], coords_prime[node], ZERO_FORM, False) for node in spec.gauge_nodes
+        (node, atoms[node], atoms_prime[node], ZERO_FORM, False) for node in spec.gauge_nodes
     )
     terms = {}
     for arr in spec.arrows:  # X q'
-        id_tgt = range(len(coords[arr.target]))
+        id_tgt = dict(zip(atoms[arr.target], atoms[arr.target]))
         preimage = {t: s for s, t in fp_prime.maps[arr.name].items()}
         terms.setdefault(arr.target, []).append((1, arr.name, id_tgt, preimage))
     for arr in spec.arrows:  # - q X
-        id_src = range(len(coords_prime[arr.source]))
+        id_src = dict(zip(atoms_prime[arr.source], atoms_prime[arr.source]))
         terms.setdefault(arr.source, []).append((-1, arr.name, fp.maps[arr.name], id_src))
     return slots, directions, _images(directions, slots, terms)
 
 
 def tau_of(cx, cx_plus):
-    """The intertwiner tau of a move, the reference the slot names are
+    """The intertwiner tau of a move, the reference the slot keys are
     checked against: node -> the atom map of zero displacement from the
-    larger end's atoms onto the smaller end's, the framing node included."""
+    larger end's atoms onto the smaller end's, the framing node included,
+    which is the identity on the atoms both ends hold."""
     return {
         node: atom_map(cx_plus.fp.node_atoms(node), cx.fp.node_atoms(node), ZERO_FORM, 0)
-        for node in cx.coords
+        for node in cx.atoms
     }
 
 
@@ -250,10 +250,9 @@ def test_weight_preservation_and_gauge_inside_kernel():
 def arrow_matrix(fp, name: str) -> RationalMatrix:
     """The 0/1 matrix of the named arrow's atom map, rows indexed by target atoms."""
     arr = fp.spec.arrow(name)
+    src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
     return RationalMatrix.from_triples(
-        len(fp.node_atoms(arr.target)),
-        len(fp.node_atoms(arr.source)),
-        ((t, s, 1) for s, t in fp.maps[name].items()),
+        len(tgt), len(src), ((tgt.index(t), src.index(s), 1) for s, t in fp.maps[name].items())
     )
 
 
@@ -281,10 +280,10 @@ def corrupted_copies(fp, rng):
     if not arrows:
         return []
     arr = rng.choice(arrows)
-    s = rng.choice(sorted(fp.maps[arr.name]))
+    s = rng.choice(list(fp.maps[arr.name]))  # in source atom order
     deleted = {k: v for k, v in fp.maps[arr.name].items() if k != s}
     out = [fp._replace(maps={**fp.maps, arr.name: deleted})]
-    others = [t for t in range(len(fp.node_atoms(arr.target))) if t != fp.maps[arr.name][s]]
+    others = [t for t in fp.node_atoms(arr.target) if t != fp.maps[arr.name][s]]
     if others:
         moved = {**fp.maps[arr.name], s: rng.choice(others)}
         out.append(fp._replace(maps={**fp.maps, arr.name: moved}))
@@ -328,17 +327,15 @@ def superpotential_rows(fp):
         for name in {a for _, f in words if q.name in f for a in f} - {q.name}:
             arr = fp.spec.arrow(name)
             m = matrices[name]
+            tgt, src = fp.node_atoms(arr.target), fp.node_atoms(arr.source)
             for r, c in product(range(m.rows), range(m.cols)):
                 bump = RationalMatrix.from_triples(m.rows, m.cols, [(r, c, 1)])
                 moved = {**matrices, name: m + bump}
                 delta = superpotential_derivative(gauge_spec, moved, q.name) - base
-                weight = (
-                    fp.node_atoms(arr.target)[r].weight
-                    - fp.node_atoms(arr.source)[c].weight
-                    - arr.weight
-                )
+                weight = tgt[r].weight - src[c].weight - arr.weight
+                slot = cx.slot_index[name, tgt[r], src[c]]
                 for rr, cc, v in delta.nonzeros():
-                    entries.setdefault((q.name, rr, cc), {})[cx.slot_index[name, r, c]] = v
+                    entries.setdefault((q.name, rr, cc), {})[slot] = v
                     weights.setdefault((q.name, rr, cc), set()).add(weight)
     out = Counter()
     for key, row in entries.items():
@@ -367,10 +364,10 @@ def off_weight_copies(fp, arrows):
     redirected to an atom the arrow does not hit, of another weight than its
     own target."""
     for arr in arrows:
-        m, targets = fp.maps[arr.name], fp.node_atoms(arr.target)
+        m = fp.maps[arr.name]
         for s, t in m.items():
-            for moved in range(len(targets)):
-                if moved in m.values() or targets[moved].weight == targets[t].weight:
+            for moved in fp.node_atoms(arr.target):
+                if moved in m.values() or moved.weight == t.weight:
                     continue
                 yield fp._replace(maps={**fp.maps, arr.name: {**m, s: moved}})
 
@@ -795,25 +792,26 @@ def test_a_wrong_tau_fails_the_gauge_identities():
     cx, cx_plus = DeformationComplex(fp_of(pat)), DeformationComplex(fp_of(pat.bumped(3, 4, +1)))
     tau = tau_of(cx, cx_plus)
     assert gauge_identity_failures(cx, cx_plus, tau)[1] == 0
-    swapped = {**tau, 2: {**tau[2], 0: tau[2][3], 3: tau[2][0]}}
-    assert cx_plus.coords[2][0] == cx_plus.coords[2][3]
+    a = cx_plus.atoms[2]
+    swapped = {**tau, 2: {**tau[2], a[0]: tau[2][a[3]], a[3]: tau[2][a[0]]}}
+    assert a[0].weight == a[3].weight
     assert gauge_identity_failures(cx, cx_plus, swapped)[1] > 0
-    crossed = {**tau, 2: {**tau[2], 0: tau[2][1], 1: tau[2][0]}}
+    crossed = {**tau, 2: {**tau[2], a[0]: tau[2][a[1]], a[1]: tau[2][a[0]]}}
     with pytest.raises(InvariantViolation, match="push leaves its weight"):
         gauge_identity_failures(cx, cx_plus, crossed)
 
 
 def test_a_slot_name_fixes_its_weight():
     # the incidence reads the smaller end's slots at the larger end's slots
-    # of the same names, so names are distinct within a complex and a name
-    # has one weight in every complex of a grid
+    # of the same keys, so keys are distinct within a complex and a key has
+    # one weight in every complex of a grid
     named = 0
     for grid in [(4, 2, 2), (6, 3, 1), (5, 2, 2)]:
         weights = {}
         for pat in enumerate_patterns(*grid):
             cx = DeformationComplex(fp_of(pat))
-            assert len(cx.slot_by_name) == len(cx.slot_weight), pat.free_values
-            for name, i in cx.slot_by_name.items():
+            assert len(cx.slot_index) == len(cx.slot_weight), pat.free_values
+            for name, i in cx.slot_index.items():
                 assert weights.setdefault(name, cx.slot_weight[i]) == cx.slot_weight[i], name
         named += len(weights)
     assert named
@@ -824,24 +822,30 @@ def test_a_broken_larger_end_arrow_fails_the_intertwining():
     # entry between old atoms from an arrow of the larger end. The smaller
     # end keeps that entry, so forgetting the added atom no longer
     # intertwines the two ends, whether or not the arrow meets the node of
-    # the added atom
+    # the added atom. Nor does it once the larger end sends the added atom
+    # to an old atom: S_k to the framing atom, which every move has
     complexes = {pat: DeformationComplex(fp_of(pat)) for pat in enumerate_patterns(4, 2, 2)}
     broken = Counter()
+
+    def refused(cx, cx_plus, name, m):
+        corrupt = copy.copy(cx_plus)
+        corrupt.fp = cx_plus.fp._replace(maps={**cx_plus.fp.maps, name: m})
+        message = f"projection fails to intertwine {re.escape(name)}$"
+        with pytest.raises(InvariantViolation, match=message):
+            incidence_tangent_graded(cx, corrupt)
+
     for pat, up, k, _ in grid_pairs(4, 2, 2):
         cx, cx_plus = complexes[pat], complexes[up]
         fp_plus = cx_plus.fp
-        added = set(fp_plus.node_atoms(k)) - set(cx.fp.node_atoms(k))
+        (added,) = set(fp_plus.node_atoms(k)) - set(cx.fp.node_atoms(k))
         for arr in fp_plus.spec.arrows:
             m = fp_plus.maps[arr.name]
-            src, tgt = fp_plus.node_atoms(arr.source), fp_plus.node_atoms(arr.target)
-            old = [s for s, t in m.items() if added.isdisjoint((src[s], tgt[t]))]
+            old = [s for s, t in m.items() if added not in (s, t)]
             if not old:
                 continue
-            corrupt = copy.copy(cx_plus)
-            cut = {s: t for s, t in m.items() if s != old[0]}
-            corrupt.fp = fp_plus._replace(maps={**fp_plus.maps, arr.name: cut})
-            message = f"projection fails to intertwine {re.escape(arr.name)}$"
-            with pytest.raises(InvariantViolation, match=message):
-                incidence_tangent_graded(cx, corrupt)
+            refused(cx, cx_plus, arr.name, {s: t for s, t in m.items() if s != old[0]})
             broken[k in (arr.source, arr.target)] += 1
-    assert broken[True] and broken[False]
+        (framing,) = fp_plus.node_atoms(FRAMING)
+        refused(cx, cx_plus, f"S{k}", {**fp_plus.maps[f"S{k}"], added: framing})
+        broken["from the added atom"] += 1
+    assert broken[True] and broken[False] and broken["from the added atom"]
