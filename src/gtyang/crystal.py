@@ -4,8 +4,10 @@ Each pattern entry m[i,k] contributes a ladder of atoms at node k, each atom
 its node, weight (e, h) = e * eps/2 + h * h and R-charge. An arrow sends an
 atom to at most one atom, so a fixed-point arrow is a map {source Atom: target
 Atom}, filled by matching weights and R-charges, which reproduces the block
-identity/shift forms without case analysis. The F-terms and the equivariance
-equations are checked on those maps, symbolically.
+identity/shift forms without case analysis. A fixed point keys the atoms by
+their node, the framing node's one atom first, and the maps by their arrow.
+The F-terms and the equivariance equations are checked on those maps,
+symbolically.
 """
 
 # no postponed annotations: NamedTuple compiles a ForwardRef per string field at import
@@ -23,16 +25,13 @@ class Atom(NamedTuple):
     r_charge: int
 
 
-_FRAMING_ATOMS = (Atom(FRAMING, ZERO_FORM, 0),)
-
-
 @functools.cache
 def atoms_at_node(pat: GTPattern, k: NodeRef) -> tuple[Atom, ...]:
     """Atoms ordered by type index, then level; the framing node holds the
     one framing atom, of weight 0. Cached, since psi_generic reads each
     node's atoms once for every node next to it."""
     if k == FRAMING:
-        return _FRAMING_ATOMS
+        return (Atom(FRAMING, ZERO_FORM, 0),)
     a, b = pat.window(k)
     out = []
     for i in range(a, b + 1):
@@ -47,11 +46,8 @@ class FixedPoint(NamedTuple):
 
     pattern: GTPattern
     spec: QuiverSpec
-    atoms: tuple[tuple[Atom, ...], ...]  # index k-1 -> node-k atoms
+    atoms: dict  # node -> its atoms, FRAMING first
     maps: dict  # arrow name -> {source Atom: target Atom}
-
-    def node_atoms(self, node) -> tuple[Atom, ...]:
-        return _FRAMING_ATOMS if node == FRAMING else self.atoms[node - 1]
 
 
 def atom_map(src, tgt, weight: LinearForm, r_charge: int) -> dict[Atom, Atom]:
@@ -69,12 +65,12 @@ def atom_map(src, tgt, weight: LinearForm, r_charge: int) -> dict[Atom, Atom]:
 def fixed_point_matrices(pat: GTPattern) -> FixedPoint:
     """Arrow maps by weight and R-charge matching, one ``atom_map`` per arrow."""
     spec = build_quiver(pat.n, pat.p, pat.lam)
-    atoms = tuple(atoms_at_node(pat, k) for k in range(1, pat.n))
-    fp = FixedPoint(pat, spec, atoms, {})
-    for arr in spec.arrows:
-        src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
-        fp.maps[arr.name] = atom_map(src, tgt, arr.weight, arr.r_charge)
-    return fp
+    atoms = {node: atoms_at_node(pat, node) for node in (FRAMING, *spec.gauge_nodes)}
+    maps = {
+        arr.name: atom_map(atoms[arr.source], atoms[arr.target], arr.weight, arr.r_charge)
+        for arr in spec.arrows
+    }
+    return FixedPoint(pat, spec, atoms, maps)
 
 
 class FTermReport(NamedTuple):
@@ -101,7 +97,7 @@ def verify_f_terms(fp: FixedPoint) -> FTermReport:
     for arr in fp.spec.arrows:
         total: dict[tuple[Atom, Atom], int] = {}
         for sign, rest in fp.spec.cyclic_derivative(arr.name):
-            for col in fp.node_atoms(arr.target):
+            for col in fp.atoms[arr.target]:
                 row = col
                 for name in reversed(rest):  # the last factor acts first
                     row = fp.maps[name].get(row)  # None once the path ends

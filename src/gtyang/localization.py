@@ -6,10 +6,10 @@ to its first-order change of the gauge-arrow derivatives dW/dq, and the
 kernels are the relations among the relation images of each weight. The
 gauge action X -> X q' - q X on Hom(V'_a, V_a) is injective when the framing
 atom generates V', so its ranks are counts of directions, never
-eliminations. A slot is keyed by its arrow and its two atoms, which name it
-in every fixed point that holds them: a move reads the smaller end's kernel
-vectors at the larger end's slots of the same keys, drops the larger end's
-rows at the added atom, and one rank per weight counts the solutions.
+eliminations. A slot is its own name, (arrow, target atom, source atom), in
+every fixed point that holds both atoms, and a kernel vector is a dict over
+slot names: a move sets the smaller end's vectors beside the larger end's
+less their entries at the added atom, and one rank per weight counts them.
 
 Weights are exact (loop, asymmetry) pairs, the asymmetry kept symbolic.
 Cutoff data enters through the conjugate framing directions, whose grading
@@ -58,13 +58,13 @@ class DeformationComplex:
     """Deformation directions, their linearized relations and gauge orbits
     of one fixed point, everything indexed by exact weight pairs.
 
-    Everything about the fixed point is computed once, here: the atoms of
-    each node (``atoms``), the arrow slots Hom(V_src, V_tgt) keyed by
-    (arrow, target atom, source atom) (``slot_index``, ``slot_weight``,
-    ``slots_by_weight``), their relation images (``relations``) and kernel
-    (``kernels``) and the gauge rank (``gauge_ranks``) of each weight, the
-    tangent grading trimmed to the expected dimension (``tangent``) and the
-    opposite-weight pairs the trim removed (``removed``), all keyed by
+    Everything about the fixed point is computed once, here: the weight of
+    each arrow slot (arrow, target atom, source atom) of Hom(V_src, V_tgt)
+    in layout order (``slot_weight``) and the slots of each weight
+    (``slots_by_weight``), their relation images (``relations``), kernel
+    vectors over slot names (``kernels``) and gauge rank (``gauge_ranks``),
+    the tangent grading trimmed to the expected dimension (``tangent``) and
+    the opposite-weight pairs the trim removed (``removed``), all keyed by
     ``LinearForm``. Construction raises ``InvariantViolation`` when an arrow
     entry breaks equivariance and ``StabilityViolation`` when the framing
     atom does not generate the fixed point, the condition that makes the
@@ -73,22 +73,18 @@ class DeformationComplex:
 
     def __init__(self, fp: FixedPoint):
         self.fp = fp
-        spec, maps = fp.spec, fp.maps
-        self.atoms = atoms = {node: fp.node_atoms(node) for node in (FRAMING, *spec.gauge_nodes)}
+        spec, atoms, maps = fp.spec, fp.atoms, fp.maps
         # arrow name -> {target atom: source atom}; maps are injective
         self.preimage = {name: {t: s for s, t in m.items()} for name, m in maps.items()}
         slots = _hom(
             (arr.name, atoms[arr.target], atoms[arr.source], arr.weight, arr.r_charge == 2)
             for arr in spec.arrows
         )
-        self.slot_index, self.slot_weight, self.slots_by_weight = slots
+        self.slot_weight, self.slots_by_weight = slots
         # a gauge image gamma q - q gamma keeps the weight of gamma exactly
         # when every arrow entry sits in a weight-zero slot
-        kept = all(
-            self.slot_weight[self.slot_index[name, t, s]] == ZERO_FORM
-            for name, m in maps.items()
-            for s, t in m.items()
-        )
+        weight = self.slot_weight
+        kept = all(weight[a, t, s] == ZERO_FORM for a, q in maps.items() for s, t in q.items())
         _require(kept, "image leaves its direction weight")
         if not self.gauge_injective():
             raise StabilityViolation("framing atom does not generate the fixed point")
@@ -99,15 +95,15 @@ class DeformationComplex:
         self.kernels = {w: self.kernel_sector(w) for w in sorted(self.slots_by_weight)}
         dims = Counter({w: d for w, k in self.kernels.items() if (d := len(k) - ranks[w])})
         _require(min(dims.values(), default=0) >= 0, "gauge orbit escapes the relation kernel")
-        expected_dim = 2 * sum(map(len, fp.atoms))
+        expected_dim = 2 * sum(len(atoms[k]) for k in spec.gauge_nodes)
         self.tangent, self.removed = _regularize_tangent(dims, expected_dim, fp.pattern)
 
-    def kernel_sector(self, w: LinearForm) -> list[dict[int, int]]:
+    def kernel_sector(self, w: LinearForm) -> list[dict[tuple, int]]:
         """Basis of ker(dF) on the weight-w slots, the relations among their
-        relation images, as primitive integer vectors over the slot index."""
-        idxs = self.slots_by_weight.get(w, [])
+        relation images, as primitive integer vectors over the slot names."""
+        slots = self.slots_by_weight.get(w, [])
         basis = kernel_basis(self.relations.get(w, []))
-        return [{idxs[l]: v for l, v in vec.items()} for vec in basis]
+        return [{slots[l]: v for l, v in vec.items()} for vec in basis]
 
     def gauge_rank_sector(self, w: LinearForm) -> int:
         """Rank of the gauge action at weight w, a count (``gauge_ranks``)."""
@@ -121,7 +117,7 @@ class DeformationComplex:
         out = {}
         for arr in self.fp.spec.arrows:
             out.setdefault(arr.source, []).append(self.fp.maps[arr.name])
-        reached = set(self.atoms[FRAMING])
+        reached = set(self.fp.atoms[FRAMING])
         stack = list(reached)
         while stack:
             atom = stack.pop()
@@ -129,21 +125,20 @@ class DeformationComplex:
                 if atom in m and m[atom] not in reached:
                     reached.add(m[atom])
                     stack.append(m[atom])
-        return len(reached) == sum(map(len, self.atoms.values()))
+        return len(reached) == sum(map(len, self.fp.atoms.values()))
 
 
 def _hom(blocks):
     """One slot (key, row atom, column atom) per entry of each block ``(key,
     row atoms, column atoms, shift, negated)``, of weight row - column -
-    shift, negated for a conjugate framing direction. Returns slot -> index,
-    the weight of each slot, and the slots of each weight in index order."""
-    index, weight, by_weight = {}, [], {}
+    shift, negated for a conjugate framing direction. Returns slot -> its
+    weight, in layout order, and weight -> its slots in that order."""
+    weight, by_weight = {}, {}
     for key, rows, cols, shift, negated in blocks:
         for r, c, w in _block_weights(rows, cols, shift, negated):
-            index[key, r, c] = n = len(weight)
-            by_weight.setdefault(w, []).append(n)
-            weight.append(w)
-    return index, weight, by_weight
+            weight[key, r, c] = w
+            by_weight.setdefault(w, []).append((key, r, c))
+    return weight, by_weight
 
 
 @functools.cache
@@ -163,25 +158,26 @@ def _block_weights(rows, cols, shift, negated):
 
 def _images(directions, targets, terms):
     """Each direction (key, r, c) of the Hom-slot table ``directions`` to
-    its image in the slots ``targets``, target slot -> nonzero int, in index
-    order grouped by weight. A key's ``(sign, target key, left, right)``
-    terms, an atom map and the preimage of one (or the identity of a node's
-    atoms), send E_rc to sign * left E_rc right: to (left[r], right[c]) when
-    both are defined. Every image entry has its direction's weight."""
-    index, weight, _ = targets
-    direction_index, direction_weight, by_weight = directions
-    images: dict[LinearForm, list[dict[int, int]]] = {w: [] for w in by_weight}
-    for (key, r, c), i in direction_index.items():
-        image: dict[int, int] = {}
+    its image in the slots of the table ``targets``, target slot -> nonzero
+    int, in layout order grouped by weight. A key's ``(sign, target key,
+    left, right)`` terms, an atom map and the preimage of one (or the
+    identity of a node's atoms), send E_rc to sign * left E_rc right: to the
+    slot (target key, left[r], right[c]) when both are defined. Every image
+    entry has its direction's weight."""
+    direction_weight, by_weight = directions
+    target_weight, _ = targets
+    images: dict[LinearForm, list[dict[tuple, int]]] = {w: [] for w in by_weight}
+    for (key, r, c), w in direction_weight.items():
+        image: dict[tuple, int] = {}
         for sign, target, left, right in terms.get(key, ()):
             if r in left and c in right:
-                j = index[target, left[r], right[c]]
-                image[j] = image.get(j, 0) + sign
+                slot = target, left[r], right[c]
+                image[slot] = image.get(slot, 0) + sign
         if 0 in image.values():
-            image = {j: v for j, v in image.items() if v}
-        images[direction_weight[i]].append(image)
+            image = {slot: v for slot, v in image.items() if v}
+        images[w].append(image)
     for w, group in images.items():
-        kept = all(weight[j] == w for image in group for j in image)
+        kept = all(target_weight[slot] == w for image in group for slot in image)
         _require(kept, "image leaves its direction weight")
     return images
 
@@ -197,14 +193,14 @@ def _directions(spec, atoms, atoms_prime) -> Counter:
     )
 
 
-def _relations(cx: DeformationComplex, slots) -> dict[LinearForm, list[dict[int, int]]]:
+def _relations(cx: DeformationComplex, slots) -> dict[LinearForm, list[dict[tuple, int]]]:
     """The linearized relations: the image of each arrow slot dq in the cells
     of the gauge-arrow derivatives dW/dq, each the block Hom(V_tgt(q),
-    V_src(q)) shifted by -w(q), in index order, grouped by weight. Of
+    V_src(q)) shifted by -w(q), in layout order, grouped by weight. Of
     ``QuiverSpec.cyclic_derivative`` it keeps the rests without a framing
     arrow, all of length two: the derivative of sign * tr(q x y) by q is
     sign * x y, of first order sign * (dx y + x dy)."""
-    spec, atoms = cx.fp.spec, cx.atoms
+    spec, atoms, maps = cx.fp.spec, cx.fp.atoms, cx.fp.maps
     cells = _hom(
         (q.name, atoms[q.source], atoms[q.target], -q.weight, False) for q in spec.gauge_arrows
     )
@@ -213,7 +209,7 @@ def _relations(cx: DeformationComplex, slots) -> dict[LinearForm, list[dict[int,
     for q, sign, x, y in _relation_words(spec):
         # dx and x end at V_src(q), dy and y start at V_tgt(q)
         terms.setdefault(x, []).append((sign, q.name, identity[q.source], cx.preimage[y]))  # dx y
-        terms.setdefault(y, []).append((sign, q.name, cx.fp.maps[x], identity[q.target]))  # x dy
+        terms.setdefault(y, []).append((sign, q.name, maps[x], identity[q.target]))  # x dy
     return _images(slots, cells, terms)
 
 
@@ -269,20 +265,13 @@ def tangent_graded(fp: FixedPoint) -> dict[LinearForm, int]:
     return DeformationComplex(fp).tangent
 
 
-def _euler(graded: dict[LinearForm, int], params: EquivariantParams) -> Rat:
-    """Euler class of a grading: the product of its nonzero weights, times
-    -1 for each pair of zero-valued directions."""
-    zero_dims = sum(dim for form, dim in graded.items() if form.value(params) == 0)
-    return (-1) ** (zero_dims // 2) * _sector_ratio(graded, {}, params)
-
-
 def _added_atom(cx: DeformationComplex, cx_plus: DeformationComplex) -> Atom:
     """The one atom that the larger end adds to the smaller. Raises
     ``NotAdjacent`` unless the larger crystal is the smaller one plus exactly
     one atom, and ``InvariantViolation`` unless every arrow of the larger end
     agrees with the smaller end's on the old atoms and sends the added atom
     to no old atom, so that forgetting the added atom intertwines the two."""
-    old, new = ({a for atoms in c.atoms.values() for a in atoms} for c in (cx, cx_plus))
+    old, new = ({a for atoms in c.fp.atoms.values() for a in atoms} for c in (cx, cx_plus))
     if len(new) != len(old) + 1 or not old < new:
         raise NotAdjacent("second fixed point is not a single-atom extension")
     (added,) = new - old
@@ -301,28 +290,21 @@ def _incidence_solutions(
 
     The equation lives in the intertwining slots Hom(V'_src, V_tgt): the
     larger end's slots less the rows at the added atom. tau is the identity
-    on every other atom, so dq tau reads dq at the slots of the same keys,
-    and tau dq' drops the rows of dq' at the added atom. The image
-    X q' - q X of a direction X in Hom(V'_a, V_a) is tau applied to the
-    larger end's gauge image of the lift of X, inside its kernel: the images
-    lie in the span of the pairs, and they are independent, V' being
-    generated by its framing atom. So the solutions number
-    n_pairs + n_directions - rank(pairs).
+    on every other atom, so dq tau is dq, over slot names the larger end
+    shares, and tau dq' drops the entries of dq' whose target atom, the
+    second part of the name, is the added one. The image X q' - q X of a
+    direction X in Hom(V'_a, V_a) is tau applied to the larger end's gauge
+    image of the lift of X, inside its kernel: the images lie in the span of
+    the pairs, and they are independent, V' being generated by its framing
+    atom. So the solutions number n_pairs + n_directions - rank(pairs).
     """
-    keys, index = list(cx.slot_index), cx_plus.slot_index
-    dropped = {
-        index[arr.name, added, s]
-        for arr in cx.fp.spec.arrows
-        if arr.target == added.node
-        for s in cx_plus.atoms[arr.source]
-    }
-    directions = _directions(cx.fp.spec, cx.atoms, cx_plus.atoms)
+    directions = _directions(cx.fp.spec, cx.fp.atoms, cx_plus.fp.atoms)
     solutions = {}
     for w in sorted(set(cx.kernels) | set(cx_plus.kernels)):
         # dq tau - tau dq' for the kernel vectors (dq, 0) and (0, dq')
-        pairs = [{index[keys[i]]: v for i, v in vec.items()} for vec in cx.kernels.get(w, ())]
+        pairs = list(cx.kernels.get(w, ()))
         pairs += [
-            {i: -v for i, v in vec.items() if i not in dropped}
+            {slot: -v for slot, v in vec.items() if slot[1] != added}
             for vec in cx_plus.kernels.get(w, ())
         ]
         if pairs:
@@ -349,7 +331,7 @@ def incidence_tangent_graded(
     # framing pair at every gauge node: a lone pair follows the move node's
     # parity, two distinct magnitudes split as +larger/-smaller, equal
     # magnitudes drop both signs.
-    excess = sectors.total() - (2 * sum(map(len, fp.atoms)) + 1)
+    excess = sectors.total() - (2 * sum(len(fp.atoms[k]) for k in fp.spec.gauge_nodes) + 1)
     if excess > 0:
         pool = [w for w in (cx.removed + cx_plus.removed).elements() if w > ZERO_FORM]
         if excess != len(pool):

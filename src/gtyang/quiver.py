@@ -204,27 +204,23 @@ class ConstraintReport(NamedTuple):
 
 
 def check_constraints(spec: QuiverSpec) -> ConstraintReport:
+    arrows = {a.name: a for a in spec.arrows}
     loop_w = []
     loop_r = []
     for idx, (_, factors) in enumerate(spec.superpotential):
         total = ZERO_FORM
         rsum = 0
         for name in factors:
-            arr = spec.arrow(name)
+            arr = arrows[name]
             total = total + arr.weight
             rsum += arr.r_charge
         loop_w.append((idx, total))
         loop_r.append((idx, rsum - 2))
 
-    vertex = []
-    for node in spec.gauge_nodes:
-        total = ZERO_FORM
-        for arr in spec.gauge_arrows:
-            if arr.source == arr.target:
-                continue  # self-loops enter with net sign 0
-            if arr.target == node:
-                total = total + arr.weight
-            elif arr.source == node:
-                total = total - arr.weight
-        vertex.append((node, total))
-    return ConstraintReport(tuple(loop_w), tuple(loop_r), tuple(vertex))
+    # one pass over the gauge arrows, whose ends are gauge nodes
+    vertex = dict.fromkeys(spec.gauge_nodes, ZERO_FORM)
+    for arr in spec.gauge_arrows:
+        if arr.source != arr.target:  # self-loops enter with net sign 0
+            vertex[arr.target] += arr.weight
+            vertex[arr.source] -= arr.weight
+    return ConstraintReport(tuple(loop_w), tuple(loop_r), tuple(vertex.items()))

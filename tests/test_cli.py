@@ -657,6 +657,28 @@ def test_subprocess_byte_identical(cli_env):
     assert first.stdout.endswith(b"\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amplitudes", "--method", "localization", "--format", "csv", *_grid_args((4, 2, 2), "3/2")],
+        ["verify", "--format", "csv", *_grid_args((4, 2, 2), 1)],
+        ["modes", "--mode-cutoff", "1", *_grid_args((3, 1, 2), 1)],
+        ["psi", *_grid_args((4, 2, 2), 1)],
+    ],
+    ids=["amplitudes-localization", "verify", "modes", "psi"],
+)
+def test_stdout_does_not_depend_on_the_hash_seed(cli_env, argv):
+    # slot names carry arrow-name strings, whose hashes change with the
+    # seed, into the echelon row order; no output may follow a hash order
+    cmd = [sys.executable, "-m", "gtyang.cli", *argv]
+    first, second = (
+        subprocess.run(cmd, capture_output=True, env={**cli_env, "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")
+    )
+    assert first.stdout
+    assert (first.returncode, first.stdout) == (second.returncode, second.stdout)
+
+
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     from fractions import Fraction
 

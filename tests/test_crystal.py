@@ -26,7 +26,7 @@ def shift_map(n: int, offset: int = 0) -> dict:
 
 
 def atom_counts(fp) -> list[int]:
-    return [len(fp.node_atoms(k)) for k in fp.spec.gauge_nodes]
+    return [len(fp.atoms[k]) for k in fp.spec.gauge_nodes]
 
 
 def index_maps(fp) -> dict:
@@ -34,7 +34,7 @@ def index_maps(fp) -> dict:
     of ``fp.maps``, atoms numbered in node order."""
     out = {}
     for arr in fp.spec.arrows:
-        src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
+        src, tgt = fp.atoms[arr.source], fp.atoms[arr.target]
         out[arr.name] = {src.index(s): tgt.index(t) for s, t in fp.maps[arr.name].items()}
     return out
 
@@ -169,7 +169,7 @@ def test_fixed_point_matrices_match_pairwise_matching(grid):
 def reachable_atoms(fp) -> set:
     """Every atom that the arrow maps reach from the framing atom, the
     framing atom included."""
-    seen = set(fp.node_atoms(FRAMING))
+    seen = set(fp.atoms[FRAMING])
     stack = list(seen)
     while stack:
         atom = stack.pop()
@@ -182,7 +182,7 @@ def reachable_atoms(fp) -> set:
 
 
 def gauge_atoms(fp) -> set:
-    return {a for k in fp.spec.gauge_nodes for a in fp.node_atoms(k)}
+    return {a for k in fp.spec.gauge_nodes for a in fp.atoms[k]}
 
 
 STABILITY_GRIDS = [(2, 1, 3), (3, 1, 2), (4, 2, 2), (5, 2, 2), (5, 3, 2), (6, 3, 1), (4, 2, 4)]
@@ -210,7 +210,7 @@ def test_emptied_framing_map_leaves_atoms_unreachable():
 def test_vacuum_fixed_point_shapes():
     fp = fixed_point_matrices(vacuum_pattern(4, 2, 2))
     assert atom_counts(fp) == [0, 0, 0]
-    assert len(fp.node_atoms(FRAMING)) == 1
+    assert len(fp.atoms[FRAMING]) == 1
     assert fp.maps["R2"] == fp.maps["S2"] == fp.maps["A1"] == {}
 
 
@@ -218,7 +218,7 @@ def test_cutoff_relation_shape():
     pat = build_pattern(3, 1, 2, [2, 1])
     fp = fixed_point_matrices(pat)
     # C1 C1 R1 runs from the framing atom to the two node-1 atoms
-    assert atom_counts(fp)[0] == 2 and len(fp.node_atoms(FRAMING)) == 1
+    assert atom_counts(fp)[0] == 2 and len(fp.atoms[FRAMING]) == 1
     maps = index_maps(fp)
     assert compose(maps, "C1", "R1") == {0: 1}
     assert compose(maps, "C1", "C1", "R1") == {}
@@ -256,11 +256,11 @@ def test_equivariance_is_symbolic():
     fp = fixed_point_matrices(build_pattern(3, 1, 2, [1, 1]))
     assert index_maps(fp)["A1"] == {0: 0}
     # the node-2 atoms, in the node and in every map, sit one h higher
-    lift = {a: a._replace(weight=a.weight + LinearForm(0, 1)) for a in fp.atoms[1]}
+    lift = {a: a._replace(weight=a.weight + LinearForm(0, 1)) for a in fp.atoms[2]}
     maps = {
         name: {lift.get(s, s): lift.get(t, t) for s, t in m.items()} for name, m in fp.maps.items()
     }
-    report = verify_f_terms(fp._replace(atoms=(fp.atoms[0], tuple(lift.values())), maps=maps))
+    report = verify_f_terms(fp._replace(atoms={**fp.atoms, 2: tuple(lift.values())}, maps=maps))
     assert ("equivariance[A1]", 2) in report.residuals
     assert "equivariance[A1]" in report.failures()
 
@@ -310,7 +310,7 @@ def test_corrupted_matrix_reports_nonzero():
     }
     for (name, *entries), failures in pinned.items():
         arr = fp.spec.arrow(name)
-        src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
+        src, tgt = fp.atoms[arr.source], fp.atoms[arr.target]
         m = {src[s]: tgt[t] for s, t in entries}
         corrupted = FixedPoint(fp.pattern, fp.spec, fp.atoms, {**fp.maps, name: m})
         report = verify_f_terms(corrupted)

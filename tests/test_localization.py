@@ -8,6 +8,7 @@ from itertools import product
 from math import factorial
 
 import pytest
+from euler_class import euler_class
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,6 @@ from gtyang.localization import (
     StabilityViolation,
     UncalibratedCell,
     _added_atom,
-    _euler,
     _hom,
     _images,
     _incidence_solutions,
@@ -47,12 +47,12 @@ def grid_id(grid):
 
 
 def euler_of(pat, params=EPS1):
-    return _euler(tangent_graded(fp_of(pat)), params)
+    return euler_class(tangent_graded(fp_of(pat)), params)
 
 
 def incidence_euler_of(pat, up, params=EPS1):
     ends = DeformationComplex(fp_of(pat)), DeformationComplex(fp_of(up))
-    return _euler(incidence_tangent_graded(*ends), params)
+    return euler_class(incidence_tangent_graded(*ends), params)
 
 
 def closed_form_euler(lam, n1, n2, eps=F(1)):
@@ -166,18 +166,13 @@ def test_product_equals_residue_via_localization():
         assert e_loc * f_loc == psi.residue_simple(raise_pole(pat, k, j, EPS1.epsilon))
 
 
-def atoms_of(fp):
-    """Node -> its atoms, as ``DeformationComplex.atoms``."""
-    return {node: fp.node_atoms(node) for node in (FRAMING, *fp.spec.gauge_nodes)}
-
-
 def action(fp, fp_prime):
     """The linearized action for fixed points V, V' with atom maps q, q':
     the arrow slots Hom(V'_src, V_tgt), the directions Hom(V'_a, V_a) of the
-    gauge nodes, and the image X q' - q X of each direction X in index
+    gauge nodes, and the image X q' - q X of each direction X in layout
     order, grouped by its weight. With V' = V it is the gauge action
     gamma q - q gamma, on the slots of the deformation complex."""
-    spec, atoms, atoms_prime = fp.spec, atoms_of(fp), atoms_of(fp_prime)
+    spec, atoms, atoms_prime = fp.spec, fp.atoms, fp_prime.atoms
     slots = _hom(
         (arr.name, atoms[arr.target], atoms_prime[arr.source], arr.weight, arr.r_charge == 2)
         for arr in spec.arrows
@@ -202,26 +197,23 @@ def tau_of(cx, cx_plus):
     larger end's atoms onto the smaller end's, the framing node included,
     which is the identity on the atoms both ends hold."""
     return {
-        node: atom_map(cx_plus.fp.node_atoms(node), cx.fp.node_atoms(node), ZERO_FORM, 0)
-        for node in cx.atoms
+        node: atom_map(cx_plus.fp.atoms[node], cx.fp.atoms[node], ZERO_FORM, 0)
+        for node in cx.fp.atoms
     }
 
 
 def pushes(cx, cx_plus, tau, slots):
-    """Slot index maps of both ends into the intertwining slots of
+    """Slot maps of both ends into the intertwining slots of
     ``action(cx.fp, cx_plus.fp)``: dq -> dq tau from the smaller end,
     dq' -> tau dq' from the larger one, where tau has no row at the added
     atom. Every slot keeps its weight."""
-    slot_index, slot_weight, _ = slots
+    slot_weight, _ = slots
     ends = {arr.name: (arr.source, arr.target) for arr in cx.fp.spec.arrows}
     tau_pre = {node: {s: b for b, s in t.items()} for node, t in tau.items()}
-    push = {
-        i: slot_index[name, r, tau_pre[ends[name][0]][s]]
-        for (name, r, s), i in cx.slot_index.items()
-    }
+    push = {(name, r, s): (name, r, tau_pre[ends[name][0]][s]) for name, r, s in cx.slot_weight}
     push_plus = {
-        i: slot_index[name, t_tgt[b], c]
-        for (name, b, c), i in cx_plus.slot_index.items()
+        (name, b, c): (name, t_tgt[b], c)
+        for name, b, c in cx_plus.slot_weight
         if b in (t_tgt := tau[ends[name][1]])
     }
     for end, step in ((cx, push), (cx_plus, push_plus)):
@@ -238,7 +230,7 @@ def test_weight_preservation_and_gauge_inside_kernel():
     # check; touching them here keeps the structural check on the record
     assert any(image for images in cx.relations.values() for image in images)
     slots, _, gauge_cols = action(cx.fp, cx.fp)
-    assert slots[0] == cx.slot_index
+    assert list(slots[0].items()) == list(cx.slot_weight.items())
     assert gauge_cols
     for w, images in gauge_cols.items():
         kernel = cx.kernel_sector(w)
@@ -250,7 +242,7 @@ def test_weight_preservation_and_gauge_inside_kernel():
 def arrow_matrix(fp, name: str) -> RationalMatrix:
     """The 0/1 matrix of the named arrow's atom map, rows indexed by target atoms."""
     arr = fp.spec.arrow(name)
-    src, tgt = fp.node_atoms(arr.source), fp.node_atoms(arr.target)
+    src, tgt = fp.atoms[arr.source], fp.atoms[arr.target]
     return RationalMatrix.from_triples(
         len(tgt), len(src), ((tgt.index(t), src.index(s), 1) for s, t in fp.maps[name].items())
     )
@@ -283,7 +275,7 @@ def corrupted_copies(fp, rng):
     s = rng.choice(list(fp.maps[arr.name]))  # in source atom order
     deleted = {k: v for k, v in fp.maps[arr.name].items() if k != s}
     out = [fp._replace(maps={**fp.maps, arr.name: deleted})]
-    others = [t for t in fp.node_atoms(arr.target) if t != fp.maps[arr.name][s]]
+    others = [t for t in fp.atoms[arr.target] if t != fp.maps[arr.name][s]]
     if others:
         moved = {**fp.maps[arr.name], s: rng.choice(others)}
         out.append(fp._replace(maps={**fp.maps, arr.name: moved}))
@@ -314,26 +306,26 @@ def superpotential_rows(fp):
     raise each slot of the fixed point by one unit and read off how every
     derivative of the words without framing arrows moves, one row per
     derivative entry, as (weight, slot -> coefficient) with the slots
-    indexed as the complex indexes them."""
+    named as the complex names them."""
     cx = DeformationComplex(fp)
     framing = {a.name for a in fp.spec.arrows if a.is_framing}
     words = tuple(w for w in fp.spec.superpotential if framing.isdisjoint(w[1]))
     gauge_spec = fp.spec._replace(superpotential=words)
     matrices = {arr.name: arrow_matrix(fp, arr.name) for arr in fp.spec.arrows}
-    entries = {}  # (derivative, row, col) -> {slot index: coefficient}
+    entries = {}  # (derivative, row, col) -> {slot: coefficient}
     weights = {}  # (derivative, row, col) -> weights of those slots
     for q in fp.spec.gauge_arrows:
         base = superpotential_derivative(gauge_spec, matrices, q.name)
         for name in {a for _, f in words if q.name in f for a in f} - {q.name}:
             arr = fp.spec.arrow(name)
             m = matrices[name]
-            tgt, src = fp.node_atoms(arr.target), fp.node_atoms(arr.source)
+            tgt, src = fp.atoms[arr.target], fp.atoms[arr.source]
             for r, c in product(range(m.rows), range(m.cols)):
                 bump = RationalMatrix.from_triples(m.rows, m.cols, [(r, c, 1)])
                 moved = {**matrices, name: m + bump}
                 delta = superpotential_derivative(gauge_spec, moved, q.name) - base
                 weight = tgt[r].weight - src[c].weight - arr.weight
-                slot = cx.slot_index[name, tgt[r], src[c]]
+                slot = name, tgt[r], src[c]
                 for rr, cc, v in delta.nonzeros():
                     entries.setdefault((q.name, rr, cc), {})[slot] = v
                     weights.setdefault((q.name, rr, cc), set()).add(weight)
@@ -366,7 +358,7 @@ def off_weight_copies(fp, arrows):
     for arr in arrows:
         m = fp.maps[arr.name]
         for s, t in m.items():
-            for moved in fp.node_atoms(arr.target):
+            for moved in fp.atoms[arr.target]:
                 if moved in m.values() or moved.weight == t.weight:
                     continue
                 yield fp._replace(maps={**fp.maps, arr.name: {**m, s: moved}})
@@ -719,8 +711,11 @@ def complex_record(fp):
         cx = DeformationComplex(fp)
     except UncalibratedCell as exc:
         return (type(exc).__name__, str(exc))
+    # each vector read in slot order, a slot by its place in the layout
+    position = {slot: i for i, slot in enumerate(cx.slot_weight)}
     kernels = sorted(
-        (w.e, w.h, sorted(sorted(vec.items()) for vec in vecs)) for w, vecs in cx.kernels.items()
+        (w.e, w.h, sorted(sorted((position[slot], v) for slot, v in vec.items()) for vec in vecs))
+        for w, vecs in cx.kernels.items()
     )
     gauge_ranks = sorted((w.e, w.h, r) for w, r in cx.gauge_ranks.items())
     tangent = sorted((w.e, w.h, d) for w, d in cx.tangent.items())
@@ -737,9 +732,8 @@ def test_complexes_pinned(grid):
 
 def _image_of(images, table, key):
     """The action image of the direction ``key`` of a Hom-slot table."""
-    index, weight, by_weight = table
-    i = index[key]
-    return images[weight[i]][by_weight[weight[i]].index(i)]
+    weight, by_weight = table
+    return images[weight[key]][by_weight[weight[key]].index(key)]
 
 
 def gauge_identity_failures(cx, cx_plus, tau):
@@ -792,7 +786,7 @@ def test_a_wrong_tau_fails_the_gauge_identities():
     cx, cx_plus = DeformationComplex(fp_of(pat)), DeformationComplex(fp_of(pat.bumped(3, 4, +1)))
     tau = tau_of(cx, cx_plus)
     assert gauge_identity_failures(cx, cx_plus, tau)[1] == 0
-    a = cx_plus.atoms[2]
+    a = cx_plus.fp.atoms[2]
     swapped = {**tau, 2: {**tau[2], a[0]: tau[2][a[3]], a[3]: tau[2][a[0]]}}
     assert a[0].weight == a[3].weight
     assert gauge_identity_failures(cx, cx_plus, swapped)[1] > 0
@@ -802,19 +796,29 @@ def test_a_wrong_tau_fails_the_gauge_identities():
 
 
 def test_a_slot_name_fixes_its_weight():
-    # the incidence reads the smaller end's slots at the larger end's slots
-    # of the same keys, so keys are distinct within a complex and a key has
-    # one weight in every complex of a grid
-    named = 0
+    # the incidence sets the smaller end's kernel vectors, over slot names,
+    # beside the larger end's, so names are distinct within a complex and a
+    # name has one weight in every complex of a grid. On every move the
+    # smaller end's slots are slots of the larger end, of the same weights,
+    # and the larger end's other slots are those at the added atom
+    named = moves = 0
     for grid in [(4, 2, 2), (6, 3, 1), (5, 2, 2)]:
+        complexes = {pat: DeformationComplex(fp_of(pat)) for pat in enumerate_patterns(*grid)}
         weights = {}
-        for pat in enumerate_patterns(*grid):
-            cx = DeformationComplex(fp_of(pat))
-            assert len(cx.slot_index) == len(cx.slot_weight), pat.free_values
-            for name, i in cx.slot_index.items():
-                assert weights.setdefault(name, cx.slot_weight[i]) == cx.slot_weight[i], name
+        for pat, cx in complexes.items():
+            laid_out = sum(map(len, cx.slots_by_weight.values()))
+            assert len(cx.slot_weight) == laid_out, pat.free_values
+            for name, w in cx.slot_weight.items():
+                assert weights.setdefault(name, w) == w, name
         named += len(weights)
-    assert named
+        for pat, up, _, _ in grid_pairs(*grid):
+            smaller, larger = complexes[pat].slot_weight, complexes[up].slot_weight
+            added = _added_atom(complexes[pat], complexes[up])
+            assert smaller.items() <= larger.items(), (pat.free_values, up.free_values)
+            at_added = {slot for slot in larger if added in slot[1:]}
+            assert larger.keys() - smaller.keys() == at_added, (pat.free_values, up.free_values)
+            moves += 1
+    assert named and moves
 
 
 def test_a_broken_larger_end_arrow_fails_the_intertwining():
@@ -837,7 +841,7 @@ def test_a_broken_larger_end_arrow_fails_the_intertwining():
     for pat, up, k, _ in grid_pairs(4, 2, 2):
         cx, cx_plus = complexes[pat], complexes[up]
         fp_plus = cx_plus.fp
-        (added,) = set(fp_plus.node_atoms(k)) - set(cx.fp.node_atoms(k))
+        (added,) = set(fp_plus.atoms[k]) - set(cx.fp.atoms[k])
         for arr in fp_plus.spec.arrows:
             m = fp_plus.maps[arr.name]
             old = [s for s, t in m.items() if added not in (s, t)]
@@ -845,7 +849,7 @@ def test_a_broken_larger_end_arrow_fails_the_intertwining():
                 continue
             refused(cx, cx_plus, arr.name, {s: t for s, t in m.items() if s != old[0]})
             broken[k in (arr.source, arr.target)] += 1
-        (framing,) = fp_plus.node_atoms(FRAMING)
+        (framing,) = fp_plus.atoms[FRAMING]
         refused(cx, cx_plus, f"S{k}", {**fp_plus.maps[f"S{k}"], added: framing})
         broken["from the added atom"] += 1
     assert broken[True] and broken[False] and broken["from the added atom"]
