@@ -4,10 +4,12 @@ elimination.
 A matrix stores only its nonzero entries, as a dict of rows, each a dict
 column -> nonzero int numerator, over one positive integer denominator
 ``den`` shared by every entry; rows without a nonzero entry are absent.
-Products multiply the ints and the two denominators; sums and scalings are
-one linear combination over the lcm of the terms' denominators. No entry is
-a Fraction until it is read: ``entries``, ``nonzeros`` and ``max_abs`` give
-reduced Fractions, and equality compares values, whatever the denominators.
+Every sum, scaling and product is one linear combination of matrices and
+products of two matrices, over the lcm of the terms' denominators: a product
+term multiplies the ints and the denominators and is added into the result
+entry by entry, so no product is stored. No entry is a Fraction until it is
+read: ``entries``, ``nonzeros`` and ``max_abs`` give reduced Fractions, and
+equality compares values, whatever the denominators.
 Kernel and rank take sparse integer vectors, dicts key -> int, the
 columns of a map, laid out once as one dense row per key for integer
 elimination on primitive rows: a step changes only the rows with an entry
@@ -54,27 +56,48 @@ class RationalMatrix:
 
     @staticmethod
     def combination(terms: Iterable[tuple]) -> "RationalMatrix":
-        """``sum(c * m)`` over ``(c, m)`` pairs of an int or Fraction
-        coefficient and a matrix, all of one shape; at least one pair is
-        needed, for the shape. Every term is put over the lcm of the
-        denominators and added into one dict of rows."""
-        terms = list(terms)
-        rows, cols = terms[0][1].shape
-        if any(m.shape != (rows, cols) for _, m in terms):
-            raise ValueError(f"shape mismatch {[m.shape for _, m in terms]}")
-        terms = [(c, m) for c, m in terms if c and m._data]
-        den = lcm(*(c.denominator * m.den for c, m in terms))
+        """The sum of ``c * m`` over ``(c, m)`` terms and of ``c * m1 * m2``
+        over ``(c, m1, m2)`` terms, ``c`` an int or Fraction coefficient, all
+        of one shape; at least one term is needed, for the shape. Every term
+        is put over the lcm of the denominators and added into one dict of
+        rows; a product is added entry by entry, never stored."""
+        terms = [(*term, None)[:3] for term in terms]  # a lone matrix has right None
+        for _, m, right in terms:
+            if right is not None and m.cols != right.rows:
+                raise ValueError(f"shape mismatch {m.shape} x {right.shape}")
+        shapes = [(m.rows, (right or m).cols) for _, m, right in terms]
+        if any(shape != shapes[0] for shape in shapes):
+            raise ValueError(f"shape mismatch {shapes}")
+        terms = [
+            (c, m, right, c.denominator * m.den * (right.den if right else 1))
+            for c, m, right in terms
+            if c and m._data and (right or m)._data
+        ]
+        den = lcm(*(d for _, _, _, d in terms))
         data: dict[int, dict[int, int]] = {}
-        for c, m in terms:
-            f = c.numerator * (den // (c.denominator * m.den))
+        for c, m, right, d in terms:
+            f = c.numerator * (den // d)
+            if right is None:
+                for r, row in m._data.items():
+                    acc = data.get(r)
+                    if acc is None:
+                        data[r] = {k: f * v for k, v in row.items()}
+                    else:
+                        for k, v in row.items():
+                            acc[k] = acc.get(k, 0) + f * v
+                continue
+            right_rows = right._data
             for r, row in m._data.items():
                 acc = data.get(r)
                 if acc is None:
-                    data[r] = {k: f * v for k, v in row.items()}
-                else:
-                    for k, v in row.items():
-                        acc[k] = acc.get(k, 0) + f * v
-        return RationalMatrix(rows, cols, _nonzero(data), den)
+                    acc = data[r] = {}
+                for k, a in row.items():
+                    brow = right_rows.get(k)
+                    if brow is not None:
+                        fa = f * a
+                        for col, b in brow.items():
+                            acc[col] = acc.get(col, 0) + fa * b
+        return RationalMatrix(*shapes[0], _nonzero(data), den)
 
     @property
     def entries(self) -> list[list[Rat]]:
@@ -113,22 +136,7 @@ class RationalMatrix:
         return RationalMatrix.combination(((c, self),))
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} x {other.shape}")
-        right = other._data
-        data = {}
-        for r, row in self._data.items():
-            acc: dict[int, int] = {}
-            for k, a in row.items():
-                brow = right.get(k)
-                if brow is None:
-                    continue
-                for c, b in brow.items():
-                    acc[c] = acc.get(c, 0) + a * b
-            acc = {c: v for c, v in acc.items() if v}
-            if acc:
-                data[r] = acc
-        return RationalMatrix(self.rows, other.cols, data, self.den * other.den)
+        return RationalMatrix.combination(((1, self, other),))
 
     @property
     def shape(self) -> tuple[int, int]:

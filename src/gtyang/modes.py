@@ -171,20 +171,10 @@ def build_mode_operators(
     return dict(sorted(ops.items()))
 
 
-def _products(ops):
-    """``prod(x, y) = ops[x] * ops[y]`` for operator keys, computed once per
-    pair of keys, and ``comm(x, y, *extra)``: the combination of
-    ``prod(x, y) - prod(y, x)`` and the ``(coefficient, matrix)`` pairs in
-    ``extra``, built in one pass."""
-
-    @functools.cache
-    def prod(x, y) -> RationalMatrix:
-        return ops[x] * ops[y]
-
-    def comm(x, y, *extra) -> RationalMatrix:
-        return RationalMatrix.combination(((1, prod(x, y)), (-1, prod(y, x)), *extra))
-
-    return prod, comm
+def _commutator(x, y, *extra) -> RationalMatrix:
+    """``x y - y x`` plus the ``extra`` terms of ``RationalMatrix.combination``,
+    as one combination: no product is stored."""
+    return RationalMatrix.combination(((1, x, y), (-1, y, x), *extra))
 
 
 def verify_mode_relations(ops, data: ModuleData) -> list[RelationReport]:
@@ -199,13 +189,12 @@ def verify_mode_relations(ops, data: ModuleData) -> list[RelationReport]:
     [x_{n+1}, y_k] - [x_n, y_{k+1}] - beta x_n y_k + alpha y_k x_n, alpha and
     beta trade places for (f, f) and (psi, f), and A_ab = (beta - alpha)/eps.
 
-    Each product of two operators, keyed by their (kind, node, mode), is
-    computed once per call and shared; each residual is one linear combination
-    of those products (and of one operator, for the pairing and boundary)."""
+    Each residual is one linear combination of products of two operators
+    (and of one operator, for the pairing and boundary), each product added
+    into the residual entry by entry, so no product or commutator is stored."""
     nodes = sorted({node for _, node, _ in ops})
     cutoff = max(mode for kind, _, mode in ops if kind == "e")
     modes = range(cutoff + 1)
-    prod, comm = _products(ops)
     reports: list[RelationReport] = []
 
     def emit(rel_id, residual, **info):
@@ -221,60 +210,51 @@ def verify_mode_relations(ops, data: ModuleData) -> list[RelationReport]:
         )
         for n, k in itertools.product(range(cutoff), range(cutoff)):
             for x_kind, kind, c_xy, c_yx in forms:
-                x_n, x_n1 = (x_kind, a, n), (x_kind, a, n + 1)
-                y_k, y_k1 = (kind, b, k), (kind, b, k + 1)
+                x_n, x_n1 = ops[x_kind, a, n], ops[x_kind, a, n + 1]
+                y_k, y_k1 = ops[kind, b, k], ops[kind, b, k + 1]
                 # [x_n1, y_k] - [x_n, y_k1] + c_xy x_n y_k + c_yx y_k x_n
-                res = comm(
+                res = _commutator(
                     x_n1, y_k,
-                    (-1, prod(x_n, y_k1)), (1, prod(y_k1, x_n)),
-                    (c_xy, prod(x_n, y_k)), (c_yx, prod(y_k, x_n)),
+                    (-1, x_n, y_k1), (1, y_k1, x_n), (c_xy, x_n, y_k), (c_yx, y_k, x_n),
                 )
                 emit(f"{x_kind}{kind}", res, a=a, b=b, n=n, k=k)
         for n, k in itertools.product(modes, modes):
-            emit("psipsi", comm(("psi", a, n), ("psi", b, k)), a=a, b=b, n=n, k=k)
+            emit("psipsi", _commutator(ops["psi", a, n], ops["psi", b, k]), a=a, b=b, n=n, k=k)
             # pairing on the diagonal node pair, zero off it
             pairing = [(1, ops["psi", a, n + k])] if a == b else []
             rel_id = "ef-pairing" if a == b else "ef-offdiag"
-            emit(rel_id, comm(("e", a, n), ("f", b, k), *pairing), a=a, b=b, n=n, k=k)
+            res = _commutator(ops["e", a, n], ops["f", b, k], *pairing)
+            emit(rel_id, res, a=a, b=b, n=n, k=k)
         # boundary action of the zeroth diagonal mode
         for k in modes:
-            res = comm(("psi", a, 0), ("e", b, k), (a_ab, ops["e", b, k]))
-            emit("boundary-e", res, a=a, b=b, k=k)
-            res = comm(("psi", a, 0), ("f", b, k), (-a_ab, ops["f", b, k]))
-            emit("boundary-f", res, a=a, b=b, k=k)
+            e_k, f_k = ops["e", b, k], ops["f", b, k]
+            emit("boundary-e", _commutator(ops["psi", a, 0], e_k, (a_ab, e_k)), a=a, b=b, k=k)
+            emit("boundary-f", _commutator(ops["psi", a, 0], f_k, (-a_ab, f_k)), a=a, b=b, k=k)
     return reports
 
 
 def verify_serre(ops) -> list[RelationReport]:
     """Symmetrized nested commutators on the modes in ``SERRE_MODES``: triple
     for neighbouring nodes, plain commutators for distance two or more. Each
-    inner commutator c = [X_{a,s}, X_{b,m}] and each product X_{a,s1} c and
-    c X_{a,s1} is computed once, and each symmetrized sum is one linear
-    combination of four such products."""
+    inner commutator c = [X_{a,s}, X_{b,m}] is computed once as a matrix, and
+    each symmetrized sum is one linear combination of the four products
+    X_{a,s1} c and c X_{a,s1}, added entry by entry and never stored."""
     nodes = sorted({node for _, node, _ in ops})
     pairs = list(itertools.product(SERRE_MODES, SERRE_MODES))
-    _, comm = _products(ops)
     reports = []
     for kind, a, b in itertools.product(("e", "f"), nodes, nodes):
         if a == b:
             continue
-        inner = {(s, m): comm((kind, a, s), (kind, b, m)) for s, m in pairs}
+        inner = {(s, m): _commutator(ops[kind, a, s], ops[kind, b, m]) for s, m in pairs}
         if abs(a - b) > 1:
             for (n1, m), res in inner.items():
                 info = {"a": a, "b": b, "modes": (n1, m)}
                 reports.append(RelationReport(f"serre-{kind}-far", info, res.max_abs()))
             continue
-        # [X_{a,s1}, [X_{a,s2}, X_{b,m}]] = left - right
-        left, right = {}, {}
-        for s1 in SERRE_MODES:
-            x = ops[kind, a, s1]
-            for (s2, m), c in inner.items():
-                left[s1, s2, m], right[s1, s2, m] = x * c, c * x
-        for n1, n2, m in left:
-            total = RationalMatrix.combination((
-                (1, left[n1, n2, m]), (-1, right[n1, n2, m]),
-                (1, left[n2, n1, m]), (-1, right[n2, n1, m]),
-            ))
+        # [X_{a,n1}, [X_{a,n2}, X_{b,m}]] + [X_{a,n2}, [X_{a,n1}, X_{b,m}]]
+        for n1, n2, m in itertools.product(SERRE_MODES, SERRE_MODES, SERRE_MODES):
+            x1, x2 = ops[kind, a, n1], ops[kind, a, n2]
+            total = _commutator(x1, inner[n2, m], (1, x2, inner[n1, m]), (-1, inner[n1, m], x2))
             info = {"a": a, "b": b, "modes": (n1, n2, m)}
             reports.append(RelationReport(f"serre-{kind}", info, total.max_abs()))
     return reports

@@ -104,9 +104,6 @@ class QuiverSpec(NamedTuple):
     arrows: tuple[Arrow, ...]
     superpotential: tuple[SignedWord, ...]
 
-    def arrow(self, name: str) -> Arrow:
-        return {a.name: a for a in self.arrows}[name]
-
     def cyclic_derivative(self, name: str):
         """``(sign, rest)`` for each occurrence of the named arrow: the
         derivative of sign * tr(word) by it is the sum of sign * rest, the

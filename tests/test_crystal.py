@@ -302,6 +302,7 @@ def test_block_forms_exhaustive_middle_framing():
 def test_corrupted_matrix_reports_nonzero():
     pat = build_pattern(3, 1, 2, [2, 1])
     fp = fixed_point_matrices(pat)
+    arrows = {a.name: a for a in fp.spec.arrows}
     pinned = {
         # the matrix [[1, 1]]: an extra entry breaks the F-terms
         ("A1", (0, 0), (1, 0)): ["dW/dB1", "equivariance[A1]"],
@@ -309,7 +310,7 @@ def test_corrupted_matrix_reports_nonzero():
         ("C1", (0, 0)): ["dW/dB1", "dW/dS1", "equivariance[C1]"],
     }
     for (name, *entries), failures in pinned.items():
-        arr = fp.spec.arrow(name)
+        arr = arrows[name]
         src, tgt = fp.atoms[arr.source], fp.atoms[arr.target]
         m = {src[s]: tgt[t] for s, t in entries}
         corrupted = FixedPoint(fp.pattern, fp.spec, fp.atoms, {**fp.maps, name: m})

@@ -94,6 +94,10 @@ def test_shape_mismatch_is_a_value_error():
         RationalMatrix.combination(((1, square), (1, row)))
     with pytest.raises(ValueError, match=r"^shape mismatch \(1, 2\) x \(1, 2\)$"):
         row * row
+    with pytest.raises(ValueError, match=r"^shape mismatch \(1, 2\) x \(1, 2\)$"):
+        RationalMatrix.combination(((1, square, square), (1, row, row)))
+    with pytest.raises(ValueError, match=r"^shape mismatch \[\(1, 2\), \(2, 2\)\]$"):
+        RationalMatrix.combination(((1, row, square), (1, square)))
 
 
 def test_empty_shapes():
@@ -239,6 +243,13 @@ def test_integer_matrices_match_the_dense_fraction_reference(mats, sa, sb, ca, c
     assert a.scaled(0) == a - over(a_rows, sb) == empty
     assert list((a - a).nonzeros()) == [] and (a - a).max_abs() == 0
     assert RationalMatrix.combination([(ca, a), (-ca, a)]) == empty
+    # product terms beside a lone matrix, each over its own denominator
+    b_c = [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*c_rows)] for row in b_rows]
+    terms = [(ca, a, c), (cb, over(product, sb)), (1, b, over(c_rows, sa + 1))]
+    expected = [[(ca + cb) * x + y for x, y in zip(*rows)] for rows in zip(product, b_c)]
+    products = RationalMatrix.combination(terms)
+    assert products.entries == expected
+    assert products.max_abs() == max(abs(v) for row in expected for v in row)
 
 
 def test_rational_matrix_serves_only_the_mode_operators():

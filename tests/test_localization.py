@@ -241,7 +241,7 @@ def test_weight_preservation_and_gauge_inside_kernel():
 
 def arrow_matrix(fp, name: str) -> RationalMatrix:
     """The 0/1 matrix of the named arrow's atom map, rows indexed by target atoms."""
-    arr = fp.spec.arrow(name)
+    arr = {a.name: a for a in fp.spec.arrows}[name]
     src, tgt = fp.atoms[arr.source], fp.atoms[arr.target]
     return RationalMatrix.from_triples(
         len(tgt), len(src), ((tgt.index(t), src.index(s), 1) for s, t in fp.maps[name].items())
@@ -311,13 +311,14 @@ def superpotential_rows(fp):
     framing = {a.name for a in fp.spec.arrows if a.is_framing}
     words = tuple(w for w in fp.spec.superpotential if framing.isdisjoint(w[1]))
     gauge_spec = fp.spec._replace(superpotential=words)
-    matrices = {arr.name: arrow_matrix(fp, arr.name) for arr in fp.spec.arrows}
+    arrows = {a.name: a for a in fp.spec.arrows}
+    matrices = {name: arrow_matrix(fp, name) for name in arrows}
     entries = {}  # (derivative, row, col) -> {slot: coefficient}
     weights = {}  # (derivative, row, col) -> weights of those slots
     for q in fp.spec.gauge_arrows:
         base = superpotential_derivative(gauge_spec, matrices, q.name)
         for name in {a for _, f in words if q.name in f for a in f} - {q.name}:
-            arr = fp.spec.arrow(name)
+            arr = arrows[name]
             m = matrices[name]
             tgt, src = fp.atoms[arr.target], fp.atoms[arr.source]
             for r, c in product(range(m.rows), range(m.cols)):

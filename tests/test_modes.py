@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,21 @@ def test_diagonal_modes_commute_and_offdiag_pairing_vanishes():
     reports = verify_mode_relations(build_mode_operators(data, cutoff=2), data)
     assert all(r.passed for r in reports if r.relation_id == "psipsi")
     assert all(r.passed for r in reports if r.relation_id == "ef-offdiag")
+
+
+def test_mode_relations_store_no_product():
+    # each residual adds its products entry by entry: the peak is a few
+    # residuals, not every product of two operators kept for the whole call
+    data = ModuleData(4, 2, 2, EPS1)
+    ops, _ = data.operators(2), data.bonds  # both built before tracing
+    tracemalloc.start()
+    try:
+        reports = verify_mode_relations(ops, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 500_000, peak
 
 
 def test_serre_small_grids():

@@ -73,15 +73,15 @@ def test_params_coerce_to_fraction_and_refuse_zero_epsilon():
 
 
 def test_weight_table():
-    spec = build_quiver(4, 2, 3)
+    arrows = {a.name: a for a in build_quiver(4, 2, 3).arrows}
     # in units of (eps/2, h)
-    assert spec.arrow("C2").weight == LinearForm(2, 0)
-    assert spec.arrow("A1").weight == LinearForm(-1, 1)
-    assert spec.arrow("B2").weight == LinearForm(-1, -1)
-    assert spec.arrow("R2").weight == LinearForm(0, 0)
-    assert spec.arrow("S2").weight == LinearForm(-6, 0)
-    assert spec.arrow("S1").weight == LinearForm(0, 0)  # zero cutoff off the marked node
-    assert [spec.arrow(x).r_charge for x in ("C1", "A1", "B1", "R2", "S2")] == [0, 1, 1, 0, 2]
+    assert arrows["C2"].weight == LinearForm(2, 0)
+    assert arrows["A1"].weight == LinearForm(-1, 1)
+    assert arrows["B2"].weight == LinearForm(-1, -1)
+    assert arrows["R2"].weight == LinearForm(0, 0)
+    assert arrows["S2"].weight == LinearForm(-6, 0)
+    assert arrows["S1"].weight == LinearForm(0, 0)  # zero cutoff off the marked node
+    assert [arrows[x].r_charge for x in ("C1", "A1", "B1", "R2", "S2")] == [0, 1, 1, 0, 2]
 
 
 def test_bond_factor_examples():
