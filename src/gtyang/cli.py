@@ -22,13 +22,6 @@ from gtyang.quiver import EquivariantParams, InvalidParams
 USAGE_ERROR = 2
 
 
-def fmt_rat(x: Fraction) -> str:
-    """An int or a Fraction as "P" or "P/Q", read without conversion."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 # the one grammar of an integer, an optional minus and digits, and of a
 # rational, an integer with optional /digits
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -106,8 +99,8 @@ def _bundle_header(data) -> dict:
         "n": data.n,
         "p": data.p,
         "lambda": data.lam,
-        "epsilon": fmt_rat(data.params.epsilon),
-        "h": fmt_rat(data.params.h),
+        "epsilon": str(data.params.epsilon),
+        "h": str(data.params.h),
     }
 
 
@@ -170,7 +163,7 @@ def cmd_states(args, data) -> int:
 
 
 def _root_text(a: int, d: int) -> str:
-    """``fmt_rat(Fraction(a, d))`` for a root numerator over a root denominator d > 0."""
+    """``str(Fraction(a, d))`` for a root numerator over a root denominator d > 0."""
     g = gcd(a, d)
     return str(a // g) if g == d else f"{a // g}/{d // g}"
 
@@ -180,7 +173,7 @@ def _psi_entry(value, node, state_id) -> dict:
     return {
         "state": state_id,
         "node": node,
-        "scalar": fmt_rat(value.scalar),
+        "scalar": str(value.scalar),
         "num_roots": [_root_text(a, d) for a in value.num_ints],
         "den_roots": [_root_text(b, d) for b in value.den_ints],
     }
@@ -204,8 +197,8 @@ def _amplitude_rows(states, table) -> list:
     for i, pat in enumerate(states):
         for k, j in pat.moves:
             e_val, f_val = modes_mod.move_pair(table, pat, k, j)
-            rows.append((i, k, j, "E", fmt_rat(e_val)))
-            rows.append((i, k, j, "F", fmt_rat(f_val)))
+            rows.append((i, k, j, "E", str(e_val)))
+            rows.append((i, k, j, "F", str(f_val)))
     return rows
 
 
@@ -240,7 +233,7 @@ def cmd_amplitudes(args, data) -> int:
 def cmd_modes(args, data) -> int:
     payload = []
     for (kind, node, mode), matrix in data.operators(args.mode_cutoff).items():
-        entries = [[r, c, fmt_rat(v)] for r, c, v in matrix.nonzeros()]
+        entries = [[r, c, str(v)] for r, c, v in matrix.nonzeros()]
         payload.append({"kind": kind, "node": node, "mode": mode, "entries": entries})
     _emit_bundle(args, data, modes=payload)
     return 0
@@ -271,7 +264,7 @@ def cmd_verify(args, data) -> int:
         grouped[report.relation_id] = (count + 1, worst)
     # (relation, checks, max residual, passed), sorted once for every output
     rows = [
-        (rel, count, fmt_rat(worst), worst == 0) for rel, (count, worst) in sorted(grouped.items())
+        (rel, count, str(worst), worst == 0) for rel, (count, worst) in sorted(grouped.items())
     ]
     passed = all(ok for *_, ok in rows)
     if args.format == "csv":

@@ -20,13 +20,7 @@ from gtyang.amplitudes import (
     psi_generic,
 )
 from gtyang.linalg import RationalMatrix
-from gtyang.patterns import (
-    GTPattern,
-    add_remove_sets,
-    enumerate_patterns,
-    raise_pole,
-    rectangular_dimension,
-)
+from gtyang.patterns import GTPattern, enumerate_patterns, pole_units, rectangular_dimension
 from gtyang.quiver import (
     ZERO_FORM,
     EquivariantParams,
@@ -65,13 +59,14 @@ class ModuleData:
     """One module and its closed-form data, the input of every suite and
     command. Each field is computed at most once, on its first read: the
     states, the edge table of ``amplitude_table``, ``psi_closed_form`` per
-    (state, node), the raising pole of each edge, the exchange roots of each
-    pair of gauge nodes and the mode-operator table of each cutoff. The
-    closed forms are written at h = 0 and take ``epsilon``, the one gate that
-    refuses a nonzero h; the states need none, and the bonds are read from
-    the quiver at ``params``, whatever h is. No independent route reads a
-    closed-form field: ``localize_module`` reads ``states``, ``psi_generic``,
-    ``add_remove_sets`` and ``gelfand_squared_closed_form`` nothing."""
+    (state, node), the raising pole of each edge (``pole_units`` times
+    eps/2, the one pole table that the checks and the modes read), the
+    exchange roots of each pair of gauge nodes and the mode-operator table
+    of each cutoff. The closed forms are written at h = 0 and take
+    ``epsilon``, the one gate that refuses a nonzero h; the states need
+    none, and the bonds are read from the quiver at ``params``, whatever h
+    is. No independent route reads a closed-form field: ``localize_module`` reads ``states``, ``psi_generic``
+    and ``gelfand_squared_closed_form`` nothing."""
 
     def __init__(self, n: int, p: int, lam: int, params: EquivariantParams):
         self.n = n
@@ -105,7 +100,8 @@ class ModuleData:
 
     @functools.cached_property
     def poles(self) -> dict[tuple[GTPattern, int, int], Rat]:
-        return {(pat, k, j): raise_pole(pat, k, j, self.epsilon) for pat, k, j in self.table}
+        unit = self.epsilon / 2  # pole_units counts in eps/2
+        return {edge: pole_units(*edge) * unit for edge in self.table}
 
     @functools.cached_property
     def bonds(self) -> dict[tuple[int, int], tuple[tuple[Rat, ...], tuple[Rat, ...]]]:
@@ -324,30 +320,39 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
 
 def verify_pole_classification(data: ModuleData) -> list[RelationReport]:
     """Poles of the cancelled eigenvalue function against candidate moves,
-    and vanishing of amplitudes toward invalid patterns: the ``move_pair`` of
-    each move is nonzero exactly where the move stays in the cone."""
-    eps, table = data.epsilon, data.table
+    and vanishing of amplitudes toward invalid patterns. ``bumped`` decides
+    the cone for both. The poles expected at (state, node) are read from
+    ``data.poles``: the pole of each raise that stays in the cone, and for
+    each lowering the pole of the edge that raises the state below back
+    into the state; an edge missing from the table fails the row. The
+    ``move_pair`` of each move is nonzero exactly where it stays in the cone."""
+    table, poles = data.table, data.poles
     reports = []
     for pat in data.states:
         state = pat.free_values
         for k in range(1, data.n):
-            add, rem = add_remove_sets(pat, k, eps)
-            expected = sorted(pole for _, pole in add + rem)
+            a, b = pat.window(k)
+            # (type, raises in the cone, the state one below or None)
+            moves = [
+                (j, pat.bumped(j, k, +1) is not None, pat.bumped(j, k, -1))
+                for j in range(a, b + 1)
+            ]
+            edges = [(pat, k, j) for j, up, _ in moves if up]
+            edges += [(down, k, j) for j, _, down in moves if down is not None]
+            expected = sorted(poles[edge] for edge in edges if edge in poles)
             # the poles of psi are its sorted den_ints over its root_den
             psi = data.psi[pat, k]
-            match = len(psi.den_ints) == len(expected) and all(
-                b * pole.denominator == pole.numerator * psi.root_den
-                for b, pole in zip(psi.den_ints, expected)
+            match = len(psi.den_ints) == len(expected) == len(edges) and all(
+                root * pole.denominator == pole.numerator * psi.root_den
+                for root, pole in zip(psi.den_ints, expected)
             )
             reports.append(
                 RelationReport("pole-set", {"state": state, "node": k}, ZERO if match else ONE)
             )
-            raisable, lowerable = {j for j, _ in add}, {j for j, _ in rem}
-            a, b = pat.window(k)
-            for j in range(a, b + 1):
+            for j, up, down in moves:
                 e_val, f_val = move_pair(table, pat, k, j)
-                ok_e = (e_val != 0) == (j in raisable)
-                ok_f = (f_val != 0) == (j in lowerable)
+                ok_e = (e_val != 0) == up
+                ok_f = (f_val != 0) == (down is not None)
                 info = {"state": state, "move": (k, j)}
                 reports.append(RelationReport("vanishing", info, ZERO if ok_e and ok_f else ONE))
     return reports

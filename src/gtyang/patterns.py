@@ -157,26 +157,6 @@ def pole_units(pat: GTPattern, k: int, i: int) -> int:
     return 2 * (pat.entry(i, k) - (i - a)) - abs(k - pat.p)
 
 
-def raise_pole(pat: GTPattern, k: int, i: int, eps: Rat) -> Rat:
-    return Fraction(pole_units(pat, k, i), 2) * eps
-
-
-def add_remove_sets(
-    pat: GTPattern, k: int, eps: Rat
-) -> tuple[list[tuple[int, Rat]], list[tuple[int, Rat]]]:
-    """Candidate moves at node k: (type index, pole position) lists. A
-    lowering pole sits one epsilon below the raising pole of the same entry."""
-    a, b = pat.window(k)
-    add = []
-    rem = []
-    for i in range(a, b + 1):
-        if pat.bumped(i, k, +1) is not None:
-            add.append((i, raise_pole(pat, k, i, eps)))
-        if pat.bumped(i, k, -1) is not None:
-            rem.append((i, raise_pole(pat, k, i, eps) - eps))
-    return add, rem
-
-
 def format_pattern(pat: GTPattern) -> str:
     """Free entries only, rows bottom-to-top: '1;1,0;1' style."""
     parts = []

@@ -36,7 +36,7 @@ from gtyang.modes import (
 from gtyang.patterns import (
     build_pattern,
     enumerate_patterns,
-    raise_pole,
+    pole_units,
     rectangular_dimension,
     type_range,
 )
@@ -184,7 +184,7 @@ def test_criterion_04_specialization_tables():
     pat = build_pattern(3, 1, 2, [1, 0])
     up = pat.bumped(1, 1, +1)
     eps = EPS1.epsilon
-    res = psi_closed_form(pat, 1, eps).residue_simple(raise_pole(pat, 1, 1, eps))
+    res = psi_closed_form(pat, 1, eps).residue_simple(ModuleData(3, 1, 2, EPS1).poles[pat, 1, 1])
     good = amplitude_E(pat, 1, 1, eps) * amplitude_F(up, 1, 1, eps)
     # the marked-node factor l(1,2) - l(1,1) + 1 of F with the shift of 1 dropped
     t = up.shifted(1, 2) - up.shifted(1, 1)
@@ -317,7 +317,7 @@ def test_criterion_09_epsilon_covariance():
                 assert f2.den_roots == tuple(sigma * r for r in f1.den_roots)
                 a, b = pat.window(k)
                 for j in range(a, b + 1):
-                    if raise_pole(pat, k, j, base) == 0 or pat.bumped(j, k, +1) is None:
+                    if pole_units(pat, k, j) == 0 or pat.bumped(j, k, +1) is None:
                         continue  # origin collisions break scaling, by construction
                     assert (
                         amplitude_E(pat, k, j, scaled)

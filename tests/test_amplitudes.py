@@ -15,7 +15,7 @@ from gtyang.amplitudes import (
     psi_closed_form,
     psi_generic,
 )
-from gtyang.patterns import GTPattern, add_remove_sets, build_pattern, enumerate_patterns
+from gtyang.patterns import GTPattern, build_pattern, enumerate_patterns
 from gtyang.localization import localize_module
 from gtyang.modes import ModuleData, move_pair, verify_dual_routes
 from gtyang.quiver import (
@@ -105,14 +105,18 @@ def test_psi_constant_at_infinity():
 
 
 def test_psi_poles_match_candidate_moves():
+    # each edge pat -> up at node k puts its pole in psi_k of both ends: the
+    # atom it adds to pat is the atom it removes from up
     for n, p, lam in [(3, 1, 3), (4, 2, 2), (5, 2, 1)]:
-        for pat in enumerate_patterns(n, p, lam):
-            for k in range(1, n):
-                add, rem = add_remove_sets(pat, k, EPS1.epsilon)
-                expected = sorted(pole for _, pole in add + rem)
-                f = psi_closed_form(pat, k, EPS1.epsilon)
-                assert sorted(f.den_roots) == expected
-                assert len(set(f.den_roots)) == len(f.den_roots)
+        data = ModuleData(n, p, lam, EPS1)
+        expected = {(pat, k): [] for pat in data.states for k in range(1, n)}
+        for (pat, k, j), pole in data.poles.items():
+            expected[pat, k].append(pole)
+            expected[pat.bumped(j, k, +1), k].append(pole)
+        for (pat, k), poles in expected.items():
+            f = psi_closed_form(pat, k, EPS1.epsilon)
+            assert sorted(f.den_roots) == sorted(poles)
+            assert len(set(f.den_roots)) == len(f.den_roots)
 
 
 def test_psi_requires_h_zero():
@@ -297,14 +301,10 @@ def test_amplitude_table_bumps_once_per_window_move(monkeypatch):
 def test_hysteresis_residue_identity():
     eps = EPS1.epsilon
     for n, p, lam in [(3, 1, 3), (4, 2, 2)]:
-        for pat in enumerate_patterns(n, p, lam):
-            for k in range(1, n):
-                psi = psi_closed_form(pat, k, eps)
-                add, _ = add_remove_sets(pat, k, eps)
-                for j, pole in add:
-                    up = pat.bumped(j, k, +1)
-                    product = amplitude_E(pat, k, j, eps) * amplitude_F(up, k, j, eps)
-                    assert product == psi.residue_simple(pole)
+        for (pat, k, j), pole in ModuleData(n, p, lam, EPS1).poles.items():
+            up = pat.bumped(j, k, +1)
+            product = amplitude_E(pat, k, j, eps) * amplitude_F(up, k, j, eps)
+            assert product == psi_closed_form(pat, k, eps).residue_simple(pole)
 
 
 def test_residue_example_rank_two():

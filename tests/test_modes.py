@@ -12,6 +12,7 @@ from gtyang.modes import (
     ModuleData,
     _product_gap,
     build_mode_operators,
+    verify_constraints,
     verify_dual_routes,
     verify_gelfand,
     verify_hysteresis,
@@ -21,7 +22,13 @@ from gtyang.modes import (
     verify_serre,
 )
 from gtyang.patterns import build_pattern, enumerate_patterns
-from gtyang.quiver import EquivariantParams, InvalidParams, InvariantViolation
+from gtyang.quiver import (
+    EquivariantParams,
+    InvalidParams,
+    InvariantViolation,
+    LinearForm,
+    build_quiver,
+)
 from gtyang.rational import FactoredRatFunc
 
 F = Fraction
@@ -419,6 +426,88 @@ def test_hysteresis_with_collisions():
 def test_pole_classification():
     assert all(r.passed for r in verify_pole_classification(ModuleData(3, 1, 3, EPS1)))
     assert all(r.passed for r in verify_pole_classification(ModuleData(4, 2, 2, EPS1)))
+
+
+# (4,2,2) with the module data corrupted at the state with free entries
+# (0,1,0,0): every failing row of verify_pole_classification as (relation,
+# state, node or move). The pole of the edge that raises move (1,1) is read by
+# the pole-set rows at both ends of that edge, the raise out of the state and
+# the lowering back into (1,1,0,0), so moving it by eps or dropping it fails
+# those two rows; a psi root moved by eps fails its own row. A spurious edge
+# for move (2,2), whose raise leaves the cone, fails the one vanishing row of
+# that move: `bumped` decides the cone, not the keys of the table.
+POLE_CHECK_FAILURES = {
+    "moved-pole": {("pole-set", (0, 1, 0, 0), 1), ("pole-set", (1, 1, 0, 0), 1)},
+    "missing-pole": {("pole-set", (0, 1, 0, 0), 1), ("pole-set", (1, 1, 0, 0), 1)},
+    "moved-psi-root": {("pole-set", (0, 1, 0, 0), 1)},
+    "spurious-edge": {("vanishing", (0, 1, 0, 0), (2, 2))},
+}
+
+
+@pytest.mark.parametrize("eps", [F(1), F(-3, 2)], ids=["eps=1", "eps=-3/2"])
+@pytest.mark.parametrize("corruption", list(POLE_CHECK_FAILURES))
+def test_corrupted_module_fails_the_pinned_pole_rows(corruption, eps):
+    data = ModuleData(4, 2, 2, EquivariantParams(eps))
+    pat = build_pattern(4, 2, 2, [0, 1, 0, 0])
+    assert all(r.passed for r in verify_pole_classification(data))
+    if corruption == "moved-pole":
+        data.poles[pat, 1, 1] += eps
+    elif corruption == "missing-pole":
+        del data.poles[pat, 1, 1]
+    elif corruption == "moved-psi-root":
+        psi = data.psi[pat, 1]
+        first, *rest = psi.den_roots
+        data.psi[pat, 1] = FactoredRatFunc.make(psi.scalar, psi.num_roots, [first + eps, *rest])
+    else:
+        assert pat.bumped(2, 2, +1) is None
+        data.table[pat, 2, 2] = (F(1), F(1))
+    failed = {
+        (r.relation_id, *r.params.values())
+        for r in verify_pole_classification(data)
+        if not r.passed
+    }
+    assert failed == POLE_CHECK_FAILURES[corruption]
+
+
+@pytest.mark.parametrize("eps", [F(1), F(3, 2), F(-3, 2), F(2, 7)])
+def test_moved_chain_psi_root_fails_its_chain_psi_row(eps):
+    # negative control: one numerator root of the psi of the chain state
+    # m = 1 of (4,1,3) moved by eps fails that state's chain-psi row alone
+    data = ModuleData(4, 1, 3, EquivariantParams(eps))
+    pat = build_pattern(4, 1, 3, [1, 0, 0])
+    assert all(r.passed for r in verify_reductions(data))
+    psi = data.psi[pat, 1]
+    first, *rest = psi.num_roots
+    data.psi[pat, 1] = FactoredRatFunc.make(psi.scalar, [first + eps, *rest], psi.den_roots)
+    failed = [(r.relation_id, r.params) for r in verify_reductions(data) if not r.passed]
+    assert failed == [("chain-psi", {"n": 1})]
+
+
+# (4,2,2) with one field of arrow A1 changed in a copy of the quiver: every
+# failing row of verify_constraints as (relation, loop). A1 sits in two
+# superpotential loops, 0 and 2, so each change fails the rows of those loops;
+# vertex-sum passes, since it sums to zero whatever the weights.
+CHANGED_ARROW_FAILURES = {
+    "weight": (LinearForm(2, 0), [("loop-weight", 0), ("loop-weight", 2)]),
+    "r_charge": (1, [("loop-rcharge", 0), ("loop-rcharge", 2)]),
+}
+
+
+@pytest.mark.parametrize("field", list(CHANGED_ARROW_FAILURES))
+def test_changed_arrow_fails_the_loop_rows_of_its_loops(monkeypatch, field):
+    shift, expected = CHANGED_ARROW_FAILURES[field]
+
+    def changed(*grid):
+        spec = build_quiver(*grid)
+        arrows = tuple(
+            arr._replace(**{field: getattr(arr, field) + shift}) if arr.name == "A1" else arr
+            for arr in spec.arrows
+        )
+        return spec._replace(arrows=arrows)
+
+    monkeypatch.setattr(modes, "build_quiver", changed)
+    reports = verify_constraints(ModuleData(4, 2, 2, EPS1))
+    assert [(r.relation_id, *r.params.values()) for r in reports if not r.passed] == expected
 
 
 def test_reductions():

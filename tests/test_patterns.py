@@ -5,7 +5,6 @@ import pytest
 
 from gtyang.patterns import (
     GTPattern,
-    add_remove_sets,
     build_pattern,
     enumerate_patterns,
     format_pattern,
@@ -14,10 +13,11 @@ from gtyang.patterns import (
     type_range,
     vacuum_pattern,
 )
-from gtyang.quiver import InvalidParams
+from gtyang.modes import ModuleData
+from gtyang.quiver import EquivariantParams, InvalidParams
 
 F = Fraction
-EPS1 = Fraction(1)
+EPS1 = EquivariantParams(1)
 
 
 def brute_force_patterns(n, p, lam):
@@ -109,31 +109,47 @@ def test_text_form_round_trip():
         assert parse_pattern(format_pattern(pat), 5, 2, 2) == pat
 
 
+def add_remove(data, pat, k):
+    """(type, pole) of each move at node k that adds an atom to ``pat`` and
+    of each that removes one, read from the module's pole table: an added
+    atom sits at the pole of the edge out of ``pat``, a removed one at the
+    pole of the edge that raises the state below back into ``pat``."""
+    add, rem = [], []
+    for (src, node, j), pole in data.poles.items():
+        if node == k and src == pat:
+            add.append((j, pole))
+        elif node == k and src.bumped(j, k, +1) == pat:
+            rem.append((j, pole))
+    return add, sorted(rem)
+
+
 def test_add_remove_examples():
     # two ways to grow at the marked node, no removal of the root atom
+    data = ModuleData(4, 2, 2, EPS1)
     pat = build_pattern(4, 2, 2, [1, 1, 0, 1])
-    add, rem = add_remove_sets(pat, 2, EPS1)
+    add, rem = add_remove(data, pat, 2)
     assert add == [(1, F(1)), (2, F(-1))]
     assert rem == []
 
     # full first row: the raise candidate disappears, the lowering stays
     pat = build_pattern(3, 1, 2, [2, 0])
-    add, rem = add_remove_sets(pat, 1, EPS1)
+    add, rem = add_remove(ModuleData(3, 1, 2, EPS1), pat, 1)
     assert add == []
     assert rem == [(1, F(1))]
 
     vac = vacuum_pattern(4, 2, 2)
     for k in (1, 3):
-        add, rem = add_remove_sets(vac, k, EPS1)
+        add, rem = add_remove(data, vac, k)
         assert add == [] and rem == []
-    add, rem = add_remove_sets(vac, 2, EPS1)
+    add, rem = add_remove(data, vac, 2)
     assert add == [(1, F(0))] and rem == []
 
 
 def test_poles_distinct_within_node():
-    for pat in enumerate_patterns(4, 2, 2):
+    data = ModuleData(4, 2, 2, EPS1)
+    for pat in data.states:
         for k in range(1, 4):
-            add, rem = add_remove_sets(pat, k, EPS1)
+            add, rem = add_remove(data, pat, k)
             poles = [pole for _, pole in add] + [pole for _, pole in rem]
             assert len(poles) == len(set(poles))
 
