@@ -6,22 +6,3 @@ lowering amplitudes come from closed forms and, independently, from
 equivariant Euler-class ratios. The verifier turns the whole algebra into
 finite exact matrix identities.
 """
-
-from gtyang.rational import FactoredRatFunc, SeriesPrefix
-from gtyang.linalg import RationalMatrix, kernel_basis
-from gtyang.quiver import EquivariantParams, LinearForm, QuiverSpec, build_quiver
-from gtyang.patterns import GTPattern, enumerate_patterns, rectangular_dimension
-
-__all__ = [
-    "FactoredRatFunc",
-    "SeriesPrefix",
-    "RationalMatrix",
-    "kernel_basis",
-    "EquivariantParams",
-    "LinearForm",
-    "QuiverSpec",
-    "build_quiver",
-    "GTPattern",
-    "enumerate_patterns",
-    "rectangular_dimension",
-]

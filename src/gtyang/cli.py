@@ -13,7 +13,6 @@ import gc
 import re
 import sys
 from fractions import Fraction
-from math import gcd
 
 from gtyang import modes as modes_mod
 from gtyang.patterns import format_pattern, parse_pattern, rectangular_dimension
@@ -106,12 +105,12 @@ def _bundle_header(data) -> dict:
 
 def _emit(args, text: str) -> None:
     if args.out is not None:
+        # open, write and close errors alike are one usage error
         try:
-            handle = open(args.out, "w")
+            with open(args.out, "w") as handle:
+                handle.write(text)
         except OSError as exc:
             raise InvalidParams(f"cannot write {args.out}: {exc.strerror}") from exc
-        with handle:
-            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -162,20 +161,13 @@ def cmd_states(args, data) -> int:
     return 0
 
 
-def _root_text(a: int, d: int) -> str:
-    """``str(Fraction(a, d))`` for a root numerator over a root denominator d > 0."""
-    g = gcd(a, d)
-    return str(a // g) if g == d else f"{a // g}/{d // g}"
-
-
 def _psi_entry(value, node, state_id) -> dict:
-    d = value.root_den
     return {
         "state": state_id,
         "node": node,
         "scalar": str(value.scalar),
-        "num_roots": [_root_text(a, d) for a in value.num_ints],
-        "den_roots": [_root_text(b, d) for b in value.den_ints],
+        "num_roots": [str(r) for r in value.num_roots],
+        "den_roots": [str(r) for r in value.den_roots],
     }
 
 
@@ -292,14 +284,14 @@ COMMANDS = {
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Rewrite ``--epsilon -3/2`` as ``--epsilon=-3/2``, for every numeric
-    flag whose value starts with a minus and a digit, so that a malformed
-    value such as ``-1_0`` meets the flag's grammar, not argparse, which
-    takes "-3/2" or "-1_0" for an option flag since only integers and
-    decimals look like negative numbers to it."""
+    flag and ``--pattern`` whose value starts with a minus and a digit, so
+    that a malformed value such as ``-1_0`` or ``-1;0`` meets the flag's
+    grammar, not argparse, which takes "-3/2" or "-1;0" for an option flag
+    since only integers and decimals look like negative numbers to it."""
     out: list[str] = []
     for token in argv:
         negative = re.match("-[0-9]", token)
-        if out and out[-1] in NUMERIC_FLAGS and negative:
+        if out and (out[-1] in NUMERIC_FLAGS or out[-1] == "--pattern") and negative:
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -46,13 +46,11 @@ NO_EDGE = (ZERO, ZERO)
 
 
 class RelationReport(NamedTuple):
+    """One check, where it ran and its residual: 0 exactly when it passes."""
+
     relation_id: str
     params: dict
     residual: Rat = ZERO
-
-    @property
-    def passed(self) -> bool:
-        return self.residual == 0
 
 
 class ModuleData:

@@ -139,7 +139,7 @@ def test_criterion_03_hysteresis():
     total = 0
     for n, p, lam in HYSTERESIS_GRID:
         reports = verify_hysteresis(ModuleData(n, p, lam, EPS1))
-        assert all(r.passed for r in reports), f"hysteresis fails on ({n},{p},{lam})"
+        assert all(r.residual == 0 for r in reports), f"hysteresis fails on ({n},{p},{lam})"
         total += len(reports)
     report("criterion-03 hysteresis", f"{total} identities on {len(HYSTERESIS_GRID)} grids "
            f"in {time.time() - start:.1f}s")
@@ -201,7 +201,7 @@ def test_criterion_05_mode_relations():
     for n, p, lam in MODE_GRID:
         data = ModuleData(n, p, lam, EPS1)
         reports = verify_mode_relations(build_mode_operators(data, cutoff=3), data)
-        assert all(r.passed for r in reports), f"mode relations fail on ({n},{p},{lam})"
+        assert all(r.residual == 0 for r in reports), f"mode relations fail on ({n},{p},{lam})"
     elapsed = time.time() - start
     assert elapsed < 60, f"criterion 5 took {elapsed:.1f}s"
     report("criterion-05 mode relations", f"cutoff 3 on {MODE_GRID}, fixed sign -1, "
@@ -211,7 +211,7 @@ def test_criterion_05_mode_relations():
 def test_criterion_06_serre():
     for n, p, lam in MODE_GRID:
         ops = build_mode_operators(ModuleData(n, p, lam, EPS1), cutoff=1)
-        assert all(r.passed for r in verify_serre(ops))
+        assert all(r.residual == 0 for r in verify_serre(ops))
     report("criterion-06 serre", f"triple and distant commutators on {MODE_GRID}")
 
 
@@ -333,13 +333,13 @@ def test_criterion_09_epsilon_covariance():
 
 def test_criterion_10_pole_classification():
     for n, p, lam in [(3, 1, 3), (4, 1, 2), (4, 2, 2), (5, 2, 1)]:
-        assert all(r.passed for r in verify_pole_classification(ModuleData(n, p, lam, EPS1)))
+        assert all(r.residual == 0 for r in verify_pole_classification(ModuleData(n, p, lam, EPS1)))
     report("criterion-10 poles", "candidate moves equal eigenvalue poles; invalid moves vanish")
 
 
 def test_criterion_11_reductions():
     for n in (3, 4, 5):
-        assert all(r.passed for r in verify_reductions(ModuleData(n, 1, 2, EPS1)))
+        assert all(r.residual == 0 for r in verify_reductions(ModuleData(n, 1, 2, EPS1)))
     for n in range(2, 7):
         for p in range(1, n):
             for lam in range(3):

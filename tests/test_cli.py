@@ -56,13 +56,17 @@ def test_flag_not_read_by_the_command_is_a_usage_error(capsys, argv):
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
-    target = tmp_path / "missing" / "x.json"
-    code, out, err = run(
-        capsys, "dims", "--n", "3", "--p", "1", "--lambda", "2", "--out", str(target)
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # a failed open, and a failed write where the system has /dev/full, a
+    # device that opens but takes no byte
+    targets = [tmp_path / "missing" / "x.json"]
+    targets += [path for path in [Path("/dev/full")] if path.exists()]
+    for target in targets:
+        code, out, err = run(
+            capsys, "dims", "--n", "3", "--p", "1", "--lambda", "2", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_zero_denominator_is_a_bad_rational_literal(capsys):
@@ -87,6 +91,8 @@ def test_malformed_pattern_is_a_usage_error(capsys):
         # the total count is right, but row 1 holds two entries and row 2 one
         ((4, 2, 2), "1,1;0;1", "expected 1 entries in row 1, got 2"),
         ((3, 1, 2), "1;1,1", "expected 1 entries in row 2, got 2"),
+        # a leading minus meets the pattern grammar, not argparse
+        ((3, 1, 2), "-1;0", "bad pattern entry '-1'"),
     ]:
         code, out, err = run(capsys, "psi", *_grid_args(grid, "1"), "--pattern", pattern)
         assert (code, out, err) == (2, "", f"error: {message}\n")

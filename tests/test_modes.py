@@ -53,14 +53,14 @@ def test_operator_count_at_cutoff_zero():
 def test_mode_relations_small_grid():
     data = ModuleData(3, 1, 2, EPS1)
     reports = verify_mode_relations(build_mode_operators(data, cutoff=3), data)
-    assert all(r.passed for r in reports)
+    assert all(r.residual == 0 for r in reports)
 
 
 def test_diagonal_modes_commute_and_offdiag_pairing_vanishes():
     data = ModuleData(4, 2, 1, EPS1)
     reports = verify_mode_relations(build_mode_operators(data, cutoff=2), data)
-    assert all(r.passed for r in reports if r.relation_id == "psipsi")
-    assert all(r.passed for r in reports if r.relation_id == "ef-offdiag")
+    assert all(r.residual == 0 for r in reports if r.relation_id == "psipsi")
+    assert all(r.residual == 0 for r in reports if r.relation_id == "ef-offdiag")
 
 
 def test_mode_relations_store_no_product():
@@ -74,16 +74,16 @@ def test_mode_relations_store_no_product():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(r.passed for r in reports)
+    assert all(r.residual == 0 for r in reports)
     assert peak < 500_000, peak
 
 
 def test_serre_small_grids():
     ops = build_mode_operators(ModuleData(3, 1, 2, EPS1), cutoff=1)
-    assert all(r.passed for r in verify_serre(ops))
+    assert all(r.residual == 0 for r in verify_serre(ops))
     ops = build_mode_operators(ModuleData(4, 2, 1, EPS1), cutoff=1)
     reports = verify_serre(ops)
-    assert all(r.passed for r in reports)
+    assert all(r.residual == 0 for r in reports)
     assert any(r.relation_id == "serre-e-far" for r in reports)
 
 
@@ -215,7 +215,7 @@ def test_swapped_exchange_roots_fail_the_quadratic_and_boundary_relations(eps):
     failed = {
         (r.relation_id, r.params["a"], r.params["b"])
         for r in verify_mode_relations(data.operators(2), data)
-        if not r.passed
+        if r.residual != 0
     }
     assert failed == {
         (rel, 1, 2) for rel in ("ee", "ff", "psie", "psif", "boundary-e", "boundary-f")
@@ -276,7 +276,7 @@ GELFAND_TABLE_FAILURES = {
 def test_corrupted_edge_table_fails_the_pinned_gelfand_rows(corruption):
     data = ModuleData(4, 2, 2, EPS1)
     pat = build_pattern(4, 2, 2, [0, 1, 0, 0])
-    assert all(r.passed for r in verify_gelfand(data))
+    assert all(r.residual == 0 for r in verify_gelfand(data))
     if corruption == "doubled":
         e, f = data.table[pat, 1, 1]
         data.table[pat, 1, 1] = (2 * e, f)
@@ -286,7 +286,7 @@ def test_corrupted_edge_table_fails_the_pinned_gelfand_rows(corruption):
     failed = {
         (r.params["state"], r.params["move"], r.residual)
         for r in verify_gelfand(data)
-        if not r.passed
+        if r.residual != 0
     }
     assert failed == GELFAND_TABLE_FAILURES[corruption]
 
@@ -354,7 +354,7 @@ def test_moved_pole_is_a_failed_residue_report_not_an_exception(eps):
     data.poles[key] += eps
     pat, k, j = key
     e, f = data.table[key]
-    failed = [r for r in verify_hysteresis(data) if r.relation_id == "residue" and not r.passed]
+    failed = [r for r in verify_hysteresis(data) if r.relation_id == "residue" and r.residual != 0]
     assert [(r.params, r.residual) for r in failed] == [
         ({"state": pat.free_values, "move": (k, j)}, abs(e * f))
     ]
@@ -410,22 +410,22 @@ def test_hysteresis_suite_computes_each_closed_form_psi_once(capsys, monkeypatch
 
 def test_hysteresis_examples():
     reports = verify_hysteresis(ModuleData(3, 1, 2, EPS1))
-    assert all(r.passed for r in reports)
+    assert all(r.residual == 0 for r in reports)
     residue_checks = [r for r in reports if r.relation_id == "residue"]
     assert residue_checks
     reports = verify_hysteresis(ModuleData(4, 2, 1, EPS1))
-    assert all(r.passed for r in reports)
+    assert all(r.residual == 0 for r in reports)
 
 
 def test_hysteresis_with_collisions():
     # origin-crossing poles appear on this grid; the identities must still
     # close exactly under the dropped-factor convention
-    assert all(r.passed for r in verify_hysteresis(ModuleData(4, 1, 2, EPS1)))
+    assert all(r.residual == 0 for r in verify_hysteresis(ModuleData(4, 1, 2, EPS1)))
 
 
 def test_pole_classification():
-    assert all(r.passed for r in verify_pole_classification(ModuleData(3, 1, 3, EPS1)))
-    assert all(r.passed for r in verify_pole_classification(ModuleData(4, 2, 2, EPS1)))
+    assert all(r.residual == 0 for r in verify_pole_classification(ModuleData(3, 1, 3, EPS1)))
+    assert all(r.residual == 0 for r in verify_pole_classification(ModuleData(4, 2, 2, EPS1)))
 
 
 # (4,2,2) with the module data corrupted at the state with free entries
@@ -449,7 +449,7 @@ POLE_CHECK_FAILURES = {
 def test_corrupted_module_fails_the_pinned_pole_rows(corruption, eps):
     data = ModuleData(4, 2, 2, EquivariantParams(eps))
     pat = build_pattern(4, 2, 2, [0, 1, 0, 0])
-    assert all(r.passed for r in verify_pole_classification(data))
+    assert all(r.residual == 0 for r in verify_pole_classification(data))
     if corruption == "moved-pole":
         data.poles[pat, 1, 1] += eps
     elif corruption == "missing-pole":
@@ -464,7 +464,7 @@ def test_corrupted_module_fails_the_pinned_pole_rows(corruption, eps):
     failed = {
         (r.relation_id, *r.params.values())
         for r in verify_pole_classification(data)
-        if not r.passed
+        if r.residual != 0
     }
     assert failed == POLE_CHECK_FAILURES[corruption]
 
@@ -475,11 +475,11 @@ def test_moved_chain_psi_root_fails_its_chain_psi_row(eps):
     # m = 1 of (4,1,3) moved by eps fails that state's chain-psi row alone
     data = ModuleData(4, 1, 3, EquivariantParams(eps))
     pat = build_pattern(4, 1, 3, [1, 0, 0])
-    assert all(r.passed for r in verify_reductions(data))
+    assert all(r.residual == 0 for r in verify_reductions(data))
     psi = data.psi[pat, 1]
     first, *rest = psi.num_roots
     data.psi[pat, 1] = FactoredRatFunc.make(psi.scalar, [first + eps, *rest], psi.den_roots)
-    failed = [(r.relation_id, r.params) for r in verify_reductions(data) if not r.passed]
+    failed = [(r.relation_id, r.params) for r in verify_reductions(data) if r.residual != 0]
     assert failed == [("chain-psi", {"n": 1})]
 
 
@@ -507,20 +507,20 @@ def test_changed_arrow_fails_the_loop_rows_of_its_loops(monkeypatch, field):
 
     monkeypatch.setattr(modes, "build_quiver", changed)
     reports = verify_constraints(ModuleData(4, 2, 2, EPS1))
-    assert [(r.relation_id, *r.params.values()) for r in reports if not r.passed] == expected
+    assert [(r.relation_id, *r.params.values()) for r in reports if r.residual != 0] == expected
 
 
 def test_reductions():
     reports = verify_reductions(ModuleData(3, 1, 2, EPS1))
-    assert all(r.passed for r in reports)
+    assert all(r.residual == 0 for r in reports)
     lower = {r.params["n"]: r for r in reports if r.relation_id == "chain-lower"}
     assert lower[1].residual == 0  # -n(lam - n + 1) at n = 1 is -2
-    assert all(r.passed for r in verify_reductions(ModuleData(4, 1, 2, EPS1)))
+    assert all(r.residual == 0 for r in verify_reductions(ModuleData(4, 1, 2, EPS1)))
     with pytest.raises(InvalidParams):
         verify_reductions(ModuleData(4, 2, 1, EPS1))
     reports = verify_reductions(ModuleData(5, 1, 2, EPS1))
     conj = [r for r in reports if r.relation_id == "dim-conjugation"]
-    assert all(r.passed for r in conj)
+    assert all(r.residual == 0 for r in conj)
 
 
 def test_cutoff_validation():

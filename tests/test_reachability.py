@@ -1,46 +1,93 @@
 """Every function, method and class defined in ``src`` is reached from
-``src``. A definition whose name no ``src`` module uses, as a name or as an
-attribute, is API that only the tests or ``bench/`` reach; it fails the test
-below unless ``UNREACHED`` lists it with its reason. Dunders are called by the
-language itself and are left out."""
+``src``, and every name a ``src`` module imports is used in it.
+
+A method or property, a definition directly in a class body, is reached only
+through an attribute access (``x.name``): a parameter or a local of the same
+name calls nothing. Any other definition is reached by a name or an attribute
+of its name. A definition that no ``src`` module reaches is API that only the
+tests or ``bench/`` reach; it fails the test below unless ``UNREACHED`` lists
+it with its reason. Dunders are called by the language itself and are left
+out."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gtyang"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gtyang"
+TRACING = ROOT / "bench" / "tracing.py"
 
 # qualified name -> why it stays with no caller in src
 UNREACHED = {
     "tangent_graded": "a bench/tracing.py layer target",
     "amplitudes_via_localization": "a bench/tracing.py layer target",
     "DeformationComplex.gauge_rank_sector": "a bench/tracing.py layer target",
+    "RationalMatrix.entries": "read by the bench/tracing.py product hook",
     "verify_f_terms": "the crystal suite of ROADMAP item 3 will call it",
+    "FTermReport.ok": "the crystal suite of ROADMAP item 3 will call it",
     "FTermReport.failures": "the crystal suite of ROADMAP item 3 will call it",
     "GTPattern.node_dimension": "the crystal suite of ROADMAP item 3 will call it",
 }
 
 
-def _definitions(node, prefix=""):
-    """(qualified name, name) of each def and class under ``node``, a
-    nested one qualified by the defs and classes around it."""
+def _trees() -> dict:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _definitions(node, prefix="", in_class=False):
+    """(qualified name, name, is a method) of each def and class under
+    ``node``, a nested one qualified by the defs and classes around it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield prefix + child.name, child.name
-            yield from _definitions(child, f"{prefix}{child.name}.")
+            yield prefix + child.name, child.name, in_class
+            is_class = isinstance(child, ast.ClassDef)
+            yield from _definitions(child, f"{prefix}{child.name}.", is_class)
         else:
-            yield from _definitions(child, prefix)
+            yield from _definitions(child, prefix, in_class)
 
 
 def test_every_src_definition_is_named_in_src_or_listed():
-    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    trees = _trees().values()
     nodes = [node for tree in trees for node in ast.walk(tree)]
-    named = {node.id for node in nodes if isinstance(node, ast.Name)}
-    named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    named = attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
     unreached = {
         qualified
         for tree in trees
-        for qualified, name in _definitions(tree)
-        if name not in named and not (name.startswith("__") and name.endswith("__"))
+        for qualified, name, is_method in _definitions(tree)
+        if name not in (attributes if is_method else named)
+        and not (name.startswith("__") and name.endswith("__"))
     }
     # a listed name that gains a caller leaves the list, so the list stays exact
     assert unreached == set(UNREACHED)
+
+
+def test_every_bench_reason_holds_in_bench():
+    """An entry kept for ``bench/tracing.py`` is named there, as a layer
+    target ``module:qualified`` or read as an attribute ``.name``; once the
+    bench stops reaching it, it fails here and can be deleted."""
+    text = TRACING.read_text()
+    stale = [
+        qualified
+        for qualified, reason in UNREACHED.items()
+        if "bench/tracing.py" in reason
+        and not re.search(rf"(:{re.escape(qualified)}|\.{qualified.rsplit('.', 1)[-1]})\b", text)
+    ]
+    assert stale == []
+
+
+def test_every_src_import_is_used():
+    """No ``src`` module imports a name it never uses: a re-export is API
+    that only the tests could reach."""
+    unused = set()
+    for stem, tree in _trees().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.add(f"{stem}:{bound}")
+    assert unused == set()
