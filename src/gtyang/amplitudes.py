@@ -15,14 +15,10 @@ from fractions import Fraction
 
 from gtyang.crystal import atoms_at_node
 from gtyang.patterns import GTPattern, pole_units
-from gtyang.quiver import build_quiver, exchange_roots
+from gtyang.quiver import InvariantViolation, build_quiver, exchange_roots
 from gtyang.rational import FactoredRatFunc
 
 Rat = Fraction
-
-
-class IndexOutOfRange(IndexError):
-    pass
 
 
 @functools.cache
@@ -41,7 +37,7 @@ def psi_generic(pat: GTPattern, k: int, eps: Rat) -> FactoredRatFunc:
     included: a node-b atom of weight w contributes the exchange roots of
     node k with node b, shifted by w (at h = 0, in units of eps/2)."""
     if not 1 <= k <= pat.n - 1:
-        raise IndexOutOfRange(f"node {k} out of range")
+        raise InvariantViolation(f"node {k} out of range")
     num: list[int] = []
     den: list[int] = []
     for b, (b_num, b_den) in exchange_roots(build_quiver(pat.n, pat.p, pat.lam), k).items():
@@ -55,7 +51,7 @@ def psi_closed_form(pat: GTPattern, k: int, eps: Rat) -> FactoredRatFunc:
     """Level-free route: per type ladder only the boundary factors survive,
     with positions read off the pattern entries directly (in units of eps/2)."""
     if not 1 <= k <= pat.n - 1:
-        raise IndexOutOfRange(f"node {k} out of range")
+        raise InvariantViolation(f"node {k} out of range")
     num: list[int] = []
     den: list[int] = []
     if k == pat.p:
@@ -83,10 +79,10 @@ def psi_closed_form(pat: GTPattern, k: int, eps: Rat) -> FactoredRatFunc:
 
 def _check_type_index(pat: GTPattern, k: int, j: int) -> None:
     if not 1 <= k <= pat.n - 1:
-        raise IndexOutOfRange(f"node {k} out of range")
+        raise InvariantViolation(f"node {k} out of range")
     a, b = pat.window(k)
     if not a <= j <= b:
-        raise IndexOutOfRange(f"type index {j} outside [{a}, {b}] at node {k}")
+        raise InvariantViolation(f"type index {j} outside [{a}, {b}] at node {k}")
 
 
 def amplitude_E(pat: GTPattern, k: int, j: int, eps: Rat) -> Rat:

@@ -284,14 +284,17 @@ COMMANDS = {
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Rewrite ``--epsilon -3/2`` as ``--epsilon=-3/2``, for every numeric
-    flag and ``--pattern`` whose value starts with a minus and a digit, so
-    that a malformed value such as ``-1_0`` or ``-1;0`` meets the flag's
-    grammar, not argparse, which takes "-3/2" or "-1;0" for an option flag
-    since only integers and decimals look like negative numbers to it."""
+    flag, ``--pattern`` and ``--out`` whose value starts with a minus and a
+    digit, so that a malformed value such as ``-1_0`` or ``-1;0`` meets the
+    flag's grammar and a path such as ``-1.json`` is written, where argparse
+    would take "-3/2", "-1;0" or "-1.json" for an option flag, since only
+    integers and decimals look like negative numbers to it. A value with no
+    digit after the minus, such as ``--out -x.json``, stays refused: it may
+    be a forgotten value followed by a flag."""
     out: list[str] = []
     for token in argv:
         negative = re.match("-[0-9]", token)
-        if out and (out[-1] in NUMERIC_FLAGS or out[-1] == "--pattern") and negative:
+        if out and (out[-1] in NUMERIC_FLAGS or out[-1] in ("--pattern", "--out")) and negative:
             out[-1] += "=" + token
         else:
             out.append(token)

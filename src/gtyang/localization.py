@@ -35,14 +35,6 @@ from gtyang.quiver import FRAMING, ZERO_FORM, EquivariantParams, InvariantViolat
 Rat = Fraction
 
 
-class StabilityViolation(RuntimeError):
-    pass
-
-
-class NotAdjacent(ValueError):
-    pass
-
-
 class UncalibratedCell(RuntimeError):
     """Trim outside the configurations pinned against the closed forms: an
     incidence whose sign the rule does not decide, or a tangent excess that
@@ -66,9 +58,8 @@ class DeformationComplex:
     the tangent grading trimmed to the expected dimension (``tangent``) and
     the opposite-weight pairs the trim removed (``removed``), all keyed by
     ``LinearForm``. Construction raises ``InvariantViolation`` when an arrow
-    entry breaks equivariance and ``StabilityViolation`` when the framing
-    atom does not generate the fixed point, the condition that makes the
-    gauge action free.
+    entry breaks equivariance or when the framing atom does not generate the
+    fixed point, the condition that makes the gauge action free.
     """
 
     def __init__(self, fp: FixedPoint):
@@ -86,8 +77,7 @@ class DeformationComplex:
         weight = self.slot_weight
         kept = all(weight[a, t, s] == ZERO_FORM for a, q in maps.items() for s, t in q.items())
         _require(kept, "image leaves its direction weight")
-        if not self.gauge_injective():
-            raise StabilityViolation("framing atom does not generate the fixed point")
+        _require(self.gauge_injective(), "framing atom does not generate the fixed point")
         # the gauge action is injective, so its rank at each weight is the
         # number of gl(V_a) directions of that weight
         self.gauge_ranks = ranks = _directions(spec, atoms, atoms)
@@ -267,13 +257,13 @@ def tangent_graded(fp: FixedPoint) -> dict[LinearForm, int]:
 
 def _added_atom(cx: DeformationComplex, cx_plus: DeformationComplex) -> Atom:
     """The one atom that the larger end adds to the smaller. Raises
-    ``NotAdjacent`` unless the larger crystal is the smaller one plus exactly
-    one atom, and ``InvariantViolation`` unless every arrow of the larger end
-    agrees with the smaller end's on the old atoms and sends the added atom
-    to no old atom, so that forgetting the added atom intertwines the two."""
+    ``InvariantViolation`` unless the larger crystal is the smaller one plus
+    exactly one atom and every arrow of the larger end agrees with the
+    smaller end's on the old atoms and sends the added atom to no old atom,
+    so that forgetting the added atom intertwines the two."""
     old, new = ({a for atoms in c.fp.atoms.values() for a in atoms} for c in (cx, cx_plus))
-    if len(new) != len(old) + 1 or not old < new:
-        raise NotAdjacent("second fixed point is not a single-atom extension")
+    adjacent = len(new) == len(old) + 1 and old < new
+    _require(adjacent, "second fixed point is not a single-atom extension")
     (added,) = new - old
     for name, q in cx.fp.maps.items():
         q_plus = {s: t for s, t in cx_plus.fp.maps[name].items() if t != added}

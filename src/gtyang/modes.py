@@ -30,7 +30,7 @@ from gtyang.quiver import (
     check_constraints,
     exchange_roots,
 )
-from gtyang.rational import FactoredRatFunc, NotAPole, NotASimplePole
+from gtyang.rational import FactoredRatFunc, NotASimplePole
 
 Rat = Fraction
 
@@ -276,7 +276,9 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
     Amplitudes, psi and poles are read from ``data``; a move that leaves the
     cone has no edge and reads as zero. The ratio checks read phi_ab at the
     pole difference x as num = x - alpha over den = x - beta, the roots from
-    ``data.bonds``, each side 1 where its bag is empty."""
+    ``data.bonds``, each side 1 where its bag is empty. The residue row
+    compares E*F with the residue of psi at the move's pole, 0 where the
+    pole is regular, and fails with 1 at a pole of higher order."""
     states, bonds = data.states, data.bonds
     table, psi, poles = data.table, data.psi, data.poles
     reports = []
@@ -287,8 +289,6 @@ def verify_hysteresis(data: ModuleData) -> list[RelationReport]:
             e1, f1 = table[pat, k1, j1]
             try:
                 gap = _product_gap((e1, f1), (psi[pat, k1].residue_simple(poles[pat, k1, j1]),))
-            except NotAPole:  # the residue at a regular point is 0
-                gap = abs(e1 * f1)
             except NotASimplePole:
                 gap = ONE
             reports.append(RelationReport("residue", {"state": state, "move": (k1, j1)}, gap))

@@ -17,16 +17,8 @@ from typing import Iterable, NamedTuple, Sequence
 Rat = Fraction
 
 
-class NotAPole(ValueError):
-    """Residue requested at a point that is not a pole."""
-
-
 class NotASimplePole(ValueError):
     """Residue requested at a pole of multiplicity > 1."""
-
-
-class UnboundedAtInfinity(ValueError):
-    """Large-z expansion requested for a function with deg num > deg den."""
 
 
 def _cancel(num: Iterable[int], den: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -137,14 +129,15 @@ class FactoredRatFunc(NamedTuple):
         return _over(self.scalar * Fraction(c), self.num_ints, self.den_ints, self.root_den)
 
     def residue_simple(self, z0: Rat) -> Rat:
-        """(z - z0) * f(z) at z0 (an int or a Fraction), a simple pole: with
-        z0 = x/d each factor z0 - a/d is (x - a)/d, so the value is one int
-        product over another times a power of d."""
+        """(z - z0) * f(z) at z0 (an int or a Fraction): 0 where z0 is no
+        pole, and at a simple pole, with z0 = x/d, each factor z0 - a/d is
+        (x - a)/d, so the value is one int product over another times a
+        power of d. A pole of higher order raises ``NotASimplePole``."""
         d = self.root_den
         x, off = divmod(z0.numerator * d, z0.denominator)  # off: z0 * d is no int
         mult = 0 if off else self.den_ints.count(x)
         if mult == 0:
-            raise NotAPole(f"z = {z0} is not a pole")
+            return Fraction(0)
         if mult > 1:
             raise NotASimplePole(f"z = {z0} has multiplicity {mult}")
         top, bottom = self.scalar.numerator, self.scalar.denominator
@@ -166,7 +159,7 @@ class FactoredRatFunc(NamedTuple):
             return SeriesPrefix(Fraction(0), (Fraction(0),) * (order + 1))
         gap = len(self.den_ints) - len(self.num_ints)
         if gap < 0:
-            raise UnboundedAtInfinity("deg num > deg den")
+            raise ValueError("deg num > deg den")
         terms = order + 2  # t^0 .. t^(order+1), t = 1/z
         # with r = a / d, the t**j coefficients of prod(1 - r*t) and of the
         # quotient are ints over d**j

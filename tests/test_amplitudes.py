@@ -7,7 +7,6 @@ import pytest
 
 from gtyang import amplitudes, patterns
 from gtyang.amplitudes import (
-    IndexOutOfRange,
     amplitude_E,
     amplitude_F,
     amplitude_table,
@@ -21,6 +20,7 @@ from gtyang.modes import ModuleData, move_pair, verify_dual_routes
 from gtyang.quiver import (
     EquivariantParams,
     InvalidParams,
+    InvariantViolation,
     LinearForm,
     build_quiver,
 )
@@ -402,7 +402,7 @@ def test_gelfand_invalid_target_and_direction():
     assert gelfand_squared_closed_form(pat, 1, 1) == 0
     table = amplitude_table(enumerate_patterns(3, 1, 2), EPS1.epsilon)
     assert squared(table, pat, 1, 1, "raise") == 0
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvariantViolation, match=r"^type index 2 outside \[1, 1\] at node 1$"):
         gelfand_squared_closed_form(pat, 1, 2)
 
 
@@ -419,7 +419,7 @@ def test_gelfand_invalid_target_and_direction():
 )
 def test_node_outside_the_gauge_nodes_is_refused(route, k):
     # the gauge nodes of n = 3 are 1 and 2
-    with pytest.raises(IndexOutOfRange, match=f"^node {k} out of range$"):
+    with pytest.raises(InvariantViolation, match=f"^node {k} out of range$"):
         route(build_pattern(3, 1, 2, [1, 0]), k)
 
 

@@ -69,6 +69,20 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
+def test_out_path_with_a_leading_minus_and_digit_is_written(tmp_path, monkeypatch, capsys):
+    # argparse alone takes "-1.json" for an option flag and exits with usage
+    monkeypatch.chdir(tmp_path)
+    grid = ["--n", "3", "--p", "1", "--lambda", "1"]
+    assert run(capsys, "dims", *grid, "--out", "-1.json") == (0, "", "")
+    payload = json.loads((tmp_path / "-1.json").read_text())
+    assert payload["dimension"] == 3 and payload["params"]["n"] == 3
+    # with no digit after the minus the value may be a forgotten one
+    # followed by a flag, so it stays a usage error
+    code, out, err = run(capsys, "dims", *grid, "--out", "-x.json")
+    assert (code, out) == (2, "") and "argument --out: expected one argument" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["-1.json"]
+
+
 def test_zero_denominator_is_a_bad_rational_literal(capsys):
     # Fraction("1/0") raises ZeroDivisionError; the CLI reports it as the
     # same usage error as any other malformed rational

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtyang.rational import (
-    FactoredRatFunc,
-    NotAPole,
-    NotASimplePole,
-    UnboundedAtInfinity,
-)
+from gtyang.rational import FactoredRatFunc, NotASimplePole
 from gtyang.quiver import LinearForm
 
 F = Fraction
@@ -111,8 +106,8 @@ def test_residue_examples():
     assert g.residue_simple(0) == 1
     with pytest.raises(NotASimplePole):
         make(1, [-1], [1, 1]).residue_simple(1)
-    with pytest.raises(NotAPole):
-        f.residue_simple(7)
+    # (z - 7) * f(z) is 0 at the regular point z = 7
+    assert f.residue_simple(7) == 0
 
 
 def test_series_examples():
@@ -125,7 +120,7 @@ def test_series_examples():
     s = make(5).series_at_infinity(3)
     assert s.constant_term == 5
     assert s.coefficients == (0, 0, 0, 0)
-    with pytest.raises(UnboundedAtInfinity):
+    with pytest.raises(ValueError, match="^deg num > deg den$"):
         make(1, [0, 1], [2]).series_at_infinity(1)
 
 
@@ -171,7 +166,7 @@ def test_residue_matches_dense_limit_oracle(f):
 @settings(max_examples=150)
 def test_series_matches_long_division_oracle(f, order):
     if len(f.num_roots) > len(f.den_roots):
-        with pytest.raises(UnboundedAtInfinity):
+        with pytest.raises(ValueError, match="^deg num > deg den$"):
             f.series_at_infinity(order)
         return
     expected = oracle_series(f, order)
@@ -285,8 +280,7 @@ def test_residue_off_the_root_denominator_is_not_a_pole(f, top, bottom):
     z = F(top, bottom)
     if f.root_den % z.denominator == 0:
         return
-    with pytest.raises(NotAPole):
-        f.residue_simple(z)
+    assert f.residue_simple(z) == 0
 
 
 W = LinearForm(1, 0)

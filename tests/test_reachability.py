@@ -7,9 +7,14 @@ name calls nothing. Any other definition is reached by a name or an attribute
 of its name. A definition that no ``src`` module reaches is API that only the
 tests or ``bench/`` reach; it fails the test below unless ``UNREACHED`` lists
 it with its reason. Dunders are called by the language itself and are left
-out."""
+out.
+
+An exception class in ``src`` exists only where ``src`` tells it apart, in
+an ``except`` clause or an ``isinstance`` test; ``UNCAUGHT`` lists the one
+that is raised and never caught."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -27,6 +32,11 @@ UNREACHED = {
     "FTermReport.ok": "the crystal suite of ROADMAP item 3 will call it",
     "FTermReport.failures": "the crystal suite of ROADMAP item 3 will call it",
     "GTPattern.node_dimension": "the crystal suite of ROADMAP item 3 will call it",
+}
+
+# exception class -> why it stays with no handler in src
+UNCAUGHT = {
+    "InvariantViolation": "a bug, never bad input: it ends the run with its traceback",
 }
 
 
@@ -91,3 +101,40 @@ def test_every_src_import_is_used():
                     if bound not in used:
                         unused.add(f"{stem}:{bound}")
     assert unused == set()
+
+
+def _names(node) -> set:
+    """The class names in an ``except`` type or an ``isinstance`` class
+    argument: a name, an attribute, or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names, node.elts))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def test_every_src_exception_is_caught_in_src():
+    """Each class whose base is a builtin exception or a ``src`` one is
+    named by an ``except`` or an ``isinstance`` in ``src``, or listed in
+    ``UNCAUGHT``; a type no handler tells apart is one raise of
+    ``InvariantViolation`` or a builtin error."""
+    nodes = [node for tree in _trees().values() for node in ast.walk(tree)]
+    builtin = {
+        name
+        for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    classes = [node for node in nodes if isinstance(node, ast.ClassDef)]
+    bases = {node.name: set().union(*map(_names, node.bases)) for node in classes}
+    # a class whose base is a src exception is one too, in whatever order
+    # the modules define them
+    exceptions: set = set()
+    while found := {name for name, of in bases.items() if of & (builtin | exceptions)} - exceptions:
+        exceptions |= found
+    caught = set()
+    for node in nodes:
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught |= _names(node.type)
+        elif isinstance(node, ast.Call) and _names(node.func) == {"isinstance"}:
+            caught |= _names(node.args[1])
+    assert exceptions - caught == set(UNCAUGHT)
